@@ -6,7 +6,7 @@
 //! `fig7_mixer_comparison`, `fig8_er_baseline_vs_qnas`,
 //! `fig9_regular_baseline_vs_qnas`). They all print a [`FigureReport`]
 //! table and a JSON blob so the numbers can be compared against the paper
-//! (see `EXPERIMENTS.md`).
+//! (see the README, "Reproducing the paper's figures").
 //!
 //! The paper's full workload (2500 candidate circuits × 20 graphs × 200
 //! COBYLA steps on a Polaris node) is larger than what a default `cargo run`

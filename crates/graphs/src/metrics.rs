@@ -1,9 +1,9 @@
 //! Structural graph metrics used for dataset characterization.
 //!
 //! The paper's profiling dataset is described only as ER graphs "with varying
-//! degrees of connectivity"; the reporting in `EXPERIMENTS.md` and the figure
-//! harness characterize the generated instances with the metrics here so a
-//! reader can judge how close a regenerated dataset is to the paper's.
+//! degrees of connectivity"; the figure harness characterizes the generated
+//! instances with the metrics here so a reader can judge how close a
+//! regenerated dataset is to the paper's.
 
 use crate::graph::Graph;
 use serde::{Deserialize, Serialize};

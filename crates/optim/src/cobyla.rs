@@ -29,7 +29,6 @@
 
 use crate::result::{OptimizationResult, OptimizationTrace};
 use crate::resumable::{OptimizerState, Resumable};
-use crate::Optimizer;
 
 /// COBYLA-style linear trust-region optimizer.
 #[derive(Debug, Clone)]
@@ -263,6 +262,10 @@ impl CobylaOptimizer {
 }
 
 impl Resumable for CobylaOptimizer {
+    fn name(&self) -> &'static str {
+        "cobyla"
+    }
+
     fn start(&self, initial: &[f64], _budget_hint: usize) -> OptimizerState {
         OptimizerState::Cobyla(CobylaState {
             initial: initial.to_vec(),
@@ -290,22 +293,6 @@ impl Resumable for CobylaOptimizer {
             self.step(s, objective);
         }
         s.snapshot()
-    }
-}
-
-impl Optimizer for CobylaOptimizer {
-    fn minimize(
-        &self,
-        objective: &(dyn Fn(&[f64]) -> f64 + Sync),
-        initial: &[f64],
-        max_evaluations: usize,
-    ) -> OptimizationResult {
-        let mut state = self.start(initial, max_evaluations);
-        self.resume_until(&mut state, objective, max_evaluations.max(1))
-    }
-
-    fn name(&self) -> &'static str {
-        "cobyla"
     }
 }
 

@@ -6,7 +6,6 @@
 
 use crate::result::{OptimizationResult, OptimizationTrace};
 use crate::resumable::{BatchProposal, OptimizerState, Resumable};
-use crate::Optimizer;
 
 /// Evaluate the objective on a uniform grid in `initial ± half_width` and
 /// return the best grid point. The number of points per dimension is chosen
@@ -51,6 +50,10 @@ impl GridState {
 }
 
 impl Resumable for GridSearch {
+    fn name(&self) -> &'static str {
+        "grid-search"
+    }
+
     fn start(&self, initial: &[f64], budget_hint: usize) -> OptimizerState {
         let n = initial.len();
         let budget = budget_hint.max(1);
@@ -184,22 +187,6 @@ impl Resumable for GridSearch {
         if s.cursor >= s.total {
             s.converged = true;
         }
-    }
-}
-
-impl Optimizer for GridSearch {
-    fn minimize(
-        &self,
-        objective: &(dyn Fn(&[f64]) -> f64 + Sync),
-        initial: &[f64],
-        max_evaluations: usize,
-    ) -> OptimizationResult {
-        let mut state = self.start(initial, max_evaluations);
-        self.resume_until(&mut state, objective, max_evaluations.max(1))
-    }
-
-    fn name(&self) -> &'static str {
-        "grid-search"
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! The QArchSearch **Evaluator** trains each candidate QAOA circuit "for 200
 //! steps with the COBYLA optimizer" (§2.1). This crate provides that
-//! optimizer along with several alternatives behind one [`Optimizer`] trait:
+//! optimizer along with several alternatives behind one [`Resumable`] trait:
 //!
 //! * [`CobylaOptimizer`] — a linear-approximation trust-region method in the
 //!   spirit of Powell's COBYLA, restricted to the unconstrained case the
@@ -16,13 +16,14 @@
 //! All optimizers **minimize**; QAOA energy maximization is expressed by
 //! minimizing the negated expectation.
 //!
-//! Every bundled optimizer is also [`Resumable`]: a run can be checkpointed
-//! as an [`OptimizerState`] and continued later with a larger budget, which
-//! is what the search package's successive-halving pruner builds on. See
-//! [`resumable`] for the contract and a worked example.
+//! A run can be checkpointed as an [`OptimizerState`] and continued later
+//! with a larger budget, which is what the search package's
+//! successive-halving pruner builds on; the one-shot
+//! [`Resumable::minimize`] is `start` + `resume_until`. See [`resumable`]
+//! for the contract and a worked example.
 //!
 //! ```
-//! use optim::{NelderMead, Optimizer};
+//! use optim::{NelderMead, Resumable};
 //!
 //! // Minimize a shifted quadratic.
 //! let nm = NelderMead::default();
@@ -50,23 +51,6 @@ pub use spsa::Spsa;
 
 use serde::{Deserialize, Serialize};
 
-/// A derivative-free minimizer of `f: R^n -> R`.
-pub trait Optimizer: Send + Sync {
-    /// Minimize `objective` starting from `initial`, with a budget of
-    /// `max_evaluations` objective calls. Implementations may use fewer
-    /// evaluations but must not exceed the budget by more than the cost of
-    /// finishing their current iteration.
-    fn minimize(
-        &self,
-        objective: &(dyn Fn(&[f64]) -> f64 + Sync),
-        initial: &[f64],
-        max_evaluations: usize,
-    ) -> OptimizationResult;
-
-    /// Human-readable name used in reports and benches.
-    fn name(&self) -> &'static str;
-}
-
 /// Enumeration of the bundled optimizers, convenient for configuration files
 /// and benches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -85,18 +69,6 @@ pub enum OptimizerKind {
 
 impl OptimizerKind {
     /// Instantiate the optimizer with default hyper-parameters.
-    pub fn build(self) -> Box<dyn Optimizer> {
-        match self {
-            OptimizerKind::Cobyla => Box::new(CobylaOptimizer::default()),
-            OptimizerKind::NelderMead => Box::new(NelderMead::default()),
-            OptimizerKind::Spsa => Box::new(Spsa::default()),
-            OptimizerKind::RandomSearch => Box::new(RandomSearch::default()),
-            OptimizerKind::GridSearch => Box::new(GridSearch::default()),
-        }
-    }
-
-    /// Instantiate the optimizer behind the [`Resumable`] interface (every
-    /// bundled optimizer supports checkpoint/resume).
     pub fn build_resumable(self) -> Box<dyn Resumable> {
         match self {
             OptimizerKind::Cobyla => Box::new(CobylaOptimizer::default()),

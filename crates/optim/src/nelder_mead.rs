@@ -5,7 +5,6 @@
 
 use crate::result::{OptimizationResult, OptimizationTrace};
 use crate::resumable::{BatchProposal, OptimizerState, Resumable};
-use crate::Optimizer;
 
 /// The Nelder–Mead simplex method with standard reflection / expansion /
 /// contraction / shrink coefficients.
@@ -173,6 +172,10 @@ impl NelderMead {
 }
 
 impl Resumable for NelderMead {
+    fn name(&self) -> &'static str {
+        "nelder-mead"
+    }
+
     fn start(&self, initial: &[f64], _budget_hint: usize) -> OptimizerState {
         OptimizerState::NelderMead(NelderMeadState {
             initial: initial.to_vec(),
@@ -259,22 +262,6 @@ impl Resumable for NelderMead {
             s.trace.record(v);
             s.simplex.push((x.clone(), v));
         }
-    }
-}
-
-impl Optimizer for NelderMead {
-    fn minimize(
-        &self,
-        objective: &(dyn Fn(&[f64]) -> f64 + Sync),
-        initial: &[f64],
-        max_evaluations: usize,
-    ) -> OptimizationResult {
-        let mut state = self.start(initial, max_evaluations);
-        self.resume_until(&mut state, objective, max_evaluations.max(1))
-    }
-
-    fn name(&self) -> &'static str {
-        "nelder-mead"
     }
 }
 

@@ -1,17 +1,7 @@
 //! Property-based tests shared by all optimizers.
 
-use crate::{CobylaOptimizer, GridSearch, NelderMead, Optimizer, RandomSearch, Resumable, Spsa};
+use crate::{CobylaOptimizer, GridSearch, NelderMead, RandomSearch, Resumable, Spsa};
 use proptest::prelude::*;
-
-fn optimizers() -> Vec<Box<dyn Optimizer>> {
-    vec![
-        Box::new(CobylaOptimizer::default()),
-        Box::new(NelderMead::default()),
-        Box::new(Spsa::default()),
-        Box::new(RandomSearch::default()),
-        Box::new(GridSearch::default()),
-    ]
-}
 
 fn resumables() -> Vec<Box<dyn Resumable>> {
     vec![
@@ -33,7 +23,7 @@ proptest! {
         shift in -1.0f64..1.0,
     ) {
         let f = move |x: &[f64]| (x[0] - shift).powi(2) + (x[1] + shift).powi(2);
-        for opt in optimizers() {
+        for opt in resumables() {
             let r = opt.minimize(&f, &[x0, x1], 80);
             // The reported best value matches the minimum of the trace.
             let trace_best = r.trace.best().unwrap();
@@ -48,7 +38,7 @@ proptest! {
     #[test]
     fn optimizers_respect_budget(x0 in -1.0f64..1.0, budget in 5usize..60) {
         let f = |x: &[f64]| x[0].powi(2);
-        for opt in optimizers() {
+        for opt in resumables() {
             let r = opt.minimize(&f, &[x0], budget);
             // Allow a small overshoot for optimizers that finish their
             // current iteration (documented in the trait).
@@ -97,7 +87,7 @@ proptest! {
     #[test]
     fn best_curve_is_monotone_nonincreasing(x0 in -2.0f64..2.0) {
         let f = |x: &[f64]| x[0].sin() + 0.3 * x[0] * x[0];
-        for opt in optimizers() {
+        for opt in resumables() {
             let r = opt.minimize(&f, &[x0], 60);
             let curve = r.trace.best_curve();
             for w in curve.windows(2) {

@@ -10,7 +10,6 @@
 
 use crate::result::{OptimizationResult, OptimizationTrace};
 use crate::resumable::{BatchProposal, OptimizerState, Resumable};
-use crate::Optimizer;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -57,6 +56,10 @@ impl RandomSearchState {
 }
 
 impl Resumable for RandomSearch {
+    fn name(&self) -> &'static str {
+        "random-search"
+    }
+
     fn start(&self, initial: &[f64], _budget_hint: usize) -> OptimizerState {
         OptimizerState::RandomSearch(RandomSearchState {
             center: initial.to_vec(),
@@ -172,22 +175,6 @@ impl Resumable for RandomSearch {
                 s.best_point = candidate.clone();
             }
         }
-    }
-}
-
-impl Optimizer for RandomSearch {
-    fn minimize(
-        &self,
-        objective: &(dyn Fn(&[f64]) -> f64 + Sync),
-        initial: &[f64],
-        max_evaluations: usize,
-    ) -> OptimizationResult {
-        let mut state = self.start(initial, max_evaluations);
-        self.resume_until(&mut state, objective, max_evaluations.max(1))
-    }
-
-    fn name(&self) -> &'static str {
-        "random-search"
     }
 }
 

@@ -12,9 +12,10 @@
 //! * [`Resumable::resume_until`] advances the state until its *cumulative*
 //!   evaluation count reaches a target (or the optimizer converges).
 //!
-//! Every bundled optimizer implements the trait, and each implements
-//! [`Optimizer::minimize`] *in terms of* `start` + `resume_until`, which
-//! makes the central guarantee structural rather than aspirational:
+//! Every bundled optimizer implements the trait, and the one-shot
+//! [`Resumable::minimize`] is a provided method written *in terms of*
+//! `start` and `resume_until`, which makes the central guarantee structural
+//! rather than aspirational:
 //!
 //! > resuming after `k` evaluations and finishing later is **bit-identical**
 //! > to one uninterrupted run with the full budget.
@@ -24,12 +25,12 @@
 //! runs to completion or is not started, so the evaluation sequence depends
 //! only on the state — never on where a budget boundary happens to fall.
 //! Steps may overshoot the target by the cost of finishing the current step,
-//! exactly the slack [`Optimizer::minimize`] has always documented.
+//! exactly the slack [`Resumable::minimize`] documents.
 //!
 //! # Worked example
 //!
 //! ```
-//! use optim::{CobylaOptimizer, Optimizer, Resumable};
+//! use optim::{CobylaOptimizer, Resumable};
 //!
 //! let f = |x: &[f64]| (x[0] - 1.0).powi(2) + (x[1] + 2.0).powi(2);
 //! let opt = CobylaOptimizer::default();
@@ -54,7 +55,6 @@ use crate::nelder_mead::NelderMeadState;
 use crate::random_search::RandomSearchState;
 use crate::result::OptimizationResult;
 use crate::spsa::SpsaState;
-use crate::Optimizer;
 
 /// A checkpoint of an in-flight optimization run.
 ///
@@ -141,7 +141,8 @@ pub enum BatchProposal {
     Exhausted,
 }
 
-/// A minimizer whose runs can be checkpointed and continued.
+/// A derivative-free minimizer of `f: R^n -> R` whose runs can be
+/// checkpointed and continued.
 ///
 /// See the [module documentation](self) for the contract and a worked
 /// example. Implementations guarantee that for any increasing sequence of
@@ -163,7 +164,24 @@ pub enum BatchProposal {
 /// are interchangeable mid-run, checkpoint for checkpoint. The default
 /// implementation proposes [`BatchProposal::Scalar`], which makes every
 /// existing implementor batch-capable (at batch size 1) by construction.
-pub trait Resumable: Optimizer {
+pub trait Resumable: Send + Sync {
+    /// Human-readable name used in reports and benches.
+    fn name(&self) -> &'static str;
+
+    /// Minimize `objective` starting from `initial`, with a budget of
+    /// `max_evaluations` objective calls, in one uninterrupted run.
+    /// Implementations may use fewer evaluations but must not exceed the
+    /// budget by more than the cost of finishing their current step.
+    fn minimize(
+        &self,
+        objective: &(dyn Fn(&[f64]) -> f64 + Sync),
+        initial: &[f64],
+        max_evaluations: usize,
+    ) -> OptimizationResult {
+        let mut state = self.start(initial, max_evaluations);
+        self.resume_until(&mut state, objective, max_evaluations.max(1))
+    }
+
     /// Create a fresh checkpoint at `initial`. No objective evaluations are
     /// consumed. `budget_hint` is the total evaluation budget the run is
     /// expected to receive across all `resume_until` calls; grid search uses

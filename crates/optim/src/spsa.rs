@@ -19,7 +19,6 @@
 
 use crate::result::{OptimizationResult, OptimizationTrace};
 use crate::resumable::{BatchProposal, OptimizerState, Resumable};
-use crate::Optimizer;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -163,6 +162,10 @@ impl Spsa {
 }
 
 impl Resumable for Spsa {
+    fn name(&self) -> &'static str {
+        "spsa"
+    }
+
     fn start(&self, initial: &[f64], _budget_hint: usize) -> OptimizerState {
         OptimizerState::Spsa(SpsaState {
             x: initial.to_vec(),
@@ -308,22 +311,6 @@ impl Resumable for Spsa {
             }
             None => panic!("Spsa::observe_batch without a matching propose_batch"),
         }
-    }
-}
-
-impl Optimizer for Spsa {
-    fn minimize(
-        &self,
-        objective: &(dyn Fn(&[f64]) -> f64 + Sync),
-        initial: &[f64],
-        max_evaluations: usize,
-    ) -> OptimizationResult {
-        let mut state = self.start(initial, max_evaluations);
-        self.resume_until(&mut state, objective, max_evaluations.max(1))
-    }
-
-    fn name(&self) -> &'static str {
-        "spsa"
     }
 }
 

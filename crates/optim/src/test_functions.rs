@@ -18,7 +18,7 @@ pub fn periodic(x: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CobylaOptimizer, NelderMead, Optimizer, OptimizerKind, RandomSearch, Spsa};
+    use crate::{CobylaOptimizer, NelderMead, OptimizerKind, RandomSearch, Resumable, Spsa};
 
     #[test]
     fn analytic_minima() {
@@ -31,7 +31,7 @@ mod tests {
     fn every_optimizer_beats_random_start_on_sphere() {
         let start = [1.5, -1.5];
         let start_value = sphere(&start);
-        let optimizers: Vec<Box<dyn Optimizer>> = vec![
+        let optimizers: Vec<Box<dyn Resumable>> = vec![
             Box::new(CobylaOptimizer::default()),
             Box::new(NelderMead::default()),
             Box::new(Spsa::default()),
@@ -52,7 +52,7 @@ mod tests {
     #[test]
     fn kind_builds_every_optimizer() {
         for kind in OptimizerKind::all() {
-            let opt = kind.build();
+            let opt = kind.build_resumable();
             let r = opt.minimize(&sphere, &[0.5], 30);
             assert!(r.best_value.is_finite());
             assert!(!opt.name().is_empty());

@@ -10,7 +10,7 @@ use crate::ansatz::QaoaAnsatz;
 use crate::backend::Backend;
 use crate::error::QaoaError;
 use graphs::{ClassicalSolution, Graph, Problem, SolutionQuality};
-use optim::{OptimizationResult, OptimizationTrace, Optimizer, OptimizerState, Resumable};
+use optim::{OptimizationResult, OptimizerState, Resumable};
 use serde::{Deserialize, Serialize};
 use statevec::{BatchStateVector, CompiledProgram, StateVector};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -143,9 +143,8 @@ impl EnergyEvaluator {
     /// The returned [`CompiledEnergy`] holds the lowered circuit, the cached
     /// problem diagonal and a reusable scratch state, so each
     /// [`CompiledEnergy::energy_flat`] call performs zero heap allocation.
-    /// [`EnergyEvaluator::train`] and its variants build this automatically;
-    /// it is public so benches and external drivers can time the fast path
-    /// directly.
+    /// Every [`TrainingSession`] builds this automatically; it is public so
+    /// benches and external drivers can time the fast path directly.
     pub fn compile(&self, ansatz: &QaoaAnsatz) -> Result<CompiledEnergy, QaoaError> {
         if self.backend != Backend::StateVector {
             return Err(QaoaError::Backend {
@@ -177,192 +176,17 @@ impl EnergyEvaluator {
 
     /// Train the ansatz: maximize ⟨C⟩ over the `2p` angles using `optimizer`
     /// with `budget` objective evaluations (the paper uses COBYLA with 200
-    /// steps), starting from the paper-style small-angle initial point.
+    /// steps), starting from the paper-style small-angle initial point. One
+    /// uninterrupted [`TrainingSession`]: `begin_training` + a single
+    /// scalar-protocol [`advance`](TrainingSession::advance).
     pub fn train(
         &self,
         ansatz: &QaoaAnsatz,
-        optimizer: &dyn Optimizer,
+        optimizer: &dyn Resumable,
         budget: usize,
     ) -> Result<TrainedCircuit, QaoaError> {
-        if self.problem.terms().is_empty() {
-            return Err(QaoaError::EmptyGraph);
-        }
-        let p = ansatz.depth();
-        // Small non-zero initial angles; γ and β start on different scales,
-        // a common heuristic for QAOA warm starts.
-        let initial = ansatz.default_initial_flat();
-
-        if p == 0 {
-            // Nothing to optimize: the plus state cuts half the weight.
-            let energy = self.energy(ansatz, &[], &[])?;
-            return Ok(TrainedCircuit {
-                energy,
-                gammas: vec![],
-                betas: vec![],
-                evaluations: 1,
-                approx_ratio: self.approx_ratio(energy),
-                classical_optimum: self.classical.best,
-                classical_quality: self.classical.quality,
-            });
-        }
-
-        // Compile the ansatz once: all optimizer iterations then run through
-        // the allocation-free fast path (state-vector backend only; other
-        // backends keep the bind-per-call route).
-        let fast = self.fast_path(ansatz);
-        // The optimizer minimizes, so negate the energy. Errors inside the
-        // objective cannot propagate through the closure; they are mapped to
-        // +inf so the optimizer avoids that region, and re-checked afterwards.
-        let objective = |params: &[f64]| -> f64 {
-            let energy = match &fast {
-                Some(compiled) => compiled.energy_flat(params),
-                None => self.energy_flat(ansatz, params),
-            };
-            match energy {
-                Ok(e) => -e,
-                Err(_) => f64::INFINITY,
-            }
-        };
-        let result = optimizer.minimize(&objective, &initial, budget);
-
-        let best_energy = -result.best_value;
-        if !best_energy.is_finite() {
-            return Err(QaoaError::Backend {
-                message: "optimizer failed to produce a finite energy".to_string(),
-            });
-        }
-        let (gammas, betas) = result.best_point.split_at(p);
-        Ok(TrainedCircuit {
-            energy: best_energy,
-            gammas: gammas.to_vec(),
-            betas: betas.to_vec(),
-            evaluations: result.evaluations,
-            approx_ratio: self.approx_ratio(best_energy),
-            classical_optimum: self.classical.best,
-            classical_quality: self.classical.quality,
-        })
-    }
-
-    /// Multi-start training: run [`EnergyEvaluator::train`]-style optimization
-    /// from several deterministic starting points and keep the best result.
-    ///
-    /// The evaluation budget is split evenly across the starts. The starting
-    /// points are (1) the small-angle warm start used by [`train`](Self::train),
-    /// (2) the best p = 1 angles from the closed-form grid of
-    /// [`crate::analytic::best_p1_angles_by_grid`] replicated across layers,
-    /// and (3) a mid-range point — a cheap stand-in for the multi-start /
-    /// interpolation heuristics commonly used to train deeper QAOA.
-    pub fn train_multistart(
-        &self,
-        ansatz: &QaoaAnsatz,
-        optimizer: &dyn Optimizer,
-        budget: usize,
-        restarts: usize,
-    ) -> Result<TrainedCircuit, QaoaError> {
-        if self.problem.terms().is_empty() {
-            return Err(QaoaError::EmptyGraph);
-        }
-        let p = ansatz.depth();
-        if p == 0 || restarts <= 1 {
-            return self.train(ansatz, optimizer, budget);
-        }
-        let per_start_budget = (budget / restarts).max(1);
-
-        // Candidate starting points, flat layout [γ…, β…].
-        let mut starts: Vec<Vec<f64>> = Vec::new();
-        starts.push(ansatz.default_initial_flat());
-        let (g1, b1, _) = crate::analytic::best_p1_angles_by_grid(&self.graph, 16);
-        let mut analytic_start = vec![0.0; 2 * p];
-        for k in 0..p {
-            // Ramp the p = 1 optimum across layers (small early, larger late
-            // for γ; the reverse for β), a standard QAOA initialization.
-            let frac = (k as f64 + 1.0) / p as f64;
-            analytic_start[k] = g1 * frac;
-            analytic_start[p + k] = b1 * (1.0 - frac) + 0.1 * frac;
-        }
-        starts.push(analytic_start);
-        starts.push(vec![0.5; 2 * p]);
-        starts.truncate(restarts.max(1));
-
-        let fast = self.fast_path(ansatz);
-        let objective = |params: &[f64]| -> f64 {
-            let energy = match &fast {
-                Some(compiled) => compiled.energy_flat(params),
-                None => self.energy_flat(ansatz, params),
-            };
-            match energy {
-                Ok(e) => -e,
-                Err(_) => f64::INFINITY,
-            }
-        };
-
-        let mut best: Option<TrainedCircuit> = None;
-        let mut total_evaluations = 0usize;
-        for start in &starts {
-            let result = optimizer.minimize(&objective, start, per_start_budget);
-            total_evaluations += result.evaluations;
-            let energy = -result.best_value;
-            if !energy.is_finite() {
-                continue;
-            }
-            let better = best.as_ref().map(|b| energy > b.energy).unwrap_or(true);
-            if better {
-                let (gammas, betas) = result.best_point.split_at(p);
-                best = Some(TrainedCircuit {
-                    energy,
-                    gammas: gammas.to_vec(),
-                    betas: betas.to_vec(),
-                    evaluations: 0, // filled below with the cumulative count
-                    approx_ratio: self.approx_ratio(energy),
-                    classical_optimum: self.classical.best,
-                    classical_quality: self.classical.quality,
-                });
-            }
-        }
-        let mut best = best.ok_or_else(|| QaoaError::Backend {
-            message: "no restart produced a finite energy".to_string(),
-        })?;
-        best.evaluations = total_evaluations;
-        Ok(best)
-    }
-
-    /// Train and also return the raw optimization trace (negated energies),
-    /// useful for convergence plots.
-    pub fn train_with_trace(
-        &self,
-        ansatz: &QaoaAnsatz,
-        optimizer: &dyn Optimizer,
-        budget: usize,
-    ) -> Result<(TrainedCircuit, OptimizationTrace), QaoaError> {
-        if self.problem.terms().is_empty() {
-            return Err(QaoaError::EmptyGraph);
-        }
-        let p = ansatz.depth();
-        let initial = ansatz.default_initial_flat();
-        let fast = self.fast_path(ansatz);
-        let objective = |params: &[f64]| -> f64 {
-            let energy = match &fast {
-                Some(compiled) => compiled.energy_flat(params),
-                None => self.energy_flat(ansatz, params),
-            };
-            match energy {
-                Ok(e) => -e,
-                Err(_) => f64::INFINITY,
-            }
-        };
-        let result = optimizer.minimize(&objective, &initial, budget);
-        let best_energy = -result.best_value;
-        let (gammas, betas) = result.best_point.split_at(p);
-        let trained = TrainedCircuit {
-            energy: best_energy,
-            gammas: gammas.to_vec(),
-            betas: betas.to_vec(),
-            evaluations: result.evaluations,
-            approx_ratio: self.approx_ratio(best_energy),
-            classical_optimum: self.classical.best,
-            classical_quality: self.classical.quality,
-        };
-        Ok((trained, result.trace))
+        self.begin_training(ansatz, optimizer, None, budget)?
+            .advance(optimizer, budget)
     }
 
     /// Begin a **resumable** training run: the returned [`TrainingSession`]
@@ -383,11 +207,33 @@ impl EnergyEvaluator {
         initial: Option<&[f64]>,
         budget_hint: usize,
     ) -> Result<TrainingSession, QaoaError> {
+        self.begin_multistart_training(ansatz, optimizer, initial, budget_hint, 1)
+    }
+
+    /// [`begin_training`](Self::begin_training) with the budget split evenly
+    /// across `restarts` deterministic starting points, the session keeping
+    /// the best of them — a cheap stand-in for the multi-start /
+    /// interpolation heuristics commonly used to train deeper QAOA.
+    ///
+    /// The starts are (1) `initial` (warm, explicit or small-angle default),
+    /// (2) the best p = 1 angles from the closed-form grid of
+    /// [`crate::analytic::best_p1_angles_by_grid`] ramped across layers, and
+    /// (3) a mid-range point. Every share of the budget is `1 / restarts`
+    /// even when `restarts` exceeds the three points that exist.
+    pub fn begin_multistart_training(
+        &self,
+        ansatz: &QaoaAnsatz,
+        optimizer: &dyn Resumable,
+        initial: Option<&[f64]>,
+        budget_hint: usize,
+        restarts: usize,
+    ) -> Result<TrainingSession, QaoaError> {
         if self.problem.terms().is_empty() {
             return Err(QaoaError::EmptyGraph);
         }
         let p = ansatz.depth();
-        let initial_vec = match initial {
+        let restarts = restarts.max(1);
+        let mut points = vec![match initial {
             Some(x) => {
                 if x.len() != 2 * p {
                     return Err(QaoaError::WrongParameterCount {
@@ -400,14 +246,34 @@ impl EnergyEvaluator {
                 x.to_vec()
             }
             None => ansatz.default_initial_flat(),
+        }];
+        if restarts > 1 && p > 0 {
+            let (g1, b1, _) = crate::analytic::best_p1_angles_by_grid(&self.graph, 16);
+            let mut analytic_start = vec![0.0; 2 * p];
+            for k in 0..p {
+                // Ramp the p = 1 optimum across layers (small early, larger late
+                // for γ; the reverse for β), a standard QAOA initialization.
+                let frac = (k as f64 + 1.0) / p as f64;
+                analytic_start[k] = g1 * frac;
+                analytic_start[p + k] = b1 * (1.0 - frac) + 0.1 * frac;
+            }
+            points.push(analytic_start);
+            points.push(vec![0.5; 2 * p]);
+            points.truncate(restarts);
+        }
+        // Depth 0 has nothing to optimize and holds no optimizer state.
+        let starts = if p == 0 {
+            Vec::new()
+        } else {
+            let hint = TrainingSession::share_of(budget_hint, restarts);
+            points.iter().map(|x| optimizer.start(x, hint)).collect()
         };
-        let fast = self.fast_path(ansatz);
-        let state = (p > 0).then(|| optimizer.start(&initial_vec, budget_hint));
         Ok(TrainingSession {
             evaluator: self.clone(),
             ansatz: ansatz.clone(),
-            fast,
-            state,
+            fast: self.fast_path(ansatz),
+            starts,
+            restarts,
             zero_depth: None,
             hook: None,
         })
@@ -448,24 +314,46 @@ impl std::fmt::Debug for ProgressHook {
     }
 }
 
-/// A checkpointable training run of one ansatz on one graph.
+/// A checkpointable training run of one ansatz on one graph — the only
+/// training loop in the workspace.
 ///
 /// Created by [`EnergyEvaluator::begin_training`]. Each
 /// [`advance_in`](Self::advance_in) call continues the underlying
 /// [`Resumable`] optimizer until its cumulative evaluation count reaches a
 /// target — the successive-halving pipeline promotes a candidate simply by
 /// calling `advance_in` again with the next rung's larger target.
+///
+/// A multi-start session
+/// ([`EnergyEvaluator::begin_multistart_training`]) holds one optimizer
+/// checkpoint per start: an advance to target `t` resumes every start to
+/// `max(t / restarts, 1)`, [`evaluations`](Self::evaluations) is the sum
+/// over the starts, and the snapshot is the first start with the strictly
+/// best energy — so multi-start runs are resumable, prunable and batched
+/// like any other.
 #[derive(Debug)]
 pub struct TrainingSession {
     evaluator: EnergyEvaluator,
     ansatz: QaoaAnsatz,
     fast: Option<CompiledEnergy>,
-    /// `None` only for depth-0 ansätze, which have nothing to optimize.
-    state: Option<OptimizerState>,
+    /// One optimizer checkpoint per start; empty only for depth-0 ansätze,
+    /// which have nothing to optimize.
+    starts: Vec<OptimizerState>,
+    /// The number of shares every budget target is split into (≥ 1).
+    restarts: usize,
     /// Cached depth-0 result (a single plus-state evaluation).
     zero_depth: Option<TrainedCircuit>,
     /// Optional observer fired after every advance.
     hook: Option<ProgressHook>,
+}
+
+/// The simulation buffers one advance evaluates the objective in.
+enum Buffers<'a> {
+    /// The compiled objective's own lazily built scratch.
+    Internal,
+    /// A caller-provided `2^n` state (scalar protocol).
+    State(&'a mut StateVector),
+    /// A caller-provided batch scratch (batch-step protocol).
+    Batch(&'a mut BatchScratch),
 }
 
 impl TrainingSession {
@@ -481,21 +369,21 @@ impl TrainingSession {
         self.fast.is_some()
     }
 
-    /// Cumulative objective evaluations consumed so far.
+    /// Cumulative objective evaluations consumed so far (over every start).
     pub fn evaluations(&self) -> usize {
-        match &self.state {
-            Some(s) => s.evaluations(),
-            None => usize::from(self.zero_depth.is_some()),
+        if self.starts.is_empty() {
+            return usize::from(self.zero_depth.is_some());
         }
+        self.starts.iter().map(OptimizerState::evaluations).sum()
     }
 
-    /// Whether the underlying optimizer run has converged (depth-0 sessions
-    /// converge after their single evaluation).
+    /// Whether the underlying optimizer runs have all converged (depth-0
+    /// sessions converge after their single evaluation).
     pub fn converged(&self) -> bool {
-        match &self.state {
-            Some(s) => s.converged(),
-            None => self.zero_depth.is_some(),
+        if self.starts.is_empty() {
+            return self.zero_depth.is_some();
         }
+        self.starts.iter().all(OptimizerState::converged)
     }
 
     /// Install (or clear) the observer fired after every advance. The search
@@ -504,15 +392,9 @@ impl TrainingSession {
         self.hook = hook;
     }
 
-    /// Fire the installed hook (if any) with the given trained snapshot.
-    fn emit_progress(hook: &mut Option<ProgressHook>, trained: &TrainedCircuit, converged: bool) {
-        if let Some(ProgressHook(observer)) = hook {
-            observer(&TrainingProgress {
-                evaluations: trained.evaluations,
-                best_energy: trained.energy,
-                converged,
-            });
-        }
+    /// One start's share of a cumulative evaluation target.
+    fn share_of(target_evaluations: usize, restarts: usize) -> usize {
+        (target_evaluations / restarts).max(1)
     }
 
     /// Advance training until the optimizer has consumed `target_evaluations`
@@ -536,35 +418,7 @@ impl TrainingSession {
         target_evaluations: usize,
         scratch: Option<&mut StateVector>,
     ) -> Result<TrainedCircuit, QaoaError> {
-        let TrainingSession {
-            evaluator,
-            ansatz,
-            fast,
-            state,
-            zero_depth,
-            hook,
-        } = self;
-
-        let Some(state) = state.as_mut() else {
-            // Depth 0: a single evaluation of the plus state, cached.
-            if zero_depth.is_none() {
-                let energy = evaluator.energy(ansatz, &[], &[])?;
-                *zero_depth = Some(TrainedCircuit {
-                    energy,
-                    gammas: vec![],
-                    betas: vec![],
-                    evaluations: 1,
-                    approx_ratio: evaluator.approx_ratio(energy),
-                    classical_optimum: evaluator.classical.best,
-                    classical_quality: evaluator.classical.quality,
-                });
-            }
-            let trained = zero_depth.clone().expect("just cached");
-            Self::emit_progress(hook, &trained, true);
-            return Ok(trained);
-        };
-
-        if let (Some(compiled), Some(buf)) = (&*fast, scratch.as_deref()) {
+        if let (Some(compiled), Some(buf)) = (&self.fast, scratch.as_deref()) {
             if buf.num_qubits() != compiled.num_qubits() {
                 return Err(QaoaError::Backend {
                     message: format!(
@@ -575,29 +429,8 @@ impl TrainingSession {
                 });
             }
         }
-
-        // The optimizer needs a `Fn + Sync` objective, so a mutable external
-        // scratch goes behind an (uncontended, worker-local) mutex.
-        let scratch_cell = scratch.map(Mutex::new);
-        let objective = |params: &[f64]| -> f64 {
-            let energy = match (&*fast, &scratch_cell) {
-                (Some(compiled), Some(cell)) => {
-                    let mut buf = cell.lock().unwrap_or_else(|e| e.into_inner());
-                    compiled.energy_flat_in(params, &mut buf)
-                }
-                (Some(compiled), None) => compiled.energy_flat(params),
-                (None, _) => evaluator.energy_flat(ansatz, params),
-            };
-            match energy {
-                Ok(e) => -e,
-                Err(_) => f64::INFINITY,
-            }
-        };
-        let result = optimizer.resume_until(state, &objective, target_evaluations);
-        let converged = state.converged();
-        let trained = Self::trained_from(evaluator, ansatz.depth(), result)?;
-        Self::emit_progress(hook, &trained, converged);
-        Ok(trained)
+        let buffers = scratch.map_or(Buffers::Internal, Buffers::State);
+        self.advance_with(optimizer, target_evaluations, buffers, false)
     }
 
     /// [`advance`](Self::advance) through the optimizer's **batch-step
@@ -623,46 +456,53 @@ impl TrainingSession {
         target_evaluations: usize,
         scratch: Option<&mut BatchScratch>,
     ) -> Result<TrainedCircuit, QaoaError> {
+        let buffers = scratch.map_or(Buffers::Internal, Buffers::Batch);
+        self.advance_with(optimizer, target_evaluations, buffers, true)
+    }
+
+    /// The one advance: resume every start to its share of the target —
+    /// through the batch-step protocol when `batched`, one point at a time
+    /// otherwise — then snapshot and fire the hook.
+    fn advance_with(
+        &mut self,
+        optimizer: &dyn Resumable,
+        target_evaluations: usize,
+        buffers: Buffers<'_>,
+        batched: bool,
+    ) -> Result<TrainedCircuit, QaoaError> {
         let TrainingSession {
             evaluator,
             ansatz,
             fast,
-            state,
+            starts,
+            restarts,
             zero_depth,
-            hook,
+            ..
         } = self;
 
-        let Some(state) = state.as_mut() else {
+        if starts.is_empty() && zero_depth.is_none() {
             // Depth 0: a single evaluation of the plus state, cached.
-            if zero_depth.is_none() {
-                let energy = evaluator.energy(ansatz, &[], &[])?;
-                *zero_depth = Some(TrainedCircuit {
-                    energy,
-                    gammas: vec![],
-                    betas: vec![],
-                    evaluations: 1,
-                    approx_ratio: evaluator.approx_ratio(energy),
-                    classical_optimum: evaluator.classical.best,
-                    classical_quality: evaluator.classical.quality,
-                });
-            }
-            let trained = zero_depth.clone().expect("just cached");
-            Self::emit_progress(hook, &trained, true);
-            return Ok(trained);
-        };
+            let energy = evaluator.energy(ansatz, &[], &[])?;
+            *zero_depth = Some(evaluator.trained(energy, &[], 0, 1));
+        }
 
-        // Both objectives share the scratch behind an (uncontended,
-        // worker-local) mutex; the batch driver only ever runs one at a time.
-        let scratch_cell = scratch.map(Mutex::new);
-        let scalar_objective = |params: &[f64]| -> f64 {
-            let energy = match (&*fast, &scratch_cell) {
-                (Some(compiled), Some(cell)) => {
-                    let mut buf = cell.lock().unwrap_or_else(|e| e.into_inner());
-                    let BatchScratch { scalar, values, .. } = &mut **buf;
-                    compiled.energy_flat_with(params, scalar, values)
-                }
-                (Some(compiled), None) => compiled.energy_flat(params),
-                (None, _) => evaluator.energy_flat(ansatz, params),
+        // The optimizer needs a `Fn + Sync` objective, so the (worker-local,
+        // uncontended) buffers go behind a mutex; the batch driver only ever
+        // runs one of the two objectives at a time.
+        let buffers = Mutex::new(buffers);
+        // The optimizer minimizes, so negate the energy. Errors inside the
+        // objective cannot propagate through the closure; they are mapped to
+        // +inf so the optimizer avoids that region, and re-checked afterwards.
+        let objective = |params: &[f64]| -> f64 {
+            let energy = match &*fast {
+                None => evaluator.energy_flat(ansatz, params),
+                Some(compiled) => match &mut *buffers.lock().unwrap_or_else(|e| e.into_inner()) {
+                    Buffers::Internal => compiled.energy_flat(params),
+                    Buffers::State(state) => compiled.energy_flat_in(params, state),
+                    Buffers::Batch(BatchScratch { scalar, values, .. }) => {
+                        compiled.energy_flat_with(params, scalar, values)
+                    }
+                },
             };
             match energy {
                 Ok(e) => -e,
@@ -670,69 +510,100 @@ impl TrainingSession {
             }
         };
         let mut batch_objective = |points: &[Vec<f64>]| -> Vec<f64> {
-            let energies = match (&*fast, &scratch_cell) {
-                (Some(compiled), Some(cell)) => {
-                    let mut buf = cell.lock().unwrap_or_else(|e| e.into_inner());
-                    compiled.energy_batch_in(points, &mut buf)
-                }
-                (Some(compiled), None) => compiled.energy_batch(points),
-                (None, _) => {
-                    // No compiled sweep to amortize: evaluate point by point,
-                    // exactly as the scalar protocol would.
-                    return points.iter().map(|p| scalar_objective(p)).collect();
-                }
+            let Some(compiled) = &*fast else {
+                // No compiled sweep to amortize: evaluate point by point,
+                // exactly as the scalar protocol would.
+                return points.iter().map(|p| objective(p)).collect();
+            };
+            let energies = match &mut *buffers.lock().unwrap_or_else(|e| e.into_inner()) {
+                Buffers::Batch(scratch) => compiled.energy_batch_in(points, scratch),
+                _ => compiled.energy_batch(points),
             };
             match energies {
                 Ok(es) => es.into_iter().map(|e| -e).collect(),
                 Err(_) => vec![f64::INFINITY; points.len()],
             }
         };
-        let result = optimizer.resume_until_batched(
-            state,
-            &mut batch_objective,
-            &scalar_objective,
-            target_evaluations,
-        );
-        let converged = state.converged();
-        let trained = Self::trained_from(evaluator, ansatz.depth(), result)?;
-        Self::emit_progress(hook, &trained, converged);
+
+        let target = Self::share_of(target_evaluations, *restarts);
+        let results: Vec<OptimizationResult> = starts
+            .iter_mut()
+            .map(|state| {
+                if batched {
+                    optimizer.resume_until_batched(state, &mut batch_objective, &objective, target)
+                } else {
+                    optimizer.resume_until(state, &objective, target)
+                }
+            })
+            .collect();
+        let trained = match &*zero_depth {
+            Some(trained) => trained.clone(),
+            None => evaluator.best_of(ansatz.depth(), results)?,
+        };
+        let converged = self.converged();
+        if let Some(ProgressHook(observer)) = &mut self.hook {
+            observer(&TrainingProgress {
+                evaluations: trained.evaluations,
+                best_energy: trained.energy,
+                converged,
+            });
+        }
         Ok(trained)
     }
 
-    /// Snapshot the best result found so far without advancing the run.
+    /// Snapshot the best result found so far without advancing the run: the
+    /// first start with the strictly best energy, carrying the evaluation
+    /// count of all starts.
     pub fn best(&self) -> Result<TrainedCircuit, QaoaError> {
-        match (&self.state, &self.zero_depth) {
-            (Some(state), _) => {
-                Self::trained_from(&self.evaluator, self.ansatz.depth(), state.result())
-            }
-            (None, Some(t)) => Ok(t.clone()),
-            (None, None) => Err(QaoaError::Backend {
+        if self.starts.is_empty() {
+            return self.zero_depth.clone().ok_or_else(|| QaoaError::Backend {
                 message: "depth-0 session has not been advanced yet".to_string(),
-            }),
-        }
-    }
-
-    fn trained_from(
-        evaluator: &EnergyEvaluator,
-        p: usize,
-        result: OptimizationResult,
-    ) -> Result<TrainedCircuit, QaoaError> {
-        let best_energy = -result.best_value;
-        if !best_energy.is_finite() {
-            return Err(QaoaError::Backend {
-                message: "optimizer failed to produce a finite energy".to_string(),
             });
         }
-        let (gammas, betas) = result.best_point.split_at(p);
-        Ok(TrainedCircuit {
-            energy: best_energy,
+        let results = self.starts.iter().map(OptimizerState::result);
+        self.evaluator.best_of(self.ansatz.depth(), results)
+    }
+}
+
+impl EnergyEvaluator {
+    /// The trained circuit of the first start with the strictly best energy,
+    /// carrying the evaluation count of all starts.
+    fn best_of(
+        &self,
+        p: usize,
+        results: impl IntoIterator<Item = OptimizationResult>,
+    ) -> Result<TrainedCircuit, QaoaError> {
+        let mut evaluations = 0;
+        let mut best: Option<OptimizationResult> = None;
+        for result in results {
+            evaluations += result.evaluations;
+            // Minimized values are negated energies; non-finite starts never win.
+            let improves = best
+                .as_ref()
+                .is_none_or(|b| result.best_value < b.best_value);
+            if result.best_value.is_finite() && improves {
+                best = Some(result);
+            }
+        }
+        let best = best.ok_or_else(|| QaoaError::Backend {
+            message: "optimizer failed to produce a finite energy".to_string(),
+        })?;
+        Ok(self.trained(-best.best_value, &best.best_point, p, evaluations))
+    }
+
+    /// Package an energy and its flat `[γ…, β…]` angles with this
+    /// instance's classical reference.
+    fn trained(&self, energy: f64, flat: &[f64], p: usize, evaluations: usize) -> TrainedCircuit {
+        let (gammas, betas) = flat.split_at(p);
+        TrainedCircuit {
+            energy,
             gammas: gammas.to_vec(),
             betas: betas.to_vec(),
-            evaluations: result.evaluations,
-            approx_ratio: evaluator.approx_ratio(best_energy),
-            classical_optimum: evaluator.classical.best,
-            classical_quality: evaluator.classical.quality,
-        })
+            evaluations,
+            approx_ratio: self.approx_ratio(energy),
+            classical_optimum: self.classical.best,
+            classical_quality: self.classical.quality,
+        }
     }
 }
 
@@ -1073,21 +944,6 @@ mod tests {
     }
 
     #[test]
-    fn train_with_trace_returns_monotone_best_curve() {
-        let graph = Graph::cycle(5);
-        let eval = EnergyEvaluator::new(&graph, Backend::StateVector);
-        let ansatz = QaoaAnsatz::new(&graph, 1, Mixer::baseline());
-        let (trained, trace) = eval
-            .train_with_trace(&ansatz, &CobylaOptimizer::default(), 80)
-            .unwrap();
-        assert!(!trace.is_empty());
-        assert!((trace.best().unwrap() + trained.energy).abs() < 1e-9);
-        for w in trace.best_curve().windows(2) {
-            assert!(w[1] <= w[0] + 1e-12);
-        }
-    }
-
-    #[test]
     fn depth_zero_training_returns_plus_state_energy() {
         let graph = Graph::cycle(4);
         let eval = EnergyEvaluator::new(&graph, Backend::StateVector);
@@ -1106,7 +962,11 @@ mod tests {
         let ansatz = QaoaAnsatz::new(&graph, 2, Mixer::baseline());
         let opt = CobylaOptimizer::default();
         let single = eval.train(&ansatz, &opt, 60).unwrap();
-        let multi = eval.train_multistart(&ansatz, &opt, 180, 3).unwrap();
+        let multi = eval
+            .begin_multistart_training(&ansatz, &opt, None, 180, 3)
+            .unwrap()
+            .advance(&opt, 180)
+            .unwrap();
         assert!(
             multi.energy >= single.energy - 0.05,
             "multi-start {} fell behind single start {}",
@@ -1124,8 +984,38 @@ mod tests {
         let ansatz = QaoaAnsatz::new(&graph, 1, Mixer::baseline());
         let opt = CobylaOptimizer::default();
         let a = eval.train(&ansatz, &opt, 50).unwrap();
-        let b = eval.train_multistart(&ansatz, &opt, 50, 1).unwrap();
+        let b = eval
+            .begin_multistart_training(&ansatz, &opt, None, 50, 1)
+            .unwrap()
+            .advance(&opt, 50)
+            .unwrap();
         assert!((a.energy - b.energy).abs() < 1e-12);
+    }
+
+    #[test]
+    fn multistart_session_is_resumable_and_batched() {
+        let graph = Graph::erdos_renyi(7, 0.5, 11);
+        let eval = EnergyEvaluator::new(&graph, Backend::StateVector);
+        let ansatz = QaoaAnsatz::new(&graph, 2, Mixer::qnas());
+        let opt = optim::Spsa::default();
+        let begin = || {
+            eval.begin_multistart_training(&ansatz, &opt, None, 120, 3)
+                .unwrap()
+        };
+
+        let one_shot = begin().advance(&opt, 120).unwrap();
+
+        // Rungs split each start's share (10, then 23, then 40 evaluations)
+        // and alternate the two protocols; the run must not notice.
+        let mut session = begin();
+        let first = session.advance_batched(&opt, 30).unwrap();
+        assert!(first.evaluations < one_shot.evaluations);
+        session.advance(&opt, 70).unwrap();
+        let resumed = session.advance_batched(&opt, 120).unwrap();
+
+        assert_eq!(one_shot, resumed, "bitwise equality expected");
+        assert_eq!(session.evaluations(), resumed.evaluations);
+        assert_eq!(session.best().unwrap(), resumed);
     }
 
     #[test]

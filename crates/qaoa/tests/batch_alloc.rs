@@ -14,6 +14,7 @@ use qaoa::mixer::Mixer;
 use qaoa::{Backend, BatchScratch};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// System allocator wrapper that counts allocations while armed.
 struct CountingAlloc;
@@ -21,6 +22,10 @@ struct CountingAlloc;
 static ARMED: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 static BYTES: AtomicUsize = AtomicUsize::new(0);
+/// The counters are process-global while `cargo test` runs this file's tests
+/// on parallel threads: each test holds this for its whole body so one test's
+/// set-up allocations never land in the other's armed window.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -63,6 +68,7 @@ fn count_allocs<R>(f: impl FnOnce() -> R) -> (usize, usize, R) {
 
 #[test]
 fn energy_batch_in_reuses_scratch_buffers_after_warmup() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // Below the rayon threshold so the sweep stays on this thread: counting
     // must see every allocation the evaluation makes.
     let n = 8;
@@ -106,6 +112,7 @@ fn energy_batch_in_reuses_scratch_buffers_after_warmup() {
 
 #[test]
 fn warm_scalar_energy_flat_in_stays_allocation_free() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // The pre-existing scalar contract, pinned here with the same counter:
     // an external-scratch evaluation allocates nothing at all.
     let n = 8;

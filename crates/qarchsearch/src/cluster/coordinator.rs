@@ -310,7 +310,7 @@ impl Coordinator {
         if spec.graphs.is_empty() {
             return Err(SearchError::NoGraphs);
         }
-        spec.config.validate_for(spec.config.mode)?;
+        spec.config.validate()?;
         self.inner.admission.admit(tenant.as_deref())?;
         match self.inner.place(&spec) {
             Ok((shard, response)) => self.inner.register(tenant, spec, shard, response),

@@ -10,7 +10,7 @@
 use crate::error::SearchError;
 use crate::sync::lock_recover;
 use graphs::{Graph, ProblemKind};
-use optim::{CobylaOptimizer, NelderMead, Optimizer, OptimizerKind, RandomSearch, Resumable, Spsa};
+use optim::{OptimizerKind, Resumable};
 use qaoa::ansatz::QaoaAnsatz;
 use qaoa::energy::{EnergyEvaluator, TrainedCircuit, TrainingSession};
 use qaoa::mixer::Mixer;
@@ -83,9 +83,10 @@ pub struct EvaluatorConfig {
     pub optimizer: OptimizerKind,
     /// Objective-evaluation budget per candidate per graph.
     pub budget: usize,
-    /// Number of optimizer restarts per candidate per graph (the budget is
-    /// split across restarts). `1` reproduces the paper's single COBYLA run;
-    /// larger values trade evaluations for robustness at deeper `p`.
+    /// Number of optimizer restarts per candidate per graph (the budget —
+    /// and every successive-halving rung target — is split across
+    /// restarts). `1` reproduces the paper's single COBYLA run; larger
+    /// values trade evaluations for robustness at deeper `p`.
     pub restarts: usize,
     /// The cost problem family candidates are trained on (each dataset
     /// graph is mapped to a concrete instance via
@@ -106,18 +107,8 @@ impl Default for EvaluatorConfig {
 }
 
 impl EvaluatorConfig {
-    fn build_optimizer(&self) -> Box<dyn Optimizer> {
-        match self.optimizer {
-            OptimizerKind::Cobyla => Box::new(CobylaOptimizer::default()),
-            OptimizerKind::NelderMead => Box::new(NelderMead::default()),
-            OptimizerKind::Spsa => Box::new(Spsa::default()),
-            OptimizerKind::RandomSearch => Box::new(RandomSearch::default()),
-            OptimizerKind::GridSearch => Box::new(optim::GridSearch::default()),
-        }
-    }
-
-    /// The configured optimizer behind the checkpoint/resume interface the
-    /// successive-halving pipeline drives.
+    /// The configured optimizer, behind the checkpoint/resume interface
+    /// every training session is driven through.
     pub fn build_resumable(&self) -> Box<dyn Resumable> {
         self.optimizer.build_resumable()
     }
@@ -379,30 +370,19 @@ impl Evaluator {
     }
 
     /// Train `mixer` at `depth` on a single graph (against the configured
-    /// problem family's instance for that graph).
+    /// problem family's instance for that graph): one session, advanced to
+    /// the full budget with the call the pipeline's workers make per rung.
     pub fn evaluate_on_graph(
         &self,
         graph: &Graph,
         mixer: &Mixer,
         depth: usize,
     ) -> Result<TrainedCircuit, SearchError> {
-        let energy_eval = self.energy_evaluator_for(graph);
-        let ansatz = QaoaAnsatz::for_problem(energy_eval.problem(), depth, mixer.clone())?;
-        let optimizer = self.config.build_optimizer();
-        if self.config.restarts > 1 {
-            energy_eval
-                .train_multistart(
-                    &ansatz,
-                    optimizer.as_ref(),
-                    self.config.budget,
-                    self.config.restarts,
-                )
-                .map_err(SearchError::from)
-        } else {
-            energy_eval
-                .train(&ansatz, optimizer.as_ref(), self.config.budget)
-                .map_err(SearchError::from)
-        }
+        let optimizer = self.config.build_resumable();
+        let budget = self.config.budget;
+        self.begin_session(graph, mixer, depth, None, budget, optimizer.as_ref())?
+            .advance_batched(optimizer.as_ref(), budget)
+            .map_err(SearchError::from)
     }
 
     /// Begin a resumable training session for `mixer` at `depth` on one
@@ -415,7 +395,7 @@ impl Evaluator {
     ///
     /// `optimizer` must be the same instance (or an identically configured
     /// one) later passed to every
-    /// [`TrainingSession::advance_in`](qaoa::energy::TrainingSession::advance_in)
+    /// [`TrainingSession::advance_batched_in`](qaoa::energy::TrainingSession::advance_batched_in)
     /// call — checkpoint layout and resume behaviour belong to one
     /// optimizer configuration. The pipeline builds it once via
     /// [`EvaluatorConfig::build_resumable`] and shares it across all
@@ -433,7 +413,13 @@ impl Evaluator {
         let ansatz = QaoaAnsatz::for_problem(energy_eval.problem(), depth, mixer.clone())?;
         let initial = warm_from.map(|(gammas, betas)| ansatz.warm_start_flat(gammas, betas));
         energy_eval
-            .begin_training(&ansatz, optimizer, initial.as_deref(), budget_hint)
+            .begin_multistart_training(
+                &ansatz,
+                optimizer,
+                initial.as_deref(),
+                budget_hint,
+                self.config.restarts,
+            )
             .map_err(SearchError::from)
     }
 
@@ -444,26 +430,11 @@ impl Evaluator {
         mixer: &Mixer,
         depth: usize,
     ) -> Result<CandidateResult, SearchError> {
-        if graphs.is_empty() {
-            return Err(SearchError::NoGraphs);
-        }
-        let mut per_graph = Vec::with_capacity(graphs.len());
-        for graph in graphs {
-            per_graph.push(self.evaluate_on_graph(graph, mixer, depth)?);
-        }
-        let mean_energy = per_graph.iter().map(|t| t.energy).sum::<f64>() / per_graph.len() as f64;
-        let mean_approx_ratio =
-            per_graph.iter().map(|t| t.approx_ratio).sum::<f64>() / per_graph.len() as f64;
-        let total_evaluations = per_graph.iter().map(|t| t.evaluations).sum();
-        Ok(CandidateResult {
-            mixer_label: mixer.label(),
-            depth,
-            mean_energy,
-            mean_approx_ratio,
-            per_graph,
-            total_evaluations,
-            pruned_at_rung: None,
-        })
+        let per_graph = graphs
+            .iter()
+            .map(|graph| self.evaluate_on_graph(graph, mixer, depth))
+            .collect::<Result<Vec<_>, _>>()?;
+        CandidateResult::from_per_graph(mixer.label(), depth, per_graph, None)
     }
 }
 
@@ -512,6 +483,14 @@ mod tests {
             e3.energy,
             e1.energy
         );
+        // Byte pin captured at the commit before multi-start moved into
+        // `TrainingSession` (then a separate one-shot trainer).
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(e3.energy.to_bits(), 0x4013db170a7a21e4);
+        assert_eq!(bits(&e3.gammas), [0x3fe120054448712e, 0x3ff50f1fc1c6c907]);
+        assert_eq!(bits(&e3.betas), [0x3fd7f99cefd76610, 0x3fea383dd66e2885]);
+        assert_eq!(e3.evaluations, 126);
+        assert_eq!(e3.approx_ratio.to_bits(), 0x3fea79740df82d30);
     }
 
     #[test]

@@ -17,13 +17,15 @@
 //!   to the predictor as the reward.
 //!
 //! [`session::SearchDriver`] wires the three together behind a
-//! **session-oriented API**: one driver covers both execution modes
-//! ([`search::ExecutionMode::Serial`] — Algorithm 1 as written — and
-//! [`search::ExecutionMode::Parallel`] — the two-level scheme of Figs. 2–3
-//! extended into a **budget-aware pipeline**: successive-halving pruning
-//! over resumable optimizer sessions, warm starts transferred from the
-//! previous depth, an optional learned predictor gate, and a work-stealing
-//! executor ([`worksteal`]) with per-worker scratch states). Started
+//! **session-oriented API** over one per-depth engine, a **budget-aware
+//! pipeline** of resumable training sessions.
+//! [`search::ExecutionMode::Parallel`] is the two-level scheme of
+//! Figs. 2–3 extended with successive-halving pruning, warm starts
+//! transferred from the previous depth, an optional learned predictor gate,
+//! and a work-stealing executor ([`worksteal`]) with per-worker scratch
+//! states; [`search::ExecutionMode::Serial`] — the paper's Algorithm 1 — is
+//! the same engine's full-budget preset, training one session at a time on
+//! the engine thread. Started
 //! sessions stream typed [`events::SearchEvent`]s, cancel cooperatively,
 //! and checkpoint/resume bit-identically; results are deterministic for a
 //! fixed seed regardless of the thread count, and

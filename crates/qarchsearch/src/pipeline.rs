@@ -25,6 +25,13 @@
 //!
 //! Pruned candidates keep their partial results (and record the rung they
 //! were pruned at) so reports can show exactly where the budget went.
+//!
+//! This is the only per-depth engine. [`ExecutionMode::Serial`] — the
+//! paper's Algorithm 1 — is a preset of it
+//! ([`SearchConfig::effective_pipeline`]: one full-budget rung, no warm
+//! start, no gate) whose rung tasks run inline on the engine thread, and
+//! multi-start training (`restarts > 1`) is a property of the sessions, so
+//! it is pruned, warm-started and reported like any other search.
 
 use crate::error::SearchError;
 use crate::evaluator::{CandidateResult, EnergyCache, Evaluator};
@@ -32,14 +39,15 @@ use crate::events::SearchEvent;
 use crate::fault::{self, site, FaultContext};
 use crate::predictor::{EpsilonGreedyPredictor, Predictor};
 use crate::qbuilder::QBuilder;
-use crate::search::{RungStat, SearchConfig};
+use crate::search::{ExecutionMode, PipelineConfig, RungStat, SearchConfig};
 use crate::session::SchedulerCheckpoint;
 use crate::sync::lock_recover;
-use crate::worksteal::run_tasks;
+use crate::worksteal::{run_tasks, WorkerScratch};
 use graphs::Graph;
 use qaoa::energy::{ProgressHook, TrainedCircuit, TrainingProgress, TrainingSession};
 use qaoa::mixer::Mixer;
 use qcircuit::Gate;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// The cumulative budget targets of the halving schedule: starting at
@@ -70,8 +78,7 @@ struct EvaluatedCohort {
 pub(crate) struct DepthEvaluation {
     /// One result per admitted candidate, in proposal order.
     pub results: Vec<CandidateResult>,
-    /// Per-rung accounting (empty when pruning was disabled or the legacy
-    /// multi-start path ran).
+    /// Per-rung accounting (empty when pruning was disabled).
     pub rungs: Vec<RungStat>,
     /// Candidates rejected by the predictor gate before any evaluation.
     pub gated_out: usize,
@@ -84,6 +91,12 @@ pub(crate) struct DepthEvaluation {
 /// previous depth).
 pub(crate) struct BudgetedScheduler {
     config: SearchConfig,
+    /// The pipeline settings in force ([`SearchConfig::effective_pipeline`]).
+    pipeline: PipelineConfig,
+    /// Work-stealing worker count; `None` is the serial preset, whose rung
+    /// tasks run inline on the engine thread with the ambient (unpinned)
+    /// inner rayon pool — the paper's inner parallel level.
+    workers: Option<usize>,
     evaluator: Evaluator,
     builder: QBuilder,
     ranker: EpsilonGreedyPredictor,
@@ -104,6 +117,16 @@ impl BudgetedScheduler {
             None => Evaluator::new(config.evaluator.clone()),
         };
         BudgetedScheduler {
+            pipeline: config.effective_pipeline(),
+            workers: match config.mode {
+                ExecutionMode::Serial => None,
+                ExecutionMode::Parallel => Some(
+                    config
+                        .threads
+                        .unwrap_or_else(rayon::current_num_threads)
+                        .max(1),
+                ),
+            },
             evaluator,
             builder: QBuilder::new(config.alphabet.clone()),
             // Exploration rate 0: the ranker only scores, it never proposes.
@@ -112,6 +135,11 @@ impl BudgetedScheduler {
             warm_source: None,
             config: config.clone(),
         }
+    }
+
+    /// The work-stealing worker count (`None` under the serial preset).
+    pub(crate) fn workers(&self) -> Option<usize> {
+        self.workers
     }
 
     /// Snapshot the cross-depth state (ranker + warm-start source) for the
@@ -146,7 +174,7 @@ impl BudgetedScheduler {
     /// rejected. The gate only engages once the ranker has seen feedback
     /// (i.e. from depth 2 on), so depth 1 always evaluates everything.
     fn apply_gate(&self, candidates: Vec<Vec<Gate>>) -> (Vec<Vec<Gate>>, usize) {
-        let Some(cap) = self.config.pipeline.predictor_gate else {
+        let Some(cap) = self.pipeline.predictor_gate else {
             return (candidates, 0);
         };
         if !self.ranker_trained || candidates.len() <= cap {
@@ -175,20 +203,19 @@ impl BudgetedScheduler {
     /// (ranker feedback, warm-start source). `events` receives the depth's
     /// telemetry ([`SearchEvent::CandidatesGated`], `SessionAdvanced`,
     /// `RungCompleted`, `CandidatePruned`) in deterministic order — always
-    /// from the calling thread, never from a worker. `cancel` is polled
-    /// between rungs: once set, the depth aborts with
+    /// from the calling thread, never from a worker. `cancel` is polled at
+    /// the top of every rung and of every rung task: once set, the sessions
+    /// not yet started are skipped, the depth aborts with
     /// [`SearchError::Cancelled`] and its partial sessions are dropped
     /// (cancellation is depth-atomic for results). `faults` is the
     /// optional chaos-test context: [`crate::fault::site::PIPELINE_RUNG`]
     /// fires at the top of every successive-halving rung.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn evaluate_depth(
         &mut self,
         depth: usize,
         candidates: Vec<Vec<Gate>>,
         graphs: &[Graph],
-        threads: usize,
-        cancel: &std::sync::atomic::AtomicBool,
+        cancel: &AtomicBool,
         events: &mut dyn FnMut(SearchEvent),
         faults: Option<&FaultContext>,
     ) -> Result<DepthEvaluation, SearchError> {
@@ -216,14 +243,7 @@ impl BudgetedScheduler {
             results,
             rungs,
             rewards,
-        } = if self.config.evaluator.restarts > 1 {
-            // Multi-start training restarts by design, so it cannot resume;
-            // it still benefits from the work-stealing executor at candidate
-            // granularity.
-            self.evaluate_legacy(depth, &mixers, graphs, threads)?
-        } else {
-            self.evaluate_halving(depth, &mixers, graphs, threads, cancel, events, faults)?
-        };
+        } = self.evaluate_halving(depth, &mixers, graphs, cancel, events, faults)?;
 
         // The gate bandit must compare like with like: under halving,
         // survivors end up far better trained than pruned losers, so the
@@ -256,18 +276,16 @@ impl BudgetedScheduler {
     /// The successive-halving session pipeline. The third return value is
     /// the per-candidate mean energy after the first rung — the
     /// equal-budget reward the gate bandit trains on.
-    #[allow(clippy::too_many_arguments)]
     fn evaluate_halving(
         &self,
         depth: usize,
         mixers: &[Mixer],
         graphs: &[Graph],
-        threads: usize,
-        cancel: &std::sync::atomic::AtomicBool,
+        cancel: &AtomicBool,
         events: &mut dyn FnMut(SearchEvent),
         faults: Option<&FaultContext>,
     ) -> Result<EvaluatedCohort, SearchError> {
-        let pc = &self.config.pipeline;
+        let pc = &self.pipeline;
         let full_budget = self.config.evaluator.budget;
         let num_graphs = graphs.len();
         let num_candidates = mixers.len();
@@ -328,7 +346,7 @@ impl BudgetedScheduler {
         let mut first_rung_means: Vec<f64> = Vec::new();
 
         for (ri, &target) in targets.iter().enumerate() {
-            if cancel.load(std::sync::atomic::Ordering::SeqCst) {
+            if cancel.load(Ordering::SeqCst) {
                 return Err(SearchError::Cancelled);
             }
             fault::trip(faults, site::PIPELINE_RUNG)?;
@@ -342,20 +360,37 @@ impl BudgetedScheduler {
                 }
             }
 
-            let outcomes = run_tasks(tasks, threads, |scratch, (slot, mut session)| {
-                // Batched advance: optimizer probe sets (SPSA pairs, initial
-                // simplexes, grid/random populations) run through one batched
-                // statevector sweep per set, bit-identical to the scalar path.
-                let buf = session
-                    .uses_compiled_scratch()
-                    .then(|| scratch.batch(session.num_qubits()));
-                let trained = session.advance_batched_in(optimizer, target, buf);
-                (slot, session, trained)
-            });
+            let advance =
+                |scratch: &mut WorkerScratch, (slot, mut session): (usize, TrainingSession)| {
+                    // A cancelled rung skips every session it has not started.
+                    if cancel.load(Ordering::SeqCst) {
+                        return (slot, session, Err(SearchError::Cancelled));
+                    }
+                    // Batched advance: optimizer probe sets (SPSA pairs, initial
+                    // simplexes, grid/random populations) run through one batched
+                    // statevector sweep per set, bit-identical to the scalar path.
+                    let buf = session
+                        .uses_compiled_scratch()
+                        .then(|| scratch.batch(session.num_qubits()));
+                    let trained = session
+                        .advance_batched_in(optimizer, target, buf)
+                        .map_err(SearchError::from);
+                    (slot, session, trained)
+                };
+            let outcomes = match self.workers {
+                Some(threads) => run_tasks(tasks, threads, advance),
+                None => {
+                    let mut scratch = WorkerScratch::new();
+                    tasks
+                        .into_iter()
+                        .map(|task| advance(&mut scratch, task))
+                        .collect()
+                }
+            };
 
             let mut rung_evaluations = 0usize;
             for (slot, session, trained) in outcomes {
-                let trained = trained.map_err(SearchError::from)?;
+                let trained = trained?;
                 rung_evaluations += trained.evaluations - spent[slot];
                 spent[slot] = trained.evaluations;
                 snapshots[slot] = Some(trained);
@@ -459,30 +494,6 @@ impl BudgetedScheduler {
             results,
             rungs: if pc.prune { rung_stats } else { Vec::new() },
             rewards: first_rung_means,
-        })
-    }
-
-    /// Candidate-granularity fallback for configurations the resumable
-    /// pipeline cannot serve (multi-start training). All candidates receive
-    /// the full budget, so their final mean energies are the bandit reward.
-    fn evaluate_legacy(
-        &self,
-        depth: usize,
-        mixers: &[Mixer],
-        graphs: &[Graph],
-        threads: usize,
-    ) -> Result<EvaluatedCohort, SearchError> {
-        let tasks: Vec<Mixer> = mixers.to_vec();
-        let evaluator = &self.evaluator;
-        let outcomes = run_tasks(tasks, threads, |_scratch, mixer| {
-            evaluator.evaluate(graphs, &mixer, depth)
-        });
-        let results: Vec<CandidateResult> = outcomes.into_iter().collect::<Result<_, _>>()?;
-        let rewards = results.iter().map(|r| r.mean_energy).collect();
-        Ok(EvaluatedCohort {
-            results,
-            rungs: Vec::new(),
-            rewards,
         })
     }
 }

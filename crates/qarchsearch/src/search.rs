@@ -1,12 +1,12 @@
 //! Search configuration and outcome types.
 //!
 //! The front door of the crate is now the session-oriented
-//! [`crate::session::SearchDriver`]: one driver covers both execution modes
-//! ([`ExecutionMode::Serial`] — Algorithm 1 exactly as written — and
-//! [`ExecutionMode::Parallel`] — the budget-aware successive-halving
-//! pipeline over the work-stealing executor), streams [`crate::SearchEvent`]s
-//! while it runs, and supports cooperative cancellation and serde
-//! checkpointing. This module keeps everything the driver is configured
+//! [`crate::session::SearchDriver`]: one driver and one per-depth engine
+//! cover both execution modes ([`ExecutionMode::Parallel`] — the
+//! budget-aware successive-halving pipeline over the work-stealing
+//! executor — and [`ExecutionMode::Serial`] — its paper-faithful
+//! full-budget preset, run inline), streams [`crate::SearchEvent`]s while
+//! it runs, and supports cooperative cancellation and serde checkpointing. This module keeps everything the driver is configured
 //! with ([`SearchConfig`], [`SearchStrategy`], [`PipelineConfig`]) and
 //! returns ([`SearchOutcome`], [`DepthResult`], [`BestCandidate`]).
 
@@ -27,8 +27,10 @@ use serde::{Deserialize, Serialize};
 /// between two scheduler structs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum ExecutionMode {
-    /// Algorithm 1 exactly as written: one candidate at a time, full budget
-    /// each, full inner (per-edge / kernel) parallelism.
+    /// The paper's Algorithm 1 as a preset of the one engine: the
+    /// [`PipelineConfig::full_budget`] pipeline (one rung, no warm start, no
+    /// gate), one training session at a time on the engine thread, full
+    /// inner (per-edge / kernel) parallelism.
     Serial,
     /// The budget-aware pipeline over the work-stealing executor:
     /// successive halving, warm starts, optional predictor gate.
@@ -77,7 +79,8 @@ pub enum SearchStrategy {
 }
 
 /// Configuration of the budget-aware evaluation pipeline (successive
-/// halving, warm starts, predictor gate) used by parallel-mode searches.
+/// halving, warm starts, predictor gate). Parallel-mode searches use it as
+/// given; serial mode always runs [`PipelineConfig::full_budget`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PipelineConfig {
     /// Enable successive-halving pruning. When `false`, every candidate
@@ -164,7 +167,7 @@ pub struct SearchConfig {
     pub constraints: ConstraintSet,
     /// Budget-aware pipeline settings (pruning, warm starts, predictor
     /// gate) for parallel mode. Serial mode ignores this and always runs
-    /// the paper-faithful full-budget loop.
+    /// the paper-faithful [`PipelineConfig::full_budget`] preset.
     pub pipeline: PipelineConfig,
 }
 
@@ -200,27 +203,21 @@ impl SearchConfig {
         self
     }
 
-    /// Validate the configuration for the budget-aware pipeline: the
-    /// mode-independent base checks plus the pipeline settings (halving
-    /// schedule, predictor gate). Serial runs only apply the base checks,
-    /// since they never prune — see [`SearchConfig::validate_for`].
-    pub fn validate(&self) -> Result<(), SearchError> {
-        self.validate_base()?;
-        self.validate_pipeline()
-    }
-
-    /// The checks the given execution mode actually needs: serial runs skip
-    /// the pipeline checks (they never prune, so a budget below the halving
-    /// schedule's first rung is fine there).
-    pub fn validate_for(&self, mode: ExecutionMode) -> Result<(), SearchError> {
-        match mode {
-            ExecutionMode::Serial => self.validate_base(),
-            ExecutionMode::Parallel => self.validate(),
+    /// The pipeline settings a run actually executes under: serial mode is
+    /// the paper-faithful [`PipelineConfig::full_budget`] preset whatever
+    /// [`pipeline`](Self::pipeline) says; parallel mode uses it as given.
+    pub(crate) fn effective_pipeline(&self) -> PipelineConfig {
+        match self.mode {
+            ExecutionMode::Serial => PipelineConfig::full_budget(),
+            ExecutionMode::Parallel => self.pipeline.clone(),
         }
     }
 
-    /// The mode-independent checks.
-    fn validate_base(&self) -> Result<(), SearchError> {
+    /// Validate the configuration as it will run: the search space, budget
+    /// and thread count, plus the halving schedule and predictor gate of the
+    /// pipeline in force — [`PipelineConfig::full_budget`] for a serial run,
+    /// which therefore accepts a budget below the schedule's first rung.
+    pub fn validate(&self) -> Result<(), SearchError> {
         if self.max_depth == 0 {
             return Err(SearchError::InvalidConfig {
                 message: "max_depth must be ≥ 1".into(),
@@ -241,37 +238,33 @@ impl SearchConfig {
                 message: "threads must be ≥ 1".into(),
             });
         }
-        Ok(())
-    }
-
-    /// The pipeline-only checks ([`ExecutionMode::Parallel`]).
-    fn validate_pipeline(&self) -> Result<(), SearchError> {
-        if self.pipeline.prune {
-            if self.pipeline.eta < 2 {
+        let pipeline = self.effective_pipeline();
+        if pipeline.prune {
+            if pipeline.eta < 2 {
                 return Err(SearchError::InvalidConfig {
                     message: format!(
                         "halving rate eta must be ≥ 2 (got {}); eta = 1 would never prune",
-                        self.pipeline.eta
+                        pipeline.eta
                     ),
                 });
             }
-            if self.pipeline.first_rung == 0 {
+            if pipeline.first_rung == 0 {
                 return Err(SearchError::InvalidConfig {
                     message: "the halving schedule's first rung must be ≥ 1".into(),
                 });
             }
-            if self.evaluator.budget < self.pipeline.first_rung {
+            if self.evaluator.budget < pipeline.first_rung {
                 return Err(SearchError::InvalidConfig {
                     message: format!(
                         "optimizer budget ({}) is smaller than the halving schedule's first \
                          rung ({}); raise the budget, lower first_rung, or disable pruning \
                          with no_prune / --no-prune",
-                        self.evaluator.budget, self.pipeline.first_rung
+                        self.evaluator.budget, pipeline.first_rung
                     ),
                 });
             }
         }
-        if let Some(0) = self.pipeline.predictor_gate {
+        if let Some(0) = pipeline.predictor_gate {
             return Err(SearchError::InvalidConfig {
                 message: "predictor gate must admit at least one candidate".into(),
             });
@@ -366,8 +359,9 @@ pub struct SearchConfigBuilder {
 }
 
 impl SearchConfigBuilder {
-    /// Set the execution mode (serial Algorithm 1 vs the parallel
-    /// budget-aware pipeline; default parallel).
+    /// Set the execution mode (the budget-aware pipeline over the
+    /// work-stealing executor, or its serial full-budget preset; default
+    /// parallel).
     pub fn mode(mut self, mode: ExecutionMode) -> Self {
         self.config.mode = mode;
         self
@@ -519,8 +513,8 @@ pub struct DepthResult {
     pub elapsed_seconds: f64,
     /// Best mean energy seen at this depth.
     pub best_energy: f64,
-    /// Successive-halving rung accounting (empty when pruning was off or
-    /// the serial scheduler ran).
+    /// Successive-halving rung accounting (empty when pruning was off,
+    /// which includes every serial run).
     pub rungs: Vec<RungStat>,
     /// Candidates rejected by the predictor gate before any evaluation.
     pub gated_out: usize,
@@ -984,15 +978,43 @@ mod tests {
     }
 
     #[test]
-    fn multistart_configs_fall_back_to_legacy_evaluation() {
+    fn multistart_runs_through_the_pipeline() {
         let graphs = tiny_graphs();
         let mut cfg = tiny_config(SearchStrategy::Exhaustive);
         cfg.evaluator.restarts = 3;
         cfg.evaluator.budget = 45;
+
+        // Default pruning: multi-start sessions are halved like any other.
+        let pruned = parallel_run(cfg.clone(), &graphs).unwrap();
+        assert_eq!(pruned.num_candidates_evaluated, 6);
+        assert!(pruned.depth_results.iter().all(|d| !d.rungs.is_empty()));
+        assert!(pruned.total_optimizer_evaluations < 6 * 2 * 45);
+
+        // One full-budget rung reproduces the retired candidate-granularity
+        // multi-start path bit for bit (byte pin captured at that commit:
+        // mean energy bits and evaluation count per candidate).
+        cfg.pipeline = PipelineConfig::full_budget();
         let outcome = parallel_run(cfg, &graphs).unwrap();
-        assert_eq!(outcome.num_candidates_evaluated, 6);
-        // The legacy path reports no rung accounting.
-        assert!(outcome.depth_results.iter().all(|d| d.rungs.is_empty()));
+        let got: Vec<(&str, u64, usize)> = outcome.depth_results[0]
+            .candidates
+            .iter()
+            .map(|c| {
+                (
+                    c.mixer_label.as_str(),
+                    c.mean_energy.to_bits(),
+                    c.total_evaluations,
+                )
+            })
+            .collect();
+        let pinned = [
+            ("('rx')", 0x400bb3b69ceb2488, 93),
+            ("('ry')", 0x4003fffdeb0080e2, 95),
+            ("('rx', 'rx')", 0x400bb4244f47effc, 93),
+            ("('rx', 'ry')", 0x4007d9a87232e6e5, 92),
+            ("('ry', 'rx')", 0x40087b9debce2019, 94),
+            ("('ry', 'ry')", 0x4003fe5aea46afc0, 95),
+        ];
+        assert_eq!(got, pinned);
     }
 
     #[test]

@@ -692,7 +692,7 @@ impl JobServer {
         if spec.graphs.is_empty() {
             return Err(SearchError::NoGraphs);
         }
-        spec.config.validate_for(spec.config.mode)?;
+        spec.config.validate()?;
         let key = match &self.inner.cache {
             Some(_) => Some(spec_cache_key(&spec)?),
             None => None,
@@ -824,7 +824,7 @@ impl JobServer {
         if spec.graphs.is_empty() {
             return Err(SearchError::NoGraphs);
         }
-        spec.config.validate_for(spec.config.mode)?;
+        spec.config.validate()?;
         let mut registry = self.lock_registry();
         if registry.shutdown {
             return Err(SearchError::Evaluation {

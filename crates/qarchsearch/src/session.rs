@@ -9,7 +9,7 @@
 //!   deterministic points of the depth/rung loop — identical for a fixed
 //!   seed at any worker thread count,
 //! * **cooperative cancellation** ([`SearchHandle::cancel`]): the engine
-//!   stops at the next rung (parallel) or candidate (serial) boundary and
+//!   stops before the next training session of the rung in flight and
 //!   drains the completed depths into a valid partial [`SearchOutcome`],
 //! * live [`SearchProgress`] snapshots ([`SearchHandle::progress`]), and
 //! * serde **checkpointing** ([`SearchHandle::checkpoint`] →
@@ -21,9 +21,14 @@
 //!   on PR 3's `Resumable`/`TrainingSession` state machines, which never
 //!   leak thread-count or wall-clock state into results).
 //!
-//! Execution mode ([`ExecutionMode::Serial`] — Algorithm 1 as written —
-//! vs [`ExecutionMode::Parallel`] — the budget-aware successive-halving
-//! pipeline) is folded into [`SearchConfig`]; one driver serves both.
+//! Execution mode is folded into [`SearchConfig`], and one driver with one
+//! per-depth engine (the budget-aware successive-halving pipeline) serves
+//! both: [`ExecutionMode::Parallel`](crate::search::ExecutionMode::Parallel)
+//! runs it over the work-stealing executor,
+//! [`ExecutionMode::Serial`](crate::search::ExecutionMode::Serial) — the
+//! paper's Algorithm 1 — is its full-budget preset with the rung's sessions
+//! trained inline on the engine thread. The two event streams differ only in
+//! `Started.mode`.
 //!
 //! ```
 //! use graphs::Graph;
@@ -43,13 +48,12 @@
 //! ```
 
 use crate::error::SearchError;
-use crate::evaluator::{CandidateResult, EnergyCache, Evaluator};
+use crate::evaluator::{CandidateResult, EnergyCache};
 use crate::events::SearchEvent;
 use crate::fault::{self, site, FaultContext};
-use crate::pipeline::BudgetedScheduler;
+use crate::pipeline::{BudgetedScheduler, DepthEvaluation};
 use crate::predictor::BanditState;
-use crate::qbuilder::QBuilder;
-use crate::search::{DepthResult, ExecutionMode, SearchConfig, SearchOutcome};
+use crate::search::{DepthResult, SearchConfig, SearchOutcome};
 use crate::sync::{lock_recover, wait_recover};
 use graphs::Graph;
 use serde::{Deserialize, Serialize};
@@ -140,8 +144,10 @@ pub struct SearchCheckpoint {
     pub next_depth: usize,
     /// Wall-clock seconds already spent (carried into the resumed outcome).
     pub elapsed_seconds: f64,
-    /// Cross-depth scheduler state (`None` for serial sessions, which carry
-    /// no state between depths).
+    /// Cross-depth scheduler state (`None` before the first depth boundary,
+    /// and in serial checkpoints written before serial mode became a preset
+    /// of the one engine — a serial run never reads it, so those resume
+    /// unchanged).
     pub scheduler: Option<SchedulerCheckpoint>,
 }
 
@@ -227,7 +233,7 @@ impl SearchDriver {
 
     /// Validate and launch the search on a background engine thread.
     pub fn start(&self, graphs: &[Graph]) -> Result<SearchHandle, SearchError> {
-        self.config.validate_for(self.config.mode)?;
+        self.config.validate()?;
         if graphs.is_empty() {
             return Err(SearchError::NoGraphs);
         }
@@ -274,7 +280,7 @@ impl SearchDriver {
             elapsed_seconds,
             scheduler,
         } = checkpoint;
-        config.validate_for(config.mode)?;
+        config.validate()?;
         if graphs.is_empty() {
             return Err(SearchError::NoGraphs);
         }
@@ -367,9 +373,9 @@ impl SearchHandle {
         self.events.recv().ok()
     }
 
-    /// Request cooperative cancellation: the engine stops at the next rung
-    /// (parallel) or candidate (serial) boundary, drains completed depths
-    /// into a valid partial outcome, and closes the event stream.
+    /// Request cooperative cancellation: the engine skips every training
+    /// session of the current rung it has not started yet, drains completed
+    /// depths into a valid partial outcome, and closes the event stream.
     pub fn cancel(&self) {
         self.shared.cancel.store(true, Ordering::SeqCst);
     }
@@ -506,29 +512,6 @@ struct EngineSeed {
     energy_cache: Option<EnergyCache>,
 }
 
-/// Mode-specific evaluation machinery, built once per engine run.
-enum DepthEvaluator {
-    Serial {
-        builder: QBuilder,
-        evaluator: Evaluator,
-    },
-    Parallel {
-        scheduler: Box<BudgetedScheduler>,
-        threads: usize,
-    },
-}
-
-impl DepthEvaluator {
-    /// The cross-depth state a checkpoint must capture (`None` for serial
-    /// mode, which carries none).
-    fn scheduler_state(&self) -> Option<SchedulerCheckpoint> {
-        match self {
-            DepthEvaluator::Serial { .. } => None,
-            DepthEvaluator::Parallel { scheduler, .. } => Some(scheduler.checkpoint()),
-        }
-    }
-}
-
 fn run_engine(
     seed: EngineSeed,
     shared: Arc<Shared>,
@@ -558,29 +541,11 @@ fn run_engine(
         num_graphs: graphs.len(),
     });
 
-    let mut machinery = match config.mode {
-        ExecutionMode::Serial => DepthEvaluator::Serial {
-            builder: QBuilder::new(config.alphabet.clone()),
-            evaluator: match energy_cache.clone() {
-                Some(cache) => Evaluator::with_energy_cache(config.evaluator.clone(), cache),
-                None => Evaluator::new(config.evaluator.clone()),
-            },
-        },
-        ExecutionMode::Parallel => DepthEvaluator::Parallel {
-            scheduler: Box::new(match scheduler {
-                Some(state) => BudgetedScheduler::restore(&config, state, energy_cache.clone()),
-                None => BudgetedScheduler::with_energy_cache(&config, energy_cache.clone()),
-            }),
-            threads: config
-                .threads
-                .unwrap_or_else(rayon::current_num_threads)
-                .max(1),
-        },
+    let mut scheduler = match scheduler {
+        Some(state) => BudgetedScheduler::restore(&config, state, energy_cache),
+        None => BudgetedScheduler::with_energy_cache(&config, energy_cache),
     };
-    let parallel_threads = match &machinery {
-        DepthEvaluator::Serial { .. } => None,
-        DepthEvaluator::Parallel { threads, .. } => Some(*threads),
-    };
+    let parallel_threads = scheduler.workers();
 
     let publish = |completed: &[DepthResult],
                    scheduler: Option<SchedulerCheckpoint>,
@@ -619,49 +584,33 @@ fn run_engine(
             // exactly like a real evaluation failure (retryable upstream).
             Err(e)
         } else {
-            match &mut machinery {
-                DepthEvaluator::Serial { builder, evaluator } => evaluate_depth_serial(
-                    depth,
-                    &candidates,
-                    &graphs,
-                    builder,
-                    evaluator,
-                    cancel,
-                    &emit,
-                ),
-                DepthEvaluator::Parallel { scheduler, threads } => {
-                    let mut sink = |event: SearchEvent| emit(event);
-                    scheduler
-                        .evaluate_depth(
-                            depth,
-                            candidates,
-                            &graphs,
-                            *threads,
-                            cancel,
-                            &mut sink,
-                            faults.as_ref(),
-                        )
-                        .map(|d| (d.results, d.rungs, d.gated_out))
-                }
-            }
+            let mut sink = |event: SearchEvent| emit(event);
+            scheduler.evaluate_depth(
+                depth,
+                candidates,
+                &graphs,
+                cancel,
+                &mut sink,
+                faults.as_ref(),
+            )
         };
 
         match evaluated {
-            Ok((results, rungs, gated_out)) => {
-                if matches!(machinery, DepthEvaluator::Parallel { .. }) {
-                    // Serial evaluation already emitted these live, one per
-                    // candidate; under the pipeline the results only exist
-                    // once every rung has run.
-                    for (index, cand) in results.iter().enumerate() {
-                        emit(SearchEvent::CandidateEvaluated {
-                            depth,
-                            candidate: index,
-                            mixer_label: cand.mixer_label.clone(),
-                            mean_energy: cand.mean_energy,
-                            total_evaluations: cand.total_evaluations,
-                            pruned_at_rung: cand.pruned_at_rung,
-                        });
-                    }
+            Ok(DepthEvaluation {
+                results,
+                rungs,
+                gated_out,
+            }) => {
+                // The results only exist once every rung has run.
+                for (index, cand) in results.iter().enumerate() {
+                    emit(SearchEvent::CandidateEvaluated {
+                        depth,
+                        candidate: index,
+                        mixer_label: cand.mixer_label.clone(),
+                        mean_energy: cand.mean_energy,
+                        total_evaluations: cand.total_evaluations,
+                        pruned_at_rung: cand.pruned_at_rung,
+                    });
                 }
                 let best_energy = results
                     .iter()
@@ -684,7 +633,7 @@ fn run_engine(
                 // on `DepthCompleted` must see the depth it was told about.
                 publish(
                     &completed,
-                    machinery.scheduler_state(),
+                    Some(scheduler.checkpoint()),
                     SearchStatus::Running,
                 );
                 emit(SearchEvent::DepthCompleted {
@@ -697,7 +646,7 @@ fn run_engine(
             Err(SearchError::Cancelled) => {
                 publish(
                     &completed,
-                    machinery.scheduler_state(),
+                    Some(scheduler.checkpoint()),
                     SearchStatus::Cancelled,
                 );
                 emit(SearchEvent::Cancelled {
@@ -711,7 +660,7 @@ fn run_engine(
             Err(other) => {
                 publish(
                     &completed,
-                    machinery.scheduler_state(),
+                    Some(scheduler.checkpoint()),
                     SearchStatus::Failed,
                 );
                 emit(SearchEvent::Failed {
@@ -727,7 +676,7 @@ fn run_engine(
         Ok(o) => {
             publish(
                 &completed,
-                machinery.scheduler_state(),
+                Some(scheduler.checkpoint()),
                 SearchStatus::Finished,
             );
             emit(SearchEvent::Finished {
@@ -740,7 +689,7 @@ fn run_engine(
         Err(e) => {
             publish(
                 &completed,
-                machinery.scheduler_state(),
+                Some(scheduler.checkpoint()),
                 SearchStatus::Failed,
             );
             emit(SearchEvent::Failed {
@@ -751,42 +700,11 @@ fn run_engine(
     outcome
 }
 
-/// Algorithm 1's inner loop, candidate by candidate, with a cancellation
-/// check between candidates.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_depth_serial(
-    depth: usize,
-    candidates: &[Vec<qcircuit::Gate>],
-    graphs: &[Graph],
-    builder: &QBuilder,
-    evaluator: &Evaluator,
-    cancel: &AtomicBool,
-    emit: &dyn Fn(SearchEvent),
-) -> Result<(Vec<CandidateResult>, Vec<crate::search::RungStat>, usize), SearchError> {
-    let mut results = Vec::with_capacity(candidates.len());
-    for (index, gates) in candidates.iter().enumerate() {
-        if cancel.load(Ordering::SeqCst) {
-            return Err(SearchError::Cancelled);
-        }
-        let mixer = builder.build_mixer(gates)?;
-        let result = evaluator.evaluate(graphs, &mixer, depth)?;
-        emit(SearchEvent::CandidateEvaluated {
-            depth,
-            candidate: index,
-            mixer_label: result.mixer_label.clone(),
-            mean_energy: result.mean_energy,
-            total_evaluations: result.total_evaluations,
-            pruned_at_rung: None,
-        });
-        results.push(result);
-    }
-    Ok((results, Vec::new(), 0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::alphabet::GateAlphabet;
+    use crate::search::{ExecutionMode, PipelineConfig};
     use qaoa::Backend;
 
     fn tiny_config() -> SearchConfig {
@@ -835,6 +753,109 @@ mod tests {
         assert_eq!(outcome.num_candidates_evaluated, 6);
         assert!(handle.is_finished());
         assert_eq!(handle.progress().status, SearchStatus::Finished);
+    }
+
+    #[test]
+    fn serial_event_stream_equals_full_budget_single_thread_stream() {
+        let mut cfg = tiny_config();
+        cfg.max_depth = 2;
+        let stream = |cfg: SearchConfig| -> Vec<SearchEvent> {
+            let handle = SearchDriver::new(cfg).start(&tiny_graphs()).unwrap();
+            handle.events().iter().collect()
+        };
+        // Serial ignores `cfg.pipeline` (pruning + warm starts here).
+        let serial = stream(cfg.clone().with_mode(ExecutionMode::Serial));
+        let mut parallel = stream(SearchConfig {
+            threads: Some(1),
+            pipeline: PipelineConfig::full_budget(),
+            ..cfg
+        });
+        assert!(serial
+            .iter()
+            .any(|e| matches!(e, SearchEvent::SessionAdvanced { .. })));
+        match (&serial[0], &mut parallel[0]) {
+            (SearchEvent::Started { mode: serial, .. }, SearchEvent::Started { mode, .. }) => {
+                assert_eq!(
+                    (*serial, *mode),
+                    (ExecutionMode::Serial, ExecutionMode::Parallel)
+                );
+                *mode = ExecutionMode::Serial;
+            }
+            other => panic!("streams must open with Started: {other:?}"),
+        }
+        let bytes = |events: &[SearchEvent]| serde_json::to_string(events).unwrap();
+        assert_eq!(bytes(&serial), bytes(&parallel));
+    }
+
+    #[test]
+    fn serial_checkpoint_without_scheduler_state_resumes() {
+        let mut cfg = tiny_config().with_mode(ExecutionMode::Serial);
+        cfg.max_depth = 2;
+        let graphs = tiny_graphs();
+        let full = SearchDriver::new(cfg.clone()).run(&graphs).unwrap();
+
+        // A depth-1 checkpoint as serial mode used to write it: no scheduler.
+        cfg.max_depth = 1;
+        let handle = SearchDriver::new(cfg).start(&graphs).unwrap();
+        handle.wait().unwrap();
+        let mut ckpt = handle.checkpoint();
+        assert!(ckpt.scheduler.take().is_some());
+        ckpt.config.max_depth = 2;
+
+        let resumed = SearchDriver::resume(ckpt).unwrap().wait().unwrap();
+        assert_eq!(resumed.parallel_threads, None);
+        let per_depth = |o: &SearchOutcome| -> Vec<Vec<CandidateResult>> {
+            o.depth_results
+                .iter()
+                .map(|d| d.candidates.clone())
+                .collect()
+        };
+        assert_eq!(per_depth(&full), per_depth(&resumed));
+    }
+
+    #[test]
+    fn cancel_inside_a_single_rung_depth_skips_the_remaining_sessions() {
+        use crate::fault::{FaultAction, FaultInjector, FaultPlan, FaultSpec};
+        // 6 candidates × 2 graphs = 12 sessions in the depth's only rung.
+        let graphs = vec![
+            Graph::erdos_renyi(10, 0.5, 8),
+            Graph::erdos_renyi(10, 0.5, 9),
+        ];
+        for mode in [ExecutionMode::Serial, ExecutionMode::Parallel] {
+            let cfg = SearchConfig {
+                mode,
+                threads: Some(1),
+                pipeline: PipelineConfig::full_budget(),
+                ..tiny_config()
+            };
+            // `pipeline.rung` is hit after the rung-top cancel poll, so a
+            // cancel issued once the hit is visible can only be honoured by
+            // the per-session poll; the delay keeps the engine inside the
+            // rung while this thread reacts.
+            let injector = FaultInjector::new(FaultPlan::single(FaultSpec {
+                site: site::PIPELINE_RUNG.to_string(),
+                job: None,
+                hit: 1,
+                action: FaultAction::Delay { millis: 50 },
+            }));
+            let handle = SearchDriver::new(cfg)
+                .with_fault_context(FaultContext::new(Arc::clone(&injector), None))
+                .start(&graphs)
+                .unwrap();
+            while injector.hits(site::PIPELINE_RUNG) == 0 {
+                std::thread::yield_now();
+            }
+            handle.cancel();
+            assert_eq!(handle.wait().unwrap_err(), SearchError::Cancelled, "{mode}");
+            let events: Vec<SearchEvent> = handle.events().iter().collect();
+            assert_eq!(
+                events.last(),
+                Some(&SearchEvent::Cancelled {
+                    completed_depths: 0
+                }),
+                "{mode}"
+            );
+        }
     }
 
     #[test]

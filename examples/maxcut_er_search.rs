@@ -32,7 +32,7 @@ fn main() {
         .no_prune()
         .build();
 
-    // Serial search (Algorithm 1 as written).
+    // Serial search (the paper's Algorithm 1: one session at a time).
     let serial_start = Instant::now();
     let serial = SearchDriver::new(config.clone().with_mode(ExecutionMode::Serial))
         .run(&dataset)

@@ -55,7 +55,8 @@ SEARCH OPTIONS (qas search):
     --alphabet LIST   comma-separated mnemonics, e.g. rx,ry,h (default rx,ry,rz,h,p)
     --strategy S      exhaustive | random:N | egreedy:N | policy:N (default exhaustive)
     --threads N       worker count of the evaluation pipeline (default: all cores)
-    --restarts N      optimizer restarts per candidate       (default 1)
+    --restarts N      optimizer restarts per candidate; the budget and
+                      every halving rung are split N ways    (default 1)
     --hardware-aware  apply the hardware-aware constraint preset
     --json            machine-readable SearchReport JSON on stdout,
                       human summary on stderr (shares the serve serialization)
@@ -63,8 +64,9 @@ SEARCH OPTIONS (qas search):
 SEARCH PIPELINE OPTIONS (qas search):
     --no-prune        paper-faithful mode: full budget for every candidate,
                       no successive halving, no warm starts, no gate
-    --serial          run the serial Algorithm-1 scheduler (implies the
-                      paper-faithful full-budget behaviour)
+    --serial          the paper's Algorithm 1: the --no-prune pipeline with
+                      one training session at a time (ignores the halving
+                      and gate options)
     --first-rung N    budget of the first halving rung       (default 20)
     --eta N           halving rate: keep top 1/eta per rung, budget x eta (default 4)
     --no-warm-start   do not seed depth p from the best depth p-1 angles
@@ -275,7 +277,7 @@ fn build_backend(options: &HashMap<String, String>) -> Result<Option<Backend>, S
         .transpose()
 }
 
-fn build_optimizer(options: &HashMap<String, String>) -> Result<Option<OptimizerKind>, String> {
+fn parse_optimizer(options: &HashMap<String, String>) -> Result<Option<OptimizerKind>, String> {
     options
         .get("optimizer")
         .map(|spec| spec.parse::<OptimizerKind>().map_err(|e| e.to_string()))
@@ -319,7 +321,7 @@ fn build_search_config(
     if let Some(backend) = build_backend(options)? {
         builder = builder.backend(backend);
     }
-    if let Some(optimizer) = build_optimizer(options)? {
+    if let Some(optimizer) = parse_optimizer(options)? {
         builder = builder.optimizer(optimizer);
     }
     if has_flag("hardware-aware") {
@@ -330,7 +332,7 @@ fn build_search_config(
         builder = builder.threads(t);
     }
     // Pipeline flags: --no-prune is the paper-faithful escape hatch;
-    // --serial additionally runs Algorithm 1 as written.
+    // --serial is the same pipeline trained one session at a time.
     if has_flag("serial") {
         builder = builder.serial().no_prune();
     } else if has_flag("no-prune") {
@@ -1113,7 +1115,7 @@ fn cmd_evaluate(options: &HashMap<String, String>) -> Result<(), String> {
     if let Some(backend) = build_backend(options)? {
         evaluator_config.backend = backend;
     }
-    if let Some(optimizer) = build_optimizer(options)? {
+    if let Some(optimizer) = parse_optimizer(options)? {
         evaluator_config.optimizer = optimizer;
     }
     let evaluator = Evaluator::new(evaluator_config);

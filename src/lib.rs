@@ -55,7 +55,7 @@ pub mod prelude {
         ClassicalSolution, CostTerm, Graph, GraphKind, MaxCut, Problem, ProblemKind,
         RatioConvention, SolutionQuality,
     };
-    pub use optim::{CobylaOptimizer, NelderMead, Optimizer, OptimizerKind, Resumable, Spsa};
+    pub use optim::{CobylaOptimizer, NelderMead, OptimizerKind, Resumable, Spsa};
     pub use qaoa::{
         ansatz::QaoaAnsatz,
         energy::{BatchScratch, CompiledEnergy, EnergyEvaluator, TrainingSession},

@@ -1,6 +1,7 @@
 //! Integration tests that check the qualitative claims of the paper's
 //! evaluation section at reduced scale (the full-scale reproduction lives in
-//! the `qarchsearch-bench` figure binaries; see EXPERIMENTS.md).
+//! the `qarchsearch_bench` figure binaries; see the README, "Reproducing the
+//! paper's figures").
 
 use qarchsearch_suite::prelude::*;
 use qarchsearch_suite::qarchsearch::evaluator::{Evaluator, EvaluatorConfig};
@@ -45,8 +46,8 @@ fn fig8_qnas_is_competitive_with_baseline_on_er_graphs() {
     // Fig. 8 reports the searched (qnas) mixer slightly ahead of the baseline
     // on ER graphs (both within [0.986, 1.0]). Under exhaustive angle
     // optimization on our seeded instances the shared-β RX·RY mixer is *not*
-    // strictly ahead of plain RX at p = 1 (see EXPERIMENTS.md, "Fig. 8
-    // deviation"), so the reproducible claim asserted here is comparability:
+    // strictly ahead of plain RX at p = 1 (run `fig8_er_baseline_vs_qnas` to
+    // see the deviation), so the reproducible claim asserted here is comparability:
     // both mixers reach similar, well-above-random ratios.
     let dataset = graphs::datasets::erdos_renyi_dataset(3, 8, 55);
     let eval = evaluator();
