@@ -12,6 +12,7 @@ use crate::error::QaoaError;
 use graphs::{ClassicalSolution, Graph, Problem, SolutionQuality};
 use optim::{OptimizationResult, OptimizerState, Resumable};
 use serde::{Deserialize, Serialize};
+use statevec::compile::PhaseLutInterner;
 use statevec::{BatchStateVector, CompiledProgram, StateVector};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -36,9 +37,16 @@ pub struct TrainedCircuit {
 }
 
 /// Evaluates and trains QAOA ansätze on one problem instance with a chosen
-/// backend.
+/// backend. Cloning is a reference-count bump: every clone (one per
+/// [`TrainingSession`]) reads the same instance and shares its caches.
 #[derive(Debug, Clone)]
 pub struct EnergyEvaluator {
+    inner: Arc<Instance>,
+}
+
+/// The per-instance payload behind every clone of an [`EnergyEvaluator`].
+#[derive(Debug)]
+struct Instance {
     graph: Graph,
     problem: Problem,
     backend: Backend,
@@ -47,6 +55,10 @@ pub struct EnergyEvaluator {
     /// The full `2^n` problem diagonal, built lazily on the first compiled
     /// fast-path use and shared by every candidate ansatz on this instance.
     diag: OnceLock<Arc<Vec<f64>>>,
+    /// The phase LUTs of this instance's compiled programs: the cost layer
+    /// depends on the problem alone, so every candidate mixer compiled here
+    /// shares one LUT, for as long as one of their programs is alive.
+    luts: PhaseLutInterner,
 }
 
 impl EnergyEvaluator {
@@ -77,11 +89,14 @@ impl EnergyEvaluator {
         }
         let classical = problem.classical_solution();
         Ok(EnergyEvaluator {
-            graph: graph.clone(),
-            problem,
-            backend,
-            classical,
-            diag: OnceLock::new(),
+            inner: Arc::new(Instance {
+                graph: graph.clone(),
+                problem,
+                backend,
+                classical,
+                diag: OnceLock::new(),
+                luts: PhaseLutInterner::default(),
+            }),
         })
     }
 
@@ -89,35 +104,36 @@ impl EnergyEvaluator {
     /// first use (only the compiled state-vector fast path needs it).
     fn problem_diag(&self) -> Arc<Vec<f64>> {
         Arc::clone(
-            self.diag
-                .get_or_init(|| Arc::new(statevec::expectation::problem_diagonal(&self.problem))),
+            self.inner.diag.get_or_init(|| {
+                Arc::new(statevec::expectation::problem_diagonal(&self.inner.problem))
+            }),
         )
     }
 
     /// The graph this evaluator targets.
     pub fn graph(&self) -> &Graph {
-        &self.graph
+        &self.inner.graph
     }
 
     /// The cost problem this evaluator trains against.
     pub fn problem(&self) -> &Problem {
-        &self.problem
+        &self.inner.problem
     }
 
     /// The classical reference value `C_classical` of Eq. 3 (the best
     /// classically-known cost).
     pub fn classical_optimum(&self) -> f64 {
-        self.classical.best
+        self.inner.classical.best
     }
 
     /// The full classical reference bracket (best, worst, exact/heuristic).
     pub fn classical_solution(&self) -> &ClassicalSolution {
-        &self.classical
+        &self.inner.classical
     }
 
     /// The backend used for expectation values.
     pub fn backend(&self) -> Backend {
-        self.backend
+        self.inner.backend
     }
 
     /// ⟨C⟩ for explicit angles.
@@ -128,50 +144,47 @@ impl EnergyEvaluator {
         betas: &[f64],
     ) -> Result<f64, QaoaError> {
         let circuit = ansatz.bind(gammas, betas)?;
-        self.backend.expectation(&circuit, &self.problem)
+        self.inner
+            .backend
+            .expectation(&circuit, &self.inner.problem)
     }
 
     /// ⟨C⟩ for a flat parameter vector `[γ…, β…]`.
     pub fn energy_flat(&self, ansatz: &QaoaAnsatz, params: &[f64]) -> Result<f64, QaoaError> {
         let circuit = ansatz.bind_flat(params)?;
-        self.backend.expectation(&circuit, &self.problem)
+        self.inner
+            .backend
+            .expectation(&circuit, &self.inner.problem)
     }
 
     /// Compile `ansatz` into the allocation-free fast path for this
     /// evaluator's graph (state-vector backend only).
     ///
-    /// The returned [`CompiledEnergy`] holds the lowered circuit, the cached
-    /// problem diagonal and a reusable scratch state, so each
-    /// [`CompiledEnergy::energy_flat`] call performs zero heap allocation.
+    /// The returned [`CompiledEnergy`] holds the lowered circuit, this
+    /// evaluator's problem diagonal and phase LUTs (shared, not copied) and a
+    /// reusable scratch state, so each [`CompiledEnergy::energy_flat`] call
+    /// performs zero heap allocation.
     /// Every [`TrainingSession`] builds this automatically; it is public so
     /// benches and external drivers can time the fast path directly.
     pub fn compile(&self, ansatz: &QaoaAnsatz) -> Result<CompiledEnergy, QaoaError> {
-        if self.backend != Backend::StateVector {
+        if self.inner.backend != Backend::StateVector {
             return Err(QaoaError::Backend {
                 message: format!(
                     "compiled fast path requires the state-vector backend, got {}",
-                    self.backend
+                    self.inner.backend
                 ),
             });
         }
         CompiledEnergy::build(self, ansatz)
     }
 
-    /// The compiled objective when it applies to this backend, `None`
-    /// otherwise (callers then fall back to the bind-per-call path).
-    fn fast_path(&self, ansatz: &QaoaAnsatz) -> Option<CompiledEnergy> {
-        if self.backend == Backend::StateVector {
-            CompiledEnergy::build(self, ansatz).ok()
-        } else {
-            None
-        }
-    }
-
     /// Approximation ratio of a given energy (Eq. 3), formed per the
     /// problem's [`graphs::RatioConvention`]. Zero when the classical
     /// bracket is degenerate.
     pub fn approx_ratio(&self, energy: f64) -> f64 {
-        self.problem.approx_ratio(energy, &self.classical)
+        self.inner
+            .problem
+            .approx_ratio(energy, &self.inner.classical)
     }
 
     /// Train the ansatz: maximize ⟨C⟩ over the `2p` angles using `optimizer`
@@ -228,7 +241,7 @@ impl EnergyEvaluator {
         budget_hint: usize,
         restarts: usize,
     ) -> Result<TrainingSession, QaoaError> {
-        if self.problem.terms().is_empty() {
+        if self.inner.problem.terms().is_empty() {
             return Err(QaoaError::EmptyGraph);
         }
         let p = ansatz.depth();
@@ -248,7 +261,7 @@ impl EnergyEvaluator {
             None => ansatz.default_initial_flat(),
         }];
         if restarts > 1 && p > 0 {
-            let (g1, b1, _) = crate::analytic::best_p1_angles_by_grid(&self.graph, 16);
+            let (g1, b1, _) = crate::analytic::best_p1_angles_by_grid(&self.inner.graph, 16);
             let mut analytic_start = vec![0.0; 2 * p];
             for k in 0..p {
                 // Ramp the p = 1 optimum across layers (small early, larger late
@@ -268,10 +281,22 @@ impl EnergyEvaluator {
             let hint = TrainingSession::share_of(budget_hint, restarts);
             points.iter().map(|x| optimizer.start(x, hint)).collect()
         };
+        // The compiled path when it applies (state-vector backend, a
+        // template the compiler accepts); bind-per-call otherwise. Depth 0 is
+        // one bound evaluation of the plus state: not worth a compile.
+        let compiled = if p > 0 {
+            self.compile(ansatz).ok()
+        } else {
+            None
+        };
         Ok(TrainingSession {
             evaluator: self.clone(),
-            ansatz: ansatz.clone(),
-            fast: self.fast_path(ansatz),
+            depth: p,
+            num_qubits: ansatz.num_qubits(),
+            objective: match compiled {
+                Some(compiled) => Objective::Compiled(Box::new(compiled)),
+                None => Objective::Bound(ansatz.clone()),
+            },
             starts,
             restarts,
             zero_depth: None,
@@ -330,11 +355,22 @@ impl std::fmt::Debug for ProgressHook {
 /// over the starts, and the snapshot is the first start with the strictly
 /// best energy — so multi-start runs are resumable, prunable and batched
 /// like any other.
+///
+/// A session is small: a reference-counted handle on its evaluator, the
+/// optimizer checkpoints, and either the [`CompiledEnergy`] (state-vector
+/// backend; the ansatz template is not kept once lowered) or the template to
+/// bind per call (any other backend, and depth 0). The search pipeline keeps
+/// one session per `(candidate, graph)` alive for a whole depth.
 #[derive(Debug)]
 pub struct TrainingSession {
+    /// A handle on the shared per-instance evaluator (no copy of the graph,
+    /// the problem or the classical bracket).
     evaluator: EnergyEvaluator,
-    ansatz: QaoaAnsatz,
-    fast: Option<CompiledEnergy>,
+    /// Depth `p` of the trained ansatz.
+    depth: usize,
+    /// Register width of the trained ansatz.
+    num_qubits: usize,
+    objective: Objective,
     /// One optimizer checkpoint per start; empty only for depth-0 ansätze,
     /// which have nothing to optimize.
     starts: Vec<OptimizerState>,
@@ -344,6 +380,17 @@ pub struct TrainingSession {
     zero_depth: Option<TrainedCircuit>,
     /// Optional observer fired after every advance.
     hook: Option<ProgressHook>,
+}
+
+/// How a session evaluates ⟨C⟩ at a parameter point.
+#[derive(Debug)]
+enum Objective {
+    /// The compiled state-vector program. Everything an evaluation needs was
+    /// lowered into it, so the session keeps no copy of the ansatz template.
+    Compiled(Box<CompiledEnergy>),
+    /// Bind the template per call and ask the backend: the tensor-network
+    /// backend, depth 0, and templates the compiler rejects.
+    Bound(QaoaAnsatz),
 }
 
 /// The simulation buffers one advance evaluates the objective in.
@@ -360,13 +407,13 @@ impl TrainingSession {
     /// Register width of the trained ansatz (the size a scratch state passed
     /// to [`advance_in`](Self::advance_in) must have).
     pub fn num_qubits(&self) -> usize {
-        self.ansatz.num_qubits()
+        self.num_qubits
     }
 
     /// Whether this session runs on the compiled state-vector fast path and
     /// therefore profits from an external scratch state.
     pub fn uses_compiled_scratch(&self) -> bool {
-        self.fast.is_some()
+        matches!(self.objective, Objective::Compiled(_))
     }
 
     /// Cumulative objective evaluations consumed so far (over every start).
@@ -418,7 +465,7 @@ impl TrainingSession {
         target_evaluations: usize,
         scratch: Option<&mut StateVector>,
     ) -> Result<TrainedCircuit, QaoaError> {
-        if let (Some(compiled), Some(buf)) = (&self.fast, scratch.as_deref()) {
+        if let (Objective::Compiled(compiled), Some(buf)) = (&self.objective, scratch.as_deref()) {
             if buf.num_qubits() != compiled.num_qubits() {
                 return Err(QaoaError::Backend {
                     message: format!(
@@ -472,45 +519,44 @@ impl TrainingSession {
     ) -> Result<TrainedCircuit, QaoaError> {
         let TrainingSession {
             evaluator,
-            ansatz,
-            fast,
+            depth,
+            objective: how,
             starts,
             restarts,
             zero_depth,
             ..
         } = self;
 
-        if starts.is_empty() && zero_depth.is_none() {
-            // Depth 0: a single evaluation of the plus state, cached.
-            let energy = evaluator.energy(ansatz, &[], &[])?;
-            *zero_depth = Some(evaluator.trained(energy, &[], 0, 1));
-        }
-
         // The optimizer needs a `Fn + Sync` objective, so the (worker-local,
         // uncontended) buffers go behind a mutex; the batch driver only ever
         // runs one of the two objectives at a time.
         let buffers = Mutex::new(buffers);
+        let energy_at = |params: &[f64]| -> Result<f64, QaoaError> {
+            match &*how {
+                Objective::Bound(ansatz) => evaluator.energy_flat(ansatz, params),
+                Objective::Compiled(compiled) => {
+                    match &mut *buffers.lock().unwrap_or_else(|e| e.into_inner()) {
+                        Buffers::Internal => compiled.energy_flat(params),
+                        Buffers::State(state) => compiled.energy_flat_in(params, state),
+                        Buffers::Batch(BatchScratch { scalar, values, .. }) => {
+                            compiled.energy_flat_with(params, scalar, values)
+                        }
+                    }
+                }
+            }
+        };
+
+        if starts.is_empty() && zero_depth.is_none() {
+            // Depth 0: a single evaluation of the plus state, cached.
+            *zero_depth = Some(evaluator.trained(energy_at(&[])?, &[], 0, 1));
+        }
+
         // The optimizer minimizes, so negate the energy. Errors inside the
         // objective cannot propagate through the closure; they are mapped to
         // +inf so the optimizer avoids that region, and re-checked afterwards.
-        let objective = |params: &[f64]| -> f64 {
-            let energy = match &*fast {
-                None => evaluator.energy_flat(ansatz, params),
-                Some(compiled) => match &mut *buffers.lock().unwrap_or_else(|e| e.into_inner()) {
-                    Buffers::Internal => compiled.energy_flat(params),
-                    Buffers::State(state) => compiled.energy_flat_in(params, state),
-                    Buffers::Batch(BatchScratch { scalar, values, .. }) => {
-                        compiled.energy_flat_with(params, scalar, values)
-                    }
-                },
-            };
-            match energy {
-                Ok(e) => -e,
-                Err(_) => f64::INFINITY,
-            }
-        };
+        let objective = |params: &[f64]| -> f64 { energy_at(params).map_or(f64::INFINITY, |e| -e) };
         let mut batch_objective = |points: &[Vec<f64>]| -> Vec<f64> {
-            let Some(compiled) = &*fast else {
+            let Objective::Compiled(compiled) = &*how else {
                 // No compiled sweep to amortize: evaluate point by point,
                 // exactly as the scalar protocol would.
                 return points.iter().map(|p| objective(p)).collect();
@@ -538,7 +584,7 @@ impl TrainingSession {
             .collect();
         let trained = match &*zero_depth {
             Some(trained) => trained.clone(),
-            None => evaluator.best_of(ansatz.depth(), results)?,
+            None => evaluator.best_of(*depth, results)?,
         };
         let converged = self.converged();
         if let Some(ProgressHook(observer)) = &mut self.hook {
@@ -561,7 +607,7 @@ impl TrainingSession {
             });
         }
         let results = self.starts.iter().map(OptimizerState::result);
-        self.evaluator.best_of(self.ansatz.depth(), results)
+        self.evaluator.best_of(self.depth, results)
     }
 }
 
@@ -601,14 +647,17 @@ impl EnergyEvaluator {
             betas: betas.to_vec(),
             evaluations,
             approx_ratio: self.approx_ratio(energy),
-            classical_optimum: self.classical.best,
-            classical_quality: self.classical.quality,
+            classical_optimum: self.inner.classical.best,
+            classical_quality: self.inner.classical.quality,
         }
     }
 }
 
-/// The compiled QAOA objective: ansatz lowered once, problem diagonal cached
-/// per graph, scratch state reused across evaluations.
+/// The compiled QAOA objective: ansatz lowered once, scratch state reused
+/// across evaluations, and everything `2^n` large — the problem diagonal and
+/// the cost layer's phase LUT — shared with every other objective compiled
+/// by the same (per-graph) [`EnergyEvaluator`], so a further candidate on a
+/// graph costs its op list, not another pair of tables.
 ///
 /// Build via [`EnergyEvaluator::compile`]. One [`CompiledEnergy::energy_flat`]
 /// call is a full circuit simulation plus diagonal expectation with zero heap
@@ -673,7 +722,8 @@ impl CompiledEnergy {
         let map_err = |e: statevec::SimulatorError| QaoaError::Backend {
             message: e.to_string(),
         };
-        let program = CompiledProgram::compile(ansatz.template()).map_err(map_err)?;
+        let program =
+            CompiledProgram::compile_with(ansatz.template(), &eval.inner.luts).map_err(map_err)?;
         let p = ansatz.depth();
         let mut slot_for_flat = vec![None; 2 * p];
         for k in 0..p {
@@ -1264,6 +1314,41 @@ mod tests {
                 problem.name()
             );
         }
+    }
+
+    #[test]
+    fn programs_of_one_evaluator_share_the_cost_layer_lut_while_one_lives() {
+        let graph = Graph::erdos_renyi(7, 0.5, 13);
+        let eval = EnergyEvaluator::new(&graph, Backend::StateVector);
+        let rx = QaoaAnsatz::new(&graph, 1, Mixer::baseline());
+        let cost_lut = |c: &CompiledEnergy| Arc::clone(&c.program().luts()[0]);
+
+        // Different mixers and depths, and a clone of the evaluator: one LUT.
+        let a = eval.compile(&rx).unwrap();
+        let b = eval
+            .clone()
+            .compile(&QaoaAnsatz::new(&graph, 2, Mixer::qnas()))
+            .unwrap();
+        assert!(Arc::ptr_eq(&cost_lut(&a), &cost_lut(&b)));
+
+        // Another graph's evaluator has its own, and so does a program
+        // compiled without an evaluator — equal in content, not shared.
+        let other_graph = Graph::erdos_renyi(7, 0.5, 14);
+        let other = EnergyEvaluator::new(&other_graph, Backend::StateVector)
+            .compile(&QaoaAnsatz::new(&other_graph, 1, Mixer::baseline()))
+            .unwrap();
+        assert!(!Arc::ptr_eq(&cost_lut(&a), &cost_lut(&other)));
+        let alone = CompiledProgram::compile(rx.template()).unwrap();
+        assert!(!Arc::ptr_eq(&cost_lut(&a), &alone.luts()[0]));
+        assert_eq!(*cost_lut(&a), *alone.luts()[0]);
+
+        // The evaluator does not keep the LUT alive: it dies with its last
+        // program, and the next compile builds an equal one.
+        let dropped = Arc::downgrade(&cost_lut(&a));
+        drop((a, b));
+        assert!(dropped.upgrade().is_none());
+        let again = eval.compile(&rx).unwrap();
+        assert_eq!(*cost_lut(&again), *alone.luts()[0]);
     }
 
     #[test]

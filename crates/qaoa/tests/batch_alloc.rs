@@ -1,17 +1,20 @@
-//! Allocation-count assertions for the batched energy path (ISSUE 6,
-//! satellite 2).
+//! Allocation-count assertions for the compiled energy path.
 //!
 //! `CompiledEnergy::energy_batch_in` promises to reuse the caller's
 //! [`BatchScratch`] buffers: after a warm-up call, the only allocation a call
 //! may make is the returned `Vec<f64>` of energies (plus the tolerance noted
-//! below). A counting global allocator pins that contract so buffer reuse
-//! cannot silently regress into per-call `2^n` allocations.
+//! below). The scalar `energy_flat_in` allocates nothing once warm, and a
+//! training session on an evaluator that already has one allocates nothing
+//! of `2^n` size. A counting global allocator pins those contracts so buffer
+//! reuse and per-graph sharing cannot silently regress into per-call or
+//! per-session `2^n` allocations.
 
 use graphs::Graph;
 use qaoa::ansatz::QaoaAnsatz;
 use qaoa::energy::EnergyEvaluator;
 use qaoa::mixer::Mixer;
 use qaoa::{Backend, BatchScratch};
+use qcircuit::Gate;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -113,18 +116,54 @@ fn energy_batch_in_reuses_scratch_buffers_after_warmup() {
 #[test]
 fn warm_scalar_energy_flat_in_stays_allocation_free() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    // The pre-existing scalar contract, pinned here with the same counter:
-    // an external-scratch evaluation allocates nothing at all.
+    // The scalar contract, pinned with the same counter: an external-scratch
+    // evaluation allocates nothing at all — also when the program has two
+    // phase passes of different LUTs (the cost layer and a diagonal `rz`
+    // mixer gate), which stage their factors into the one buffer the state
+    // owns.
     let n = 8;
     let graph = Graph::connected_erdos_renyi(n, 0.5, 7, 50);
     let eval = EnergyEvaluator::new(&graph, Backend::StateVector);
-    let ansatz = QaoaAnsatz::new(&graph, 2, Mixer::qnas());
-    let compiled = eval.compile(&ansatz).unwrap();
     let params = [0.3, -0.2, 0.5, 0.1];
+    for mixer in [Mixer::qnas(), Mixer::new(vec![Gate::RZ, Gate::RX]).unwrap()] {
+        let compiled = eval.compile(&QaoaAnsatz::new(&graph, 2, mixer)).unwrap();
+        let mut buf = statevec::StateVector::zero_state(n).unwrap();
+        let warm = compiled.energy_flat_in(&params, &mut buf).unwrap();
+        let (allocs, _bytes, e) =
+            count_allocs(|| compiled.energy_flat_in(&params, &mut buf).unwrap());
+        assert_eq!(warm.to_bits(), e.to_bits());
+        assert_eq!(allocs, 0, "energy_flat_in allocated after warm-up");
+    }
+}
 
-    let mut buf = statevec::StateVector::zero_state(n).unwrap();
-    let warm = compiled.energy_flat_in(&params, &mut buf).unwrap();
-    let (allocs, _bytes, e) = count_allocs(|| compiled.energy_flat_in(&params, &mut buf).unwrap());
-    assert_eq!(warm.to_bits(), e.to_bits());
-    assert_eq!(allocs, 0, "energy_flat_in allocated after warm-up");
+#[test]
+fn second_session_on_an_evaluator_allocates_nothing_of_state_size() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // Everything of size 2^n that a session reads — the problem diagonal and
+    // the cost layer's phase LUT — belongs to the graph, not to the session:
+    // while one session is alive, the next one on the same evaluator (another
+    // candidate mixer) builds neither, and copies neither the evaluator nor
+    // the ansatz template.
+    let n = 16;
+    let graph = Graph::connected_erdos_renyi(n, 0.5, 7, 50);
+    let eval = EnergyEvaluator::new(&graph, Backend::StateVector);
+    let optimizer = optim::CobylaOptimizer::default();
+    let begin = |mixer: Mixer| {
+        let ansatz = QaoaAnsatz::new(&graph, 1, mixer);
+        count_allocs(|| eval.begin_training(&ansatz, &optimizer, None, 60).unwrap())
+    };
+    let (_, first_bytes, first) = begin(Mixer::baseline());
+    let (_, second_bytes, second) = begin(Mixer::qnas());
+    assert!(first.uses_compiled_scratch() && second.uses_compiled_scratch());
+    let index_bytes = (1usize << n) * 4; // one u32 LUT index per amplitude
+    assert!(
+        first_bytes > 3 * index_bytes,
+        "first session allocated {first_bytes} bytes: the diagonal and the LUT are missing"
+    );
+    // 68 KB when written, transients included: the lowering's own op list
+    // and term keys. A shared-nothing compile is 860 KB.
+    assert!(
+        second_bytes < first_bytes / 4 && second_bytes < 80_000,
+        "second session allocated {second_bytes} bytes (first: {first_bytes})"
+    );
 }

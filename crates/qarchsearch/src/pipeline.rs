@@ -442,6 +442,10 @@ impl BudgetedScheduler {
                 cut.sort_unstable();
                 for &ci in &cut {
                     pruned_at[ci] = Some(ri);
+                    // A pruned candidate's results live on in `snapshots`;
+                    // its compiled programs and optimizer states are dead
+                    // weight from here on.
+                    sessions[ci * num_graphs..(ci + 1) * num_graphs].fill_with(|| None);
                 }
                 order.truncate(keep);
                 order.sort_unstable();

@@ -9,11 +9,17 @@
 //! * gates with fixed angles are lowered to their concrete matrices at
 //!   compile time;
 //! * maximal runs of *diagonal* gates (the entire QAOA cost layer: one
-//!   `RZZ` per edge, plus any diagonal mixer gates) are fused into
-//!   precomputed per-basis-state **angle tables**, applied as a single
-//!   multiply pass over the amplitudes regardless of how many gates the run
-//!   contained. Tables are deduplicated, so the `p` cost layers of a QAOA
-//!   circuit share one table and only differ in the `γ_k` scale.
+//!   `RZZ` per edge, plus any diagonal mixer gates) are fused into one
+//!   [`PhaseLut`] per run: the run's distinct per-basis-state angles plus a
+//!   4-byte index per amplitude. Executing the run stages `e^{i·scale·v}`
+//!   for each distinct `v` (at most `|E| + 1` for Max-Cut) and makes a single
+//!   lookup-and-multiply pass over the amplitudes, regardless of how many
+//!   gates the run contained. LUTs are deduplicated, so the `p` cost layers
+//!   of a QAOA circuit share one and only differ in the `γ_k` scale;
+//! * a LUT depends on the diagonal run alone, not on the rest of the
+//!   circuit, so programs compiled through one [`PhaseLutInterner`]
+//!   ([`CompiledProgram::compile_with`]) share it: every candidate mixer
+//!   trained on one graph reads the same cost-layer LUT, built once.
 //!
 //! ```
 //! use qcircuit::{Circuit, Gate, Parameter};
@@ -39,19 +45,21 @@ use crate::state::StateVector;
 use num_complex::Complex64;
 use qcircuit::{Circuit, Gate, GateMatrix, Parameter};
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, Weak};
 
-/// Distinct-value view of an angle table, for the batched phase pass.
+/// The per-basis-state angles of one fused diagonal run, stored as their
+/// distinct values plus an index per amplitude.
 ///
-/// A fused cost-layer table holds `2^n` angles but typically only a handful
-/// of *distinct* f64 bit patterns (a Max-Cut layer over `|E|` unit-weight
-/// edges produces at most `|E| + 1` cut values). The batch executor
-/// exponentiates each distinct value once per batch element and then streams
-/// one table lookup + complex multiply per amplitude-element, instead of a
-/// `sin`/`cos` pair per amplitude as the scalar path does. `values[index[z]]`
-/// reproduces `table[z]` bit-for-bit, so the factors are bitwise the same
-/// numbers the scalar kernel computes.
-#[derive(Debug, Clone)]
-struct PhaseLut {
+/// A fused cost layer has `2^n` angles but typically only a handful of
+/// *distinct* f64 bit patterns (a Max-Cut layer over `|E|` unit-weight edges
+/// produces at most `|E| + 1` cut values). Both executors exponentiate each
+/// distinct value once per pass and then stream one lookup + complex
+/// multiply per amplitude, instead of a `sin`/`cos` pair per amplitude.
+/// `values[index[z]]` is the angle sum of basis state `z` bit for bit, so the
+/// factors are bitwise the numbers [`StateVector::apply_phase_table`]
+/// computes from the dense table.
+#[derive(Debug, PartialEq)]
+pub struct PhaseLut {
     /// Distinct angle bit patterns, in first-appearance order.
     values: Vec<f64>,
     /// Per-basis-state index into `values` (u32: dims are ≤ 2^30).
@@ -59,17 +67,96 @@ struct PhaseLut {
 }
 
 impl PhaseLut {
-    fn build(table: &[f64]) -> PhaseLut {
+    /// Deduplicate `angles` (one per basis state, in index order) by exact
+    /// bit pattern.
+    fn from_angles(angles: &[f64]) -> PhaseLut {
         let mut seen: HashMap<u64, u32> = HashMap::new();
         let mut values: Vec<f64> = Vec::new();
-        let mut index = vec![0u32; table.len()];
-        for (slot, &theta) in index.iter_mut().zip(table) {
+        let mut index = vec![0u32; angles.len()];
+        for (slot, &theta) in index.iter_mut().zip(angles) {
             *slot = *seen.entry(theta.to_bits()).or_insert_with(|| {
                 values.push(theta);
                 (values.len() - 1) as u32
             });
         }
+        values.shrink_to_fit();
         PhaseLut { values, index }
+    }
+
+    /// The LUT of the diagonal run `terms` on a `num_qubits`-qubit register:
+    /// basis state `z`'s angle is the sum of its terms' angles, in term
+    /// order. The dense `2^n` table of sums lives only inside this call.
+    fn of_terms(num_qubits: usize, terms: &[DiagTerm]) -> PhaseLut {
+        let mut angles = vec![0.0f64; 1usize << num_qubits];
+        let fill = |out: &mut [f64], base: usize| {
+            for (off, angle) in out.iter_mut().enumerate() {
+                let z = base + off;
+                let mut sum = 0.0;
+                for t in terms {
+                    sum += match t {
+                        DiagTerm::One { q, a0, a1 } => {
+                            if (z >> q) & 1 == 0 {
+                                *a0
+                            } else {
+                                *a1
+                            }
+                        }
+                        DiagTerm::Two { q1, q0, a } => a[(((z >> q1) & 1) << 1) | ((z >> q0) & 1)],
+                    };
+                }
+                *angle = sum;
+            }
+        };
+        if num_qubits >= crate::parallel_threshold_qubits() {
+            crate::state::par_chunks_with_base(&mut angles, fill);
+        } else {
+            fill(&mut angles, 0);
+        }
+        PhaseLut::from_angles(&angles)
+    }
+
+    /// `amp[z] *= e^{i·scale·θ_z}` on a scalar state: stage one factor per
+    /// distinct angle into the state's buffer, then one lookup-and-multiply
+    /// pass.
+    fn apply_scaled(&self, scale: f64, state: &mut StateVector) {
+        state.apply_phase_lut(&self.index, |factors| {
+            stage_phase_factors(&self.values, 1, |_| scale, |f| factors.push(f));
+        });
+    }
+}
+
+/// Hands out one shared [`PhaseLut`] per distinct diagonal run to every
+/// program compiled through it ([`CompiledProgram::compile_with`]).
+///
+/// Entries are weak: a LUT lives exactly as long as some compiled program
+/// uses it, so whoever owns the interner (the per-graph energy evaluator)
+/// never pins `4·2^n` bytes per diagonal run it has ever seen.
+#[derive(Debug, Default)]
+pub struct PhaseLutInterner {
+    /// Keyed by register width followed by the run's [`DiagTerm::key`]s.
+    entries: Mutex<HashMap<Vec<u64>, Weak<PhaseLut>>>,
+}
+
+impl PhaseLutInterner {
+    /// The live LUT for `terms`, built (under the lock, so concurrent
+    /// compiles of one run build it once) when no program holds one.
+    fn get_or_build(&self, num_qubits: usize, terms: &[DiagTerm]) -> Arc<PhaseLut> {
+        let mut key = Vec::with_capacity(1 + terms.len() * 6);
+        key.push(num_qubits as u64);
+        for t in terms {
+            t.key(&mut key);
+        }
+        // Every update below leaves the map valid, so a poisoned lock (a
+        // panic in another compile) is safe to recover.
+        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(lut) = entries.get(&key).and_then(Weak::upgrade) {
+            return lut;
+        }
+        // Drop the keys of LUTs whose programs are all gone.
+        entries.retain(|_, lut| lut.strong_count() > 0);
+        let lut = Arc::new(PhaseLut::of_terms(num_qubits, terms));
+        entries.insert(key, Arc::downgrade(&lut));
+        lut
     }
 }
 
@@ -136,12 +223,37 @@ enum CompiledOp {
         slot: usize,
         multiplier: f64,
     },
-    /// Fixed diagonal phase pass: `amp[z] *= e^{i·tables[table][z]}`.
-    Phase { table: usize },
-    /// Parameter-scaled diagonal phase pass:
-    /// `amp[z] *= e^{i·params[slot]·tables[table][z]}` — the fused cost
-    /// layer, one pass per layer independent of the edge count.
-    PhaseScaled { table: usize, slot: usize },
+    /// Fused diagonal phase pass `amp[z] *= e^{i·scale·θ_z}`, with `θ_z`
+    /// read from `luts[table]` and `scale = params[slot]` — the cost layer,
+    /// one pass per layer independent of the edge count — or `1.0` when
+    /// `slot` is `None` (a run of fixed diagonal gates).
+    Phase { table: usize, slot: Option<usize> },
+}
+
+/// The scale of a [`CompiledOp::Phase`] pass under the slot values `params`.
+/// A fixed pass multiplies its angles by `1.0`, which leaves every bit
+/// pattern as it is.
+fn phase_scale(slot: Option<usize>, params: &[f64]) -> f64 {
+    slot.map_or(1.0, |s| params[s])
+}
+
+/// Stage the factors of one phase pass, distinct-value-major × batch-minor:
+/// `sink` receives `e^{i·scale_of(b)·v}` for every `v` of `values` and every
+/// batch element `b`. The one place a phase factor is computed — the same
+/// `scale * θ` product and `from_polar` as
+/// [`StateVector::apply_phase_table`], which is what makes the scalar and
+/// batch LUT passes bitwise equal to it and to each other.
+fn stage_phase_factors(
+    values: &[f64],
+    batch: usize,
+    scale_of: impl Fn(usize) -> f64,
+    mut sink: impl FnMut(Complex64),
+) {
+    for &v in values {
+        for b in 0..batch {
+            sink(Complex64::from_polar(1.0, scale_of(b) * v));
+        }
+    }
 }
 
 /// The per-basis-state phase contribution of one diagonal gate, with angles
@@ -185,9 +297,9 @@ pub struct CompiledProgram {
     num_qubits: usize,
     param_names: Vec<String>,
     ops: Vec<CompiledOp>,
-    tables: Vec<Vec<f64>>,
-    /// Distinct-value views of `tables`, same indices.
-    luts: Vec<PhaseLut>,
+    /// One LUT per distinct diagonal run, possibly shared with other
+    /// programs (see [`PhaseLutInterner`]).
+    luts: Vec<Arc<PhaseLut>>,
     source_instructions: usize,
 }
 
@@ -217,8 +329,19 @@ impl PendingDiag {
 impl CompiledProgram {
     /// Lower `circuit` into a compiled program. Free parameters are assigned
     /// slots in order of first appearance (see
-    /// [`CompiledProgram::param_names`]).
+    /// [`CompiledProgram::param_names`]). The program's phase LUTs are its
+    /// own; use [`CompiledProgram::compile_with`] to share them.
     pub fn compile(circuit: &Circuit) -> Result<CompiledProgram, SimulatorError> {
+        Self::compile_with(circuit, &PhaseLutInterner::default())
+    }
+
+    /// [`compile`](Self::compile), taking the phase LUTs from (and adding
+    /// new ones to) `interner`: programs compiled through one interner
+    /// share the LUT of every diagonal run they have in common.
+    pub fn compile_with(
+        circuit: &Circuit,
+        interner: &PhaseLutInterner,
+    ) -> Result<CompiledProgram, SimulatorError> {
         let num_qubits = circuit.num_qubits();
         if num_qubits > crate::state::MAX_DENSE_QUBITS {
             return Err(SimulatorError::TooManyQubits {
@@ -230,9 +353,8 @@ impl CompiledProgram {
             num_qubits,
             param_names: Vec::new(),
             ops: Vec::new(),
-            tables: Vec::new(),
             luts: Vec::new(),
-            table_index: HashMap::new(),
+            interner,
             pending: PendingDiag::default(),
             pending_chains: Vec::new(),
         };
@@ -249,7 +371,6 @@ impl CompiledProgram {
             num_qubits: builder.num_qubits,
             param_names: builder.param_names,
             ops,
-            tables: builder.tables,
             luts: builder.luts,
             source_instructions: circuit.len(),
         })
@@ -308,9 +429,15 @@ impl CompiledProgram {
         self.source_instructions
     }
 
-    /// Number of distinct fused angle tables.
+    /// Number of distinct fused phase LUTs.
     pub fn num_tables(&self) -> usize {
-        self.tables.len()
+        self.luts.len()
+    }
+
+    /// The fused phase LUTs, in order of first use. `Arc::ptr_eq` tells
+    /// whether two programs share one.
+    pub fn luts(&self) -> &[Arc<PhaseLut>] {
+        &self.luts
     }
 
     /// Execute the program from `|0...0⟩` into a caller-provided scratch
@@ -395,11 +522,8 @@ impl CompiledProgram {
                         GateMatrix::One(_) => unreachable!("two-qubit rotation"),
                     }
                 }
-                CompiledOp::Phase { table } => {
-                    state.apply_phase_table(&self.tables[*table], 1.0)?;
-                }
-                CompiledOp::PhaseScaled { table, slot } => {
-                    state.apply_phase_table(&self.tables[*table], params[*slot])?;
+                CompiledOp::Phase { table, slot } => {
+                    self.luts[*table].apply_scaled(phase_scale(*slot, params), state);
                 }
             }
         }
@@ -421,9 +545,8 @@ impl CompiledProgram {
     ///
     /// Bit-identical to calling [`CompiledProgram::execute_into`] once per
     /// element (see the contract on [`crate::batch`]): gate kernels perform
-    /// the same per-element arithmetic, and phase passes draw their angles
-    /// from the same tables via a distinct-value lookup whose factors are
-    /// `e^{i·scale_b·θ}` for bitwise the same `scale_b·θ` products.
+    /// the same per-element arithmetic, and phase passes read the same LUTs
+    /// and stage their factors `e^{i·scale_b·θ}` through the same helper.
     pub fn execute_batch_into(
         &self,
         params: &[f64],
@@ -576,32 +699,19 @@ impl CompiledProgram {
                     }
                     state.apply_two_qubit_batch(&scr.mat2, *q1, *q0);
                 }
-                CompiledOp::Phase { table } => {
+                CompiledOp::Phase { table, slot } => {
                     let lut = &self.luts[*table];
                     scr.factors_re.clear();
                     scr.factors_im.clear();
-                    for &v in &lut.values {
-                        for _ in 0..batch {
-                            // Same expression as the scalar pass at scale 1.0.
-                            let f = Complex64::from_polar(1.0, 1.0 * v);
+                    stage_phase_factors(
+                        &lut.values,
+                        batch,
+                        |b| phase_scale(*slot, slots_of(b)),
+                        |f| {
                             scr.factors_re.push(f.re);
                             scr.factors_im.push(f.im);
-                        }
-                    }
-                    state.apply_phase_lut(&lut.index, &scr.factors_re, &scr.factors_im);
-                }
-                CompiledOp::PhaseScaled { table, slot } => {
-                    let lut = &self.luts[*table];
-                    scr.factors_re.clear();
-                    scr.factors_im.clear();
-                    for &v in &lut.values {
-                        for b in 0..batch {
-                            let scale = slots_of(b)[*slot];
-                            let f = Complex64::from_polar(1.0, scale * v);
-                            scr.factors_re.push(f.re);
-                            scr.factors_im.push(f.im);
-                        }
-                    }
+                        },
+                    );
                     state.apply_phase_lut(&lut.index, &scr.factors_re, &scr.factors_im);
                 }
             }
@@ -639,13 +749,12 @@ impl CompiledProgram {
     }
 }
 
-struct ProgramBuilder {
+struct ProgramBuilder<'a> {
     num_qubits: usize,
     param_names: Vec<String>,
     ops: Vec<CompiledOp>,
-    tables: Vec<Vec<f64>>,
-    luts: Vec<PhaseLut>,
-    table_index: HashMap<Vec<u64>, usize>,
+    luts: Vec<Arc<PhaseLut>>,
+    interner: &'a PhaseLutInterner,
     pending: PendingDiag,
     /// Per-qubit chains of consecutive single-qubit gates (first-touch
     /// order). At most one of `pending` / `pending_chains` is non-empty:
@@ -654,7 +763,7 @@ struct ProgramBuilder {
     pending_chains: Vec<(usize, Vec<OneQFactor>)>,
 }
 
-impl ProgramBuilder {
+impl ProgramBuilder<'_> {
     fn slot_of(&mut self, name: &str) -> usize {
         if let Some(i) = self.param_names.iter().position(|n| n == name) {
             return i;
@@ -841,63 +950,36 @@ impl ProgramBuilder {
     }
 
     /// Emit the accumulated diagonal run as phase ops (one per slot plus one
-    /// for the fixed part), building or reusing angle tables.
+    /// for the fixed part).
     fn flush_pending(&mut self) {
         if self.pending.is_empty() {
             return;
         }
         let pending = std::mem::take(&mut self.pending);
         if !pending.fixed.is_empty() {
-            let table = self.intern_table(&pending.fixed);
-            self.ops.push(CompiledOp::Phase { table });
+            let table = self.intern_lut(&pending.fixed);
+            self.ops.push(CompiledOp::Phase { table, slot: None });
         }
         for (slot, terms) in pending.scaled {
-            let table = self.intern_table(&terms);
-            self.ops.push(CompiledOp::PhaseScaled { table, slot });
+            let table = self.intern_lut(&terms);
+            self.ops.push(CompiledOp::Phase {
+                table,
+                slot: Some(slot),
+            });
         }
     }
 
-    /// Build the per-basis-state angle table for `terms`, reusing an
-    /// existing table when an identical term list was compiled before (the
-    /// `p` cost layers of a QAOA circuit all share one table).
-    fn intern_table(&mut self, terms: &[DiagTerm]) -> usize {
-        let mut key = Vec::with_capacity(terms.len() * 5);
-        for t in terms {
-            t.key(&mut key);
-        }
-        if let Some(&idx) = self.table_index.get(&key) {
+    /// This program's index of the LUT for `terms`. The interner returns the
+    /// same `Arc` for an identical term list while a program (this one
+    /// included) holds it, so the `p` cost layers of a QAOA circuit share
+    /// one entry.
+    fn intern_lut(&mut self, terms: &[DiagTerm]) -> usize {
+        let lut = self.interner.get_or_build(self.num_qubits, terms);
+        if let Some(idx) = self.luts.iter().position(|l| Arc::ptr_eq(l, &lut)) {
             return idx;
         }
-        let dim = 1usize << self.num_qubits;
-        let mut table = vec![0.0f64; dim];
-        let fill = |out: &mut [f64], base: usize| {
-            for (off, angle) in out.iter_mut().enumerate() {
-                let z = base + off;
-                let mut sum = 0.0;
-                for t in terms {
-                    sum += match t {
-                        DiagTerm::One { q, a0, a1 } => {
-                            if (z >> q) & 1 == 0 {
-                                *a0
-                            } else {
-                                *a1
-                            }
-                        }
-                        DiagTerm::Two { q1, q0, a } => a[(((z >> q1) & 1) << 1) | ((z >> q0) & 1)],
-                    };
-                }
-                *angle = sum;
-            }
-        };
-        if self.num_qubits >= crate::parallel_threshold_qubits() {
-            crate::state::par_chunks_with_base(&mut table, fill);
-        } else {
-            fill(&mut table, 0);
-        }
-        self.luts.push(PhaseLut::build(&table));
-        self.tables.push(table);
-        self.table_index.insert(key, self.tables.len() - 1);
-        self.tables.len() - 1
+        self.luts.push(lut);
+        self.luts.len() - 1
     }
 }
 
@@ -1148,12 +1230,92 @@ mod tests {
 
     #[test]
     fn phase_lut_reproduces_table_bit_patterns() {
-        let lut = PhaseLut::build(&[0.5, -0.0, 0.5, 0.0, 1.25, -0.0, 0.5, 1.25]);
+        let table: [f64; 8] = [0.5, -0.0, 0.5, 0.0, 1.25, -0.0, 0.5, 1.25];
+        let lut = PhaseLut::from_angles(&table);
         // -0.0 and 0.0 have distinct bit patterns and must stay distinct.
         assert_eq!(lut.values.len(), 4);
-        let table: [f64; 8] = [0.5, -0.0, 0.5, 0.0, 1.25, -0.0, 0.5, 1.25];
         for (z, &theta) in table.iter().enumerate() {
             assert_eq!(lut.values[lut.index[z] as usize].to_bits(), theta.to_bits());
+        }
+    }
+
+    #[test]
+    fn scalar_lut_pass_equals_the_dense_table_pass_bitwise() {
+        // Below, at and above the default parallel threshold (14 qubits).
+        for n in [5usize, 14, 15] {
+            let dim = 1usize << n;
+            let tables: [Vec<f64>; 4] = [
+                // Few distinct values, as a Max-Cut layer has.
+                (0..dim).map(|z| (z % 7) as f64 * 0.3 - 0.9).collect(),
+                // Signed zeros next to ordinary values.
+                (0..dim).map(|z| [0.0, -0.0, 0.5][z % 3]).collect(),
+                // All distinct, as a spin-glass layer has.
+                (0..dim).map(|z| 0.5 + z as f64 * 1e-3).collect(),
+                // One value.
+                vec![1.25; dim],
+            ];
+            let start = StateVector::from_amplitudes(
+                (0..dim)
+                    .map(|z| Complex64::new((z as f64 * 0.37).sin(), (z as f64 * 0.11).cos()))
+                    .collect(),
+            )
+            .unwrap();
+            for threads in [1usize, 2, 4] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                for table in &tables {
+                    let lut = PhaseLut::from_angles(table);
+                    for scale in [1.0, 0.37, -2.5, 0.0] {
+                        let mut want = start.clone();
+                        let mut got = start.clone();
+                        pool.install(|| {
+                            want.apply_phase_table(table, scale).unwrap();
+                            lut.apply_scaled(scale, &mut got);
+                        });
+                        assert_states_bitwise_equal(&got, &want);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn diagonal_runs_reproduce_the_dense_table_amplitudes() {
+        // Fixed (`S`, `T`, `Z`) and parameterized (`rzz`, `rz`, `p`) diagonal
+        // runs around one `rx`: every phase-pass flavour, fixed and scaled.
+        let n = 3;
+        let mut c = Circuit::new(n);
+        c.h_layer();
+        c.push(Gate::S, &[0], Parameter::None);
+        c.push(Gate::T, &[2], Parameter::None);
+        for q in 0..n - 1 {
+            c.push(Gate::RZZ, &[q, q + 1], Parameter::free("gamma_0", 2.0));
+        }
+        c.rx(1, 0.4);
+        for q in 0..n {
+            c.push(Gate::RZ, &[q], Parameter::free("beta_0", 2.0));
+            c.push(Gate::P, &[q], Parameter::free("beta_0", 1.0));
+        }
+        c.push(Gate::Z, &[1], Parameter::None);
+        let program = CompiledProgram::compile(&c).unwrap();
+        assert_eq!((program.num_ops(), program.num_tables()), (6, 4));
+        let state = program.run(&[0.7, -0.45]).unwrap();
+        // The bits `apply_phase_table` over dense per-run angle tables gives
+        // (what programs executed up to commit 96177ad).
+        let want: [(u64, u64); 8] = [
+            (0x3fd7dd474df0a1bd, 0x3fa85fb2de31e502),
+            (0x3fb1fb43447a2d54, 0x3fd62d26ebdd3cc2),
+            (0x3f852488cf4ff2dd, 0xbfd516f274428cca),
+            (0xbfd69f5dbdf6c0a0, 0xbf7e1d37737ab070),
+            (0x3fd2dc1a2f236b94, 0x3fc90134cca7edc9),
+            (0xbfd22b8b44eb3420, 0x3fc573f30575a261),
+            (0xbfd0544a37b9af4b, 0x3fcf53e09b1d9836),
+            (0xbf58771b22290f80, 0x3fd80ed1273342e0),
+        ];
+        for (a, (re, im)) in state.amplitudes().iter().zip(want) {
+            assert_eq!((a.re.to_bits(), a.im.to_bits()), (re, im), "{a}");
         }
     }
 

@@ -10,9 +10,11 @@
 //!   bit-interleaving, so contiguous ranges of the base-index space map to
 //!   disjoint amplitude quadruples and can be updated from multiple threads
 //!   without collecting an index vector;
-//! * diagonal operators are applied as a single multiply pass via
-//!   [`StateVector::apply_phase_table`] (used by the fused cost-layer kernel
-//!   of [`crate::CompiledProgram`]).
+//! * a fused diagonal run of a [`crate::CompiledProgram`] is one
+//!   lookup-and-multiply pass (`StateVector::apply_phase_lut`): a 4-byte
+//!   index per amplitude into a few staged factors, no `sin`/`cos` per
+//!   amplitude. [`StateVector::apply_phase_table`] is the dense-table
+//!   reference it is pinned bitwise equal to.
 
 use crate::error::SimulatorError;
 use crate::parallel_threshold_qubits;
@@ -121,10 +123,20 @@ pub(crate) fn par_sum_ranges(total: usize, f: impl Fn(Range<usize>) -> f64 + Syn
 pub const MAX_DENSE_QUBITS: usize = 30;
 
 /// A dense `2^n`-amplitude quantum state.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct StateVector {
     num_qubits: usize,
     amplitudes: Vec<Complex64>,
+    /// The staged factors of the last LUT phase pass — scratch, not part of
+    /// the state's value. Owned here so that re-executing a compiled program
+    /// into one state allocates nothing once warm.
+    phase_factors: Vec<Complex64>,
+}
+
+impl PartialEq for StateVector {
+    fn eq(&self, other: &StateVector) -> bool {
+        self.num_qubits == other.num_qubits && self.amplitudes == other.amplitudes
+    }
 }
 
 impl StateVector {
@@ -141,6 +153,7 @@ impl StateVector {
         Ok(StateVector {
             num_qubits,
             amplitudes,
+            phase_factors: Vec::new(),
         })
     }
 
@@ -157,6 +170,7 @@ impl StateVector {
         Ok(StateVector {
             num_qubits,
             amplitudes: vec![amp; dim],
+            phase_factors: Vec::new(),
         })
     }
 
@@ -171,6 +185,7 @@ impl StateVector {
         Ok(StateVector {
             num_qubits,
             amplitudes,
+            phase_factors: Vec::new(),
         })
     }
 
@@ -359,10 +374,11 @@ impl StateVector {
         }
     }
 
-    /// Multiply every amplitude by `e^{i·scale·angles[z]}` — the fused
-    /// diagonal-phase kernel. A whole QAOA cost layer (one `RZZ` per edge)
-    /// collapses into a single call with `scale = γ` and a precomputed,
-    /// parameter-independent angle table (see [`crate::CompiledProgram`]).
+    /// Multiply every amplitude by `e^{i·scale·angles[z]}`, one `sin`/`cos`
+    /// pair per amplitude: the dense-table reference of the fused
+    /// diagonal-phase pass. [`crate::CompiledProgram`] executes the same pass
+    /// from a distinct-value LUT (`apply_phase_lut`), pinned bitwise equal to
+    /// this.
     pub fn apply_phase_table(&mut self, angles: &[f64], scale: f64) -> Result<(), SimulatorError> {
         if angles.len() != self.amplitudes.len() {
             return Err(SimulatorError::DimensionMismatch {
@@ -388,6 +404,43 @@ impl StateVector {
             work(&mut self.amplitudes, angles);
         }
         Ok(())
+    }
+
+    /// Multiply amplitude `z` by `factors[index[z]]` — the fused
+    /// diagonal-phase pass of [`crate::CompiledProgram`]: one 4-byte index
+    /// load, one factor lookup and one complex multiply per amplitude.
+    /// `stage` fills the (cleared) state-owned factor buffer first; its
+    /// capacity survives across calls.
+    pub(crate) fn apply_phase_lut(
+        &mut self,
+        index: &[u32],
+        stage: impl FnOnce(&mut Vec<Complex64>),
+    ) {
+        assert_eq!(
+            index.len(),
+            self.amplitudes.len(),
+            "one LUT index per amplitude"
+        );
+        self.phase_factors.clear();
+        stage(&mut self.phase_factors);
+        let factors = self.phase_factors.as_slice();
+        let work = |amps: &mut [Complex64], index: &[u32]| {
+            for (a, &v) in amps.iter_mut().zip(index) {
+                *a *= factors[v as usize];
+            }
+        };
+        if self.num_qubits >= parallel_threshold_qubits() {
+            let chunk_size = parallel_chunk_size(self.amplitudes.len(), 1).max(1);
+            self.amplitudes
+                .par_chunks_mut(chunk_size)
+                .enumerate()
+                .for_each(|(i, chunk)| {
+                    let start = i * chunk_size;
+                    work(chunk, &index[start..start + chunk.len()]);
+                });
+        } else {
+            work(&mut self.amplitudes, index);
+        }
     }
 
     /// Expectation value `⟨ψ| D |ψ⟩` of a diagonal observable given as its

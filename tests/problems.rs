@@ -265,6 +265,37 @@ fn trained_energies_respect_classical_optima() {
     }
 }
 
+/// Weighted Max-Cut and the spin glass have close to `2^n` distinct cost
+/// angles, so their phase LUT is as long as the dense table it replaced and
+/// every amplitude has a factor of its own. Pinned to the bits the
+/// per-amplitude `sin`/`cos` pass trained to (commit 96177ad): instance
+/// seed 77, ER(7, 0.5), `('rx', 'ry')` at p = 2, COBYLA, 80 evaluations.
+#[test]
+fn dense_valued_problems_train_to_the_dense_table_bits() {
+    let graph = Graph::erdos_renyi(7, 0.5, 77);
+    #[rustfmt::skip]
+    let expected: [(ProblemKind, u64, [u64; 2], [u64; 2]); 2] = [
+        (ProblemKind::WeightedMaxCut { seed: 77 }, 0x4013b67ec8a6cebb,
+         [0x3ff76672ee718e93, 0x3fd79facb2a1cf4f], [0x3fc139a66c4546a8, 0x3fd6fff32afc07f4]),
+        (ProblemKind::SherringtonKirkpatrick { seed: 77 }, 0x3ff320ee87967b9a,
+         [0x3fdc62a968e266f6, 0x3f829d401e7fd1c2], [0x3fee6ea9b699c2d9, 0x3ff0ba197c12dafa]),
+    ];
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    for (kind, energy, gammas, betas) in expected {
+        let problem = kind.instantiate(&graph);
+        let eval =
+            EnergyEvaluator::for_problem(&graph, problem.clone(), Backend::StateVector).unwrap();
+        let ansatz = QaoaAnsatz::for_problem(&problem, 2, Mixer::qnas()).unwrap();
+        let trained = eval
+            .train(&ansatz, &CobylaOptimizer::default(), 80)
+            .unwrap();
+        assert_eq!(trained.energy.to_bits(), energy, "{}", kind.name());
+        assert_eq!(bits(&trained.gammas), gammas, "{}", kind.name());
+        assert_eq!(bits(&trained.betas), betas, "{}", kind.name());
+        assert_eq!(trained.evaluations, 80, "{}", kind.name());
+    }
+}
+
 /// The full budget-aware pipeline (halving + warm starts + work stealing)
 /// runs end-to-end for each non-Max-Cut problem family, stays
 /// thread-count-deterministic, and reports the problem name.
