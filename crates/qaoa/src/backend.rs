@@ -3,8 +3,9 @@
 //! QArchSearch evaluates candidate circuits with the QTensor tensor-network
 //! simulator; the paper lists GPU statevector simulation as future work. This
 //! crate keeps both options behind one enum so the evaluator, the search
-//! schedulers and the benches can switch freely (and so the
-//! `backend_compare` ablation bench can quantify the difference).
+//! schedulers and the benches can switch freely (perfbench's
+//! `tensornet.energy_eval_us` and `qaoa.energy_eval_us` probes quantify the
+//! difference on one set of inputs).
 
 use crate::error::QaoaError;
 use graphs::Problem;

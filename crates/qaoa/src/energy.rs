@@ -15,6 +15,7 @@ use serde::{Deserialize, Serialize};
 use statevec::compile::PhaseLutInterner;
 use statevec::{BatchStateVector, CompiledProgram, StateVector};
 use std::sync::{Arc, Mutex, OnceLock};
+use tensornet::{ExpectationPlan, TensorNetError};
 
 /// Result of training one ansatz on one problem instance.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -158,7 +159,8 @@ impl EnergyEvaluator {
     }
 
     /// Compile `ansatz` into the allocation-free fast path for this
-    /// evaluator's graph (state-vector backend only).
+    /// evaluator's graph (state-vector backend only; the tensor-network
+    /// backends have [`EnergyEvaluator::plan`]).
     ///
     /// The returned [`CompiledEnergy`] holds the lowered circuit, this
     /// evaluator's problem diagonal and phase LUTs (shared, not copied) and a
@@ -176,6 +178,41 @@ impl EnergyEvaluator {
             });
         }
         CompiledEnergy::build(self, ansatz)
+    }
+
+    /// Plan the light-cone energy of `ansatz` on this evaluator's problem
+    /// (tensor-network backends only): cones, network skeletons and
+    /// elimination orders are fixed by the template and the problem, so they
+    /// are built here once instead of once per evaluation.
+    ///
+    /// [`PlannedEnergy::energy_flat`] returns bit for bit what
+    /// [`EnergyEvaluator::energy_flat`] does. Every tensor-network
+    /// [`TrainingSession`] builds this automatically. Fails when a cost
+    /// term's contraction is wider than
+    /// [`tensornet::contraction::DEFAULT_WIDTH_LIMIT`]: no evaluation of such
+    /// an ansatz can succeed.
+    pub fn plan(&self, ansatz: &QaoaAnsatz) -> Result<PlannedEnergy, QaoaError> {
+        if self.inner.backend == Backend::StateVector {
+            return Err(QaoaError::Backend {
+                message: "expectation plans require a tensor-network backend, got statevector"
+                    .to_string(),
+            });
+        }
+        self.build_plan(ansatz).map_err(|e| QaoaError::Backend {
+            message: e.to_string(),
+        })
+    }
+
+    fn build_plan(&self, ansatz: &QaoaAnsatz) -> Result<PlannedEnergy, TensorNetError> {
+        let p = ansatz.depth();
+        let names: Vec<String> = (0..p)
+            .map(|k| format!("gamma_{k}"))
+            .chain((0..p).map(|k| format!("beta_{k}")))
+            .collect();
+        Ok(PlannedEnergy {
+            plan: ExpectationPlan::build(ansatz.template(), &self.inner.problem, &names)?,
+            evaluator: self.clone(),
+        })
     }
 
     /// Approximation ratio of a given energy (Eq. 3), formed per the
@@ -281,22 +318,35 @@ impl EnergyEvaluator {
             let hint = TrainingSession::share_of(budget_hint, restarts);
             points.iter().map(|x| optimizer.start(x, hint)).collect()
         };
-        // The compiled path when it applies (state-vector backend, a
-        // template the compiler accepts); bind-per-call otherwise. Depth 0 is
-        // one bound evaluation of the plus state: not worth a compile.
-        let compiled = if p > 0 {
-            self.compile(ansatz).ok()
-        } else {
-            None
+        // Lower the template once when the backend can (a compiled program
+        // for the state vector, an expectation plan for the tensor network);
+        // bind-per-call when it refuses. Depth 0 is one bound evaluation of
+        // the plus state: not worth either.
+        let objective = match self.inner.backend {
+            _ if p == 0 => None,
+            Backend::StateVector => self
+                .compile(ansatz)
+                .ok()
+                .map(|compiled| Objective::Compiled(Box::new(compiled))),
+            Backend::TensorNetwork | Backend::TensorNetworkSequential => {
+                match self.build_plan(ansatz) {
+                    Ok(planned) => Some(Objective::Planned(Box::new(planned))),
+                    // Every evaluation would hit the same limit: say so now
+                    // instead of training on +inf.
+                    Err(e @ TensorNetError::WidthLimitExceeded { .. }) => {
+                        return Err(QaoaError::Backend {
+                            message: e.to_string(),
+                        })
+                    }
+                    Err(_) => None,
+                }
+            }
         };
         Ok(TrainingSession {
             evaluator: self.clone(),
             depth: p,
             num_qubits: ansatz.num_qubits(),
-            objective: match compiled {
-                Some(compiled) => Objective::Compiled(Box::new(compiled)),
-                None => Objective::Bound(ansatz.clone()),
-            },
+            objective: objective.unwrap_or_else(|| Objective::Bound(ansatz.clone())),
             starts,
             restarts,
             zero_depth: None,
@@ -357,10 +407,13 @@ impl std::fmt::Debug for ProgressHook {
 /// like any other.
 ///
 /// A session is small: a reference-counted handle on its evaluator, the
-/// optimizer checkpoints, and either the [`CompiledEnergy`] (state-vector
-/// backend; the ansatz template is not kept once lowered) or the template to
-/// bind per call (any other backend, and depth 0). The search pipeline keeps
-/// one session per `(candidate, graph)` alive for a whole depth.
+/// optimizer checkpoints, and the lowered objective — a [`CompiledEnergy`]
+/// (state-vector backend) or a [`PlannedEnergy`] (tensor-network backends);
+/// the ansatz template is not kept once lowered. Only depth 0 and templates
+/// the lowering refuses keep the template to bind per call. The search
+/// pipeline keeps one session per `(candidate, graph)` alive for a whole
+/// depth, and drops a pruned candidate's sessions — programs and plans with
+/// them — at the rung that prunes it.
 #[derive(Debug)]
 pub struct TrainingSession {
     /// A handle on the shared per-instance evaluator (no copy of the graph,
@@ -388,8 +441,11 @@ enum Objective {
     /// The compiled state-vector program. Everything an evaluation needs was
     /// lowered into it, so the session keeps no copy of the ansatz template.
     Compiled(Box<CompiledEnergy>),
-    /// Bind the template per call and ask the backend: the tensor-network
-    /// backend, depth 0, and templates the compiler rejects.
+    /// The tensor-network expectation plan; like the compiled program it
+    /// replaces the template.
+    Planned(Box<PlannedEnergy>),
+    /// Bind the template per call and ask the backend: depth 0, and templates
+    /// neither lowering accepts.
     Bound(QaoaAnsatz),
 }
 
@@ -411,7 +467,9 @@ impl TrainingSession {
     }
 
     /// Whether this session runs on the compiled state-vector fast path and
-    /// therefore profits from an external scratch state.
+    /// therefore profits from an external scratch state (`false` for the
+    /// tensor-network backends, whose plan needs no `2^n` buffer, and for
+    /// depth 0).
     pub fn uses_compiled_scratch(&self) -> bool {
         matches!(self.objective, Objective::Compiled(_))
     }
@@ -534,6 +592,7 @@ impl TrainingSession {
         let energy_at = |params: &[f64]| -> Result<f64, QaoaError> {
             match &*how {
                 Objective::Bound(ansatz) => evaluator.energy_flat(ansatz, params),
+                Objective::Planned(planned) => planned.energy_flat(params),
                 Objective::Compiled(compiled) => {
                     match &mut *buffers.lock().unwrap_or_else(|e| e.into_inner()) {
                         Buffers::Internal => compiled.energy_flat(params),
@@ -650,6 +709,44 @@ impl EnergyEvaluator {
             classical_optimum: self.inner.classical.best,
             classical_quality: self.inner.classical.quality,
         }
+    }
+}
+
+/// The planned tensor-network objective: the light-cone structure of one
+/// ansatz on one problem ([`tensornet::ExpectationPlan`]) with the evaluator
+/// whose problem and backend it was planned for.
+///
+/// Build via [`EnergyEvaluator::plan`]. One
+/// [`PlannedEnergy::energy_flat`] call forms each distinct gate matrix,
+/// refills the cached networks and contracts them under their cached
+/// orders — bit for bit the energy [`EnergyEvaluator::energy_flat`] computes
+/// by binding the template and rebuilding every cone, network and order.
+#[derive(Debug)]
+pub struct PlannedEnergy {
+    plan: ExpectationPlan,
+    evaluator: EnergyEvaluator,
+}
+
+impl PlannedEnergy {
+    /// ⟨C⟩ for a flat parameter vector `[γ…, β…]`: cost terms in parallel on
+    /// [`Backend::TensorNetwork`], one after the other on
+    /// [`Backend::TensorNetworkSequential`].
+    pub fn energy_flat(&self, params: &[f64]) -> Result<f64, QaoaError> {
+        let problem = &self.evaluator.inner.problem;
+        match self.evaluator.inner.backend {
+            Backend::TensorNetworkSequential => self.plan.expectation_sequential(problem, params),
+            _ => self.plan.expectation(problem, params),
+        }
+        .map_err(|e| QaoaError::Backend {
+            message: e.to_string(),
+        })
+    }
+
+    /// The plan itself: its `heap_bytes()` is what a live tensor-network
+    /// session costs beyond its optimizer checkpoints, and the skeleton and
+    /// contraction counts are useful for diagnostics.
+    pub fn plan(&self) -> &ExpectationPlan {
+        &self.plan
     }
 }
 
@@ -1239,9 +1336,15 @@ mod tests {
         let opt = CobylaOptimizer::default();
         let mut session = eval.begin_training(&ansatz, &opt, None, 60).unwrap();
         assert!(!session.uses_compiled_scratch());
+        // The plan replaces the template, as the compiled program does.
+        assert!(matches!(session.objective, Objective::Planned(_)));
         let trained = session.advance(&opt, 60).unwrap();
         let one_shot = eval.train(&ansatz, &opt, 60).unwrap();
         assert_eq!(trained.energy, one_shot.energy);
+        // Depth 0 is one bound evaluation: nothing worth planning.
+        let plus = QaoaAnsatz::new(&graph, 0, Mixer::baseline());
+        let session = eval.begin_training(&plus, &opt, None, 1).unwrap();
+        assert!(matches!(session.objective, Objective::Bound(_)));
     }
 
     #[test]

@@ -41,6 +41,33 @@ pub enum TensorNetError {
         limit: usize,
     },
 
+    /// A circuit template is too large for the 16-bit tables of an
+    /// expectation plan.
+    #[error("an expectation plan cannot index {count} {what}")]
+    PlanTooLarge {
+        /// What overflowed.
+        what: &'static str,
+        /// How many there are.
+        count: usize,
+    },
+
+    /// An expectation plan was evaluated with the wrong number of parameter
+    /// values, or against a problem it was not built for.
+    #[error(
+        "expectation plan takes {params} parameters over {terms} cost terms, \
+         got {got_params} over {got_terms}"
+    )]
+    PlanMismatch {
+        /// Parameter values the plan takes.
+        params: usize,
+        /// Cost terms the plan was built for.
+        terms: usize,
+        /// Parameter values given.
+        got_params: usize,
+        /// Cost terms of the problem given.
+        got_terms: usize,
+    },
+
     /// The network still has open indices where a scalar was expected.
     #[error("expected a closed network but {count} open indices remain")]
     OpenIndicesRemain {

@@ -19,7 +19,11 @@
 //! * [`lightcone`] — per-edge light-cone reduction for QAOA expectation
 //!   values: for ⟨Z_u Z_v⟩ only the gates in the causal cone of `{u, v}`
 //!   survive the U†…U cancellation, which is what lets QTensor simulate very
-//!   large QAOA circuits edge by edge.
+//!   large QAOA circuits edge by edge,
+//! * [`plan`] — an [`ExpectationPlan`] caches what that evaluation rebuilds
+//!   although it depends on the circuit template and the problem alone
+//!   (cones, network skeletons, elimination orders), so a training loop only
+//!   refills gate tensors and contracts.
 //!
 //! The crate is validated against the dense `statevec` backend in the
 //! integration tests and in property-based tests.
@@ -40,12 +44,14 @@ pub mod error;
 pub mod lightcone;
 pub mod network;
 pub mod ordering;
+pub mod plan;
 pub mod slicing;
 pub mod tensor;
 
 pub use error::TensorNetError;
 pub use network::TensorNetwork;
 pub use ordering::{ContractionOrder, OrderingHeuristic};
+pub use plan::ExpectationPlan;
 pub use tensor::Tensor;
 
 #[cfg(test)]

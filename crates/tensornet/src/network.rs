@@ -44,19 +44,45 @@ impl IndexAllocator {
     }
 }
 
-/// Resolve every instruction of `circuit` to a concrete [`GateMatrix`],
-/// failing on unbound parameters.
-fn resolved_matrices(circuit: &Circuit) -> Result<Vec<GateMatrix>, TensorNetError> {
-    circuit
-        .instructions()
-        .iter()
-        .map(|inst| {
-            inst.matrix(&|_| None)
-                .ok_or_else(|| TensorNetError::UnboundParameter {
-                    name: inst.parameter.name().unwrap_or("<unknown>").to_string(),
-                })
+/// The concrete matrix of every instruction of a bound circuit, and the
+/// diagonal of those that are diagonal.
+struct GateData {
+    matrices: Vec<GateMatrix>,
+    diagonals: Vec<Option<Vec<Complex64>>>,
+}
+
+impl GateData {
+    /// Resolve every instruction of `circuit`, failing on unbound parameters.
+    fn resolve(circuit: &Circuit) -> Result<GateData, TensorNetError> {
+        let matrices = circuit
+            .instructions()
+            .iter()
+            .map(|inst| {
+                inst.matrix(&|_| None)
+                    .ok_or_else(|| TensorNetError::UnboundParameter {
+                        name: inst.parameter.name().unwrap_or("<unknown>").to_string(),
+                    })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let diagonals = matrices.iter().map(GateMatrix::diagonal).collect();
+        Ok(GateData {
+            matrices,
+            diagonals,
         })
-        .collect()
+    }
+
+    fn is_diagonal(&self, instruction: usize) -> bool {
+        self.diagonals[instruction].is_some()
+    }
+
+    /// The tensor of one instruction over the `indices` the walk gave it.
+    fn tensor(&self, instruction: usize, conjugate: bool, indices: &[usize]) -> Tensor {
+        let entries = match &self.diagonals[instruction] {
+            Some(diagonal) => diagonal.as_slice(),
+            None => self.matrices[instruction].data(),
+        };
+        gate_tensor(indices, entries, conjugate)
+    }
 }
 
 impl TensorNetwork {
@@ -72,7 +98,7 @@ impl TensorNetwork {
 
     /// Build the closed network for the amplitude ⟨0…0|U|0…0⟩.
     pub fn for_amplitude(circuit: &Circuit) -> Result<TensorNetwork, TensorNetError> {
-        let matrices = resolved_matrices(circuit)?;
+        let gates = GateData::resolve(circuit)?;
         let n = circuit.num_qubits();
         let mut alloc = IndexAllocator::new();
         let mut tensors = Vec::new();
@@ -83,13 +109,13 @@ impl TensorNetwork {
             tensors.push(ket_zero(idx));
         }
 
-        append_circuit_tensors(
+        walk_circuit(
             circuit,
-            &matrices,
+            &|i| gates.is_diagonal(i),
             &mut alloc,
-            &mut tensors,
             &mut current,
             false,
+            &mut |i, indices| tensors.push(gates.tensor(i, false, indices)),
         );
 
         // ⟨0| caps at the output.
@@ -109,58 +135,26 @@ impl TensorNetwork {
         circuit: &Circuit,
         observables: &[(usize, [f64; 2])],
     ) -> Result<TensorNetwork, TensorNetError> {
-        let matrices = resolved_matrices(circuit)?;
-        let n = circuit.num_qubits();
-        let mut alloc = IndexAllocator::new();
+        let gates = GateData::resolve(circuit)?;
         let mut tensors = Vec::new();
-
-        // Ket side: |0⟩ caps, then the circuit.
-        let mut current: Vec<usize> = (0..n).map(|_| alloc.fresh()).collect();
-        let initial: Vec<usize> = current.clone();
-        for &idx in &initial {
-            tensors.push(ket_zero(idx));
-        }
-        append_circuit_tensors(
+        let num_indices = expectation_layout(
             circuit,
-            &matrices,
-            &mut alloc,
-            &mut tensors,
-            &mut current,
-            false,
+            &|i| gates.is_diagonal(i),
+            observables.iter().map(|&(qubit, _)| qubit),
+            &mut |source, indices| {
+                tensors.push(match source {
+                    TensorSource::Cap => ket_zero(indices[0]),
+                    TensorSource::Observable(k) => observable(indices[0], observables[k].1),
+                    TensorSource::Gate {
+                        instruction,
+                        conjugate,
+                    } => gates.tensor(instruction, conjugate, indices),
+                })
+            },
         );
-
-        // The diagonal observable lives on the final ket indices; because it
-        // is diagonal it identifies the ket and bra output indices, so the
-        // bra walk below starts from these same indices.
-        for &(qubit, diag) in observables {
-            let idx = current[qubit];
-            tensors.push(
-                Tensor::new(
-                    vec![idx],
-                    vec![Complex64::new(diag[0], 0.0), Complex64::new(diag[1], 0.0)],
-                )
-                .expect("observable tensor is well-formed"),
-            );
-        }
-
-        // Bra side: walk the circuit backwards with conjugated tensors.
-        let mut bra_current = current;
-        append_circuit_tensors(
-            circuit,
-            &matrices,
-            &mut alloc,
-            &mut tensors,
-            &mut bra_current,
-            true,
-        );
-        // ⟨0| caps at the (temporal) input of the bra chain.
-        for &idx in &bra_current {
-            tensors.push(ket_zero(idx));
-        }
-
         Ok(TensorNetwork {
             tensors,
-            num_indices: alloc.next,
+            num_indices,
         })
     }
 
@@ -237,7 +231,7 @@ impl TensorNetwork {
 }
 
 /// The |0⟩ cap tensor on one index.
-fn ket_zero(index: usize) -> Tensor {
+pub(crate) fn ket_zero(index: usize) -> Tensor {
     Tensor::new(
         vec![index],
         vec![Complex64::new(1.0, 0.0), Complex64::new(0.0, 0.0)],
@@ -245,89 +239,157 @@ fn ket_zero(index: usize) -> Tensor {
     .expect("cap tensor is well-formed")
 }
 
-/// Append the tensors of `circuit` to `tensors`, threading per-qubit index
-/// chains through `current`.
+/// A single-qubit diagonal observable `diag(d0, d1)` on one index.
+pub(crate) fn observable(index: usize, diag: [f64; 2]) -> Tensor {
+    Tensor::new(
+        vec![index],
+        vec![Complex64::new(diag[0], 0.0), Complex64::new(diag[1], 0.0)],
+    )
+    .expect("observable tensor is well-formed")
+}
+
+/// A gate tensor over `indices`: `entries` is the diagonal of a diagonal gate
+/// or the row-major matrix of any other, conjugated on the bra side.
+pub(crate) fn gate_tensor(indices: &[usize], entries: &[Complex64], conjugate: bool) -> Tensor {
+    let data = if conjugate {
+        entries.iter().map(Complex64::conj).collect()
+    } else {
+        entries.to_vec()
+    };
+    Tensor::new(indices.to_vec(), data).expect("gate tensor is well-formed")
+}
+
+/// What fills one tensor of an expectation network.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TensorSource {
+    /// A |0⟩ or ⟨0| cap.
+    Cap,
+    /// The `k`-th observable handed to [`expectation_layout`].
+    Observable(usize),
+    /// The matrix of one instruction, conjugated on the bra side.
+    Gate { instruction: usize, conjugate: bool },
+}
+
+/// Lay out the closed network of ⟨0…0|U† D U|0…0⟩ without any tensor data:
+/// `emit(source, indices)` is called once per tensor, in network order, and
+/// the number of indices allocated is returned. Which gates attach to
+/// existing indices is the caller's `is_diagonal` (by instruction position):
+/// [`TensorNetwork::for_diagonal_expectation`] answers from the bound
+/// matrices, an [`crate::plan::ExpectationPlan`] from the gate kinds of an
+/// unbound template — one walk, so the two agree index for index.
+pub(crate) fn expectation_layout(
+    circuit: &Circuit,
+    is_diagonal: &dyn Fn(usize) -> bool,
+    observable_qubits: impl IntoIterator<Item = usize>,
+    emit: &mut dyn FnMut(TensorSource, &[usize]),
+) -> usize {
+    let mut alloc = IndexAllocator::new();
+
+    // Ket side: |0⟩ caps, then the circuit.
+    let mut current: Vec<usize> = (0..circuit.num_qubits()).map(|_| alloc.fresh()).collect();
+    for &idx in &current {
+        emit(TensorSource::Cap, &[idx]);
+    }
+    walk_circuit(
+        circuit,
+        is_diagonal,
+        &mut alloc,
+        &mut current,
+        false,
+        &mut |instruction, indices| {
+            emit(
+                TensorSource::Gate {
+                    instruction,
+                    conjugate: false,
+                },
+                indices,
+            )
+        },
+    );
+
+    // The diagonal observable lives on the final ket indices; because it is
+    // diagonal it identifies the ket and bra output indices, so the bra walk
+    // below starts from these same indices.
+    for (k, qubit) in observable_qubits.into_iter().enumerate() {
+        emit(TensorSource::Observable(k), &[current[qubit]]);
+    }
+
+    // Bra side: walk the circuit backwards with conjugated tensors, then the
+    // ⟨0| caps at the (temporal) input of the bra chain.
+    walk_circuit(
+        circuit,
+        is_diagonal,
+        &mut alloc,
+        &mut current,
+        true,
+        &mut |instruction, indices| {
+            emit(
+                TensorSource::Gate {
+                    instruction,
+                    conjugate: true,
+                },
+                indices,
+            )
+        },
+    );
+    for &idx in &current {
+        emit(TensorSource::Cap, &[idx]);
+    }
+    alloc.next
+}
+
+/// Walk `circuit`, threading per-qubit index chains through `current`, and
+/// hand `emit` each instruction's position and the indices of its tensor.
 ///
 /// * `conjugate = false`: forward (ket) walk — `current[q]` is the *latest*
 ///   index of qubit `q`; gate tensors map old index → new index.
 /// * `conjugate = true`: backward (bra) walk — instructions are visited in
-///   reverse, tensor data is conjugated, and the chain grows from the final
-///   indices toward the circuit input.
-fn append_circuit_tensors(
+///   reverse and the chain grows from the final indices toward the circuit
+///   input.
+///
+/// A diagonal gate attaches to the existing indices (basis order |q_a q_b⟩,
+/// matching [`GateMatrix`]). Any other gate gets `[out…, in…]`: keeping
+/// [row, col] = [out, in] and connecting `out` to the *later* index, the bra
+/// side's `[later, earlier]` with conjugated (not transposed) data is exactly
+/// U†: (U†)[earlier, later] = conj(U[later, earlier]).
+fn walk_circuit(
     circuit: &Circuit,
-    matrices: &[GateMatrix],
+    is_diagonal: &dyn Fn(usize) -> bool,
     alloc: &mut IndexAllocator,
-    tensors: &mut Vec<Tensor>,
     current: &mut [usize],
     conjugate: bool,
+    emit: &mut dyn FnMut(usize, &[usize]),
 ) {
-    let instruction_order: Vec<usize> = if conjugate {
-        (0..circuit.instructions().len()).rev().collect()
-    } else {
-        (0..circuit.instructions().len()).collect()
-    };
-
-    for inst_idx in instruction_order {
-        let inst = &circuit.instructions()[inst_idx];
-        let matrix = &matrices[inst_idx];
-        let maybe_conj = |v: Complex64| if conjugate { v.conj() } else { v };
-
-        match matrix {
-            GateMatrix::One(m) => {
-                let q = inst.qubits[0];
-                if let Some(diag) = matrix.diagonal() {
-                    // Diagonal gate: attach to the existing index.
-                    let data: Vec<Complex64> = diag.into_iter().map(maybe_conj).collect();
-                    tensors.push(
-                        Tensor::new(vec![current[q]], data).expect("diagonal tensor well-formed"),
-                    );
+    let count = circuit.instructions().len();
+    for step in 0..count {
+        let position = if conjugate { count - 1 - step } else { step };
+        let diagonal = is_diagonal(position);
+        match *circuit.instructions()[position].qubits {
+            [q] if diagonal => emit(position, &[current[q]]),
+            [qa, qb] if diagonal => emit(position, &[current[qa], current[qb]]),
+            [q] => {
+                let fresh = alloc.fresh();
+                let (out_idx, in_idx) = if conjugate {
+                    (current[q], fresh)
                 } else {
-                    let fresh = alloc.fresh();
-                    // Forward walk: T[out, in]; backward walk the roles of the
-                    // chain ends swap, but since we also transpose implicitly
-                    // by keeping [row, col] = [out, in] and connecting `out`
-                    // to the later index, using [later, earlier] with
-                    // conjugated (not transposed) data gives exactly U† on the
-                    // bra side: (U†)[earlier, later] = conj(U[later, earlier]).
-                    let (out_idx, in_idx) = if conjugate {
-                        (current[q], fresh)
-                    } else {
-                        (fresh, current[q])
-                    };
-                    let data: Vec<Complex64> = m.iter().copied().map(maybe_conj).collect();
-                    tensors.push(
-                        Tensor::new(vec![out_idx, in_idx], data).expect("gate tensor well-formed"),
-                    );
-                    current[q] = fresh;
-                }
+                    (fresh, current[q])
+                };
+                emit(position, &[out_idx, in_idx]);
+                current[q] = fresh;
             }
-            GateMatrix::Two(m) => {
-                let (qa, qb) = (inst.qubits[0], inst.qubits[1]);
-                if let Some(diag) = matrix.diagonal() {
-                    // Diagonal two-qubit gate: rank-2 tensor on the existing
-                    // indices, basis order |q_a q_b⟩ matching GateMatrix.
-                    let data: Vec<Complex64> = diag.into_iter().map(maybe_conj).collect();
-                    tensors.push(
-                        Tensor::new(vec![current[qa], current[qb]], data)
-                            .expect("diagonal tensor well-formed"),
-                    );
+            [qa, qb] => {
+                let fresh_a = alloc.fresh();
+                let fresh_b = alloc.fresh();
+                let (out_a, out_b, in_a, in_b) = if conjugate {
+                    (current[qa], current[qb], fresh_a, fresh_b)
                 } else {
-                    let fresh_a = alloc.fresh();
-                    let fresh_b = alloc.fresh();
-                    let (out_a, out_b, in_a, in_b) = if conjugate {
-                        (current[qa], current[qb], fresh_a, fresh_b)
-                    } else {
-                        (fresh_a, fresh_b, current[qa], current[qb])
-                    };
-                    let data: Vec<Complex64> = m.iter().copied().map(maybe_conj).collect();
-                    tensors.push(
-                        Tensor::new(vec![out_a, out_b, in_a, in_b], data)
-                            .expect("gate tensor well-formed"),
-                    );
-                    current[qa] = fresh_a;
-                    current[qb] = fresh_b;
-                }
+                    (fresh_a, fresh_b, current[qa], current[qb])
+                };
+                emit(position, &[out_a, out_b, in_a, in_b]);
+                current[qa] = fresh_a;
+                current[qb] = fresh_b;
             }
+            _ => unreachable!("gates act on one or two qubits"),
         }
     }
 }

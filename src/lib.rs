@@ -58,7 +58,7 @@ pub mod prelude {
     pub use optim::{CobylaOptimizer, NelderMead, OptimizerKind, Resumable, Spsa};
     pub use qaoa::{
         ansatz::QaoaAnsatz,
-        energy::{BatchScratch, CompiledEnergy, EnergyEvaluator, TrainingSession},
+        energy::{BatchScratch, CompiledEnergy, EnergyEvaluator, PlannedEnergy, TrainingSession},
         mixer::Mixer,
         Backend,
     };
