@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use statevec::compile::PhaseLutInterner;
 use statevec::{BatchStateVector, CompiledProgram, StateVector};
 use std::sync::{Arc, Mutex, OnceLock};
-use tensornet::{ExpectationPlan, TensorNetError};
+use tensornet::{ExpectationPlan, PlanScratch, TensorNetError};
 
 /// Result of training one ansatz on one problem instance.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -181,9 +181,10 @@ impl EnergyEvaluator {
     }
 
     /// Plan the light-cone energy of `ansatz` on this evaluator's problem
-    /// (tensor-network backends only): cones, network skeletons and
-    /// elimination orders are fixed by the template and the problem, so they
-    /// are built here once instead of once per evaluation.
+    /// (tensor-network backends only): cones, networks, elimination orders
+    /// and every bucket's index maps are fixed by the template and the
+    /// problem, so each contraction is compiled here once instead of rebuilt
+    /// per evaluation.
     ///
     /// [`PlannedEnergy::energy_flat`] returns bit for bit what
     /// [`EnergyEvaluator::energy_flat`] does. Every tensor-network
@@ -212,6 +213,7 @@ impl EnergyEvaluator {
         Ok(PlannedEnergy {
             plan: ExpectationPlan::build(ansatz.template(), &self.inner.problem, &names)?,
             evaluator: self.clone(),
+            scratch: Mutex::new(PlanScratch::default()),
         })
     }
 
@@ -641,6 +643,11 @@ impl TrainingSession {
                 }
             })
             .collect();
+        if let Objective::Planned(planned) = &*how {
+            // A parked session keeps its plan, not its evaluation buffers:
+            // of the sessions a depth holds, only the advancing ones need them.
+            planned.release_scratch();
+        }
         let trained = match &*zero_depth {
             Some(trained) => trained.clone(),
             None => evaluator.best_of(*depth, results)?,
@@ -717,14 +724,19 @@ impl EnergyEvaluator {
 /// whose problem and backend it was planned for.
 ///
 /// Build via [`EnergyEvaluator::plan`]. One
-/// [`PlannedEnergy::energy_flat`] call forms each distinct gate matrix,
-/// refills the cached networks and contracts them under their cached
-/// orders — bit for bit the energy [`EnergyEvaluator::energy_flat`] computes
-/// by binding the template and rebuilding every cone, network and order.
+/// [`PlannedEnergy::energy_flat`] call forms each distinct gate matrix and
+/// runs the plan's compiled contractions in buffers the objective keeps —
+/// bit for bit the energy [`EnergyEvaluator::energy_flat`] computes by
+/// binding the template and rebuilding every cone, network and order.
 #[derive(Debug)]
 pub struct PlannedEnergy {
     plan: ExpectationPlan,
     evaluator: EnergyEvaluator,
+    /// Evaluation buffers, reused across calls like [`CompiledEnergy`]'s
+    /// scratch: once warm, a sequential evaluation allocates nothing and a
+    /// parallel one only what Rayon's drivers do. A [`TrainingSession`]
+    /// releases them when an advance ends.
+    scratch: Mutex<PlanScratch>,
 }
 
 impl PlannedEnergy {
@@ -733,13 +745,23 @@ impl PlannedEnergy {
     /// [`Backend::TensorNetworkSequential`].
     pub fn energy_flat(&self, params: &[f64]) -> Result<f64, QaoaError> {
         let problem = &self.evaluator.inner.problem;
+        let mut scratch = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
         match self.evaluator.inner.backend {
-            Backend::TensorNetworkSequential => self.plan.expectation_sequential(problem, params),
-            _ => self.plan.expectation(problem, params),
+            Backend::TensorNetworkSequential => {
+                self.plan
+                    .expectation_sequential_in(problem, params, &mut scratch)
+            }
+            _ => self.plan.expectation_in(problem, params, &mut scratch),
         }
         .map_err(|e| QaoaError::Backend {
             message: e.to_string(),
         })
+    }
+
+    /// Drop the evaluation buffers; the next [`energy_flat`](Self::energy_flat)
+    /// grows them again.
+    fn release_scratch(&self) {
+        *self.scratch.lock().unwrap_or_else(|e| e.into_inner()) = PlanScratch::default();
     }
 
     /// The plan itself: its `heap_bytes()` is what a live tensor-network

@@ -1,13 +1,16 @@
-//! Allocation-count assertions for the compiled energy path.
+//! Allocation-count assertions for the compiled and planned energy paths.
 //!
 //! `CompiledEnergy::energy_batch_in` promises to reuse the caller's
 //! [`BatchScratch`] buffers: after a warm-up call, the only allocation a call
 //! may make is the returned `Vec<f64>` of energies (plus the tolerance noted
 //! below). The scalar `energy_flat_in` allocates nothing once warm, and a
 //! training session on an evaluator that already has one allocates nothing
-//! of `2^n` size. A counting global allocator pins those contracts so buffer
-//! reuse and per-graph sharing cannot silently regress into per-call or
-//! per-session `2^n` allocations.
+//! of `2^n` size. A warm `PlannedEnergy::energy_flat` allocates nothing on
+//! the sequential tensor-network backend, and on the parallel one only the
+//! Rayon driver's buffers — as many for twelve cost terms as for forty. A
+//! counting global allocator pins those contracts so buffer reuse and
+//! per-graph sharing cannot silently regress into per-call, per-term or
+//! per-session allocations.
 
 use graphs::Graph;
 use qaoa::ansatz::QaoaAnsatz;
@@ -133,6 +136,56 @@ fn warm_scalar_energy_flat_in_stays_allocation_free() {
             count_allocs(|| compiled.energy_flat_in(&params, &mut buf).unwrap());
         assert_eq!(warm.to_bits(), e.to_bits());
         assert_eq!(allocs, 0, "energy_flat_in allocated after warm-up");
+    }
+}
+
+#[test]
+fn warm_planned_energy_flat_allocates_nothing_per_term() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let params = [0.3, -0.2, 0.5, 0.1];
+    // Warm the plan's scratch, then count one more evaluation.
+    let warm_count = |eval: &EnergyEvaluator, graph: &Graph| {
+        let planned = eval
+            .plan(&QaoaAnsatz::new(graph, 2, Mixer::qnas()))
+            .unwrap();
+        let warm = planned.energy_flat(&params).unwrap();
+        let (allocs, _bytes, e) = count_allocs(|| planned.energy_flat(&params).unwrap());
+        assert_eq!(warm.to_bits(), e.to_bits());
+        allocs
+    };
+    // 12 and 40 cost terms.
+    let graphs = [
+        Graph::random_regular(8, 3, 5).unwrap(),
+        Graph::random_regular(20, 4, 5).unwrap(),
+    ];
+    for graph in &graphs {
+        let eval = EnergyEvaluator::new(graph, Backend::TensorNetworkSequential);
+        assert_eq!(
+            warm_count(&eval, graph),
+            0,
+            "sequential plan allocated after warm-up ({} terms)",
+            graph.num_edges()
+        );
+    }
+    for threads in [1, 2, 3] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        let counts: Vec<usize> = graphs
+            .iter()
+            .map(|graph| {
+                let eval = EnergyEvaluator::new(graph, Backend::TensorNetwork);
+                pool.install(|| warm_count(&eval, graph))
+            })
+            .collect();
+        assert_eq!(
+            counts[0], counts[1],
+            "{threads} threads: allocations grow with the term count"
+        );
+        if threads == 1 {
+            assert_eq!(counts[0], 0, "one thread runs inline");
+        }
     }
 }
 

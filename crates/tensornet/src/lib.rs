@@ -20,10 +20,11 @@
 //!   values: for ⟨Z_u Z_v⟩ only the gates in the causal cone of `{u, v}`
 //!   survive the U†…U cancellation, which is what lets QTensor simulate very
 //!   large QAOA circuits edge by edge,
-//! * [`plan`] — an [`ExpectationPlan`] caches what that evaluation rebuilds
-//!   although it depends on the circuit template and the problem alone
-//!   (cones, network skeletons, elimination orders), so a training loop only
-//!   refills gate tensors and contracts.
+//! * [`plan`] — an [`ExpectationPlan`] does once what that evaluation
+//!   redoes although it depends on the circuit template and the problem
+//!   alone (cones, networks, elimination orders, every bucket's index maps),
+//!   compiling each contraction into a flat gather-multiply-sum program, so
+//!   a training loop only forms gate matrices and runs the programs.
 //!
 //! The crate is validated against the dense `statevec` backend in the
 //! integration tests and in property-based tests.
@@ -45,13 +46,12 @@ pub mod lightcone;
 pub mod network;
 pub mod ordering;
 pub mod plan;
-pub mod slicing;
 pub mod tensor;
 
 pub use error::TensorNetError;
 pub use network::TensorNetwork;
 pub use ordering::{ContractionOrder, OrderingHeuristic};
-pub use plan::ExpectationPlan;
+pub use plan::{ExpectationPlan, PlanScratch};
 pub use tensor::Tensor;
 
 #[cfg(test)]

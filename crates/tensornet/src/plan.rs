@@ -2,37 +2,58 @@
 //! depends on the circuit *template* and the cost problem, computed once.
 //!
 //! [`lightcone::problem_expectation`] rebuilds, for every cost term of every
-//! evaluation, the reverse cone, the tensor network and its elimination
-//! order — none of which depend on the angles. An [`ExpectationPlan`] keeps
-//! them: per distinct reduced circuit one *skeleton* (where each tensor's
-//! data comes from, its index list, the elimination order `best_order` picks)
-//! and per distinct (skeleton, observable) pair one *contraction*. An
-//! evaluation forms each distinct gate matrix once, refills the tensors and
-//! calls [`contract_with_order`] with the cached order: the same tensors in
-//! the same sequence under the same order, so the energy is bit for bit what
-//! the bind-per-call path returns.
+//! evaluation, the reverse cone, the tensor network, its elimination order
+//! and — inside `contract_with_order` — every bucket's index maps and
+//! buffers, none of which depend on the angles. An [`ExpectationPlan`] does
+//! that work once per distinct `(reduced circuit, observable qubits)` pair:
+//! it replays `contract_with_order`'s bucket elimination under the order
+//! `best_order` picks on index lists alone and records it as a flat
+//! *program* — per step the rank of the bucket's product, the product bit
+//! the eliminated index occupies and the bucket's tensors; per tensor where
+//! its data comes from and which product bits address it.
+//!
+//! An evaluation forms each distinct gate matrix once and runs the programs
+//! in a reused arena. A step multiplies its operands left to right at every
+//! product position and adds the result into the position with the
+//! eliminated bit removed, walking the positions in ascending order from
+//! `0 + 0i`: the product chain pairwise `Tensor::multiply` forms and the sum
+//! `Tensor::sum_over` does, so the energy is bit for bit what the
+//! bind-per-call path returns.
 
-use crate::contraction::{contract_with_order, DEFAULT_WIDTH_LIMIT};
+use crate::contraction::DEFAULT_WIDTH_LIMIT;
 use crate::error::TensorNetError;
 use crate::lightcone::{self, LightCone};
-use crate::network::{expectation_layout, gate_tensor, ket_zero, observable, TensorSource};
-use crate::ordering::{ContractionOrder, InteractionGraph, OrderingHeuristic};
+use crate::network::{expectation_layout, TensorSource};
+use crate::ordering::InteractionGraph;
 use graphs::Problem;
 use num_complex::Complex64;
 use qcircuit::{Circuit, Gate, GateMatrix, Instruction, Parameter};
 use rayon::prelude::*;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-/// Tensor source word of a |0⟩ / ⟨0| cap; a gate tensor is
-/// `matrix << 1 | conjugate`.
-const CAP: u16 = u16::MAX;
+/// Operand word of a |0⟩ / ⟨0| cap. A gate tensor is `matrix << 1 |
+/// conjugate`, an intermediate `STEP | s`.
+const CAP: u16 = 0x7FFF;
+/// Operand word of a `Z` observable.
+const OBSERVABLE: u16 = 0x7FFE;
+/// Flag of the operand word of what step `s` of the same program left.
+const STEP: u16 = 0x8000;
+/// The cap's and the observable's data, at the front of every input buffer;
+/// the bound matrices follow.
+const FIXED_INPUTS: [Complex64; 4] = [
+    Complex64::new(1.0, 0.0),
+    Complex64::new(0.0, 0.0),
+    Complex64::new(1.0, 0.0),
+    Complex64::new(-1.0, 0.0),
+];
 /// Contraction id of a term with no qubits (`⟨Π Z⟩ = 1` by convention).
 const EMPTY_PRODUCT: u32 = u32::MAX;
 
-/// The cached structure of one problem's light-cone energy on one circuit
-/// template. Build with [`ExpectationPlan::build`], evaluate with
-/// [`ExpectationPlan::expectation`] /
-/// [`ExpectationPlan::expectation_sequential`].
+/// The compiled light-cone energy of one problem on one circuit template.
+/// Build with [`ExpectationPlan::build`], evaluate with
+/// [`ExpectationPlan::expectation_in`] /
+/// [`ExpectationPlan::expectation_sequential_in`].
 #[derive(Debug, Clone)]
 pub struct ExpectationPlan {
     num_qubits: usize,
@@ -43,12 +64,24 @@ pub struct ExpectationPlan {
     /// for the evaluations whose angles change the network's shape (see
     /// [`ExpectationPlan::expectation`]).
     template: Vec<[u16; 3]>,
-    /// The contraction of each cost term, or [`EMPTY_PRODUCT`].
+    /// The program of each cost term, or [`EMPTY_PRODUCT`].
     terms: Vec<u32>,
-    contractions: Vec<Contraction>,
-    skeletons: Vec<Skeleton>,
-    /// The integer tables of every skeleton and contraction, back to back.
-    pool: Vec<u16>,
+    programs: Vec<Program>,
+    /// The steps of every program, back to back.
+    steps: Vec<Step>,
+    /// Per step its operand words, then per program the words of the scalars
+    /// its steps leave.
+    operands: Vec<u16>,
+    /// Per operand after the first of a step, the product bit of each of its
+    /// indices (the first operand's indices are the product's leading bits).
+    shifts: Vec<u8>,
+    /// A program runs in an arena of the largest product's entries, then
+    /// every step's result.
+    product_len: usize,
+    results_len: usize,
+    max_steps: usize,
+    /// Distinct reduced circuits the programs were compiled from.
+    skeletons: usize,
 }
 
 /// One distinct gate matrix of the template.
@@ -56,9 +89,11 @@ pub struct ExpectationPlan {
 struct MatrixSpec {
     gate: Gate,
     angle: Angle,
-    /// Whether the skeletons attach this gate to existing indices. Exact for
+    /// Whether the networks attach this gate to existing indices. Exact for
     /// a fixed angle; the gate kind's answer for a parameterized one.
     diagonal: bool,
+    /// Where its entries sit in the bound inputs; the conjugates follow.
+    offset: u32,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -69,37 +104,51 @@ enum Angle {
     Slot { slot: u16, multiplier: f64 },
 }
 
-/// The network of one reduced circuit, as a run of `pool`:
-/// `[source; tensors] [index lists] [final ket index; width] [order]`.
+/// One contraction, compiled: runs of the plan's `steps`, `operands` and
+/// `shifts`.
 #[derive(Debug, Clone, Copy)]
-struct Skeleton {
-    start: u32,
-    /// Tensors before the observables (ket caps and ket gates).
-    ket_tensors: u16,
-    tensors: u16,
-    index_entries: u16,
-    /// Qubits of the reduced circuit.
-    width: u16,
-    order_len: u16,
-    order_width: u16,
-    heuristic: OrderingHeuristic,
+struct Program {
+    steps: u32,
+    operands: u32,
+    shifts: u32,
+    num_steps: u16,
+    /// Scalars the steps leave, multiplied in pool order.
+    num_scalars: u16,
 }
 
-/// One `⟨Π Z⟩` to contract per evaluation: a skeleton plus the relabelled
-/// observable qubits (a run of `pool`).
+/// One bucket of the elimination: multiply its tensors, sum out one index.
 #[derive(Debug, Clone, Copy)]
-struct Contraction {
-    skeleton: u32,
-    observables: u32,
-    arity: u16,
+struct Step {
+    /// Indices of the product: the first operand's, then each later
+    /// operand's new ones.
+    rank: u8,
+    /// Bit of a product position that holds the eliminated index.
+    bit: u8,
+    /// Tensors in the bucket.
+    operands: u16,
+}
+
+/// The buffers a plan evaluates in, reused from call to call so that a warm
+/// evaluation allocates nothing: the cap, the observable and every bound
+/// matrix; one arena and one step-offset table per parallel chunk of
+/// programs; the programs' values.
+#[derive(Debug, Default)]
+pub struct PlanScratch {
+    inputs: Vec<Complex64>,
+    arena: Vec<Complex64>,
+    offsets: Vec<u32>,
+    correlators: Vec<f64>,
 }
 
 fn narrow(value: usize, what: &'static str) -> Result<u16, TensorNetError> {
-    // `u16::MAX` itself is the cap marker.
-    u16::try_from(value)
-        .ok()
-        .filter(|&v| v != CAP)
-        .ok_or(TensorNetError::PlanTooLarge { what, count: value })
+    u16::try_from(value).map_err(|_| TensorNetError::PlanTooLarge { what, count: value })
+}
+
+fn offset(value: usize) -> Result<u32, TensorNetError> {
+    u32::try_from(value).map_err(|_| TensorNetError::PlanTooLarge {
+        what: "table entries",
+        count: value,
+    })
 }
 
 impl MatrixSpec {
@@ -126,6 +175,7 @@ impl MatrixSpec {
             gate: inst.gate,
             angle,
             diagonal,
+            offset: 0,
         })
     }
 
@@ -152,9 +202,12 @@ impl MatrixSpec {
 }
 
 /// Interns the distinct matrices of a template while the plan is built.
+#[derive(Default)]
 struct MatrixTable {
     specs: Vec<MatrixSpec>,
     ids: HashMap<(Gate, Option<u16>, u64), u16>,
+    /// Entries of the bound inputs so far (cap and observable first).
+    inputs_len: usize,
 }
 
 impl MatrixTable {
@@ -163,18 +216,20 @@ impl MatrixTable {
         inst: &Instruction,
         params: &[impl AsRef<str>],
     ) -> Result<u16, TensorNetError> {
-        let spec = MatrixSpec::of(inst, params)?;
+        let mut spec = MatrixSpec::of(inst, params)?;
         if let Some(&id) = self.ids.get(&spec.key()) {
             return Ok(id);
         }
-        // A tensor source word is `id << 1 | conjugate`, below the cap marker.
+        // A gate's operand word is `id << 1 | conjugate`, below the cap's.
         let id = u16::try_from(self.specs.len())
             .ok()
-            .filter(|&id| id < CAP >> 1)
+            .filter(|&id| id < OBSERVABLE >> 1)
             .ok_or(TensorNetError::PlanTooLarge {
                 what: "distinct gate matrices",
                 count: self.specs.len(),
             })?;
+        spec.offset = offset(self.inputs_len)?;
+        self.inputs_len += 2 << spec.rank();
         self.ids.insert(spec.key(), id);
         self.specs.push(spec);
         Ok(id)
@@ -201,6 +256,125 @@ impl MatrixTable {
     }
 }
 
+/// The network of one reduced circuit while a program is compiled from it.
+struct Layout {
+    /// Per tensor in network order, without the observables: its operand
+    /// word and rank. Their index lists are back to back in `indices`.
+    tensors: Vec<(u16, u8)>,
+    indices: Vec<u16>,
+    /// Tensors before the observables (ket caps and ket gates).
+    ket_tensors: usize,
+    /// The final ket index of every qubit, where observables attach.
+    outputs: Vec<u16>,
+}
+
+impl Layout {
+    fn of(
+        circuit: &Circuit,
+        rows: &[[u16; 3]],
+        matrices: &[MatrixSpec],
+    ) -> Result<Layout, TensorNetError> {
+        let mut tensors = Vec::new();
+        let mut indices = Vec::new();
+        let mut ket_tensors = 0;
+        let mut outputs = Vec::new();
+        // Observing every qubit reports each one's final ket index and marks
+        // the ket/bra boundary.
+        let num_indices = expectation_layout(
+            circuit,
+            &|i| matrices[usize::from(rows[i][0])].diagonal,
+            0..circuit.num_qubits(),
+            &mut |source, tensor_indices| {
+                let word = match source {
+                    TensorSource::Observable(_) => {
+                        outputs.push(tensor_indices[0]);
+                        ket_tensors = tensors.len();
+                        return;
+                    }
+                    TensorSource::Cap => CAP,
+                    TensorSource::Gate {
+                        instruction,
+                        conjugate,
+                    } => rows[instruction][0] << 1 | u16::from(conjugate),
+                };
+                // A gate tensor has at most four indices.
+                tensors.push((word, tensor_indices.len() as u8));
+                indices.extend_from_slice(tensor_indices);
+            },
+        );
+        narrow(num_indices, "indices")?;
+        // Checked above: every index is below `num_indices`.
+        let compact = |list: &[usize]| list.iter().map(|&i| i as u16).collect();
+        Ok(Layout {
+            indices: compact(&indices),
+            outputs: compact(&outputs),
+            tensors,
+            ket_tensors,
+        })
+    }
+
+    /// The elimination order `TensorNetwork::best_order` gives the network
+    /// of any term on this reduced circuit: the observables are rank-1
+    /// tensors on indices the ket side already carries, so they add neither
+    /// a vertex nor an edge.
+    fn best_order(&self) -> Vec<u16> {
+        let indices: Vec<usize> = self.indices.iter().map(|&i| usize::from(i)).collect();
+        let mut start = 0;
+        let lists = self.tensors.iter().map(|&(_, rank)| {
+            start += usize::from(rank);
+            &indices[start - usize::from(rank)..start]
+        });
+        let order = InteractionGraph::from_tensor_indices(lists).best_order();
+        // The same indices, which `Layout::of` checked fit.
+        order.order.iter().map(|&i| i as u16).collect()
+    }
+}
+
+/// A tensor alive in the replayed pool: its operand word and index list (a
+/// run of [`Replay::indices`]).
+#[derive(Debug, Clone, Copy)]
+struct Live {
+    word: u16,
+    rank: u16,
+    start: u32,
+}
+
+impl Live {
+    fn indices<'a>(&self, indices: &'a [u16]) -> &'a [u16] {
+        &indices[self.start as usize..][..usize::from(self.rank)]
+    }
+}
+
+/// Buffers of the compile-time replay, reused across the plan's programs.
+#[derive(Default)]
+struct Replay {
+    pool: Vec<Live>,
+    bucket: Vec<Live>,
+    rest: Vec<Live>,
+    indices: Vec<u16>,
+    product: Vec<u16>,
+}
+
+impl Replay {
+    /// Append a tensor to the pool. Ranks are at most the width limit, and
+    /// a contraction's lists (four indices per tensor at most, then one
+    /// product per index of the network) stay far below `2^32` entries.
+    fn push(
+        pool: &mut Vec<Live>,
+        indices: &mut Vec<u16>,
+        word: u16,
+        own: impl Iterator<Item = u16>,
+    ) {
+        let start = indices.len() as u32;
+        indices.extend(own);
+        pool.push(Live {
+            word,
+            rank: (indices.len() - start as usize) as u16,
+            start,
+        });
+    }
+}
+
 impl ExpectationPlan {
     /// Plan the energy of `problem` on `template`, whose free parameters are
     /// named by `params` in the order [`ExpectationPlan::expectation`] takes
@@ -216,7 +390,7 @@ impl ExpectationPlan {
         problem: &Problem,
         params: &[impl AsRef<str>],
     ) -> Result<ExpectationPlan, TensorNetError> {
-        // Skeleton and contraction ids are below the term count.
+        // Program ids are below the term count.
         if problem.terms().len() >= EMPTY_PRODUCT as usize {
             return Err(TensorNetError::PlanTooLarge {
                 what: "cost terms",
@@ -224,8 +398,8 @@ impl ExpectationPlan {
             });
         }
         let mut table = MatrixTable {
-            specs: Vec::new(),
-            ids: HashMap::new(),
+            inputs_len: FIXED_INPUTS.len(),
+            ..MatrixTable::default()
         };
         let mut plan = ExpectationPlan {
             num_qubits: template.num_qubits(),
@@ -233,12 +407,20 @@ impl ExpectationPlan {
             matrices: Vec::new(),
             template: table.rows(template, params)?,
             terms: Vec::with_capacity(problem.terms().len()),
-            contractions: Vec::new(),
-            skeletons: Vec::new(),
-            pool: Vec::new(),
+            programs: Vec::new(),
+            steps: Vec::new(),
+            operands: Vec::new(),
+            shifts: Vec::new(),
+            product_len: 0,
+            results_len: 0,
+            max_steps: 0,
+            skeletons: 0,
         };
-        let mut skeleton_ids: HashMap<(usize, Vec<[u16; 3]>), u32> = HashMap::new();
-        let mut contraction_ids: HashMap<(u32, Vec<u16>), u32> = HashMap::new();
+        // Per distinct reduced circuit (a skeleton), its elimination order.
+        let mut orders: Vec<Vec<u16>> = Vec::new();
+        let mut skeleton_ids: HashMap<(usize, Vec<[u16; 3]>), usize> = HashMap::new();
+        let mut program_ids: HashMap<(usize, Vec<u16>), u32> = HashMap::new();
+        let mut replay = Replay::default();
 
         for term in problem.terms() {
             if term.qubits().is_empty() {
@@ -248,14 +430,13 @@ impl ExpectationPlan {
             let cone = LightCone::of(template, term.qubits());
             // A reduced circuit is its width and its rows.
             let key = (cone.width(), table.rows(&cone.circuit, params)?);
-            let skeleton = match skeleton_ids.get(&key) {
-                Some(&id) => id,
+            let (skeleton, mut layout) = match skeleton_ids.get(&key) {
+                Some(&id) => (id, None),
                 None => {
-                    let id = plan.skeletons.len() as u32;
-                    let skeleton = plan.push_skeleton(&cone.circuit, &key.1, &table.specs)?;
-                    plan.skeletons.push(skeleton);
-                    skeleton_ids.insert(key, id);
-                    id
+                    let layout = Layout::of(&cone.circuit, &key.1, &table.specs)?;
+                    orders.push(layout.best_order());
+                    skeleton_ids.insert(key, orders.len() - 1);
+                    (orders.len() - 1, Some(layout))
                 }
             };
             let observables = term
@@ -266,122 +447,184 @@ impl ExpectationPlan {
                     narrow(relabelled, "qubits")
                 })
                 .collect::<Result<Vec<u16>, _>>()?;
-            let contraction = Contraction {
-                skeleton,
-                observables: plan.pool_offset()?,
-                arity: narrow(observables.len(), "observables of one term")?,
+            let id = match program_ids.entry((skeleton, observables)) {
+                Entry::Occupied(e) => *e.get(),
+                Entry::Vacant(e) => {
+                    // The network of a skeleton seen before: laid out again
+                    // (cheap, unlike its order) rather than kept.
+                    let layout = match layout.take() {
+                        Some(layout) => layout,
+                        None => {
+                            let rows = table.rows(&cone.circuit, params)?;
+                            Layout::of(&cone.circuit, &rows, &table.specs)?
+                        }
+                    };
+                    let program =
+                        plan.compile(&layout, &orders[skeleton], &e.key().1, &mut replay)?;
+                    plan.programs.push(program);
+                    *e.insert(plan.programs.len() as u32 - 1)
+                }
             };
-            let id = *contraction_ids
-                .entry((skeleton, observables))
-                .or_insert_with_key(|(_, observables)| {
-                    plan.pool.extend_from_slice(observables);
-                    plan.contractions.push(contraction);
-                    plan.contractions.len() as u32 - 1
-                });
             plan.terms.push(id);
         }
 
+        plan.skeletons = orders.len();
         plan.matrices = table.specs;
         plan.matrices.shrink_to_fit();
         plan.template.shrink_to_fit();
-        plan.contractions.shrink_to_fit();
-        plan.skeletons.shrink_to_fit();
-        plan.pool.shrink_to_fit();
+        plan.programs.shrink_to_fit();
+        plan.steps.shrink_to_fit();
+        plan.operands.shrink_to_fit();
+        plan.shifts.shrink_to_fit();
         Ok(plan)
     }
 
-    /// Where the next run of the pool starts.
-    fn pool_offset(&self) -> Result<u32, TensorNetError> {
-        u32::try_from(self.pool.len()).map_err(|_| TensorNetError::PlanTooLarge {
-            what: "table entries",
-            count: self.pool.len(),
+    /// Compile one contraction: replay `contract_with_order` under `order`
+    /// on the index lists of the network of `layout` with `observables`
+    /// attached after its ket side, and append what every bucket multiplies
+    /// and sums.
+    ///
+    /// Fails with [`TensorNetError::WidthLimitExceeded`] where the
+    /// contraction would: at the first product wider than
+    /// [`DEFAULT_WIDTH_LIMIT`].
+    fn compile(
+        &mut self,
+        layout: &Layout,
+        order: &[u16],
+        observables: &[u16],
+        replay: &mut Replay,
+    ) -> Result<Program, TensorNetError> {
+        let Replay {
+            pool,
+            bucket,
+            rest,
+            indices,
+            product,
+        } = replay;
+        pool.clear();
+        indices.clear();
+        let mut start = 0;
+        for (position, &(word, rank)) in layout.tensors.iter().enumerate() {
+            if position == layout.ket_tensors {
+                for &q in observables {
+                    let output = layout.outputs[usize::from(q)];
+                    Replay::push(pool, indices, OBSERVABLE, [output].into_iter());
+                }
+            }
+            let own = &layout.indices[start..][..usize::from(rank)];
+            Replay::push(pool, indices, word, own.iter().copied());
+            start += own.len();
+        }
+
+        let program = Program {
+            steps: offset(self.steps.len())?,
+            operands: offset(self.operands.len())?,
+            shifts: offset(self.shifts.len())?,
+            num_steps: 0,
+            num_scalars: 0,
+        };
+        let mut num_steps = 0;
+        let mut results = 0;
+        for &index in order {
+            // Pull out every tensor carrying this index, keeping pool order.
+            bucket.clear();
+            rest.clear();
+            for &live in pool.iter() {
+                if live.indices(indices).contains(&index) {
+                    bucket.push(live);
+                } else {
+                    rest.push(live);
+                }
+            }
+            std::mem::swap(pool, rest);
+            if bucket.is_empty() {
+                continue;
+            }
+
+            // The product's indices, as pairwise `Tensor::multiply` orders
+            // them.
+            product.clear();
+            for live in bucket.iter() {
+                for &i in live.indices(indices) {
+                    if !product.contains(&i) {
+                        product.push(i);
+                    }
+                }
+            }
+            let rank = product.len();
+            if rank > DEFAULT_WIDTH_LIMIT {
+                return Err(TensorNetError::WidthLimitExceeded {
+                    width: rank,
+                    limit: DEFAULT_WIDTH_LIMIT,
+                });
+            }
+            // The first index is the most significant bit.
+            let bit_of = |i: u16| {
+                let position = product.iter().position(|&p| p == i);
+                (rank - 1 - position.expect("index is in the product")) as u8
+            };
+            self.steps.push(Step {
+                rank: rank as u8,
+                bit: bit_of(index),
+                operands: narrow(bucket.len(), "tensors of one bucket")?,
+            });
+            for (k, live) in bucket.iter().enumerate() {
+                self.operands.push(live.word);
+                if k > 0 {
+                    let own = live.indices(indices);
+                    self.shifts.extend(own.iter().map(|&i| bit_of(i)));
+                }
+            }
+
+            // The sum over the index goes to the back of the pool.
+            let word = u16::try_from(num_steps).ok().filter(|&s| s < STEP).ok_or(
+                TensorNetError::PlanTooLarge {
+                    what: "steps of one contraction",
+                    count: num_steps,
+                },
+            )?;
+            let summed = product.iter().copied().filter(|&i| i != index);
+            Replay::push(pool, indices, STEP | word, summed);
+            self.product_len = self.product_len.max(1 << rank);
+            results += 1 << (rank - 1);
+            num_steps += 1;
+        }
+
+        // Everything left must be scalar.
+        for live in pool.iter() {
+            if live.rank != 0 {
+                return Err(TensorNetError::OpenIndicesRemain {
+                    count: usize::from(live.rank),
+                });
+            }
+            self.operands.push(live.word);
+        }
+        // An evaluation addresses step results by `u32` offsets.
+        offset(results)?;
+        self.max_steps = self.max_steps.max(num_steps);
+        self.results_len = self.results_len.max(results);
+        Ok(Program {
+            num_steps: narrow(num_steps, "steps of one contraction")?,
+            num_scalars: narrow(pool.len(), "scalars of one contraction")?,
+            ..program
         })
     }
 
-    /// Lay out the network of one reduced circuit, pick its elimination
-    /// order, and append both to the pool.
-    fn push_skeleton(
-        &mut self,
-        circuit: &Circuit,
-        rows: &[[u16; 3]],
-        matrices: &[MatrixSpec],
-    ) -> Result<Skeleton, TensorNetError> {
-        let width = circuit.num_qubits();
-        let mut sources: Vec<u16> = Vec::new();
-        let mut ranks: Vec<usize> = Vec::new();
-        let mut indices: Vec<usize> = Vec::new();
-        let mut outputs: Vec<usize> = Vec::new();
-        let mut ket_tensors = 0;
-        // Observing every qubit reports each one's final ket index — where a
-        // contraction's observables attach — and marks the ket/bra boundary.
-        let num_indices = expectation_layout(
-            circuit,
-            &|i| matrices[usize::from(rows[i][0])].diagonal,
-            0..width,
-            &mut |source, tensor_indices| {
-                let word = match source {
-                    TensorSource::Observable(_) => {
-                        outputs.push(tensor_indices[0]);
-                        ket_tensors = sources.len();
-                        return;
-                    }
-                    TensorSource::Cap => CAP,
-                    TensorSource::Gate {
-                        instruction,
-                        conjugate,
-                    } => rows[instruction][0] << 1 | u16::from(conjugate),
-                };
-                sources.push(word);
-                ranks.push(tensor_indices.len());
-                indices.extend_from_slice(tensor_indices);
-            },
-        );
-
-        // The observables are rank-1 tensors on indices the ket side already
-        // carries: they add neither a vertex nor an edge, so every term on
-        // this reduced circuit gets the order `TensorNetwork::best_order`
-        // would give its own network.
-        let mut offset = 0;
-        let lists = ranks.iter().map(|&rank| {
-            offset += rank;
-            &indices[offset - rank..offset]
-        });
-        let order = InteractionGraph::from_tensor_indices(lists).best_order();
-        if order.width > DEFAULT_WIDTH_LIMIT {
-            return Err(TensorNetError::WidthLimitExceeded {
-                width: order.width,
-                limit: DEFAULT_WIDTH_LIMIT,
-            });
-        }
-
-        narrow(num_indices, "indices")?;
-        let skeleton = Skeleton {
-            start: self.pool_offset()?,
-            ket_tensors: narrow(ket_tensors, "tensors")?,
-            tensors: narrow(sources.len(), "tensors")?,
-            index_entries: narrow(indices.len(), "tensor indices")?,
-            width: narrow(width, "qubits")?,
-            order_len: narrow(order.order.len(), "indices")?,
-            order_width: order.width as u16,
-            heuristic: order.heuristic,
-        };
-        self.pool.extend(sources);
-        // Checked above: every index is below `num_indices`.
-        self.pool.extend(indices.iter().map(|&i| i as u16));
-        self.pool.extend(outputs.iter().map(|&i| i as u16));
-        self.pool.extend(order.order.iter().map(|&i| i as u16));
-        Ok(skeleton)
+    /// Complex entries one program runs in.
+    fn arena_len(&self) -> usize {
+        self.product_len + self.results_len
     }
 
     /// Number of distinct networks contracted per evaluation (at most one per
     /// cost term).
     pub fn num_contractions(&self) -> usize {
-        self.contractions.len()
+        self.programs.len()
     }
 
-    /// Number of distinct network skeletons (at most one per contraction).
+    /// Number of distinct reduced circuits the contractions were compiled
+    /// from (at most one per contraction).
     pub fn num_skeletons(&self) -> usize {
-        self.skeletons.len()
+        self.skeletons
     }
 
     /// Heap bytes the plan owns.
@@ -390,9 +633,10 @@ impl ExpectationPlan {
         self.matrices.capacity() * size_of::<MatrixSpec>()
             + self.template.capacity() * size_of::<[u16; 3]>()
             + self.terms.capacity() * size_of::<u32>()
-            + self.contractions.capacity() * size_of::<Contraction>()
-            + self.skeletons.capacity() * size_of::<Skeleton>()
-            + self.pool.capacity() * size_of::<u16>()
+            + self.programs.capacity() * size_of::<Program>()
+            + self.steps.capacity() * size_of::<Step>()
+            + self.operands.capacity() * size_of::<u16>()
+            + self.shifts.capacity()
     }
 
     /// The energy ⟨C⟩ of the planned problem at `values`: bit for bit
@@ -405,14 +649,26 @@ impl ExpectationPlan {
     /// bound network has a different shape than the planned one; such an
     /// evaluation binds the template and takes the per-call path instead.
     pub fn expectation(&self, problem: &Problem, values: &[f64]) -> Result<f64, TensorNetError> {
-        let Some(correlators) = self.correlators(problem, values, true)? else {
+        self.expectation_in(problem, values, &mut PlanScratch::default())
+    }
+
+    /// [`ExpectationPlan::expectation`] in caller-owned buffers: once they
+    /// have grown to this plan's size, only Rayon's drivers allocate.
+    pub fn expectation_in(
+        &self,
+        problem: &Problem,
+        values: &[f64],
+        scratch: &mut PlanScratch,
+    ) -> Result<f64, TensorNetError> {
+        if !self.correlators(problem, values, true, scratch)? {
             return lightcone::problem_expectation(&self.bind_template(values), problem);
-        };
+        }
+        let correlators = &scratch.correlators;
         let contributions = problem
             .terms()
             .iter()
             .zip(&self.terms)
-            .map(|(t, &id)| t.offset() + t.coeff() * correlator(&correlators, id));
+            .map(|(t, &id)| t.offset() + t.coeff() * correlator(correlators, id));
         Ok(problem.constant() + contributions.sum::<f64>())
     }
 
@@ -423,24 +679,36 @@ impl ExpectationPlan {
         problem: &Problem,
         values: &[f64],
     ) -> Result<f64, TensorNetError> {
-        let Some(correlators) = self.correlators(problem, values, false)? else {
+        self.expectation_sequential_in(problem, values, &mut PlanScratch::default())
+    }
+
+    /// [`ExpectationPlan::expectation_sequential`] in caller-owned buffers:
+    /// once they have grown to this plan's size, it allocates nothing.
+    pub fn expectation_sequential_in(
+        &self,
+        problem: &Problem,
+        values: &[f64],
+        scratch: &mut PlanScratch,
+    ) -> Result<f64, TensorNetError> {
+        if !self.correlators(problem, values, false, scratch)? {
             return lightcone::problem_expectation_sequential(&self.bind_template(values), problem);
-        };
+        }
         let mut total = problem.constant();
         for (t, &id) in problem.terms().iter().zip(&self.terms) {
-            total += t.offset() + t.coeff() * correlator(&correlators, id);
+            total += t.offset() + t.coeff() * correlator(&scratch.correlators, id);
         }
         Ok(total)
     }
 
-    /// `⟨Π Z⟩` of every contraction at `values`, or `None` when the angles
-    /// change the shape of the network.
+    /// `⟨Π Z⟩` of every program at `values`, into `scratch.correlators`;
+    /// `false` when the angles change the shape of the network.
     fn correlators(
         &self,
         problem: &Problem,
         values: &[f64],
         parallel: bool,
-    ) -> Result<Option<Vec<f64>>, TensorNetError> {
+        scratch: &mut PlanScratch,
+    ) -> Result<bool, TensorNetError> {
         if values.len() != self.num_params || problem.terms().len() != self.terms.len() {
             return Err(TensorNetError::PlanMismatch {
                 params: self.num_params,
@@ -449,33 +717,79 @@ impl ExpectationPlan {
                 got_terms: problem.terms().len(),
             });
         }
-        let Some(matrices) = self.bind_matrices(values) else {
-            return Ok(None);
-        };
-        let contract = |c: &Contraction| self.contract(c, &matrices);
-        let correlators: Result<Vec<f64>, _> = if parallel {
-            self.contractions.par_iter().map(contract).collect()
+        let PlanScratch {
+            inputs,
+            arena,
+            offsets,
+            correlators,
+        } = scratch;
+        if !self.bind_inputs(values, inputs) {
+            return Ok(false);
+        }
+        let count = self.programs.len();
+        correlators.clear();
+        correlators.resize(count, 0.0);
+        if count == 0 {
+            return Ok(true);
+        }
+        // One arena per chunk of consecutive programs, one chunk per worker.
+        let workers = if parallel {
+            rayon::current_num_threads().clamp(1, count)
         } else {
-            self.contractions.iter().map(contract).collect()
+            1
         };
-        correlators.map(Some)
+        let chunk = count.div_ceil(workers);
+        let chunks = count.div_ceil(chunk);
+        arena.resize(chunks * self.arena_len(), Complex64::default());
+        offsets.resize(chunks * self.max_steps, 0);
+        let inputs = &inputs[..];
+        let run_chunk =
+            |k: usize, out: &mut [f64], arena: &mut [Complex64], offsets: &mut [u32]| {
+                for (value, program) in out.iter_mut().zip(&self.programs[k * chunk..]) {
+                    *value = self.run(program, inputs, arena, offsets);
+                }
+            };
+        if chunks == 1 {
+            run_chunk(0, correlators, arena, offsets);
+        } else {
+            correlators
+                .par_chunks_mut(chunk)
+                .zip(arena.par_chunks_mut(self.arena_len()))
+                .zip(offsets.par_chunks_mut(self.max_steps))
+                .enumerate()
+                .for_each(|(k, ((out, arena), offsets))| run_chunk(k, out, arena, offsets));
+        }
+        Ok(true)
     }
 
-    /// The data of each distinct gate matrix at `values` (the diagonal of a
-    /// diagonal one); `None` when one of them is diagonal where its skeletons
-    /// are not, or the reverse.
-    fn bind_matrices(&self, values: &[f64]) -> Option<Vec<Vec<Complex64>>> {
-        self.matrices
-            .iter()
-            .map(|spec| {
-                let matrix = GateMatrix::of(spec.gate, spec.theta(values));
-                match matrix.diagonal() {
-                    Some(diagonal) if spec.diagonal => Some(diagonal),
-                    None if !spec.diagonal => Some(matrix.data().to_vec()),
-                    _ => None,
-                }
-            })
-            .collect()
+    /// Write the cap, the observable and every distinct gate matrix at
+    /// `values` (the diagonal of a diagonal one), each followed by its
+    /// conjugate, into `inputs`; `false` when one of them is diagonal where
+    /// the programs' networks do not attach it to existing indices, or the
+    /// reverse.
+    fn bind_inputs(&self, values: &[f64], inputs: &mut Vec<Complex64>) -> bool {
+        inputs.clear();
+        inputs.extend_from_slice(&FIXED_INPUTS);
+        for spec in &self.matrices {
+            let matrix = GateMatrix::of(spec.gate, spec.theta(values));
+            let (dim, data) = (matrix.dim(), matrix.data());
+            // `GateMatrix::diagonal`'s test, without its allocation.
+            let off_diagonal = (0..dim * dim).any(|k| k % (dim + 1) != 0 && data[k].norm() > 1e-12);
+            if off_diagonal == spec.diagonal {
+                return false;
+            }
+            let start = inputs.len();
+            if spec.diagonal {
+                inputs.extend((0..dim).map(|r| data[r * (dim + 1)]));
+            } else {
+                inputs.extend_from_slice(data);
+            }
+            for k in start..inputs.len() {
+                let conjugate = inputs[k].conj();
+                inputs.push(conjugate);
+            }
+        }
+        true
     }
 
     /// The template with every parameter bound, as `Circuit::bind` builds it.
@@ -494,57 +808,105 @@ impl ExpectationPlan {
         circuit
     }
 
-    /// `⟨Π Z⟩` of one contraction: refill its skeleton's tensors, attach the
-    /// observables after the ket side, contract under the cached order.
-    fn contract(
+    /// `⟨Π Z⟩` of one program: every step into the arena in turn, then the
+    /// product of the scalars they leave, from `1 + 0i` in pool order.
+    fn run(
         &self,
-        c: &Contraction,
-        matrices: &[Vec<Complex64>],
-    ) -> Result<f64, TensorNetError> {
-        let sk = &self.skeletons[c.skeleton as usize];
-        let (sources, rest) = self.pool[sk.start as usize..].split_at(usize::from(sk.tensors));
-        let (mut indices, rest) = rest.split_at(usize::from(sk.index_entries));
-        let (outputs, rest) = rest.split_at(usize::from(sk.width));
-        let order = &rest[..usize::from(sk.order_len)];
-        let observables = &self.pool[c.observables as usize..][..usize::from(c.arity)];
+        program: &Program,
+        inputs: &[Complex64],
+        arena: &mut [Complex64],
+        offsets: &mut [u32],
+    ) -> f64 {
+        let (product, results) = arena.split_at_mut(self.product_len);
+        let steps = &self.steps[program.steps as usize..][..usize::from(program.num_steps)];
+        let mut words = &self.operands[program.operands as usize..];
+        let mut shifts = &self.shifts[program.shifts as usize..];
+        let mut end = 0;
+        for (s, step) in steps.iter().enumerate() {
+            let rank = usize::from(step.rank);
+            let (bucket, rest) = words.split_at(usize::from(step.operands));
+            words = rest;
+            offsets[s] = end as u32;
+            let (earlier, out) = results.split_at_mut(end);
+            let out = &mut out[..1 << (rank - 1)];
+            end += out.len();
+            out.fill(Complex64::new(0.0, 0.0));
+            // `pos` without the eliminated bit: where `sum_over` adds it.
+            let low = (1usize << step.bit) - 1;
+            let summed = |pos: usize| ((pos >> 1) & !low) | (pos & low);
+            let operand = |word: u16| self.operand(word, inputs, earlier, offsets, steps);
 
-        let mut tensors = Vec::with_capacity(sources.len() + observables.len());
-        let mut scratch = [0usize; 4];
-        for (position, &source) in sources.iter().enumerate() {
-            if position == usize::from(sk.ket_tensors) {
-                tensors.extend(
-                    observables
-                        .iter()
-                        .map(|&q| observable(usize::from(outputs[usize::from(q)]), [1.0, -1.0])),
-                );
-            }
-            let rank = match source {
-                CAP => 1,
-                gate => self.matrices[usize::from(gate >> 1)].rank(),
+            let (first, first_rank) = operand(bucket[0]);
+            let Some((&last, middle)) = bucket[1..].split_last() else {
+                // A bucket of one: the product is the tensor itself.
+                for (pos, &value) in first.iter().enumerate() {
+                    out[summed(pos)] += value;
+                }
+                continue;
             };
-            let (own, later) = indices.split_at(rank);
-            indices = later;
-            for (slot, &index) in scratch.iter_mut().zip(own) {
-                *slot = usize::from(index);
+            let product = &mut product[..1 << rank];
+            let lead = rank - first_rank;
+            for (pos, entry) in product.iter_mut().enumerate() {
+                *entry = first[pos >> lead];
             }
-            tensors.push(match source {
-                CAP => ket_zero(scratch[0]),
-                gate => gate_tensor(
-                    &scratch[..rank],
-                    &matrices[usize::from(gate >> 1)],
-                    gate & 1 == 1,
-                ),
-            });
+            for &word in middle {
+                let (data, own) = operand(word);
+                let (own, later) = shifts.split_at(own);
+                shifts = later;
+                for (pos, entry) in product.iter_mut().enumerate() {
+                    *entry *= data[gather(pos, own)];
+                }
+            }
+            let (data, own) = operand(last);
+            let (own, later) = shifts.split_at(own);
+            shifts = later;
+            for (pos, &entry) in product.iter().enumerate() {
+                out[summed(pos)] += entry * data[gather(pos, own)];
+            }
         }
-        let order = ContractionOrder {
-            order: order.iter().map(|&i| usize::from(i)).collect(),
-            width: usize::from(sk.order_width),
-            heuristic: sk.heuristic,
-        };
-        Ok(contract_with_order(tensors, &order, DEFAULT_WIDTH_LIMIT)?
-            .0
-            .re)
+        let mut value = Complex64::new(1.0, 0.0);
+        for &word in &words[..usize::from(program.num_scalars)] {
+            value *= results[offsets[usize::from(word & !STEP)] as usize];
+        }
+        value.re
     }
+
+    /// The data and rank of one operand: an input, or what an earlier step
+    /// of the same program left.
+    #[inline]
+    fn operand<'a>(
+        &self,
+        word: u16,
+        inputs: &'a [Complex64],
+        earlier: &'a [Complex64],
+        offsets: &[u32],
+        steps: &[Step],
+    ) -> (&'a [Complex64], usize) {
+        let (data, start, rank) = match word {
+            CAP => (inputs, 0, 1),
+            OBSERVABLE => (inputs, 2, 1),
+            gate if gate & STEP == 0 => {
+                let spec = &self.matrices[usize::from(gate >> 1)];
+                let rank = spec.rank();
+                let start = spec.offset as usize + (usize::from(gate & 1) << rank);
+                (inputs, start, rank)
+            }
+            step => {
+                let s = usize::from(step & !STEP);
+                (earlier, offsets[s] as usize, usize::from(steps[s].rank) - 1)
+            }
+        };
+        (&data[start..][..1 << rank], rank)
+    }
+}
+
+/// The entry of an operand at product position `pos`: its indices' bits,
+/// the first most significant.
+#[inline]
+fn gather(pos: usize, shifts: &[u8]) -> usize {
+    shifts
+        .iter()
+        .fold(0, |entry, &shift| (entry << 1) | ((pos >> shift) & 1))
 }
 
 fn correlator(correlators: &[f64], id: u32) -> f64 {
@@ -556,43 +918,119 @@ fn correlator(correlators: &[f64], id: u32) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+impl ExpectationPlan {
+    /// Per cost term `⟨Π Z⟩` as its program computes it at `values` (`None`
+    /// for a term without qubits); `None` when the angles change the network
+    /// shape and no program runs.
+    pub(crate) fn term_correlators(&self, values: &[f64]) -> Option<Vec<Option<f64>>> {
+        let mut scratch = PlanScratch::default();
+        if !self.bind_inputs(values, &mut scratch.inputs) {
+            return None;
+        }
+        let mut arena = vec![Complex64::default(); self.arena_len()];
+        let mut offsets = vec![0; self.max_steps];
+        let terms = self.terms.iter().map(|&id| {
+            (id != EMPTY_PRODUCT).then(|| {
+                let program = &self.programs[id as usize];
+                self.run(program, &scratch.inputs, &mut arena, &mut offsets)
+            })
+        });
+        Some(terms.collect())
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
     use super::*;
+    use crate::contraction::contract_with_order;
     use crate::network::TensorNetwork;
     use graphs::Graph;
 
     const PARAMS: [&str; 2] = ["gamma_0", "beta_0"];
 
-    /// A p = 1 QAOA template: H layer, `RZZ(-2γ)` per edge, `mixer(2β)` gate
-    /// by gate over every qubit.
-    fn template(graph: &Graph, mixer: &[Gate]) -> Circuit {
+    /// A depth-`p` QAOA template for `problem` on `graph`'s register: H
+    /// layer, then per layer `RZZ(-2γ_k)` per edge, `RZ(-4cγ_k)` per
+    /// locality-1 term and `mixer(2β_k)` gate by gate over every qubit.
+    pub(crate) fn qaoa_template(
+        graph: &Graph,
+        problem: &Problem,
+        mixer: &[Gate],
+        p: usize,
+    ) -> Circuit {
         let mut c = Circuit::new(graph.num_nodes());
         c.h_layer();
-        for e in graph.edges() {
-            c.push(Gate::RZZ, &[e.u, e.v], Parameter::free("gamma_0", -2.0));
-        }
-        for &gate in mixer {
-            for q in 0..graph.num_nodes() {
-                let parameter = if gate.is_parameterized() {
-                    Parameter::free("beta_0", 2.0)
-                } else {
-                    Parameter::None
-                };
-                c.push(gate, &[q], parameter);
+        for k in 0..p {
+            let gamma = format!("gamma_{k}");
+            for e in graph.edges() {
+                c.push(Gate::RZZ, &[e.u, e.v], Parameter::free(&gamma, -2.0));
+            }
+            for t in problem.terms().iter().filter(|t| t.locality() == 1) {
+                c.push(
+                    Gate::RZ,
+                    t.qubits(),
+                    Parameter::free(&gamma, -4.0 * t.coeff()),
+                );
+            }
+            for &gate in mixer {
+                for q in 0..graph.num_nodes() {
+                    let parameter = if gate.is_parameterized() {
+                        Parameter::free(format!("beta_{k}"), 2.0)
+                    } else {
+                        Parameter::None
+                    };
+                    c.push(gate, &[q], parameter);
+                }
             }
         }
         c
     }
 
-    fn bound(template: &Circuit, values: &[f64]) -> Circuit {
-        template
-            .bind(&[("gamma_0", values[0]), ("beta_0", values[1])])
-            .unwrap()
+    /// The flat `[γ…, β…]` parameter names of a depth-`p` template.
+    pub(crate) fn qaoa_params(p: usize) -> Vec<String> {
+        (0..p)
+            .map(|k| format!("gamma_{k}"))
+            .chain((0..p).map(|k| format!("beta_{k}")))
+            .collect()
+    }
+
+    fn template(graph: &Graph, mixer: &[Gate]) -> Circuit {
+        qaoa_template(graph, &Problem::max_cut(graph), mixer, 1)
+    }
+
+    pub(crate) fn bind(template: &Circuit, values: &[f64]) -> Circuit {
+        let names = qaoa_params(values.len() / 2);
+        let bindings: Vec<(&str, f64)> = names
+            .iter()
+            .map(String::as_str)
+            .zip(values.iter().copied())
+            .collect();
+        template.bind(&bindings).unwrap()
+    }
+
+    /// `⟨Π Z⟩` of one term the bind-per-call way: cone of the bound circuit,
+    /// `for_diagonal_expectation`, `contract_with_order` under `best_order`.
+    pub(crate) fn per_call_correlator(
+        circuit: &Circuit,
+        qubits: &[usize],
+    ) -> (f64, crate::contraction::ContractionStats) {
+        let cone = LightCone::of(circuit, qubits);
+        let observables: Vec<(usize, [f64; 2])> = qubits
+            .iter()
+            .map(|&q| (cone.relabelled(q).unwrap(), [1.0, -1.0]))
+            .collect();
+        let net = TensorNetwork::for_diagonal_expectation(&cone.circuit, &observables).unwrap();
+        let (value, stats) = contract_with_order(
+            net.tensors().to_vec(),
+            &net.best_order(),
+            DEFAULT_WIDTH_LIMIT,
+        )
+        .unwrap();
+        (value.re, stats)
     }
 
     fn assert_matches_per_call(template: &Circuit, problem: &Problem, values: &[f64]) {
         let plan = ExpectationPlan::build(template, problem, &PARAMS).unwrap();
-        let circuit = bound(template, values);
+        let circuit = bind(template, values);
         let parallel = lightcone::problem_expectation(&circuit, problem).unwrap();
         let sequential = lightcone::problem_expectation_sequential(&circuit, problem).unwrap();
         assert_eq!(
@@ -616,38 +1054,22 @@ mod tests {
         let template = template(&graph, &[Gate::RX, Gate::H, Gate::RZ]);
         let plan = ExpectationPlan::build(&template, &problem, &PARAMS).unwrap();
         let values = [0.4, 0.3];
-        let matrices = plan.bind_matrices(&values).expect("generic angles");
-        let circuit = bound(&template, &values);
-        for (term, &id) in problem.terms().iter().zip(&plan.terms) {
-            let cone = LightCone::of(&circuit, term.qubits());
-            let observables: Vec<(usize, [f64; 2])> = term
-                .qubits()
-                .iter()
-                .map(|&q| (cone.relabelled(q).unwrap(), [1.0, -1.0]))
-                .collect();
-            let net = TensorNetwork::for_diagonal_expectation(&cone.circuit, &observables).unwrap();
-
-            let c = &plan.contractions[id as usize];
-            let sk = &plan.skeletons[c.skeleton as usize];
-            let order_start =
-                usize::from(sk.tensors) + usize::from(sk.index_entries) + usize::from(sk.width);
-            let order: Vec<usize> = plan.pool[sk.start as usize + order_start..]
-                [..usize::from(sk.order_len)]
-                .iter()
-                .map(|&i| usize::from(i))
-                .collect();
-            let best = net.best_order();
-            assert_eq!(order, best.order);
-            assert_eq!(usize::from(sk.order_width), best.width);
-            assert_eq!(sk.heuristic, best.heuristic);
-            // Same tensors, same sequence: contracting the per-call network
-            // and the refilled skeleton under that order gives the same bits.
-            let (value, _) =
-                contract_with_order(net.tensors().to_vec(), &best, DEFAULT_WIDTH_LIMIT).unwrap();
-            assert_eq!(
-                plan.contract(c, &matrices).unwrap().to_bits(),
-                value.re.to_bits()
-            );
+        let correlators = plan.term_correlators(&values).expect("generic angles");
+        let circuit = bind(&template, &values);
+        for ((term, &id), got) in problem.terms().iter().zip(&plan.terms).zip(correlators) {
+            let (want, stats) = per_call_correlator(&circuit, term.qubits());
+            // Same buckets in the same order: one step per eliminated index,
+            // one multiplication per operand after the first, and the widest
+            // product the contraction saw.
+            let program = &plan.programs[id as usize];
+            let steps = &plan.steps[program.steps as usize..][..usize::from(program.num_steps)];
+            assert_eq!(steps.len(), stats.eliminated_indices);
+            let multiplications: usize = steps.iter().map(|s| usize::from(s.operands) - 1).sum();
+            assert_eq!(multiplications, stats.multiplications);
+            let widest = steps.iter().map(|s| usize::from(s.rank)).max();
+            assert_eq!(widest, Some(stats.max_rank));
+            // Same products, same sums: the same bits.
+            assert_eq!(got.unwrap().to_bits(), want.to_bits());
         }
     }
 
@@ -666,14 +1088,7 @@ mod tests {
                 vec![Gate::P],
             ] {
                 // MIS and SK carry single-qubit fields: RZ on `gamma_0`.
-                let mut template = template(&graph, &mixer);
-                for t in problem.terms().iter().filter(|t| t.locality() == 1) {
-                    template.push(
-                        Gate::RZ,
-                        t.qubits(),
-                        Parameter::free("gamma_0", -4.0 * t.coeff()),
-                    );
-                }
+                let template = qaoa_template(&graph, &problem, &mixer, 1);
                 for values in [[0.35, 0.2], [-1.1, 0.77]] {
                     assert_matches_per_call(&template, &problem, &values);
                 }
@@ -684,16 +1099,16 @@ mod tests {
     #[test]
     fn angles_that_change_the_network_shape_are_rebound() {
         // RX(2·0) is the identity, which the per-call builder attaches to an
-        // existing index: a network the skeletons do not describe.
+        // existing index: a network the programs do not describe.
         let graph = Graph::cycle(6);
         let problem = Problem::max_cut(&graph);
         let template = template(&graph, &[Gate::RX, Gate::RY]);
         let plan = ExpectationPlan::build(&template, &problem, &PARAMS).unwrap();
-        assert!(plan.bind_matrices(&[0.3, 0.0]).is_none());
-        assert!(plan.bind_matrices(&[0.0, 0.3]).is_some());
+        assert!(!plan.bind_inputs(&[0.3, 0.0], &mut Vec::new()));
+        assert!(plan.bind_inputs(&[0.0, 0.3], &mut Vec::new()));
         assert_eq!(
             plan.bind_template(&[0.3, 0.0]),
-            bound(&template, &[0.3, 0.0])
+            bind(&template, &[0.3, 0.0])
         );
         for values in [[0.3, 0.0], [0.0, 0.0], [0.3, std::f64::consts::PI]] {
             assert_matches_per_call(&template, &problem, &values);
@@ -770,5 +1185,35 @@ mod tests {
             plan.expectation_sequential(&other, &[0.1, 0.2]),
             Err(TensorNetError::PlanMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn one_scratch_serves_every_plan_and_thread_count() {
+        let graph = Graph::erdos_renyi(7, 0.5, 3);
+        let problem = Problem::max_independent_set(&graph, 2.0);
+        let mut scratch = PlanScratch::default();
+        for mixer in [vec![Gate::RX, Gate::RY], vec![Gate::H], vec![Gate::P]] {
+            let template = qaoa_template(&graph, &problem, &mixer, 1);
+            let plan = ExpectationPlan::build(&template, &problem, &PARAMS).unwrap();
+            let values = [0.35, -0.2];
+            let want = plan.expectation(&problem, &values).unwrap();
+            for threads in [1, 2, 3, 5] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                let got = pool.install(|| plan.expectation_in(&problem, &values, &mut scratch));
+                assert_eq!(got.unwrap().to_bits(), want.to_bits(), "{threads} threads");
+            }
+            let sequential = plan
+                .expectation_sequential_in(&problem, &values, &mut scratch)
+                .unwrap();
+            assert_eq!(
+                sequential.to_bits(),
+                plan.expectation_sequential(&problem, &values)
+                    .unwrap()
+                    .to_bits()
+            );
+        }
     }
 }
