@@ -1,5 +1,4 @@
-//! Shared harness utilities for the figure-reproduction binaries and the
-//! Criterion benches.
+//! Shared harness utilities for the figure-reproduction binaries.
 //!
 //! Every figure of the paper's evaluation has a dedicated binary
 //! (`fig4_serial_vs_parallel`, `fig5_core_scaling`, `fig6_best_mixer`,
@@ -93,7 +92,7 @@ impl HarnessParams {
         }
     }
 
-    /// Tiny parameters for the Criterion benches and for tests.
+    /// Tiny parameters for tests.
     pub fn tiny() -> HarnessParams {
         HarnessParams {
             num_graphs: 2,

@@ -16,8 +16,7 @@ use num_complex::Complex64;
 /// workloads this crate targets.
 pub const DEFAULT_WIDTH_LIMIT: usize = 26;
 
-/// Statistics gathered during a contraction, used by the ordering-comparison
-/// ablation bench and by tests.
+/// Statistics gathered during a contraction.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ContractionStats {
     /// Largest intermediate tensor rank observed.
@@ -92,7 +91,7 @@ pub fn contract_auto(
     contract_with_order(tensors, &order, DEFAULT_WIDTH_LIMIT)
 }
 
-/// Contract with an explicit heuristic (used by the ordering ablation).
+/// Contract with an explicit heuristic.
 pub fn contract_with_heuristic(
     tensors: Vec<Tensor>,
     heuristic: OrderingHeuristic,

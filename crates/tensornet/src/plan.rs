@@ -318,11 +318,10 @@ impl Layout {
     /// tensors on indices the ket side already carries, so they add neither
     /// a vertex nor an edge.
     fn best_order(&self) -> Vec<u16> {
-        let indices: Vec<usize> = self.indices.iter().map(|&i| usize::from(i)).collect();
         let mut start = 0;
         let lists = self.tensors.iter().map(|&(_, rank)| {
             start += usize::from(rank);
-            &indices[start - usize::from(rank)..start]
+            &self.indices[start - usize::from(rank)..start]
         });
         let order = InteractionGraph::from_tensor_indices(lists).best_order();
         // The same indices, which `Layout::of` checked fit.
@@ -1007,18 +1006,25 @@ pub(crate) mod tests {
         template.bind(&bindings).unwrap()
     }
 
-    /// `⟨Π Z⟩` of one term the bind-per-call way: cone of the bound circuit,
-    /// `for_diagonal_expectation`, `contract_with_order` under `best_order`.
-    pub(crate) fn per_call_correlator(
-        circuit: &Circuit,
-        qubits: &[usize],
-    ) -> (f64, crate::contraction::ContractionStats) {
+    /// The network the bind-per-call path contracts for `⟨Π Z⟩` over
+    /// `qubits`: `for_diagonal_expectation` on their cone of the bound
+    /// circuit.
+    pub(crate) fn term_network(circuit: &Circuit, qubits: &[usize]) -> TensorNetwork {
         let cone = LightCone::of(circuit, qubits);
         let observables: Vec<(usize, [f64; 2])> = qubits
             .iter()
             .map(|&q| (cone.relabelled(q).unwrap(), [1.0, -1.0]))
             .collect();
-        let net = TensorNetwork::for_diagonal_expectation(&cone.circuit, &observables).unwrap();
+        TensorNetwork::for_diagonal_expectation(&cone.circuit, &observables).unwrap()
+    }
+
+    /// `⟨Π Z⟩` of one term the bind-per-call way: [`term_network`],
+    /// `contract_with_order` under `best_order`.
+    pub(crate) fn per_call_correlator(
+        circuit: &Circuit,
+        qubits: &[usize],
+    ) -> (f64, crate::contraction::ContractionStats) {
+        let net = term_network(circuit, qubits);
         let (value, stats) = contract_with_order(
             net.tensors().to_vec(),
             &net.best_order(),

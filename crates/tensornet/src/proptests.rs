@@ -1,11 +1,14 @@
 //! Property-based tests: the tensor-network backend must agree with the dense
-//! state-vector backend on random circuits, and an expectation plan's
-//! compiled contractions with the bucket elimination they replay, bit for
-//! bit.
+//! state-vector backend on random circuits, an expectation plan's compiled
+//! contractions with the bucket elimination they replay, bit for bit, and
+//! the bit-row interaction graph's elimination orders with the map-based
+//! reference's, index for index.
 
 use crate::lightcone::{self, maxcut_expectation, zz_expectation_lightcone};
 use crate::network::TensorNetwork;
-use crate::plan::tests::{bind, per_call_correlator, qaoa_params, qaoa_template};
+use crate::ordering::reference::{ReferenceGraph, HEURISTICS};
+use crate::ordering::InteractionGraph;
+use crate::plan::tests::{bind, per_call_correlator, qaoa_params, qaoa_template, term_network};
 use crate::plan::ExpectationPlan;
 use graphs::{Graph, Problem};
 use proptest::prelude::*;
@@ -84,8 +87,121 @@ fn arb_angle() -> impl Strategy<Value = f64> {
     ]
 }
 
+/// Tensor index lists over up to 200 sparse, non-contiguous ids
+/// `offset + stride · k` (half the cases 190 or more, so rows of one to four
+/// words all occur): each list holds 0–4 distinct ids, mostly within a
+/// window of twelve of a random base (a banded graph, so the reference's
+/// min-fill stays affordable) with the odd long-range one, followed by up
+/// to four rank-1 lists on ids nothing else carries (isolated vertices).
+fn arb_index_lists() -> impl Strategy<Value = Vec<Vec<usize>>> {
+    let list = (0usize..200, proptest::collection::vec(0usize..100, 0..5));
+    (
+        prop_oneof![0usize..=200, 190usize..=200],
+        1usize..40,
+        0usize..5000,
+        proptest::collection::vec(list, 0..500),
+        0usize..5,
+    )
+        .prop_map(|(vertices, stride, offset, lists, isolated)| {
+            let id = |k: usize| offset + stride * k;
+            let mut out: Vec<Vec<usize>> = lists
+                .into_iter()
+                .map(|(base, steps)| {
+                    let mut ids: Vec<usize> = Vec::new();
+                    for s in steps.into_iter().filter(|_| vertices > 0) {
+                        let k = if s < 92 {
+                            base + s % 12
+                        } else {
+                            31 * base + 17 * s
+                        };
+                        let i = id(k % vertices);
+                        if !ids.contains(&i) {
+                            ids.push(i);
+                        }
+                    }
+                    ids
+                })
+                .collect();
+            out.extend((0..isolated).map(|j| vec![id(vertices + j)]));
+            out
+        })
+}
+
+/// The orders of the bit-row graph and of the reference, fed `lists`, are
+/// equal for every heuristic and for `best_order`; so are those of the
+/// bit-row graph fed the same lists as `u16` ids.
+fn assert_orders_match_the_reference(lists: &[Vec<usize>]) -> InteractionGraph {
+    let slices = || lists.iter().map(Vec::as_slice);
+    let graph = InteractionGraph::from_tensor_indices(slices());
+    let reference = ReferenceGraph::from_tensor_indices(slices());
+    let compact: Vec<Vec<u16>> = lists
+        .iter()
+        .map(|l| l.iter().map(|&i| u16::try_from(i).unwrap()).collect())
+        .collect();
+    let compact = InteractionGraph::from_tensor_indices(compact.iter().map(Vec::as_slice));
+    assert_eq!(graph.indices(), reference.indices());
+    assert_eq!(graph.num_indices(), reference.indices().len());
+    for h in HEURISTICS {
+        let want = reference.elimination_order(h);
+        assert_eq!(graph.elimination_order(h), want, "{h:?}");
+        assert_eq!(compact.elimination_order(h), want, "{h:?} from u16 ids");
+    }
+    assert_eq!(graph.best_order(), reference.best_order());
+    graph
+}
+
+#[test]
+fn orders_match_the_reference_on_degenerate_inputs() {
+    for lists in [
+        vec![],
+        vec![vec![]],
+        vec![vec![], vec![], vec![]],
+        vec![vec![7]],
+        vec![vec![9], vec![], vec![3], vec![9]],
+        vec![vec![5, 1], vec![], vec![300]],
+    ] {
+        assert_orders_match_the_reference(&lists);
+    }
+}
+
+/// Every term network `for_diagonal_expectation` builds on the 4-regular
+/// n = 10 graphs perfbench's `search_tn` trains on, at p = 1 and 2, orders
+/// as the reference does. At p = 2 some networks span two words a row.
+#[test]
+fn orders_match_the_reference_on_every_search_tn_term_network() {
+    let mut widest = 0;
+    for graph in graphs::datasets::random_regular_dataset(2, 10, 4, 11) {
+        let problem = Problem::max_cut(&graph);
+        for p in [1, 2] {
+            let values: Vec<f64> = (0..2 * p).map(|j| 0.35 - 0.27 * j as f64).collect();
+            for mixer in [
+                vec![Gate::RX],
+                vec![Gate::RX, Gate::RY],
+                vec![Gate::H, Gate::RZ],
+                vec![Gate::P],
+            ] {
+                let circuit = bind(&qaoa_template(&graph, &problem, &mixer, p), &values);
+                for term in problem.terms() {
+                    let net = term_network(&circuit, term.qubits());
+                    let lists: Vec<Vec<usize>> =
+                        net.tensors().iter().map(|t| t.indices().to_vec()).collect();
+                    let graph = assert_orders_match_the_reference(&lists);
+                    assert_eq!(net.best_order(), graph.best_order());
+                    widest = widest.max(graph.num_indices());
+                }
+            }
+        }
+    }
+    assert!(widest > 64, "widest network has {widest} indices");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn bit_rows_order_like_the_map_based_reference(lists in arb_index_lists()) {
+        assert_orders_match_the_reference(&lists);
+    }
 
     #[test]
     fn plan_programs_are_bitwise_the_per_call_contractions(
