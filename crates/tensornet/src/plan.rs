@@ -13,12 +13,27 @@
 //! its data comes from and which product bits address it.
 //!
 //! An evaluation forms each distinct gate matrix once and runs the programs
-//! in a reused arena. A step multiplies its operands left to right at every
-//! product position and adds the result into the position with the
-//! eliminated bit removed, walking the positions in ascending order from
-//! `0 + 0i`: the product chain pairwise `Tensor::multiply` forms and the sum
-//! `Tensor::sum_over` does, so the energy is bit for bit what the
-//! bind-per-call path returns.
+//! in a reused arena, doing the multiplications pairwise `Tensor::multiply`
+//! does and no others. A product's indices are the first operand's, then
+//! each later operand's new ones, so the operands so far always carry its
+//! leading bits: a step keeps the partial product over those bits only and
+//! widens it in place, top position down, when an operand brings new
+//! indices. The last operand multiplies straight from the partial product
+//! into the position with the eliminated bit removed, walking the positions
+//! in ascending order from `0 + 0i` as `Tensor::sum_over` does. Every entry
+//! is the same operands multiplied left to right and every output receives
+//! its two contributions in the same order, so the energy is bit for bit
+//! what the bind-per-call path returns. An operand's entry follows the
+//! position incrementally: one add per position, indexed by the position's
+//! trailing ones.
+//!
+//! A bucket whose operands are all parameter-free — caps, `Z`s, matrices of
+//! a fixed angle (`H`, parameterless gates, bound angles) and earlier such
+//! results — gives the same tensor at every evaluation. The replay
+//! contracts it on the spot with the routine evaluations use and keeps the
+//! result, distinct by bit pattern, in a pool of constants the plan owns;
+//! the bucket emits no step, and its consumers address the constant as
+//! they address a matrix.
 
 use crate::contraction::DEFAULT_WIDTH_LIMIT;
 use crate::error::TensorNetError;
@@ -32,23 +47,24 @@ use rayon::prelude::*;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-/// Operand word of a |0⟩ / ⟨0| cap. A gate tensor is `matrix << 1 |
-/// conjugate`, an intermediate `STEP | s`.
-const CAP: u16 = 0x7FFF;
-/// Operand word of a `Z` observable.
-const OBSERVABLE: u16 = 0x7FFE;
+/// Flag of the operand word of constant `c` of the plan's pool. A gate
+/// tensor is `matrix << 1 | conjugate`, below it; an intermediate `STEP |
+/// s`.
+const CONSTANT: u16 = 0x4000;
+/// Operand word of a |0⟩ / ⟨0| cap, the pool's first constant.
+const CAP: u16 = CONSTANT;
+/// Operand word of a `Z` observable, the pool's second.
+const OBSERVABLE: u16 = CONSTANT | 1;
 /// Flag of the operand word of what step `s` of the same program left.
 const STEP: u16 = 0x8000;
-/// The cap's and the observable's data, at the front of every input buffer;
-/// the bound matrices follow.
-const FIXED_INPUTS: [Complex64; 4] = [
-    Complex64::new(1.0, 0.0),
-    Complex64::new(0.0, 0.0),
-    Complex64::new(1.0, 0.0),
-    Complex64::new(-1.0, 0.0),
-];
+/// The cap's and the observable's data.
+const CAP_DATA: [Complex64; 2] = [Complex64::new(1.0, 0.0), Complex64::new(0.0, 0.0)];
+const OBSERVABLE_DATA: [Complex64; 2] = [Complex64::new(1.0, 0.0), Complex64::new(-1.0, 0.0)];
 /// Contraction id of a term with no qubits (`⟨Π Z⟩ = 1` by convention).
 const EMPTY_PRODUCT: u32 = u32::MAX;
+/// Entries of an operand's index steps: one per bit of the widest product,
+/// and one for the step past its last position.
+const DELTAS: usize = DEFAULT_WIDTH_LIMIT + 1;
 
 /// The compiled light-cone energy of one problem on one circuit template.
 /// Build with [`ExpectationPlan::build`], evaluate with
@@ -75,6 +91,10 @@ pub struct ExpectationPlan {
     /// Per operand after the first of a step, the product bit of each of its
     /// indices (the first operand's indices are the product's leading bits).
     shifts: Vec<u8>,
+    /// The pool: the cap, the observable and every folded bucket's result,
+    /// distinct by bit pattern, back to back; where each starts.
+    constants: Vec<Complex64>,
+    constant_runs: Vec<Constant>,
     /// A program runs in an arena of the largest product's entries, then
     /// every step's result.
     product_len: usize,
@@ -128,10 +148,16 @@ struct Step {
     operands: u16,
 }
 
+/// Where a constant of the pool starts, and its rank.
+#[derive(Debug, Clone, Copy)]
+struct Constant {
+    start: u32,
+    rank: u8,
+}
+
 /// The buffers a plan evaluates in, reused from call to call so that a warm
-/// evaluation allocates nothing: the cap, the observable and every bound
-/// matrix; one arena and one step-offset table per parallel chunk of
-/// programs; the programs' values.
+/// evaluation allocates nothing: every bound matrix; one arena and one
+/// step-offset table per parallel chunk of programs; the programs' values.
 #[derive(Debug, Default)]
 pub struct PlanScratch {
     inputs: Vec<Complex64>,
@@ -199,20 +225,42 @@ impl MatrixSpec {
     fn rank(&self) -> usize {
         self.gate.arity() * if self.diagonal { 1 } else { 2 }
     }
+
+    /// Append this gate's matrix at `theta` (the diagonal of a diagonal
+    /// one), then its conjugate, to `inputs`; `false` when the matrix is
+    /// diagonal where the programs' networks do not attach it to existing
+    /// indices, or the reverse.
+    fn bind(&self, theta: f64, inputs: &mut Vec<Complex64>) -> bool {
+        let matrix = GateMatrix::of(self.gate, theta);
+        let (dim, data) = (matrix.dim(), matrix.data());
+        // `GateMatrix::diagonal`'s test, without its allocation.
+        let off_diagonal = (0..dim * dim).any(|k| k % (dim + 1) != 0 && data[k].norm() > 1e-12);
+        let start = inputs.len();
+        if self.diagonal {
+            inputs.extend((0..dim).map(|r| data[r * (dim + 1)]));
+        } else {
+            inputs.extend_from_slice(data);
+        }
+        for k in start..inputs.len() {
+            let conjugate = inputs[k].conj();
+            inputs.push(conjugate);
+        }
+        off_diagonal != self.diagonal
+    }
 }
 
 /// Interns the distinct matrices of a template while the plan is built.
 #[derive(Default)]
 struct MatrixTable {
-    specs: Vec<MatrixSpec>,
     ids: HashMap<(Gate, Option<u16>, u64), u16>,
-    /// Entries of the bound inputs so far (cap and observable first).
+    /// Entries of the bound inputs so far.
     inputs_len: usize,
 }
 
 impl MatrixTable {
     fn intern(
         &mut self,
+        specs: &mut Vec<MatrixSpec>,
         inst: &Instruction,
         params: &[impl AsRef<str>],
     ) -> Result<u16, TensorNetError> {
@@ -220,24 +268,27 @@ impl MatrixTable {
         if let Some(&id) = self.ids.get(&spec.key()) {
             return Ok(id);
         }
-        // A gate's operand word is `id << 1 | conjugate`, below the cap's.
-        let id = u16::try_from(self.specs.len())
+        // A gate's operand word is `id << 1 | conjugate`, below the
+        // constants'.
+        let id = u16::try_from(specs.len())
             .ok()
-            .filter(|&id| id < OBSERVABLE >> 1)
+            .filter(|&id| id < CONSTANT >> 1)
             .ok_or(TensorNetError::PlanTooLarge {
                 what: "distinct gate matrices",
-                count: self.specs.len(),
+                count: specs.len(),
             })?;
         spec.offset = offset(self.inputs_len)?;
         self.inputs_len += 2 << spec.rank();
         self.ids.insert(spec.key(), id);
-        self.specs.push(spec);
+        specs.push(spec);
         Ok(id)
     }
 
-    /// `[matrix, qubit, second qubit]` for every instruction of `circuit`.
+    /// `[matrix, qubit, second qubit]` for every instruction of `circuit`,
+    /// its matrices interned into `specs`.
     fn rows(
         &mut self,
+        specs: &mut Vec<MatrixSpec>,
         circuit: &Circuit,
         params: &[impl AsRef<str>],
     ) -> Result<Vec<[u16; 3]>, TensorNetError> {
@@ -247,7 +298,7 @@ impl MatrixTable {
             .map(|inst| {
                 let second = inst.qubits.get(1).copied().unwrap_or(0);
                 Ok([
-                    self.intern(inst, params)?,
+                    self.intern(specs, inst, params)?,
                     narrow(inst.qubits[0], "qubits")?,
                     narrow(second, "qubits")?,
                 ])
@@ -352,6 +403,18 @@ struct Replay {
     rest: Vec<Live>,
     indices: Vec<u16>,
     product: Vec<u16>,
+    /// The operand words and shifts of the bucket being compiled.
+    words: Vec<u16>,
+    shifts: Vec<u8>,
+    /// Every matrix of the template at its fixed angle (a parameterized one
+    /// at `0`, which no folded bucket reads), laid out as an evaluation
+    /// binds them.
+    inputs: Vec<Complex64>,
+    /// Product and result of a folded bucket.
+    values: Vec<Complex64>,
+    /// The pool's constant words by the bits of their entries.
+    constants: HashMap<Vec<u64>, u16>,
+    key: Vec<u64>,
 }
 
 impl Replay {
@@ -396,20 +459,21 @@ impl ExpectationPlan {
                 count: problem.terms().len(),
             });
         }
-        let mut table = MatrixTable {
-            inputs_len: FIXED_INPUTS.len(),
-            ..MatrixTable::default()
-        };
+        let mut table = MatrixTable::default();
+        let mut matrices = Vec::new();
+        let rows = table.rows(&mut matrices, template, params)?;
         let mut plan = ExpectationPlan {
             num_qubits: template.num_qubits(),
             num_params: params.len(),
-            matrices: Vec::new(),
-            template: table.rows(template, params)?,
+            matrices,
+            template: rows,
             terms: Vec::with_capacity(problem.terms().len()),
             programs: Vec::new(),
             steps: Vec::new(),
             operands: Vec::new(),
             shifts: Vec::new(),
+            constants: Vec::new(),
+            constant_runs: Vec::new(),
             product_len: 0,
             results_len: 0,
             max_steps: 0,
@@ -420,6 +484,19 @@ impl ExpectationPlan {
         let mut skeleton_ids: HashMap<(usize, Vec<[u16; 3]>), usize> = HashMap::new();
         let mut program_ids: HashMap<(usize, Vec<u16>), u32> = HashMap::new();
         let mut replay = Replay::default();
+        // A cone's gates are the template's, so every matrix is interned by
+        // now: bind the fixed ones for the buckets the replay folds.
+        for spec in &plan.matrices {
+            let theta = match spec.angle {
+                Angle::Fixed(theta) => theta,
+                Angle::Slot { .. } => 0.0,
+            };
+            spec.bind(theta, &mut replay.inputs);
+        }
+        for (word, data) in [(CAP, CAP_DATA), (OBSERVABLE, OBSERVABLE_DATA)] {
+            let interned = plan.constant(&data, &mut replay.constants, &mut replay.key)?;
+            debug_assert_eq!(interned, word);
+        }
 
         for term in problem.terms() {
             if term.qubits().is_empty() {
@@ -428,11 +505,14 @@ impl ExpectationPlan {
             }
             let cone = LightCone::of(template, term.qubits());
             // A reduced circuit is its width and its rows.
-            let key = (cone.width(), table.rows(&cone.circuit, params)?);
+            let key = (
+                cone.width(),
+                table.rows(&mut plan.matrices, &cone.circuit, params)?,
+            );
             let (skeleton, mut layout) = match skeleton_ids.get(&key) {
                 Some(&id) => (id, None),
                 None => {
-                    let layout = Layout::of(&cone.circuit, &key.1, &table.specs)?;
+                    let layout = Layout::of(&cone.circuit, &key.1, &plan.matrices)?;
                     orders.push(layout.best_order());
                     skeleton_ids.insert(key, orders.len() - 1);
                     (orders.len() - 1, Some(layout))
@@ -454,8 +534,8 @@ impl ExpectationPlan {
                     let layout = match layout.take() {
                         Some(layout) => layout,
                         None => {
-                            let rows = table.rows(&cone.circuit, params)?;
-                            Layout::of(&cone.circuit, &rows, &table.specs)?
+                            let rows = table.rows(&mut plan.matrices, &cone.circuit, params)?;
+                            Layout::of(&cone.circuit, &rows, &plan.matrices)?
                         }
                     };
                     let program =
@@ -468,20 +548,60 @@ impl ExpectationPlan {
         }
 
         plan.skeletons = orders.len();
-        plan.matrices = table.specs;
         plan.matrices.shrink_to_fit();
         plan.template.shrink_to_fit();
         plan.programs.shrink_to_fit();
         plan.steps.shrink_to_fit();
         plan.operands.shrink_to_fit();
         plan.shifts.shrink_to_fit();
+        plan.constants.shrink_to_fit();
+        plan.constant_runs.shrink_to_fit();
         Ok(plan)
+    }
+
+    /// The word of the constant with `data`'s entries, added to the pool if
+    /// no constant has their bits.
+    fn constant(
+        &mut self,
+        data: &[Complex64],
+        words: &mut HashMap<Vec<u64>, u16>,
+        key: &mut Vec<u64>,
+    ) -> Result<u16, TensorNetError> {
+        key.clear();
+        key.extend(data.iter().flat_map(|z| [z.re.to_bits(), z.im.to_bits()]));
+        if let Some(&word) = words.get(key.as_slice()) {
+            return Ok(word);
+        }
+        let c = self.constant_runs.len();
+        let word = u16::try_from(c).ok().filter(|&c| c < CONSTANT).ok_or(
+            TensorNetError::PlanTooLarge {
+                what: "distinct constants",
+                count: c,
+            },
+        )?;
+        self.constant_runs.push(Constant {
+            start: offset(self.constants.len())?,
+            // A tensor's entries are a power of two, at most 2^26.
+            rank: data.len().trailing_zeros() as u8,
+        });
+        self.constants.extend_from_slice(data);
+        words.insert(key.clone(), CONSTANT | word);
+        Ok(CONSTANT | word)
+    }
+
+    /// Whether `word` is the same tensor at every evaluation: a constant or a
+    /// matrix of a fixed angle.
+    fn is_parameter_free(&self, word: u16) -> bool {
+        word & STEP == 0
+            && (word & CONSTANT != 0
+                || matches!(self.matrices[usize::from(word >> 1)].angle, Angle::Fixed(_)))
     }
 
     /// Compile one contraction: replay `contract_with_order` under `order`
     /// on the index lists of the network of `layout` with `observables`
     /// attached after its ket side, and append what every bucket multiplies
-    /// and sums.
+    /// and sums — or, for a parameter-free bucket, contract it now and pool
+    /// its result.
     ///
     /// Fails with [`TensorNetError::WidthLimitExceeded`] where the
     /// contraction would: at the first product wider than
@@ -499,6 +619,12 @@ impl ExpectationPlan {
             rest,
             indices,
             product,
+            words,
+            shifts,
+            inputs,
+            values,
+            constants,
+            key,
         } = replay;
         pool.clear();
         indices.clear();
@@ -562,31 +688,45 @@ impl ExpectationPlan {
                 let position = product.iter().position(|&p| p == i);
                 (rank - 1 - position.expect("index is in the product")) as u8
             };
-            self.steps.push(Step {
+            let step = Step {
                 rank: rank as u8,
                 bit: bit_of(index),
                 operands: narrow(bucket.len(), "tensors of one bucket")?,
-            });
+            };
+            words.clear();
+            shifts.clear();
             for (k, live) in bucket.iter().enumerate() {
-                self.operands.push(live.word);
+                words.push(live.word);
                 if k > 0 {
                     let own = live.indices(indices);
-                    self.shifts.extend(own.iter().map(|&i| bit_of(i)));
+                    shifts.extend(own.iter().map(|&i| bit_of(i)));
                 }
             }
 
+            let word = if words.iter().all(|&w| self.is_parameter_free(w)) {
+                values.resize(3 << (rank - 1), Complex64::default());
+                let (scratch, out) = values.split_at_mut(1 << rank);
+                let operand = |w: u16| self.operand(w, inputs, &[], &[], &[]);
+                contract_bucket(step, words, &mut &shifts[..], operand, scratch, out);
+                self.constant(out, constants, key)?
+            } else {
+                self.steps.push(step);
+                self.operands.extend_from_slice(words);
+                self.shifts.extend_from_slice(shifts);
+                let word = u16::try_from(num_steps).ok().filter(|&s| s < STEP).ok_or(
+                    TensorNetError::PlanTooLarge {
+                        what: "steps of one contraction",
+                        count: num_steps,
+                    },
+                )?;
+                self.product_len = self.product_len.max(1 << rank);
+                results += 1 << (rank - 1);
+                num_steps += 1;
+                STEP | word
+            };
             // The sum over the index goes to the back of the pool.
-            let word = u16::try_from(num_steps).ok().filter(|&s| s < STEP).ok_or(
-                TensorNetError::PlanTooLarge {
-                    what: "steps of one contraction",
-                    count: num_steps,
-                },
-            )?;
             let summed = product.iter().copied().filter(|&i| i != index);
-            Replay::push(pool, indices, STEP | word, summed);
-            self.product_len = self.product_len.max(1 << rank);
-            results += 1 << (rank - 1);
-            num_steps += 1;
+            Replay::push(pool, indices, word, summed);
         }
 
         // Everything left must be scalar.
@@ -636,6 +776,8 @@ impl ExpectationPlan {
             + self.steps.capacity() * size_of::<Step>()
             + self.operands.capacity() * size_of::<u16>()
             + self.shifts.capacity()
+            + self.constants.capacity() * size_of::<Complex64>()
+            + self.constant_runs.capacity() * size_of::<Constant>()
     }
 
     /// The energy ⟨C⟩ of the planned problem at `values`: bit for bit
@@ -739,13 +881,15 @@ impl ExpectationPlan {
         };
         let chunk = count.div_ceil(workers);
         let chunks = count.div_ceil(chunk);
-        arena.resize(chunks * self.arena_len(), Complex64::default());
-        offsets.resize(chunks * self.max_steps, 0);
+        // Nonzero even when every program folded to a constant.
+        let (arena_len, max_steps) = (self.arena_len().max(1), self.max_steps.max(1));
+        arena.resize(chunks * arena_len, Complex64::default());
+        offsets.resize(chunks * max_steps, 0);
         let inputs = &inputs[..];
         let run_chunk =
             |k: usize, out: &mut [f64], arena: &mut [Complex64], offsets: &mut [u32]| {
                 for (value, program) in out.iter_mut().zip(&self.programs[k * chunk..]) {
-                    *value = self.run(program, inputs, arena, offsets);
+                    *value = self.run(program, inputs, arena, offsets).0;
                 }
             };
         if chunks == 1 {
@@ -753,42 +897,22 @@ impl ExpectationPlan {
         } else {
             correlators
                 .par_chunks_mut(chunk)
-                .zip(arena.par_chunks_mut(self.arena_len()))
-                .zip(offsets.par_chunks_mut(self.max_steps))
+                .zip(arena.par_chunks_mut(arena_len))
+                .zip(offsets.par_chunks_mut(max_steps))
                 .enumerate()
                 .for_each(|(k, ((out, arena), offsets))| run_chunk(k, out, arena, offsets));
         }
         Ok(true)
     }
 
-    /// Write the cap, the observable and every distinct gate matrix at
-    /// `values` (the diagonal of a diagonal one), each followed by its
-    /// conjugate, into `inputs`; `false` when one of them is diagonal where
-    /// the programs' networks do not attach it to existing indices, or the
-    /// reverse.
+    /// Write every distinct gate matrix at `values` into `inputs`; `false`
+    /// when one of them is diagonal where the programs' networks do not
+    /// attach it to existing indices, or the reverse.
     fn bind_inputs(&self, values: &[f64], inputs: &mut Vec<Complex64>) -> bool {
         inputs.clear();
-        inputs.extend_from_slice(&FIXED_INPUTS);
-        for spec in &self.matrices {
-            let matrix = GateMatrix::of(spec.gate, spec.theta(values));
-            let (dim, data) = (matrix.dim(), matrix.data());
-            // `GateMatrix::diagonal`'s test, without its allocation.
-            let off_diagonal = (0..dim * dim).any(|k| k % (dim + 1) != 0 && data[k].norm() > 1e-12);
-            if off_diagonal == spec.diagonal {
-                return false;
-            }
-            let start = inputs.len();
-            if spec.diagonal {
-                inputs.extend((0..dim).map(|r| data[r * (dim + 1)]));
-            } else {
-                inputs.extend_from_slice(data);
-            }
-            for k in start..inputs.len() {
-                let conjugate = inputs[k].conj();
-                inputs.push(conjugate);
-            }
-        }
-        true
+        self.matrices
+            .iter()
+            .all(|spec| spec.bind(spec.theta(values), inputs))
     }
 
     /// The template with every parameter bound, as `Circuit::bind` builds it.
@@ -807,105 +931,157 @@ impl ExpectationPlan {
         circuit
     }
 
-    /// `⟨Π Z⟩` of one program: every step into the arena in turn, then the
-    /// product of the scalars they leave, from `1 + 0i` in pool order.
+    /// `⟨Π Z⟩` of one program and the entries it multiplied: every step into
+    /// the arena in turn, then the product of the scalars left in the pool,
+    /// from `1 + 0i` in pool order.
     fn run(
         &self,
         program: &Program,
         inputs: &[Complex64],
         arena: &mut [Complex64],
         offsets: &mut [u32],
-    ) -> f64 {
+    ) -> (f64, usize) {
         let (product, results) = arena.split_at_mut(self.product_len);
         let steps = &self.steps[program.steps as usize..][..usize::from(program.num_steps)];
         let mut words = &self.operands[program.operands as usize..];
         let mut shifts = &self.shifts[program.shifts as usize..];
-        let mut end = 0;
-        for (s, step) in steps.iter().enumerate() {
-            let rank = usize::from(step.rank);
+        let (mut end, mut multiplied) = (0, 0);
+        for (s, &step) in steps.iter().enumerate() {
             let (bucket, rest) = words.split_at(usize::from(step.operands));
             words = rest;
             offsets[s] = end as u32;
             let (earlier, out) = results.split_at_mut(end);
-            let out = &mut out[..1 << (rank - 1)];
-            end += out.len();
-            out.fill(Complex64::new(0.0, 0.0));
-            // `pos` without the eliminated bit: where `sum_over` adds it.
-            let low = (1usize << step.bit) - 1;
-            let summed = |pos: usize| ((pos >> 1) & !low) | (pos & low);
+            end += 1usize << (step.rank - 1);
             let operand = |word: u16| self.operand(word, inputs, earlier, offsets, steps);
-
-            let (first, first_rank) = operand(bucket[0]);
-            let Some((&last, middle)) = bucket[1..].split_last() else {
-                // A bucket of one: the product is the tensor itself.
-                for (pos, &value) in first.iter().enumerate() {
-                    out[summed(pos)] += value;
-                }
-                continue;
-            };
-            let product = &mut product[..1 << rank];
-            let lead = rank - first_rank;
-            for (pos, entry) in product.iter_mut().enumerate() {
-                *entry = first[pos >> lead];
-            }
-            for &word in middle {
-                let (data, own) = operand(word);
-                let (own, later) = shifts.split_at(own);
-                shifts = later;
-                for (pos, entry) in product.iter_mut().enumerate() {
-                    *entry *= data[gather(pos, own)];
-                }
-            }
-            let (data, own) = operand(last);
-            let (own, later) = shifts.split_at(own);
-            shifts = later;
-            for (pos, &entry) in product.iter().enumerate() {
-                out[summed(pos)] += entry * data[gather(pos, own)];
-            }
+            multiplied += contract_bucket(step, bucket, &mut shifts, operand, product, out);
         }
         let mut value = Complex64::new(1.0, 0.0);
         for &word in &words[..usize::from(program.num_scalars)] {
-            value *= results[offsets[usize::from(word & !STEP)] as usize];
+            value *= self.operand(word, inputs, results, offsets, steps).0[0];
         }
-        value.re
+        (value.re, multiplied)
     }
 
-    /// The data and rank of one operand: an input, or what an earlier step
-    /// of the same program left.
+    /// The data and rank of one operand: a constant, a bound matrix, or
+    /// what an earlier step of the same program left.
     #[inline]
     fn operand<'a>(
-        &self,
+        &'a self,
         word: u16,
         inputs: &'a [Complex64],
         earlier: &'a [Complex64],
         offsets: &[u32],
         steps: &[Step],
     ) -> (&'a [Complex64], usize) {
-        let (data, start, rank) = match word {
-            CAP => (inputs, 0, 1),
-            OBSERVABLE => (inputs, 2, 1),
-            gate if gate & STEP == 0 => {
-                let spec = &self.matrices[usize::from(gate >> 1)];
-                let rank = spec.rank();
-                let start = spec.offset as usize + (usize::from(gate & 1) << rank);
-                (inputs, start, rank)
-            }
-            step => {
-                let s = usize::from(step & !STEP);
-                (earlier, offsets[s] as usize, usize::from(steps[s].rank) - 1)
-            }
+        let (data, start, rank) = if word & STEP != 0 {
+            let s = usize::from(word & !STEP);
+            (earlier, offsets[s] as usize, usize::from(steps[s].rank) - 1)
+        } else if word & CONSTANT != 0 {
+            let c = self.constant_runs[usize::from(word & !CONSTANT)];
+            (&self.constants[..], c.start as usize, usize::from(c.rank))
+        } else {
+            let spec = &self.matrices[usize::from(word >> 1)];
+            let rank = spec.rank();
+            let start = spec.offset as usize + (usize::from(word & 1) << rank);
+            (inputs, start, rank)
         };
         (&data[start..][..1 << rank], rank)
     }
 }
 
-/// The entry of an operand at product position `pos`: its indices' bits,
-/// the first most significant.
-#[inline]
-fn gather(pos: usize, shifts: &[u8]) -> usize {
-    shifts
-        .iter()
-        .fold(0, |entry, &shift| (entry << 1) | ((pos >> shift) & 1))
+/// Contract one bucket into the front of `out`, as `contract_with_order`
+/// does: its operands multiplied pairwise, each partial product over the
+/// leading product bits its operands carry (in `product`, widened in place
+/// when an operand brings new indices), the last operand straight into the
+/// sum over the eliminated bit, positions ascending from `0 + 0i`. Takes the
+/// shifts of the operands after the first off the front of `shifts`;
+/// returns the entries multiplied.
+fn contract_bucket<'a>(
+    step: Step,
+    words: &[u16],
+    shifts: &mut &[u8],
+    operand: impl Fn(u16) -> (&'a [Complex64], usize),
+    product: &mut [Complex64],
+    out: &mut [Complex64],
+) -> usize {
+    let rank = usize::from(step.rank);
+    let out = &mut out[..1 << (rank - 1)];
+    out.fill(Complex64::new(0.0, 0.0));
+    // `pos` without the eliminated bit: where `sum_over` adds it.
+    let low = (1usize << step.bit) - 1;
+    let summed = |pos: usize| ((pos >> 1) & !low) | (pos & low);
+    let mut take = |count: usize| {
+        let (own, later) = (*shifts).split_at(count);
+        *shifts = later;
+        own
+    };
+
+    let (first, mut partial) = operand(words[0]);
+    let Some((&last, middle)) = words[1..].split_last() else {
+        // A bucket of one: the product is the tensor itself.
+        for (pos, &value) in first.iter().enumerate() {
+            out[summed(pos)] += value;
+        }
+        return 0;
+    };
+    let (mut multiplied, mut delta) = (0, [0; DELTAS]);
+    let prefix = if middle.is_empty() {
+        first
+    } else {
+        product[..first.len()].copy_from_slice(first);
+        for &word in middle {
+            let (data, own) = operand(word);
+            let own = take(own);
+            // New indices take the next bits down.
+            let widened = own
+                .iter()
+                .map(|&s| rank - usize::from(s))
+                .fold(partial, usize::max);
+            deltas(&mut delta, own, rank);
+            let delta = &delta[rank - widened..];
+            let (grow, top) = (widened - partial, (1usize << widened) - 1);
+            // Top down, so that entry `q >> grow` is read before it is
+            // overwritten; at the top position every index bit is set.
+            let mut entry = data.len() - 1;
+            product[top] = product[top >> grow] * data[entry];
+            for q in (0..top).rev() {
+                entry = entry.wrapping_sub(delta[(q + 1).trailing_zeros() as usize]);
+                product[q] = product[q >> grow] * data[entry];
+            }
+            multiplied += top + 1;
+            partial = widened;
+        }
+        &product[..1 << partial]
+    };
+    let (data, own) = operand(last);
+    deltas(&mut delta, take(own), rank);
+    let grow = rank - partial;
+    let mut entry = 0usize;
+    for pos in 0..1usize << rank {
+        out[summed(pos)] += prefix[pos >> grow] * data[entry];
+        entry = entry.wrapping_add(delta[pos.trailing_ones() as usize]);
+    }
+    multiplied + (1 << rank)
+}
+
+/// Write into `delta[..=rank]` how the entry of an operand whose indices
+/// sit at bits `own` of a product of `rank` bits changes when a position
+/// counts up past `t` trailing ones — bit `t` set, the `t` below cleared:
+/// entry `t`, in wrapping arithmetic. The first index is the entry's most
+/// significant bit. No operand has an index under a partial product's
+/// lowest bit, so the table from that bit up serves the partial product.
+fn deltas(delta: &mut [usize; DELTAS], own: &[u8], rank: usize) {
+    let delta = &mut delta[..=rank];
+    delta.fill(0);
+    for (j, &shift) in own.iter().enumerate() {
+        delta[usize::from(shift)] = 1 << (own.len() - 1 - j);
+    }
+    let mut cleared = 0usize;
+    for d in delta {
+        let set = *d;
+        *d = set.wrapping_sub(cleared);
+        cleared += set;
+    }
 }
 
 fn correlator(correlators: &[f64], id: u32) -> f64 {
@@ -918,10 +1094,10 @@ fn correlator(correlators: &[f64], id: u32) -> f64 {
 
 #[cfg(test)]
 impl ExpectationPlan {
-    /// Per cost term `⟨Π Z⟩` as its program computes it at `values` (`None`
-    /// for a term without qubits); `None` when the angles change the network
-    /// shape and no program runs.
-    pub(crate) fn term_correlators(&self, values: &[f64]) -> Option<Vec<Option<f64>>> {
+    /// Per cost term `⟨Π Z⟩` as its program computes it at `values` and the
+    /// entries the program multiplied (`None` for a term without qubits);
+    /// `None` when the angles change the network shape and no program runs.
+    pub(crate) fn term_correlators(&self, values: &[f64]) -> Option<Vec<Option<(f64, usize)>>> {
         let mut scratch = PlanScratch::default();
         if !self.bind_inputs(values, &mut scratch.inputs) {
             return None;
@@ -956,6 +1132,18 @@ pub(crate) mod tests {
         mixer: &[Gate],
         p: usize,
     ) -> Circuit {
+        let mixer: Vec<(Gate, Option<f64>)> = mixer.iter().map(|&g| (g, None)).collect();
+        qaoa_template_with(graph, problem, &mixer, p)
+    }
+
+    /// [`qaoa_template`] whose mixer gates `(gate, Some(θ))` carry the bound
+    /// angle `θ` instead of `2β_k`.
+    pub(crate) fn qaoa_template_with(
+        graph: &Graph,
+        problem: &Problem,
+        mixer: &[(Gate, Option<f64>)],
+        p: usize,
+    ) -> Circuit {
         let mut c = Circuit::new(graph.num_nodes());
         c.h_layer();
         for k in 0..p {
@@ -970,12 +1158,14 @@ pub(crate) mod tests {
                     Parameter::free(&gamma, -4.0 * t.coeff()),
                 );
             }
-            for &gate in mixer {
+            for &(gate, bound) in mixer {
                 for q in 0..graph.num_nodes() {
-                    let parameter = if gate.is_parameterized() {
-                        Parameter::free(format!("beta_{k}"), 2.0)
-                    } else {
-                        Parameter::None
+                    let parameter = match bound {
+                        Some(theta) => Parameter::bound(theta),
+                        None if gate.is_parameterized() => {
+                            Parameter::free(format!("beta_{k}"), 2.0)
+                        }
+                        None => Parameter::None,
                     };
                     c.push(gate, &[q], parameter);
                 }
@@ -1053,6 +1243,53 @@ pub(crate) mod tests {
         );
     }
 
+    /// One bucket `contract_with_order` contracts.
+    struct Bucket {
+        operands: usize,
+        rank: usize,
+        /// Entries of each product pairwise `Tensor::multiply` forms.
+        products: Vec<usize>,
+        /// Whether every operand is parameter-free: an input tensor with the
+        /// same entries at other angles, or such a bucket's result.
+        parameter_free: bool,
+    }
+
+    /// The buckets of `contract_with_order` on [`term_network`] of `qubits`
+    /// in `circuit` under `best_order`, told apart by `other`: the same
+    /// template bound at other generic angles.
+    fn per_call_buckets(circuit: &Circuit, other: &Circuit, qubits: &[usize]) -> Vec<Bucket> {
+        let net = term_network(circuit, qubits);
+        let moved = term_network(other, qubits);
+        let mut pool: Vec<(crate::Tensor, bool)> = (net.tensors().iter())
+            .zip(moved.tensors())
+            .map(|(t, u)| (t.clone(), t == u))
+            .collect();
+        let mut buckets = Vec::new();
+        for &index in &net.best_order().order {
+            let (bucket, rest): (Vec<_>, Vec<_>) =
+                pool.into_iter().partition(|(t, _)| t.has_index(index));
+            pool = rest;
+            let Some(((first, _), later)) = bucket.split_first() else {
+                continue;
+            };
+            let mut product = first.clone();
+            let mut products = Vec::new();
+            for (t, _) in later {
+                product = product.multiply(t);
+                products.push(product.data().len());
+            }
+            let parameter_free = bucket.iter().all(|&(_, free)| free);
+            buckets.push(Bucket {
+                operands: bucket.len(),
+                rank: product.rank(),
+                products,
+                parameter_free,
+            });
+            pool.push((product.sum_over(index), parameter_free));
+        }
+        buckets
+    }
+
     #[test]
     fn skeletons_are_the_networks_the_per_call_path_builds() {
         let graph = Graph::random_regular(8, 3, 5).unwrap();
@@ -1060,22 +1297,125 @@ pub(crate) mod tests {
         let template = template(&graph, &[Gate::RX, Gate::H, Gate::RZ]);
         let plan = ExpectationPlan::build(&template, &problem, &PARAMS).unwrap();
         let values = [0.4, 0.3];
-        let correlators = plan.term_correlators(&values).expect("generic angles");
+        let runs = plan.term_correlators(&values).expect("generic angles");
         let circuit = bind(&template, &values);
-        for ((term, &id), got) in problem.terms().iter().zip(&plan.terms).zip(correlators) {
+        let other = bind(&template, &[-0.9, 0.65]);
+        let mut folded_buckets = 0;
+        for ((term, &id), run) in problem.terms().iter().zip(&plan.terms).zip(runs) {
+            let (got, multiplied) = run.unwrap();
             let (want, stats) = per_call_correlator(&circuit, term.qubits());
-            // Same buckets in the same order: one step per eliminated index,
-            // one multiplication per operand after the first, and the widest
-            // product the contraction saw.
+            let buckets = per_call_buckets(&circuit, &other, term.qubits());
+            let (folded, emitted): (Vec<&Bucket>, Vec<&Bucket>) =
+                buckets.iter().partition(|b| b.parameter_free);
+            // Same buckets in the same order: the parameter-free ones folded,
+            // one step per other eliminated index, one multiplication per
+            // operand after the first, and the widest product the
+            // contraction saw.
             let program = &plan.programs[id as usize];
             let steps = &plan.steps[program.steps as usize..][..usize::from(program.num_steps)];
-            assert_eq!(steps.len(), stats.eliminated_indices);
-            let multiplications: usize = steps.iter().map(|s| usize::from(s.operands) - 1).sum();
+            assert_eq!(steps.len() + folded.len(), stats.eliminated_indices);
+            let multiplications: usize = (steps.iter().map(|s| usize::from(s.operands) - 1))
+                .chain(folded.iter().map(|b| b.operands - 1))
+                .sum();
             assert_eq!(multiplications, stats.multiplications);
-            let widest = steps.iter().map(|s| usize::from(s.rank)).max();
+            let widest = (steps.iter().map(|s| usize::from(s.rank)))
+                .chain(folded.iter().map(|b| b.rank))
+                .max();
             assert_eq!(widest, Some(stats.max_rank));
+            assert_eq!(steps.len(), emitted.len());
+            for (step, bucket) in steps.iter().zip(&emitted) {
+                assert_eq!(usize::from(step.operands), bucket.operands);
+                assert_eq!(usize::from(step.rank), bucket.rank);
+            }
+            // Same work: the kernel multiplies the entries of the products
+            // pairwise `Tensor::multiply` forms, not the bucket's full rank
+            // for every operand.
+            let pairwise: usize = emitted.iter().flat_map(|b| &b.products).sum();
+            assert_eq!(multiplied, pairwise);
             // Same products, same sums: the same bits.
-            assert_eq!(got.unwrap().to_bits(), want.to_bits());
+            assert_eq!(got.to_bits(), want.to_bits());
+            folded_buckets += folded.len();
+        }
+        // Every cone opens with a cap·H bucket per qubit and side.
+        assert!(folded_buckets >= 2 * problem.terms().len());
+    }
+
+    #[test]
+    fn a_cone_of_fixed_gates_folds_to_constants() {
+        // Qubits 2 and 3 never meet a parameter: H, a bound RY, T and a
+        // parameterless X. Every bucket of their terms folds at build time.
+        let mut template = Circuit::new(4);
+        template.h_layer();
+        template.push(Gate::RZZ, &[0, 1], Parameter::free("gamma_0", -2.0));
+        for q in 0..2 {
+            template.push(Gate::RX, &[q], Parameter::free("beta_0", 2.0));
+        }
+        template.push(Gate::RY, &[2], Parameter::bound(0.7));
+        template.push(Gate::T, &[2], Parameter::None);
+        template.push(Gate::RY, &[3], Parameter::bound(-1.3));
+        template.push(Gate::X, &[3], Parameter::None);
+        let problem = |terms: &[&[usize]]| {
+            let terms = (terms.iter().enumerate())
+                .map(|(k, q)| graphs::CostTerm::new(q.to_vec(), 0.75 - 0.5 * k as f64))
+                .collect();
+            let convention = graphs::RatioConvention::default();
+            Problem::from_terms("fixed qubits", 4, 0.25, terms, convention).unwrap()
+        };
+        let values = [0.4, -0.3];
+        let circuit = bind(&template, &values);
+
+        let mixed = problem(&[&[0, 1], &[2], &[2, 3]]);
+        let plan = ExpectationPlan::build(&template, &mixed, &PARAMS).unwrap();
+        let runs = plan.term_correlators(&values).unwrap();
+        for (k, qubits) in [(1, &[2][..]), (2, &[2, 3][..])] {
+            let program = &plan.programs[plan.terms[k] as usize];
+            assert_eq!(program.num_steps, 0);
+            // Two cones that share nothing leave one scalar each.
+            assert_eq!(usize::from(program.num_scalars), qubits.len());
+            let (got, multiplied) = runs[k].unwrap();
+            assert_eq!(multiplied, 0);
+            let (want, _) = per_call_correlator(&circuit, qubits);
+            assert_eq!(got.to_bits(), want.to_bits(), "{qubits:?}");
+        }
+        assert_matches_per_call(&template, &mixed, &values);
+
+        // Every program a constant: no step anywhere, on any thread count.
+        let folded = problem(&[&[2], &[3], &[2, 3]]);
+        let plan = ExpectationPlan::build(&template, &folded, &PARAMS).unwrap();
+        assert_eq!((plan.arena_len(), plan.max_steps), (0, 0));
+        let parallel = lightcone::problem_expectation(&circuit, &folded).unwrap();
+        for threads in [1, 2, 3] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let got = pool.install(|| plan.expectation(&folded, &values)).unwrap();
+            assert_eq!(got.to_bits(), parallel.to_bits(), "{threads} threads");
+        }
+        assert_matches_per_call(&template, &folded, &values);
+    }
+
+    /// perfbench's `search_tn` keeps one plan per candidate and graph alive:
+    /// 4-regular n = 10 graphs, p = 1, mixers of one or two `rx` / `ry`.
+    #[test]
+    fn plans_stay_under_9_kib_on_the_search_tn_shape() {
+        let (x, y) = (Gate::RX, Gate::RY);
+        let mixers: [&[Gate]; 6] = [&[x], &[y], &[x, x], &[x, y], &[y, x], &[y, y]];
+        for graph in graphs::datasets::random_regular_dataset(2, 10, 4, 11) {
+            let problem = Problem::max_cut(&graph);
+            for mixer in mixers {
+                let template = template(&graph, mixer);
+                let plan = ExpectationPlan::build(&template, &problem, &PARAMS).unwrap();
+                assert_eq!(plan.num_contractions(), 20);
+                assert!(
+                    plan.heap_bytes() < 9 * 1024,
+                    "{mixer:?}: plan owns {} bytes",
+                    plan.heap_bytes()
+                );
+                // The cap, the observable, and the |+⟩ every cap·H bucket
+                // of every cone folds to, held once.
+                assert_eq!(plan.constant_runs.len(), 3, "{mixer:?}");
+            }
         }
     }
 

@@ -8,7 +8,9 @@ use crate::lightcone::{self, maxcut_expectation, zz_expectation_lightcone};
 use crate::network::TensorNetwork;
 use crate::ordering::reference::{ReferenceGraph, HEURISTICS};
 use crate::ordering::InteractionGraph;
-use crate::plan::tests::{bind, per_call_correlator, qaoa_params, qaoa_template, term_network};
+use crate::plan::tests::{
+    bind, per_call_correlator, qaoa_params, qaoa_template, qaoa_template_with, term_network,
+};
 use crate::plan::ExpectationPlan;
 use graphs::{Graph, Problem};
 use proptest::prelude::*;
@@ -74,6 +76,18 @@ fn arb_mixer() -> impl Strategy<Value = Vec<Gate>> {
         Just(Gate::P),
     ];
     proptest::collection::vec(gate, 1..4)
+}
+
+/// No mixer gate or one rotation from `rx, ry, rz, p` bound to a fixed angle,
+/// which the plan's networks contract at build time where they can.
+fn arb_bound_rotation() -> impl Strategy<Value = Vec<(Gate, f64)>> {
+    let gate = prop_oneof![
+        Just(Gate::RX),
+        Just(Gate::RY),
+        Just(Gate::RZ),
+        Just(Gate::P),
+    ];
+    proptest::collection::vec((gate, arb_angle()), 0..2)
 }
 
 /// An angle: uniform, or exactly `0` or `π` (where rotations turn diagonal
@@ -207,6 +221,7 @@ proptest! {
     fn plan_programs_are_bitwise_the_per_call_contractions(
         graph in arb_graph(),
         mixer in arb_mixer(),
+        bound in arb_bound_rotation(),
         p in 1usize..3,
         angles in proptest::collection::vec(arb_angle(), 4),
         mis in any::<bool>()
@@ -218,7 +233,12 @@ proptest! {
         } else {
             Problem::max_cut(&graph)
         };
-        let template = qaoa_template(&graph, &problem, &mixer, p);
+        // The free mixer gates on `2β_k`, then the bound rotation, if any (a
+        // fixed `RX(0)` is diagonal when the plan is built).
+        let layer: Vec<(Gate, Option<f64>)> = (mixer.iter().map(|&g| (g, None)))
+            .chain(bound.iter().map(|&(g, theta)| (g, Some(theta))))
+            .collect();
+        let template = qaoa_template_with(&graph, &problem, &layer, p);
         let plan = ExpectationPlan::build(&template, &problem, &qaoa_params(p)).unwrap();
         let values = &angles[..2 * p];
         let circuit = bind(&template, values);
@@ -228,7 +248,7 @@ proptest! {
                     let want = (!term.qubits().is_empty())
                         .then(|| per_call_correlator(&circuit, term.qubits()).0);
                     prop_assert_eq!(
-                        got.map(f64::to_bits),
+                        got.map(|(value, _)| value.to_bits()),
                         want.map(f64::to_bits),
                         "term {:?} of {} with {:?} at {:?}",
                         term.qubits(), problem.name(), mixer, values
