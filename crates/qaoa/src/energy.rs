@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use statevec::compile::PhaseLutInterner;
 use statevec::{BatchStateVector, CompiledProgram, StateVector};
 use std::sync::{Arc, Mutex, OnceLock};
-use tensornet::{ExpectationPlan, PlanScratch, TensorNetError};
+use tensornet::{ExpectationPlan, PlanInterner, PlanScratch, TensorNetError};
 
 /// Result of training one ansatz on one problem instance.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -60,6 +60,11 @@ struct Instance {
     /// depends on the problem alone, so every candidate mixer compiled here
     /// shares one LUT, for as long as one of their programs is alive.
     luts: PhaseLutInterner,
+    /// The structure of this instance's expectation plans: candidates whose
+    /// templates differ only in which rotation sits where (`rx` and `ry`)
+    /// share one, for as long as one of their plans is alive. Only ever
+    /// sees this instance's problem, as the interner requires.
+    plans: PlanInterner,
 }
 
 impl EnergyEvaluator {
@@ -97,6 +102,7 @@ impl EnergyEvaluator {
                 classical,
                 diag: OnceLock::new(),
                 luts: PhaseLutInterner::default(),
+                plans: PlanInterner::default(),
             }),
         })
     }
@@ -184,7 +190,10 @@ impl EnergyEvaluator {
     /// (tensor-network backends only): cones, networks, elimination orders
     /// and every bucket's index maps are fixed by the template and the
     /// problem, so each contraction is compiled here once instead of rebuilt
-    /// per evaluation.
+    /// per evaluation. Candidates whose templates differ only in which
+    /// rotation sits at a position (`rx` and `ry`) share that compiled
+    /// structure through this evaluator and its clones
+    /// ([`tensornet::PlanInterner`]) while one of their plans is alive.
     ///
     /// [`PlannedEnergy::energy_flat`] returns bit for bit what
     /// [`EnergyEvaluator::energy_flat`] does. Every tensor-network
@@ -210,8 +219,9 @@ impl EnergyEvaluator {
             .map(|k| format!("gamma_{k}"))
             .chain((0..p).map(|k| format!("beta_{k}")))
             .collect();
+        let Instance { problem, plans, .. } = &*self.inner;
         Ok(PlannedEnergy {
-            plan: ExpectationPlan::build(ansatz.template(), &self.inner.problem, &names)?,
+            plan: ExpectationPlan::build_with(ansatz.template(), problem, &names, plans)?,
             evaluator: self.clone(),
             scratch: Mutex::new(PlanScratch::default()),
         })
@@ -1052,6 +1062,7 @@ mod tests {
     use super::*;
     use crate::mixer::Mixer;
     use optim::{CobylaOptimizer, NelderMead};
+    use qcircuit::Gate;
 
     #[test]
     fn zero_angles_give_half_total_weight() {
@@ -1474,6 +1485,38 @@ mod tests {
         assert!(dropped.upgrade().is_none());
         let again = eval.compile(&rx).unwrap();
         assert_eq!(*cost_lut(&again), *alone.luts()[0]);
+    }
+
+    #[test]
+    fn plans_of_one_evaluator_share_structure_across_rotation_kinds() {
+        let graph = Graph::random_regular(10, 4, 11).unwrap();
+        let eval = EnergyEvaluator::new(&graph, Backend::TensorNetwork);
+        let plan = |eval: &EnergyEvaluator, gates: &[Gate]| {
+            let mixer = Mixer::new(gates.to_vec()).unwrap();
+            eval.plan(&QaoaAnsatz::new(eval.graph(), 1, mixer)).unwrap()
+        };
+        let (x, y) = (Gate::RX, Gate::RY);
+        let rx = plan(&eval, &[x]);
+
+        // The three pairs `search_tn` plans on each graph, also when the
+        // second comes through a clone of the evaluator.
+        let pairs: [(&[Gate], &[Gate]); 3] = [(&[x], &[y]), (&[x, x], &[y, y]), (&[x, y], &[y, x])];
+        for (a, b) in pairs {
+            let (a_plan, b_plan) = (plan(&eval, a), plan(&eval.clone(), b));
+            assert!(
+                a_plan.plan().shares_structure_with(b_plan.plan()),
+                "{a:?} ≡ {b:?}"
+            );
+        }
+
+        // Another graph's evaluator has its own. (Which templates share
+        // through one interner is pinned in `tensornet::plan`.)
+        let other_graph = Graph::random_regular(10, 4, 12).unwrap();
+        let other = plan(
+            &EnergyEvaluator::new(&other_graph, Backend::TensorNetwork),
+            &[y],
+        );
+        assert!(!rx.plan().shares_structure_with(other.plan()));
     }
 
     #[test]

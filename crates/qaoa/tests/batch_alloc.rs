@@ -7,8 +7,9 @@
 //! training session on an evaluator that already has one allocates nothing
 //! of `2^n` size. A warm `PlannedEnergy::energy_flat` allocates nothing on
 //! the sequential tensor-network backend, and on the parallel one only the
-//! Rayon driver's buffers — as many for twelve cost terms as for forty. A
-//! counting global allocator pins those contracts so buffer reuse and
+//! Rayon driver's buffers — as many for twelve cost terms as for forty; and
+//! a plan whose compiled structure the evaluator already holds allocates a
+//! fraction of a fresh one. A counting global allocator pins those contracts so buffer reuse and
 //! per-graph sharing cannot silently regress into per-call, per-term or
 //! per-session allocations.
 
@@ -187,6 +188,30 @@ fn warm_planned_energy_flat_allocates_nothing_per_term() {
             assert_eq!(counts[0], 0, "one thread runs inline");
         }
     }
+}
+
+#[test]
+fn planning_ry_after_rx_on_an_evaluator_allocates_a_fraction_of_the_first_plan() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // The compiled structure of a plan — programs, folded constants, the
+    // template's rows — names matrices by id: `ry` takes `rx`'s from the
+    // evaluator and allocates only its own matrix table, the key and the
+    // transients of hashing the template. On the `search_tn` shape that is
+    // 1.5 KB when written, against 360 KB for the first plan, transients
+    // included.
+    let graph = Graph::random_regular(10, 4, 11).unwrap();
+    let eval = EnergyEvaluator::new(&graph, Backend::TensorNetwork);
+    let plan = |gate: Gate| {
+        let ansatz = QaoaAnsatz::new(&graph, 1, Mixer::new(vec![gate]).unwrap());
+        count_allocs(|| eval.plan(&ansatz).unwrap())
+    };
+    let (_, first_bytes, rx) = plan(Gate::RX);
+    let (_, second_bytes, ry) = plan(Gate::RY);
+    assert!(rx.plan().shares_structure_with(ry.plan()));
+    assert!(
+        second_bytes < first_bytes / 4 && second_bytes < 4096,
+        "second plan allocated {second_bytes} bytes (first: {first_bytes})"
+    );
 }
 
 #[test]

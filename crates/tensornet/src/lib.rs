@@ -24,7 +24,9 @@
 //!   redoes although it depends on the circuit template and the problem
 //!   alone (cones, networks, elimination orders, every bucket's index maps),
 //!   compiling each contraction into a flat gather-multiply-sum program, so
-//!   a training loop only forms gate matrices and runs the programs.
+//!   a training loop only forms gate matrices and runs the programs; plans
+//!   built through one [`PlanInterner`] share that structure across
+//!   templates that differ only in which rotation sits where.
 //!
 //! The crate is validated against the dense `statevec` backend in the
 //! integration tests and in property-based tests.
@@ -51,7 +53,7 @@ pub mod tensor;
 pub use error::TensorNetError;
 pub use network::TensorNetwork;
 pub use ordering::{ContractionOrder, OrderingHeuristic};
-pub use plan::{ExpectationPlan, PlanScratch};
+pub use plan::{ExpectationPlan, PlanInterner, PlanScratch};
 pub use tensor::Tensor;
 
 #[cfg(test)]

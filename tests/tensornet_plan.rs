@@ -11,6 +11,8 @@
 use qarchsearch_suite::prelude::*;
 use qarchsearch_suite::qaoa::energy::TrainedCircuit;
 use qarchsearch_suite::qaoa::QaoaError;
+use qarchsearch_suite::qarchsearch::report::SearchReport;
+use qarchsearch_suite::tensornet::ExpectationPlan;
 
 fn mixers() -> Vec<Mixer> {
     [
@@ -73,6 +75,122 @@ fn plan_matches_energy_flat_bitwise_for_every_problem_backend_depth_mixer_and_th
                 }
             }
         }
+    }
+}
+
+/// The three pairs of mixers that share one compiled structure per graph:
+/// they differ only in which rotation sits at a position.
+fn sharing_pairs() -> [(Mixer, Mixer); 3] {
+    let mixer = |gates: &[Gate]| Mixer::new(gates.to_vec()).unwrap();
+    let (x, y) = (Gate::RX, Gate::RY);
+    [
+        (mixer(&[x]), mixer(&[y])),
+        (mixer(&[x, x]), mixer(&[y, y])),
+        (mixer(&[x, y]), mixer(&[y, x])),
+    ]
+}
+
+/// [`points`] plus β = 2π on the first layer, where every rotation of that
+/// layer is numerically the identity. At p = 2 the other layer keeps a
+/// generic β, so an evaluation rebound with the wrong rotations errs.
+fn shape_changing_points(depth: usize) -> Vec<Vec<f64>> {
+    let mut points = points(depth);
+    let mut two_pi_beta = points[0].clone();
+    two_pi_beta[depth] = 2.0 * std::f64::consts::PI;
+    points.push(two_pi_beta);
+    points
+}
+
+#[test]
+fn shared_plans_match_a_fresh_build_and_energy_flat_bitwise_in_either_order() {
+    let graph = Graph::erdos_renyi(6, 0.5, 41);
+    for kind in ProblemKind::all(41) {
+        let problem = kind.instantiate(&graph);
+        for backend in [Backend::TensorNetwork, Backend::TensorNetworkSequential] {
+            for depth in [1, 2] {
+                let names: Vec<String> = (0..depth)
+                    .map(|k| format!("gamma_{k}"))
+                    .chain((0..depth).map(|k| format!("beta_{k}")))
+                    .collect();
+                for (a, b) in sharing_pairs() {
+                    for (first, second) in [(&a, &b), (&b, &a)] {
+                        // One evaluator per order: `second` runs the
+                        // structure `first` compiled.
+                        let eval =
+                            EnergyEvaluator::for_problem(&graph, problem.clone(), backend).unwrap();
+                        let ansatz =
+                            |m: &Mixer| QaoaAnsatz::for_problem(&problem, depth, m.clone());
+                        let (first, second) = (ansatz(first).unwrap(), ansatz(second).unwrap());
+                        let built = eval.plan(&first).unwrap();
+                        let shared = eval.plan(&second).unwrap();
+                        assert!(built.plan().shares_structure_with(shared.plan()));
+                        let fresh =
+                            ExpectationPlan::build(second.template(), &problem, &names).unwrap();
+                        for point in shape_changing_points(depth) {
+                            let want = eval.energy_flat(&second, &point).unwrap();
+                            let alone = match backend {
+                                Backend::TensorNetworkSequential => {
+                                    fresh.expectation_sequential(&problem, &point)
+                                }
+                                _ => fresh.expectation(&problem, &point),
+                            }
+                            .unwrap();
+                            let got = shared.energy_flat(&point).unwrap();
+                            let tag = format!(
+                                "{} {backend} p={depth} {} after {} at {point:?}",
+                                problem.name(),
+                                second.mixer().label(),
+                                first.mixer().label(),
+                            );
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "{tag}: shared vs energy_flat"
+                            );
+                            assert_eq!(
+                                alone.to_bits(),
+                                want.to_bits(),
+                                "{tag}: fresh vs energy_flat"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Sessions of one search build their plans on several workers at once,
+/// through the one interner of each graph's evaluator: whichever build of a
+/// structure wins, the report is the same bytes at every thread count.
+#[test]
+fn tensor_network_search_reports_are_thread_count_independent_with_shared_plans() {
+    let dataset = qarchsearch_suite::graphs::datasets::random_regular_dataset(2, 8, 4, 2023);
+    let config = SearchConfig::builder()
+        .alphabet(GateAlphabet::from_mnemonics(&["rx", "ry", "rz"]).unwrap())
+        .max_depth(2)
+        .max_gates_per_mixer(2)
+        .optimizer_budget(20)
+        .backend(Backend::TensorNetwork)
+        .seed(2023)
+        .build();
+    let report = |threads: usize| {
+        let outcome = SearchDriver::new(SearchConfig {
+            threads: Some(threads),
+            ..config.clone()
+        })
+        .run(&dataset)
+        .unwrap();
+        let report = SearchReport::from(&outcome).without_timings();
+        SearchReport {
+            threads: None,
+            ..report
+        }
+        .to_json()
+    };
+    let one = report(1);
+    for threads in [2, 4] {
+        assert_eq!(report(threads), one, "{threads} threads");
     }
 }
 
