@@ -2,39 +2,32 @@
 //!
 //! QArchSearch evaluates candidate circuits with the QTensor tensor-network
 //! simulator; the paper lists GPU statevector simulation as future work. This
-//! crate keeps both options behind one enum so the evaluator, the search
-//! schedulers and the benches can switch freely (perfbench's
-//! `tensornet.energy_eval_us` and `qaoa.energy_eval_us` probes quantify the
-//! difference on one set of inputs).
+//! crate keeps both options behind one enum so the evaluator and the search
+//! schedulers can switch freely (perfbench's `tensornet.energy_eval_us` and
+//! `qaoa.energy_eval_us` probes quantify the difference on one set of
+//! inputs).
 
 use crate::error::QaoaError;
 use graphs::Problem;
 use qcircuit::Circuit;
-use serde::{Deserialize, Serialize};
+use serde::{Error, Serialize, Value};
 
 /// Which simulator evaluates circuit expectation values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Default)]
 pub enum Backend {
     /// Dense state-vector simulation (exact, memory ∝ 2^n).
     StateVector,
-    /// Tensor-network contraction with per-edge light cones (QTensor analog).
-    /// Edges are contracted in parallel — the inner level of the paper's
-    /// two-level parallelization.
+    /// Tensor-network contraction with per-term light cones (QTensor analog).
+    /// Cost terms are contracted in parallel on the Rayon pool — the inner
+    /// level of the paper's two-level parallelization.
     #[default]
     TensorNetwork,
-    /// Tensor-network contraction with sequential edge evaluation (used by
-    /// the two-level parallelization ablation).
-    TensorNetworkSequential,
 }
 
 impl Backend {
-    /// All backends, for benches and tests.
+    /// All backends.
     pub fn all() -> &'static [Backend] {
-        &[
-            Backend::StateVector,
-            Backend::TensorNetwork,
-            Backend::TensorNetworkSequential,
-        ]
+        &[Backend::StateVector, Backend::TensorNetwork]
     }
 
     /// Energy ⟨C⟩ of a fully-bound circuit for an arbitrary diagonal cost
@@ -55,10 +48,30 @@ impl Backend {
             }
             Backend::TensorNetwork => tensornet::lightcone::problem_expectation(circuit, problem)
                 .map_err(|e| backend_err(e.to_string())),
-            Backend::TensorNetworkSequential => {
-                tensornet::lightcone::problem_expectation_sequential(circuit, problem)
-                    .map_err(|e| backend_err(e.to_string()))
-            }
+        }
+    }
+}
+
+// Written out rather than derived to read one legacy tag. A job's spec and
+// checkpoints carry their backend into the server's journal, and replay
+// treats a record it cannot read as a torn tail: it stops there, and
+// compaction drops every record after it. Journals written while a
+// sequential tensor-network backend existed name it as
+// `TensorNetworkSequential`; such a job resumes on `TensorNetwork`, which
+// sums the same terms with the problem's constant added last (the same bits
+// when the constant is zero, as for Max-Cut).
+impl serde::Deserialize for Backend {
+    fn from_value(value: &Value) -> Result<Backend, Error> {
+        match value {
+            Value::String(tag) => match tag.as_str() {
+                "StateVector" => Ok(Backend::StateVector),
+                "TensorNetwork" | "TensorNetworkSequential" => Ok(Backend::TensorNetwork),
+                other => Err(Error::custom(format!("unknown Backend variant '{other}'"))),
+            },
+            other => Err(Error::custom(format!(
+                "expected string for Backend but found {}",
+                other.kind()
+            ))),
         }
     }
 }
@@ -68,7 +81,6 @@ impl std::fmt::Display for Backend {
         let s = match self {
             Backend::StateVector => "statevector",
             Backend::TensorNetwork => "tensor-network",
-            Backend::TensorNetworkSequential => "tensor-network-sequential",
         };
         write!(f, "{s}")
     }
@@ -78,16 +90,15 @@ impl std::str::FromStr for Backend {
     type Err = graphs::ParseKindError;
 
     /// Parse a backend name. Round-trips with [`Display`](std::fmt::Display);
-    /// the short aliases `sv`, `tn` and `tns` are also accepted.
+    /// the short aliases `sv` and `tn` are also accepted.
     fn from_str(spec: &str) -> Result<Backend, Self::Err> {
         match spec {
             "statevector" | "sv" => Ok(Backend::StateVector),
             "tensor-network" | "tn" => Ok(Backend::TensorNetwork),
-            "tensor-network-sequential" | "tns" => Ok(Backend::TensorNetworkSequential),
             other => Err(graphs::ParseKindError::new(
                 "backend",
                 other,
-                "statevector, tensor-network, tensor-network-sequential",
+                "statevector, tensor-network",
             )),
         }
     }
@@ -112,11 +123,7 @@ mod tests {
         let tn = Backend::TensorNetwork
             .expectation(&circuit, &problem)
             .unwrap();
-        let tns = Backend::TensorNetworkSequential
-            .expectation(&circuit, &problem)
-            .unwrap();
         assert!((sv - tn).abs() < 1e-8, "sv {sv} vs tn {tn}");
-        assert!((tn - tns).abs() < 1e-12);
     }
 
     #[test]
@@ -169,9 +176,15 @@ mod tests {
         // Short aliases.
         assert_eq!("sv".parse::<Backend>().unwrap(), Backend::StateVector);
         assert_eq!("tn".parse::<Backend>().unwrap(), Backend::TensorNetwork);
-        let err = "gpu".parse::<Backend>().unwrap_err();
-        assert_eq!(err.what, "backend");
-        assert!(err.to_string().contains("statevector"), "{err}");
+        // The sequential tensor-network backend is gone, by name and alias;
+        // the error lists what replaces it.
+        for name in ["gpu", "tensor-network-sequential", "tns"] {
+            let err = name.parse::<Backend>().unwrap_err();
+            assert_eq!(err.what, "backend");
+            let message = err.to_string();
+            assert!(message.contains("statevector"), "{message}");
+            assert!(message.contains("tensor-network"), "{message}");
+        }
     }
 
     #[test]

@@ -166,7 +166,7 @@ impl EnergyEvaluator {
 
     /// Compile `ansatz` into the allocation-free fast path for this
     /// evaluator's graph (state-vector backend only; the tensor-network
-    /// backends have [`EnergyEvaluator::plan`]).
+    /// backend has [`EnergyEvaluator::plan`]).
     ///
     /// The returned [`CompiledEnergy`] holds the lowered circuit, this
     /// evaluator's problem diagonal and phase LUTs (shared, not copied) and a
@@ -187,7 +187,7 @@ impl EnergyEvaluator {
     }
 
     /// Plan the light-cone energy of `ansatz` on this evaluator's problem
-    /// (tensor-network backends only): cones, networks, elimination orders
+    /// (tensor-network backend only): cones, networks, elimination orders
     /// and every bucket's index maps are fixed by the template and the
     /// problem, so each contraction is compiled here once instead of rebuilt
     /// per evaluation. Candidates whose templates differ only in which
@@ -340,19 +340,17 @@ impl EnergyEvaluator {
                 .compile(ansatz)
                 .ok()
                 .map(|compiled| Objective::Compiled(Box::new(compiled))),
-            Backend::TensorNetwork | Backend::TensorNetworkSequential => {
-                match self.build_plan(ansatz) {
-                    Ok(planned) => Some(Objective::Planned(Box::new(planned))),
-                    // Every evaluation would hit the same limit: say so now
-                    // instead of training on +inf.
-                    Err(e @ TensorNetError::WidthLimitExceeded { .. }) => {
-                        return Err(QaoaError::Backend {
-                            message: e.to_string(),
-                        })
-                    }
-                    Err(_) => None,
+            Backend::TensorNetwork => match self.build_plan(ansatz) {
+                Ok(planned) => Some(Objective::Planned(Box::new(planned))),
+                // Every evaluation would hit the same limit: say so now
+                // instead of training on +inf.
+                Err(e @ TensorNetError::WidthLimitExceeded { .. }) => {
+                    return Err(QaoaError::Backend {
+                        message: e.to_string(),
+                    })
                 }
-            }
+                Err(_) => None,
+            },
         };
         Ok(TrainingSession {
             evaluator: self.clone(),
@@ -420,7 +418,7 @@ impl std::fmt::Debug for ProgressHook {
 ///
 /// A session is small: a reference-counted handle on its evaluator, the
 /// optimizer checkpoints, and the lowered objective — a [`CompiledEnergy`]
-/// (state-vector backend) or a [`PlannedEnergy`] (tensor-network backends);
+/// (state-vector backend) or a [`PlannedEnergy`] (tensor-network backend);
 /// the ansatz template is not kept once lowered. Only depth 0 and templates
 /// the lowering refuses keep the template to bind per call. The search
 /// pipeline keeps one session per `(candidate, graph)` alive for a whole
@@ -480,7 +478,7 @@ impl TrainingSession {
 
     /// Whether this session runs on the compiled state-vector fast path and
     /// therefore profits from an external scratch state (`false` for the
-    /// tensor-network backends, whose plan needs no `2^n` buffer, and for
+    /// tensor-network backend, whose plan needs no `2^n` buffer, and for
     /// depth 0).
     pub fn uses_compiled_scratch(&self) -> bool {
         matches!(self.objective, Objective::Compiled(_))
@@ -743,29 +741,23 @@ pub struct PlannedEnergy {
     plan: ExpectationPlan,
     evaluator: EnergyEvaluator,
     /// Evaluation buffers, reused across calls like [`CompiledEnergy`]'s
-    /// scratch: once warm, a sequential evaluation allocates nothing and a
-    /// parallel one only what Rayon's drivers do. A [`TrainingSession`]
-    /// releases them when an advance ends.
+    /// scratch: once warm, an evaluation on a one-thread pool allocates
+    /// nothing and on a wider one only what Rayon's drivers do. A
+    /// [`TrainingSession`] releases them when an advance ends.
     scratch: Mutex<PlanScratch>,
 }
 
 impl PlannedEnergy {
-    /// ⟨C⟩ for a flat parameter vector `[γ…, β…]`: cost terms in parallel on
-    /// [`Backend::TensorNetwork`], one after the other on
-    /// [`Backend::TensorNetworkSequential`].
+    /// ⟨C⟩ for a flat parameter vector `[γ…, β…]`, cost terms split across
+    /// the current Rayon pool (inline on a one-thread pool).
     pub fn energy_flat(&self, params: &[f64]) -> Result<f64, QaoaError> {
         let problem = &self.evaluator.inner.problem;
         let mut scratch = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
-        match self.evaluator.inner.backend {
-            Backend::TensorNetworkSequential => {
-                self.plan
-                    .expectation_sequential_in(problem, params, &mut scratch)
-            }
-            _ => self.plan.expectation_in(problem, params, &mut scratch),
-        }
-        .map_err(|e| QaoaError::Backend {
-            message: e.to_string(),
-        })
+        self.plan
+            .expectation_in(problem, params, &mut scratch)
+            .map_err(|e| QaoaError::Backend {
+                message: e.to_string(),
+            })
     }
 
     /// Drop the evaluation buffers; the next [`energy_flat`](Self::energy_flat)

@@ -6,8 +6,8 @@
 //! below). The scalar `energy_flat_in` allocates nothing once warm, and a
 //! training session on an evaluator that already has one allocates nothing
 //! of `2^n` size. A warm `PlannedEnergy::energy_flat` allocates nothing on
-//! the sequential tensor-network backend, and on the parallel one only the
-//! Rayon driver's buffers — as many for twelve cost terms as for forty; and
+//! a one-thread pool, and on a wider one only the Rayon driver's buffers —
+//! as many for twelve cost terms as for forty; and
 //! a plan whose compiled structure the evaluator already holds allocates a
 //! fraction of a fresh one. A counting global allocator pins those contracts so buffer reuse and
 //! per-graph sharing cannot silently regress into per-call, per-term or
@@ -159,15 +159,6 @@ fn warm_planned_energy_flat_allocates_nothing_per_term() {
         Graph::random_regular(8, 3, 5).unwrap(),
         Graph::random_regular(20, 4, 5).unwrap(),
     ];
-    for graph in &graphs {
-        let eval = EnergyEvaluator::new(graph, Backend::TensorNetworkSequential);
-        assert_eq!(
-            warm_count(&eval, graph),
-            0,
-            "sequential plan allocated after warm-up ({} terms)",
-            graph.num_edges()
-        );
-    }
     for threads in [1, 2, 3] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)

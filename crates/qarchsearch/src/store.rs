@@ -679,6 +679,55 @@ mod tests {
     }
 
     #[test]
+    fn a_journal_naming_the_sequential_tensor_network_backend_replays_whole() {
+        // Specs journaled while `Backend::TensorNetworkSequential` existed
+        // carry its tag. Such a record must replay, as the tensor-network
+        // backend, rather than end replay as a torn tail.
+        let dir = tmp_dir("legacy-backend");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut spec = tiny_spec();
+        spec.config.evaluator.backend = Backend::TensorNetwork;
+        let current = serde_json::to_string(&JournalRecord::Submitted { id: 1, spec }).unwrap();
+        let tag = "\"backend\":\"TensorNetwork\"";
+        assert_eq!(current.matches(tag).count(), 1, "{current}");
+        let legacy = current.replace(tag, "\"backend\":\"TensorNetworkSequential\"");
+        let later = [
+            JournalRecord::State {
+                id: 1,
+                state: JobState::Running,
+                retries: 0,
+            },
+            JournalRecord::Submitted {
+                id: 2,
+                spec: tiny_spec(),
+            },
+            JournalRecord::Progress {
+                id: 1,
+                depth: 1,
+                rung: 0,
+            },
+        ];
+        let mut journal = String::new();
+        for json in
+            std::iter::once(legacy).chain(later.iter().map(|r| serde_json::to_string(r).unwrap()))
+        {
+            journal += &format!("{:08x} {json}\n", crc32(json.as_bytes()));
+        }
+        std::fs::write(journal_path_in(&dir), journal).unwrap();
+
+        let (_store, replayed) = JobStore::open(&dir).unwrap();
+        assert_eq!((replayed.records, replayed.dropped_records), (4, 0));
+        let job = &replayed.jobs[&1];
+        assert_eq!(job.spec.config.evaluator.backend, Backend::TensorNetwork);
+        assert_eq!(job.state, JobState::Running);
+        assert_eq!(
+            replayed.jobs[&2].spec.config.evaluator.backend,
+            Backend::StateVector
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn torn_tail_is_dropped_not_fatal() {
         let dir = tmp_dir("torn");
         let (mut store, _) = JobStore::open(&dir).unwrap();

@@ -7,7 +7,7 @@
 //! value of the closed network.
 
 use crate::error::TensorNetError;
-use crate::ordering::{ContractionOrder, InteractionGraph, OrderingHeuristic};
+use crate::ordering::ContractionOrder;
 use crate::tensor::Tensor;
 use num_complex::Complex64;
 
@@ -81,32 +81,22 @@ pub fn contract_with_order(
     Ok((value, stats))
 }
 
-/// Contract a closed tensor network with an automatically chosen elimination
-/// order (the better of min-degree and min-fill).
-pub fn contract_auto(
-    tensors: Vec<Tensor>,
-) -> Result<(Complex64, ContractionStats), TensorNetError> {
-    let graph = InteractionGraph::from_tensor_indices(tensors.iter().map(|t| t.indices()));
-    let order = graph.best_order();
-    contract_with_order(tensors, &order, DEFAULT_WIDTH_LIMIT)
-}
-
-/// Contract with an explicit heuristic.
-pub fn contract_with_heuristic(
-    tensors: Vec<Tensor>,
-    heuristic: OrderingHeuristic,
-) -> Result<(Complex64, ContractionStats), TensorNetError> {
-    let graph = InteractionGraph::from_tensor_indices(tensors.iter().map(|t| t.indices()));
-    let order = graph.elimination_order(heuristic);
-    contract_with_order(tensors, &order, DEFAULT_WIDTH_LIMIT)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ordering::{InteractionGraph, OrderingHeuristic};
 
     fn c(re: f64) -> Complex64 {
         Complex64::new(re, 0.0)
+    }
+
+    fn order(tensors: &[Tensor], heuristic: OrderingHeuristic) -> ContractionOrder {
+        InteractionGraph::from_tensor_indices(tensors.iter().map(|t| t.indices()))
+            .elimination_order(heuristic)
+    }
+
+    fn contract(tensors: Vec<Tensor>, order: &ContractionOrder) -> (Complex64, ContractionStats) {
+        contract_with_order(tensors, order, DEFAULT_WIDTH_LIMIT).unwrap()
     }
 
     #[test]
@@ -114,7 +104,9 @@ mod tests {
         // Σ_i a[i] b[i] = 1*3 + 2*4 = 11
         let a = Tensor::new(vec![0], vec![c(1.0), c(2.0)]).unwrap();
         let b = Tensor::new(vec![0], vec![c(3.0), c(4.0)]).unwrap();
-        let (value, stats) = contract_auto(vec![a, b]).unwrap();
+        let tensors = vec![a, b];
+        let order = order(&tensors, OrderingHeuristic::MinDegree);
+        let (value, stats) = contract(tensors, &order);
         assert_eq!(value, c(11.0));
         assert_eq!(stats.eliminated_indices, 1);
     }
@@ -125,31 +117,39 @@ mod tests {
         // Σ_{ij} A[i,j] B[j,i] = 1*5 + 2*7 + 3*6 + 4*8 = 69.
         let a = Tensor::new(vec![0, 1], vec![c(1.0), c(2.0), c(3.0), c(4.0)]).unwrap();
         let b = Tensor::new(vec![1, 0], vec![c(5.0), c(6.0), c(7.0), c(8.0)]).unwrap();
-        let (value, _) = contract_auto(vec![a, b]).unwrap();
+        let tensors = vec![a, b];
+        let order = order(&tensors, OrderingHeuristic::MinFill);
+        let (value, _) = contract(tensors, &order);
         assert_eq!(value, c(69.0));
     }
 
     #[test]
     fn contraction_value_is_order_independent() {
-        // A small ring network: value must not depend on the heuristic.
+        // A small ring network: value must not depend on the order.
         let t01 = Tensor::new(vec![0, 1], vec![c(1.0), c(0.5), c(0.25), c(2.0)]).unwrap();
         let t12 = Tensor::new(vec![1, 2], vec![c(0.5), c(1.5), c(1.0), c(1.0)]).unwrap();
         let t23 = Tensor::new(vec![2, 3], vec![c(2.0), c(0.0), c(1.0), c(1.0)]).unwrap();
         let t30 = Tensor::new(vec![3, 0], vec![c(1.0), c(1.0), c(0.5), c(0.5)]).unwrap();
         let tensors = vec![t01, t12, t23, t30];
-        let (v1, _) =
-            contract_with_heuristic(tensors.clone(), OrderingHeuristic::MinDegree).unwrap();
-        let (v2, _) = contract_with_heuristic(tensors.clone(), OrderingHeuristic::MinFill).unwrap();
-        let (v3, _) = contract_with_heuristic(tensors, OrderingHeuristic::Natural).unwrap();
+        let by_degree = order(&tensors, OrderingHeuristic::MinDegree);
+        let by_fill = order(&tensors, OrderingHeuristic::MinFill);
+        let descending = ContractionOrder {
+            order: vec![3, 2, 1, 0],
+            ..by_degree.clone()
+        };
+        let (v1, _) = contract(tensors.clone(), &by_degree);
+        let (v2, _) = contract(tensors.clone(), &by_fill);
+        let (v3, _) = contract(tensors, &descending);
         assert!((v1 - v2).norm() < 1e-12);
         assert!((v1 - v3).norm() < 1e-12);
     }
 
     #[test]
     fn scalars_multiply_through() {
-        let s1 = Tensor::scalar(c(2.0));
-        let s2 = Tensor::scalar(c(-3.0));
-        let (value, stats) = contract_auto(vec![s1, s2]).unwrap();
+        let s1 = Tensor::new(vec![], vec![c(2.0)]).unwrap();
+        let s2 = Tensor::new(vec![], vec![c(-3.0)]).unwrap();
+        let order = order(&[], OrderingHeuristic::MinDegree);
+        let (value, stats) = contract(vec![s1, s2], &order);
         assert_eq!(value, c(-6.0));
         assert_eq!(stats.eliminated_indices, 0);
     }
@@ -159,14 +159,16 @@ mod tests {
         // A star of vector tensors sharing one hub index is fine, but many
         // pairwise-disjoint indices in one bucket blow up. Construct tensors
         // that force a big intermediate: three tensors each sharing index 0
-        // but carrying 3 extra unique indices.
+        // but carrying 3 extra unique indices, and eliminate the hub first.
         let mut tensors = Vec::new();
         for k in 0..3 {
             let idxs = vec![0, 10 + 3 * k, 11 + 3 * k, 12 + 3 * k];
             tensors.push(Tensor::new(idxs, vec![c(1.0); 16]).unwrap());
         }
-        let graph = InteractionGraph::from_tensor_indices(tensors.iter().map(|t| t.indices()));
-        let order = graph.elimination_order(OrderingHeuristic::Natural);
+        let order = ContractionOrder {
+            order: vec![0],
+            ..order(&tensors, OrderingHeuristic::MinDegree)
+        };
         let result = contract_with_order(tensors, &order, 5);
         assert!(matches!(
             result,
@@ -180,7 +182,7 @@ mod tests {
         let order = ContractionOrder {
             order: vec![0],
             width: 2,
-            heuristic: OrderingHeuristic::Natural,
+            heuristic: OrderingHeuristic::MinDegree,
         };
         let result = contract_with_order(vec![a], &order, DEFAULT_WIDTH_LIMIT);
         assert!(matches!(
@@ -193,7 +195,9 @@ mod tests {
     fn stats_report_max_rank() {
         let a = Tensor::new(vec![0, 1], vec![c(1.0); 4]).unwrap();
         let b = Tensor::new(vec![1, 2], vec![c(1.0); 4]).unwrap();
-        let (_, stats) = contract_auto(vec![a, b]).unwrap();
+        let tensors = vec![a, b];
+        let order = order(&tensors, OrderingHeuristic::MinDegree);
+        let (_, stats) = contract(tensors, &order);
         assert!(stats.max_rank >= 2);
         assert!(stats.multiplications >= 1);
     }

@@ -16,10 +16,10 @@
 //!   min-fill) over the index interaction graph, plus contraction-width
 //!   estimation,
 //! * [`contraction`] — bucket (variable) elimination following an ordering,
-//! * [`lightcone`] — per-edge light-cone reduction for QAOA expectation
-//!   values: for ⟨Z_u Z_v⟩ only the gates in the causal cone of `{u, v}`
-//!   survive the U†…U cancellation, which is what lets QTensor simulate very
-//!   large QAOA circuits edge by edge,
+//! * [`lightcone`] — per-term light-cone reduction for QAOA expectation
+//!   values: for ⟨Π Z_q⟩ only the gates in the causal cone of the term's
+//!   qubits survive the U†…U cancellation, which is what lets QTensor
+//!   simulate very large QAOA circuits term by term,
 //! * [`plan`] — an [`ExpectationPlan`] does once what that evaluation
 //!   redoes although it depends on the circuit template and the problem
 //!   alone (cones, networks, elimination orders, every bucket's index maps),
@@ -35,11 +35,11 @@
 //! use qcircuit::Circuit;
 //! use tensornet::TensorNetwork;
 //!
-//! // ⟨00|H⊗H|00⟩ = 1/2
-//! let mut c = Circuit::new(2);
-//! c.h(0).h(1);
-//! let amp = TensorNetwork::amplitude(&c).unwrap();
-//! assert!((amp.re - 0.5).abs() < 1e-10);
+//! // ⟨Z⟩ = −1 after X.
+//! let mut c = Circuit::new(1);
+//! c.x(0);
+//! let z = TensorNetwork::z_product_expectation(&c, &[0]).unwrap();
+//! assert!((z + 1.0).abs() < 1e-10);
 //! ```
 
 pub mod contraction;

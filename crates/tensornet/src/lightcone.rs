@@ -80,23 +80,10 @@ impl LightCone {
     }
 }
 
-/// ⟨Z_u Z_v⟩ on the output of `circuit`, evaluated on the light-cone-reduced
-/// sub-circuit via the tensor-network backend.
-pub fn zz_expectation_lightcone(
-    circuit: &Circuit,
-    u: usize,
-    v: usize,
-) -> Result<f64, TensorNetError> {
-    let cone = LightCone::of(circuit, &[u, v]);
-    let cu = cone.relabelled(u).expect("u is a target of its own cone");
-    let cv = cone.relabelled(v).expect("v is a target of its own cone");
-    TensorNetwork::zz_expectation(&cone.circuit, cu, cv)
-}
-
 /// `⟨Π_{q ∈ qubits} Z_q⟩` on the output of `circuit`, evaluated on the
-/// light-cone-reduced sub-circuit of the term's qubits — the per-term
-/// generalization of [`zz_expectation_lightcone`] used by the
-/// problem-generic energy evaluation. An empty product is `1`.
+/// light-cone-reduced sub-circuit of the term's qubits, as the
+/// problem-generic energy evaluation needs per cost term. An empty product
+/// is `1`.
 pub fn z_product_expectation_lightcone(
     circuit: &Circuit,
     qubits: &[usize],
@@ -116,9 +103,8 @@ pub fn z_product_expectation_lightcone(
 /// term by term with per-term light-cone reduction:
 /// `⟨C⟩ = constant + Σ_t (offset_t + coeff_t ⟨Π Z⟩_t)`. Terms are processed
 /// in parallel with Rayon — the *inner* level of the paper's two-level
-/// parallelization, generalized from per-edge to per-term cones. Max-Cut
-/// problems on unit-weight graphs evaluate bit-identically to
-/// [`maxcut_expectation`].
+/// parallelization (the outer level parallelizes over candidate circuits),
+/// generalized from per-edge to per-term cones.
 pub fn problem_expectation(circuit: &Circuit, problem: &Problem) -> Result<f64, TensorNetError> {
     let contributions: Result<Vec<f64>, TensorNetError> = problem
         .terms()
@@ -129,53 +115,6 @@ pub fn problem_expectation(circuit: &Circuit, problem: &Problem) -> Result<f64, 
         })
         .collect();
     Ok(problem.constant() + contributions?.into_iter().sum::<f64>())
-}
-
-/// Sequential variant of [`problem_expectation`], used by the two-level
-/// parallelization ablation.
-pub fn problem_expectation_sequential(
-    circuit: &Circuit,
-    problem: &Problem,
-) -> Result<f64, TensorNetError> {
-    let mut total = problem.constant();
-    for t in problem.terms() {
-        let corr = z_product_expectation_lightcone(circuit, t.qubits())?;
-        total += t.offset() + t.coeff() * corr;
-    }
-    Ok(total)
-}
-
-/// The Max-Cut QAOA energy ⟨C⟩ = Σ_e w_e (1 − ⟨Z_u Z_v⟩)/2 computed edge by
-/// edge with light-cone reduction. Edges are processed in parallel with
-/// Rayon — this is the *inner* level of the two-level parallelization
-/// described in the paper (the outer level parallelizes over candidate
-/// circuits).
-pub fn maxcut_expectation(
-    circuit: &Circuit,
-    edges: &[(usize, usize, f64)],
-) -> Result<f64, TensorNetError> {
-    let contributions: Result<Vec<f64>, TensorNetError> = edges
-        .par_iter()
-        .map(|&(u, v, w)| {
-            let zz = zz_expectation_lightcone(circuit, u, v)?;
-            Ok(0.5 * w * (1.0 - zz))
-        })
-        .collect();
-    Ok(contributions?.into_iter().sum())
-}
-
-/// Sequential variant of [`maxcut_expectation`], used by the two-level
-/// parallelization ablation.
-pub fn maxcut_expectation_sequential(
-    circuit: &Circuit,
-    edges: &[(usize, usize, f64)],
-) -> Result<f64, TensorNetError> {
-    let mut total = 0.0;
-    for &(u, v, w) in edges {
-        let zz = zz_expectation_lightcone(circuit, u, v)?;
-        total += 0.5 * w * (1.0 - zz);
-    }
-    Ok(total)
 }
 
 #[cfg(test)]
@@ -239,8 +178,8 @@ mod tests {
     fn lightcone_zz_matches_full_network() {
         let c = qaoa_path_circuit(0.7, 0.4);
         for &(u, v) in &[(0usize, 1usize), (1, 2), (2, 3)] {
-            let full = TensorNetwork::zz_expectation(&c, u, v).unwrap();
-            let cone = zz_expectation_lightcone(&c, u, v).unwrap();
+            let full = TensorNetwork::z_product_expectation(&c, &[u, v]).unwrap();
+            let cone = z_product_expectation_lightcone(&c, &[u, v]).unwrap();
             assert!(
                 (full - cone).abs() < 1e-10,
                 "edge ({u},{v}): full {full} vs cone {cone}"
@@ -249,38 +188,24 @@ mod tests {
     }
 
     #[test]
-    fn maxcut_expectation_parallel_equals_sequential() {
-        let c = qaoa_path_circuit(0.6, 0.3);
-        let edges = vec![(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)];
-        let par = maxcut_expectation(&c, &edges).unwrap();
-        let seq = maxcut_expectation_sequential(&c, &edges).unwrap();
-        assert!((par - seq).abs() < 1e-12);
-    }
-
-    #[test]
     fn maxcut_expectation_at_zero_angles_is_half_weight() {
         // With γ = β = 0 the state stays |+…+⟩ and every edge is cut with
         // probability 1/2.
+        let g = graphs::Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
         let c = qaoa_path_circuit(0.0, 0.0);
-        let edges = vec![(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)];
-        let e = maxcut_expectation(&c, &edges).unwrap();
+        let e = problem_expectation(&c, &Problem::max_cut(&g)).unwrap();
         assert!((e - 1.5).abs() < 1e-10);
     }
 
     #[test]
     fn z_product_generalizes_zz_and_z() {
         let c = qaoa_path_circuit(0.7, 0.4);
-        // Arity 2 matches the historical ZZ path bitwise.
-        for &(u, v) in &[(0usize, 1usize), (1, 2), (2, 3)] {
-            let zz = zz_expectation_lightcone(&c, u, v).unwrap();
-            let prod = z_product_expectation_lightcone(&c, &[u, v]).unwrap();
-            assert_eq!(zz.to_bits(), prod.to_bits());
-        }
-        // Arity 1 matches the full-network single-Z contraction.
-        for q in 0..4 {
-            let full = TensorNetwork::z_expectation(&c, q).unwrap();
-            let cone = z_product_expectation_lightcone(&c, &[q]).unwrap();
-            assert!((full - cone).abs() < 1e-10, "qubit {q}");
+        // Any arity matches the full-network contraction.
+        let products: [&[usize]; 7] = [&[0], &[1], &[2], &[3], &[0, 2], &[0, 1, 2], &[0, 2, 3]];
+        for qubits in products {
+            let full = TensorNetwork::z_product_expectation(&c, qubits).unwrap();
+            let cone = z_product_expectation_lightcone(&c, qubits).unwrap();
+            assert!((full - cone).abs() < 1e-10, "qubits {qubits:?}");
         }
         // Empty products are 1 by convention.
         assert_eq!(z_product_expectation_lightcone(&c, &[]).unwrap(), 1.0);
@@ -288,15 +213,17 @@ mod tests {
 
     #[test]
     fn problem_expectation_matches_maxcut_path_bitwise() {
-        let g = graphs::Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
-        let problem = Problem::max_cut(&g);
-        let edges = vec![(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)];
+        // Σ_e w_e (1 − ⟨Z_u Z_v⟩)/2, edge by edge in edge order.
+        let edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)];
+        let problem = Problem::max_cut_from_edges(4, &edges).unwrap();
         let c = qaoa_path_circuit(0.6, 0.3);
-        let legacy = maxcut_expectation(&c, &edges).unwrap();
+        let by_edge: f64 = (edges.iter())
+            .map(|&(u, v, w)| {
+                0.5 * w * (1.0 - z_product_expectation_lightcone(&c, &[u, v]).unwrap())
+            })
+            .sum();
         let generic = problem_expectation(&c, &problem).unwrap();
-        assert_eq!(legacy.to_bits(), generic.to_bits());
-        let seq = problem_expectation_sequential(&c, &problem).unwrap();
-        assert!((generic - seq).abs() < 1e-12);
+        assert_eq!(by_edge.to_bits(), generic.to_bits());
     }
 
     #[test]

@@ -1,20 +1,18 @@
 //! Building tensor networks from circuits and evaluating closed quantities.
 //!
-//! Two quantities cover everything QArchSearch needs:
-//!
-//! * the amplitude ⟨0…0|U|0…0⟩ (used for testing against the dense backend),
-//! * expectation values ⟨0…0|U† D U|0…0⟩ of **diagonal** observables D — in
-//!   particular `Z_u Z_v` correlators, from which the Max-Cut energy follows
-//!   as `Σ_e w_e (1 − ⟨Z_u Z_v⟩)/2`.
+//! The one quantity QArchSearch needs is the expectation value
+//! ⟨0…0|U† D U|0…0⟩ of a **diagonal** observable D — in particular the
+//! product of `Z`s over a cost term's qubits, from which the energy of any
+//! diagonal cost problem follows term by term.
 //!
 //! Diagonal gates (RZ, P, CZ, RZZ, CP, Z, S, T, …) are attached to existing
 //! indices instead of creating new ones, which mirrors the diagonal-gate
 //! optimization that QTensor relies on to keep contraction widths low for
 //! QAOA circuits.
 
-use crate::contraction::{contract_with_order, ContractionStats, DEFAULT_WIDTH_LIMIT};
+use crate::contraction::{contract_with_order, DEFAULT_WIDTH_LIMIT};
 use crate::error::TensorNetError;
-use crate::ordering::{ContractionOrder, InteractionGraph, OrderingHeuristic};
+use crate::ordering::{ContractionOrder, InteractionGraph};
 use crate::tensor::Tensor;
 use num_complex::Complex64;
 use qcircuit::{Circuit, GateMatrix};
@@ -96,39 +94,6 @@ impl TensorNetwork {
         self.num_indices
     }
 
-    /// Build the closed network for the amplitude ⟨0…0|U|0…0⟩.
-    pub fn for_amplitude(circuit: &Circuit) -> Result<TensorNetwork, TensorNetError> {
-        let gates = GateData::resolve(circuit)?;
-        let n = circuit.num_qubits();
-        let mut alloc = IndexAllocator::new();
-        let mut tensors = Vec::new();
-
-        // |0⟩ caps at the input.
-        let mut current: Vec<usize> = (0..n).map(|_| alloc.fresh()).collect();
-        for &idx in &current {
-            tensors.push(ket_zero(idx));
-        }
-
-        walk_circuit(
-            circuit,
-            &|i| gates.is_diagonal(i),
-            &mut alloc,
-            &mut current,
-            false,
-            &mut |i, indices| tensors.push(gates.tensor(i, false, indices)),
-        );
-
-        // ⟨0| caps at the output.
-        for &idx in &current {
-            tensors.push(ket_zero(idx));
-        }
-
-        Ok(TensorNetwork {
-            tensors,
-            num_indices: alloc.next,
-        })
-    }
-
     /// Build the closed network for ⟨0…0|U† D U|0…0⟩ where `D` is a product of
     /// single-qubit diagonal observables given as `(qubit, [d0, d1])` pairs.
     pub fn for_diagonal_expectation(
@@ -161,22 +126,8 @@ impl TensorNetwork {
     /// Contract the network with the better of the min-degree / min-fill
     /// orders, returning the scalar value.
     pub fn contract(&self) -> Result<Complex64, TensorNetError> {
-        self.contract_with_stats().map(|(v, _)| v)
-    }
-
-    /// Contract and also report contraction statistics.
-    pub fn contract_with_stats(&self) -> Result<(Complex64, ContractionStats), TensorNetError> {
         let order = self.best_order();
-        contract_with_order(self.tensors.clone(), &order, DEFAULT_WIDTH_LIMIT)
-    }
-
-    /// Contract using an explicit ordering heuristic.
-    pub fn contract_with_heuristic(
-        &self,
-        heuristic: OrderingHeuristic,
-    ) -> Result<(Complex64, ContractionStats), TensorNetError> {
-        let order = self.order_with(heuristic);
-        contract_with_order(self.tensors.clone(), &order, DEFAULT_WIDTH_LIMIT)
+        contract_with_order(self.tensors.clone(), &order, DEFAULT_WIDTH_LIMIT).map(|(v, _)| v)
     }
 
     /// The elimination order the automatic contraction would use.
@@ -184,38 +135,9 @@ impl TensorNetwork {
         InteractionGraph::from_tensor_indices(self.tensors.iter().map(|t| t.indices())).best_order()
     }
 
-    /// The elimination order produced by a specific heuristic.
-    pub fn order_with(&self, heuristic: OrderingHeuristic) -> ContractionOrder {
-        InteractionGraph::from_tensor_indices(self.tensors.iter().map(|t| t.indices()))
-            .elimination_order(heuristic)
-    }
-
-    // ---- convenience entry points -------------------------------------------
-
-    /// ⟨0…0|U|0…0⟩ of a (fully bound) circuit.
-    pub fn amplitude(circuit: &Circuit) -> Result<Complex64, TensorNetError> {
-        TensorNetwork::for_amplitude(circuit)?.contract()
-    }
-
-    /// ⟨Z_u Z_v⟩ on the output state of a (fully bound) circuit.
-    pub fn zz_expectation(circuit: &Circuit, u: usize, v: usize) -> Result<f64, TensorNetError> {
-        let net = TensorNetwork::for_diagonal_expectation(
-            circuit,
-            &[(u, [1.0, -1.0]), (v, [1.0, -1.0])],
-        )?;
-        Ok(net.contract()?.re)
-    }
-
-    /// ⟨Z_u⟩ on the output state of a (fully bound) circuit.
-    pub fn z_expectation(circuit: &Circuit, u: usize) -> Result<f64, TensorNetError> {
-        let net = TensorNetwork::for_diagonal_expectation(circuit, &[(u, [1.0, -1.0])])?;
-        Ok(net.contract()?.re)
-    }
-
     /// `⟨Π_{q ∈ qubits} Z_q⟩` on the output state of a (fully bound)
-    /// circuit — the arbitrary-arity generalization of
-    /// [`TensorNetwork::zz_expectation`] that the problem-generic light-cone
-    /// evaluation contracts per cost term. An empty product is `1`.
+    /// circuit — what the problem-generic light-cone evaluation contracts
+    /// per cost term. An empty product is `1`.
     pub fn z_product_expectation(
         circuit: &Circuit,
         qubits: &[usize],
@@ -397,29 +319,37 @@ fn walk_circuit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::f64::consts::{FRAC_1_SQRT_2, PI};
+    use std::f64::consts::PI;
+
+    /// |⟨0…0|U|0…0⟩|², the squared modulus of the amplitude: the expectation
+    /// of the projector onto |0…0⟩, `diag(1, 0)` on every qubit.
+    fn zero_amplitude_squared(circuit: &Circuit) -> f64 {
+        let projector: Vec<(usize, [f64; 2])> =
+            (0..circuit.num_qubits()).map(|q| (q, [1.0, 0.0])).collect();
+        let net = TensorNetwork::for_diagonal_expectation(circuit, &projector).unwrap();
+        let value = net.contract().unwrap();
+        assert!(value.im.abs() < 1e-12, "{value}");
+        value.re
+    }
 
     #[test]
     fn amplitude_of_empty_circuit_is_one() {
         let c = Circuit::new(3);
-        let amp = TensorNetwork::amplitude(&c).unwrap();
-        assert!((amp - Complex64::new(1.0, 0.0)).norm() < 1e-12);
+        assert!((zero_amplitude_squared(&c) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn amplitude_of_single_hadamard() {
         let mut c = Circuit::new(1);
         c.h(0);
-        let amp = TensorNetwork::amplitude(&c).unwrap();
-        assert!((amp.re - FRAC_1_SQRT_2).abs() < 1e-12);
+        assert!((zero_amplitude_squared(&c) - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn amplitude_of_x_gate_is_zero() {
         let mut c = Circuit::new(1);
         c.x(0);
-        let amp = TensorNetwork::amplitude(&c).unwrap();
-        assert!(amp.norm() < 1e-12);
+        assert!(zero_amplitude_squared(&c).abs() < 1e-12);
     }
 
     #[test]
@@ -427,40 +357,38 @@ mod tests {
         // H·H = I, so ⟨0|HH|0⟩ = 1.
         let mut c = Circuit::new(1);
         c.h(0).h(0);
-        let amp = TensorNetwork::amplitude(&c).unwrap();
-        assert!((amp.re - 1.0).abs() < 1e-12);
+        assert!((zero_amplitude_squared(&c) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn amplitude_of_bell_circuit() {
         let mut c = Circuit::new(2);
         c.h(0).cx(0, 1);
-        let amp = TensorNetwork::amplitude(&c).unwrap();
-        assert!((amp.re - FRAC_1_SQRT_2).abs() < 1e-12);
+        assert!((zero_amplitude_squared(&c) - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn diagonal_gates_do_not_allocate_new_indices() {
         let mut diag_only = Circuit::new(2);
         diag_only.rz(0, 0.3).rzz(0, 1, 0.5).cz(0, 1).p(1, 0.2);
-        let net = TensorNetwork::for_amplitude(&diag_only).unwrap();
-        // Only the two initial cap indices exist.
+        let net = TensorNetwork::for_diagonal_expectation(&diag_only, &[]).unwrap();
+        // Only the two initial cap indices exist, on both walks.
         assert_eq!(net.num_indices(), 2);
 
         let mut with_h = Circuit::new(2);
         with_h.h(0).h(1);
-        let net2 = TensorNetwork::for_amplitude(&with_h).unwrap();
-        // Two caps + one new index per H.
-        assert_eq!(net2.num_indices(), 4);
+        let net2 = TensorNetwork::for_diagonal_expectation(&with_h, &[]).unwrap();
+        // Two caps + one new index per H and walk.
+        assert_eq!(net2.num_indices(), 6);
     }
 
     #[test]
     fn z_expectation_on_zero_state() {
         let c = Circuit::new(1);
-        assert!((TensorNetwork::z_expectation(&c, 0).unwrap() - 1.0).abs() < 1e-12);
+        assert!((TensorNetwork::z_product_expectation(&c, &[0]).unwrap() - 1.0).abs() < 1e-12);
         let mut cx = Circuit::new(1);
         cx.x(0);
-        assert!((TensorNetwork::z_expectation(&cx, 0).unwrap() + 1.0).abs() < 1e-12);
+        assert!((TensorNetwork::z_product_expectation(&cx, &[0]).unwrap() + 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -469,7 +397,7 @@ mod tests {
         for theta in [0.0, 0.4, 1.3, PI / 2.0, PI] {
             let mut c = Circuit::new(1);
             c.rx(0, theta);
-            let z = TensorNetwork::z_expectation(&c, 0).unwrap();
+            let z = TensorNetwork::z_product_expectation(&c, &[0]).unwrap();
             assert!((z - theta.cos()).abs() < 1e-10, "theta={theta}: {z}");
         }
     }
@@ -478,7 +406,7 @@ mod tests {
     fn zz_expectation_on_bell_state() {
         let mut c = Circuit::new(2);
         c.h(0).cx(0, 1);
-        let zz = TensorNetwork::zz_expectation(&c, 0, 1).unwrap();
+        let zz = TensorNetwork::z_product_expectation(&c, &[0, 1]).unwrap();
         assert!((zz - 1.0).abs() < 1e-10);
     }
 
@@ -486,7 +414,7 @@ mod tests {
     fn zz_expectation_on_plus_states_is_zero() {
         let mut c = Circuit::new(2);
         c.h(0).h(1);
-        let zz = TensorNetwork::zz_expectation(&c, 0, 1).unwrap();
+        let zz = TensorNetwork::z_product_expectation(&c, &[0, 1]).unwrap();
         assert!(zz.abs() < 1e-10);
     }
 
@@ -496,7 +424,7 @@ mod tests {
         let mut c = Circuit::new(1);
         c.push(Gate::RX, &[0], Parameter::free("beta", 1.0));
         assert!(matches!(
-            TensorNetwork::amplitude(&c),
+            TensorNetwork::z_product_expectation(&c, &[0]),
             Err(TensorNetError::UnboundParameter { .. })
         ));
     }
@@ -513,7 +441,7 @@ mod tests {
         c.h(0).h(1);
         c.rzz(0, 1, 2.0 * gamma);
         c.rx(0, 2.0 * beta).rx(1, 2.0 * beta);
-        let zz = TensorNetwork::zz_expectation(&c, 0, 1).unwrap();
+        let zz = TensorNetwork::z_product_expectation(&c, &[0, 1]).unwrap();
         assert!(zz.abs() <= 1.0 + 1e-10);
     }
 

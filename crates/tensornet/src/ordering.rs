@@ -20,30 +20,26 @@
 //! The orders are the ones the `BTreeMap<usize, BTreeSet<usize>>` graph this
 //! replaced returned, to the index: both scan the live vertices in
 //! ascending id and pick the least key — `(degree, id)` for min-degree,
-//! `(fill, degree, id)` for min-fill, the least id for `Natural` — and the
-//! keys are the same numbers computed another way. Identical orders give
+//! `(fill, degree, id)` for min-fill — and the keys are the same numbers
+//! computed another way. Identical orders give
 //! identical contraction programs, so no energy moves by a bit. That map
 //! version survives as a test-only oracle (`ordering/reference.rs`).
-
-use serde::{Deserialize, Serialize};
 
 #[cfg(test)]
 pub(crate) mod reference;
 
 /// Which greedy heuristic to use when ordering indices for elimination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OrderingHeuristic {
     /// Eliminate the index with the fewest neighbours first.
     MinDegree,
     /// Eliminate the index whose elimination adds the fewest new edges
     /// (fill-in) to the interaction graph.
     MinFill,
-    /// Keep the indices in their natural (creation) order.
-    Natural,
 }
 
 /// An elimination order together with its estimated contraction width.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContractionOrder {
     /// Indices in elimination order.
     pub order: Vec<usize>,
@@ -138,7 +134,6 @@ impl InteractionGraph {
             // the id, so ties break as on the index ids themselves.
             let row = |v: usize| &rows[v * words..][..words];
             let chosen = match heuristic {
-                OrderingHeuristic::Natural => ones(&live).next(),
                 OrderingHeuristic::MinDegree => ones(&live).min_by_key(|&v| (count(row(v)), v)),
                 OrderingHeuristic::MinFill => ones(&live).min_by_key(|&v| {
                     let neighbourhood = row(v);
@@ -257,11 +252,7 @@ mod tests {
     fn orders_are_permutations_of_indices() {
         let lists: Vec<Vec<usize>> = vec![vec![0, 1, 2], vec![2, 3], vec![3, 4, 5], vec![5, 0]];
         let g = InteractionGraph::from_tensor_indices(lists.iter().map(|v| v.as_slice()));
-        for h in [
-            OrderingHeuristic::MinDegree,
-            OrderingHeuristic::MinFill,
-            OrderingHeuristic::Natural,
-        ] {
+        for h in HEURISTICS {
             let o = g.elimination_order(h);
             let mut sorted = o.order.clone();
             sorted.sort_unstable();
@@ -274,9 +265,8 @@ mod tests {
         // A 6-cycle of rank-2 tensors.
         let lists: Vec<Vec<usize>> = (0..6).map(|i| vec![i, (i + 1) % 6]).collect();
         let g = InteractionGraph::from_tensor_indices(lists.iter().map(|v| v.as_slice()));
+        // Eliminating in ascending id has width 3: index 0 joins 1 and 5.
         let fill = g.elimination_order(OrderingHeuristic::MinFill);
-        let natural = g.elimination_order(OrderingHeuristic::Natural);
-        assert!(fill.width <= natural.width);
         assert!(fill.width <= 3);
     }
 

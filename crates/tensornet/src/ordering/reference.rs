@@ -7,11 +7,8 @@ use super::{ContractionOrder, OrderingHeuristic};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Every heuristic, for the tests that sweep them.
-pub(crate) const HEURISTICS: [OrderingHeuristic; 3] = [
-    OrderingHeuristic::MinDegree,
-    OrderingHeuristic::MinFill,
-    OrderingHeuristic::Natural,
-];
+pub(crate) const HEURISTICS: [OrderingHeuristic; 2] =
+    [OrderingHeuristic::MinDegree, OrderingHeuristic::MinFill];
 
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ReferenceGraph {
@@ -49,7 +46,6 @@ impl ReferenceGraph {
 
         while !adjacency.is_empty() {
             let chosen = match heuristic {
-                OrderingHeuristic::Natural => *adjacency.keys().next().expect("non-empty"),
                 OrderingHeuristic::MinDegree => *adjacency
                     .iter()
                     .min_by_key(|(idx, neigh)| (neigh.len(), **idx))

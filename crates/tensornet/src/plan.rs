@@ -91,8 +91,7 @@ const DELTAS: usize = DEFAULT_WIDTH_LIMIT + 1;
 /// The compiled light-cone energy of one problem on one circuit template.
 /// Build with [`ExpectationPlan::build`] (or [`ExpectationPlan::build_with`]
 /// to share structure with other candidates), evaluate with
-/// [`ExpectationPlan::expectation_in`] /
-/// [`ExpectationPlan::expectation_sequential_in`].
+/// [`ExpectationPlan::expectation_in`].
 #[derive(Debug, Clone)]
 pub struct ExpectationPlan {
     /// Everything that names no gate kind, possibly shared with the plans
@@ -1007,14 +1006,16 @@ impl ExpectationPlan {
     }
 
     /// [`ExpectationPlan::expectation`] in caller-owned buffers: once they
-    /// have grown to this plan's size, only Rayon's drivers allocate.
+    /// have grown to this plan's size, a one-thread pool runs the programs
+    /// inline and allocates nothing, a wider one only what Rayon's drivers
+    /// do.
     pub fn expectation_in(
         &self,
         problem: &Problem,
         values: &[f64],
         scratch: &mut PlanScratch,
     ) -> Result<f64, TensorNetError> {
-        if !self.correlators(problem, values, true, scratch)? {
+        if !self.correlators(problem, values, scratch)? {
             return lightcone::problem_expectation(&self.bind_template(values), problem);
         }
         let correlators = &scratch.correlators;
@@ -1026,41 +1027,12 @@ impl ExpectationPlan {
         Ok(problem.constant() + contributions.sum::<f64>())
     }
 
-    /// Sequential variant of [`ExpectationPlan::expectation`]: bit for bit
-    /// [`lightcone::problem_expectation_sequential`].
-    pub fn expectation_sequential(
-        &self,
-        problem: &Problem,
-        values: &[f64],
-    ) -> Result<f64, TensorNetError> {
-        self.expectation_sequential_in(problem, values, &mut PlanScratch::default())
-    }
-
-    /// [`ExpectationPlan::expectation_sequential`] in caller-owned buffers:
-    /// once they have grown to this plan's size, it allocates nothing.
-    pub fn expectation_sequential_in(
-        &self,
-        problem: &Problem,
-        values: &[f64],
-        scratch: &mut PlanScratch,
-    ) -> Result<f64, TensorNetError> {
-        if !self.correlators(problem, values, false, scratch)? {
-            return lightcone::problem_expectation_sequential(&self.bind_template(values), problem);
-        }
-        let mut total = problem.constant();
-        for (t, &id) in problem.terms().iter().zip(&self.structure.terms) {
-            total += t.offset() + t.coeff() * correlator(&scratch.correlators, id);
-        }
-        Ok(total)
-    }
-
     /// `⟨Π Z⟩` of every program at `values`, into `scratch.correlators`;
     /// `false` when the angles change the shape of the network.
     fn correlators(
         &self,
         problem: &Problem,
         values: &[f64],
-        parallel: bool,
         scratch: &mut PlanScratch,
     ) -> Result<bool, TensorNetError> {
         let structure = &*self.structure;
@@ -1088,11 +1060,7 @@ impl ExpectationPlan {
             return Ok(true);
         }
         // One arena per chunk of consecutive programs, one chunk per worker.
-        let workers = if parallel {
-            rayon::current_num_threads().clamp(1, count)
-        } else {
-            1
-        };
+        let workers = rayon::current_num_threads().clamp(1, count);
         let chunk = count.div_ceil(workers);
         let chunks = count.div_ceil(chunk);
         // Nonzero even when every program folded to a constant.
@@ -1400,20 +1368,11 @@ pub(crate) mod tests {
 
     fn assert_matches_per_call(template: &Circuit, problem: &Problem, values: &[f64]) {
         let plan = ExpectationPlan::build(template, problem, &PARAMS).unwrap();
-        let circuit = bind(template, values);
-        let parallel = lightcone::problem_expectation(&circuit, problem).unwrap();
-        let sequential = lightcone::problem_expectation_sequential(&circuit, problem).unwrap();
+        let want = lightcone::problem_expectation(&bind(template, values), problem).unwrap();
         assert_eq!(
             plan.expectation(problem, values).unwrap().to_bits(),
-            parallel.to_bits(),
-            "parallel at {values:?}"
-        );
-        assert_eq!(
-            plan.expectation_sequential(problem, values)
-                .unwrap()
-                .to_bits(),
-            sequential.to_bits(),
-            "sequential at {values:?}"
+            want.to_bits(),
+            "at {values:?}"
         );
     }
 
@@ -1757,7 +1716,7 @@ pub(crate) mod tests {
         ));
         let other = Problem::max_cut(&Graph::cycle(5));
         assert!(matches!(
-            plan.expectation_sequential(&other, &[0.1, 0.2]),
+            plan.expectation(&other, &[0.1, 0.2]),
             Err(TensorNetError::PlanMismatch { .. })
         ));
     }
@@ -1771,7 +1730,7 @@ pub(crate) mod tests {
             let template = qaoa_template(&graph, &problem, &mixer, 1);
             let plan = ExpectationPlan::build(&template, &problem, &PARAMS).unwrap();
             let values = [0.35, -0.2];
-            let want = plan.expectation(&problem, &values).unwrap();
+            let want = lightcone::problem_expectation(&bind(&template, &values), &problem).unwrap();
             for threads in [1, 2, 3, 5] {
                 let pool = rayon::ThreadPoolBuilder::new()
                     .num_threads(threads)
@@ -1780,15 +1739,6 @@ pub(crate) mod tests {
                 let got = pool.install(|| plan.expectation_in(&problem, &values, &mut scratch));
                 assert_eq!(got.unwrap().to_bits(), want.to_bits(), "{threads} threads");
             }
-            let sequential = plan
-                .expectation_sequential_in(&problem, &values, &mut scratch)
-                .unwrap();
-            assert_eq!(
-                sequential.to_bits(),
-                plan.expectation_sequential(&problem, &values)
-                    .unwrap()
-                    .to_bits()
-            );
         }
     }
 }

@@ -4,7 +4,7 @@
 //! the bit-row interaction graph's elimination orders with the map-based
 //! reference's, index for index.
 
-use crate::lightcone::{self, maxcut_expectation, zz_expectation_lightcone};
+use crate::lightcone;
 use crate::network::TensorNetwork;
 use crate::ordering::reference::{ReferenceGraph, HEURISTICS};
 use crate::ordering::InteractionGraph;
@@ -15,7 +15,7 @@ use crate::plan::ExpectationPlan;
 use graphs::{Graph, Problem};
 use proptest::prelude::*;
 use qcircuit::{Circuit, Gate, Parameter};
-use statevec::expectation::{maxcut_expectation as sv_maxcut, zz_expectation as sv_zz};
+use statevec::expectation::{problem_expectation as sv_problem, zz_expectation as sv_zz};
 use statevec::StateVector;
 
 fn arb_circuit(n: usize, max_len: usize) -> impl Strategy<Value = Circuit> {
@@ -261,24 +261,27 @@ proptest! {
                 "only a rotation that turns diagonal changes the shape"
             ),
         }
-        let want = lightcone::problem_expectation_sequential(&circuit, &problem).unwrap();
-        let got = plan.expectation_sequential(&problem, values).unwrap();
+        let want = lightcone::problem_expectation(&circuit, &problem).unwrap();
+        let got = plan.expectation(&problem, values).unwrap();
         prop_assert_eq!(got.to_bits(), want.to_bits(), "energy at {:?}", values);
     }
 
     #[test]
     fn amplitude_matches_statevector(c in arb_circuit(4, 14)) {
-        let amp_tn = TensorNetwork::amplitude(&c).unwrap();
+        // |⟨0…0|U|0…0⟩|²: the expectation of the projector onto |0…0⟩.
+        let projector: Vec<(usize, [f64; 2])> = (0..4).map(|q| (q, [1.0, 0.0])).collect();
+        let net = TensorNetwork::for_diagonal_expectation(&c, &projector).unwrap();
+        let tn = net.contract().unwrap();
         let sv = StateVector::from_circuit(&c).unwrap();
-        let amp_sv = sv.amplitudes()[0];
-        prop_assert!((amp_tn - amp_sv).norm() < 1e-9,
-            "tn {amp_tn} vs sv {amp_sv}");
+        let dense = sv.amplitudes()[0].norm_sqr();
+        prop_assert!((tn.re - dense).abs() < 1e-9 && tn.im.abs() < 1e-9,
+            "tn {tn} vs dense {dense}");
     }
 
     #[test]
     fn zz_expectation_matches_statevector(c in arb_circuit(4, 12), u in 0usize..4, v in 0usize..4) {
         prop_assume!(u != v);
-        let tn = TensorNetwork::zz_expectation(&c, u, v).unwrap();
+        let tn = TensorNetwork::z_product_expectation(&c, &[u, v]).unwrap();
         let sv = StateVector::from_circuit(&c).unwrap();
         let dense = sv_zz(&sv, u, v);
         prop_assert!((tn - dense).abs() < 1e-9, "tn {tn} vs dense {dense}");
@@ -287,23 +290,24 @@ proptest! {
     #[test]
     fn lightcone_zz_matches_full_network(c in arb_circuit(5, 12), u in 0usize..5, v in 0usize..5) {
         prop_assume!(u != v);
-        let full = TensorNetwork::zz_expectation(&c, u, v).unwrap();
-        let cone = zz_expectation_lightcone(&c, u, v).unwrap();
+        let full = TensorNetwork::z_product_expectation(&c, &[u, v]).unwrap();
+        let cone = lightcone::z_product_expectation_lightcone(&c, &[u, v]).unwrap();
         prop_assert!((full - cone).abs() < 1e-9, "full {full} vs cone {cone}");
     }
 
     #[test]
     fn maxcut_expectation_matches_statevector(c in arb_circuit(4, 12)) {
         let edges = vec![(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 2.0)];
-        let tn = maxcut_expectation(&c, &edges).unwrap();
+        let problem = Problem::max_cut_from_edges(4, &edges).unwrap();
+        let tn = lightcone::problem_expectation(&c, &problem).unwrap();
         let sv = StateVector::from_circuit(&c).unwrap();
-        let dense = sv_maxcut(&sv, &edges);
+        let dense = sv_problem(&sv, &problem);
         prop_assert!((tn - dense).abs() < 1e-8, "tn {tn} vs dense {dense}");
     }
 
     #[test]
     fn z_expectation_is_real_and_bounded(c in arb_circuit(3, 10), q in 0usize..3) {
-        let z = TensorNetwork::z_expectation(&c, q).unwrap();
+        let z = TensorNetwork::z_product_expectation(&c, &[q]).unwrap();
         prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&z));
     }
 }

@@ -8,7 +8,6 @@
 use crate::error::TensorNetError;
 use num_complex::Complex64;
 use std::collections::BTreeSet;
-use std::fmt;
 
 /// A dense complex tensor whose indices all have dimension 2.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,14 +19,6 @@ pub struct Tensor {
 }
 
 impl Tensor {
-    /// A scalar tensor (no indices).
-    pub fn scalar(value: Complex64) -> Tensor {
-        Tensor {
-            indices: Vec::new(),
-            data: vec![value],
-        }
-    }
-
     /// Build a tensor from indices and data; `data.len()` must equal
     /// `2^indices.len()` and indices must be distinct.
     pub fn new(indices: Vec<usize>, data: Vec<Complex64>) -> Result<Tensor, TensorNetError> {
@@ -75,16 +66,6 @@ impl Tensor {
     /// Whether this tensor carries the given index.
     pub fn has_index(&self, index: usize) -> bool {
         self.indices.contains(&index)
-    }
-
-    /// Entry at the given assignment of this tensor's indices. `assignment`
-    /// maps index id -> bit; indices not present are ignored.
-    pub fn value_at(&self, assignment: &dyn Fn(usize) -> u8) -> Complex64 {
-        let mut pos = 0usize;
-        for &idx in &self.indices {
-            pos = (pos << 1) | (assignment(idx) as usize & 1);
-        }
-        self.data[pos]
     }
 
     /// Elementwise (broadcasting) product of two tensors: the result carries
@@ -174,33 +155,6 @@ impl Tensor {
             data,
         }
     }
-
-    /// Sum over every index, producing the scalar total.
-    pub fn sum_all(&self) -> Complex64 {
-        self.data.iter().sum()
-    }
-
-    /// Maximum absolute difference between two tensors with identical index
-    /// lists (used by tests).
-    pub fn max_abs_diff(&self, other: &Tensor) -> f64 {
-        assert_eq!(self.indices, other.indices, "index mismatch");
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (a - b).norm())
-            .fold(0.0, f64::max)
-    }
-}
-
-impl fmt::Display for Tensor {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "Tensor(rank {}, indices {:?})",
-            self.rank(),
-            self.indices
-        )
-    }
 }
 
 #[cfg(test)]
@@ -226,19 +180,20 @@ mod tests {
 
     #[test]
     fn scalar_round_trip() {
-        let t = Tensor::scalar(c(2.5));
+        let t = Tensor::new(vec![], vec![c(2.5)]).unwrap();
         assert_eq!(t.rank(), 0);
         assert_eq!(t.as_scalar(), Some(c(2.5)));
-        assert_eq!(t.sum_all(), c(2.5));
+        assert_eq!(t.data(), &[c(2.5)]);
     }
 
     #[test]
     fn value_at_uses_msb_first_order() {
-        // T[i0, i1] with data [t00, t01, t10, t11]
+        // T[i0, i1] with data [t00, t01, t10, t11]: selecting a value of one
+        // index (a one-hot vector on it, summed out) leaves the other's.
         let t = Tensor::new(vec![7, 9], vec![c(0.0), c(1.0), c(2.0), c(3.0)]).unwrap();
-        assert_eq!(t.value_at(&|i| if i == 7 { 1 } else { 0 }), c(2.0));
-        assert_eq!(t.value_at(&|i| if i == 9 { 1 } else { 0 }), c(1.0));
-        assert_eq!(t.value_at(&|_| 1), c(3.0));
+        let one = |index| Tensor::new(vec![index], vec![c(0.0), c(1.0)]).unwrap();
+        assert_eq!(t.multiply(&one(7)).sum_over(7).data(), &[c(2.0), c(3.0)]);
+        assert_eq!(t.multiply(&one(9)).sum_over(9).data(), &[c(1.0), c(3.0)]);
     }
 
     #[test]
@@ -270,17 +225,9 @@ mod tests {
         let p = a.multiply(&b);
         assert_eq!(p.indices(), &[0, 1, 2]);
         // Check a couple of entries: p[0,1,0] = a[0,1]*b[1,0] = 2*7 = 14.
-        let val = p.value_at(&|i| match i {
-            1 => 1,
-            _ => 0,
-        });
-        assert_eq!(val, c(14.0));
+        assert_eq!(p.data()[0b010], c(14.0));
         // p[1,0,1] = a[1,0]*b[0,1] = 3*6 = 18.
-        let val = p.value_at(&|i| match i {
-            0 | 2 => 1,
-            _ => 0,
-        });
-        assert_eq!(val, c(18.0));
+        assert_eq!(p.data()[0b101], c(18.0));
     }
 
     #[test]
@@ -314,7 +261,7 @@ mod tests {
     #[test]
     fn sum_all_equals_iterated_sum_over() {
         let t = Tensor::new(vec![0, 1, 2], (0..8).map(|i| c(i as f64)).collect()).unwrap();
-        let total = t.sum_all();
+        let total: Complex64 = t.data().iter().sum();
         let reduced = t.sum_over(0).sum_over(1).sum_over(2);
         assert_eq!(reduced.as_scalar().unwrap(), total);
         assert_eq!(total, c(28.0));
@@ -322,7 +269,7 @@ mod tests {
 
     #[test]
     fn multiply_with_scalar() {
-        let s = Tensor::scalar(c(3.0));
+        let s = Tensor::new(vec![], vec![c(3.0)]).unwrap();
         let t = Tensor::new(vec![4], vec![c(1.0), c(2.0)]).unwrap();
         let p = s.multiply(&t);
         assert_eq!(p.indices(), &[4]);

@@ -43,8 +43,7 @@ COMMON OPTIONS:
     --seed N          RNG seed                               (default 2023)
     --problem NAME    cost Hamiltonian: maxcut | wmaxcut | mis | sk | partition
                       (default maxcut; run `qas problems` for details)
-    --backend NAME    statevector | tensor-network | tensor-network-sequential
-                      (default tensor-network)
+    --backend NAME    statevector | tensor-network           (default tensor-network)
     --optimizer NAME  cobyla | nelder-mead | spsa | random-search | grid-search
                       (default cobyla)
 

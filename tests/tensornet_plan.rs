@@ -52,25 +52,24 @@ fn plan_matches_energy_flat_bitwise_for_every_problem_backend_depth_mixer_and_th
         .collect();
     for kind in ProblemKind::all(41) {
         let problem = kind.instantiate(&graph);
-        for backend in [Backend::TensorNetwork, Backend::TensorNetworkSequential] {
-            let eval = EnergyEvaluator::for_problem(&graph, problem.clone(), backend).unwrap();
-            for depth in [1, 2] {
-                for mixer in mixers() {
-                    let ansatz = QaoaAnsatz::for_problem(&problem, depth, mixer.clone()).unwrap();
-                    let planned = eval.plan(&ansatz).unwrap();
-                    for point in points(depth) {
-                        let want = eval.energy_flat(&ansatz, &point).unwrap();
-                        for (pool, threads) in pools.iter().zip([1, 2, 4]) {
-                            let got = pool.install(|| planned.energy_flat(&point)).unwrap();
-                            assert_eq!(
-                                got.to_bits(),
-                                want.to_bits(),
-                                "{} {backend} p={depth} {} threads={threads} at {point:?}: \
-                                 plan {got} vs bind-per-call {want}",
-                                problem.name(),
-                                mixer.label(),
-                            );
-                        }
+        let eval =
+            EnergyEvaluator::for_problem(&graph, problem.clone(), Backend::TensorNetwork).unwrap();
+        for depth in [1, 2] {
+            for mixer in mixers() {
+                let ansatz = QaoaAnsatz::for_problem(&problem, depth, mixer.clone()).unwrap();
+                let planned = eval.plan(&ansatz).unwrap();
+                for point in points(depth) {
+                    let want = eval.energy_flat(&ansatz, &point).unwrap();
+                    for (pool, threads) in pools.iter().zip([1, 2, 4]) {
+                        let got = pool.install(|| planned.energy_flat(&point)).unwrap();
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{} p={depth} {} threads={threads} at {point:?}: \
+                             plan {got} vs bind-per-call {want}",
+                            problem.name(),
+                            mixer.label(),
+                        );
                     }
                 }
             }
@@ -106,53 +105,48 @@ fn shared_plans_match_a_fresh_build_and_energy_flat_bitwise_in_either_order() {
     let graph = Graph::erdos_renyi(6, 0.5, 41);
     for kind in ProblemKind::all(41) {
         let problem = kind.instantiate(&graph);
-        for backend in [Backend::TensorNetwork, Backend::TensorNetworkSequential] {
-            for depth in [1, 2] {
-                let names: Vec<String> = (0..depth)
-                    .map(|k| format!("gamma_{k}"))
-                    .chain((0..depth).map(|k| format!("beta_{k}")))
-                    .collect();
-                for (a, b) in sharing_pairs() {
-                    for (first, second) in [(&a, &b), (&b, &a)] {
-                        // One evaluator per order: `second` runs the
-                        // structure `first` compiled.
-                        let eval =
-                            EnergyEvaluator::for_problem(&graph, problem.clone(), backend).unwrap();
-                        let ansatz =
-                            |m: &Mixer| QaoaAnsatz::for_problem(&problem, depth, m.clone());
-                        let (first, second) = (ansatz(first).unwrap(), ansatz(second).unwrap());
-                        let built = eval.plan(&first).unwrap();
-                        let shared = eval.plan(&second).unwrap();
-                        assert!(built.plan().shares_structure_with(shared.plan()));
-                        let fresh =
-                            ExpectationPlan::build(second.template(), &problem, &names).unwrap();
-                        for point in shape_changing_points(depth) {
-                            let want = eval.energy_flat(&second, &point).unwrap();
-                            let alone = match backend {
-                                Backend::TensorNetworkSequential => {
-                                    fresh.expectation_sequential(&problem, &point)
-                                }
-                                _ => fresh.expectation(&problem, &point),
-                            }
-                            .unwrap();
-                            let got = shared.energy_flat(&point).unwrap();
-                            let tag = format!(
-                                "{} {backend} p={depth} {} after {} at {point:?}",
-                                problem.name(),
-                                second.mixer().label(),
-                                first.mixer().label(),
-                            );
-                            assert_eq!(
-                                got.to_bits(),
-                                want.to_bits(),
-                                "{tag}: shared vs energy_flat"
-                            );
-                            assert_eq!(
-                                alone.to_bits(),
-                                want.to_bits(),
-                                "{tag}: fresh vs energy_flat"
-                            );
-                        }
+        for depth in [1, 2] {
+            let names: Vec<String> = (0..depth)
+                .map(|k| format!("gamma_{k}"))
+                .chain((0..depth).map(|k| format!("beta_{k}")))
+                .collect();
+            for (a, b) in sharing_pairs() {
+                for (first, second) in [(&a, &b), (&b, &a)] {
+                    // One evaluator per order: `second` runs the structure
+                    // `first` compiled.
+                    let eval = EnergyEvaluator::for_problem(
+                        &graph,
+                        problem.clone(),
+                        Backend::TensorNetwork,
+                    )
+                    .unwrap();
+                    let ansatz = |m: &Mixer| QaoaAnsatz::for_problem(&problem, depth, m.clone());
+                    let (first, second) = (ansatz(first).unwrap(), ansatz(second).unwrap());
+                    let built = eval.plan(&first).unwrap();
+                    let shared = eval.plan(&second).unwrap();
+                    assert!(built.plan().shares_structure_with(shared.plan()));
+                    let fresh =
+                        ExpectationPlan::build(second.template(), &problem, &names).unwrap();
+                    for point in shape_changing_points(depth) {
+                        let want = eval.energy_flat(&second, &point).unwrap();
+                        let alone = fresh.expectation(&problem, &point).unwrap();
+                        let got = shared.energy_flat(&point).unwrap();
+                        let tag = format!(
+                            "{} p={depth} {} after {} at {point:?}",
+                            problem.name(),
+                            second.mixer().label(),
+                            first.mixer().label(),
+                        );
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{tag}: shared vs energy_flat"
+                        );
+                        assert_eq!(
+                            alone.to_bits(),
+                            want.to_bits(),
+                            "{tag}: fresh vs energy_flat"
+                        );
                     }
                 }
             }
@@ -226,61 +220,59 @@ fn assert_trained(
     assert_eq!(got.evaluations, evaluations, "{tag}: evaluations");
 }
 
-/// Bit patterns captured at the parent commit (bind-per-call sessions), for
-/// both tensor-network backends: a p = 2 session warm-started from a trained
-/// p = 1 run and advanced in a scalar then a batched rung, and a three-start
-/// session advanced in two rungs.
+/// Bit patterns captured at the parent commit (bind-per-call sessions): a
+/// p = 2 session warm-started from a trained p = 1 run and advanced in a
+/// scalar then a batched rung, and a three-start session advanced in two
+/// rungs.
 #[test]
 fn warm_started_and_multistart_sessions_train_to_the_pre_plan_bits() {
     let graph = Graph::random_regular(8, 3, 21).unwrap();
     let optimizer = CobylaOptimizer::default();
-    for backend in [Backend::TensorNetwork, Backend::TensorNetworkSequential] {
-        let eval = EnergyEvaluator::new(&graph, backend);
+    let eval = EnergyEvaluator::new(&graph, Backend::TensorNetwork);
 
-        let shallow = QaoaAnsatz::new(&graph, 1, Mixer::qnas());
-        let first = eval.train(&shallow, &optimizer, 30).unwrap();
-        assert_trained(
-            &format!("{backend} p = 1"),
-            &first,
-            0x401b7d9c2be02e56,
-            &[0x3ff39174107ca429, 0xbfc60e6b3f49dcea],
-            32,
-        );
+    let shallow = QaoaAnsatz::new(&graph, 1, Mixer::qnas());
+    let first = eval.train(&shallow, &optimizer, 30).unwrap();
+    assert_trained(
+        "p = 1",
+        &first,
+        0x401b7d9c2be02e56,
+        &[0x3ff39174107ca429, 0xbfc60e6b3f49dcea],
+        32,
+    );
 
-        let deep = QaoaAnsatz::new(&graph, 2, Mixer::qnas());
-        let warm = deep.warm_start_flat(&first.gammas, &first.betas);
-        let mut session = eval
-            .begin_training(&deep, &optimizer, Some(&warm), 40)
-            .unwrap();
-        session.advance(&optimizer, 15).unwrap();
-        let trained = session.advance_batched(&optimizer, 40).unwrap();
-        assert_trained(
-            &format!("{backend} warm p = 2"),
-            &trained,
-            0x401beb2c676d7545,
-            &[
-                0x3ff4522246ecd13e,
-                0x3fe2963bea99f5f3,
-                0xbfbe596c253b7551,
-                0x3fb491384384e2c5,
-            ],
-            44,
-        );
+    let deep = QaoaAnsatz::new(&graph, 2, Mixer::qnas());
+    let warm = deep.warm_start_flat(&first.gammas, &first.betas);
+    let mut session = eval
+        .begin_training(&deep, &optimizer, Some(&warm), 40)
+        .unwrap();
+    session.advance(&optimizer, 15).unwrap();
+    let trained = session.advance_batched(&optimizer, 40).unwrap();
+    assert_trained(
+        "warm p = 2",
+        &trained,
+        0x401beb2c676d7545,
+        &[
+            0x3ff4522246ecd13e,
+            0x3fe2963bea99f5f3,
+            0xbfbe596c253b7551,
+            0x3fb491384384e2c5,
+        ],
+        44,
+    );
 
-        let ansatz = QaoaAnsatz::new(&graph, 1, Mixer::baseline());
-        let mut session = eval
-            .begin_multistart_training(&ansatz, &optimizer, None, 45, 3)
-            .unwrap();
-        session.advance(&optimizer, 20).unwrap();
-        let trained = session.advance(&optimizer, 45).unwrap();
-        assert_trained(
-            &format!("{backend} multi-start"),
-            &trained,
-            0x401f07c40bc9d0af,
-            &[0x3fd17c7e2704bdc0, 0x3ff3adba6d722c5e],
-            46,
-        );
-    }
+    let ansatz = QaoaAnsatz::new(&graph, 1, Mixer::baseline());
+    let mut session = eval
+        .begin_multistart_training(&ansatz, &optimizer, None, 45, 3)
+        .unwrap();
+    session.advance(&optimizer, 20).unwrap();
+    let trained = session.advance(&optimizer, 45).unwrap();
+    assert_trained(
+        "multi-start",
+        &trained,
+        0x401f07c40bc9d0af,
+        &[0x3fd17c7e2704bdc0, 0x3ff3adba6d722c5e],
+        46,
+    );
 }
 
 /// perfbench's `search_tn` keeps 12 sessions alive per depth (6 candidates ×
@@ -319,16 +311,14 @@ fn over_wide_terms_are_reported_when_training_begins() {
     let graph = Graph::complete(28);
     let ansatz = QaoaAnsatz::new(&graph, 1, Mixer::baseline());
     let optimizer = CobylaOptimizer::default();
-    for backend in [Backend::TensorNetwork, Backend::TensorNetworkSequential] {
-        let eval = EnergyEvaluator::new(&graph, backend);
-        let err = eval
-            .begin_training(&ansatz, &optimizer, None, 20)
-            .expect_err("K_28 is wider than the limit");
-        let message = err.to_string();
-        assert!(matches!(err, QaoaError::Backend { .. }), "{message}");
-        assert!(
-            message.contains("contraction width 27") && message.contains("limit of 26"),
-            "{message}"
-        );
-    }
+    let eval = EnergyEvaluator::new(&graph, Backend::TensorNetwork);
+    let err = eval
+        .begin_training(&ansatz, &optimizer, None, 20)
+        .expect_err("K_28 is wider than the limit");
+    let message = err.to_string();
+    assert!(matches!(err, QaoaError::Backend { .. }), "{message}");
+    assert!(
+        message.contains("contraction width 27") && message.contains("limit of 26"),
+        "{message}"
+    );
 }
