@@ -338,6 +338,47 @@ mod tests {
         }
     }
 
+    /// FNV-1a 64 over the bit patterns of every trace value and best-point
+    /// coordinate of a run.
+    fn trajectory_hash(r: &OptimizationResult) -> u64 {
+        let values = r.trace.points().iter().map(|p| p.value);
+        values
+            .chain(r.best_point.iter().copied())
+            .flat_map(|x| x.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+                (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    /// Absolute pins: each optimizer's trajectory on a fixed objective, in
+    /// one call and in rungs, hashes to the value captured before the
+    /// optimizers moved to one stepping protocol.
+    #[test]
+    fn trajectories_match_the_parent_bit_for_bit() {
+        let f = |x: &[f64]| (x[0] - 0.8).powi(2) + (x[1] + 0.4).powi(2) + (x[0] * x[1]).sin();
+        let initial = [0.3, -0.2];
+        let budget = 90;
+        let pinned: [(&str, u64); 5] = [
+            ("cobyla", 0x7f1f_1393_2b60_8b69),
+            ("nelder-mead", 0xef89_b9ea_7093_870c),
+            ("spsa", 0xbfe6_6445_a824_e0ae),
+            ("random-search", 0x2fea_8e90_7f5e_0836),
+            ("grid-search", 0x9298_0ad0_9998_7235),
+        ];
+        for (opt, (name, hash)) in resumables().into_iter().zip(pinned) {
+            assert_eq!(opt.name(), name);
+            let full = opt.minimize(&f, &initial, budget);
+            let mut state = opt.start(&initial, budget);
+            let mut rungs = None;
+            for target in [1, 7, 25, 60, 90] {
+                rungs = Some(opt.resume_until(&mut state, &f, target));
+            }
+            let rungs = rungs.expect("five rungs ran");
+            assert_eq!(trajectory_hash(&full), hash, "{name}: one call");
+            assert_eq!(trajectory_hash(&rungs), hash, "{name}: rungs");
+        }
+    }
+
     #[test]
     fn many_tiny_rungs_equal_one_run() {
         let f = |x: &[f64]| x[0].cos() + 0.2 * x[0] * x[0];

@@ -114,6 +114,61 @@ fn batched_training_is_bit_identical_for_all_five_optimizers() {
     }
 }
 
+/// Absolute pins for every optimizer on both backends: one session per
+/// (problem, backend, optimizer) trained to 80 evaluations lands on the
+/// energy bits and evaluation count captured before the optimizers moved to
+/// one stepping protocol.
+#[test]
+fn session_trajectories_match_the_parent_bit_for_bit() {
+    const PINNED: [(&str, u64, usize); 20] = [
+        ("maxcut statevector cobyla", 0x401ffffeffaab0e4, 80),
+        ("maxcut statevector nelder-mead", 0x401e4f7da1e83e90, 80),
+        ("maxcut statevector spsa", 0x401f906522859d1f, 80),
+        ("maxcut statevector random-search", 0x401db21d9add9e35, 80),
+        ("maxcut statevector grid-search", 0x4005081ede58da24, 16),
+        ("maxcut tensor-network cobyla", 0x401ffffeffaab0dc, 80),
+        ("maxcut tensor-network nelder-mead", 0x401e4f7da1e83e80, 80),
+        ("maxcut tensor-network spsa", 0x401f906522859d39, 80),
+        (
+            "maxcut tensor-network random-search",
+            0x401db21d9add9e3d,
+            80,
+        ),
+        ("maxcut tensor-network grid-search", 0x4005081ede58da32, 16),
+        ("mis statevector cobyla", 0xbfe1da8932cfc33b, 80),
+        ("mis statevector nelder-mead", 0x3ff29858908c59c3, 81),
+        ("mis statevector spsa", 0x3fe0e781558b3ee6, 80),
+        ("mis statevector random-search", 0x3fcfbb4a8706439c, 80),
+        ("mis statevector grid-search", 0xc02395dd8c8e436e, 16),
+        ("mis tensor-network cobyla", 0xbfe1da8932bae144, 80),
+        ("mis tensor-network nelder-mead", 0x3ff29858908c59b8, 81),
+        ("mis tensor-network spsa", 0x3fe0dd6152c32040, 80),
+        ("mis tensor-network random-search", 0x3fcfbb4a870642e0, 80),
+        ("mis tensor-network grid-search", 0xc02395dd8c8e4362, 16),
+    ];
+    let graph = Graph::erdos_renyi(7, 0.5, 23);
+    let mut pinned = PINNED.iter();
+    for kind in [
+        ProblemKind::MaxCut,
+        ProblemKind::MaxIndependentSet { penalty: 2.0 },
+    ] {
+        let problem = kind.instantiate(&graph);
+        for backend in [Backend::StateVector, Backend::TensorNetwork] {
+            let eval = EnergyEvaluator::for_problem(&graph, problem.clone(), backend).unwrap();
+            let ansatz = QaoaAnsatz::for_problem(&problem, 2, Mixer::qnas()).unwrap();
+            for opt_kind in OptimizerKind::all() {
+                let opt = opt_kind.build_resumable();
+                let mut session = eval.begin_training(&ansatz, &*opt, None, 80).unwrap();
+                let trained = session.advance(&*opt, 80).unwrap();
+                let &(ctx, bits, evaluations) = pinned.next().expect("one pin per run");
+                assert_eq!(ctx, format!("{} {backend} {opt_kind}", problem.name()));
+                assert_eq!(trained.energy.to_bits(), bits, "{ctx}: energy");
+                assert_eq!(trained.evaluations, evaluations, "{ctx}: evaluations");
+            }
+        }
+    }
+}
+
 /// Interrupted runs stay interchangeable: a session advanced in batched
 /// rungs, scalar rungs, or any mix lands on the same bits.
 #[test]
