@@ -28,7 +28,7 @@
 //! optimizer [`Resumable`]: a paused run continues exactly where it stopped.
 
 use crate::result::{OptimizationResult, OptimizationTrace};
-use crate::resumable::{OptimizerState, Resumable};
+use crate::resumable::{probe_one, OptimizerState, Resumable};
 
 /// COBYLA-style linear trust-region optimizer.
 #[derive(Debug, Clone)]
@@ -145,14 +145,11 @@ fn solve_linear(a: &mut [Vec<f64>], b: &mut [f64]) -> Option<Vec<f64>> {
 impl CobylaOptimizer {
     /// One atomic step: simplex init, a degenerate rebuild, or a full
     /// trust-region iteration. Runs to completion regardless of the budget
-    /// (the caller only decides whether to *begin* a step).
-    fn step(&self, s: &mut CobylaState, objective: &(dyn Fn(&[f64]) -> f64 + Sync)) {
+    /// (the caller only decides whether to *begin* a step). Every point goes
+    /// to `evaluate` on its own, the simplex blocks included.
+    fn step(&self, s: &mut CobylaState, evaluate: &mut dyn FnMut(&[Vec<f64>]) -> Vec<f64>) {
         let n = s.initial.len();
-        let eval = |x: &[f64], trace: &mut OptimizationTrace| {
-            let v = objective(x);
-            trace.record(v);
-            v
-        };
+        let mut eval = |x: &Vec<f64>, trace: &mut OptimizationTrace| probe_one(evaluate, x, trace);
 
         if n == 0 {
             let v = eval(&s.initial, &mut s.trace);
@@ -165,7 +162,7 @@ impl CobylaOptimizer {
         // Initialization: the whole simplex is one atomic step.
         if s.vertices.len() < n + 1 {
             if s.vertices.is_empty() {
-                let v = eval(&s.initial.clone(), &mut s.trace);
+                let v = eval(&s.initial, &mut s.trace);
                 s.vertices.push(s.initial.clone());
                 s.values.push(v);
             }
@@ -277,20 +274,20 @@ impl Resumable for CobylaOptimizer {
         })
     }
 
-    fn resume_until(
+    fn resume(
         &self,
         state: &mut OptimizerState,
-        objective: &(dyn Fn(&[f64]) -> f64 + Sync),
+        evaluate: &mut dyn FnMut(&[Vec<f64>]) -> Vec<f64>,
         target_evaluations: usize,
     ) -> OptimizationResult {
         let OptimizerState::Cobyla(s) = state else {
             panic!(
-                "CobylaOptimizer::resume_until given a {} state",
+                "CobylaOptimizer::resume given a {} state",
                 state.kind_name()
             );
         };
         while !s.converged && s.trace.len() < target_evaluations {
-            self.step(s, objective);
+            self.step(s, evaluate);
         }
         s.snapshot()
     }

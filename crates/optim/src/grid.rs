@@ -2,10 +2,12 @@
 //!
 //! The grid is laid out once from the run's total budget (the `budget_hint`
 //! of [`Resumable::start`]) and walked cursor-by-cursor, so a paused run
-//! [resumes](crate::Resumable) at the exact next grid point.
+//! [resumes](crate::Resumable) at the exact next grid point. Each resume
+//! hands every grid point up to its target to the evaluator as one point
+//! set.
 
 use crate::result::{OptimizationResult, OptimizationTrace};
-use crate::resumable::{BatchProposal, OptimizerState, Resumable};
+use crate::resumable::{probe, OptimizerState, Resumable};
 
 /// Evaluate the objective on a uniform grid in `initial ± half_width` and
 /// return the best grid point. The number of points per dimension is chosen
@@ -80,113 +82,43 @@ impl Resumable for GridSearch {
         })
     }
 
-    fn resume_until(
+    fn resume(
         &self,
         state: &mut OptimizerState,
-        objective: &(dyn Fn(&[f64]) -> f64 + Sync),
+        evaluate: &mut dyn FnMut(&[Vec<f64>]) -> Vec<f64>,
         target_evaluations: usize,
     ) -> OptimizationResult {
         let OptimizerState::GridSearch(s) = state else {
-            panic!(
-                "GridSearch::resume_until given a {} state",
-                state.kind_name()
-            );
+            panic!("GridSearch::resume given a {} state", state.kind_name());
         };
-        let n = s.initial.len();
-        if n == 0 {
-            if s.cursor == 0 && target_evaluations > 0 {
-                let v = objective(&s.initial);
-                s.trace.record(v);
-                s.best_value = v;
-                s.cursor = 1;
-                s.converged = true;
-            }
-            return s.snapshot();
-        }
-        while s.cursor < s.total && s.trace.len() < target_evaluations {
-            // Decode the cursor into per-dimension grid coordinates.
-            let mut rest = s.cursor;
-            let mut point = Vec::with_capacity(n);
-            for &x0 in &s.initial {
-                let idx = rest % s.points_per_dim;
-                rest /= s.points_per_dim;
-                let frac = idx as f64 / (s.points_per_dim - 1) as f64; // in [0, 1]
-                point.push(x0 - self.half_width + 2.0 * self.half_width * frac);
-            }
-            let value = objective(&point);
-            s.trace.record(value);
+        let count = (s.total - s.cursor).min(target_evaluations.saturating_sub(s.trace.len()));
+        // Decode each cursor into per-dimension grid coordinates (no
+        // coordinates at all for a zero-dimensional run's single point).
+        let points: Vec<Vec<f64>> = (s.cursor..s.cursor + count)
+            .map(|cursor| {
+                let mut rest = cursor;
+                let mut point = Vec::with_capacity(s.initial.len());
+                for &x0 in &s.initial {
+                    let idx = rest % s.points_per_dim;
+                    rest /= s.points_per_dim;
+                    let frac = idx as f64 / (s.points_per_dim - 1) as f64; // in [0, 1]
+                    point.push(x0 - self.half_width + 2.0 * self.half_width * frac);
+                }
+                point
+            })
+            .collect();
+        let values = probe(evaluate, &points, &mut s.trace);
+        for (point, value) in points.into_iter().zip(values) {
             if value < s.best_value {
                 s.best_value = value;
                 s.best_point = point;
             }
-            s.cursor += 1;
         }
+        s.cursor += count;
         if s.cursor >= s.total {
             s.converged = true;
         }
         s.snapshot()
-    }
-
-    /// Grid search's probe set is the grid itself: every remaining point up
-    /// to the target, decoded from consecutive cursor values exactly as the
-    /// scalar loop decodes them.
-    fn propose_batch(
-        &self,
-        state: &mut OptimizerState,
-        target_evaluations: usize,
-    ) -> BatchProposal {
-        let OptimizerState::GridSearch(s) = state else {
-            panic!(
-                "GridSearch::propose_batch given a {} state",
-                state.kind_name()
-            );
-        };
-        let n = s.initial.len();
-        if n == 0 {
-            return BatchProposal::Scalar;
-        }
-        if s.cursor >= s.total || s.trace.len() >= target_evaluations {
-            // Mirror the scalar post-loop check: a fully walked grid flips
-            // to converged even when this call evaluates nothing.
-            if s.cursor >= s.total {
-                s.converged = true;
-            }
-            return BatchProposal::Exhausted;
-        }
-        let count = (s.total - s.cursor).min(target_evaluations - s.trace.len());
-        let mut points = Vec::with_capacity(count);
-        for cursor in s.cursor..s.cursor + count {
-            let mut rest = cursor;
-            let mut point = Vec::with_capacity(n);
-            for &x0 in &s.initial {
-                let idx = rest % s.points_per_dim;
-                rest /= s.points_per_dim;
-                let frac = idx as f64 / (s.points_per_dim - 1) as f64; // in [0, 1]
-                point.push(x0 - self.half_width + 2.0 * self.half_width * frac);
-            }
-            points.push(point);
-        }
-        BatchProposal::Points(points)
-    }
-
-    fn observe_batch(&self, state: &mut OptimizerState, points: &[Vec<f64>], values: &[f64]) {
-        let OptimizerState::GridSearch(s) = state else {
-            panic!(
-                "GridSearch::observe_batch given a {} state",
-                state.kind_name()
-            );
-        };
-        for (point, &value) in points.iter().zip(values) {
-            s.trace.record(value);
-            if value < s.best_value {
-                s.best_value = value;
-                s.best_point = point.clone();
-            }
-            s.cursor += 1;
-        }
-        if s.cursor >= s.total {
-            s.converged = true;
-        }
     }
 }
 

@@ -6,7 +6,7 @@
 //!
 //! * [`CobylaOptimizer`] — a linear-approximation trust-region method in the
 //!   spirit of Powell's COBYLA, restricted to the unconstrained case the
-//!   paper needs (bound constraints on the angles are handled by clamping).
+//!   paper needs (QAOA angles are periodic, so no bounds are imposed).
 //! * [`NelderMead`] — the classic derivative-free simplex method.
 //! * [`Spsa`] — simultaneous-perturbation stochastic approximation, a common
 //!   choice for noisy quantum objective functions.
@@ -46,7 +46,7 @@ pub use grid::GridSearch;
 pub use nelder_mead::NelderMead;
 pub use random_search::RandomSearch;
 pub use result::{OptimizationResult, OptimizationTrace};
-pub use resumable::{BatchProposal, OptimizerState, Resumable};
+pub use resumable::{OptimizerState, Resumable};
 pub use spsa::Spsa;
 
 use serde::{Deserialize, Serialize};

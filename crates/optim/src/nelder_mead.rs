@@ -4,7 +4,7 @@
 //! paused run can be [resumed](crate::Resumable) exactly where it stopped.
 
 use crate::result::{OptimizationResult, OptimizationTrace};
-use crate::resumable::{BatchProposal, OptimizerState, Resumable};
+use crate::resumable::{probe, probe_one, OptimizerState, Resumable};
 
 /// The Nelder–Mead simplex method with standard reflection / expansion /
 /// contraction / shrink coefficients.
@@ -69,28 +69,17 @@ impl NelderMeadState {
 }
 
 impl NelderMead {
-    /// One atomic step: full simplex initialization, or one complete
-    /// reflect/expand/contract/shrink iteration.
-    fn step(&self, s: &mut NelderMeadState, objective: &(dyn Fn(&[f64]) -> f64 + Sync)) {
+    /// One atomic step: full simplex initialization, whose vertices go to
+    /// `evaluate` as one point set, or one complete
+    /// reflect/expand/contract/shrink iteration, a point at a time.
+    fn step(&self, s: &mut NelderMeadState, evaluate: &mut dyn FnMut(&[Vec<f64>]) -> Vec<f64>) {
         let n = s.initial.len();
-        let eval = |x: &[f64], trace: &mut OptimizationTrace| {
-            let v = objective(x);
-            trace.record(v);
-            v
-        };
-
-        if n == 0 {
-            let v = eval(&s.initial, &mut s.trace);
-            s.simplex.push((s.initial.clone(), v));
-            s.converged = true;
-            return;
-        }
 
         // Initial simplex: the start point plus a step along each axis, as
-        // one atomic block.
+        // one atomic block. With no axes it is the start point alone, and
+        // the run is done.
         if s.simplex.len() < n + 1 {
-            let v0 = eval(&s.initial, &mut s.trace);
-            s.simplex.push((s.initial.clone(), v0));
+            let mut vertices = vec![s.initial.clone()];
             for i in 0..n {
                 let mut x = s.initial.clone();
                 x[i] += if x[i].abs() > 1e-12 {
@@ -98,9 +87,11 @@ impl NelderMead {
                 } else {
                     self.initial_step
                 };
-                let v = eval(&x, &mut s.trace);
-                s.simplex.push((x, v));
+                vertices.push(x);
             }
+            let values = probe(evaluate, &vertices, &mut s.trace);
+            s.simplex.extend(vertices.into_iter().zip(values));
+            s.converged = n == 0;
             return;
         }
 
@@ -127,7 +118,7 @@ impl NelderMead {
             .zip(&worst_point)
             .map(|(c, w)| c + self.alpha * (c - w))
             .collect();
-        let f_reflect = eval(&reflect, &mut s.trace);
+        let f_reflect = probe_one(evaluate, &reflect, &mut s.trace);
 
         if f_reflect < s.simplex[0].1 {
             // Try to expand.
@@ -136,7 +127,7 @@ impl NelderMead {
                 .zip(&reflect)
                 .map(|(c, r)| c + self.gamma * (r - c))
                 .collect();
-            let f_expand = eval(&expand, &mut s.trace);
+            let f_expand = probe_one(evaluate, &expand, &mut s.trace);
             s.simplex[n] = if f_expand < f_reflect {
                 (expand, f_expand)
             } else {
@@ -151,7 +142,7 @@ impl NelderMead {
                 .zip(&worst_point)
                 .map(|(c, w)| c + self.rho * (w - c))
                 .collect();
-            let f_contract = eval(&contract, &mut s.trace);
+            let f_contract = probe_one(evaluate, &contract, &mut s.trace);
             if f_contract < s.simplex[n].1 {
                 s.simplex[n] = (contract, f_contract);
             } else {
@@ -163,7 +154,7 @@ impl NelderMead {
                         .zip(&vertex.0)
                         .map(|(b, x)| b + self.sigma * (x - b))
                         .collect();
-                    let new_v = eval(&new_x, &mut s.trace);
+                    let new_v = probe_one(evaluate, &new_x, &mut s.trace);
                     *vertex = (new_x, new_v);
                 }
             }
@@ -185,83 +176,19 @@ impl Resumable for NelderMead {
         })
     }
 
-    fn resume_until(
+    fn resume(
         &self,
         state: &mut OptimizerState,
-        objective: &(dyn Fn(&[f64]) -> f64 + Sync),
+        evaluate: &mut dyn FnMut(&[Vec<f64>]) -> Vec<f64>,
         target_evaluations: usize,
     ) -> OptimizationResult {
         let OptimizerState::NelderMead(s) = state else {
-            panic!(
-                "NelderMead::resume_until given a {} state",
-                state.kind_name()
-            );
+            panic!("NelderMead::resume given a {} state", state.kind_name());
         };
         while !s.converged && s.trace.len() < target_evaluations {
-            self.step(s, objective);
+            self.step(s, evaluate);
         }
         s.snapshot()
-    }
-
-    /// Nelder–Mead's natural probe set is the initial simplex: the start
-    /// point plus one axis-step vertex per dimension, all independent of
-    /// each other's values. Every later iteration branches on values
-    /// mid-step (reflect → expand/contract/shrink), so it stays scalar —
-    /// which is the reference path itself, hence bit-identical for free.
-    fn propose_batch(
-        &self,
-        state: &mut OptimizerState,
-        target_evaluations: usize,
-    ) -> BatchProposal {
-        let OptimizerState::NelderMead(s) = state else {
-            panic!(
-                "NelderMead::propose_batch given a {} state",
-                state.kind_name()
-            );
-        };
-        let n = s.initial.len();
-        if s.converged || n == 0 {
-            // The 0-dimensional step is a single evaluation; let the scalar
-            // path handle it (and the converged no-op snapshot).
-            return BatchProposal::Scalar;
-        }
-        if s.simplex.len() < n + 1 {
-            if s.trace.len() >= target_evaluations {
-                return BatchProposal::Exhausted;
-            }
-            // Same vertices, in the same order, as the scalar init block
-            // (which is atomic and may overshoot the target identically).
-            let mut points = Vec::with_capacity(n + 1);
-            points.push(s.initial.clone());
-            for i in 0..n {
-                let mut x = s.initial.clone();
-                x[i] += if x[i].abs() > 1e-12 {
-                    self.initial_step * x[i].abs()
-                } else {
-                    self.initial_step
-                };
-                points.push(x);
-            }
-            return BatchProposal::Points(points);
-        }
-        BatchProposal::Scalar
-    }
-
-    fn observe_batch(&self, state: &mut OptimizerState, points: &[Vec<f64>], values: &[f64]) {
-        let OptimizerState::NelderMead(s) = state else {
-            panic!(
-                "NelderMead::observe_batch given a {} state",
-                state.kind_name()
-            );
-        };
-        assert!(
-            s.simplex.is_empty() && points.len() == s.initial.len() + 1,
-            "NelderMead::observe_batch expects the initial simplex block"
-        );
-        for (x, &v) in points.iter().zip(values) {
-            s.trace.record(v);
-            s.simplex.push((x.clone(), v));
-        }
     }
 }
 

@@ -48,8 +48,8 @@ proptest! {
     }
 
     /// Interrupting a run after `k` evaluations and finishing later must be
-    /// bit-identical regardless of whether the interrupted leg was driven
-    /// through the batch protocol or the scalar one (ISSUE 6, satellite 3).
+    /// bit-identical whether the interrupted leg was driven by `resume` with
+    /// a point-set evaluator or by `resume_until` on the scalar objective.
     #[test]
     fn resume_after_batched_leg_is_bitwise_identical_to_scalar_leg(
         x0 in -2.0f64..2.0,
@@ -65,9 +65,9 @@ proptest! {
             opt.resume_until(&mut scalar_state, &f, k);
             let scalar = opt.resume_until(&mut scalar_state, &f, budget);
 
-            // Batched leg to k, then scalar to budget.
+            // Point-set leg to k, then scalar to budget.
             let mut state = opt.start(&[x0, x1], budget);
-            opt.resume_until_batched(&mut state, &mut batch_f, &f, k);
+            opt.resume(&mut state, &mut batch_f, k);
             let mixed = opt.resume_until(&mut state, &f, budget);
 
             prop_assert_eq!(&scalar.best_point, &mixed.best_point, "{}: best point", opt.name());

@@ -1,15 +1,16 @@
 //! Uniform random search within a box around the start point.
 //!
-//! Random search is both a baseline optimizer for the ablation benches and a
-//! nod to the paper's observation that random search is "a strong baseline in
-//! neural architecture search" (Li & Talwalkar, 2020).
+//! Random search is both a baseline optimizer and a nod to the paper's
+//! observation that random search is "a strong baseline in neural
+//! architecture search" (Li & Talwalkar, 2020).
 //!
-//! The run is a sequence of one-evaluation steps over an explicit
+//! The run draws one candidate per evaluation from an explicit
 //! [`RandomSearchState`] (RNG stream plus incumbent), so it is trivially
-//! [resumable](crate::Resumable).
+//! [resumable](crate::Resumable). No draw depends on a value, so each resume
+//! hands its whole remaining population to the evaluator as one point set.
 
 use crate::result::{OptimizationResult, OptimizationTrace};
-use crate::resumable::{BatchProposal, OptimizerState, Resumable};
+use crate::resumable::{probe, OptimizerState, Resumable};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -72,67 +73,19 @@ impl Resumable for RandomSearch {
         })
     }
 
-    fn resume_until(
+    fn resume(
         &self,
         state: &mut OptimizerState,
-        objective: &(dyn Fn(&[f64]) -> f64 + Sync),
+        evaluate: &mut dyn FnMut(&[Vec<f64>]) -> Vec<f64>,
         target_evaluations: usize,
     ) -> OptimizationResult {
         let OptimizerState::RandomSearch(s) = state else {
-            panic!(
-                "RandomSearch::resume_until given a {} state",
-                state.kind_name()
-            );
+            panic!("RandomSearch::resume given a {} state", state.kind_name());
         };
-        if !s.started && target_evaluations > 0 {
-            let v = objective(&s.center);
-            s.trace.record(v);
-            s.best_value = v;
-            s.best_point = s.center.clone();
-            s.started = true;
-            if s.center.is_empty() {
-                s.converged = true;
-            }
-        }
-        while !s.converged && s.trace.len() < target_evaluations {
-            let candidate: Vec<f64> = s
-                .center
-                .iter()
-                .map(|&x| x + s.rng.gen_range(-self.half_width..=self.half_width))
-                .collect();
-            let value = objective(&candidate);
-            s.trace.record(value);
-            if value < s.best_value {
-                s.best_value = value;
-                s.best_point = candidate;
-            }
-        }
-        s.snapshot()
-    }
-
-    /// Random search's probe set is its whole remaining population: the
-    /// candidate draws never depend on objective values, so the RNG stream
-    /// is identical whether points are drawn one at a time or all up front.
-    /// The initial center evaluation rides along as the first point of the
-    /// first batch (`started` distinguishes it in `observe_batch`).
-    fn propose_batch(
-        &self,
-        state: &mut OptimizerState,
-        target_evaluations: usize,
-    ) -> BatchProposal {
-        let OptimizerState::RandomSearch(s) = state else {
-            panic!(
-                "RandomSearch::propose_batch given a {} state",
-                state.kind_name()
-            );
-        };
-        if s.converged {
-            return BatchProposal::Exhausted;
-        }
-        let mut points = Vec::new();
-        if !s.started && target_evaluations > 0 {
-            points.push(s.center.clone());
-        }
+        // The center's first evaluation leads the population; with no
+        // coordinates to draw, it is the whole run.
+        let first = !s.started && target_evaluations > 0;
+        let mut points: Vec<Vec<f64>> = first.then(|| s.center.clone()).into_iter().collect();
         if !s.center.is_empty() {
             let remaining = target_evaluations.saturating_sub(s.trace.len() + points.len());
             for _ in 0..remaining {
@@ -144,37 +97,21 @@ impl Resumable for RandomSearch {
                 points.push(candidate);
             }
         }
-        if points.is_empty() {
-            return BatchProposal::Exhausted;
-        }
-        BatchProposal::Points(points)
-    }
-
-    fn observe_batch(&self, state: &mut OptimizerState, points: &[Vec<f64>], values: &[f64]) {
-        let OptimizerState::RandomSearch(s) = state else {
-            panic!(
-                "RandomSearch::observe_batch given a {} state",
-                state.kind_name()
-            );
-        };
-        let mut pairs = points.iter().zip(values);
-        if !s.started {
-            let (_, &v) = pairs.next().expect("init point is first in the batch");
-            s.trace.record(v);
+        let values = probe(evaluate, &points, &mut s.trace);
+        let mut evaluated = points.into_iter().zip(values);
+        if first {
+            let (_, v) = evaluated.next().expect("the center leads the population");
             s.best_value = v;
-            s.best_point = s.center.clone();
             s.started = true;
-            if s.center.is_empty() {
-                s.converged = true;
-            }
+            s.converged = s.center.is_empty();
         }
-        for (candidate, &value) in pairs {
-            s.trace.record(value);
+        for (candidate, value) in evaluated {
             if value < s.best_value {
                 s.best_value = value;
-                s.best_point = candidate.clone();
+                s.best_point = candidate;
             }
         }
+        s.snapshot()
     }
 }
 

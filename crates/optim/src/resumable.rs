@@ -9,8 +9,17 @@
 //!
 //! * [`Resumable::start`] builds an [`OptimizerState`] checkpoint without
 //!   consuming any objective evaluations, and
-//! * [`Resumable::resume_until`] advances the state until its *cumulative*
+//! * [`Resumable::resume`] advances the state until its *cumulative*
 //!   evaluation count reaches a target (or the optimizer converges).
+//!
+//! `resume` is the one stepping protocol. The optimizer hands an evaluator
+//! each *point set* it can form before seeing any of their values — SPSA's
+//! ± perturbation pair, Nelder–Mead's initial simplex, the rest of a grid or
+//! random population, otherwise a single point — and the evaluator answers
+//! with one value per point. A caller that evaluates several points in one
+//! sweep (`CompiledEnergy::energy_batch_in` in the `qaoa` crate) batches each
+//! set; [`Resumable::resume_until`] maps a scalar objective over it. The
+//! optimizer's arithmetic on the values is the same either way.
 //!
 //! Every bundled optimizer implements the trait, and the one-shot
 //! [`Resumable::minimize`] is a provided method written *in terms of*
@@ -53,13 +62,13 @@ use crate::cobyla::CobylaState;
 use crate::grid::GridState;
 use crate::nelder_mead::NelderMeadState;
 use crate::random_search::RandomSearchState;
-use crate::result::OptimizationResult;
+use crate::result::{OptimizationResult, OptimizationTrace};
 use crate::spsa::SpsaState;
 
 /// A checkpoint of an in-flight optimization run.
 ///
 /// Produced by [`Resumable::start`], advanced in place by
-/// [`Resumable::resume_until`]. The variant must match the optimizer that
+/// [`Resumable::resume`]. The variant must match the optimizer that
 /// created it; handing a state to a different optimizer kind is a logic
 /// error and panics.
 #[derive(Debug, Clone)]
@@ -123,47 +132,14 @@ impl OptimizerState {
     }
 }
 
-/// One round of the batch-step protocol (see
-/// [`Resumable::propose_batch`]).
-#[derive(Debug, Clone)]
-pub enum BatchProposal {
-    /// Evaluate these points (in order) and hand the values back via
-    /// [`Resumable::observe_batch`]. Never empty.
-    Points(Vec<Vec<f64>>),
-    /// The optimizer's next step cannot be expressed as an up-front point
-    /// set (it branches on values mid-step); fall back to the scalar
-    /// [`Resumable::resume_until`] path for the rest of the rung. Since the
-    /// scalar path is the reference semantics, this arm is trivially
-    /// bit-identical.
-    Scalar,
-    /// Nothing left to do within the target (converged, exhausted, or the
-    /// next atomic step does not fit the remaining budget).
-    Exhausted,
-}
-
 /// A derivative-free minimizer of `f: R^n -> R` whose runs can be
 /// checkpointed and continued.
 ///
 /// See the [module documentation](self) for the contract and a worked
 /// example. Implementations guarantee that for any increasing sequence of
 /// targets `t_1 < t_2 < … < t_m = B`, chaining
-/// `resume_until(t_1), …, resume_until(t_m)` performs exactly the same
-/// objective evaluations as a single `minimize(…, B)` call.
-///
-/// # Batch stepping
-///
-/// The batch protocol lets a caller that can evaluate several points in one
-/// sweep (see `CompiledEnergy::energy_batch_in` in the `qaoa` crate) pull an
-/// optimizer's *natural probe set* out of it instead of being called back
-/// one point at a time: SPSA's ± perturbation pair, Nelder–Mead's initial
-/// simplex vertices, grid/random search's whole populations. The contract is
-/// strict bit-identity: driving a state with
-/// [`Resumable::resume_until_batched`] performs exactly the same objective
-/// evaluations, in the same order, with the same f64 arithmetic on the
-/// results, as [`Resumable::resume_until`] with the same target — so the two
-/// are interchangeable mid-run, checkpoint for checkpoint. The default
-/// implementation proposes [`BatchProposal::Scalar`], which makes every
-/// existing implementor batch-capable (at batch size 1) by construction.
+/// `resume(t_1), …, resume(t_m)` performs exactly the same objective
+/// evaluations as a single `minimize(…, B)` call.
 pub trait Resumable: Send + Sync {
     /// Human-readable name used in reports and benches.
     fn name(&self) -> &'static str;
@@ -184,101 +160,72 @@ pub trait Resumable: Send + Sync {
 
     /// Create a fresh checkpoint at `initial`. No objective evaluations are
     /// consumed. `budget_hint` is the total evaluation budget the run is
-    /// expected to receive across all `resume_until` calls; grid search uses
-    /// it to lay out its grid, the other optimizers ignore it.
+    /// expected to receive across all `resume` calls; grid search uses it to
+    /// lay out its grid, the other optimizers ignore it.
     fn start(&self, initial: &[f64], budget_hint: usize) -> OptimizerState;
 
     /// Advance `state` until its cumulative evaluation count reaches
     /// `target_evaluations` (give or take one atomic step) or the run
     /// converges, then return a snapshot of the best result so far.
     ///
-    /// A target at or below the current count is a no-op snapshot.
+    /// Every evaluation goes through `evaluate`, which receives a non-empty
+    /// point set and returns one value per point, in order. A target at or
+    /// below the current count is a no-op snapshot.
     ///
     /// # Panics
     ///
-    /// Panics if `state` was produced by a different optimizer kind.
+    /// Panics if `state` was produced by a different optimizer kind, or if
+    /// `evaluate` answers a set with the wrong number of values.
+    fn resume(
+        &self,
+        state: &mut OptimizerState,
+        evaluate: &mut dyn FnMut(&[Vec<f64>]) -> Vec<f64>,
+        target_evaluations: usize,
+    ) -> OptimizationResult;
+
+    /// [`resume`](Self::resume) with `objective` mapped over each point set.
     fn resume_until(
         &self,
         state: &mut OptimizerState,
         objective: &(dyn Fn(&[f64]) -> f64 + Sync),
         target_evaluations: usize,
-    ) -> OptimizationResult;
-
-    /// Propose the next set of points to evaluate together, given that the
-    /// run may spend evaluations up to `target_evaluations` in total.
-    ///
-    /// Implementations may mutate `state` (e.g. draw the RNG that shapes the
-    /// points), but every [`BatchProposal::Points`] return must be followed
-    /// by exactly one [`Resumable::observe_batch`] call with the values
-    /// before the next `propose_batch` / `resume_until`. The default
-    /// delegates the whole rung to the scalar path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` was produced by a different optimizer kind.
-    fn propose_batch(
-        &self,
-        state: &mut OptimizerState,
-        target_evaluations: usize,
-    ) -> BatchProposal {
-        let _ = (state, target_evaluations);
-        BatchProposal::Scalar
-    }
-
-    /// Feed the objective values for the points of the immediately preceding
-    /// [`BatchProposal::Points`] back into `state`, applying exactly the
-    /// f64 updates the scalar path would apply after evaluating the same
-    /// points in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if there is no outstanding proposal (the default
-    /// `propose_batch` never returns `Points`, so the default here is
-    /// unreachable by contract) or if `state` is of the wrong kind.
-    fn observe_batch(&self, state: &mut OptimizerState, points: &[Vec<f64>], values: &[f64]) {
-        let _ = (points, values);
-        panic!(
-            "observe_batch without a matching propose_batch on a {} state",
-            state.kind_name()
-        );
-    }
-
-    /// Advance `state` to `target_evaluations` through the batch protocol:
-    /// repeatedly propose a point set, evaluate it with `batch_objective`,
-    /// and observe the values — falling back to the scalar `objective` when
-    /// the optimizer cannot batch its next step. Bit-identical to
-    /// [`Resumable::resume_until`] with the same target (see the trait docs).
-    ///
-    /// `batch_objective` must return one value per point, equal to what
-    /// `objective` would return for that point — the batch evaluator's own
-    /// bit-identity guarantee supplies exactly that.
-    fn resume_until_batched(
-        &self,
-        state: &mut OptimizerState,
-        batch_objective: &mut dyn FnMut(&[Vec<f64>]) -> Vec<f64>,
-        objective: &(dyn Fn(&[f64]) -> f64 + Sync),
-        target_evaluations: usize,
     ) -> OptimizationResult {
-        loop {
-            match self.propose_batch(state, target_evaluations) {
-                BatchProposal::Exhausted => return state.result(),
-                BatchProposal::Scalar => {
-                    return self.resume_until(state, objective, target_evaluations)
-                }
-                BatchProposal::Points(points) => {
-                    let values = batch_objective(&points);
-                    assert_eq!(
-                        values.len(),
-                        points.len(),
-                        "batch objective returned {} values for {} points",
-                        values.len(),
-                        points.len()
-                    );
-                    self.observe_batch(state, &points, &values);
-                }
-            }
-        }
+        let mut evaluate = |points: &[Vec<f64>]| points.iter().map(|p| objective(p)).collect();
+        self.resume(state, &mut evaluate, target_evaluations)
     }
+}
+
+/// Evaluate `points` in one call of `evaluate` and record each value in
+/// `trace`, in order. An empty set is answered without calling `evaluate`.
+pub(crate) fn probe(
+    evaluate: &mut dyn FnMut(&[Vec<f64>]) -> Vec<f64>,
+    points: &[Vec<f64>],
+    trace: &mut OptimizationTrace,
+) -> Vec<f64> {
+    if points.is_empty() {
+        return Vec::new();
+    }
+    let values = evaluate(points);
+    assert_eq!(
+        values.len(),
+        points.len(),
+        "point-set evaluator returned {} values for {} points",
+        values.len(),
+        points.len()
+    );
+    for &value in &values {
+        trace.record(value);
+    }
+    values
+}
+
+/// [`probe`] for a single point.
+pub(crate) fn probe_one(
+    evaluate: &mut dyn FnMut(&[Vec<f64>]) -> Vec<f64>,
+    point: &Vec<f64>,
+    trace: &mut OptimizationTrace,
+) -> f64 {
+    probe(evaluate, std::slice::from_ref(point), trace)[0]
 }
 
 #[cfg(test)]
@@ -461,21 +408,20 @@ mod tests {
         }
     }
 
-    /// Drive a state through the batch protocol, counting the points per
-    /// batch call; the batch objective is the scalar one mapped over the
-    /// points (exactly what the batch evaluator guarantees bitwise).
-    fn run_batched(
+    /// Drive a state through [`Resumable::resume`] with an evaluator that
+    /// records the size of every point set and maps `f` over it.
+    fn run_recorded(
         opt: &dyn Resumable,
         state: &mut OptimizerState,
         f: &(dyn Fn(&[f64]) -> f64 + Sync),
         target: usize,
-        batch_sizes: &mut Vec<usize>,
+        set_sizes: &mut Vec<usize>,
     ) -> OptimizationResult {
-        let mut batch_objective = |points: &[Vec<f64>]| {
-            batch_sizes.push(points.len());
+        let mut evaluate = |points: &[Vec<f64>]| {
+            set_sizes.push(points.len());
             points.iter().map(|p| f(p)).collect::<Vec<f64>>()
         };
-        opt.resume_until_batched(state, &mut batch_objective, f, target)
+        opt.resume(state, &mut evaluate, target)
     }
 
     fn assert_results_bitwise_equal(a: &OptimizationResult, b: &OptimizationResult, ctx: &str) {
@@ -499,8 +445,8 @@ mod tests {
         }
     }
 
-    /// The batch tentpole guarantee: driving a run entirely through
-    /// `resume_until_batched` is bit-identical to the scalar path, for every
+    /// Driving a run through `resume` with a point-set evaluator is
+    /// bit-identical to `resume_until` on the scalar objective, for every
     /// bundled optimizer, including when the run is split into rungs.
     #[test]
     fn batched_driving_is_bitwise_identical_to_scalar() {
@@ -513,15 +459,15 @@ mod tests {
 
             let mut sizes = Vec::new();
             let mut batched_state = opt.start(&initial, budget);
-            let batched = run_batched(opt.as_ref(), &mut batched_state, &f, budget, &mut sizes);
+            let batched = run_recorded(opt.as_ref(), &mut batched_state, &f, budget, &mut sizes);
             assert_results_bitwise_equal(&scalar, &batched, opt.name());
 
             // Split into rungs at several checkpoints, alternating which leg
-            // is batched — the states must stay interchangeable mid-run.
+            // goes through the recording evaluator.
             for k in [1usize, 7, 25, 60] {
                 let mut sizes = Vec::new();
                 let mut state = opt.start(&initial, budget);
-                run_batched(opt.as_ref(), &mut state, &f, k, &mut sizes);
+                run_recorded(opt.as_ref(), &mut state, &f, k, &mut sizes);
                 let finish_scalar = opt.resume_until(&mut state, &f, budget);
                 assert_results_bitwise_equal(
                     &scalar,
@@ -531,7 +477,7 @@ mod tests {
 
                 let mut state = opt.start(&initial, budget);
                 opt.resume_until(&mut state, &f, k);
-                let finish_batched = run_batched(opt.as_ref(), &mut state, &f, budget, &mut sizes);
+                let finish_batched = run_recorded(opt.as_ref(), &mut state, &f, budget, &mut sizes);
                 assert_results_bitwise_equal(
                     &scalar,
                     &finish_batched,
@@ -541,9 +487,9 @@ mod tests {
         }
     }
 
-    /// The optimizers that override the protocol actually submit multi-point
-    /// probe sets (the whole point of batching), instead of degenerating to
-    /// one point per call.
+    /// Optimizers submit their natural probe sets in one call each (the whole
+    /// point of batching), and COBYLA, whose every step branches on the
+    /// previous value, one point at a time.
     #[test]
     fn overriding_optimizers_propose_their_natural_probe_sets() {
         let f = |x: &[f64]| (x[0] - 0.5).powi(2) + x[1] * x[1];
@@ -552,26 +498,36 @@ mod tests {
         let mut sizes = Vec::new();
         let spsa = Spsa::default();
         let mut state = spsa.start(&initial, 40);
-        run_batched(&spsa, &mut state, &f, 40, &mut sizes);
+        run_recorded(&spsa, &mut state, &f, 40, &mut sizes);
         assert!(sizes.contains(&2), "SPSA pairs: {sizes:?}");
 
         let mut sizes = Vec::new();
         let nm = NelderMead::default();
         let mut state = nm.start(&initial, 40);
-        run_batched(&nm, &mut state, &f, 40, &mut sizes);
+        run_recorded(&nm, &mut state, &f, 40, &mut sizes);
         assert_eq!(sizes.first(), Some(&3), "NM initial simplex: {sizes:?}");
 
         let mut sizes = Vec::new();
         let grid = GridSearch::default();
         let mut state = grid.start(&initial, 40);
-        run_batched(&grid, &mut state, &f, 40, &mut sizes);
+        run_recorded(&grid, &mut state, &f, 40, &mut sizes);
         assert_eq!(sizes, vec![36], "grid population: {sizes:?}");
 
         let mut sizes = Vec::new();
         let rs = RandomSearch::default();
         let mut state = rs.start(&initial, 40);
-        run_batched(&rs, &mut state, &f, 40, &mut sizes);
+        run_recorded(&rs, &mut state, &f, 40, &mut sizes);
         assert_eq!(sizes, vec![40], "random population: {sizes:?}");
+
+        let mut sizes = Vec::new();
+        let cobyla = CobylaOptimizer::default();
+        let mut state = cobyla.start(&initial, 40);
+        run_recorded(&cobyla, &mut state, &f, 40, &mut sizes);
+        assert_eq!(sizes.len(), state.evaluations(), "COBYLA: {sizes:?}");
+        assert!(
+            sizes.iter().all(|&n| n == 1),
+            "COBYLA singletons: {sizes:?}"
+        );
     }
 
     #[test]
@@ -580,10 +536,10 @@ mod tests {
         for opt in resumables() {
             let mut state = opt.start(&[0.7], 40);
             let mut sizes = Vec::new();
-            let a = run_batched(opt.as_ref(), &mut state, &f, 20, &mut sizes);
+            let a = run_recorded(opt.as_ref(), &mut state, &f, 20, &mut sizes);
             let evals = state.evaluations();
-            let b = run_batched(opt.as_ref(), &mut state, &f, evals, &mut sizes);
-            let c = run_batched(opt.as_ref(), &mut state, &f, 3, &mut sizes);
+            let b = run_recorded(opt.as_ref(), &mut state, &f, evals, &mut sizes);
+            let c = run_recorded(opt.as_ref(), &mut state, &f, 3, &mut sizes);
             assert_eq!(a.trace.points(), b.trace.points(), "{}", opt.name());
             assert_eq!(b.trace.points(), c.trace.points(), "{}", opt.name());
             assert_eq!(state.evaluations(), evals, "{}", opt.name());
@@ -596,17 +552,10 @@ mod tests {
         for opt in resumables() {
             let mut state = opt.start(&[], 10);
             let mut sizes = Vec::new();
-            let r = run_batched(opt.as_ref(), &mut state, &f, 10, &mut sizes);
+            let r = run_recorded(opt.as_ref(), &mut state, &f, 10, &mut sizes);
             assert_eq!(r.best_value, 4.2, "{}", opt.name());
             assert!(state.converged(), "{}", opt.name());
             assert_eq!(state.evaluations(), 1, "{}", opt.name());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "state")]
-    fn mismatched_state_kind_panics_in_propose_batch() {
-        let mut state = NelderMead::default().start(&[0.1], 10);
-        Spsa::default().propose_batch(&mut state, 10);
     }
 }

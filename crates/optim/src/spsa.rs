@@ -3,8 +3,7 @@
 //! SPSA estimates the gradient with two objective evaluations per iteration
 //! regardless of dimension, which makes it a common choice for noisy
 //! variational-quantum objectives. It is included here as an alternative
-//! evaluator optimizer and as a subject of the optimizer-comparison ablation
-//! bench.
+//! evaluator optimizer.
 //!
 //! The run is a sequence of atomic perturbation-pair iterations over an
 //! explicit [`SpsaState`] (iterate, gain counter, RNG stream), so a paused
@@ -18,21 +17,9 @@
 //! from releases before the checkpoint API.)
 
 use crate::result::{OptimizationResult, OptimizationTrace};
-use crate::resumable::{BatchProposal, OptimizerState, Resumable};
+use crate::resumable::{probe, probe_one, OptimizerState, Resumable};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-
-/// Outstanding batch proposal of an SPSA state (batch protocol only; always
-/// `None` between driver calls).
-#[derive(Debug, Clone)]
-pub(crate) enum SpsaPending {
-    /// The initial evaluation of the iterate.
-    Init,
-    /// A ± perturbation pair; `delta` is the Rademacher draw shared by both.
-    Pair { delta: Vec<f64> },
-    /// The periodic iterate check closing a tenth iteration.
-    Check,
-}
 
 /// SPSA with the standard gain sequences `a_k = a / (k + 1 + A)^alpha` and
 /// `c_k = c / (k + 1)^gamma`.
@@ -86,11 +73,6 @@ pub struct SpsaState {
     pub(crate) converged: bool,
     pub(crate) rng: ChaCha8Rng,
     pub(crate) trace: OptimizationTrace,
-    /// Batch protocol bookkeeping: the unobserved proposal, if any.
-    pub(crate) pending: Option<SpsaPending>,
-    /// A tenth iteration's pair has been observed but its iterate check has
-    /// not run yet (drained before `resume_until_batched` returns).
-    pub(crate) check_due: bool,
 }
 
 impl SpsaState {
@@ -115,8 +97,9 @@ impl Spsa {
         }
     }
 
-    /// One atomic SPSA iteration.
-    fn step(&self, s: &mut SpsaState, objective: &(dyn Fn(&[f64]) -> f64 + Sync)) {
+    /// One atomic SPSA iteration: the ± pair goes to `evaluate` as one point
+    /// set, the periodic iterate check after it on its own.
+    fn step(&self, s: &mut SpsaState, evaluate: &mut dyn FnMut(&[Vec<f64>]) -> Vec<f64>) {
         let n = s.x.len();
         let ak = self.a / ((s.k as f64) + 1.0 + self.stability).powf(self.alpha);
         let ck = self.c / ((s.k as f64) + 1.0).powf(self.gamma);
@@ -128,11 +111,10 @@ impl Spsa {
 
         let x_plus: Vec<f64> = s.x.iter().zip(&delta).map(|(xi, d)| xi + ck * d).collect();
         let x_minus: Vec<f64> = s.x.iter().zip(&delta).map(|(xi, d)| xi - ck * d).collect();
-
-        let f_plus = objective(&x_plus);
-        s.trace.record(f_plus);
-        let f_minus = objective(&x_minus);
-        s.trace.record(f_minus);
+        let pair = [x_plus, x_minus];
+        let values = probe(evaluate, &pair, &mut s.trace);
+        let (f_plus, f_minus) = (values[0], values[1]);
+        let [x_plus, x_minus] = pair;
 
         // Gradient estimate and update.
         for (xi, d) in s.x.iter_mut().zip(&delta) {
@@ -150,8 +132,7 @@ impl Spsa {
             s.best_point = x_minus;
         }
         if s.k % 10 == 9 {
-            let f_x = objective(&s.x);
-            s.trace.record(f_x);
+            let f_x = probe_one(evaluate, &s.x, &mut s.trace);
             if f_x < s.best_value {
                 s.best_value = f_x;
                 s.best_point = s.x.clone();
@@ -176,27 +157,20 @@ impl Resumable for Spsa {
             converged: false,
             rng: ChaCha8Rng::seed_from_u64(self.seed),
             trace: OptimizationTrace::new(),
-            pending: None,
-            check_due: false,
         })
     }
 
-    fn resume_until(
+    fn resume(
         &self,
         state: &mut OptimizerState,
-        objective: &(dyn Fn(&[f64]) -> f64 + Sync),
+        evaluate: &mut dyn FnMut(&[Vec<f64>]) -> Vec<f64>,
         target_evaluations: usize,
     ) -> OptimizationResult {
         let OptimizerState::Spsa(s) = state else {
-            panic!("Spsa::resume_until given a {} state", state.kind_name());
+            panic!("Spsa::resume given a {} state", state.kind_name());
         };
-        assert!(
-            s.pending.is_none() && !s.check_due,
-            "scalar resume on an SPSA state mid-batch-proposal"
-        );
         if !s.started && target_evaluations > 0 {
-            let v = objective(&s.x);
-            s.trace.record(v);
+            let v = probe_one(evaluate, &s.x, &mut s.trace);
             s.best_value = v;
             s.best_point = s.x.clone();
             s.started = true;
@@ -205,112 +179,9 @@ impl Resumable for Spsa {
             }
         }
         while !s.converged && s.trace.len() + Spsa::iteration_cost(s.k) <= target_evaluations {
-            self.step(s, objective);
+            self.step(s, evaluate);
         }
         s.snapshot()
-    }
-
-    /// SPSA's natural probe set is the ± perturbation pair: both probes
-    /// depend only on the pre-step iterate and the Rademacher draw, so they
-    /// can be evaluated together. The periodic iterate check and the initial
-    /// evaluation go out as singletons, reproducing the scalar evaluation
-    /// order exactly.
-    fn propose_batch(
-        &self,
-        state: &mut OptimizerState,
-        target_evaluations: usize,
-    ) -> BatchProposal {
-        let OptimizerState::Spsa(s) = state else {
-            panic!("Spsa::propose_batch given a {} state", state.kind_name());
-        };
-        assert!(
-            s.pending.is_none(),
-            "propose_batch with an unobserved proposal"
-        );
-        if !s.started {
-            if target_evaluations == 0 {
-                return BatchProposal::Exhausted;
-            }
-            s.pending = Some(SpsaPending::Init);
-            return BatchProposal::Points(vec![s.x.clone()]);
-        }
-        if s.converged {
-            return BatchProposal::Exhausted;
-        }
-        if s.check_due {
-            // Closes an iteration whose full cost was reserved when the pair
-            // was proposed, so no budget gate here (matching `step`).
-            s.pending = Some(SpsaPending::Check);
-            return BatchProposal::Points(vec![s.x.clone()]);
-        }
-        if s.trace.len() + Spsa::iteration_cost(s.k) <= target_evaluations {
-            let ck = self.c / ((s.k as f64) + 1.0).powf(self.gamma);
-            let delta: Vec<f64> = (0..s.x.len())
-                .map(|_| if s.rng.gen::<bool>() { 1.0 } else { -1.0 })
-                .collect();
-            let x_plus: Vec<f64> = s.x.iter().zip(&delta).map(|(xi, d)| xi + ck * d).collect();
-            let x_minus: Vec<f64> = s.x.iter().zip(&delta).map(|(xi, d)| xi - ck * d).collect();
-            s.pending = Some(SpsaPending::Pair { delta });
-            return BatchProposal::Points(vec![x_plus, x_minus]);
-        }
-        BatchProposal::Exhausted
-    }
-
-    fn observe_batch(&self, state: &mut OptimizerState, points: &[Vec<f64>], values: &[f64]) {
-        let OptimizerState::Spsa(s) = state else {
-            panic!("Spsa::observe_batch given a {} state", state.kind_name());
-        };
-        match s.pending.take() {
-            Some(SpsaPending::Init) => {
-                let v = values[0];
-                s.trace.record(v);
-                s.best_value = v;
-                s.best_point = s.x.clone();
-                s.started = true;
-                if s.x.is_empty() {
-                    s.converged = true;
-                }
-            }
-            Some(SpsaPending::Pair { delta }) => {
-                // Same arithmetic as `step`, with the pair values arriving
-                // together; the gain sequences are recomputed from the
-                // unchanged `k`, so `ck` here is bitwise the `ck` that shaped
-                // the proposed points.
-                let ak = self.a / ((s.k as f64) + 1.0 + self.stability).powf(self.alpha);
-                let ck = self.c / ((s.k as f64) + 1.0).powf(self.gamma);
-                let (f_plus, f_minus) = (values[0], values[1]);
-                s.trace.record(f_plus);
-                s.trace.record(f_minus);
-                for (xi, d) in s.x.iter_mut().zip(&delta) {
-                    let g = (f_plus - f_minus) / (2.0 * ck * d);
-                    *xi -= ak * g;
-                }
-                if f_plus < s.best_value {
-                    s.best_value = f_plus;
-                    s.best_point = points[0].clone();
-                }
-                if f_minus < s.best_value {
-                    s.best_value = f_minus;
-                    s.best_point = points[1].clone();
-                }
-                if s.k % 10 == 9 {
-                    s.check_due = true;
-                } else {
-                    s.k += 1;
-                }
-            }
-            Some(SpsaPending::Check) => {
-                let f_x = values[0];
-                s.trace.record(f_x);
-                if f_x < s.best_value {
-                    s.best_value = f_x;
-                    s.best_point = s.x.clone();
-                }
-                s.check_due = false;
-                s.k += 1;
-            }
-            None => panic!("Spsa::observe_batch without a matching propose_batch"),
-        }
     }
 }
 

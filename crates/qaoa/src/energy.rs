@@ -208,9 +208,7 @@ impl EnergyEvaluator {
                     .to_string(),
             });
         }
-        self.build_plan(ansatz).map_err(|e| QaoaError::Backend {
-            message: e.to_string(),
-        })
+        self.build_plan(ansatz).map_err(backend_err)
     }
 
     fn build_plan(&self, ansatz: &QaoaAnsatz) -> Result<PlannedEnergy, TensorNetError> {
@@ -240,7 +238,7 @@ impl EnergyEvaluator {
     /// with `budget` objective evaluations (the paper uses COBYLA with 200
     /// steps), starting from the paper-style small-angle initial point. One
     /// uninterrupted [`TrainingSession`]: `begin_training` + a single
-    /// scalar-protocol [`advance`](TrainingSession::advance).
+    /// [`advance`](TrainingSession::advance).
     pub fn train(
         &self,
         ansatz: &QaoaAnsatz,
@@ -344,11 +342,7 @@ impl EnergyEvaluator {
                 Ok(planned) => Some(Objective::Planned(Box::new(planned))),
                 // Every evaluation would hit the same limit: say so now
                 // instead of training on +inf.
-                Err(e @ TensorNetError::WidthLimitExceeded { .. }) => {
-                    return Err(QaoaError::Backend {
-                        message: e.to_string(),
-                    })
-                }
+                Err(e @ TensorNetError::WidthLimitExceeded { .. }) => return Err(backend_err(e)),
                 Err(_) => None,
             },
         };
@@ -379,8 +373,9 @@ pub struct TrainingProgress {
     pub converged: bool,
 }
 
-/// A boxed observer fired by [`TrainingSession::advance_in`] after every
-/// advance (including no-op snapshots and the depth-0 fast path).
+/// A boxed observer fired by [`TrainingSession::advance`] and
+/// [`TrainingSession::advance_in`] after every advance (including no-op
+/// snapshots and the depth-0 fast path).
 ///
 /// Hooks travel with the session across threads (the search pipeline's
 /// work-stealing workers own their sessions), hence `Send`.
@@ -403,10 +398,11 @@ impl std::fmt::Debug for ProgressHook {
 /// training loop in the workspace.
 ///
 /// Created by [`EnergyEvaluator::begin_training`]. Each
-/// [`advance_in`](Self::advance_in) call continues the underlying
-/// [`Resumable`] optimizer until its cumulative evaluation count reaches a
-/// target — the successive-halving pipeline promotes a candidate simply by
-/// calling `advance_in` again with the next rung's larger target.
+/// [`advance`](Self::advance) / [`advance_in`](Self::advance_in) call
+/// continues the underlying [`Resumable`] optimizer until its cumulative
+/// evaluation count reaches a target — the successive-halving pipeline
+/// promotes a candidate simply by calling `advance_in` again with the next
+/// rung's larger target.
 ///
 /// A multi-start session
 /// ([`EnergyEvaluator::begin_multistart_training`]) holds one optimizer
@@ -459,25 +455,15 @@ enum Objective {
     Bound(QaoaAnsatz),
 }
 
-/// The simulation buffers one advance evaluates the objective in.
-enum Buffers<'a> {
-    /// The compiled objective's own lazily built scratch.
-    Internal,
-    /// A caller-provided `2^n` state (scalar protocol).
-    State(&'a mut StateVector),
-    /// A caller-provided batch scratch (batch-step protocol).
-    Batch(&'a mut BatchScratch),
-}
-
 impl TrainingSession {
-    /// Register width of the trained ansatz (the size a scratch state passed
-    /// to [`advance_in`](Self::advance_in) must have).
+    /// Register width of the trained ansatz (the search pipeline keys its
+    /// per-worker [`BatchScratch`] pool by it).
     pub fn num_qubits(&self) -> usize {
         self.num_qubits
     }
 
     /// Whether this session runs on the compiled state-vector fast path and
-    /// therefore profits from an external scratch state (`false` for the
+    /// therefore profits from an external [`BatchScratch`] (`false` for the
     /// tensor-network backend, whose plan needs no `2^n` buffer, and for
     /// depth 0).
     pub fn uses_compiled_scratch(&self) -> bool {
@@ -523,67 +509,21 @@ impl TrainingSession {
         self.advance_in(optimizer, target_evaluations, None)
     }
 
-    /// [`advance`](Self::advance) with an optional caller-provided scratch
-    /// state for the compiled fast path (per-worker buffer reuse in the
-    /// search pipeline). The scratch must have [`num_qubits`](Self::num_qubits)
-    /// qubits; it is ignored when the session does not use the compiled path.
+    /// [`advance`](Self::advance) with an optional caller-provided
+    /// [`BatchScratch`] for the compiled fast path (per-worker buffer reuse
+    /// in the search pipeline; `None` uses the compiled objective's own).
+    /// Ignored when the session does not use the compiled path.
+    ///
+    /// Every start resumes through [`Resumable::resume`]: each point set the
+    /// optimizer hands over is one batched statevector sweep
+    /// ([`CompiledEnergy::energy_batch_in`]) on the compiled path, and one
+    /// evaluation per point otherwise. Then the snapshot is taken and the
+    /// progress hook fires.
     pub fn advance_in(
         &mut self,
         optimizer: &dyn Resumable,
         target_evaluations: usize,
-        scratch: Option<&mut StateVector>,
-    ) -> Result<TrainedCircuit, QaoaError> {
-        if let (Objective::Compiled(compiled), Some(buf)) = (&self.objective, scratch.as_deref()) {
-            if buf.num_qubits() != compiled.num_qubits() {
-                return Err(QaoaError::Backend {
-                    message: format!(
-                        "scratch state has {} qubits, ansatz needs {}",
-                        buf.num_qubits(),
-                        compiled.num_qubits()
-                    ),
-                });
-            }
-        }
-        let buffers = scratch.map_or(Buffers::Internal, Buffers::State);
-        self.advance_with(optimizer, target_evaluations, buffers, false)
-    }
-
-    /// [`advance`](Self::advance) through the optimizer's **batch-step
-    /// protocol**: probe sets proposed by the optimizer are evaluated in one
-    /// batched statevector sweep ([`CompiledEnergy::energy_batch_in`]),
-    /// bit-identical to the scalar path — identical angles, energies and
-    /// evaluation counts for any batch size.
-    pub fn advance_batched(
-        &mut self,
-        optimizer: &dyn Resumable,
-        target_evaluations: usize,
-    ) -> Result<TrainedCircuit, QaoaError> {
-        self.advance_batched_in(optimizer, target_evaluations, None)
-    }
-
-    /// [`advance_batched`](Self::advance_batched) with an optional
-    /// caller-provided [`BatchScratch`] (per-worker buffer reuse in the
-    /// search pipeline). Ignored when the session does not use the compiled
-    /// fast path.
-    pub fn advance_batched_in(
-        &mut self,
-        optimizer: &dyn Resumable,
-        target_evaluations: usize,
-        scratch: Option<&mut BatchScratch>,
-    ) -> Result<TrainedCircuit, QaoaError> {
-        let buffers = scratch.map_or(Buffers::Internal, Buffers::Batch);
-        self.advance_with(optimizer, target_evaluations, buffers, true)
-    }
-
-    /// The one advance: resume every start to its share of the target —
-    /// through the batch-step protocol when `batched`, one point at a time
-    /// otherwise — then snapshot and fire the hook.
-    fn advance_with(
-        &mut self,
-        optimizer: &dyn Resumable,
-        target_evaluations: usize,
-        buffers: Buffers<'_>,
-        batched: bool,
+        mut scratch: Option<&mut BatchScratch>,
     ) -> Result<TrainedCircuit, QaoaError> {
         let TrainingSession {
             evaluator,
@@ -595,61 +535,47 @@ impl TrainingSession {
             ..
         } = self;
 
-        // The optimizer needs a `Fn + Sync` objective, so the (worker-local,
-        // uncontended) buffers go behind a mutex; the batch driver only ever
-        // runs one of the two objectives at a time.
-        let buffers = Mutex::new(buffers);
-        let energy_at = |params: &[f64]| -> Result<f64, QaoaError> {
-            match &*how {
-                Objective::Bound(ansatz) => evaluator.energy_flat(ansatz, params),
-                Objective::Planned(planned) => planned.energy_flat(params),
-                Objective::Compiled(compiled) => {
-                    match &mut *buffers.lock().unwrap_or_else(|e| e.into_inner()) {
-                        Buffers::Internal => compiled.energy_flat(params),
-                        Buffers::State(state) => compiled.energy_flat_in(params, state),
-                        Buffers::Batch(BatchScratch { scalar, values, .. }) => {
-                            compiled.energy_flat_with(params, scalar, values)
-                        }
-                    }
-                }
-            }
-        };
-
         if starts.is_empty() && zero_depth.is_none() {
-            // Depth 0: a single evaluation of the plus state, cached.
-            *zero_depth = Some(evaluator.trained(energy_at(&[])?, &[], 0, 1));
+            // Depth 0: a single evaluation of the plus state, cached. Nothing
+            // is lowered at depth 0, so the template binds.
+            let Objective::Bound(ansatz) = &*how else {
+                unreachable!("depth-0 sessions bind per call");
+            };
+            let energy = evaluator.energy_flat(ansatz, &[])?;
+            *zero_depth = Some(evaluator.trained(energy, &[], 0, 1));
         }
 
-        // The optimizer minimizes, so negate the energy. Errors inside the
-        // objective cannot propagate through the closure; they are mapped to
-        // +inf so the optimizer avoids that region, and re-checked afterwards.
-        let objective = |params: &[f64]| -> f64 { energy_at(params).map_or(f64::INFINITY, |e| -e) };
-        let mut batch_objective = |points: &[Vec<f64>]| -> Vec<f64> {
-            let Objective::Compiled(compiled) = &*how else {
-                // No compiled sweep to amortize: evaluate point by point,
-                // exactly as the scalar protocol would.
-                return points.iter().map(|p| objective(p)).collect();
-            };
-            let energies = match &mut *buffers.lock().unwrap_or_else(|e| e.into_inner()) {
-                Buffers::Batch(scratch) => compiled.energy_batch_in(points, scratch),
-                _ => compiled.energy_batch(points),
-            };
-            match energies {
-                Ok(es) => es.into_iter().map(|e| -e).collect(),
-                Err(_) => vec![f64::INFINITY; points.len()],
+        // The optimizer minimizes, so negate the energy. Errors cannot
+        // propagate through the evaluator; they become +inf, so the optimizer
+        // avoids that region, and are re-checked afterwards.
+        let negated = |energy: Result<f64, QaoaError>| energy.map_or(f64::INFINITY, |e| -e);
+        let mut evaluate = |points: &[Vec<f64>]| -> Vec<f64> {
+            match &*how {
+                Objective::Compiled(compiled) => {
+                    let energies = match scratch.as_deref_mut() {
+                        Some(scratch) => compiled.energy_batch_in(points, scratch),
+                        None => compiled.energy_batch(points),
+                    };
+                    match energies {
+                        Ok(es) => es.into_iter().map(|e| -e).collect(),
+                        Err(_) => vec![f64::INFINITY; points.len()],
+                    }
+                }
+                Objective::Planned(planned) => points
+                    .iter()
+                    .map(|p| negated(planned.energy_flat(p)))
+                    .collect(),
+                Objective::Bound(ansatz) => points
+                    .iter()
+                    .map(|p| negated(evaluator.energy_flat(ansatz, p)))
+                    .collect(),
             }
         };
 
         let target = Self::share_of(target_evaluations, *restarts);
         let results: Vec<OptimizationResult> = starts
             .iter_mut()
-            .map(|state| {
-                if batched {
-                    optimizer.resume_until_batched(state, &mut batch_objective, &objective, target)
-                } else {
-                    optimizer.resume_until(state, &objective, target)
-                }
-            })
+            .map(|state| optimizer.resume(state, &mut evaluate, target))
             .collect();
         if let Objective::Planned(planned) = &*how {
             // A parked session keeps its plan, not its evaluation buffers:
@@ -755,9 +681,7 @@ impl PlannedEnergy {
         let mut scratch = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
         self.plan
             .expectation_in(problem, params, &mut scratch)
-            .map_err(|e| QaoaError::Backend {
-                message: e.to_string(),
-            })
+            .map_err(backend_err)
     }
 
     /// Drop the evaluation buffers; the next [`energy_flat`](Self::energy_flat)
@@ -793,31 +717,22 @@ pub struct CompiledEnergy {
     /// problem diagonal `C(z)` for every basis state, shared with (and
     /// cached by) the graph's [`EnergyEvaluator`].
     diag: Arc<Vec<f64>>,
-    /// Scratch buffers, reused across calls. The lock is uncontended in
+    /// Buffers for the calls that bring none ([`energy_flat`](Self::energy_flat),
+    /// [`energy_batch`](Self::energy_batch)) and the slot staging of
+    /// [`energy_flat_in`](Self::energy_flat_in), built lazily: callers that
+    /// always supply their own (the search pipeline's per-worker buffers)
+    /// never pay for a `2^n` state here. The lock is uncontended in
     /// sequential optimizers and negligible next to the `2^n` kernel work.
-    /// The `2^n` state is allocated lazily on the first
-    /// [`CompiledEnergy::energy_flat`] call: callers that always supply an
-    /// external scratch via [`CompiledEnergy::energy_flat_in`] (the search
-    /// pipeline's per-worker buffers) never pay for it.
-    scratch: Mutex<Scratch>,
-}
-
-#[derive(Debug)]
-struct Scratch {
-    state: Option<StateVector>,
-    slots: Vec<f64>,
-    /// Batch buffers for the internal-scratch [`CompiledEnergy::energy_batch`]
-    /// path, built lazily like `state` — scalar-only callers never pay.
-    batch: BatchScratch,
+    scratch: Mutex<BatchScratch>,
 }
 
 /// Reusable buffers for [`CompiledEnergy::energy_batch_in`]: the `2^n × B`
 /// structure-of-arrays amplitude buffer, a scalar state for single-point
 /// tiles, and the flattened slot-value staging area.
 ///
-/// One `BatchScratch` per worker serves every candidate trained on the same
-/// graph size (the batch buffer is resized in place across tile sizes), the
-/// batched analogue of the per-worker [`StateVector`] scratch.
+/// One `BatchScratch` per worker serves every candidate trained on any graph
+/// size (the buffers are rebuilt when the width changes and resized in place
+/// across tile sizes).
 #[derive(Debug, Default)]
 pub struct BatchScratch {
     /// The `2^n × B` amplitude buffer, amplitude-major × batch-minor.
@@ -838,13 +753,17 @@ impl BatchScratch {
     }
 }
 
+/// A simulator or contraction failure as a [`QaoaError::Backend`].
+fn backend_err(e: impl std::fmt::Display) -> QaoaError {
+    QaoaError::Backend {
+        message: e.to_string(),
+    }
+}
+
 impl CompiledEnergy {
     fn build(eval: &EnergyEvaluator, ansatz: &QaoaAnsatz) -> Result<CompiledEnergy, QaoaError> {
-        let map_err = |e: statevec::SimulatorError| QaoaError::Backend {
-            message: e.to_string(),
-        };
-        let program =
-            CompiledProgram::compile_with(ansatz.template(), &eval.inner.luts).map_err(map_err)?;
+        let program = CompiledProgram::compile_with(ansatz.template(), &eval.inner.luts)
+            .map_err(backend_err)?;
         let p = ansatz.depth();
         let mut slot_for_flat = vec![None; 2 * p];
         for k in 0..p {
@@ -861,21 +780,14 @@ impl CompiledEnergy {
                 ),
             });
         }
-        let n = ansatz.num_qubits();
         // After the compile above succeeded, n is within the dense limit, so
         // materializing the 2^n diagonal (cached per graph) is safe.
-        let diag = eval.problem_diag();
-        let slots = vec![0.0; program.num_params()];
         Ok(CompiledEnergy {
             program,
-            num_qubits: n,
+            num_qubits: ansatz.num_qubits(),
             slot_for_flat,
-            diag,
-            scratch: Mutex::new(Scratch {
-                state: None,
-                slots,
-                batch: BatchScratch::new(),
-            }),
+            diag: eval.problem_diag(),
+            scratch: Mutex::default(),
         })
     }
 
@@ -889,45 +801,30 @@ impl CompiledEnergy {
         &self.program
     }
 
+    fn scratch(&self) -> std::sync::MutexGuard<'_, BatchScratch> {
+        self.scratch.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// ⟨C⟩ for a flat parameter vector `[γ…, β…]`, allocation-free (after
     /// the internal scratch state is built on first use).
     pub fn energy_flat(&self, params: &[f64]) -> Result<f64, QaoaError> {
         self.check_params(params)?;
-        let map_err = |e: statevec::SimulatorError| QaoaError::Backend {
-            message: e.to_string(),
-        };
-        let mut guard = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
-        let Scratch { state, slots, .. } = &mut *guard;
-        let state = match state {
-            Some(s) => s,
-            None => state.insert(StateVector::zero_state(self.num_qubits).map_err(map_err)?),
-        };
-        Self::fill_slots(&self.slot_for_flat, params, slots);
-        self.program.execute_into(slots, state).map_err(map_err)?;
-        state.expectation_diagonal(&self.diag).map_err(map_err)
+        let BatchScratch { scalar, values, .. } = &mut *self.scratch();
+        self.energy_flat_with(params, scalar, values)
     }
 
     /// ⟨C⟩ for a flat parameter vector, simulated into a caller-provided
     /// scratch state (must have this program's register width).
     ///
-    /// This is the zero-allocation path the search pipeline's work-stealing
-    /// workers use: one `2^n` buffer per worker, shared across every
-    /// candidate trained on the same graph size, instead of one buffer per
-    /// compiled objective.
+    /// One `2^n` buffer can serve every candidate trained on the same graph
+    /// size, instead of one buffer per compiled objective.
     pub fn energy_flat_in(
         &self,
         params: &[f64],
         state: &mut StateVector,
     ) -> Result<f64, QaoaError> {
         self.check_params(params)?;
-        let map_err = |e: statevec::SimulatorError| QaoaError::Backend {
-            message: e.to_string(),
-        };
-        let mut guard = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
-        let slots = &mut guard.slots;
-        Self::fill_slots(&self.slot_for_flat, params, slots);
-        self.program.execute_into(slots, state).map_err(map_err)?;
-        state.expectation_diagonal(&self.diag).map_err(map_err)
+        self.sweep(params, state, &mut self.scratch().values)
     }
 
     fn check_params(&self, params: &[f64]) -> Result<(), QaoaError> {
@@ -966,9 +863,6 @@ impl CompiledEnergy {
         for p in points {
             self.check_params(p.as_ref())?;
         }
-        let map_err = |e: statevec::SimulatorError| QaoaError::Backend {
-            message: e.to_string(),
-        };
         let np = self.program.num_params();
         let tile = statevec::preferred_batch_tile(self.num_qubits, points.len());
         let mut out = Vec::with_capacity(points.len());
@@ -999,16 +893,16 @@ impl CompiledEnergy {
                     s.resize_batch(b);
                     s
                 }
-                slot => {
-                    slot.insert(BatchStateVector::zero_states(self.num_qubits, b).map_err(map_err)?)
-                }
+                slot => slot.insert(
+                    BatchStateVector::zero_states(self.num_qubits, b).map_err(backend_err)?,
+                ),
             };
             self.program
                 .execute_batch_into(&scratch.values, state)
-                .map_err(map_err)?;
+                .map_err(backend_err)?;
             state
                 .expectation_diagonal_batch(&self.diag, &mut scratch.energies)
-                .map_err(map_err)?;
+                .map_err(backend_err)?;
             out.extend_from_slice(&scratch.energies);
         }
         Ok(out)
@@ -1018,34 +912,40 @@ impl CompiledEnergy {
     /// objective's internal scratch (built lazily on first use), for callers
     /// without a per-worker buffer.
     pub fn energy_batch<P: AsRef<[f64]>>(&self, points: &[P]) -> Result<Vec<f64>, QaoaError> {
-        let mut guard = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
-        self.energy_batch_in(points, &mut guard.batch)
+        self.energy_batch_in(points, &mut self.scratch())
     }
 
-    /// The scalar sweep against caller-owned buffers (the singleton-tile leg
-    /// of the batch path): same op sequence as
-    /// [`energy_flat_in`](Self::energy_flat_in), hence bitwise equal.
+    /// The scalar sweep into `state`, built (or rebuilt at this program's
+    /// width) when needed: the singleton-tile leg of the batch path and the
+    /// body of [`energy_flat`](Self::energy_flat).
     fn energy_flat_with(
         &self,
         params: &[f64],
         state: &mut Option<StateVector>,
         slots: &mut Vec<f64>,
     ) -> Result<f64, QaoaError> {
-        let map_err = |e: statevec::SimulatorError| QaoaError::Backend {
-            message: e.to_string(),
-        };
         let state = match state {
             Some(s) if s.num_qubits() == self.num_qubits => s,
-            s => {
-                *s = Some(StateVector::zero_state(self.num_qubits).map_err(map_err)?);
-                s.as_mut().expect("just inserted")
-            }
+            s => s.insert(StateVector::zero_state(self.num_qubits).map_err(backend_err)?),
         };
+        self.sweep(params, state, slots)
+    }
+
+    /// One simulation of the program at `params` plus the diagonal
+    /// expectation, with `slots` as the parameter staging area.
+    fn sweep(
+        &self,
+        params: &[f64],
+        state: &mut StateVector,
+        slots: &mut Vec<f64>,
+    ) -> Result<f64, QaoaError> {
         slots.clear();
         slots.resize(self.program.num_params(), 0.0);
         Self::fill_slots(&self.slot_for_flat, params, slots);
-        self.program.execute_into(slots, state).map_err(map_err)?;
-        state.expectation_diagonal(&self.diag).map_err(map_err)
+        self.program
+            .execute_into(slots, state)
+            .map_err(backend_err)?;
+        state.expectation_diagonal(&self.diag).map_err(backend_err)
     }
 }
 
@@ -1178,12 +1078,14 @@ mod tests {
         let one_shot = begin().advance(&opt, 120).unwrap();
 
         // Rungs split each start's share (10, then 23, then 40 evaluations)
-        // and alternate the two protocols; the run must not notice.
+        // and alternate external and internal scratch; the run must not
+        // notice.
         let mut session = begin();
-        let first = session.advance_batched(&opt, 30).unwrap();
+        let mut scratch = BatchScratch::new();
+        let first = session.advance_in(&opt, 30, Some(&mut scratch)).unwrap();
         assert!(first.evaluations < one_shot.evaluations);
         session.advance(&opt, 70).unwrap();
-        let resumed = session.advance_batched(&opt, 120).unwrap();
+        let resumed = session.advance_in(&opt, 120, Some(&mut scratch)).unwrap();
 
         assert_eq!(one_shot, resumed, "bitwise equality expected");
         assert_eq!(session.evaluations(), resumed.evaluations);
@@ -1222,23 +1124,12 @@ mod tests {
 
         let mut external = eval.begin_training(&ansatz, &opt, None, 60).unwrap();
         assert!(external.uses_compiled_scratch());
-        let mut buf = StateVector::zero_state(6).unwrap();
-        let b = external.advance_in(&opt, 60, Some(&mut buf)).unwrap();
+        let mut scratch = BatchScratch::new();
+        let b = external.advance_in(&opt, 60, Some(&mut scratch)).unwrap();
 
         assert_eq!(a.energy, b.energy);
         assert_eq!(a.gammas, b.gammas);
         assert_eq!(a.betas, b.betas);
-    }
-
-    #[test]
-    fn session_rejects_mis_sized_scratch() {
-        let graph = Graph::cycle(5);
-        let eval = EnergyEvaluator::new(&graph, Backend::StateVector);
-        let ansatz = QaoaAnsatz::new(&graph, 1, Mixer::baseline());
-        let opt = CobylaOptimizer::default();
-        let mut session = eval.begin_training(&ansatz, &opt, None, 40).unwrap();
-        let mut wrong = StateVector::zero_state(3).unwrap();
-        assert!(session.advance_in(&opt, 40, Some(&mut wrong)).is_err());
     }
 
     #[test]
@@ -1590,37 +1481,43 @@ mod tests {
         }
     }
 
+    /// A session's batched sweeps land on the bits of the optimizer driven
+    /// directly on the scalar compiled objective, which touches neither a
+    /// batch kernel nor a session; external and internal scratch rungs
+    /// interleave freely.
     #[test]
     fn advance_batched_is_bitwise_identical_to_advance() {
         let graph = Graph::erdos_renyi(7, 0.5, 11);
         let eval = EnergyEvaluator::new(&graph, Backend::StateVector);
         let ansatz = QaoaAnsatz::new(&graph, 2, Mixer::qnas());
+        let compiled = eval.compile(&ansatz).unwrap();
+        let mut state = StateVector::zero_state(7).unwrap();
+        let buf = Mutex::new(&mut state);
+        let objective = |x: &[f64]| {
+            -compiled
+                .energy_flat_in(x, &mut buf.lock().unwrap())
+                .unwrap()
+        };
         for kind in optim::OptimizerKind::all() {
             let opt = kind.build_resumable();
-            let mut scalar = eval.begin_training(&ansatz, &*opt, None, 90).unwrap();
-            scalar.advance(&*opt, 30).unwrap();
-            let a = scalar.advance(&*opt, 90).unwrap();
+            let mut reference = opt.start(&ansatz.default_initial_flat(), 90);
+            opt.resume_until(&mut reference, &objective, 30);
+            let a = opt.resume_until(&mut reference, &objective, 90);
 
-            let mut batched = eval.begin_training(&ansatz, &*opt, None, 90).unwrap();
+            let mut session = eval.begin_training(&ansatz, &*opt, None, 90).unwrap();
             let mut scratch = BatchScratch::new();
-            batched
-                .advance_batched_in(&*opt, 30, Some(&mut scratch))
-                .unwrap();
-            let b = batched
-                .advance_batched_in(&*opt, 90, Some(&mut scratch))
-                .unwrap();
-
-            assert_eq!(a.energy.to_bits(), b.energy.to_bits(), "{kind}");
-            assert_eq!(a.gammas, b.gammas, "{kind}");
-            assert_eq!(a.betas, b.betas, "{kind}");
+            session.advance_in(&*opt, 30, Some(&mut scratch)).unwrap();
+            let b = session.advance_in(&*opt, 90, Some(&mut scratch)).unwrap();
+            assert_eq!((-a.best_value).to_bits(), b.energy.to_bits(), "{kind}");
+            assert_eq!(a.best_point, [b.gammas, b.betas].concat(), "{kind}");
             assert_eq!(a.evaluations, b.evaluations, "{kind}");
 
-            // Mixed rungs interleave too: batched then scalar.
+            // Internal scratch, then external.
             let mut mixed = eval.begin_training(&ansatz, &*opt, None, 90).unwrap();
-            mixed.advance_batched(&*opt, 30).unwrap();
-            let c = mixed.advance(&*opt, 90).unwrap();
-            assert_eq!(a.energy.to_bits(), c.energy.to_bits(), "{kind} mixed");
-            assert_eq!(a.evaluations, c.evaluations, "{kind} mixed");
+            mixed.advance(&*opt, 30).unwrap();
+            let c = mixed.advance_in(&*opt, 90, Some(&mut scratch)).unwrap();
+            assert_eq!(b.energy.to_bits(), c.energy.to_bits(), "{kind} mixed");
+            assert_eq!(b.evaluations, c.evaluations, "{kind} mixed");
         }
     }
 
@@ -1630,12 +1527,18 @@ mod tests {
         let eval = EnergyEvaluator::new(&graph, Backend::TensorNetwork);
         let ansatz = QaoaAnsatz::new(&graph, 1, Mixer::baseline());
         let opt = optim::Spsa::default();
-        let mut batched = eval.begin_training(&ansatz, &opt, None, 40).unwrap();
-        assert!(!batched.uses_compiled_scratch());
-        let b = batched.advance_batched(&opt, 40).unwrap();
-        let mut scalar = eval.begin_training(&ansatz, &opt, None, 40).unwrap();
-        let a = scalar.advance(&opt, 40).unwrap();
-        assert_eq!(a.energy.to_bits(), b.energy.to_bits());
+        let mut session = eval.begin_training(&ansatz, &opt, None, 40).unwrap();
+        assert!(!session.uses_compiled_scratch());
+        // The scratch is ignored: the plan keeps its own buffers.
+        let mut scratch = BatchScratch::new();
+        let b = session.advance_in(&opt, 40, Some(&mut scratch)).unwrap();
+        let planned = eval.plan(&ansatz).unwrap();
+        let a = opt.minimize(
+            &|x: &[f64]| -planned.energy_flat(x).unwrap(),
+            &ansatz.default_initial_flat(),
+            40,
+        );
+        assert_eq!((-a.best_value).to_bits(), b.energy.to_bits());
         assert_eq!(a.evaluations, b.evaluations);
     }
 
@@ -1646,10 +1549,11 @@ mod tests {
         let ansatz = QaoaAnsatz::new(&graph, 0, Mixer::baseline());
         let opt = CobylaOptimizer::default();
         let mut session = eval.begin_training(&ansatz, &opt, None, 10).unwrap();
-        let t = session.advance_batched(&opt, 10).unwrap();
+        let mut scratch = BatchScratch::new();
+        let t = session.advance_in(&opt, 10, Some(&mut scratch)).unwrap();
         assert!((t.energy - 2.0).abs() < 1e-10);
         assert_eq!(session.evaluations(), 1);
-        session.advance_batched(&opt, 50).unwrap();
+        session.advance_in(&opt, 50, Some(&mut scratch)).unwrap();
         assert_eq!(session.evaluations(), 1);
     }
 

@@ -381,7 +381,7 @@ impl Evaluator {
         let optimizer = self.config.build_resumable();
         let budget = self.config.budget;
         self.begin_session(graph, mixer, depth, None, budget, optimizer.as_ref())?
-            .advance_batched(optimizer.as_ref(), budget)
+            .advance(optimizer.as_ref(), budget)
             .map_err(SearchError::from)
     }
 
@@ -395,7 +395,7 @@ impl Evaluator {
     ///
     /// `optimizer` must be the same instance (or an identically configured
     /// one) later passed to every
-    /// [`TrainingSession::advance_batched_in`](qaoa::energy::TrainingSession::advance_batched_in)
+    /// [`TrainingSession::advance_in`](qaoa::energy::TrainingSession::advance_in)
     /// call — checkpoint layout and resume behaviour belong to one
     /// optimizer configuration. The pipeline builds it once via
     /// [`EvaluatorConfig::build_resumable`] and shares it across all

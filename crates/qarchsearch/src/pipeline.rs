@@ -366,14 +366,14 @@ impl BudgetedScheduler {
                     if cancel.load(Ordering::SeqCst) {
                         return (slot, session, Err(SearchError::Cancelled));
                     }
-                    // Batched advance: optimizer probe sets (SPSA pairs, initial
-                    // simplexes, grid/random populations) run through one batched
-                    // statevector sweep per set, bit-identical to the scalar path.
+                    // Compiled sessions sweep each optimizer point set (SPSA
+                    // pairs, initial simplexes, grid/random populations) in the
+                    // worker's batch buffers.
                     let buf = session
                         .uses_compiled_scratch()
                         .then(|| scratch.batch(session.num_qubits()));
                     let trained = session
-                        .advance_batched_in(optimizer, target, buf)
+                        .advance_in(optimizer, target, buf)
                         .map_err(SearchError::from);
                     (slot, session, trained)
                 };

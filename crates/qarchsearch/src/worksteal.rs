@@ -10,8 +10,9 @@
 //! * tasks are dealt round-robin into **per-worker deques**;
 //! * each worker drains its own deque from the front and, when empty,
 //!   **steals from the back** of the other deques;
-//! * every worker owns a [`WorkerScratch`] of reusable `2^n` state buffers
-//!   (keyed by register width), so no simulation allocates in steady state;
+//! * every worker owns a [`WorkerScratch`] of reusable batch-evaluation
+//!   buffers (keyed by register width), so no simulation allocates its `2^n`
+//!   states in steady state;
 //! * workers pin the **inner** parallelism level to one thread for the
 //!   duration of each task: the outer level owns the cores (the paper's
 //!   two-level scheme), and — just as importantly — results become
@@ -24,14 +25,12 @@
 
 use crate::sync::lock_recover;
 use qaoa::BatchScratch;
-use statevec::StateVector;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
 
 /// Per-worker reusable simulation buffers, keyed by register width.
 #[derive(Debug, Default)]
 pub struct WorkerScratch {
-    states: HashMap<usize, StateVector>,
     batches: HashMap<usize, BatchScratch>,
 }
 
@@ -39,18 +38,6 @@ impl WorkerScratch {
     /// A scratch pool with no buffers allocated yet.
     pub fn new() -> WorkerScratch {
         WorkerScratch::default()
-    }
-
-    /// The reusable `2^n` scratch state for `num_qubits`, allocated on first
-    /// use. Returns `None` if the width is too large for a dense state (the
-    /// caller then falls back to a non-scratch path).
-    pub fn state(&mut self, num_qubits: usize) -> Option<&mut StateVector> {
-        match self.states.entry(num_qubits) {
-            std::collections::hash_map::Entry::Occupied(slot) => Some(slot.into_mut()),
-            std::collections::hash_map::Entry::Vacant(slot) => StateVector::zero_state(num_qubits)
-                .ok()
-                .map(|s| slot.insert(s)),
-        }
     }
 
     /// The reusable batched-evaluation scratch for `num_qubits`. The buffers
@@ -62,7 +49,7 @@ impl WorkerScratch {
 
     /// Number of distinct buffer widths currently held.
     pub fn num_buffers(&self) -> usize {
-        self.states.len().max(self.batches.len())
+        self.batches.len()
     }
 }
 
@@ -201,7 +188,7 @@ mod tests {
         // buffer already allocated.
         let sizes = vec![4usize, 4, 5, 4, 5];
         let out = run_tasks(sizes, 1, |scratch, n| {
-            scratch.state(n).expect("allocatable");
+            scratch.batch(n);
             scratch.num_buffers()
         });
         assert_eq!(out, vec![1, 1, 2, 2, 2]);

@@ -81,21 +81,10 @@ pub fn parallel_threshold_qubits() -> usize {
 /// smaller registers; the floor of 2 keeps the lookup amortization even when
 /// one state already fills the budget. Tiling never affects results — batch
 /// elements are arithmetically independent — so this is purely a performance
-/// knob, overridable per machine with the `QAS_BATCH_TILE` environment
-/// variable.
+/// choice.
 pub fn preferred_batch_tile(num_qubits: usize, batch: usize) -> usize {
-    static TILE: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    let forced = *TILE.get_or_init(|| {
-        std::env::var("QAS_BATCH_TILE")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&t| t >= 1)
-    });
     if batch <= 1 {
         return batch.max(1);
-    }
-    if let Some(t) = forced {
-        return t.min(batch);
     }
     let state_bytes = (1usize << num_qubits) * std::mem::size_of::<num_complex::Complex64>();
     let budget = 4usize << 20;

@@ -8,14 +8,17 @@
 //! 1. `CompiledEnergy::energy_batch_in` ≡ one `energy_flat_in` per point,
 //!    as exact `f64` bit patterns, for batch sizes 1, 2, 7 and 64, for every
 //!    shipped problem family;
-//! 2. training through the optimizer batch-step protocol
-//!    (`TrainingSession::advance_batched_in`) ≡ scalar `advance_in`, for all
-//!    five bundled optimizers, including interrupted/mixed rung sequences;
-//! 3. the full search pipeline (which now routes through the batch path)
-//!    stays thread-count-deterministic — the pinned byte-exact searches in
-//!    `tests/problems.rs` complete this claim against pre-batching captures.
+//! 2. a training session, which hands each optimizer point set to
+//!    `energy_batch_in`, ≡ the optimizer driven directly by `resume_until` on
+//!    the scalar `energy_flat_in`, for all five bundled optimizers, with
+//!    rungs on external and internal scratch interleaved; plus absolute
+//!    per-optimizer pins on both backends;
+//! 3. the full search pipeline stays thread-count-deterministic — the pinned
+//!    byte-exact searches in `tests/problems.rs` complete this claim against
+//!    pre-batching captures.
 
 use qarchsearch_suite::prelude::*;
+use std::sync::Mutex;
 
 const BATCH_SIZES: [usize; 4] = [1, 2, 7, 64];
 
@@ -76,8 +79,10 @@ fn energy_batch_internal_and_external_scratch_agree_bitwise() {
     }
 }
 
-/// One training rung per optimizer through the batch protocol vs the scalar
-/// protocol: identical energies, angles and evaluation counts to the bit.
+/// One training rung per optimizer through a session (batched sweeps in
+/// caller scratch) vs the optimizer driven directly on the scalar compiled
+/// objective, which never touches a batch kernel or a session: identical
+/// energies, angles and evaluation counts to the bit.
 #[test]
 fn batched_training_is_bit_identical_for_all_five_optimizers() {
     let graph = Graph::erdos_renyi(7, 0.5, 23);
@@ -89,24 +94,29 @@ fn batched_training_is_bit_identical_for_all_five_optimizers() {
         let eval =
             EnergyEvaluator::for_problem(&graph, problem.clone(), Backend::StateVector).unwrap();
         let ansatz = QaoaAnsatz::for_problem(&problem, 2, Mixer::qnas()).unwrap();
+        let compiled = eval.compile(&ansatz).unwrap();
+        let state = Mutex::new(StateVector::zero_state(compiled.num_qubits()).unwrap());
+        let objective = |x: &[f64]| {
+            -compiled
+                .energy_flat_in(x, &mut state.lock().unwrap())
+                .unwrap()
+        };
         for opt_kind in OptimizerKind::all() {
             let opt = opt_kind.build_resumable();
-            let mut scalar = eval.begin_training(&ansatz, &*opt, None, 80).unwrap();
-            let a = scalar.advance(&*opt, 80).unwrap();
+            let mut reference = opt.start(&ansatz.default_initial_flat(), 80);
+            let a = opt.resume_until(&mut reference, &objective, 80);
 
-            let mut batched = eval.begin_training(&ansatz, &*opt, None, 80).unwrap();
+            let mut session = eval.begin_training(&ansatz, &*opt, None, 80).unwrap();
             let mut scratch = BatchScratch::new();
-            let b = batched
-                .advance_batched_in(&*opt, 80, Some(&mut scratch))
-                .unwrap();
+            let b = session.advance_in(&*opt, 80, Some(&mut scratch)).unwrap();
 
             let ctx = format!("{} with {opt_kind}", problem.name());
-            assert_eq!(a.energy.to_bits(), b.energy.to_bits(), "{ctx}: energy");
-            assert_eq!(a.gammas, b.gammas, "{ctx}: gammas");
-            assert_eq!(a.betas, b.betas, "{ctx}: betas");
+            let energy = -a.best_value;
+            assert_eq!(energy.to_bits(), b.energy.to_bits(), "{ctx}: energy");
+            assert_eq!(a.best_point, [b.gammas, b.betas].concat(), "{ctx}: angles");
             assert_eq!(a.evaluations, b.evaluations, "{ctx}: evaluations");
             assert_eq!(
-                a.approx_ratio.to_bits(),
+                eval.approx_ratio(energy).to_bits(),
                 b.approx_ratio.to_bits(),
                 "{ctx}: ratio"
             );
@@ -169,8 +179,8 @@ fn session_trajectories_match_the_parent_bit_for_bit() {
     }
 }
 
-/// Interrupted runs stay interchangeable: a session advanced in batched
-/// rungs, scalar rungs, or any mix lands on the same bits.
+/// Interrupted runs stay interchangeable: a session advanced in rungs on its
+/// own scratch, on caller scratch, or any mix lands on the same bits.
 #[test]
 fn mixed_batched_and_scalar_rungs_are_bit_identical() {
     let graph = Graph::erdos_renyi(7, 0.5, 29);
@@ -183,16 +193,17 @@ fn mixed_batched_and_scalar_rungs_are_bit_identical() {
         reference.advance(&*opt, 60).unwrap();
         let r = reference.advance(&*opt, 90).unwrap();
 
-        // batched → scalar → batched
+        let mut scratch = BatchScratch::new();
+        // external → internal → external
         let mut mixed = eval.begin_training(&ansatz, &*opt, None, 90).unwrap();
-        mixed.advance_batched(&*opt, 25).unwrap();
+        mixed.advance_in(&*opt, 25, Some(&mut scratch)).unwrap();
         mixed.advance(&*opt, 60).unwrap();
-        let m = mixed.advance_batched(&*opt, 90).unwrap();
+        let m = mixed.advance_in(&*opt, 90, Some(&mut scratch)).unwrap();
 
-        // scalar → batched → scalar
+        // internal → external → internal
         let mut other = eval.begin_training(&ansatz, &*opt, None, 90).unwrap();
         other.advance(&*opt, 25).unwrap();
-        other.advance_batched(&*opt, 60).unwrap();
+        other.advance_in(&*opt, 60, Some(&mut scratch)).unwrap();
         let o = other.advance(&*opt, 90).unwrap();
 
         assert_eq!(r.energy.to_bits(), m.energy.to_bits(), "{opt_kind} b-s-b");

@@ -221,9 +221,8 @@ fn assert_trained(
 }
 
 /// Bit patterns captured at the parent commit (bind-per-call sessions): a
-/// p = 2 session warm-started from a trained p = 1 run and advanced in a
-/// scalar then a batched rung, and a three-start session advanced in two
-/// rungs.
+/// p = 2 session warm-started from a trained p = 1 run and advanced in two
+/// rungs, and a three-start session advanced in two rungs.
 #[test]
 fn warm_started_and_multistart_sessions_train_to_the_pre_plan_bits() {
     let graph = Graph::random_regular(8, 3, 21).unwrap();
@@ -246,7 +245,7 @@ fn warm_started_and_multistart_sessions_train_to_the_pre_plan_bits() {
         .begin_training(&deep, &optimizer, Some(&warm), 40)
         .unwrap();
     session.advance(&optimizer, 15).unwrap();
-    let trained = session.advance_batched(&optimizer, 40).unwrap();
+    let trained = session.advance(&optimizer, 40).unwrap();
     assert_trained(
         "warm p = 2",
         &trained,
