@@ -149,10 +149,9 @@ impl CobylaOptimizer {
     /// to `evaluate` on its own, the simplex blocks included.
     fn step(&self, s: &mut CobylaState, evaluate: &mut dyn FnMut(&[Vec<f64>]) -> Vec<f64>) {
         let n = s.initial.len();
-        let mut eval = |x: &Vec<f64>, trace: &mut OptimizationTrace| probe_one(evaluate, x, trace);
 
         if n == 0 {
-            let v = eval(&s.initial, &mut s.trace);
+            let v = probe_one(evaluate, &s.initial, &mut s.trace);
             s.vertices.push(s.initial.clone());
             s.values.push(v);
             s.converged = true;
@@ -162,14 +161,14 @@ impl CobylaOptimizer {
         // Initialization: the whole simplex is one atomic step.
         if s.vertices.len() < n + 1 {
             if s.vertices.is_empty() {
-                let v = eval(&s.initial, &mut s.trace);
+                let v = probe_one(evaluate, &s.initial, &mut s.trace);
                 s.vertices.push(s.initial.clone());
                 s.values.push(v);
             }
             for i in s.vertices.len() - 1..n {
                 let mut x = s.initial.clone();
                 x[i] += self.rho_begin;
-                let v = eval(&x, &mut s.trace);
+                let v = probe_one(evaluate, &x, &mut s.trace);
                 s.vertices.push(x);
                 s.values.push(v);
             }
@@ -206,7 +205,7 @@ impl CobylaOptimizer {
                 for i in 0..n {
                     let mut x = best_point.clone();
                     x[i] += s.rho;
-                    let v = eval(&x, &mut s.trace);
+                    let v = probe_one(evaluate, &x, &mut s.trace);
                     let target = if i < bi { i } else { i + 1 };
                     s.vertices[target] = x;
                     s.values[target] = v;
@@ -229,7 +228,7 @@ impl CobylaOptimizer {
             .zip(&gradient)
             .map(|(x, g)| x - s.rho * g / grad_norm)
             .collect();
-        let candidate_value = eval(&candidate, &mut s.trace);
+        let candidate_value = probe_one(evaluate, &candidate, &mut s.trace);
 
         if candidate_value < best_value - 1e-14 {
             // Accept: replace the worst vertex.
@@ -250,7 +249,7 @@ impl CobylaOptimizer {
                 let target = if i < bi { i } else { i + 1 };
                 let mut x = best_point.clone();
                 x[i] += s.rho;
-                let v = eval(&x, &mut s.trace);
+                let v = probe_one(evaluate, &x, &mut s.trace);
                 s.vertices[target] = x;
                 s.values[target] = v;
             }
