@@ -12,13 +12,20 @@
 //!   another subscriber's terminal record,
 //! * the durable cache tier (`--cache-dir`) survives restarts and torn
 //!   journal tails without ever serving a partial report,
-//! * `ServerOptions { cache: None
-//! * `ServerOptions { cache: None     shard_id: None,
 //! * `ServerOptions { cache: None }` (the `--no-cache` path) computes
-//!   results bit-identical to the cached path.
+//!   results bit-identical to the cached path,
+//! * every deterministic way a job starts and ends (cache hit, follower
+//!   cancel, leader cancel with promotion, panic and retry fanned out to a
+//!   follower, shared completion) writes the journal records, events and
+//!   statuses pinned by `job_lifecycle_transcripts_match_the_parent`.
 
 use qarchsearch_suite::prelude::*;
+use qarchsearch_suite::qarchsearch::cache::fnv1a64;
+use qarchsearch_suite::qarchsearch::fault::site;
 use qarchsearch_suite::qarchsearch::report::SearchReport;
+use qarchsearch_suite::qarchsearch::store::JournalRecord;
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::path::PathBuf;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -403,4 +410,168 @@ fn disabled_cache_is_bit_identical_to_the_cached_path() {
     assert!(stats.energy_cache.is_none());
     cached_server.shutdown();
     uncached_server.shutdown();
+}
+
+/// A journal record reduced to what the job lifecycle decides: its kind,
+/// and for `State` the state and retry count, for `Finished` whether it
+/// carries an outcome and an error.
+fn lifecycle_entry(record: JournalRecord) -> (u64, String) {
+    match record {
+        JournalRecord::Submitted { id, .. } => (id, "Submitted".to_string()),
+        JournalRecord::State { id, state, retries } => (id, format!("State {state:?} {retries}")),
+        JournalRecord::Progress { id, .. } => (id, "Progress".to_string()),
+        JournalRecord::Checkpoint { id, .. } => (id, "Checkpoint".to_string()),
+        JournalRecord::Finished { id, outcome, error } => (
+            id,
+            format!("Finished {} {}", outcome.is_some(), error.is_some()),
+        ),
+        JournalRecord::Forgotten { id } => (id, "Forgotten".to_string()),
+        other => panic!("unexpected record in a job journal: {other:?}"),
+    }
+}
+
+/// Run `scenario` on its own 1-worker server with a state dir and a cache
+/// dir, wait until every job it returns is terminal, and render what the
+/// server recorded: per job, its journal records in file order, its event
+/// kinds, and its final state, retries, `cache_hit` and `coalesced`.
+fn lifecycle_transcript(
+    tag: &str,
+    faults: Option<FaultPlan>,
+    scenario: impl FnOnce(&JobServer) -> Vec<JobId>,
+) -> String {
+    let state_dir = temp_dir(&format!("lifecycle-{tag}-state"));
+    let cache_dir = temp_dir(&format!("lifecycle-{tag}-cache"));
+    let server = JobServer::launch(
+        JobServerConfig {
+            workers: 1,
+            queue_capacity: 32,
+            ..JobServerConfig::default()
+        },
+        ServerOptions {
+            store: Some(StoreConfig::new(&state_dir)),
+            faults: faults.map(FaultInjector::new),
+            cache: Some(CacheConfig::default().durable(&cache_dir)),
+            shard_id: None,
+        },
+    )
+    .unwrap();
+    let ids = scenario(&server);
+    for id in &ids {
+        let _ = server.wait(*id).unwrap();
+    }
+    // Shutdown compacts the journal, so read it while every record is there.
+    // The blocker's records interleave with the others': group by job id.
+    let journal = std::fs::read_to_string(state_dir.join("journal.log")).unwrap();
+    let mut records: BTreeMap<u64, Vec<String>> = BTreeMap::new();
+    for line in journal.lines() {
+        let (_, json) = line.split_once(' ').expect("crc-framed journal line");
+        let (id, entry) = lifecycle_entry(serde_json::from_str(json).unwrap());
+        records.entry(id).or_default().push(entry);
+    }
+    let mut transcript = String::new();
+    for id in &ids {
+        let status = server.status(*id).unwrap();
+        let (events, _) = server.events_since(*id, 0).unwrap();
+        let kinds: Vec<&str> = events.iter().map(|e| e.kind()).collect();
+        writeln!(
+            transcript,
+            "job {id}: journal {:?} events {kinds:?} state {:?} retries {} cache_hit {} coalesced {}",
+            records.get(&id.0).cloned().unwrap_or_default(),
+            status.state,
+            status.retries,
+            status.cache_hit,
+            status.coalesced,
+        )
+        .unwrap();
+    }
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&state_dir);
+    let _ = std::fs::remove_dir_all(&cache_dir);
+    transcript
+}
+
+/// Submit a blocker, then a leader and one identical follower queued
+/// behind it. The blocker's budget keeps the worker busy well past the
+/// point where the caller acts on them, even on a loaded machine.
+fn blocked_leader_and_follower(server: &JobServer, subject: JobSpec) -> [JobId; 3] {
+    let mut blocker = blocker_spec(300);
+    blocker.config.evaluator.budget = 200;
+    let blocker = server.submit(blocker).unwrap();
+    let leader = server.submit(subject.clone()).unwrap();
+    let follower = server.submit(subject).unwrap();
+    assert_eq!(server.status(leader).unwrap().state, JobState::Queued);
+    assert!(server.status(follower).unwrap().coalesced);
+    [blocker, leader, follower]
+}
+
+#[test]
+fn job_lifecycle_transcripts_match_the_parent() {
+    // Every job below is acted on while it is still queued behind the
+    // blocker, so each transcript is deterministic. The leader is job 2 in
+    // the fault scenarios (the blocker is job 1 on a fresh state dir).
+    let transcripts = [
+        // (a) A resubmission hits the result cache.
+        lifecycle_transcript("cache-hit", None, |server| {
+            let first = server.submit(subject_spec(301)).unwrap();
+            server.wait(first).unwrap().unwrap();
+            // The settling worker inserts into the cache after waking waiters.
+            while server.stats().cache.unwrap().insertions == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            let hit = server.submit(subject_spec(301)).unwrap();
+            vec![first, hit]
+        }),
+        // (b) A follower is cancelled while its leader is queued.
+        lifecycle_transcript("follower-cancel", None, |server| {
+            let ids = blocked_leader_and_follower(server, subject_spec(302));
+            assert!(server.cancel(ids[2]));
+            ids.to_vec()
+        }),
+        // (c) A queued leader is cancelled; its follower is promoted.
+        lifecycle_transcript("leader-cancel", None, |server| {
+            let ids = blocked_leader_and_follower(server, subject_spec(303));
+            assert!(server.cancel(ids[1]));
+            ids.to_vec()
+        }),
+        // (d) The leader's worker panics; the verdict fans out.
+        lifecycle_transcript(
+            "panic",
+            Some(FaultPlan::panic_at(site::WORKER_JOB, 1, "lifecycle pin").for_job(2)),
+            |server| {
+                let ids = blocked_leader_and_follower(server, subject_spec(304));
+                assert_eq!(ids[1], JobId(2));
+                ids.to_vec()
+            },
+        ),
+        // (e) The leader hits a transient error, retries, then completes.
+        lifecycle_transcript(
+            "retry",
+            Some(FaultPlan::io_error_at(site::WORKER_JOB, 1, "lifecycle pin").for_job(2)),
+            |server| {
+                let subject = subject_spec(305).max_retries(1).retry_backoff_ms(1);
+                let ids = blocked_leader_and_follower(server, subject);
+                assert_eq!(ids[1], JobId(2));
+                ids.to_vec()
+            },
+        ),
+        // (f) A leader and its follower complete normally.
+        lifecycle_transcript("complete", None, |server| {
+            blocked_leader_and_follower(server, subject_spec(306)).to_vec()
+        }),
+    ];
+    let hashes: Vec<u64> = transcripts.iter().map(|t| fnv1a64(t.as_bytes())).collect();
+    const PARENT: [u64; 6] = [
+        427707415241961756,
+        15001625355341182961,
+        2676171729438285649,
+        2471001781282984415,
+        9143185693772045582,
+        9666517053371099861,
+    ];
+    assert_eq!(
+        hashes,
+        PARENT,
+        "job lifecycle transcripts diverged:\n{}",
+        transcripts.join("\n")
+    );
 }
