@@ -167,20 +167,80 @@ pub struct CacheStats {
     pub durable: bool,
 }
 
+/// A recency map keyed by a 64-bit hash: every touch stamps its entry
+/// with a tick, and inserting beyond the optional capacity evicts the
+/// least recently touched entries. The result cache and the evaluator memo
+/// ([`crate::evaluator::EnergyCache`]) both keep their entries in one.
+#[derive(Debug)]
+pub(crate) struct Lru<V> {
+    /// `None` = unbounded.
+    capacity: Option<usize>,
+    /// Monotonic clock, bumped per touch.
+    tick: u64,
+    /// Key → (tick of the last touch, value).
+    entries: HashMap<u64, (u64, V)>,
+}
+
+impl<V> Lru<V> {
+    pub(crate) fn new(capacity: Option<usize>) -> Lru<V> {
+        Lru {
+            capacity,
+            tick: 0,
+            entries: HashMap::new(),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    pub(crate) fn capacity(&self) -> Option<usize> {
+        self.capacity
+    }
+
+    /// The value under `key`, touched, if `accept` (the caller's collision
+    /// guard) takes it. One hash probe, no allocation.
+    pub(crate) fn get(&mut self, key: u64, accept: impl FnOnce(&V) -> bool) -> Option<&V> {
+        let (touched, value) = self.entries.get_mut(&key)?;
+        if !accept(value) {
+            return None;
+        }
+        self.tick += 1;
+        *touched = self.tick;
+        Some(value)
+    }
+
+    /// Store `value` under `key` (replacing any entry there) as the most
+    /// recently touched, then evict beyond capacity. Returns the evicted
+    /// keys, least recently touched first.
+    pub(crate) fn insert(&mut self, key: u64, value: V) -> Vec<u64> {
+        self.tick += 1;
+        self.entries.insert(key, (self.tick, value));
+        let mut evicted = Vec::new();
+        while self.entries.len() > self.capacity.unwrap_or(usize::MAX) {
+            let oldest = self
+                .entries
+                .iter()
+                .min_by_key(|(_, (touched, _))| *touched)
+                .map(|(key, _)| *key)
+                .expect("an over-capacity map is not empty");
+            self.entries.remove(&oldest);
+            evicted.push(oldest);
+        }
+        evicted
+    }
+}
+
 struct CacheEntry {
     canonical: String,
     outcome: Arc<SearchOutcome>,
-    last_used: u64,
 }
 
 /// The in-memory LRU over completed outcomes, optionally backed by a
 /// durable journal. Not internally synchronized — the server wraps it in
 /// its own mutex.
 pub struct ResultCache {
-    capacity: usize,
-    entries: HashMap<u64, CacheEntry>,
-    /// Monotonic LRU clock (bumped per touch).
-    tick: u64,
+    entries: Lru<CacheEntry>,
     hits: u64,
     misses: u64,
     coalesced: u64,
@@ -194,11 +254,8 @@ impl ResultCache {
     /// (most-recently-written entries win when over capacity). Returns the
     /// cache and the number of entries recovered from disk.
     pub fn open(config: &CacheConfig) -> Result<(ResultCache, usize), SearchError> {
-        let capacity = config.capacity.max(1);
         let mut cache = ResultCache {
-            capacity,
-            entries: HashMap::new(),
-            tick: 0,
+            entries: Lru::new(Some(config.capacity.max(1))),
             hits: 0,
             misses: 0,
             coalesced: 0,
@@ -210,20 +267,12 @@ impl ResultCache {
             let (store, replayed) = JobStore::open(dir)?;
             cache.store = store.into();
             // Replay order is least-recently-written first; folding in
-            // order seeds the LRU clock so over-capacity opens (capacity
-            // shrank across restarts) drop the oldest entries.
+            // order drops the oldest entries when the capacity shrank
+            // across restarts.
             for entry in replayed.cache {
-                let tick = cache.next_tick();
-                cache.entries.insert(
-                    entry.key,
-                    CacheEntry {
-                        canonical: entry.canonical,
-                        outcome: Arc::new(entry.outcome),
-                        last_used: tick,
-                    },
-                );
+                let outcome = Arc::new(entry.outcome);
+                cache.put(entry.key, entry.canonical, outcome);
             }
-            cache.evict_over_capacity();
         }
         let recovered = cache.entries.len();
         Ok((cache, recovered))
@@ -234,14 +283,12 @@ impl ResultCache {
     /// (the caller decides whether that miss coalesces or executes, so it
     /// is not counted here — see [`ResultCache::note_miss`]).
     pub fn lookup(&mut self, key: &SpecKey) -> Option<Arc<SearchOutcome>> {
-        let tick = self.next_tick();
-        let entry = self.entries.get_mut(&key.hash)?;
-        if entry.canonical != key.canonical {
-            return None;
-        }
-        entry.last_used = tick;
+        let outcome = self
+            .entries
+            .get(key.hash, |entry| entry.canonical == key.canonical)
+            .map(|entry| Arc::clone(&entry.outcome))?;
         self.hits += 1;
-        Some(Arc::clone(&entry.outcome))
+        Some(outcome)
     }
 
     /// Count a submission that proceeds to execute.
@@ -262,24 +309,18 @@ impl ResultCache {
             canonical: key.canonical.clone(),
             outcome: (*outcome).clone(),
         });
-        let tick = self.next_tick();
-        self.entries.insert(
-            key.hash,
-            CacheEntry {
-                canonical: key.canonical.clone(),
-                outcome,
-                last_used: tick,
-            },
-        );
         self.insertions += 1;
-        self.evict_over_capacity();
+        self.put(key.hash, key.canonical.clone(), outcome);
     }
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             entries: self.entries.len(),
-            capacity: self.capacity,
+            capacity: self
+                .entries
+                .capacity()
+                .expect("the result cache is bounded"),
             hits: self.hits,
             misses: self.misses,
             coalesced: self.coalesced,
@@ -289,24 +330,11 @@ impl ResultCache {
         }
     }
 
-    fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    fn evict_over_capacity(&mut self) {
-        while self.entries.len() > self.capacity {
-            let Some(oldest) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, entry)| entry.last_used)
-                .map(|(key, _)| *key)
-            else {
-                break;
-            };
-            self.entries.remove(&oldest);
+    /// Hold `outcome` in memory, counting and journaling what it evicts.
+    fn put(&mut self, key: u64, canonical: String, outcome: Arc<SearchOutcome>) {
+        for evicted in self.entries.insert(key, CacheEntry { canonical, outcome }) {
             self.evictions += 1;
-            self.journal(&JournalRecord::CacheEvict { key: oldest });
+            self.journal(&JournalRecord::CacheEvict { key: evicted });
         }
     }
 
@@ -323,7 +351,7 @@ impl std::fmt::Debug for ResultCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResultCache")
             .field("entries", &self.entries.len())
-            .field("capacity", &self.capacity)
+            .field("capacity", &self.entries.capacity())
             .field("durable", &self.store.is_some())
             .finish()
     }
@@ -474,6 +502,23 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.entries, 2);
         assert_eq!(stats.evictions, 1);
+    }
+
+    #[test]
+    fn lru_touches_only_accepted_entries_and_returns_evictions_oldest_first() {
+        let mut lru = Lru::new(Some(2));
+        assert!(lru.insert(1, "a").is_empty());
+        assert!(lru.insert(2, "b").is_empty());
+        // A rejected lookup (a hash collision) leaves key 1 the oldest.
+        assert!(lru.get(1, |_| false).is_none());
+        assert_eq!(lru.insert(3, "c"), vec![1]);
+        assert_eq!(lru.get(2, |_| true), Some(&"b"));
+        assert_eq!(lru.insert(4, "d"), vec![3]);
+        let mut unbounded = Lru::new(None);
+        for key in 0..100 {
+            assert!(unbounded.insert(key, ()).is_empty());
+        }
+        assert_eq!(unbounded.len(), 100);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! averaged over the training graphs; the per-graph approximation ratio is
 //! kept as well for the quality figures (Figs. 7–9).
 
+use crate::cache::Lru;
 use crate::error::SearchError;
 use crate::sync::lock_recover;
 use graphs::{Graph, ProblemKind};
@@ -16,7 +17,6 @@ use qaoa::energy::{EnergyEvaluator, TrainedCircuit, TrainingSession};
 use qaoa::mixer::Mixer;
 use qaoa::Backend;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
@@ -140,20 +140,16 @@ struct EnergyEntry {
     problem: ProblemKind,
     backend: Backend,
     evaluator: Arc<EnergyEvaluator>,
-    /// LRU clock value of the last touch (only meaningful when bounded).
-    last_used: u64,
 }
 
 #[derive(Debug)]
 struct EnergyCacheInner {
-    /// `None` = unbounded (the per-search default: a search only ever sees
-    /// its own handful of graphs). Bounded caches are shared server-wide.
-    capacity: Option<usize>,
-    tick: u64,
     hits: u64,
     builds: u64,
     evictions: u64,
-    entries: HashMap<u64, EnergyEntry>,
+    /// Unbounded for the per-search default (a search only ever sees its
+    /// own handful of graphs); bounded when shared server-wide.
+    entries: Lru<EnergyEntry>,
 }
 
 /// Point-in-time counters of an [`EnergyCache`] (surfaced by the server's
@@ -205,12 +201,10 @@ impl EnergyCache {
     fn with_bound(capacity: Option<usize>) -> EnergyCache {
         EnergyCache {
             inner: Arc::new(Mutex::new(EnergyCacheInner {
-                capacity,
-                tick: 0,
                 hits: 0,
                 builds: 0,
                 evictions: 0,
-                entries: HashMap::new(),
+                entries: Lru::new(capacity),
             })),
         }
     }
@@ -220,7 +214,7 @@ impl EnergyCache {
         let inner = lock_recover(&self.inner);
         EnergyCacheStats {
             entries: inner.entries.len(),
-            capacity: inner.capacity,
+            capacity: inner.entries.capacity(),
             hits: inner.hits,
             builds: inner.builds,
             evictions: inner.evictions,
@@ -235,15 +229,13 @@ impl EnergyCache {
         graph: &Graph,
     ) -> Arc<EnergyEvaluator> {
         let key = instance_fingerprint(problem, backend, graph);
+        let matches = |entry: &EnergyEntry| entry.matches(problem, backend, graph);
         {
             let mut inner = lock_recover(&self.inner);
-            let tick = inner.bump_tick();
-            let hit = inner.entries.get_mut(&key).and_then(|entry| {
-                entry.matches(problem, backend, graph).then(|| {
-                    entry.last_used = tick;
-                    Arc::clone(&entry.evaluator)
-                })
-            });
+            let hit = inner
+                .entries
+                .get(key, matches)
+                .map(|e| Arc::clone(&e.evaluator));
             if let Some(evaluator) = hit {
                 inner.hits += 1;
                 return evaluator;
@@ -258,63 +250,21 @@ impl EnergyCache {
                 .expect("instantiated problem matches its graph"),
         );
         let mut inner = lock_recover(&self.inner);
-        let tick = inner.bump_tick();
         inner.builds += 1;
-        let evaluator = match inner.entries.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut slot) => {
-                if slot.get().matches(problem, backend, graph) {
-                    // Another worker built the same entry first — reuse it.
-                    slot.get_mut().last_used = tick;
-                    Arc::clone(&slot.get().evaluator)
-                } else {
-                    // Fingerprint collision: evict the other triple's entry
-                    // so a graph never trains against the wrong edge list.
-                    slot.insert(EnergyEntry {
-                        problem: problem.clone(),
-                        backend,
-                        evaluator: Arc::clone(&built),
-                        last_used: tick,
-                    });
-                    built
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(EnergyEntry {
-                    problem: problem.clone(),
-                    backend,
-                    evaluator: Arc::clone(&built),
-                    last_used: tick,
-                });
-                built
-            }
-        };
-        inner.evict_over_capacity();
-        evaluator
-    }
-}
-
-impl EnergyCacheInner {
-    fn bump_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    fn evict_over_capacity(&mut self) {
-        let Some(capacity) = self.capacity else {
-            return;
-        };
-        while self.entries.len() > capacity {
-            let Some(oldest) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, entry)| entry.last_used)
-                .map(|(key, _)| *key)
-            else {
-                break;
-            };
-            self.entries.remove(&oldest);
-            self.evictions += 1;
+        if let Some(entry) = inner.entries.get(key, matches) {
+            // Another worker built the same entry first — reuse it.
+            return Arc::clone(&entry.evaluator);
         }
+        // On a fingerprint collision this replaces the other triple's
+        // entry, so a graph never trains against the wrong edge list.
+        let entry = EnergyEntry {
+            problem: problem.clone(),
+            backend,
+            evaluator: Arc::clone(&built),
+        };
+        let evicted = inner.entries.insert(key, entry);
+        inner.evictions += evicted.len() as u64;
+        built
     }
 }
 

@@ -67,6 +67,22 @@
 //!
 //! [`JobServer::stats`] reports queue depth, per-state job counts, and
 //! the hit/miss/coalesced counters of both caches.
+//!
+//! ## Job lifecycle
+//!
+//! Every job starts in one function and ends in one. `admit` allocates the
+//! id, journals `Submitted` and inserts the record — for cache hits,
+//! followers, fresh executions and checkpointed migrations alike. `finish`
+//! ends a list of jobs: per job it records the terminal event (if the
+//! caller supplies one) and the result, and journals `Finished` then
+//! `State`; then it releases the execution's coalescing key and aliases
+//! and evicts over retention. So each job's journal reads `Submitted …
+//! Finished, State`, with only `State`, `Progress` and `Checkpoint`
+//! records between. Every fan-out — events, `Running`, progress,
+//! `Retrying`, suspension and the final verdict — visits the execution's
+//! owner first, then its followers (`Registry::subscribers`). The one
+//! other transition, `promote_follower`, hands a cancelled owner's
+//! execution to its first follower.
 
 use crate::cache::{spec_cache_key, CacheConfig, CacheStats, ResultCache, SpecKey};
 use crate::error::SearchError;
@@ -446,36 +462,43 @@ fn resolve_exec(registry: &Registry, id: u64) -> u64 {
     current
 }
 
-/// Follower ids of `exec`, cloned out so the registry can be re-borrowed.
-fn followers_of(registry: &Registry, exec: u64) -> Vec<u64> {
-    registry
-        .jobs
-        .get(&exec)
-        .map(|record| record.followers.clone())
-        .unwrap_or_default()
+impl Registry {
+    /// The execution's owner `exec`, then its coalesced followers: the
+    /// order every update of a shared execution fans out in. The ids are
+    /// cloned out so the registry can be re-borrowed per subscriber.
+    fn subscribers(&self, exec: u64) -> Vec<u64> {
+        let mut ids = vec![exec];
+        if let Some(record) = self.jobs.get(&exec) {
+            ids.extend_from_slice(&record.followers);
+        }
+        ids
+    }
+
+    /// Take `exec`'s cache key and drop it from the coalescing index if
+    /// `exec` still owns that entry, so identical submissions stop
+    /// attaching to it.
+    fn unregister(&mut self, exec: u64) -> Option<SpecKey> {
+        let key = self.jobs.get_mut(&exec)?.cache_key.take()?;
+        if self.inflight.get(&key.hash) == Some(&exec) {
+            self.inflight.remove(&key.hash);
+        }
+        Some(key)
+    }
 }
 
-/// Record `event` (and optionally fresh progress) on the execution owner
-/// *and* every coalesced follower — each subscriber owns its copy of the
-/// stream, so cursors and `forget` stay independent.
+/// Record `event` (and fresh progress) on every subscriber of `exec` —
+/// each owns its copy of the stream, so cursors and `forget` stay
+/// independent.
 fn push_shared_event(
     registry: &mut Registry,
     exec: u64,
     event: &SearchEvent,
-    progress: Option<SearchProgress>,
+    progress: SearchProgress,
 ) {
-    for follower in followers_of(registry, exec) {
-        if let Some(record) = registry.jobs.get_mut(&follower) {
+    for id in registry.subscribers(exec) {
+        if let Some(record) = registry.jobs.get_mut(&id) {
             record.events.push(event.clone());
-            if let Some(progress) = &progress {
-                record.progress = Some(progress.clone());
-            }
-        }
-    }
-    if let Some(record) = registry.jobs.get_mut(&exec) {
-        record.events.push(event.clone());
-        if let Some(progress) = progress {
-            record.progress = Some(progress);
+            record.progress = Some(progress.clone());
         }
     }
 }
@@ -689,116 +712,7 @@ impl JobServer {
     /// a spec identical to an in-flight execution attaches as a follower
     /// of that execution instead of queueing its own.
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, SearchError> {
-        if spec.graphs.is_empty() {
-            return Err(SearchError::NoGraphs);
-        }
-        spec.config.validate()?;
-        let key = match &self.inner.cache {
-            Some(_) => Some(spec_cache_key(&spec)?),
-            None => None,
-        };
-        // Tier 1: result cache. Looked up before the registry lock (the
-        // cache mutex is never nested inside it); a concurrent insert
-        // between this miss and the registry lock only costs a recompute.
-        let cached = match (&self.inner.cache, &key) {
-            (Some(cache), Some(key)) => lock_recover(cache).lookup(key),
-            _ => None,
-        };
-        let mut registry = self.lock_registry();
-        if registry.shutdown {
-            return Err(SearchError::Evaluation {
-                message: "job server is shutting down".to_string(),
-            });
-        }
-        if let (Some(outcome), Some(key)) = (cached, &key) {
-            let id = self.complete_from_cache(&mut registry, spec, key, outcome);
-            drop(registry);
-            self.inner.done_cv.notify_all();
-            return Ok(JobId(id));
-        }
-        // Tier 2: request coalescing. An identical spec already queued or
-        // running gets a follower record mirroring that execution instead
-        // of a queue slot. Deadline/retry budgets must match — a follower
-        // inherits the leader's schedule verbatim.
-        if let Some(key) = &key {
-            if let Some(&origin) = registry.inflight.get(&key.hash) {
-                let exec = resolve_exec(&registry, origin);
-                let attachable = registry.jobs.get(&exec).is_some_and(|leader| {
-                    !leader.state.is_terminal()
-                        && leader
-                            .cache_key
-                            .as_ref()
-                            .is_some_and(|k| k.canonical == key.canonical)
-                        && leader.spec.as_ref().is_some_and(|leader_spec| {
-                            leader_spec.timeout_secs == spec.timeout_secs
-                                && leader_spec.max_retries == spec.max_retries
-                        })
-                });
-                if attachable {
-                    let id = registry.next_id;
-                    registry.next_id += 1;
-                    journal(
-                        &self.inner,
-                        &JournalRecord::Submitted {
-                            id,
-                            spec: spec.clone(),
-                        },
-                    );
-                    let leader = registry.jobs.get(&exec).expect("attachable leader exists");
-                    // The follower keeps its own spec so it can take over
-                    // the execution if the leader is cancelled (promotion).
-                    let record = JobRecord {
-                        state: leader.state.clone(),
-                        events: leader.events.clone(),
-                        progress: leader.progress.clone(),
-                        retries: leader.retries,
-                        leader: Some(exec),
-                        coalesced: true,
-                        ..JobRecord::queued(spec)
-                    };
-                    registry.jobs.insert(id, record);
-                    registry
-                        .jobs
-                        .get_mut(&exec)
-                        .expect("attachable leader exists")
-                        .followers
-                        .push(id);
-                    drop(registry);
-                    if let Some(cache) = &self.inner.cache {
-                        lock_recover(cache).note_coalesced();
-                    }
-                    return Ok(JobId(id));
-                }
-            }
-        }
-        // Tier 3: a genuinely new execution.
-        if registry.pending.len() >= self.inner.config.queue_capacity {
-            return Err(SearchError::QueueFull {
-                capacity: self.inner.config.queue_capacity,
-            });
-        }
-        let id = registry.next_id;
-        registry.next_id += 1;
-        journal(
-            &self.inner,
-            &JournalRecord::Submitted {
-                id,
-                spec: spec.clone(),
-            },
-        );
-        let mut record = JobRecord::queued(spec);
-        record.cache_key = key.clone();
-        registry.jobs.insert(id, record);
-        if let Some(key) = &key {
-            registry.inflight.insert(key.hash, id);
-        }
-        registry.pending.push(PendingEntry { id, ready_at: None });
-        drop(registry);
-        if let Some(cache) = &self.inner.cache {
-            lock_recover(cache).note_miss();
-        }
-        self.inner.work_cv.notify_one();
-        Ok(JobId(id))
+        self.submit_with_checkpoint(spec, None)
     }
 
     /// Submit a job that resumes from an externally recovered checkpoint
@@ -818,112 +732,135 @@ impl JobServer {
         spec: JobSpec,
         checkpoint: Option<SearchCheckpoint>,
     ) -> Result<JobId, SearchError> {
-        let Some(checkpoint) = checkpoint else {
-            return self.submit(spec);
-        };
         if spec.graphs.is_empty() {
             return Err(SearchError::NoGraphs);
         }
         spec.config.validate()?;
+        let key = match (&self.inner.cache, &checkpoint) {
+            (Some(_), None) => Some(spec_cache_key(&spec)?),
+            _ => None,
+        };
+        // Tier 1: result cache. Looked up before the registry lock (the
+        // cache mutex is never nested inside it); a concurrent insert
+        // between this miss and the registry lock only costs a recompute.
+        let cached = match (&self.inner.cache, &key) {
+            (Some(cache), Some(key)) => lock_recover(cache).lookup(key),
+            _ => None,
+        };
         let mut registry = self.lock_registry();
         if registry.shutdown {
             return Err(SearchError::Evaluation {
                 message: "job server is shutting down".to_string(),
             });
         }
+        if let (Some(outcome), Some(key)) = (cached, &key) {
+            // A hit is born terminal, with a synthetic `CacheHit` +
+            // `Finished` event pair and the cached outcome.
+            let progress = SearchProgress {
+                status: SearchStatus::Finished,
+                depths_completed: outcome.depth_results.len(),
+                max_depth: spec.config.max_depth,
+                candidates_evaluated: outcome.num_candidates_evaluated,
+                optimizer_evaluations: outcome.total_optimizer_evaluations,
+                best_energy: Some(outcome.best.energy),
+                elapsed_seconds: 0.0,
+            };
+            let finished = SearchEvent::Finished {
+                best_mixer: outcome.best.mixer_label.clone(),
+                best_depth: outcome.best.depth,
+                best_energy: outcome.best.energy,
+                candidates_evaluated: outcome.num_candidates_evaluated,
+            };
+            let record = JobRecord {
+                events: vec![SearchEvent::CacheHit { key: key.hex() }],
+                progress: Some(progress),
+                cache_hit: true,
+                ..JobRecord::queued(spec)
+            };
+            let id = admit(&self.inner, &mut registry, record);
+            let result = Ok((*outcome).clone());
+            finish(
+                &self.inner,
+                &mut registry,
+                &[id],
+                JobState::Completed,
+                &result,
+                Some(finished),
+            );
+            drop(registry);
+            self.inner.done_cv.notify_all();
+            return Ok(JobId(id));
+        }
+        // Tier 2: request coalescing. An identical spec already queued or
+        // running gets a follower record mirroring that execution instead
+        // of a queue slot. Deadline/retry budgets must match — a follower
+        // inherits the leader's schedule verbatim.
+        let leader = key.as_ref().and_then(|key| {
+            let exec = resolve_exec(&registry, *registry.inflight.get(&key.hash)?);
+            let leader = registry.jobs.get(&exec)?;
+            let attachable = !leader.state.is_terminal()
+                && leader
+                    .cache_key
+                    .as_ref()
+                    .is_some_and(|k| k.canonical == key.canonical)
+                && leader.spec.as_ref().is_some_and(|leader_spec| {
+                    leader_spec.timeout_secs == spec.timeout_secs
+                        && leader_spec.max_retries == spec.max_retries
+                });
+            attachable.then_some(exec)
+        });
+        if let Some(exec) = leader {
+            let leader = &registry.jobs[&exec];
+            // The follower keeps its own spec so it can take over the
+            // execution if the leader is cancelled (promotion).
+            let record = JobRecord {
+                state: leader.state.clone(),
+                events: leader.events.clone(),
+                progress: leader.progress.clone(),
+                retries: leader.retries,
+                leader: Some(exec),
+                coalesced: true,
+                ..JobRecord::queued(spec)
+            };
+            let id = admit(&self.inner, &mut registry, record);
+            let leader = registry
+                .jobs
+                .get_mut(&exec)
+                .expect("attachable leader exists");
+            leader.followers.push(id);
+            drop(registry);
+            if let Some(cache) = &self.inner.cache {
+                lock_recover(cache).note_coalesced();
+            }
+            return Ok(JobId(id));
+        }
+        // Tier 3: a genuinely new execution, resuming from `checkpoint`
+        // when one was handed over.
         if registry.pending.len() >= self.inner.config.queue_capacity {
             return Err(SearchError::QueueFull {
                 capacity: self.inner.config.queue_capacity,
             });
         }
-        let id = registry.next_id;
-        registry.next_id += 1;
-        journal(
-            &self.inner,
-            &JournalRecord::Submitted {
-                id,
-                spec: spec.clone(),
-            },
-        );
-        journal(
-            &self.inner,
-            &JournalRecord::Checkpoint {
-                id,
-                checkpoint: checkpoint.clone(),
-            },
-        );
-        let mut record = JobRecord::queued(spec);
-        record.checkpoint = Some(checkpoint);
-        registry.jobs.insert(id, record);
+        let hash = key.as_ref().map(|key| key.hash);
+        let record = JobRecord {
+            checkpoint: checkpoint.clone(),
+            cache_key: key,
+            ..JobRecord::queued(spec)
+        };
+        let id = admit(&self.inner, &mut registry, record);
+        if let Some(checkpoint) = checkpoint {
+            journal(&self.inner, &JournalRecord::Checkpoint { id, checkpoint });
+        }
+        if let Some(hash) = hash {
+            registry.inflight.insert(hash, id);
+        }
         registry.pending.push(PendingEntry { id, ready_at: None });
         drop(registry);
+        if let (Some(cache), Some(_)) = (&self.inner.cache, hash) {
+            lock_recover(cache).note_miss();
+        }
         self.inner.work_cv.notify_one();
         Ok(JobId(id))
-    }
-
-    /// Complete a submission instantly from a result-cache hit: the job
-    /// record is born terminal with a synthetic [`SearchEvent::CacheHit`]
-    /// + `Finished` event pair and the cached outcome.
-    fn complete_from_cache(
-        &self,
-        registry: &mut Registry,
-        spec: JobSpec,
-        key: &SpecKey,
-        outcome: Arc<SearchOutcome>,
-    ) -> u64 {
-        let id = registry.next_id;
-        registry.next_id += 1;
-        journal(
-            &self.inner,
-            &JournalRecord::Submitted {
-                id,
-                spec: spec.clone(),
-            },
-        );
-        let progress = SearchProgress {
-            status: SearchStatus::Finished,
-            depths_completed: outcome.depth_results.len(),
-            max_depth: spec.config.max_depth,
-            candidates_evaluated: outcome.num_candidates_evaluated,
-            optimizer_evaluations: outcome.total_optimizer_evaluations,
-            best_energy: Some(outcome.best.energy),
-            elapsed_seconds: 0.0,
-        };
-        let mut record = JobRecord::queued(spec);
-        record.state = JobState::Completed;
-        record.spec = None;
-        record.events = vec![
-            SearchEvent::CacheHit { key: key.hex() },
-            SearchEvent::Finished {
-                best_mixer: outcome.best.mixer_label.clone(),
-                best_depth: outcome.best.depth,
-                best_energy: outcome.best.energy,
-                candidates_evaluated: outcome.num_candidates_evaluated,
-            },
-        ];
-        record.progress = Some(progress);
-        record.result = Some(Ok((*outcome).clone()));
-        record.cache_hit = true;
-        registry.jobs.insert(id, record);
-        journal(
-            &self.inner,
-            &JournalRecord::Finished {
-                id,
-                outcome: Some((*outcome).clone()),
-                error: None,
-            },
-        );
-        journal(
-            &self.inner,
-            &JournalRecord::State {
-                id,
-                state: JobState::Completed,
-                retries: 0,
-            },
-        );
-        let evicted = evict_over_retention(registry, self.inner.config.max_retained_jobs);
-        journal_forgotten(&self.inner, &evicted);
-        id
     }
 
     /// Cancel a job: queued (and backoff-waiting) jobs are cut instantly,
@@ -940,137 +877,51 @@ impl JobServer {
         let Some(record) = registry.jobs.get_mut(&id.0) else {
             return false;
         };
-        // Follower: detach from the shared execution; nothing else stops.
-        if let Some(exec) = record.leader {
-            if record.state.is_terminal() {
-                return false;
-            }
-            let completed_depths = record
-                .progress
-                .as_ref()
-                .map(|p| p.depths_completed)
-                .unwrap_or(0);
-            record.state = JobState::Cancelled;
-            record.spec = None;
-            record.leader = None;
-            record.result = Some(Err(SearchError::Cancelled));
-            record
-                .events
-                .push(SearchEvent::Cancelled { completed_depths });
-            let retries = record.retries;
-            journal(
-                &self.inner,
-                &JournalRecord::Finished {
-                    id: id.0,
-                    outcome: None,
-                    error: Some(SearchError::Cancelled),
-                },
-            );
-            journal(
-                &self.inner,
-                &JournalRecord::State {
-                    id: id.0,
-                    state: JobState::Cancelled,
-                    retries,
-                },
-            );
+        if record.state.is_terminal() {
+            return false;
+        }
+        let completed_depths = record.progress.as_ref().map_or(0, |p| p.depths_completed);
+        let cancelled = SearchEvent::Cancelled { completed_depths };
+        let event = if let Some(exec) = record.leader {
+            // Follower: detach from the shared execution; nothing else stops.
             if let Some(leader) = registry.jobs.get_mut(&exec) {
                 leader.followers.retain(|f| *f != id.0);
             }
-            let evicted = evict_over_retention(&mut registry, self.inner.config.max_retained_jobs);
-            journal_forgotten(&self.inner, &evicted);
-            drop(registry);
-            self.inner.done_cv.notify_all();
+            Some(cancelled)
+        } else if record.state == JobState::Running && record.followers.is_empty() {
+            // The only subscriber of a running execution: stop the engine
+            // cooperatively and let the worker settle the job.
+            record.user_cancelled = true;
+            if let Some(canceller) = &record.canceller {
+                canceller.cancel();
+            }
+            // Unregister from the coalescing index immediately: a
+            // submission racing this cancel must start fresh, not attach
+            // to an execution that is winding down.
+            registry.unregister(id.0);
             return true;
-        }
-        match record.state {
-            JobState::Queued | JobState::Retrying { .. } => {
-                // A queued leader with followers hands the execution (its
-                // pending entry included) to the first follower before
-                // being cut.
-                promote_follower(&mut registry, id.0);
-                self.finish_cancelled(&mut registry, id.0, true);
-                drop(registry);
-                self.inner.done_cv.notify_all();
-                true
-            }
-            JobState::Running => {
-                if record.followers.is_empty() {
-                    record.user_cancelled = true;
-                    if let Some(canceller) = &record.canceller {
-                        canceller.cancel();
-                    }
-                    // Unregister from the coalescing index immediately: a
-                    // submission racing this cancel must start fresh, not
-                    // attach to an execution that is winding down.
-                    if let Some(key) = record.cache_key.take() {
-                        if registry.inflight.get(&key.hash) == Some(&id.0) {
-                            registry.inflight.remove(&key.hash);
-                        }
-                    }
-                    true
-                } else {
-                    // Promote a follower to own the running execution; the
-                    // engine keeps going, only this subscriber is cut. The
-                    // worker thread finds the new owner through the
-                    // `exec_alias` it resolves on every registry access.
-                    promote_follower(&mut registry, id.0);
-                    self.finish_cancelled(&mut registry, id.0, false);
-                    drop(registry);
-                    self.inner.done_cv.notify_all();
-                    true
-                }
-            }
-            _ => false,
-        }
-    }
-
-    /// Mark `id` cancelled with a journaled terminal record; `drop_pending`
-    /// also removes its queue entry (promotion re-points the entry at the
-    /// new leader first, making removal here a no-op for handed-off work).
-    fn finish_cancelled(&self, registry: &mut Registry, id: u64, drop_pending: bool) {
-        if let Some(record) = registry.jobs.get_mut(&id) {
-            let completed_depths = record
-                .progress
-                .as_ref()
-                .map(|p| p.depths_completed)
-                .unwrap_or(0);
-            record.state = JobState::Cancelled;
-            record.spec = None;
-            record.result = Some(Err(SearchError::Cancelled));
-            if record.events.last().is_none_or(|e| !e.is_terminal()) {
-                record
-                    .events
-                    .push(SearchEvent::Cancelled { completed_depths });
-            }
-            if let Some(key) = record.cache_key.take() {
-                if registry.inflight.get(&key.hash) == Some(&id) {
-                    registry.inflight.remove(&key.hash);
-                }
-            }
-            let retries = registry.jobs[&id].retries;
-            journal(
-                &self.inner,
-                &JournalRecord::Finished {
-                    id,
-                    outcome: None,
-                    error: Some(SearchError::Cancelled),
-                },
-            );
-            journal(
-                &self.inner,
-                &JournalRecord::State {
-                    id,
-                    state: JobState::Cancelled,
-                    retries,
-                },
-            );
-        }
-        if drop_pending {
-            registry.pending.retain(|entry| entry.id != id);
-        }
-        let evicted = evict_over_retention(registry, self.inner.config.max_retained_jobs);
-        journal_forgotten(&self.inner, &evicted);
+        } else {
+            // An owner hands its execution — the pending entry, or the
+            // running engine the worker reaches through `exec_alias` — to
+            // its first follower, if it has one; then only this subscriber
+            // is cut.
+            let ended = record.events.last().is_some_and(|e| e.is_terminal());
+            promote_follower(&mut registry, id.0);
+            registry.pending.retain(|entry| entry.id != id.0);
+            (!ended).then_some(cancelled)
+        };
+        let result = Err(SearchError::Cancelled);
+        finish(
+            &self.inner,
+            &mut registry,
+            &[id.0],
+            JobState::Cancelled,
+            &result,
+            event,
+        );
+        drop(registry);
+        self.inner.done_cv.notify_all();
+        true
     }
 
     /// Status of one job.
@@ -1198,21 +1049,16 @@ impl JobServer {
     }
 
     fn begin_shutdown(&self) {
-        let suspend = self.inner.store.is_some();
         let mut registry = self.lock_registry();
         registry.shutdown = true;
+        // Pending jobs are cancelled in memory only. Nothing is journaled,
+        // so a durable server's replay re-enqueues them on the next launch.
         let pending = std::mem::take(&mut registry.pending);
         for entry in pending {
             if let Some(record) = registry.jobs.get_mut(&entry.id) {
-                // In-memory the job is cancelled either way (the server is
-                // going away); a durable server leaves the journal alone so
-                // replay re-enqueues the job on the next launch.
                 record.state = JobState::Cancelled;
                 record.spec = None;
                 record.result = Some(Err(SearchError::Cancelled));
-                if !suspend {
-                    continue;
-                }
             }
         }
         for record in registry.jobs.values_mut() {
@@ -1361,27 +1207,18 @@ fn rebuild_registry(
         let cache_key = (cache_enabled && !terminal)
             .then(|| spec_cache_key(&job.spec).ok())
             .flatten();
-        registry.jobs.insert(
-            job.id,
-            JobRecord {
-                name: job.spec.name.clone(),
-                priority: job.spec.priority,
-                state,
-                spec: (!terminal).then(|| job.spec.clone()),
-                events: Vec::new(),
-                canceller: None,
-                progress: None,
-                result: job.result.clone(),
-                retries: job.retries,
-                checkpoint: job.checkpoint.clone(),
-                user_cancelled: false,
-                followers: Vec::new(),
-                leader: None,
-                cache_key,
-                cache_hit: false,
-                coalesced: false,
-            },
-        );
+        let mut record = JobRecord {
+            state,
+            result: job.result.clone(),
+            retries: job.retries,
+            checkpoint: job.checkpoint.clone(),
+            cache_key,
+            ..JobRecord::queued(job.spec.clone())
+        };
+        if terminal {
+            record.spec = None;
+        }
+        registry.jobs.insert(job.id, record);
     }
     let _ = evict_over_retention(registry, config.max_retained_jobs);
     report
@@ -1399,10 +1236,70 @@ fn journal(inner: &ServerInner, record: &JournalRecord) {
     }
 }
 
-fn journal_forgotten(inner: &ServerInner, evicted: &[u64]) {
-    for id in evicted {
-        journal(inner, &JournalRecord::Forgotten { id: *id });
+/// Admit `record`, which carries the submitted spec, under a fresh id:
+/// journal `Submitted`, then insert it. Every job starts here.
+fn admit(inner: &ServerInner, registry: &mut Registry, record: JobRecord) -> u64 {
+    let id = registry.next_id;
+    registry.next_id += 1;
+    let spec = record
+        .spec
+        .clone()
+        .expect("an admitted job carries its spec");
+    journal(inner, &JournalRecord::Submitted { id, spec });
+    registry.jobs.insert(id, record);
+    id
+}
+
+/// End the jobs `ids`, whose first entry owns the execution: every job
+/// ends here. Each job in order records `event` (when the caller has one)
+/// and `result`, drops its spec, leader and followers, and journals
+/// `Finished` then `State`. Then the execution's coalescing key and
+/// promotion aliases are released and terminal records over the retention
+/// cap are evicted (and journaled as forgotten). Returns the released key,
+/// so a completed result can be cached once the registry lock is dropped.
+fn finish(
+    inner: &ServerInner,
+    registry: &mut Registry,
+    ids: &[u64],
+    state: JobState,
+    result: &Result<SearchOutcome, SearchError>,
+    event: Option<SearchEvent>,
+) -> Option<SpecKey> {
+    for &id in ids {
+        let Some(record) = registry.jobs.get_mut(&id) else {
+            continue;
+        };
+        record.events.extend(event.clone());
+        record.state = state.clone();
+        record.spec = None;
+        record.leader = None;
+        record.followers = Vec::new();
+        record.result = Some(result.clone());
+        let retries = record.retries;
+        journal(
+            inner,
+            &JournalRecord::Finished {
+                id,
+                outcome: result.as_ref().ok().cloned(),
+                error: result.as_ref().err().cloned(),
+            },
+        );
+        journal(
+            inner,
+            &JournalRecord::State {
+                id,
+                state: state.clone(),
+                retries,
+            },
+        );
     }
+    let exec = ids[0];
+    let key = registry.unregister(exec);
+    registry.exec_alias.retain(|_, target| *target != exec);
+    for id in evict_over_retention(registry, inner.config.max_retained_jobs) {
+        journal(inner, &JournalRecord::Forgotten { id });
+    }
+    key
 }
 
 /// Evict the oldest terminal job records beyond the retention cap (queued
@@ -1449,14 +1346,12 @@ fn worker_loop(inner: Arc<ServerInner>) {
                     });
                 if let Some(id) = best {
                     registry.pending.retain(|entry| entry.id != id);
-                    let record = registry.jobs.get_mut(&id).expect("pending job exists");
+                    let record = &registry.jobs[&id];
                     let spec = record.spec.clone().expect("pending job keeps its spec");
                     let resume_from = record.checkpoint.clone();
                     let retries = record.retries;
-                    record.state = JobState::Running;
-                    let followers = record.followers.clone();
-                    for follower in followers {
-                        if let Some(record) = registry.jobs.get_mut(&follower) {
+                    for subscriber in registry.subscribers(id) {
+                        if let Some(record) = registry.jobs.get_mut(&subscriber) {
                             record.state = JobState::Running;
                         }
                     }
@@ -1509,71 +1404,24 @@ fn worker_loop(inner: Arc<ServerInner>) {
 fn fail_job_after_panic(inner: &ServerInner, id: u64, message: String) {
     let mut registry = lock_recover(&inner.registry);
     let exec = resolve_exec(&registry, id);
-    if registry.jobs.contains_key(&exec) {
-        if let Some(canceller) = registry
-            .jobs
-            .get_mut(&exec)
-            .and_then(|r| r.canceller.take())
-        {
-            canceller.cancel();
-        }
-        let state = JobState::Failed {
-            panic: Some(message.clone()),
-        };
-        let event = SearchEvent::Failed {
-            message: format!("search panicked: {message}"),
-        };
-        let error = SearchError::Panicked { message };
-        // The panic verdict fans out to every coalesced follower, exactly
-        // like a settled result.
-        let mut targets = vec![exec];
-        targets.extend(std::mem::take(
-            &mut registry
-                .jobs
-                .get_mut(&exec)
-                .expect("panicked record exists")
-                .followers,
-        ));
-        for target in targets {
-            let Some(record) = registry.jobs.get_mut(&target) else {
-                continue;
-            };
-            record.events.push(event.clone());
-            record.state = state.clone();
-            record.spec = None;
-            record.result = Some(Err(error.clone()));
-            record.leader = None;
-            let retries = record.retries;
-            journal(
-                inner,
-                &JournalRecord::Finished {
-                    id: target,
-                    outcome: None,
-                    error: Some(error.clone()),
-                },
-            );
-            journal(
-                inner,
-                &JournalRecord::State {
-                    id: target,
-                    state: state.clone(),
-                    retries,
-                },
-            );
-        }
-        if let Some(key) = registry
-            .jobs
-            .get_mut(&exec)
-            .and_then(|r| r.cache_key.take())
-        {
-            if registry.inflight.get(&key.hash) == Some(&exec) {
-                registry.inflight.remove(&key.hash);
-            }
-        }
-        registry.exec_alias.retain(|_, target| *target != exec);
+    if let Some(canceller) = registry
+        .jobs
+        .get_mut(&exec)
+        .and_then(|r| r.canceller.take())
+    {
+        canceller.cancel();
     }
-    let evicted = evict_over_retention(&mut registry, inner.config.max_retained_jobs);
-    journal_forgotten(inner, &evicted);
+    // The panic verdict fans out to every coalesced follower, exactly like
+    // a settled result.
+    let ids = registry.subscribers(exec);
+    let event = SearchEvent::Failed {
+        message: format!("search panicked: {message}"),
+    };
+    let state = JobState::Failed {
+        panic: Some(message.clone()),
+    };
+    let result = Err(SearchError::Panicked { message });
+    finish(inner, &mut registry, &ids, state, &result, Some(event));
 }
 
 fn run_job(inner: &ServerInner, id: u64, spec: JobSpec, resume_from: Option<SearchCheckpoint>) {
@@ -1664,7 +1512,7 @@ fn drive_job(
         let owner = {
             let mut registry = lock_recover(&inner.registry);
             let owner = resolve_exec(&registry, id);
-            push_shared_event(&mut registry, owner, &event, Some(handle.progress()));
+            push_shared_event(&mut registry, owner, &event, handle.progress());
             owner
         };
         match &event {
@@ -1720,14 +1568,10 @@ fn drive_job(
         let mut registry = lock_recover(&inner.registry);
         let owner = resolve_exec(&registry, id);
         let progress = handle.progress();
-        let followers = followers_of(&registry, owner);
-        for follower in followers {
-            if let Some(record) = registry.jobs.get_mut(&follower) {
+        for subscriber in registry.subscribers(owner) {
+            if let Some(record) = registry.jobs.get_mut(&subscriber) {
                 record.progress = Some(progress.clone());
             }
-        }
-        if let Some(record) = registry.jobs.get_mut(&owner) {
-            record.progress = Some(progress);
         }
     }
     if let Some(e) = injected {
@@ -1752,26 +1596,26 @@ fn settle_job(
     // ownership promoted to a follower; everything below settles the
     // *current* owner and fans out to its followers.
     let exec = resolve_exec(&registry, id);
-    match registry.jobs.get_mut(&exec) {
-        Some(record) => record.canceller = None,
-        None => return,
-    }
+    let Some(record) = registry.jobs.get_mut(&exec) else {
+        return;
+    };
+    record.canceller = None;
+    let retries = record.retries;
+    let user_cancelled = record.user_cancelled;
+    let ended = record.events.last().is_some_and(|e| e.is_terminal());
+    let subscribers = registry.subscribers(exec);
 
     // Transient failures retry (resuming from the last checkpoint) while
     // budget remains — deterministic exponential backoff, no jitter.
     // Followers mirror the retrying state: they ride the next attempt.
-    let mut retry_at: Option<Instant> = None;
     if let Err(e) = &result {
-        let retries = registry.jobs[&exec].retries;
         if e.is_transient() && !timed_out && !shutting_down && retries < spec.max_retries {
             let attempt = retries + 1;
             let retry_event = SearchEvent::Failed {
                 message: format!("{e} (retry {attempt}/{} scheduled)", spec.max_retries),
             };
-            let mut targets = vec![exec];
-            targets.extend(followers_of(&registry, exec));
-            for target in targets {
-                if let Some(record) = registry.jobs.get_mut(&target) {
+            for subscriber in subscribers {
+                if let Some(record) = registry.jobs.get_mut(&subscriber) {
                     record.state = JobState::Retrying { attempt };
                     record.retries = attempt;
                     record.events.push(retry_event.clone());
@@ -1788,19 +1632,16 @@ fn settle_job(
             let backoff = spec
                 .retry_backoff_ms
                 .saturating_mul(1u64 << (attempt.min(16) - 1));
-            retry_at = Some(Instant::now() + Duration::from_millis(backoff));
+            registry.pending.push(PendingEntry {
+                id: exec,
+                ready_at: Some(Instant::now() + Duration::from_millis(backoff)),
+            });
+            drop(registry);
+            // notify_all: sleeping workers must recompute their wait deadline
+            // against the new backoff entry.
+            inner.work_cv.notify_all();
+            return;
         }
-    }
-    if let Some(ready_at) = retry_at {
-        registry.pending.push(PendingEntry {
-            id: exec,
-            ready_at: Some(ready_at),
-        });
-        drop(registry);
-        // notify_all: sleeping workers must recompute their wait deadline
-        // against the new backoff entry.
-        inner.work_cv.notify_all();
-        return;
     }
 
     let (state, final_result) = if timed_out {
@@ -1825,7 +1666,7 @@ fn settle_job(
                 // user explicitly cancelled stays cancelled. Followers are
                 // cancelled in memory only — their journaled submissions
                 // replay as independent fresh jobs on the next launch.
-                if shutting_down && inner.store.is_some() && !registry.jobs[&exec].user_cancelled {
+                if shutting_down && inner.store.is_some() && !user_cancelled {
                     if let Some(checkpoint) = registry.jobs[&exec].checkpoint.clone() {
                         journal(
                             inner,
@@ -1840,13 +1681,11 @@ fn settle_job(
                         &JournalRecord::State {
                             id: exec,
                             state: JobState::Queued,
-                            retries: registry.jobs[&exec].retries,
+                            retries,
                         },
                     );
-                    let mut targets = vec![exec];
-                    targets.extend(followers_of(&registry, exec));
-                    for target in targets {
-                        if let Some(record) = registry.jobs.get_mut(&target) {
+                    for subscriber in subscribers {
+                        if let Some(record) = registry.jobs.get_mut(&subscriber) {
                             record.state = JobState::Cancelled;
                             record.result = Some(Err(SearchError::Cancelled));
                             record.leader = None;
@@ -1865,107 +1704,27 @@ fn settle_job(
     // guarantees it except when the verdict was decided server-side
     // (deadline expiry surfaces as the engine's `Cancelled`, a panic may
     // have cut the stream short).
-    let mut pad_event = None;
-    if matches!(state, JobState::Failed { .. }) {
-        let record = registry
-            .jobs
-            .get_mut(&exec)
-            .expect("settling record exists");
-        if record.events.last().is_none_or(|e| !e.is_terminal()) {
-            if let Err(e) = &final_result {
-                let event = SearchEvent::Failed {
-                    message: e.to_string(),
-                };
-                record.events.push(event.clone());
-                pad_event = Some(event);
-            }
-        }
-    }
-
-    journal(
-        inner,
-        &JournalRecord::Finished {
-            id: exec,
-            outcome: final_result.as_ref().ok().cloned(),
-            error: final_result.as_ref().err().cloned(),
-        },
-    );
-    journal(
-        inner,
-        &JournalRecord::State {
-            id: exec,
-            state: state.clone(),
-            retries: registry.jobs[&exec].retries,
-        },
-    );
-
-    // Fan the verdict out: every follower becomes terminal with its own
-    // clone of the result, journaled like any finished job.
-    let followers = {
-        let record = registry
-            .jobs
-            .get_mut(&exec)
-            .expect("settling record exists");
-        record.state = state.clone();
-        record.spec = None;
-        record.result = Some(final_result.clone());
-        std::mem::take(&mut record.followers)
-    };
-    for follower in followers {
-        let Some(record) = registry.jobs.get_mut(&follower) else {
-            continue;
-        };
-        record.state = state.clone();
-        record.spec = None;
-        record.result = Some(final_result.clone());
-        record.leader = None;
-        if let Some(event) = &pad_event {
-            record.events.push(event.clone());
-        }
-        let retries = record.retries;
-        journal(
-            inner,
-            &JournalRecord::Finished {
-                id: follower,
-                outcome: final_result.as_ref().ok().cloned(),
-                error: final_result.as_ref().err().cloned(),
-            },
-        );
-        journal(
-            inner,
-            &JournalRecord::State {
-                id: follower,
-                state: state.clone(),
-                retries,
-            },
-        );
-    }
-
-    // This execution is no longer in flight; later identical submissions
-    // either hit the result cache or start fresh.
-    let to_cache = registry
-        .jobs
-        .get_mut(&exec)
-        .and_then(|record| record.cache_key.take());
-    if let Some(key) = &to_cache {
-        if registry.inflight.get(&key.hash) == Some(&exec) {
-            registry.inflight.remove(&key.hash);
-        }
-    }
-    registry.exec_alias.retain(|_, target| *target != exec);
-
-    let cache_insert = match (&to_cache, &state, registry.jobs.get(&exec)) {
-        (Some(key), JobState::Completed, Some(record)) => match &record.result {
-            Some(Ok(outcome)) => Some((key.clone(), Arc::new(outcome.clone()))),
-            _ => None,
-        },
+    let pad_event = match (&state, &final_result) {
+        (JobState::Failed { .. }, Err(e)) if !ended => Some(SearchEvent::Failed {
+            message: e.to_string(),
+        }),
         _ => None,
     };
-    let evicted = evict_over_retention(&mut registry, inner.config.max_retained_jobs);
-    journal_forgotten(inner, &evicted);
+    let completed = state == JobState::Completed;
+    let key = finish(
+        inner,
+        &mut registry,
+        &subscribers,
+        state,
+        &final_result,
+        pad_event,
+    );
     drop(registry);
-    if let (Some((key, outcome)), Some(cache)) = (cache_insert, &inner.cache) {
-        lock_recover(cache).insert(&key, outcome);
+    // Later identical submissions hit the result cache from here on.
+    if let (true, Some(key), Ok(outcome), Some(cache)) =
+        (completed, key, final_result, &inner.cache)
+    {
+        lock_recover(cache).insert(&key, Arc::new(outcome));
     }
 }
 

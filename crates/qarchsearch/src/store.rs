@@ -272,12 +272,8 @@ impl JobStore {
         if let Some(ctx) = &self.faults {
             ctx.trip(site::STORE_APPEND)?;
         }
-        let json = serde_json::to_string(record).map_err(|e| SearchError::Store {
-            message: format!("serialize journal record: {e}"),
-        })?;
-        let line = format!("{:08x} {}\n", crc32(json.as_bytes()), json);
         self.file
-            .write_all(line.as_bytes())
+            .write_all(encode_line(record)?.as_bytes())
             .map_err(|e| store_err("append journal", &self.journal_path(), &e))?;
         self.records += 1;
         let durable = matches!(
@@ -352,11 +348,7 @@ impl JobStore {
 
         let mut tmp = File::create(&tmp_path).map_err(|e| store_err("create", &tmp_path, &e))?;
         for record in &records {
-            let json = serde_json::to_string(record).map_err(|e| SearchError::Store {
-                message: format!("serialize journal record: {e}"),
-            })?;
-            let line = format!("{:08x} {}\n", crc32(json.as_bytes()), json);
-            tmp.write_all(line.as_bytes())
+            tmp.write_all(encode_line(record)?.as_bytes())
                 .map_err(|e| store_err("write", &tmp_path, &e))?;
         }
         tmp.sync_data()
@@ -444,6 +436,14 @@ pub fn replay(path: &Path) -> Result<ReplayedState, SearchError> {
     state.dropped_records = total_lines - state.records;
     finalize(&mut state);
     Ok(state)
+}
+
+/// Frame one record as a journal line: `crc32hex SP json NL`.
+fn encode_line(record: &JournalRecord) -> Result<String, SearchError> {
+    let json = serde_json::to_string(record).map_err(|e| SearchError::Store {
+        message: format!("serialize journal record: {e}"),
+    })?;
+    Ok(format!("{:08x} {}\n", crc32(json.as_bytes()), json))
 }
 
 /// Decode one journal line; `None` on any checksum or format mismatch.

@@ -550,6 +550,34 @@ fn submit_envelope(server: &JobServer, id: JobId) -> Result<Value, String> {
     }))
 }
 
+/// The job a `submit` request asks for: a spec built from its `search`
+/// object, plus its optional scheduling fields.
+fn spec_from_submit(request: &Value) -> Result<JobSpec, String> {
+    let search = request
+        .get("search")
+        .ok_or_else(|| "submit needs a 'search' object".to_string())?;
+    let (options, flags) = search_object_to_options(search)?;
+    let config = build_search_config(&options, &flags)?;
+    let graphs = build_dataset(&options);
+    let mut spec = JobSpec::new(config, graphs);
+    if let Some(priority) = request.get("priority").and_then(|p| p.as_i64()) {
+        spec = spec.priority(priority as i32);
+    }
+    if let Some(name) = request.get("name").and_then(|n| n.as_str()) {
+        spec = spec.name(name);
+    }
+    if let Some(timeout) = request.get("timeout_secs").and_then(|t| t.as_f64()) {
+        spec = spec.timeout_secs(timeout);
+    }
+    if let Some(retries) = request.get("max_retries").and_then(|r| r.as_u64()) {
+        spec = spec.max_retries(retries as u32);
+    }
+    if let Some(backoff) = request.get("retry_backoff_ms").and_then(|b| b.as_u64()) {
+        spec = spec.retry_backoff_ms(backoff);
+    }
+    Ok(spec)
+}
+
 /// Handle one protocol line. Returns the JSON response and whether the
 /// server should shut down afterwards.
 fn handle_serve_line(server: &JobServer, line: &str) -> (Value, bool) {
@@ -563,28 +591,7 @@ fn handle_serve_line(server: &JobServer, line: &str) -> (Value, bool) {
     };
     let response = match cmd {
         "submit" => (|| -> Result<Value, String> {
-            let search = request
-                .get("search")
-                .ok_or_else(|| "submit needs a 'search' object".to_string())?;
-            let (options, flags) = search_object_to_options(search)?;
-            let config = build_search_config(&options, &flags)?;
-            let graphs = build_dataset(&options);
-            let mut spec = JobSpec::new(config, graphs);
-            if let Some(priority) = request.get("priority").and_then(|p| p.as_i64()) {
-                spec = spec.priority(priority as i32);
-            }
-            if let Some(name) = request.get("name").and_then(|n| n.as_str()) {
-                spec = spec.name(name);
-            }
-            if let Some(timeout) = request.get("timeout_secs").and_then(|t| t.as_f64()) {
-                spec = spec.timeout_secs(timeout);
-            }
-            if let Some(retries) = request.get("max_retries").and_then(|r| r.as_u64()) {
-                spec = spec.max_retries(retries as u32);
-            }
-            if let Some(backoff) = request.get("retry_backoff_ms").and_then(|b| b.as_u64()) {
-                spec = spec.retry_backoff_ms(backoff);
-            }
+            let spec = spec_from_submit(&request)?;
             let id = match server.submit(spec) {
                 Ok(id) => id,
                 Err(e) => return queue_full_or_error(e),
@@ -928,28 +935,7 @@ fn handle_coordinator_line(
     };
     let response = match cmd {
         "submit" => (|| -> Result<Value, String> {
-            let search = request
-                .get("search")
-                .ok_or_else(|| "submit needs a 'search' object".to_string())?;
-            let (options, flags) = search_object_to_options(search)?;
-            let config = build_search_config(&options, &flags)?;
-            let graphs = build_dataset(&options);
-            let mut spec = JobSpec::new(config, graphs);
-            if let Some(priority) = request.get("priority").and_then(|p| p.as_i64()) {
-                spec = spec.priority(priority as i32);
-            }
-            if let Some(name) = request.get("name").and_then(|n| n.as_str()) {
-                spec = spec.name(name);
-            }
-            if let Some(timeout) = request.get("timeout_secs").and_then(|t| t.as_f64()) {
-                spec = spec.timeout_secs(timeout);
-            }
-            if let Some(retries) = request.get("max_retries").and_then(|r| r.as_u64()) {
-                spec = spec.max_retries(retries as u32);
-            }
-            if let Some(backoff) = request.get("retry_backoff_ms").and_then(|b| b.as_u64()) {
-                spec = spec.retry_backoff_ms(backoff);
-            }
+            let spec = spec_from_submit(&request)?;
             let tenant = request
                 .get("tenant")
                 .and_then(|t| t.as_str())
