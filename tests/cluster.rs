@@ -17,6 +17,8 @@
 //! in-process so the tests can reach its introspection API.
 
 use qarchsearch_suite::prelude::*;
+use qarchsearch_suite::qarchsearch::cache::{fnv1a64, rendezvous_route};
+use qarchsearch_suite::qarchsearch::fault::site;
 use qarchsearch_suite::qarchsearch::report::SearchReport;
 use qarchsearch_suite::qarchsearch::{ClusterConfig, Coordinator, ShardEndpoint};
 use qarchsearch_suite::serde_json::{self, json, Value};
@@ -500,4 +502,164 @@ fn tcp_serve_handles_concurrent_connections() {
     let bye = request(&mut reader_b, &mut writer_b, json!({ "cmd": "shutdown" }));
     assert_eq!(bye.get("shutdown").and_then(Value::as_bool), Some(true));
     shard.await_exit();
+}
+
+/// The shard a two-shard coordinator with both shards alive places `spec`
+/// on (the coordinator's own content-keyed routing).
+fn routed_shard(spec: &JobSpec) -> usize {
+    let key = spec_cache_key(spec).unwrap().hash;
+    rendezvous_route(key, &[0, 1]).unwrap() as usize
+}
+
+/// The first seed at or after `from` whose `cluster_spec(seed, 1)` is
+/// placed on `shard`.
+fn seed_placed_on(shard: usize, from: u64) -> u64 {
+    (from..)
+        .find(|&seed| routed_shard(&cluster_spec(seed, 1)) == shard)
+        .unwrap()
+}
+
+/// An envelope reduced to the bytes that hold across runs: the report's
+/// clocks are reset and the shard's address becomes its fleet index.
+fn envelope_bytes(envelope: &Value, shards: &[&str]) -> String {
+    let mut envelope = envelope.clone();
+    if let Value::Object(entries) = &mut envelope {
+        for (key, value) in entries.iter_mut() {
+            match (key.as_str(), value) {
+                ("shard", value) => {
+                    if let Some(idx) = shards.iter().position(|s| value.as_str() == Some(*s)) {
+                        *value = json!(idx);
+                    }
+                }
+                ("report", Value::Object(report)) => {
+                    for (field, clock) in report.iter_mut() {
+                        match (field.as_str(), clock) {
+                            ("total_seconds", clock) => *clock = json!(0.0),
+                            ("per_depth_seconds", Value::Array(depths)) => {
+                                for depth in depths {
+                                    if let Value::Array(pair) = depth {
+                                        pair[1] = json!(0.0);
+                                    }
+                                }
+                            }
+                            _ => {}
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    serde_json::to_string(&envelope).unwrap()
+}
+
+#[test]
+fn coordinator_envelopes_match_the_parent() {
+    // One shard (`busy`) holds a slow blocker as its job 1, with a leader,
+    // its coalesced follower, a job cancelled while queued and a job whose
+    // worker panics (its job 5) queued behind it. The other shard serves a
+    // cold job and its cache-hit resubmission. Every job is acted on while
+    // it is still queued, so every envelope is deterministic.
+    let blocker = cluster_spec(600, 2);
+    let busy = routed_shard(&blocker);
+    let idle = 1 - busy;
+    let cold = cluster_spec(seed_placed_on(idle, 610), 1);
+    let subject_seed = seed_placed_on(busy, 620);
+    let subject = cluster_spec(subject_seed, 1);
+    let cancelled_seed = seed_placed_on(busy, subject_seed + 1);
+    let cancelled = cluster_spec(cancelled_seed, 1);
+    let panicking = cluster_spec(seed_placed_on(busy, cancelled_seed + 1), 1);
+    let plan = FaultPlan {
+        faults: vec![
+            FaultSpec {
+                site: site::WORKER_RUNG.to_string(),
+                job: Some(1),
+                hit: 0,
+                action: FaultAction::Delay { millis: 500 },
+            },
+            FaultSpec {
+                site: site::WORKER_JOB.to_string(),
+                job: Some(5),
+                hit: 1,
+                action: FaultAction::Panic {
+                    message: "envelope pin".to_string(),
+                },
+            },
+        ],
+    };
+    let plan = serde_json::to_string(&plan).unwrap();
+    let shards: Vec<ShardProc> = (0..2)
+        .map(|idx| {
+            let tag = format!("envelopes-{idx}");
+            if idx == busy {
+                ShardProc::spawn(&tag, &["--workers", "1", "--fault-plan", &plan])
+            } else {
+                ShardProc::spawn(&tag, &["--workers", "1"])
+            }
+        })
+        .collect();
+    let addrs: Vec<&str> = shards.iter().map(|s| s.addr.as_str()).collect();
+    let coordinator = Coordinator::start(cluster_config(
+        shards.iter().map(ShardProc::endpoint).collect(),
+    ))
+    .unwrap();
+
+    let first = coordinator.submit(cold.clone(), None).unwrap();
+    coordinator.wait(first.id).unwrap();
+    // The settling worker inserts into the cache after waking waiters.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while coordinator.stats().shards[idle]
+        .stats
+        .as_ref()
+        .and_then(|s| s.get("cache"))
+        .and_then(|c| c.get("insertions"))
+        .and_then(Value::as_u64)
+        != Some(1)
+    {
+        assert!(
+            Instant::now() < deadline,
+            "the cold result never reached the cache"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let hit = coordinator.submit(cold, None).unwrap();
+    assert!(hit.cache_hit);
+
+    let blocker = coordinator.submit(blocker, None).unwrap();
+    let leader = coordinator.submit(subject.clone(), None).unwrap();
+    let follower = coordinator.submit(subject, None).unwrap();
+    assert!(follower.coalesced);
+    let dropped = coordinator.submit(cancelled, None).unwrap();
+    assert!(coordinator.cancel(dropped.id).unwrap());
+    let panicked = coordinator.submit(panicking, None).unwrap();
+
+    let jobs = [first, hit, blocker, leader, follower, dropped, panicked];
+    let mut transcripts = Vec::new();
+    for job in &jobs {
+        let waited = envelope_bytes(&coordinator.wait(job.id).unwrap(), &addrs);
+        let fetched = envelope_bytes(&coordinator.result(job.id).unwrap(), &addrs);
+        assert_eq!(
+            waited, fetched,
+            "wait and result disagree on job {}",
+            job.id.0
+        );
+        transcripts.push(format!("{waited}\n{fetched}"));
+    }
+    coordinator.shutdown(true);
+    let hashes: Vec<u64> = transcripts.iter().map(|t| fnv1a64(t.as_bytes())).collect();
+    const PARENT: [u64; 7] = [
+        13800677076514780855,
+        3598656558459668893,
+        10792730105955465229,
+        15845702282117458395,
+        7086577725230216937,
+        12719966316831777689,
+        12171885636385466539,
+    ];
+    assert_eq!(
+        hashes,
+        PARENT,
+        "coordinator envelopes diverged:\n{}",
+        transcripts.join("\n")
+    );
 }
