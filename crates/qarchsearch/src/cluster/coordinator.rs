@@ -19,10 +19,20 @@
 //!   none was reached). Determinism makes both bit-identical to an
 //!   undisturbed run.
 //!
+//! The coordinator learns completions instead of polling for them: every
+//! placement starts a **completion watcher**, a thread that blocks in the
+//! shard's own `wait` on a pooled connection and delivers the stamped
+//! envelope into the registry, waking [`Coordinator::wait`] through a
+//! condvar. A Completed, Failed or TimedOut envelope is held (rendered) so
+//! `result` answers without a shard round trip.
+//!
 //! Lock discipline: the job registry mutex is never held across network
-//! I/O; each shard's client mutex serializes heartbeats against proxied
-//! requests; shard liveness metadata lives in its own short-hold mutex
-//! so routing never blocks behind a timing-out connect.
+//! I/O. Each shard has three kinds of connection, so no request waits
+//! behind another kind's round trip: one for proxied client requests, one
+//! for the heartbeat, and a pool of watcher connections. Shard liveness
+//! metadata lives in its own short-hold mutex so routing never blocks
+//! behind a timing-out connect. Order: a shard's watcher-socket list, then
+//! the registry, then liveness metadata.
 
 use crate::cache::{rendezvous_route, spec_cache_key};
 use crate::cluster::admission::{AdmissionControl, AdmissionStats};
@@ -35,12 +45,13 @@ use crate::search::SearchOutcome;
 use crate::server::{JobId, JobSpec, JobState};
 use crate::session::SearchCheckpoint;
 use crate::store::{self, ReplayedState};
-use crate::sync::lock_recover;
+use crate::sync::{lock_recover, wait_recover, wait_timeout_recover};
 use serde::Serialize;
 use serde_json::{json, Value};
 use std::collections::BTreeMap;
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -56,17 +67,16 @@ pub struct ClusterConfig {
     pub admission: AdmissionConfig,
     /// TCP connect timeout per shard attempt.
     pub connect_timeout_ms: u64,
-    /// Read/write timeout of one shard request.
+    /// Read/write timeout of one shard request (a completion watcher's
+    /// blocking `wait` has no read timeout).
     pub request_timeout_ms: u64,
-    /// Heartbeat period: every shard is pinged (`stats`) this often.
+    /// Heartbeat period: every shard is pinged (`stats`) this often. A
+    /// completion watcher whose shard closed its connection reconnects
+    /// once per period while the shard is alive.
     pub heartbeat_ms: u64,
     /// Consecutive failed contacts before a shard is declared dead and
     /// its jobs are migrated.
     pub heartbeat_misses: u32,
-    /// Poll period of [`Coordinator::wait`] (the coordinator never
-    /// issues blocking `wait` to a shard — a blocked connection could
-    /// not notice the shard dying).
-    pub wait_poll_ms: u64,
     /// Armed chaos plan for the coordinator's own sites
     /// (`coordinator.submit`, `coordinator.migrate`; inert in release
     /// builds like every [`crate::fault`] plan).
@@ -83,7 +93,6 @@ impl ClusterConfig {
             request_timeout_ms: 5_000,
             heartbeat_ms: 250,
             heartbeat_misses: 3,
-            wait_poll_ms: 25,
             faults: None,
         }
     }
@@ -167,14 +176,28 @@ struct ShardMeta {
     last_stats: Option<Value>,
 }
 
+/// One shard's connections and liveness.
 struct ShardSlot {
-    client: Mutex<ShardClient>,
+    /// Proxied client requests.
+    proxy: Mutex<ShardClient>,
+    /// The heartbeat's `stats` and `jobs` requests.
+    probe: Mutex<ShardClient>,
+    /// Completion-watcher connections between jobs (reads never time out).
+    idle: Mutex<Vec<ShardClient>>,
+    /// Sockets of the watchers blocked in `wait` right now, keyed by
+    /// (job, placement), so a death verdict or shutdown can unblock them.
+    watching: Mutex<Vec<((u64, u32), TcpStream)>>,
     meta: Mutex<ShardMeta>,
 }
 
 struct ClusterJob {
     tenant: Option<String>,
-    spec: JobSpec,
+    name: Option<String>,
+    priority: i32,
+    /// What a migration re-submits. Dropped once the job's envelope is
+    /// held: nothing re-runs the job then, and the registry keeps every
+    /// job until `forget`.
+    spec: Option<JobSpec>,
     key_hash: u64,
     shard: usize,
     shard_job: u64,
@@ -182,6 +205,8 @@ struct ClusterJob {
     /// The tenant quota slot was returned (exactly once, on the first
     /// observed terminal transition).
     released: bool,
+    /// Also the placement epoch: a completion watcher delivers only while
+    /// this still equals the count it started under.
     migrations: u32,
     /// Coordinator-side events ([`SearchEvent::Migrated`]) prepended to
     /// the owning shard's stream.
@@ -189,6 +214,71 @@ struct ClusterJob {
     /// A result held by the coordinator itself: adopted from a dead
     /// shard's journal, or a terminal migration failure.
     local: Option<Result<SearchOutcome, SearchError>>,
+    /// The final envelope (its state [`holds`]) a completion watcher
+    /// delivered, stamped and rendered: `wait` and `result` answer from it.
+    held: Option<String>,
+    /// The last Cancelled envelope a watcher delivered. Only the waiters
+    /// blocked when it arrived return it, and `result` never does: a shard
+    /// shutting down reports its suspended jobs that way.
+    cancelled: Option<String>,
+    /// Envelopes delivered so far: a waiter returns the first one
+    /// delivered after it began waiting.
+    deliveries: u32,
+    /// A completion watcher for the current placement is running.
+    watched: bool,
+}
+
+impl ClusterJob {
+    /// Fold an observed state in. Returns the tenant whose quota slot the
+    /// caller returns: `Some` only on the first terminal observation of a
+    /// tenant's job.
+    fn observe(&mut self, state: JobState) -> Option<String> {
+        if holds(&state) {
+            self.spec = None;
+        }
+        self.state = state;
+        if self.state.is_terminal() && !self.released {
+            self.released = true;
+            self.tenant.clone()
+        } else {
+            None
+        }
+    }
+
+    /// Settle the job here with `result` (it never runs again). Returns
+    /// the tenant whose quota slot the caller returns, if not yet returned.
+    fn settle(
+        &mut self,
+        state: JobState,
+        result: Result<SearchOutcome, SearchError>,
+    ) -> Option<String> {
+        self.state = state;
+        self.local = Some(result);
+        self.spec = None;
+        if self.released {
+            None
+        } else {
+            self.released = true;
+            self.tenant.clone()
+        }
+    }
+}
+
+/// Whether a terminal envelope in `state` is final, so the coordinator
+/// holds it: everything terminal but Cancelled, which a shard also reports
+/// for the jobs it suspends while shutting down.
+fn holds(state: &JobState) -> bool {
+    state.is_terminal() && *state != JobState::Cancelled
+}
+
+/// One placement of a job: what a completion watcher watches.
+#[derive(Clone, Copy)]
+struct Placement {
+    id: u64,
+    shard: usize,
+    shard_job: u64,
+    /// The job's migration count when it was placed.
+    epoch: u32,
 }
 
 struct ClusterRegistry {
@@ -197,9 +287,18 @@ struct ClusterRegistry {
 }
 
 struct CoordinatorInner {
+    /// Handed to completion-watcher threads.
+    this: Weak<CoordinatorInner>,
     config: ClusterConfig,
     shards: Vec<ShardSlot>,
     registry: Mutex<ClusterRegistry>,
+    /// Paired with `registry`: notified whenever a waiter's job may have
+    /// settled — a watcher delivered or ended, a result settled here, a
+    /// job was forgotten, a shard was declared dead, or the coordinator
+    /// stopped.
+    settled: Condvar,
+    /// Completion-watcher threads not yet joined.
+    watchers: Mutex<Vec<JoinHandle<()>>>,
     admission: AdmissionControl,
     shutdown: AtomicBool,
     started: Instant,
@@ -240,7 +339,10 @@ impl Coordinator {
             .shards
             .iter()
             .map(|endpoint| ShardSlot {
-                client: Mutex::new(ShardClient::new(endpoint.addr.clone(), connect, io)),
+                proxy: Mutex::new(ShardClient::new(endpoint.addr.clone(), connect, io)),
+                probe: Mutex::new(ShardClient::new(endpoint.addr.clone(), connect, io)),
+                idle: Mutex::new(Vec::new()),
+                watching: Mutex::new(Vec::new()),
                 meta: Mutex::new(ShardMeta {
                     alive: false,
                     misses: 0,
@@ -255,7 +357,8 @@ impl Coordinator {
             .faults
             .clone()
             .map(|injector| FaultContext::new(injector, None));
-        let inner = Arc::new(CoordinatorInner {
+        let inner = Arc::new_cyclic(|this| CoordinatorInner {
+            this: this.clone(),
             admission: AdmissionControl::new(config.admission.clone()),
             config,
             shards,
@@ -263,6 +366,8 @@ impl Coordinator {
                 jobs: BTreeMap::new(),
                 next_id: 1,
             }),
+            settled: Condvar::new(),
+            watchers: Mutex::new(Vec::new()),
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
             migrations: AtomicU64::new(0),
@@ -338,37 +443,21 @@ impl Coordinator {
         self.inner.events(id.0, since)
     }
 
-    /// Proxied result envelope (single-node shape plus `shard`,
-    /// `migrations`, and `report.migrated` when the job moved).
+    /// Result envelope (single-node shape plus `shard`, `migrations`, and
+    /// `report.migrated` when the job moved). A Completed, Failed or
+    /// TimedOut job is answered from the envelope its completion watcher
+    /// delivered; anything else is proxied to the owning shard.
     pub fn result(&self, id: JobId) -> Result<Value, SearchError> {
         self.inner.result(id.0)
     }
 
-    /// Block until the job reaches a terminal state, surviving shard
-    /// deaths mid-wait: the coordinator polls `result` so a dying shard
-    /// never wedges the wait — the job migrates and the poll follows it.
+    /// Block until the job reaches a terminal state and return the same
+    /// envelope [`Coordinator::result`] would. The job's completion
+    /// watcher wakes the wait, which follows the job across migrations;
+    /// it errs only when no shard is left alive and the coordinator has
+    /// not settled the job itself.
     pub fn wait(&self, id: JobId) -> Result<Value, SearchError> {
-        let poll = Duration::from_millis(self.inner.config.wait_poll_ms.max(1));
-        loop {
-            match self.inner.result(id.0) {
-                Ok(envelope) => {
-                    if envelope.get("done").and_then(Value::as_bool) == Some(true) {
-                        return Ok(envelope);
-                    }
-                }
-                Err(e @ SearchError::UnknownJob { .. }) => return Err(e),
-                Err(e) => {
-                    // The owning shard is unreachable. Migration will
-                    // re-route the job; only give up once no shard is
-                    // left to migrate to (then the job fails locally or
-                    // the cluster is gone entirely).
-                    if self.inner.alive_shards().is_empty() && !self.inner.is_local(id.0) {
-                        return Err(e);
-                    }
-                }
-            }
-            std::thread::sleep(poll);
-        }
+        self.inner.wait(id.0)
     }
 
     /// Proxied cooperative cancel (`false` for unknown/terminal jobs).
@@ -412,27 +501,36 @@ impl Coordinator {
         Some(self.inner.config.shards[job.shard].addr.clone())
     }
 
-    /// Stop the heartbeat and disconnect. With `shutdown_shards` the
-    /// coordinator also sends each live shard a best-effort `shutdown`.
+    /// Stop the heartbeat and the completion watchers, and disconnect.
+    /// With `shutdown_shards` the coordinator also sends each live shard a
+    /// best-effort `shutdown`.
     pub fn shutdown(mut self, shutdown_shards: bool) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.heartbeat.take() {
-            let _ = handle.join();
-        }
+        self.stop();
         if shutdown_shards {
             for idx in 0..self.inner.shards.len() {
                 let _ = self.inner.shard_request(idx, &json!({ "cmd": "shutdown" }));
             }
         }
     }
-}
 
-impl Drop for Coordinator {
-    fn drop(&mut self) {
+    fn stop(&mut self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         if let Some(handle) = self.heartbeat.take() {
             let _ = handle.join();
         }
+        for idx in 0..self.inner.shards.len() {
+            self.inner.unblock_watchers(idx);
+        }
+        self.inner.wake_waiters();
+        for handle in std::mem::take(&mut *lock_recover(&self.inner.watchers)) {
+            let _ = handle.join();
+        }
+    }
+}
+
+impl Drop for Coordinator {
+    fn drop(&mut self) {
+        self.stop();
     }
 }
 
@@ -449,7 +547,7 @@ impl std::fmt::Debug for Coordinator {
 struct MigrationTicket {
     id: u64,
     shard_job: u64,
-    spec: JobSpec,
+    spec: Option<JobSpec>,
     key_hash: u64,
     last_state: JobState,
 }
@@ -465,6 +563,10 @@ impl CoordinatorInner {
             .collect()
     }
 
+    fn is_alive(&self, idx: usize) -> bool {
+        lock_recover(&self.shards[idx].meta).alive
+    }
+
     fn is_local(&self, id: u64) -> bool {
         lock_recover(&self.registry)
             .jobs
@@ -472,11 +574,27 @@ impl CoordinatorInner {
             .is_some_and(|job| job.local.is_some())
     }
 
-    /// One request to shard `idx`; bumps/clears its miss counter. Death
-    /// is only ever declared by the heartbeat, so a burst of failing
-    /// client requests accelerates detection without racing migration.
+    /// One proxied request to shard `idx`.
     fn shard_request(&self, idx: usize, request: &Value) -> Result<Value, SearchError> {
-        let outcome = lock_recover(&self.shards[idx].client).request(request);
+        self.contact(idx, &self.shards[idx].proxy, request)
+    }
+
+    /// One heartbeat request to shard `idx`, on the heartbeat's own
+    /// connection.
+    fn probe_request(&self, idx: usize, request: &Value) -> Result<Value, SearchError> {
+        self.contact(idx, &self.shards[idx].probe, request)
+    }
+
+    /// One request on `client`; bumps/clears shard `idx`'s miss counter.
+    /// Death is only ever declared by the heartbeat, so a burst of failing
+    /// client requests accelerates detection without racing migration.
+    fn contact(
+        &self,
+        idx: usize,
+        client: &Mutex<ShardClient>,
+        request: &Value,
+    ) -> Result<Value, SearchError> {
+        let outcome = lock_recover(client).request(request);
         let mut meta = lock_recover(&self.shards[idx].meta);
         match &outcome {
             Ok(_) => meta.misses = 0,
@@ -588,7 +706,9 @@ impl CoordinatorInner {
                 id,
                 ClusterJob {
                     tenant: tenant.clone(),
-                    spec,
+                    name: spec.name.clone(),
+                    priority: spec.priority,
+                    spec: (!holds(&state)).then_some(spec),
                     key_hash,
                     shard,
                     shard_job,
@@ -597,6 +717,10 @@ impl CoordinatorInner {
                     migrations: 0,
                     overlay: Vec::new(),
                     local: None,
+                    held: None,
+                    cancelled: None,
+                    deliveries: 0,
+                    watched: false,
                 },
             );
             id
@@ -606,6 +730,7 @@ impl CoordinatorInner {
             // returned immediately.
             self.admission.release(tenant.as_deref());
         }
+        self.watch(id);
         Ok(Submission {
             id: JobId(id),
             shard: self.addr_of(shard).to_string(),
@@ -654,13 +779,7 @@ impl CoordinatorInner {
             let Some(job) = registry.jobs.get_mut(&id) else {
                 return;
             };
-            job.state = state;
-            if job.state.is_terminal() && !job.released {
-                job.released = true;
-                job.tenant.clone()
-            } else {
-                return;
-            }
+            job.observe(state)
         };
         self.admission.release(release.as_deref());
     }
@@ -718,8 +837,8 @@ impl CoordinatorInner {
         };
         json!({
             "id": (id),
-            "name": (job.spec.name.clone()),
-            "priority": (job.spec.priority),
+            "name": (job.name.clone()),
+            "priority": (job.priority),
             "state": (job.state.clone()),
             "retries": 0,
             "events_recorded": (job.overlay.len()),
@@ -757,6 +876,9 @@ impl CoordinatorInner {
     }
 
     fn result(&self, id: u64) -> Result<Value, SearchError> {
+        if let Some(line) = self.held_envelope(id) {
+            return parse_envelope(&line);
+        }
         let (shard, shard_job, _, _, local) = self.route_of(id)?;
         if local {
             return Ok(self.local_result_envelope(id));
@@ -771,15 +893,275 @@ impl CoordinatorInner {
             self.note_state(id, state);
         }
         let (_, _, _, migrations, _) = self.route_of(id)?;
-        set_field(&mut envelope, "job", json!(id));
-        set_field(&mut envelope, "shard", json!(self.addr_of(shard)));
-        set_field(&mut envelope, "migrations", json!(migrations));
+        self.stamp(&mut envelope, id, shard, migrations);
+        Ok(envelope)
+    }
+
+    /// The held envelope of a job not settled here, if any.
+    fn held_envelope(&self, id: u64) -> Option<String> {
+        let registry = lock_recover(&self.registry);
+        let job = registry.jobs.get(&id)?;
+        job.local.is_none().then(|| job.held.clone()).flatten()
+    }
+
+    /// Stamp a shard's result envelope with the coordinator's view: its
+    /// job id, the owning shard, the migration count, and
+    /// `report.migrated` once the job has moved.
+    fn stamp(&self, envelope: &mut Value, id: u64, shard: usize, migrations: u32) {
+        set_field(envelope, "job", json!(id));
+        set_field(envelope, "shard", json!(self.addr_of(shard)));
+        set_field(envelope, "migrations", json!(migrations));
         if migrations > 0 {
-            if let Some(report) = get_field_mut(&mut envelope, "report") {
+            if let Some(report) = get_field_mut(envelope, "report") {
                 set_field(report, "migrated", Value::Bool(true));
             }
         }
-        Ok(envelope)
+    }
+
+    fn wait(&self, id: u64) -> Result<Value, SearchError> {
+        let mut registry = lock_recover(&self.registry);
+        let mut seen = None;
+        loop {
+            let job = registry
+                .jobs
+                .get(&id)
+                .ok_or(SearchError::UnknownJob { id })?;
+            if job.local.is_some() {
+                drop(registry);
+                return Ok(self.local_result_envelope(id));
+            }
+            let seen = *seen.get_or_insert(job.deliveries);
+            let delivered = if job.deliveries != seen {
+                job.held.as_ref().or(job.cancelled.as_ref())
+            } else {
+                job.held.as_ref()
+            };
+            if let Some(line) = delivered {
+                return parse_envelope(line);
+            }
+            if self.shutdown.load(Ordering::SeqCst) {
+                return Err(SearchError::Cluster {
+                    message: "coordinator is shutting down".to_string(),
+                });
+            }
+            // Block while a watcher covers the job, or while its dead
+            // shard's migration is due to move or settle it.
+            let covered = if self.is_alive(job.shard) {
+                job.watched
+            } else {
+                !self.alive_shards().is_empty()
+            };
+            if covered {
+                registry = wait_recover(&self.settled, registry);
+                continue;
+            }
+            // No watcher covers the job (its Cancelled envelope was
+            // delivered, or the shard no longer knows it), or no shard is
+            // left alive: ask the shard, as `result` does.
+            drop(registry);
+            match self.result(id) {
+                Ok(envelope) if envelope.get("done").and_then(Value::as_bool) == Some(true) => {
+                    return Ok(envelope);
+                }
+                // Running again: the shard restarted and resumed it.
+                Ok(_) => {
+                    self.watch(id);
+                    registry = lock_recover(&self.registry);
+                }
+                Err(e @ SearchError::UnknownJob { .. }) => return Err(e),
+                Err(e) if self.alive_shards().is_empty() && !self.is_local(id) => return Err(e),
+                // Unreachable but not yet dead: a verdict, a migration or a
+                // delivery wakes this; the timeout covers one racing ahead
+                // of the wait.
+                Err(_) => {
+                    let period = Duration::from_millis(self.config.heartbeat_ms.max(10));
+                    registry = lock_recover(&self.registry);
+                    registry = wait_timeout_recover(&self.settled, registry, period).0;
+                }
+            }
+        }
+    }
+
+    fn wake_waiters(&self) {
+        let _registry = lock_recover(&self.registry);
+        self.settled.notify_all();
+    }
+
+    // -- completion watchers -----------------------------------------------
+
+    /// Start a completion watcher for the job's current placement, unless
+    /// one runs already.
+    fn watch(&self, id: u64) {
+        let placement = {
+            let mut registry = lock_recover(&self.registry);
+            let Some(job) = registry.jobs.get_mut(&id) else {
+                return;
+            };
+            if job.watched || job.local.is_some() {
+                return;
+            }
+            job.watched = true;
+            Placement {
+                id,
+                shard: job.shard,
+                shard_job: job.shard_job,
+                epoch: job.migrations,
+            }
+        };
+        let Some(inner) = self.this.upgrade() else {
+            return;
+        };
+        let spawned = std::thread::Builder::new()
+            .name("qas-coordinator-watch".to_string())
+            .spawn(move || inner.watch_placement(placement));
+        let Ok(handle) = spawned else {
+            // No watcher: `wait` falls back to asking the shard.
+            self.end_watch(placement);
+            return;
+        };
+        // Join the watchers that have ended, so their threads are
+        // released as they go rather than at shutdown.
+        let finished: Vec<JoinHandle<()>> = {
+            let mut watchers = lock_recover(&self.watchers);
+            let finished = watchers.extract_if(.., |h| h.is_finished()).collect();
+            watchers.push(handle);
+            finished
+        };
+        for handle in finished {
+            let _ = handle.join();
+        }
+    }
+
+    /// A completion watcher: block in the shard's `wait` on a pooled
+    /// connection, deliver the envelope, and return the connection to the
+    /// pool. When the shard closes the connection (it died or restarted),
+    /// reconnect once per heartbeat period while the placement is current.
+    fn watch_placement(&self, placement: Placement) {
+        let slot = &self.shards[placement.shard];
+        let request = json!({ "cmd": "wait", "job": (placement.shard_job) });
+        while self.is_current(placement) {
+            let pooled = lock_recover(&slot.idle).pop();
+            let reused = pooled.is_some();
+            let mut client = pooled.unwrap_or_else(|| {
+                ShardClient::new(
+                    self.addr_of(placement.shard),
+                    Duration::from_millis(self.config.connect_timeout_ms.max(1)),
+                    Duration::from_millis(self.config.request_timeout_ms.max(1)),
+                )
+                .without_read_timeout()
+            });
+            match self.watched_request(placement, &mut client, &request) {
+                Ok(response) => {
+                    lock_recover(&slot.idle).push(client);
+                    // A refusal means the shard no longer knows the job;
+                    // the heartbeat's job listing migrates it.
+                    if response.get("ok").and_then(Value::as_bool) == Some(true) {
+                        self.deliver(placement, response);
+                    }
+                    break;
+                }
+                // A pooled connection may predate a shard restart.
+                Err(_) if reused => {}
+                Err(_) => {
+                    std::thread::sleep(Duration::from_millis(self.config.heartbeat_ms.max(10)))
+                }
+            }
+        }
+        self.end_watch(placement);
+    }
+
+    /// One request on a watcher connection, registered while it blocks so
+    /// that a death verdict or shutdown can unblock it.
+    fn watched_request(
+        &self,
+        placement: Placement,
+        client: &mut ShardClient,
+        request: &Value,
+    ) -> Result<Value, SearchError> {
+        let slot = &self.shards[placement.shard];
+        let key = (placement.id, placement.epoch);
+        let socket = client.socket()?;
+        {
+            // Checked under the lock `unblock_watchers` takes after a
+            // verdict: a connection is either unblocked or never blocks.
+            let mut watching = lock_recover(&slot.watching);
+            if !self.is_current(placement) {
+                return Err(SearchError::Cluster {
+                    message: "placement ended".to_string(),
+                });
+            }
+            watching.push((key, socket));
+        }
+        let outcome = client.request(request);
+        lock_recover(&slot.watching).retain(|(k, _)| *k != key);
+        outcome
+    }
+
+    /// Whether `placement` is still worth watching: the coordinator runs,
+    /// the shard is alive, and the job is still placed there.
+    fn is_current(&self, placement: Placement) -> bool {
+        !self.shutdown.load(Ordering::SeqCst)
+            && self.is_alive(placement.shard)
+            && lock_recover(&self.registry)
+                .jobs
+                .get(&placement.id)
+                .is_some_and(|job| job.local.is_none() && job.migrations == placement.epoch)
+    }
+
+    /// Store a watcher's terminal envelope, stamped as `result` stamps it,
+    /// and wake the waiters — unless the job was forgotten, migrated or
+    /// settled here in the meantime.
+    fn deliver(&self, placement: Placement, mut envelope: Value) {
+        let state = envelope
+            .get("state")
+            .and_then(|v| serde_json::from_value::<JobState>(v).ok());
+        self.stamp(
+            &mut envelope,
+            placement.id,
+            placement.shard,
+            placement.epoch,
+        );
+        let Ok(line) = serde_json::to_string(&envelope) else {
+            return;
+        };
+        let mut registry = lock_recover(&self.registry);
+        let Some(job) = registry.jobs.get_mut(&placement.id) else {
+            return;
+        };
+        if job.local.is_some() || job.migrations != placement.epoch {
+            return;
+        }
+        if state.as_ref().is_some_and(holds) {
+            job.held = Some(line);
+        } else {
+            job.cancelled = Some(line);
+        }
+        job.deliveries += 1;
+        if let Some(state) = state {
+            // Returned before any waiter can see the envelope.
+            self.admission.release(job.observe(state).as_deref());
+        }
+        self.settled.notify_all();
+    }
+
+    fn end_watch(&self, placement: Placement) {
+        let mut registry = lock_recover(&self.registry);
+        if let Some(job) = registry.jobs.get_mut(&placement.id) {
+            if job.migrations == placement.epoch {
+                job.watched = false;
+            }
+        }
+        self.settled.notify_all();
+    }
+
+    /// Shut down every watcher connection to shard `idx` (their blocked
+    /// `wait`s return at once) and drop its idle ones.
+    fn unblock_watchers(&self, idx: usize) {
+        let slot = &self.shards[idx];
+        lock_recover(&slot.idle).clear();
+        for (_, socket) in lock_recover(&slot.watching).iter() {
+            let _ = socket.shutdown(Shutdown::Both);
+        }
     }
 
     fn local_result_envelope(&self, id: u64) -> Value {
@@ -838,6 +1220,7 @@ impl CoordinatorInner {
         let (shard, shard_job, _, _, local) = self.route_of(id)?;
         if local {
             let removed = lock_recover(&self.registry).jobs.remove(&id).is_some();
+            self.wake_waiters();
             return Ok(removed);
         }
         let response =
@@ -861,6 +1244,7 @@ impl CoordinatorInner {
                 )
             };
             self.admission.release(release.as_deref());
+            self.wake_waiters();
         }
         Ok(forgotten)
     }
@@ -878,7 +1262,7 @@ impl CoordinatorInner {
                 };
                 json!({
                     "id": (id),
-                    "name": (job.spec.name.clone()),
+                    "name": (job.name.clone()),
                     "state": (job.state.clone()),
                     "shard": shard,
                     "shard_job": (job.shard_job),
@@ -972,7 +1356,7 @@ impl CoordinatorInner {
     /// miss threshold is crossed. Called from the heartbeat thread (and
     /// once per shard at start, before the thread exists).
     fn heartbeat_shard(&self, idx: usize) {
-        match self.shard_request(idx, &json!({ "cmd": "stats" })) {
+        match self.probe_request(idx, &json!({ "cmd": "stats" })) {
             Ok(response) => {
                 let stats = response.get("stats").cloned().unwrap_or(Value::Null);
                 self.absorb_shard_stats(idx, stats);
@@ -992,6 +1376,8 @@ impl CoordinatorInner {
                     }
                 };
                 if declare_dead {
+                    self.unblock_watchers(idx);
+                    self.wake_waiters();
                     self.migrate_dead_shard(idx);
                 }
             }
@@ -1018,7 +1404,7 @@ impl CoordinatorInner {
             if tracked.is_empty() {
                 continue;
             }
-            let Ok(response) = self.shard_request(idx, &json!({ "cmd": "jobs" })) else {
+            let Ok(response) = self.probe_request(idx, &json!({ "cmd": "jobs" })) else {
                 continue;
             };
             let Some(listing) = response.get("jobs").and_then(Value::as_array) else {
@@ -1048,13 +1434,7 @@ impl CoordinatorInner {
                         continue; // Migrated concurrently.
                     }
                     match listed.get(&shard_job) {
-                        Some(state) => {
-                            job.state = state.clone();
-                            if job.state.is_terminal() && !job.released {
-                                job.released = true;
-                                releases.push(job.tenant.clone());
-                            }
-                        }
+                        Some(state) => releases.push(job.observe(state.clone())),
                         None => tickets.push(MigrationTicket {
                             id,
                             shard_job,
@@ -1128,10 +1508,12 @@ impl CoordinatorInner {
                     continue;
                 }
             }
-            if ticket.last_state.is_terminal() {
+            if ticket.last_state.is_terminal() && recovered.is_none() {
                 // The coordinator saw this job finish but the result died
                 // with a journal-less shard. Re-running a cancelled or
                 // failed job would change its meaning, so fail honestly.
+                // (A job the journal holds without a result was suspended
+                // by its shard's shutdown, not finished: it resumes below.)
                 self.settle_locally(
                     ticket.id,
                     Err(SearchError::Cluster {
@@ -1156,13 +1538,22 @@ impl CoordinatorInner {
         ticket: MigrationTicket,
         checkpoint: Option<SearchCheckpoint>,
     ) {
-        let spec_value = match serde_json::to_value(&ticket.spec) {
-            Ok(v) => v,
-            Err(e) => {
+        let spec_value = match ticket.spec.as_ref().map(serde_json::to_value) {
+            Some(Ok(v)) => v,
+            Some(Err(e)) => {
                 self.settle_locally(
                     ticket.id,
                     Err(SearchError::Cluster {
                         message: format!("serialize spec for migration: {e}"),
+                    }),
+                );
+                return;
+            }
+            None => {
+                self.settle_locally(
+                    ticket.id,
+                    Err(SearchError::Cluster {
+                        message: format!("shard {from_addr} died holding a finished job"),
                     }),
                 );
                 return;
@@ -1209,9 +1600,13 @@ impl CoordinatorInner {
                                 to: to_addr,
                                 resumed,
                             });
+                            job.held = None;
+                            job.cancelled = None;
+                            job.watched = false;
                         }
                     }
                     self.migrations.fetch_add(1, Ordering::Relaxed);
+                    self.watch(ticket.id);
                     return;
                 }
                 Err(PlaceError::Fatal(e)) => {
@@ -1249,17 +1644,11 @@ impl CoordinatorInner {
             let Some(job) = registry.jobs.get_mut(&id) else {
                 return;
             };
-            job.state = state;
-            job.local = Some(result);
-            if job.released {
-                None
-            } else {
-                job.released = true;
-                job.tenant.clone()
-            }
+            job.settle(state, result)
         };
         self.admission.release(release.as_deref());
         self.results_recovered.fetch_add(1, Ordering::Relaxed);
+        self.wake_waiters();
     }
 
     /// Terminate a job locally with an error (migration impossible).
@@ -1269,16 +1658,10 @@ impl CoordinatorInner {
             let Some(job) = registry.jobs.get_mut(&id) else {
                 return;
             };
-            job.state = JobState::Failed { panic: None };
-            job.local = Some(result);
-            if job.released {
-                None
-            } else {
-                job.released = true;
-                job.tenant.clone()
-            }
+            job.settle(JobState::Failed { panic: None }, result)
         };
         self.admission.release(release.as_deref());
+        self.wake_waiters();
     }
 }
 
@@ -1313,6 +1696,13 @@ fn set_field(value: &mut Value, key: &str, new: Value) {
         }
         entries.push((key.to_string(), new));
     }
+}
+
+/// Parse a held envelope back into the value `result` returns.
+fn parse_envelope(line: &str) -> Result<Value, SearchError> {
+    serde_json::from_str(line).map_err(|e| SearchError::Cluster {
+        message: format!("held envelope: {e}"),
+    })
 }
 
 /// Mutable lookup of `key` in a JSON object value.

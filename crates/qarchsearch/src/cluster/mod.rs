@@ -5,9 +5,11 @@
 //! fronted by one [`Coordinator`]. The coordinator speaks the same
 //! JSON-lines protocol on both sides: clients submit to it exactly as
 //! they would to a single shard, and it proxies
-//! `submit/status/events/result/wait/cancel/forget/stats` down to the
-//! shard that owns each job, mapping coordinator-scoped job ids to
-//! shard-local ids. Three properties make the tier more than a proxy:
+//! `submit/status/events/cancel/forget/stats` down to the shard that owns
+//! each job, mapping coordinator-scoped job ids to shard-local ids. It
+//! learns each job's completion from a watcher blocked in that shard's
+//! own `wait`, which answers `wait` and, for finished jobs, `result`.
+//! Three properties make the tier more than a proxy:
 //!
 //! * **Content-keyed routing** ([`shard`], via
 //!   [`crate::cache::rendezvous_route`]): submissions are placed by

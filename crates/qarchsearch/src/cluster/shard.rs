@@ -1,5 +1,5 @@
-//! The coordinator's side of the shard protocol: one persistent
-//! JSON-lines TCP connection per shard.
+//! The coordinator's side of the shard protocol: persistent JSON-lines
+//! TCP connections to one shard.
 //!
 //! A shard is an ordinary `qas serve --port` process; the client speaks
 //! the exact protocol a human would over `nc` — one JSON request per
@@ -52,13 +52,16 @@ struct ShardConn {
 
 /// A lazily-(re)connecting JSON-lines request client for one shard.
 ///
-/// Not internally synchronized: the coordinator wraps each client in its
-/// own mutex, which also serializes heartbeats against proxied requests
-/// to the same shard.
+/// Not internally synchronized: the coordinator wraps each client it
+/// shares in a mutex, and keeps separate clients for proxied requests,
+/// heartbeats and completion watchers.
 pub struct ShardClient {
     addr: String,
     connect_timeout: Duration,
     io_timeout: Duration,
+    /// Whether reads time out after `io_timeout` (a blocking `wait` may
+    /// legitimately last as long as the job does).
+    read_timeout: bool,
     conn: Option<ShardConn>,
 }
 
@@ -73,8 +76,18 @@ impl ShardClient {
             addr: addr.into(),
             connect_timeout,
             io_timeout,
+            read_timeout: true,
             conn: None,
         }
+    }
+
+    /// The same client with reads that never time out; writes keep
+    /// `io_timeout`. Such a connection is unblocked by the shard answering,
+    /// by the shard dying, or by shutting down the handle [`Self::socket`]
+    /// returned.
+    pub fn without_read_timeout(mut self) -> ShardClient {
+        self.read_timeout = false;
+        self
     }
 
     /// The shard's address.
@@ -95,24 +108,42 @@ impl ShardClient {
     /// One request/response round trip. Any I/O or framing failure
     /// drops the connection and maps to [`SearchError::Cluster`].
     pub fn request(&mut self, request: &Value) -> Result<Value, SearchError> {
-        match self.round_trip(request) {
-            Ok(response) => Ok(response),
-            Err(message) => {
-                self.conn = None;
-                Err(SearchError::Cluster {
-                    message: format!("shard {}: {message}", self.addr),
-                })
+        let outcome = self.round_trip(request);
+        self.or_disconnect(outcome)
+    }
+
+    /// Connect if needed and return a second handle to the socket, through
+    /// which another thread can shut the connection down to unblock a
+    /// pending request.
+    pub fn socket(&mut self) -> Result<TcpStream, SearchError> {
+        let outcome = self.ensure_connected().and_then(|()| {
+            let conn = self.conn.as_ref().expect("just connected");
+            conn.writer
+                .try_clone()
+                .map_err(|e| format!("clone stream: {e}"))
+        });
+        self.or_disconnect(outcome)
+    }
+
+    fn or_disconnect<T>(&mut self, outcome: Result<T, String>) -> Result<T, SearchError> {
+        outcome.map_err(|message| {
+            self.conn = None;
+            SearchError::Cluster {
+                message: format!("shard {}: {message}", self.addr),
             }
-        }
+        })
     }
 
     fn round_trip(&mut self, request: &Value) -> Result<Value, String> {
         self.ensure_connected()?;
         let conn = self.conn.as_mut().expect("just connected");
-        let line = serde_json::to_string(request).map_err(|e| format!("encode request: {e}"))?;
+        let mut line =
+            serde_json::to_string(request).map_err(|e| format!("encode request: {e}"))?;
+        // One write, so the request leaves as one segment on the
+        // `TCP_NODELAY` socket.
+        line.push('\n');
         conn.writer
             .write_all(line.as_bytes())
-            .and_then(|()| conn.writer.write_all(b"\n"))
             .and_then(|()| conn.writer.flush())
             .map_err(|e| format!("send request: {e}"))?;
         let mut response = String::new();
@@ -140,7 +171,7 @@ impl ShardClient {
             match TcpStream::connect_timeout(&addr, self.connect_timeout) {
                 Ok(stream) => {
                     stream
-                        .set_read_timeout(Some(self.io_timeout))
+                        .set_read_timeout(self.read_timeout.then_some(self.io_timeout))
                         .map_err(|e| format!("set read timeout: {e}"))?;
                     stream
                         .set_write_timeout(Some(self.io_timeout))

@@ -1048,7 +1048,13 @@ impl JobServer {
         self.inner.done_cv.notify_all();
     }
 
-    fn begin_shutdown(&self) {
+    /// Begin [`JobServer::shutdown`] without joining anything: stop
+    /// accepting work and cancel (or, durably, suspend) queued and running
+    /// jobs, so every [`JobServer::wait`] returns once its job's worker
+    /// stops. A front door calls this the moment a client asks for
+    /// shutdown, so a connection blocked in `wait` does not hold the
+    /// process up until its job would have finished.
+    pub fn begin_shutdown(&self) {
         let mut registry = self.lock_registry();
         registry.shutdown = true;
         // Pending jobs are cancelled in memory only. Nothing is journaled,

@@ -653,7 +653,12 @@ fn handle_serve_line(server: &JobServer, line: &str) -> (Value, bool) {
             let result = server.wait(id).map_err(|e| e.to_string())?;
             result_response(server, id, Some(result))
         }),
-        "shutdown" => return (json!({ "ok": true, "shutdown": true }), true),
+        "shutdown" => {
+            // Wakes connections blocked in `wait` now, before the front
+            // door joins them.
+            server.begin_shutdown();
+            return (json!({ "ok": true, "shutdown": true }), true);
+        }
         other => Err(format!("unknown cmd '{other}'")),
     };
     match response {

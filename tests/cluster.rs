@@ -24,7 +24,7 @@ use qarchsearch_suite::qarchsearch::{ClusterConfig, Coordinator, ShardEndpoint};
 use qarchsearch_suite::serde_json::{self, json, Value};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -56,45 +56,60 @@ struct ShardProc {
     state_dir: PathBuf,
 }
 
+/// Start `qas serve` on `addr` over `state_dir` and wait until it listens.
+fn serve_child(addr: &str, state_dir: &Path, tag: &str, extra_args: &[&str]) -> Child {
+    let port = addr.rsplit(':').next().unwrap();
+    let child = Command::new(qas_bin())
+        .args([
+            "serve",
+            "--port",
+            port,
+            "--bind",
+            "127.0.0.1",
+            "--state-dir",
+            state_dir.to_str().unwrap(),
+            "--shard-id",
+            tag,
+        ])
+        .args(extra_args)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while TcpStream::connect(addr).is_err() {
+        assert!(
+            Instant::now() < deadline,
+            "shard {tag} never started listening on {addr}"
+        );
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    child
+}
+
 impl ShardProc {
     fn spawn(tag: &str, extra_args: &[&str]) -> ShardProc {
         let port = {
             let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
             listener.local_addr().unwrap().port()
         };
-        let state_dir = temp_dir(tag);
-        let child = Command::new(qas_bin())
-            .args([
-                "serve",
-                "--port",
-                &port.to_string(),
-                "--bind",
-                "127.0.0.1",
-                "--state-dir",
-                state_dir.to_str().unwrap(),
-                "--shard-id",
-                tag,
-            ])
-            .args(extra_args)
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .spawn()
-            .unwrap();
         let addr = format!("127.0.0.1:{port}");
-        let deadline = Instant::now() + Duration::from_secs(20);
-        while TcpStream::connect(&addr).is_err() {
-            assert!(
-                Instant::now() < deadline,
-                "shard {tag} never started listening on {addr}"
-            );
-            std::thread::sleep(Duration::from_millis(25));
-        }
+        let state_dir = temp_dir(tag);
+        let child = serve_child(&addr, &state_dir, tag, extra_args);
         ShardProc {
             child,
             addr,
             state_dir,
         }
+    }
+
+    /// SIGKILL the shard (if it still runs) and start it again on the same
+    /// port and state dir: it replays its journal and resumes its jobs
+    /// under the same ids.
+    fn restart(&mut self, tag: &str, extra_args: &[&str]) {
+        self.kill();
+        self.child = serve_child(&self.addr, &self.state_dir, tag, extra_args);
     }
 
     fn endpoint(&self) -> ShardEndpoint {
@@ -662,4 +677,196 @@ fn coordinator_envelopes_match_the_parent() {
         "coordinator envelopes diverged:\n{}",
         transcripts.join("\n")
     );
+}
+
+/// A delay armed at `site`, for one shard-local job or (`None`) for all.
+fn delay_at(site: &str, job: Option<u64>, millis: u64) -> String {
+    serde_json::to_string(&FaultPlan::single(FaultSpec {
+        site: site.to_string(),
+        job,
+        hit: 0,
+        action: FaultAction::Delay { millis },
+    }))
+    .unwrap()
+}
+
+/// One request on a fresh connection to a `qas serve` or coordinator
+/// front door.
+fn line_request(addr: &str, body: &Value) -> Value {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    writeln!(writer, "{}", serde_json::to_string(body).unwrap()).unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    serde_json::from_str(line.trim()).unwrap()
+}
+
+/// Poll the coordinator's event stream for `id` until `kind` appears.
+fn await_event(coordinator: &Coordinator, id: JobId, kind: &str) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let (events, _) = coordinator.events(id, 0).unwrap();
+        let kinds = event_kinds(&events);
+        assert!(
+            !kinds.iter().any(|k| k == "Finished"),
+            "job finished before {kind}; raise the drain delay"
+        );
+        if kinds.iter().any(|k| k == kind) {
+            return;
+        }
+        assert!(Instant::now() < deadline, "{kind} never arrived");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+#[test]
+fn a_shard_restarted_before_its_death_verdict_finishes_the_watched_job() {
+    let spec = cluster_spec(17, 2);
+    let baseline = reference_report(spec.clone());
+    let args = ["--workers", "1", "--fault-plan", &delay_plan(400)];
+    let mut shard = ShardProc::spawn("restart", &args);
+    let mut config = cluster_config(vec![shard.endpoint()]);
+    // Never declared dead: the job stays placed on the restarted shard.
+    config.heartbeat_misses = 1_000;
+    let coordinator = Coordinator::start(config).unwrap();
+
+    let id = coordinator.submit(spec, None).unwrap().id;
+    await_event(&coordinator, id, "RungCompleted");
+    // The watcher's connection dies with the shard; it reconnects to the
+    // restarted shard, which resumes the job from its journal.
+    shard.restart("restart", &args);
+    let envelope = coordinator.wait(id).unwrap();
+    assert!(envelope.get("error").is_none(), "{envelope:?}");
+    assert_eq!(envelope.get("migrations").and_then(Value::as_u64), Some(0));
+    let report: SearchReport =
+        serde_json::from_value(envelope.get("report").expect("report present")).unwrap();
+    assert_eq!(
+        report.without_timings().to_json(),
+        baseline,
+        "the resumed run diverged from the undisturbed single-node run"
+    );
+    assert_eq!(coordinator.result(id).unwrap(), envelope);
+    assert_eq!(coordinator.migrations(), 0);
+    coordinator.shutdown(true);
+}
+
+#[test]
+fn held_results_outlive_their_shard_while_cancelled_and_forgotten_ones_do_not() {
+    // Shard-local job 3 is a slow blocker, so job 4 can be cancelled while
+    // it is still queued.
+    let mut shard = ShardProc::spawn(
+        "held",
+        &[
+            "--workers",
+            "1",
+            "--fault-plan",
+            &delay_at(site::WORKER_RUNG, Some(3), 500),
+        ],
+    );
+    let mut config = cluster_config(vec![shard.endpoint()]);
+    config.heartbeat_misses = 1_000;
+    let coordinator = Coordinator::start(config).unwrap();
+
+    let done = coordinator.submit(cluster_spec(31, 1), None).unwrap().id;
+    let finished = coordinator.wait(done).unwrap();
+    assert_eq!(coordinator.result(done).unwrap(), finished);
+
+    let forgotten = coordinator.submit(cluster_spec(32, 1), None).unwrap().id;
+    coordinator.wait(forgotten).unwrap();
+    assert!(coordinator.forget(forgotten).unwrap());
+    assert!(matches!(
+        coordinator.result(forgotten),
+        Err(SearchError::UnknownJob { .. })
+    ));
+    assert!(matches!(
+        coordinator.wait(forgotten),
+        Err(SearchError::UnknownJob { .. })
+    ));
+
+    coordinator.submit(cluster_spec(33, 2), None).unwrap();
+    let queued = coordinator.submit(cluster_spec(34, 1), None).unwrap().id;
+    assert!(coordinator.cancel(queued).unwrap());
+    let cancelled = coordinator.wait(queued).unwrap();
+    assert_eq!(cancelled.get("state"), Some(&json!("Cancelled")));
+    assert_eq!(coordinator.result(queued).unwrap(), cancelled);
+
+    // With the shard gone (and no death verdict), the completed job's
+    // result is answered from the coordinator's held copy, while the
+    // cancelled job's result still goes to the shard, and fails.
+    shard.kill();
+    assert_eq!(coordinator.result(done).unwrap(), finished);
+    assert!(matches!(
+        coordinator.result(queued),
+        Err(SearchError::Cluster { .. })
+    ));
+    coordinator.shutdown(false);
+}
+
+#[test]
+fn a_blocked_wait_does_not_hold_up_serve_shutdown() {
+    // Each of the job's rungs starts 1.5 s late: a shutdown that waited
+    // for the job would take well over 5 s. (The delay sits in the engine,
+    // ahead of a cancellation poll, so a cancelled job stops within one.)
+    let spec = cluster_spec(41, 2);
+    let baseline = reference_report(spec.clone());
+    let mut shard = ShardProc::spawn(
+        "blocked-wait",
+        &[
+            "--workers",
+            "1",
+            "--fault-plan",
+            &delay_at(site::PIPELINE_RUNG, None, 1_500),
+        ],
+    );
+    let submitted = line_request(
+        &shard.addr,
+        &json!({ "cmd": "submit_spec", "spec": (serde_json::to_value(&spec).unwrap()) }),
+    );
+    let job = submitted.get("job").and_then(Value::as_u64).unwrap();
+    let addr = shard.addr.clone();
+    let waiter =
+        std::thread::spawn(move || line_request(&addr, &json!({ "cmd": "wait", "job": (job) })));
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        let status = line_request(&shard.addr, &json!({ "cmd": "status", "job": (job) }));
+        let state = status.get("status").and_then(|s| s.get("state"));
+        if state == Some(&json!("Running")) {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the job never started: {status:?}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    std::thread::sleep(Duration::from_millis(100));
+
+    let asked = Instant::now();
+    let bye = line_request(&shard.addr, &json!({ "cmd": "shutdown" }));
+    assert_eq!(bye.get("shutdown").and_then(Value::as_bool), Some(true));
+    shard.await_exit();
+    assert!(
+        asked.elapsed() < Duration::from_secs(5),
+        "shutdown took {:?} behind a blocked wait",
+        asked.elapsed()
+    );
+    // The blocked client hears the suspension as a cancellation.
+    let suspended = waiter.join().unwrap();
+    assert_eq!(
+        suspended.get("state"),
+        Some(&json!("Cancelled")),
+        "{suspended:?}"
+    );
+
+    // The suspended job resumes on restart and matches an undisturbed run.
+    shard.restart("blocked-wait", &["--workers", "1"]);
+    let resumed = line_request(&shard.addr, &json!({ "cmd": "wait", "job": (job) }));
+    assert!(resumed.get("error").is_none(), "{resumed:?}");
+    let report: SearchReport =
+        serde_json::from_value(resumed.get("report").expect("report present")).unwrap();
+    assert_eq!(report.without_timings().to_json(), baseline);
 }
