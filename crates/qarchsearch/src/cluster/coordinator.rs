@@ -24,7 +24,10 @@
 //! shard's own `wait` on a pooled connection and delivers the stamped
 //! envelope into the registry, waking [`Coordinator::wait`] through a
 //! condvar. A Completed, Failed or TimedOut envelope is held (rendered) so
-//! `result` answers without a shard round trip.
+//! `result` answers without a shard round trip. A shard's Cancelled ends a
+//! job only when the coordinator proxied its `cancel`: otherwise the shard
+//! is shutting down and suspended the job, which stays in flight so that
+//! a restart in place or a migration finishes it.
 //!
 //! Lock discipline: the job registry mutex is never held across network
 //! I/O. Each shard has three kinds of connection, so no request waits
@@ -217,23 +220,31 @@ struct ClusterJob {
     /// The final envelope (its state [`holds`]) a completion watcher
     /// delivered, stamped and rendered: `wait` and `result` answer from it.
     held: Option<String>,
-    /// The last Cancelled envelope a watcher delivered. Only the waiters
-    /// blocked when it arrived return it, and `result` never does: a shard
-    /// shutting down reports its suspended jobs that way.
-    cancelled: Option<String>,
-    /// Envelopes delivered so far: a waiter returns the first one
-    /// delivered after it began waiting.
-    deliveries: u32,
+    /// The coordinator proxied a `cancel` to the current placement: only
+    /// then is the shard's Cancelled the job's own end.
+    cancel_requested: bool,
     /// A completion watcher for the current placement is running.
     watched: bool,
 }
 
 impl ClusterJob {
-    /// Fold an observed state in. Returns the tenant whose quota slot the
-    /// caller returns: `Some` only on the first terminal observation of a
-    /// tenant's job.
+    /// Whether the shard's `state` is a suspension rather than an end: a
+    /// shard shutting down reports the jobs it suspends as Cancelled, and
+    /// they resume on its restart or migrate after its death verdict.
+    fn suspended(&self, state: &JobState) -> bool {
+        *state == JobState::Cancelled && !self.cancel_requested
+    }
+
+    /// Fold an observed state in. A suspension is ignored, and so is any
+    /// state after a terminal one: a listing or status the shard answered
+    /// before the job ended must not reopen it. Returns the tenant whose
+    /// quota slot the caller returns: `Some` only on the first terminal
+    /// observation of a tenant's job.
     fn observe(&mut self, state: JobState) -> Option<String> {
-        if holds(&state) {
+        if self.state.is_terminal() || self.suspended(&state) {
+            return None;
+        }
+        if state.is_terminal() {
             self.spec = None;
         }
         self.state = state;
@@ -264,9 +275,9 @@ impl ClusterJob {
     }
 }
 
-/// Whether a terminal envelope in `state` is final, so the coordinator
-/// holds it: everything terminal but Cancelled, which a shard also reports
-/// for the jobs it suspends while shutting down.
+/// Whether the coordinator holds a terminal envelope in `state`, so
+/// `result` answers it without the shard: everything terminal but
+/// Cancelled, whose `result` is still proxied.
 fn holds(state: &JobState) -> bool {
     state.is_terminal() && *state != JobState::Cancelled
 }
@@ -446,7 +457,8 @@ impl Coordinator {
     /// Result envelope (single-node shape plus `shard`, `migrations`, and
     /// `report.migrated` when the job moved). A Completed, Failed or
     /// TimedOut job is answered from the envelope its completion watcher
-    /// delivered; anything else is proxied to the owning shard.
+    /// delivered; anything else is proxied to the owning shard. A job the
+    /// shard suspends while shutting down errs as if the shard were gone.
     pub fn result(&self, id: JobId) -> Result<Value, SearchError> {
         self.inner.result(id.0)
     }
@@ -718,8 +730,7 @@ impl CoordinatorInner {
                     overlay: Vec::new(),
                     local: None,
                     held: None,
-                    cancelled: None,
-                    deliveries: 0,
+                    cancel_requested: false,
                     watched: false,
                 },
             );
@@ -772,16 +783,18 @@ impl CoordinatorInner {
     }
 
     /// Fold an observed state into the registry; releases the tenant
-    /// quota slot on the first terminal observation.
-    fn note_state(&self, id: u64, state: JobState) {
-        let release = {
+    /// quota slot on the first terminal observation. Returns whether the
+    /// state was a suspension ([`ClusterJob::suspended`]).
+    fn note_state(&self, id: u64, state: JobState) -> bool {
+        let (suspended, release) = {
             let mut registry = lock_recover(&self.registry);
             let Some(job) = registry.jobs.get_mut(&id) else {
-                return;
+                return false;
             };
-            job.observe(state)
+            (job.suspended(&state), job.observe(state))
         };
         self.admission.release(release.as_deref());
+        suspended
     }
 
     fn proxy_ok(&self, shard: usize, response: Value) -> Result<Value, SearchError> {
@@ -890,7 +903,16 @@ impl CoordinatorInner {
             .get("state")
             .and_then(|v| serde_json::from_value::<JobState>(v).ok())
         {
-            self.note_state(id, state);
+            if self.note_state(id, state) {
+                // The shard is going away; answer as if it were already
+                // unreachable.
+                return Err(SearchError::Cluster {
+                    message: format!(
+                        "shard {}: job {shard_job} suspended by shutdown",
+                        self.addr_of(shard)
+                    ),
+                });
+            }
         }
         let (_, _, _, migrations, _) = self.route_of(id)?;
         self.stamp(&mut envelope, id, shard, migrations);
@@ -920,7 +942,6 @@ impl CoordinatorInner {
 
     fn wait(&self, id: u64) -> Result<Value, SearchError> {
         let mut registry = lock_recover(&self.registry);
-        let mut seen = None;
         loop {
             let job = registry
                 .jobs
@@ -930,13 +951,7 @@ impl CoordinatorInner {
                 drop(registry);
                 return Ok(self.local_result_envelope(id));
             }
-            let seen = *seen.get_or_insert(job.deliveries);
-            let delivered = if job.deliveries != seen {
-                job.held.as_ref().or(job.cancelled.as_ref())
-            } else {
-                job.held.as_ref()
-            };
-            if let Some(line) = delivered {
+            if let Some(line) = &job.held {
                 return parse_envelope(line);
             }
             if self.shutdown.load(Ordering::SeqCst) {
@@ -955,29 +970,27 @@ impl CoordinatorInner {
                 registry = wait_recover(&self.settled, registry);
                 continue;
             }
-            // No watcher covers the job (its Cancelled envelope was
-            // delivered, or the shard no longer knows it), or no shard is
-            // left alive: ask the shard, as `result` does.
+            // No watcher covers the job (it ended without a held envelope,
+            // or the shard no longer knows the job), or no shard is left
+            // alive: ask the shard, as `result` does.
             drop(registry);
             match self.result(id) {
                 Ok(envelope) if envelope.get("done").and_then(Value::as_bool) == Some(true) => {
                     return Ok(envelope);
                 }
                 // Running again: the shard restarted and resumed it.
-                Ok(_) => {
-                    self.watch(id);
-                    registry = lock_recover(&self.registry);
-                }
+                Ok(_) => self.watch(id),
                 Err(e @ SearchError::UnknownJob { .. }) => return Err(e),
                 Err(e) if self.alive_shards().is_empty() && !self.is_local(id) => return Err(e),
-                // Unreachable but not yet dead: a verdict, a migration or a
-                // delivery wakes this; the timeout covers one racing ahead
-                // of the wait.
-                Err(_) => {
-                    let period = Duration::from_millis(self.config.heartbeat_ms.max(10));
-                    registry = lock_recover(&self.registry);
-                    registry = wait_timeout_recover(&self.settled, registry, period).0;
-                }
+                // Unreachable or shutting down, but not yet dead.
+                Err(_) => {}
+            }
+            registry = lock_recover(&self.registry);
+            if !registry.jobs.get(&id).is_some_and(|job| job.watched) {
+                // No watcher will wake this (a verdict or a migration
+                // may), so look again after one heartbeat period.
+                let period = Duration::from_millis(self.config.heartbeat_ms.max(10));
+                registry = wait_timeout_recover(&self.settled, registry, period).0;
             }
         }
     }
@@ -1035,10 +1048,12 @@ impl CoordinatorInner {
     /// A completion watcher: block in the shard's `wait` on a pooled
     /// connection, deliver the envelope, and return the connection to the
     /// pool. When the shard closes the connection (it died or restarted),
-    /// reconnect once per heartbeat period while the placement is current.
+    /// or answers that it suspended the job while shutting down, watch
+    /// again once per heartbeat period while the placement is current.
     fn watch_placement(&self, placement: Placement) {
         let slot = &self.shards[placement.shard];
         let request = json!({ "cmd": "wait", "job": (placement.shard_job) });
+        let period = Duration::from_millis(self.config.heartbeat_ms.max(10));
         while self.is_current(placement) {
             let pooled = lock_recover(&slot.idle).pop();
             let reused = pooled.is_some();
@@ -1055,16 +1070,16 @@ impl CoordinatorInner {
                     lock_recover(&slot.idle).push(client);
                     // A refusal means the shard no longer knows the job;
                     // the heartbeat's job listing migrates it.
-                    if response.get("ok").and_then(Value::as_bool) == Some(true) {
-                        self.deliver(placement, response);
+                    if response.get("ok").and_then(Value::as_bool) != Some(true)
+                        || self.deliver(placement, response)
+                    {
+                        break;
                     }
-                    break;
+                    std::thread::sleep(period);
                 }
                 // A pooled connection may predate a shard restart.
                 Err(_) if reused => {}
-                Err(_) => {
-                    std::thread::sleep(Duration::from_millis(self.config.heartbeat_ms.max(10)))
-                }
+                Err(_) => std::thread::sleep(period),
             }
         }
         self.end_watch(placement);
@@ -1108,40 +1123,45 @@ impl CoordinatorInner {
                 .is_some_and(|job| job.local.is_none() && job.migrations == placement.epoch)
     }
 
-    /// Store a watcher's terminal envelope, stamped as `result` stamps it,
-    /// and wake the waiters — unless the job was forgotten, migrated or
-    /// settled here in the meantime.
-    fn deliver(&self, placement: Placement, mut envelope: Value) {
-        let state = envelope
+    /// Take in a watcher's terminal envelope and wake the waiters. One the
+    /// coordinator [`holds`] is stored, stamped as `result` stamps it; any
+    /// other just ends the job here, and `wait` falls back to proxying
+    /// `result`. Nothing changes if the job was forgotten, migrated or
+    /// settled here in the meantime. Returns `false` only for a suspension
+    /// ([`ClusterJob::suspended`]), which the watcher keeps watching past.
+    fn deliver(&self, placement: Placement, mut envelope: Value) -> bool {
+        let Some(state) = envelope
             .get("state")
-            .and_then(|v| serde_json::from_value::<JobState>(v).ok());
-        self.stamp(
-            &mut envelope,
-            placement.id,
-            placement.shard,
-            placement.epoch,
-        );
-        let Ok(line) = serde_json::to_string(&envelope) else {
-            return;
+            .and_then(|v| serde_json::from_value::<JobState>(v).ok())
+        else {
+            return true;
         };
+        let line = holds(&state)
+            .then(|| {
+                self.stamp(
+                    &mut envelope,
+                    placement.id,
+                    placement.shard,
+                    placement.epoch,
+                );
+                serde_json::to_string(&envelope).ok()
+            })
+            .flatten();
         let mut registry = lock_recover(&self.registry);
         let Some(job) = registry.jobs.get_mut(&placement.id) else {
-            return;
+            return true;
         };
         if job.local.is_some() || job.migrations != placement.epoch {
-            return;
+            return true;
         }
-        if state.as_ref().is_some_and(holds) {
-            job.held = Some(line);
-        } else {
-            job.cancelled = Some(line);
+        if job.suspended(&state) {
+            return false;
         }
-        job.deliveries += 1;
-        if let Some(state) = state {
-            // Returned before any waiter can see the envelope.
-            self.admission.release(job.observe(state).as_deref());
-        }
+        job.held = line;
+        // Returned before any waiter can see the envelope.
+        self.admission.release(job.observe(state).as_deref());
         self.settled.notify_all();
+        true
     }
 
     fn end_watch(&self, placement: Placement) {
@@ -1206,6 +1226,10 @@ impl CoordinatorInner {
         let (shard, shard_job, _, _, local) = self.route_of(id)?;
         if local {
             return Ok(false); // Locally-held results are already terminal.
+        }
+        // Marked before the shard can answer a watcher with the cancellation.
+        if let Some(job) = lock_recover(&self.registry).jobs.get_mut(&id) {
+            job.cancel_requested = true;
         }
         let response =
             self.shard_request(shard, &json!({ "cmd": "cancel", "job": (shard_job) }))?;
@@ -1601,7 +1625,7 @@ impl CoordinatorInner {
                                 resumed,
                             });
                             job.held = None;
-                            job.cancelled = None;
+                            job.cancel_requested = false;
                             job.watched = false;
                         }
                     }

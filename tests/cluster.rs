@@ -870,3 +870,125 @@ fn a_blocked_wait_does_not_hold_up_serve_shutdown() {
         serde_json::from_value(resumed.get("report").expect("report present")).unwrap();
     assert_eq!(report.without_timings().to_json(), baseline);
 }
+
+/// Stop `shard` with a protocol `shutdown`, as an operator would, and wait
+/// for the process to exit.
+fn stop_gracefully(shard: &mut ShardProc) {
+    let bye = line_request(&shard.addr, &json!({ "cmd": "shutdown" }));
+    assert_eq!(bye.get("shutdown").and_then(Value::as_bool), Some(true));
+    shard.await_exit();
+}
+
+#[test]
+fn a_gracefully_stopped_shard_resumes_the_watched_job_on_restart() {
+    // A shard shutting down answers the watcher's `wait` with `Cancelled`
+    // for the job it suspends. The coordinator's blocked `wait` must not
+    // return that: the job resumes when the shard restarts in place.
+    let spec = cluster_spec(19, 2);
+    let baseline = reference_report(spec.clone());
+    let mut shard = ShardProc::spawn(
+        "graceful-restart",
+        &[
+            "--workers",
+            "1",
+            "--fault-plan",
+            &delay_at(site::PIPELINE_RUNG, None, 500),
+        ],
+    );
+    let mut config = cluster_config(vec![shard.endpoint()]);
+    config.heartbeat_misses = 1_000;
+    let coordinator = Coordinator::start(config).unwrap();
+
+    let id = coordinator.submit(spec, None).unwrap().id;
+    await_event(&coordinator, id, "RungCompleted");
+    let envelope = std::thread::scope(|scope| {
+        let waiter = scope.spawn(|| coordinator.wait(id));
+        std::thread::sleep(Duration::from_millis(200));
+        stop_gracefully(&mut shard);
+        std::thread::sleep(Duration::from_millis(300));
+        assert!(
+            !waiter.is_finished(),
+            "wait returned for a job its shard only suspended: {:?}",
+            waiter.join()
+        );
+        assert_eq!(coordinator.stats().jobs_inflight, 1);
+        shard.restart("graceful-restart", &["--workers", "1"]);
+        waiter.join().unwrap().unwrap()
+    });
+    assert!(envelope.get("error").is_none(), "{envelope:?}");
+    assert_eq!(envelope.get("state"), Some(&json!("Completed")));
+    assert_eq!(envelope.get("migrations").and_then(Value::as_u64), Some(0));
+    let report: SearchReport =
+        serde_json::from_value(envelope.get("report").expect("report present")).unwrap();
+    assert_eq!(
+        report.without_timings().to_json(),
+        baseline,
+        "the resumed run diverged from the undisturbed single-node run"
+    );
+    assert_eq!(coordinator.result(id).unwrap(), envelope);
+    assert_eq!(coordinator.migrations(), 0);
+    assert_eq!(coordinator.stats().jobs_inflight, 0);
+    coordinator.shutdown(true);
+}
+
+#[test]
+fn a_gracefully_stopped_shard_without_a_journal_reruns_the_job_on_a_survivor() {
+    // The coordinator cannot read the stopped shard's journal, so its death
+    // verdict re-runs the suspended job from scratch on the survivor (the
+    // "no checkpoint yet" migration); the blocked `wait` returns that run.
+    let spec = cluster_spec(23, 2);
+    let baseline = reference_report(spec.clone());
+    let owner = routed_shard(&spec);
+    let plan = delay_at(site::PIPELINE_RUNG, None, 500);
+    let mut shards: Vec<ShardProc> = (0..2)
+        .map(|idx| {
+            let tag = format!("graceful-rerun-{idx}");
+            if idx == owner {
+                ShardProc::spawn(&tag, &["--workers", "1", "--fault-plan", &plan])
+            } else {
+                ShardProc::spawn(&tag, &["--workers", "1"])
+            }
+        })
+        .collect();
+    let endpoints = shards
+        .iter()
+        .enumerate()
+        .map(|(idx, shard)| {
+            if idx == owner {
+                ShardEndpoint::new(shard.addr.clone())
+            } else {
+                shard.endpoint()
+            }
+        })
+        .collect();
+    let coordinator = Coordinator::start(cluster_config(endpoints)).unwrap();
+
+    let id = coordinator.submit(spec, None).unwrap().id;
+    assert_eq!(coordinator.shard_of(id), Some(shards[owner].addr.clone()));
+    await_event(&coordinator, id, "RungCompleted");
+    let envelope = std::thread::scope(|scope| {
+        let waiter = scope.spawn(|| coordinator.wait(id));
+        std::thread::sleep(Duration::from_millis(200));
+        stop_gracefully(&mut shards[owner]);
+        waiter.join().unwrap().unwrap()
+    });
+    assert!(envelope.get("error").is_none(), "{envelope:?}");
+    assert_eq!(envelope.get("state"), Some(&json!("Completed")));
+    assert_eq!(envelope.get("migrations").and_then(Value::as_u64), Some(1));
+    let report: SearchReport =
+        serde_json::from_value(envelope.get("report").expect("report present")).unwrap();
+    assert!(report.migrated);
+    assert_eq!(
+        report.without_timings().to_json(),
+        baseline,
+        "the re-run diverged from the undisturbed single-node run"
+    );
+    let (events, _) = coordinator.events(id, 0).unwrap();
+    let migrated = find_migrated_event(&events).expect("Migrated event recorded");
+    assert_eq!(
+        migrated.get("resumed").and_then(Value::as_bool),
+        Some(false)
+    );
+    assert_eq!(coordinator.stats().jobs_inflight, 0);
+    coordinator.shutdown(true);
+}
