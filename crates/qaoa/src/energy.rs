@@ -727,8 +727,9 @@ pub struct CompiledEnergy {
 }
 
 /// Reusable buffers for [`CompiledEnergy::energy_batch_in`]: the `2^n × B`
-/// structure-of-arrays amplitude buffer, a scalar state for single-point
-/// tiles, and the flattened slot-value staging area.
+/// structure-of-arrays amplitude buffer every compiled evaluation runs in
+/// (`B = 1` for a single point), the flattened slot-value staging area and
+/// the per-tile energies.
 ///
 /// One `BatchScratch` per worker serves every candidate trained on any graph
 /// size (the buffers are rebuilt when the width changes and resized in place
@@ -737,9 +738,6 @@ pub struct CompiledEnergy {
 pub struct BatchScratch {
     /// The `2^n × B` amplitude buffer, amplitude-major × batch-minor.
     batch: Option<BatchStateVector>,
-    /// Scalar state for size-1 tiles (and B = 1 calls), which delegate to
-    /// the sequential sweep.
-    scalar: Option<StateVector>,
     /// Slot values for the whole tile, batch-major (`np` per point).
     values: Vec<f64>,
     /// Per-tile energies from the batched diagonal expectation.
@@ -806,25 +804,33 @@ impl CompiledEnergy {
     }
 
     /// ⟨C⟩ for a flat parameter vector `[γ…, β…]`, allocation-free (after
-    /// the internal scratch state is built on first use).
+    /// the internal scratch state is built on first use): a one-point tile
+    /// of [`energy_batch_in`](Self::energy_batch_in).
     pub fn energy_flat(&self, params: &[f64]) -> Result<f64, QaoaError> {
         self.check_params(params)?;
-        let BatchScratch { scalar, values, .. } = &mut *self.scratch();
-        self.energy_flat_with(params, scalar, values)
+        let scratch = &mut *self.scratch();
+        self.energy_tile(&[params], scratch)?;
+        Ok(scratch.energies[0])
     }
 
-    /// ⟨C⟩ for a flat parameter vector, simulated into a caller-provided
-    /// scratch state (must have this program's register width).
-    ///
-    /// One `2^n` buffer can serve every candidate trained on the same graph
-    /// size, instead of one buffer per compiled objective.
+    /// ⟨C⟩ for a flat parameter vector, simulated by the scalar interpreter
+    /// ([`CompiledProgram::execute_into`]) into a caller-provided scratch
+    /// state (must have this program's register width): the reference the
+    /// batched sweep is pinned bitwise equal to.
     pub fn energy_flat_in(
         &self,
         params: &[f64],
         state: &mut StateVector,
     ) -> Result<f64, QaoaError> {
         self.check_params(params)?;
-        self.sweep(params, state, &mut self.scratch().values)
+        let slots = &mut self.scratch().values;
+        slots.clear();
+        slots.resize(self.program.num_params(), 0.0);
+        Self::fill_slots(&self.slot_for_flat, params, slots);
+        self.program
+            .execute_into(slots, state)
+            .map_err(backend_err)?;
+        state.expectation_diagonal(&self.diag).map_err(backend_err)
     }
 
     fn check_params(&self, params: &[f64]) -> Result<(), QaoaError> {
@@ -847,13 +853,13 @@ impl CompiledEnergy {
         }
     }
 
-    /// ⟨C⟩ for `B` flat parameter vectors in one batched sweep, bit-identical
-    /// to `B` sequential [`CompiledEnergy::energy_flat_in`] calls.
+    /// ⟨C⟩ for `B` flat parameter vectors, bit-identical to `B` sequential
+    /// [`CompiledEnergy::energy_flat_in`] calls.
     ///
     /// Points are processed in cache-sized tiles
-    /// ([`statevec::preferred_batch_tile`]); single-point tiles (including
-    /// every `B = 1` call) delegate to the scalar sweep, so the batch path
-    /// never costs more than the sequential one. All buffers come from the
+    /// ([`statevec::preferred_batch_tile`]), each one sweep of
+    /// [`CompiledProgram::execute_batch_into`]; a one-point call (every
+    /// point COBYLA asks for) is a tile of one. All buffers come from the
     /// caller's [`BatchScratch`] and are reused across calls.
     pub fn energy_batch_in<P: AsRef<[f64]>>(
         &self,
@@ -863,46 +869,10 @@ impl CompiledEnergy {
         for p in points {
             self.check_params(p.as_ref())?;
         }
-        let np = self.program.num_params();
         let tile = statevec::preferred_batch_tile(self.num_qubits, points.len());
         let mut out = Vec::with_capacity(points.len());
         for chunk in points.chunks(tile.max(1)) {
-            if chunk.len() == 1 {
-                // The sequential sweep *is* the reference semantics; using it
-                // for singleton tiles makes bit-identity trivial there and
-                // keeps B = 1 at exactly the scalar cost.
-                out.push(self.energy_flat_with(
-                    chunk[0].as_ref(),
-                    &mut scratch.scalar,
-                    &mut scratch.values,
-                )?);
-                continue;
-            }
-            let b = chunk.len();
-            scratch.values.clear();
-            scratch.values.resize(np * b, 0.0);
-            for (i, p) in chunk.iter().enumerate() {
-                Self::fill_slots(
-                    &self.slot_for_flat,
-                    p.as_ref(),
-                    &mut scratch.values[i * np..(i + 1) * np],
-                );
-            }
-            let state = match &mut scratch.batch {
-                Some(s) if s.num_qubits() == self.num_qubits => {
-                    s.resize_batch(b);
-                    s
-                }
-                slot => slot.insert(
-                    BatchStateVector::zero_states(self.num_qubits, b).map_err(backend_err)?,
-                ),
-            };
-            self.program
-                .execute_batch_into(&scratch.values, state)
-                .map_err(backend_err)?;
-            state
-                .expectation_diagonal_batch(&self.diag, &mut scratch.energies)
-                .map_err(backend_err)?;
+            self.energy_tile(chunk, scratch)?;
             out.extend_from_slice(&scratch.energies);
         }
         Ok(out)
@@ -915,37 +885,36 @@ impl CompiledEnergy {
         self.energy_batch_in(points, &mut self.scratch())
     }
 
-    /// The scalar sweep into `state`, built (or rebuilt at this program's
-    /// width) when needed: the singleton-tile leg of the batch path and the
-    /// body of [`energy_flat`](Self::energy_flat).
-    fn energy_flat_with(
+    /// One sweep over the (checked) points of `tile`, leaving their energies
+    /// in `scratch.energies`; the amplitude buffer is built, or rebuilt at
+    /// this program's width, when needed.
+    fn energy_tile<P: AsRef<[f64]>>(
         &self,
-        params: &[f64],
-        state: &mut Option<StateVector>,
-        slots: &mut Vec<f64>,
-    ) -> Result<f64, QaoaError> {
-        let state = match state {
-            Some(s) if s.num_qubits() == self.num_qubits => s,
-            s => s.insert(StateVector::zero_state(self.num_qubits).map_err(backend_err)?),
+        tile: &[P],
+        scratch: &mut BatchScratch,
+    ) -> Result<(), QaoaError> {
+        let np = self.program.num_params();
+        let b = tile.len();
+        scratch.values.clear();
+        scratch.values.resize(np * b, 0.0);
+        for (p, slots) in tile.iter().zip(scratch.values.chunks_exact_mut(np.max(1))) {
+            Self::fill_slots(&self.slot_for_flat, p.as_ref(), slots);
+        }
+        let state = match &mut scratch.batch {
+            Some(s) if s.num_qubits() == self.num_qubits => {
+                s.resize_batch(b);
+                s
+            }
+            slot => {
+                slot.insert(BatchStateVector::zero_states(self.num_qubits, b).map_err(backend_err)?)
+            }
         };
-        self.sweep(params, state, slots)
-    }
-
-    /// One simulation of the program at `params` plus the diagonal
-    /// expectation, with `slots` as the parameter staging area.
-    fn sweep(
-        &self,
-        params: &[f64],
-        state: &mut StateVector,
-        slots: &mut Vec<f64>,
-    ) -> Result<f64, QaoaError> {
-        slots.clear();
-        slots.resize(self.program.num_params(), 0.0);
-        Self::fill_slots(&self.slot_for_flat, params, slots);
         self.program
-            .execute_into(slots, state)
+            .execute_batch_into(&scratch.values, state)
             .map_err(backend_err)?;
-        state.expectation_diagonal(&self.diag).map_err(backend_err)
+        state
+            .expectation_diagonal_batch(&self.diag, &mut scratch.energies)
+            .map_err(backend_err)
     }
 }
 

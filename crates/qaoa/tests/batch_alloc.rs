@@ -3,7 +3,10 @@
 //! `CompiledEnergy::energy_batch_in` promises to reuse the caller's
 //! [`BatchScratch`] buffers: after a warm-up call, the only allocation a call
 //! may make is the returned `Vec<f64>` of energies (plus the tolerance noted
-//! below). The scalar `energy_flat_in` allocates nothing once warm, and a
+//! below). That is the training hot loop's contract: every point COBYLA asks
+//! for is a one-point call, which allocates exactly that `Vec` once warm,
+//! and whose first call builds one `2^n` state in the caller's scratch. The
+//! scalar reference `energy_flat_in` allocates nothing once warm, and a
 //! training session on an evaluator that already has one allocates nothing
 //! of `2^n` size. A warm `PlannedEnergy::energy_flat` allocates nothing on
 //! a one-thread pool, and on a wider one only the Rayon driver's buffers —
@@ -94,8 +97,8 @@ fn energy_batch_in_reuses_scratch_buffers_after_warmup() {
         .collect();
 
     let mut scratch = BatchScratch::new();
-    // Warm-up: builds the 2^n × tile batch buffer, the scalar state (if any
-    // singleton tile ran), and sizes the staging vectors.
+    // Warm-up: builds the 2^n × tile batch buffer and sizes the staging
+    // vectors.
     let warm = compiled.energy_batch_in(&points, &mut scratch).unwrap();
 
     let (allocs, bytes, result) =
@@ -114,6 +117,52 @@ fn energy_batch_in_reuses_scratch_buffers_after_warmup() {
     assert!(
         bytes < state_bytes,
         "energy_batch_in allocated {bytes} bytes (>= one 2^{n} state of {state_bytes})"
+    );
+}
+
+#[test]
+fn warm_one_point_energy_batch_in_allocates_only_its_result() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // Two phase passes of different LUTs (the cost layer and a diagonal
+    // `rz` mixer gate) stage their factors into buffers the scratch owns.
+    let n = 8;
+    let graph = Graph::connected_erdos_renyi(n, 0.5, 7, 50);
+    let eval = EnergyEvaluator::new(&graph, Backend::StateVector);
+    let point = [0.3, -0.2, 0.5, 0.1];
+    for mixer in [Mixer::qnas(), Mixer::new(vec![Gate::RZ, Gate::RX]).unwrap()] {
+        let compiled = eval.compile(&QaoaAnsatz::new(&graph, 2, mixer)).unwrap();
+        let mut scratch = BatchScratch::new();
+        let warm = compiled.energy_batch_in(&[point], &mut scratch).unwrap();
+        let (allocs, bytes, e) =
+            count_allocs(|| compiled.energy_batch_in(&[point], &mut scratch).unwrap());
+        assert_eq!(warm[0].to_bits(), e[0].to_bits());
+        assert_eq!(
+            (allocs, bytes),
+            (1, std::mem::size_of::<f64>()),
+            "a warm one-point call allocates its result and nothing else"
+        );
+    }
+}
+
+#[test]
+fn first_one_point_call_builds_one_state_in_the_callers_scratch() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // A one-point call runs in the caller's structure-of-arrays buffer at
+    // B = 1: one 2^n state (two f64 planes) plus O(n + |E|) staging, and no
+    // second, scalar state beside it.
+    let n = 10;
+    let graph = Graph::connected_erdos_renyi(n, 0.5, 7, 50);
+    let eval = EnergyEvaluator::new(&graph, Backend::StateVector);
+    let compiled = eval
+        .compile(&QaoaAnsatz::new(&graph, 2, Mixer::qnas()))
+        .unwrap();
+    let mut scratch = BatchScratch::new();
+    let (_, bytes, _) =
+        count_allocs(|| compiled.energy_batch_in(&[[0.3, -0.2, 0.5, 0.1]], &mut scratch));
+    let state_bytes = (1usize << n) * 16;
+    assert!(
+        bytes >= state_bytes && bytes < state_bytes + state_bytes / 2,
+        "first one-point call allocated {bytes} bytes (one 2^{n} state is {state_bytes})"
     );
 }
 

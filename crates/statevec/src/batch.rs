@@ -19,6 +19,15 @@
 //! blocks and every low-stride gate of the run is applied while a block is
 //! hot, instead of one full-memory pass per gate.
 //!
+//! This is the executor of every compiled energy evaluation, `B = 1`
+//! included: an optimizer that asks for one point at a time (COBYLA) runs
+//! here too. At `B = 1` the planes are plain amplitude arrays, and the
+//! single-qubit span, phase and expectation kernels take plain-slice bodies
+//! that vectorize across amplitudes instead of across the batch. A program
+//! that opens with `|+⟩^{⊗n}` and a phase pass writes both in one pass
+//! ([`BatchStateVector::reset_plus_then_phase_lut`]). The scalar
+//! [`StateVector`] interpreter stays as the reference.
+//!
 //! **Bit-identity contract.** Every kernel performs, per batch element, the
 //! exact same sequence of f64 operations as the scalar [`StateVector`]
 //! kernels in [`crate::state`] — identical expression trees (the explicit
@@ -103,12 +112,42 @@ fn apply_one_q_span(re: &mut [f64], im: &mut [f64], c: &[f64], batch: usize, tar
     // vectorize (the arithmetic itself is unchanged, so results are
     // bit-identical whichever body runs).
     match batch {
+        1 => apply_one_q_span_1(re, im, c, target_stride),
         2 => apply_one_q_span_b::<2>(re, im, c, target_stride),
         4 => apply_one_q_span_b::<4>(re, im, c, target_stride),
         8 => apply_one_q_span_b::<8>(re, im, c, target_stride),
         16 => apply_one_q_span_b::<16>(re, im, c, target_stride),
         32 => apply_one_q_span_b::<32>(re, im, c, target_stride),
         _ => apply_one_q_span_dyn(re, im, c, batch, target_stride),
+    }
+}
+
+/// The `B = 1` body: each plane is a plain amplitude array, so the pair
+/// loop zips four contiguous half-blocks and vectorizes across amplitudes.
+#[inline]
+fn apply_one_q_span_1(re: &mut [f64], im: &mut [f64], c: &[f64], target_stride: usize) {
+    let [c0, c1, c2, c3, c4, c5, c6, c7]: [f64; 8] = c[..8]
+        .try_into()
+        .expect("a 2×2 matrix stages eight coefficients");
+    let row_block = 2 * target_stride;
+    for (re_pairs, im_pairs) in re
+        .chunks_exact_mut(row_block)
+        .zip(im.chunks_exact_mut(row_block))
+    {
+        let (lo_re, hi_re) = re_pairs.split_at_mut(target_stride);
+        let (lo_im, hi_im) = im_pairs.split_at_mut(target_stride);
+        for (((xr, xi), yr), yi) in lo_re
+            .iter_mut()
+            .zip(lo_im.iter_mut())
+            .zip(hi_re.iter_mut())
+            .zip(hi_im.iter_mut())
+        {
+            let (xre, xim, yre, yim) = (*xr, *xi, *yr, *yi);
+            *xr = (c0 * xre - c1 * xim) + (c2 * yre - c3 * yim);
+            *xi = (c0 * xim + c1 * xre) + (c2 * yim + c3 * yre);
+            *yr = (c4 * xre - c5 * xim) + (c6 * yre - c7 * yim);
+            *yi = (c4 * xim + c5 * xre) + (c6 * yim + c7 * yre);
+        }
     }
 }
 
@@ -496,22 +535,49 @@ impl BatchStateVector {
     /// f64 bit patterns verbatim), and the multiply below is the expansion of
     /// `num_complex`'s `MulAssign`.
     pub(crate) fn apply_phase_lut(&mut self, index: &[u32], fre: &[f64], fim: &[f64]) {
+        self.phase_lut_pass::<false>(index, fre, fim);
+    }
+
+    /// [`reset_plus`](Self::reset_plus) followed by
+    /// [`apply_phase_lut`](Self::apply_phase_lut) in one write-only pass —
+    /// how a QAOA program opens (`|+⟩^{⊗n}`, then the first cost layer). The
+    /// multiply reads the plus-state amplitude `(1/√dim, +0.0)` as literals
+    /// instead of loading it, with the same expressions, so the result is
+    /// bitwise the two passes'.
+    pub(crate) fn reset_plus_then_phase_lut(&mut self, index: &[u32], fre: &[f64], fim: &[f64]) {
+        self.phase_lut_pass::<true>(index, fre, fim);
+    }
+
+    /// The body of both phase passes; `FROM_PLUS` takes every input
+    /// amplitude to be the plus state's instead of reading it.
+    fn phase_lut_pass<const FROM_PLUS: bool>(&mut self, index: &[u32], fre: &[f64], fim: &[f64]) {
         let dim = 1usize << self.num_qubits;
         assert_eq!(index.len(), dim, "one LUT index per amplitude");
         assert_eq!(fre.len(), fim.len(), "factor planes must match");
         let batch = self.batch;
+        let plus = 1.0 / (dim as f64).sqrt();
+        let amp = |re: f64, im: f64| if FROM_PLUS { (plus, 0.0) } else { (re, im) };
 
         let work = |(re_chunk, im_chunk): (&mut [f64], &mut [f64]), base_amp: usize| {
+            let index = &index[base_amp..];
+            if batch == 1 {
+                for ((re, im), &v) in re_chunk.iter_mut().zip(im_chunk.iter_mut()).zip(index) {
+                    let (fre, fim) = (fre[v as usize], fim[v as usize]);
+                    let (are, aim) = amp(*re, *im);
+                    *re = are * fre - aim * fim;
+                    *im = are * fim + aim * fre;
+                }
+                return;
+            }
             for ((re_row, im_row), &v) in re_chunk
                 .chunks_exact_mut(batch)
                 .zip(im_chunk.chunks_exact_mut(batch))
-                .zip(&index[base_amp..])
+                .zip(index)
             {
                 let fre = &fre[v as usize * batch..(v as usize + 1) * batch];
                 let fim = &fim[v as usize * batch..(v as usize + 1) * batch];
                 for b in 0..batch {
-                    let are = re_row[b];
-                    let aim = im_row[b];
+                    let (are, aim) = amp(re_row[b], im_row[b]);
                     re_row[b] = are * fre[b] - aim * fim[b];
                     im_row[b] = are * fim[b] + aim * fre[b];
                 }
@@ -557,6 +623,14 @@ impl BatchStateVector {
         let partial = |range: Range<usize>, acc: &mut [f64]| {
             let re_rows = &self.re[range.start * batch..range.end * batch];
             let im_rows = &self.im[range.start * batch..range.end * batch];
+            if batch == 1 {
+                let mut sum = acc[0];
+                for ((re, im), &d) in re_rows.iter().zip(im_rows).zip(&diagonal[range]) {
+                    sum += (re * re + im * im) * d;
+                }
+                acc[0] = sum;
+                return;
+            }
             for ((re_row, im_row), &d) in re_rows
                 .chunks_exact(batch)
                 .zip(im_rows.chunks_exact(batch))
@@ -787,6 +861,44 @@ mod tests {
                             assert_eq!(a.im.to_bits(), r.im.to_bits());
                         }
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plus_then_phase_pass_matches_the_two_passes_bitwise() {
+        // The fused opening pass against `reset_plus` + `apply_phase_lut`,
+        // below and above the parallel threshold. Angle 0 at a negative
+        // scale stages a `-0.0` imaginary factor; the product's imaginary
+        // part is `+0.0` only through the plus state's `0.0 · fre` term, so
+        // folding the literal zero away would flip its sign.
+        for n in [5usize, 15] {
+            for batch in [1usize, 3] {
+                let dim = 1usize << n;
+                let values = [0.0, 0.7, -2.9, 3.2];
+                let index: Vec<u32> = (0..dim).map(|z| ((z * 7) % 4) as u32).collect();
+                let scales = [-0.45, 1.0, 2.5];
+                let (mut fre, mut fim) = (Vec::new(), Vec::new());
+                for &v in &values {
+                    for &scale in &scales[..batch] {
+                        let f = Complex64::from_polar(1.0, scale * v);
+                        fre.push(f.re);
+                        fim.push(f.im);
+                    }
+                }
+                let mut two = BatchStateVector::zero_states(n, batch).unwrap();
+                two.reset_plus();
+                two.apply_phase_lut(&index, &fre, &fim);
+                let mut fused = BatchStateVector::zero_states(n, batch).unwrap();
+                fused.reset_plus_then_phase_lut(&index, &fre, &fim);
+                for (a, b) in fused
+                    .re
+                    .iter()
+                    .zip(&two.re)
+                    .chain(fused.im.iter().zip(&two.im))
+                {
+                    assert_eq!(a.to_bits(), b.to_bits(), "n={n} batch={batch}");
                 }
             }
         }

@@ -39,7 +39,7 @@
 //! assert!((scratch.norm_squared() - 1.0).abs() < 1e-12);
 //! ```
 
-use crate::batch::BatchStateVector;
+use crate::batch::{BatchExecScratch, BatchStateVector};
 use crate::error::SimulatorError;
 use crate::state::StateVector;
 use num_complex::Complex64;
@@ -209,11 +209,13 @@ enum CompiledOp {
         slot: usize,
         multiplier: f64,
     },
-    /// Fixed 4×4 matrix on `(q1, q0)`.
+    /// Fixed 4×4 matrix on `(q1, q0)`. Boxed: inline, its 256 bytes would
+    /// set the size of every op, and a search keeps one program per
+    /// (candidate, graph) alive for a whole depth.
     TwoQ {
         q1: usize,
         q0: usize,
-        m: [Complex64; 16],
+        m: Box<[Complex64; 16]>,
     },
     /// Parameterized non-diagonal two-qubit rotation (`RXX` / `RYY`).
     TwoQRot {
@@ -366,6 +368,7 @@ impl CompiledProgram {
         builder.flush_pending();
         let mut ops = builder.ops;
         Self::recognize_plus_prefix(&mut ops, num_qubits);
+        ops.shrink_to_fit();
 
         Ok(CompiledProgram {
             num_qubits: builder.num_qubits,
@@ -566,15 +569,43 @@ impl CompiledProgram {
                 state: state.num_qubits(),
             });
         }
-        let mut ops = self.ops.as_slice();
-        if matches!(ops.first(), Some(CompiledOp::InitPlus)) {
-            state.reset_plus();
-            ops = &ops[1..];
-        } else {
-            state.reset_zero();
-        }
         // Per-element slot values, shared by every op below.
         let slots_of = |b: usize| &params[b * np..(b + 1) * np];
+        // Stage the factor planes of one phase pass into `scr`.
+        let stage_phase = |lut: &PhaseLut, slot: Option<usize>, scr: &mut BatchExecScratch| {
+            scr.factors_re.clear();
+            scr.factors_im.clear();
+            stage_phase_factors(
+                &lut.values,
+                batch,
+                |b| phase_scale(slot, slots_of(b)),
+                |f| {
+                    scr.factors_re.push(f.re);
+                    scr.factors_im.push(f.im);
+                },
+            );
+        };
+
+        let mut scr = state.take_exec_scratch();
+        let ops = match self.ops.as_slice() {
+            // A program that opens with |+⟩ and a phase pass (every QAOA
+            // ansatz) writes both in one pass instead of a fill and a
+            // read-modify-write.
+            [CompiledOp::InitPlus, CompiledOp::Phase { table, slot }, rest @ ..] => {
+                let lut = &self.luts[*table];
+                stage_phase(lut, *slot, &mut scr);
+                state.reset_plus_then_phase_lut(&lut.index, &scr.factors_re, &scr.factors_im);
+                rest
+            }
+            [CompiledOp::InitPlus, rest @ ..] => {
+                state.reset_plus();
+                rest
+            }
+            ops => {
+                state.reset_zero();
+                ops
+            }
+        };
 
         // Stage the per-element 2×2 matrices of one single-qubit op.
         let stage_one_q = |op: &CompiledOp, out: &mut Vec<[Complex64; 4]>| match op {
@@ -629,7 +660,6 @@ impl CompiledProgram {
             _ => None,
         };
 
-        let mut scr = state.take_exec_scratch();
         let block_amps = crate::batch::run_block_amps(batch);
         let mut i = 0;
         while i < ops.len() {
@@ -679,7 +709,7 @@ impl CompiledProgram {
                 }
                 CompiledOp::TwoQ { q1, q0, m } => {
                     scr.mat2.clear();
-                    scr.mat2.resize(batch, *m);
+                    scr.mat2.resize(batch, **m);
                     state.apply_two_qubit_batch(&scr.mat2, *q1, *q0);
                 }
                 CompiledOp::TwoQRot {
@@ -701,17 +731,7 @@ impl CompiledProgram {
                 }
                 CompiledOp::Phase { table, slot } => {
                     let lut = &self.luts[*table];
-                    scr.factors_re.clear();
-                    scr.factors_im.clear();
-                    stage_phase_factors(
-                        &lut.values,
-                        batch,
-                        |b| phase_scale(*slot, slots_of(b)),
-                        |f| {
-                            scr.factors_re.push(f.re);
-                            scr.factors_im.push(f.im);
-                        },
-                    );
+                    stage_phase(lut, *slot, &mut scr);
                     state.apply_phase_lut(&lut.index, &scr.factors_re, &scr.factors_im);
                 }
             }
@@ -826,7 +846,7 @@ impl ProgramBuilder<'_> {
                     GateMatrix::Two(m) => self.ops.push(CompiledOp::TwoQ {
                         q1: inst.qubits[0],
                         q0: inst.qubits[1],
-                        m,
+                        m: Box::new(m),
                     }),
                     GateMatrix::One(_) => unreachable!("two-qubit gate"),
                 }
@@ -878,6 +898,7 @@ impl ProgramBuilder<'_> {
                 self.ops.push(CompiledOp::OneQ { target, m });
                 continue;
             }
+            factors.shrink_to_fit();
             self.ops.push(CompiledOp::OneQChain { target, factors });
         }
     }
@@ -1107,6 +1128,19 @@ mod tests {
             program.execute_into(&[], &mut wrong),
             Err(SimulatorError::WidthMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn compiled_ops_stay_small() {
+        // A 2×2 matrix and its target, the largest inline payload.
+        assert!(std::mem::size_of::<CompiledOp>() <= 80);
+        let program = CompiledProgram::compile(&batch_test_circuit(6)).unwrap();
+        assert_eq!(program.ops.capacity(), program.ops.len());
+        for op in &program.ops {
+            if let CompiledOp::OneQChain { factors, .. } = op {
+                assert_eq!(factors.capacity(), factors.len());
+            }
+        }
     }
 
     #[test]

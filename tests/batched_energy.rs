@@ -7,7 +7,8 @@
 //!
 //! 1. `CompiledEnergy::energy_batch_in` ≡ one `energy_flat_in` per point,
 //!    as exact `f64` bit patterns, for batch sizes 1, 2, 7 and 64, for every
-//!    shipped problem family;
+//!    shipped problem family, and at 15 qubits under one- and two-thread
+//!    pools;
 //! 2. a training session, which hands each optimizer point set to
 //!    `energy_batch_in`, ≡ the optimizer driven directly by `resume_until` on
 //!    the scalar `energy_flat_in`, for all five bundled optimizers, with
@@ -15,7 +16,9 @@
 //!    per-optimizer pins on both backends;
 //! 3. the full search pipeline stays thread-count-deterministic — the pinned
 //!    byte-exact searches in `tests/problems.rs` complete this claim against
-//!    pre-batching captures.
+//!    pre-batching captures;
+//! 4. as a guard rather than a pin: every mixer a search can propose trains
+//!    on the compiled path, so the pins above cover what the search runs.
 
 use qarchsearch_suite::prelude::*;
 use std::sync::Mutex;
@@ -57,6 +60,41 @@ fn energy_batch_in_matches_energy_flat_in_bitwise_for_every_problem() {
                     "{} B={batch}: batched {e} vs sequential {scalar} at {p:?}",
                     problem.name()
                 );
+            }
+        }
+    }
+
+    // At 15 qubits the kernels take their wide arms (at and past the
+    // 14-qubit parallel threshold), and the B = 1 mixer run splits: its
+    // cache block holds 16 384 amplitudes, so target 14 is applied outside
+    // it. The reduction's partials depend on the pool size, so both
+    // paths run in the same pool.
+    let graph = Graph::erdos_renyi(15, 0.5, 43);
+    let eval = EnergyEvaluator::new(&graph, Backend::StateVector);
+    for threads in [1, 2] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        for depth in [1, 2] {
+            let compiled = eval
+                .compile(&QaoaAnsatz::new(&graph, depth, Mixer::qnas()))
+                .unwrap();
+            let mut scratch = BatchScratch::new();
+            let mut state = StateVector::zero_state(15).unwrap();
+            for batch in [1, 2] {
+                let pts = points(batch, 2 * depth);
+                pool.install(|| {
+                    let batched = compiled.energy_batch_in(&pts, &mut scratch).unwrap();
+                    for (p, &e) in pts.iter().zip(&batched) {
+                        let scalar = compiled.energy_flat_in(p, &mut state).unwrap();
+                        assert_eq!(
+                            e.to_bits(),
+                            scalar.to_bits(),
+                            "n=15 p={depth} B={batch} threads={threads}: {e} vs {scalar}"
+                        );
+                    }
+                });
             }
         }
     }
@@ -257,6 +295,34 @@ fn batched_pipeline_search_is_thread_count_deterministic() {
                 "{} at depth {}",
                 ca.mixer_label,
                 da.depth
+            );
+        }
+    }
+}
+
+/// Every mixer a search can propose trains on the compiled state-vector
+/// path: a silent fallback to binding the template per call costs about
+/// 50× and would move no energy pin.
+#[test]
+fn every_alphabet_mixer_trains_on_the_compiled_path() {
+    let gates = Gate::single_qubit_gates();
+    let names: Vec<&str> = gates.iter().map(|g| g.mnemonic()).collect();
+    let alphabet = GateAlphabet::from_mnemonics(&names).unwrap();
+    assert_eq!(alphabet.len(), gates.len());
+    for two_qubit in ["cx", "rzz", "rxx"] {
+        assert!(GateAlphabet::from_mnemonics(&[two_qubit]).is_err());
+    }
+
+    let graph = Graph::connected_erdos_renyi(10, 0.5, 7, 50);
+    let eval = EnergyEvaluator::new(&graph, Backend::StateVector);
+    let optimizer = OptimizerKind::Cobyla.build_resumable();
+    for mixer in alphabet.all_combinations_up_to(2) {
+        for depth in [1, 2] {
+            let ansatz = QaoaAnsatz::new(&graph, depth, Mixer::new(mixer.clone()).unwrap());
+            let session = eval.begin_training(&ansatz, &*optimizer, None, 10).unwrap();
+            assert!(
+                session.uses_compiled_scratch(),
+                "mixer {mixer:?} at p={depth} fell back to binding per call"
             );
         }
     }
