@@ -21,9 +21,10 @@
 //!
 //! This is the executor of every compiled energy evaluation, `B = 1`
 //! included: an optimizer that asks for one point at a time (COBYLA) runs
-//! here too. At `B = 1` the planes are plain amplitude arrays, and the
-//! single-qubit span, phase and expectation kernels take plain-slice bodies
-//! that vectorize across amplitudes instead of across the batch. A program
+//! here too. At `B = 1` the planes are plain amplitude arrays: the phase
+//! and expectation kernels take plain-slice bodies that vectorize across
+//! amplitudes instead of across the batch, and the single-qubit span kernel
+//! runs its compile-time `B = 1` instance. A program
 //! that opens with `|+⟩^{⊗n}` and a phase pass writes both in one pass
 //! ([`BatchStateVector::reset_plus_then_phase_lut`]). The scalar
 //! [`StateVector`] interpreter stays as the reference.
@@ -112,42 +113,13 @@ fn apply_one_q_span(re: &mut [f64], im: &mut [f64], c: &[f64], batch: usize, tar
     // vectorize (the arithmetic itself is unchanged, so results are
     // bit-identical whichever body runs).
     match batch {
-        1 => apply_one_q_span_1(re, im, c, target_stride),
+        1 => apply_one_q_span_b::<1>(re, im, c, target_stride),
         2 => apply_one_q_span_b::<2>(re, im, c, target_stride),
         4 => apply_one_q_span_b::<4>(re, im, c, target_stride),
         8 => apply_one_q_span_b::<8>(re, im, c, target_stride),
         16 => apply_one_q_span_b::<16>(re, im, c, target_stride),
         32 => apply_one_q_span_b::<32>(re, im, c, target_stride),
         _ => apply_one_q_span_dyn(re, im, c, batch, target_stride),
-    }
-}
-
-/// The `B = 1` body: each plane is a plain amplitude array, so the pair
-/// loop zips four contiguous half-blocks and vectorizes across amplitudes.
-#[inline]
-fn apply_one_q_span_1(re: &mut [f64], im: &mut [f64], c: &[f64], target_stride: usize) {
-    let [c0, c1, c2, c3, c4, c5, c6, c7]: [f64; 8] = c[..8]
-        .try_into()
-        .expect("a 2×2 matrix stages eight coefficients");
-    let row_block = 2 * target_stride;
-    for (re_pairs, im_pairs) in re
-        .chunks_exact_mut(row_block)
-        .zip(im.chunks_exact_mut(row_block))
-    {
-        let (lo_re, hi_re) = re_pairs.split_at_mut(target_stride);
-        let (lo_im, hi_im) = im_pairs.split_at_mut(target_stride);
-        for (((xr, xi), yr), yi) in lo_re
-            .iter_mut()
-            .zip(lo_im.iter_mut())
-            .zip(hi_re.iter_mut())
-            .zip(hi_im.iter_mut())
-        {
-            let (xre, xim, yre, yim) = (*xr, *xi, *yr, *yi);
-            *xr = (c0 * xre - c1 * xim) + (c2 * yre - c3 * yim);
-            *xi = (c0 * xim + c1 * xre) + (c2 * yim + c3 * yre);
-            *yr = (c4 * xre - c5 * xim) + (c6 * yre - c7 * yim);
-            *yi = (c4 * xim + c5 * xre) + (c6 * yim + c7 * yre);
-        }
     }
 }
 
