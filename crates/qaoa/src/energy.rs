@@ -6,6 +6,7 @@
 //! the paper) and report the resulting energy and approximation ratio
 //! (Eq. 3, formed per the problem's [`graphs::RatioConvention`]).
 
+use crate::angles::Angles;
 use crate::ansatz::QaoaAnsatz;
 use crate::backend::Backend;
 use crate::error::QaoaError;
@@ -23,9 +24,9 @@ pub struct TrainedCircuit {
     /// Best (maximal) cost expectation found.
     pub energy: f64,
     /// Optimal γ angles, one per layer.
-    pub gammas: Vec<f64>,
+    pub gammas: Angles,
     /// Optimal β angles, one per layer.
-    pub betas: Vec<f64>,
+    pub betas: Angles,
     /// Number of objective evaluations used.
     pub evaluations: usize,
     /// Approximation ratio per the problem's convention (for Max-Cut:
@@ -643,8 +644,8 @@ impl EnergyEvaluator {
         let (gammas, betas) = flat.split_at(p);
         TrainedCircuit {
             energy,
-            gammas: gammas.to_vec(),
-            betas: betas.to_vec(),
+            gammas: gammas.into(),
+            betas: betas.into(),
             evaluations,
             approx_ratio: self.approx_ratio(energy),
             classical_optimum: self.inner.classical.best,

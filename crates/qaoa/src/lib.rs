@@ -35,12 +35,14 @@
 //! ```
 
 pub mod analytic;
+pub mod angles;
 pub mod ansatz;
 pub mod backend;
 pub mod energy;
 pub mod error;
 pub mod mixer;
 
+pub use angles::Angles;
 pub use backend::Backend;
 pub use energy::{BatchScratch, EnergyEvaluator, ProgressHook, TrainingProgress, TrainingSession};
 pub use error::QaoaError;
