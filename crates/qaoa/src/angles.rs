@@ -3,8 +3,8 @@
 //!
 //! A search keeps one [`TrainedCircuit`](crate::energy::TrainedCircuit) per
 //! candidate and graph in its outcome, and nearly all of them sit at
-//! p ≤ 2. As two `Vec<f64>`s, each circuit's angles took two heap blocks
-//! of a few bytes apiece, which is most of the allocations in a search
+//! p ≤ 2. In two `Vec<f64>`s, each circuit's angles would take two heap
+//! blocks of a few bytes apiece, most of the allocations in a search
 //! outcome. Inline, they take none, at the size of a `Vec`.
 
 use serde::{Deserialize, Error, Serialize, Value};
@@ -59,12 +59,6 @@ impl Deref for Angles {
     type Target = [f64];
 
     fn deref(&self) -> &[f64] {
-        self.as_slice()
-    }
-}
-
-impl AsRef<[f64]> for Angles {
-    fn as_ref(&self) -> &[f64] {
         self.as_slice()
     }
 }
