@@ -2,7 +2,6 @@
 
 use crate::error::GraphError;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// An undirected weighted edge `(u, v, w)` with `u < v`.
@@ -234,23 +233,6 @@ impl Graph {
         let max_edges = self.num_nodes * (self.num_nodes - 1) / 2;
         self.num_edges() as f64 / max_edges as f64
     }
-
-    /// The subgraph induced by `nodes`, with nodes relabelled to `0..k` in the
-    /// order given. Returns the relabelling as well.
-    pub fn induced_subgraph(&self, nodes: &[usize]) -> (Graph, Vec<usize>) {
-        let keep: BTreeSet<usize> = nodes.iter().copied().collect();
-        let ordered: Vec<usize> = nodes.to_vec();
-        let index_of = |v: usize| ordered.iter().position(|&x| x == v);
-        let mut g = Graph::empty(ordered.len());
-        for e in &self.edges {
-            if keep.contains(&e.u) && keep.contains(&e.v) {
-                let iu = index_of(e.u).expect("node in keep set");
-                let iv = index_of(e.v).expect("node in keep set");
-                g.add_edge(iu, iv, e.weight).expect("valid subgraph edge");
-            }
-        }
-        (g, ordered)
-    }
 }
 
 impl fmt::Display for Graph {
@@ -323,17 +305,6 @@ mod tests {
         assert!(g.has_edge(0, 2));
         assert!(g.has_edge(2, 0));
         assert!(!g.has_edge(0, 1));
-    }
-
-    #[test]
-    fn induced_subgraph_relabels() {
-        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]).unwrap();
-        let (sub, order) = g.induced_subgraph(&[1, 2, 3]);
-        assert_eq!(order, vec![1, 2, 3]);
-        assert_eq!(sub.num_nodes(), 3);
-        assert_eq!(sub.num_edges(), 2);
-        assert!(sub.has_edge(0, 1)); // (1,2) in original
-        assert!(sub.has_edge(1, 2)); // (2,3) in original
     }
 
     #[test]

@@ -31,7 +31,6 @@ pub mod error;
 pub mod generators;
 pub mod graph;
 pub mod maxcut;
-pub mod metrics;
 pub mod problem;
 
 pub use error::{GraphError, ParseKindError};

@@ -188,20 +188,6 @@ impl MaxCut {
         }
         (best_value, best_spins)
     }
-
-    /// The classical reference value `C_classical` used in the approximation
-    /// ratio: exact when feasible, otherwise the best of greedy and randomized
-    /// local search.
-    pub fn classical_reference(graph: &Graph) -> f64 {
-        match Self::brute_force(graph) {
-            Ok(r) => r.value,
-            Err(_) => {
-                let (g, _) = Self::greedy(graph);
-                let (l, _) = Self::randomized_local_search(graph, 20, 0xC1A55);
-                g.max(l)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -316,12 +302,5 @@ mod tests {
                 "seed {seed}: {found} vs exact {exact}"
             );
         }
-    }
-
-    #[test]
-    fn classical_reference_matches_exact_when_feasible() {
-        let g = Graph::erdos_renyi(10, 0.5, 3);
-        let exact = MaxCut::brute_force(&g).unwrap().value;
-        assert!((MaxCut::classical_reference(&g) - exact).abs() < 1e-12);
     }
 }

@@ -91,13 +91,6 @@ impl Mixer {
         self.gates.iter().filter(|g| g.is_parameterized()).count()
     }
 
-    /// Whether the mixer can move population between computational basis
-    /// states (i.e. contains at least one non-diagonal gate). A purely
-    /// diagonal "mixer" cannot change the Max-Cut energy of `|+⟩^⊗n`.
-    pub fn is_mixing(&self) -> bool {
-        self.gates.iter().any(|g| !g.is_diagonal())
-    }
-
     /// Append this mixer's gates for every qubit to `circuit`, using the free
     /// parameter `beta_name` with the paper's `2β` convention.
     pub fn append_layer(&self, circuit: &mut Circuit, beta_name: &str) {
@@ -140,7 +133,6 @@ mod tests {
         let m = Mixer::baseline();
         assert_eq!(m.gates(), &[Gate::RX]);
         assert_eq!(m.label(), "('rx')");
-        assert!(m.is_mixing());
     }
 
     #[test]
@@ -172,14 +164,6 @@ mod tests {
     #[test]
     fn two_qubit_gates_are_rejected() {
         assert!(Mixer::new(vec![Gate::CX]).is_err());
-    }
-
-    #[test]
-    fn diagonal_only_mixer_is_not_mixing() {
-        let m = Mixer::new(vec![Gate::RZ, Gate::P]).unwrap();
-        assert!(!m.is_mixing());
-        let m2 = Mixer::new(vec![Gate::RZ, Gate::RX]).unwrap();
-        assert!(m2.is_mixing());
     }
 
     #[test]

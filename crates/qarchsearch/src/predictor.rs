@@ -7,8 +7,6 @@
 //!
 //! * [`RandomPredictor`] — uniform random gate sequences (the paper's
 //!   released algorithm),
-//! * [`ExhaustivePredictor`] — enumerate the full space (what the profiling
-//!   experiments of §3.1 actually time),
 //! * [`EpsilonGreedyPredictor`] — a per-slot bandit that exploits observed
 //!   rewards,
 //! * [`PolicyGradientPredictor`] — a softmax policy over gates per slot
@@ -82,61 +80,6 @@ impl Predictor for RandomPredictor {
 
     fn name(&self) -> &'static str {
         "random"
-    }
-}
-
-// --------------------------------------------------------------------------
-
-/// Exhaustive enumeration of every sequence of a given length, in
-/// lexicographic order, cycling back to the start when exhausted.
-#[derive(Debug, Clone)]
-pub struct ExhaustivePredictor {
-    alphabet: GateAlphabet,
-    cursor: usize,
-    current_k: usize,
-}
-
-impl ExhaustivePredictor {
-    /// An exhaustive predictor over `alphabet`.
-    pub fn new(alphabet: GateAlphabet) -> ExhaustivePredictor {
-        ExhaustivePredictor {
-            alphabet,
-            cursor: 0,
-            current_k: 0,
-        }
-    }
-
-    /// Total number of sequences of length `k`.
-    pub fn space_size(&self, k: usize) -> usize {
-        self.alphabet.combination_count(k)
-    }
-}
-
-impl Predictor for ExhaustivePredictor {
-    fn propose(&mut self, k: usize) -> Vec<Gate> {
-        let k = k.max(1);
-        if k != self.current_k {
-            self.current_k = k;
-            self.cursor = 0;
-        }
-        let total = self.space_size(k);
-        let mut idx = self.cursor % total;
-        self.cursor = (self.cursor + 1) % total;
-        // Decode idx in base |A_R|.
-        let base = self.alphabet.len();
-        let mut gates = vec![Gate::I; k];
-        for slot in (0..k).rev() {
-            let digit = idx % base;
-            idx /= base;
-            gates[slot] = self.alphabet.gate_at(digit).expect("digit in range").gate();
-        }
-        gates
-    }
-
-    fn feedback(&mut self, _gates: &[Gate], _reward: f64) {}
-
-    fn name(&self) -> &'static str {
-        "exhaustive"
     }
 }
 
@@ -451,35 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn exhaustive_predictor_enumerates_whole_space() {
-        let small = GateAlphabet::from_mnemonics(&["rx", "ry"]).unwrap();
-        let mut p = ExhaustivePredictor::new(small.clone());
-        let total = p.space_size(2);
-        assert_eq!(total, 4);
-        let mut seen = std::collections::BTreeSet::new();
-        for _ in 0..total {
-            let seq = p.propose(2);
-            seen.insert(format!("{seq:?}"));
-        }
-        assert_eq!(seen.len(), 4);
-        // Cycles back afterwards.
-        let again = p.propose(2);
-        assert!(seen.contains(&format!("{again:?}")));
-    }
-
-    #[test]
-    fn exhaustive_predictor_resets_on_length_change() {
-        let mut p = ExhaustivePredictor::new(alphabet());
-        let first_k1 = p.propose(1);
-        let _ = p.propose(1);
-        let first_k2 = p.propose(2);
-        assert_eq!(first_k2.len(), 2);
-        // Switching back restarts the k=1 enumeration.
-        let restart = p.propose(1);
-        assert_eq!(first_k1, restart);
-    }
-
-    #[test]
     fn epsilon_greedy_learns_best_gate() {
         // Reward RX highly and everything else poorly: the greedy sequence
         // must converge to RX in every slot.
@@ -582,7 +496,6 @@ mod tests {
     fn predictor_names_are_distinct() {
         let names = [
             RandomPredictor::new(alphabet(), 0).name(),
-            ExhaustivePredictor::new(alphabet()).name(),
             EpsilonGreedyPredictor::new(alphabet(), 0.1, 0).name(),
             PolicyGradientPredictor::new(alphabet(), 0.1, 0).name(),
         ];

@@ -2,7 +2,7 @@
 
 use crate::alphabet::GateAlphabet;
 use crate::encoding::CircuitEncoding;
-use crate::predictor::{ExhaustivePredictor, Predictor, RandomPredictor};
+use crate::predictor::{Predictor, RandomPredictor};
 use crate::search::{ExecutionMode, SearchConfig, SearchOutcome, SearchStrategy};
 use crate::session::SearchDriver;
 use proptest::prelude::*;
@@ -56,19 +56,6 @@ proptest! {
         for g in seq {
             prop_assert!(alphabet.position(g).is_some());
         }
-    }
-
-    #[test]
-    fn exhaustive_predictor_covers_space_without_repeats(k in 1usize..3, size in 2usize..4) {
-        let mnemonics = ["rx", "ry", "rz", "h"];
-        let alphabet = GateAlphabet::from_mnemonics(&mnemonics[..size]).unwrap();
-        let mut p = ExhaustivePredictor::new(alphabet);
-        let total = p.space_size(k);
-        let mut seen = std::collections::BTreeSet::new();
-        for _ in 0..total {
-            seen.insert(format!("{:?}", p.propose(k)));
-        }
-        prop_assert_eq!(seen.len(), total);
     }
 
     #[test]

@@ -60,17 +60,6 @@ impl QBuilder {
     pub fn build_qaoa(&self, graph: &Graph, mixer: Mixer, depth: usize) -> QaoaAnsatz {
         QaoaAnsatz::new(graph, depth, mixer)
     }
-
-    /// Convenience: encoding → full ansatz in one call.
-    pub fn build_qaoa_from_encoding(
-        &self,
-        graph: &Graph,
-        encoding: &CircuitEncoding,
-        depth: usize,
-    ) -> Result<QaoaAnsatz, SearchError> {
-        let mixer = self.build_mixer_from_encoding(encoding)?;
-        Ok(self.build_qaoa(graph, mixer, depth))
-    }
 }
 
 #[cfg(test)]
@@ -88,18 +77,6 @@ mod tests {
     fn build_mixer_rejects_empty_sequence() {
         let b = QBuilder::paper_default();
         assert!(b.build_mixer(&[]).is_err());
-    }
-
-    #[test]
-    fn encoding_to_ansatz_has_expected_shape() {
-        let b = QBuilder::paper_default();
-        let graph = Graph::cycle(5);
-        let enc = CircuitEncoding::encode(b.alphabet(), &[Gate::RX, Gate::RY]).unwrap();
-        let ansatz = b.build_qaoa_from_encoding(&graph, &enc, 2).unwrap();
-        assert_eq!(ansatz.depth(), 2);
-        assert_eq!(ansatz.num_qubits(), 5);
-        // H layer (5) + per layer: 5 RZZ + 10 mixer gates = 15 -> total 35.
-        assert_eq!(ansatz.template().len(), 5 + 2 * 15);
     }
 
     #[test]

@@ -220,14 +220,6 @@ impl Circuit {
         self.instructions.len()
     }
 
-    /// Number of two-qubit gates (a common hardware-cost proxy).
-    pub fn two_qubit_gate_count(&self) -> usize {
-        self.instructions
-            .iter()
-            .filter(|i| i.gate.arity() == 2)
-            .count()
-    }
-
     /// Circuit depth: the length of the longest chain of instructions that
     /// touch a common qubit, computed greedily layer by layer.
     pub fn depth(&self) -> usize {
@@ -323,15 +315,6 @@ impl Circuit {
             });
         }
         Ok(out)
-    }
-
-    /// Widen the circuit to `new_width` qubits (no-op when already wide
-    /// enough); instructions are unchanged.
-    pub fn widen(&mut self, new_width: usize) -> &mut Self {
-        if new_width > self.num_qubits {
-            self.num_qubits = new_width;
-        }
-        self
     }
 }
 
@@ -480,16 +463,6 @@ mod tests {
         c.rzz(0, 1, 0.5).rzz(1, 2, 0.5);
         c.rx(0, 0.2);
         assert_eq!(c.gate_count(), 6);
-        assert_eq!(c.two_qubit_gate_count(), 2);
         assert_eq!(c.parameterized_gate_count(), 3);
-    }
-
-    #[test]
-    fn widen_only_grows() {
-        let mut c = Circuit::new(2);
-        c.widen(5);
-        assert_eq!(c.num_qubits(), 5);
-        c.widen(3);
-        assert_eq!(c.num_qubits(), 5);
     }
 }

@@ -41,9 +41,7 @@ pub mod draw;
 pub mod error;
 pub mod gate;
 pub mod matrix;
-pub mod optimize;
 pub mod parameter;
-pub mod qasm;
 
 pub use circuit::{Circuit, Instruction};
 pub use draw::draw_ascii;

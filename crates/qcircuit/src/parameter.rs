@@ -40,11 +40,6 @@ impl Parameter {
         }
     }
 
-    /// Whether this is a free (unbound) parameter.
-    pub fn is_free(&self) -> bool {
-        matches!(self, Parameter::Free { .. })
-    }
-
     /// Whether this is `Parameter::None`.
     pub fn is_none(&self) -> bool {
         matches!(self, Parameter::None)
@@ -67,18 +62,6 @@ impl Parameter {
             Parameter::None => None,
             Parameter::Bound(v) => Some(*v),
             Parameter::Free { name, multiplier } => lookup(name).map(|v| v * multiplier),
-        }
-    }
-
-    /// Bind with an explicit value for the named parameter, leaving bound and
-    /// none parameters untouched.
-    pub fn bind_value(&self, name: &str, value: f64) -> Parameter {
-        match self {
-            Parameter::Free {
-                name: n,
-                multiplier,
-            } if n == name => Parameter::Bound(multiplier * value),
-            other => other.clone(),
         }
     }
 
@@ -122,13 +105,11 @@ mod tests {
         let p = Parameter::bound(1.25);
         assert_eq!(p.resolve(&|_| None), Some(1.25));
         assert_eq!(p.value(), Some(1.25));
-        assert!(!p.is_free());
     }
 
     #[test]
     fn free_resolves_with_multiplier() {
         let p = Parameter::free("beta", 2.0);
-        assert!(p.is_free());
         assert_eq!(p.name(), Some("beta"));
         let resolved = p.resolve(&|n| if n == "beta" { Some(0.5) } else { None });
         assert_eq!(resolved, Some(1.0));
@@ -138,15 +119,6 @@ mod tests {
     fn free_without_assignment_is_unresolved() {
         let p = Parameter::free("gamma", 1.0);
         assert_eq!(p.resolve(&|_| None), None);
-    }
-
-    #[test]
-    fn bind_value_only_affects_matching_name() {
-        let p = Parameter::free("beta", 2.0);
-        assert_eq!(p.bind_value("gamma", 3.0), p);
-        assert_eq!(p.bind_value("beta", 0.25), Parameter::Bound(0.5));
-        let b = Parameter::bound(0.1);
-        assert_eq!(b.bind_value("beta", 9.0), b);
     }
 
     #[test]

@@ -143,23 +143,6 @@ pub fn zz_expectation(state: &StateVector, u: usize, v: usize) -> f64 {
         .sum()
 }
 
-/// Expectation of a single `Z_u` operator.
-pub fn z_expectation(state: &StateVector, u: usize) -> f64 {
-    let bu = 1usize << u;
-    state
-        .amplitudes()
-        .iter()
-        .enumerate()
-        .map(|(z, a)| {
-            if z & bu != 0 {
-                -a.norm_sqr()
-            } else {
-                a.norm_sqr()
-            }
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,14 +184,6 @@ mod tests {
         c.x(0);
         let s = StateVector::from_circuit(&c).unwrap();
         assert!((zz_expectation(&s, 0, 1) + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn z_expectation_on_plus_is_zero() {
-        let mut c = Circuit::new(1);
-        c.h(0);
-        let s = StateVector::from_circuit(&c).unwrap();
-        assert!(z_expectation(&s, 0).abs() < 1e-12);
     }
 
     #[test]

@@ -35,7 +35,6 @@ pub mod batch;
 pub mod compile;
 pub mod error;
 pub mod expectation;
-pub mod sampling;
 pub mod state;
 
 pub use batch::BatchStateVector;

@@ -465,17 +465,6 @@ impl StateVector {
             Ok(partial(0..self.amplitudes.len()))
         }
     }
-
-    /// Probability of measuring qubit `q` in state `|1⟩`.
-    pub fn probability_of_one(&self, q: usize) -> f64 {
-        let bit = 1usize << q;
-        self.amplitudes
-            .iter()
-            .enumerate()
-            .filter(|(idx, _)| idx & bit != 0)
-            .map(|(_, a)| a.norm_sqr())
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -621,15 +610,6 @@ mod tests {
             s.expectation_diagonal(&[1.0, 2.0]),
             Err(SimulatorError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn probability_of_one_tracks_x() {
-        let mut c = Circuit::new(3);
-        c.x(2);
-        let s = StateVector::from_circuit(&c).unwrap();
-        assert!(s.probability_of_one(2) > 0.999);
-        assert!(s.probability_of_one(0) < 1e-12);
     }
 
     #[test]

@@ -73,27 +73,3 @@ fn energies_respect_maxcut_bounds_on_both_backends() {
         }
     }
 }
-
-#[test]
-fn statevector_sampling_agrees_with_exact_expectation() {
-    use qarchsearch_suite::statevec::expectation::{
-        maxcut_expectation, maxcut_value_of_basis_state,
-    };
-    use qarchsearch_suite::statevec::sampling::{estimate_expectation_from_counts, sample_counts};
-
-    let graph = Graph::cycle(8);
-    let edges: Vec<(usize, usize, f64)> =
-        graph.edges().iter().map(|e| (e.u, e.v, e.weight)).collect();
-    let ansatz = QaoaAnsatz::new(&graph, 1, Mixer::baseline());
-    let circuit = ansatz.bind(&[0.6], &[0.4]).unwrap();
-    let state = StateVector::from_circuit(&circuit).unwrap();
-
-    let exact = maxcut_expectation(&state, &edges);
-    let counts = sample_counts(&state, 50_000, 17);
-    let estimate =
-        estimate_expectation_from_counts(&counts, &|z| maxcut_value_of_basis_state(&edges, z));
-    assert!(
-        (exact - estimate).abs() < 0.1,
-        "exact {exact} vs sampled {estimate}"
-    );
-}
