@@ -13,7 +13,7 @@
 //!   below autovectorizes across the batch lane (interleaved `Complex64`
 //!   forces shuffle-heavy codegen that pins throughput at scalar FP rates).
 //!
-//! On top of the layout, [`BatchStateVector::apply_single_qubit_run_batch`]
+//! On top of the layout, `BatchStateVector::apply_single_qubit_run_batch`
 //! executes a whole *run* of single-qubit gates (e.g. one QAOA mixer layer)
 //! in a single cache-blocked sweep: the buffer is walked once in L2-sized
 //! blocks and every low-stride gate of the run is applied while a block is
@@ -26,7 +26,7 @@
 //! amplitudes instead of across the batch, and the single-qubit span kernel
 //! runs its compile-time `B = 1` instance. A program
 //! that opens with `|+⟩^{⊗n}` and a phase pass writes both in one pass
-//! ([`BatchStateVector::reset_plus_then_phase_lut`]). The scalar
+//! (`BatchStateVector::reset_plus_then_phase_lut`). The scalar
 //! [`StateVector`] interpreter stays as the reference.
 //!
 //! **Bit-identity contract.** Every kernel performs, per batch element, the
