@@ -698,21 +698,36 @@ fn serve_lines(
     }
 }
 
+/// The longest request line the TCP front door buffers, in bytes. The
+/// largest legitimate line is a `submit_spec` that carries a checkpoint.
+const MAX_LINE_BYTES: usize = 64 << 20;
+
 /// Read one `\n`-terminated line off a timeout-armed socket. `read_line`
 /// would discard partially-read bytes on a timeout error, so buffering is
 /// hand-rolled: timeouts only re-check the shutdown flag and resume.
-/// Returns `None` on EOF or shutdown.
+/// Returns `None` on EOF or shutdown, and an `InvalidData` error once more
+/// than [`MAX_LINE_BYTES`] arrive without a newline.
 fn read_json_line(
     stream: &mut TcpStream,
     pending: &mut Vec<u8>,
     shutdown: &AtomicBool,
 ) -> std::io::Result<Option<String>> {
     let mut buf = [0u8; 4096];
+    // `pending[..scanned]` is known to hold no newline, so each byte is
+    // searched once however many reads the line takes.
+    let mut scanned = 0;
     loop {
-        if let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = pending.drain(..=pos).collect();
+        if let Some(pos) = pending[scanned..].iter().position(|&b| b == b'\n') {
+            let line: Vec<u8> = pending.drain(..=scanned + pos).collect();
             return Ok(Some(
                 String::from_utf8_lossy(&line[..line.len() - 1]).into_owned(),
+            ));
+        }
+        scanned = pending.len();
+        if scanned > MAX_LINE_BYTES {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("request line exceeds {MAX_LINE_BYTES} bytes without a newline"),
             ));
         }
         if shutdown.load(Ordering::SeqCst) {
@@ -748,21 +763,29 @@ fn serve_tcp_connection(
         .set_read_timeout(Some(Duration::from_millis(200)))
         .map_err(|e| e.to_string())?;
     let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
+    let mut respond = |response: &Value| -> Result<(), String> {
+        let rendered = serde_json::to_string(response).map_err(|e| e.to_string())?;
+        writeln!(writer, "{rendered}").map_err(|e| e.to_string())?;
+        writer.flush().map_err(|e| e.to_string())
+    };
     let mut pending = Vec::new();
     loop {
-        let Some(line) =
-            read_json_line(&mut stream, &mut pending, shutdown).map_err(|e| e.to_string())?
-        else {
-            return Ok(());
+        let line = match read_json_line(&mut stream, &mut pending, shutdown) {
+            Ok(Some(line)) => line,
+            Ok(None) => return Ok(()),
+            // An over-long line gets one error answer, then the connection
+            // closes: nothing after it can be framed.
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                return respond(&json!({ "ok": false, "error": (e.to_string()) }));
+            }
+            Err(e) => return Err(e.to_string()),
         };
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;
         }
         let (response, stop) = handler(trimmed);
-        let rendered = serde_json::to_string(&response).map_err(|e| e.to_string())?;
-        writeln!(writer, "{rendered}").map_err(|e| e.to_string())?;
-        writer.flush().map_err(|e| e.to_string())?;
+        respond(&response)?;
         if stop {
             shutdown.store(true, Ordering::SeqCst);
             wake_accept_loop(local);

@@ -10,7 +10,9 @@
 //! * a full cluster queue backpressures inside the bounded wait and
 //!   rejects with a retry-after hint past it — never a bare `QueueFull`,
 //! * the token-bucket rate limit rejects with a computed retry hint,
-//! * `qas serve --port` serves multiple TCP connections concurrently.
+//! * `qas serve --port` serves multiple TCP connections concurrently, and
+//!   answers a request line that never ends with one error, then closes
+//!   only that connection.
 //!
 //! Shards are real `qas serve --port` subprocesses (debug build, so
 //! `--fault-plan` drain delays are armed); the coordinator runs
@@ -516,6 +518,57 @@ fn tcp_serve_handles_concurrent_connections() {
     // the accept loop and B's idle connection thread.
     let bye = request(&mut reader_b, &mut writer_b, json!({ "cmd": "shutdown" }));
     assert_eq!(bye.get("shutdown").and_then(Value::as_bool), Some(true));
+    shard.await_exit();
+}
+
+/// `MAX_LINE_BYTES` of `src/bin/qas.rs`: the longest request line the TCP
+/// front door buffers.
+const MAX_LINE_BYTES: usize = 64 << 20;
+
+#[test]
+fn tcp_serve_closes_a_connection_whose_line_outgrows_the_limit() {
+    let mut shard = ShardProc::spawn("tcp-overlong", &["--workers", "1"]);
+    let connect = || {
+        let stream = TcpStream::connect(&shard.addr).unwrap();
+        let timeout = Some(Duration::from_secs(30));
+        stream.set_read_timeout(timeout).unwrap();
+        stream.set_write_timeout(timeout).unwrap();
+        (BufReader::new(stream.try_clone().unwrap()), stream)
+    };
+
+    // One byte past the limit, and no newline.
+    let (mut reader, mut writer) = connect();
+    let chunk = vec![b'x'; 1 << 20];
+    for _ in 0..MAX_LINE_BYTES / chunk.len() {
+        writer.write_all(&chunk).unwrap();
+    }
+    writer.write_all(b"x").unwrap();
+    writer.flush().unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let reply: Value = serde_json::from_str(line.trim()).unwrap();
+    assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(false));
+    assert!(
+        reply.get("error").and_then(Value::as_str).is_some(),
+        "the refusal must carry an error: {reply:?}"
+    );
+    line.clear();
+    assert_eq!(
+        reader.read_line(&mut line).unwrap(),
+        0,
+        "the connection must close after the refusal, got {line:?}"
+    );
+
+    // The server itself keeps serving.
+    let (mut reader, mut writer) = connect();
+    writer.write_all(b"{\"cmd\":\"stats\"}\n").unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    let stats: Value = serde_json::from_str(line.trim()).unwrap();
+    assert_eq!(stats.get("ok").and_then(Value::as_bool), Some(true));
+    writer.write_all(b"{\"cmd\":\"shutdown\"}\n").unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
     shard.await_exit();
 }
 
