@@ -141,3 +141,69 @@ proptest! {
         }
     }
 }
+
+/// Every f64 the search writes to a cache key, journal or checkpoint must
+/// come back from JSON with the same bits. Integral values at or above
+/// 1e15 print without a decimal point and re-parse as `U64`/`I64`, so they
+/// are pinned alongside seeded random bit patterns and the edges of the
+/// format.
+#[test]
+fn f64_json_round_trips_are_bit_exact() {
+    use rand::{RngCore, SeedableRng};
+
+    let two53 = 9_007_199_254_740_992.0_f64;
+    let two64 = 18_446_744_073_709_551_616.0_f64;
+    let mut inputs = vec![
+        0.0,
+        f64::from_bits(1),
+        f64::from_bits(0x000F_FFFF_FFFF_FFFF),
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::EPSILON,
+        0.1,
+        1.0 / 3.0,
+        std::f64::consts::PI,
+        two53 - 1.0,
+        two53,
+        two53 + 2.0,
+        999_999_999_999_999.0,
+        1e15,
+        1e15 + 1.0,
+        123_456_789_012_345_680.0,
+        2f64.powi(63),
+        two64 - 2048.0,
+        two64,
+        two64 + 4096.0,
+        1e20,
+        1e300,
+    ];
+    inputs.extend(inputs.clone().into_iter().map(|x| -x));
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x6A50_F64B);
+    let specials = inputs.len();
+    while inputs.len() < specials + 100_000 {
+        let x = f64::from_bits(rng.next_u64());
+        if x.is_finite() {
+            inputs.push(x);
+        }
+    }
+
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for &x in &inputs {
+        let text = serde_json::to_string(&x).unwrap();
+        let back: f64 = serde_json::from_str(&text).unwrap();
+        assert_eq!(back.to_bits(), x.to_bits(), "{x:e} printed as {text}");
+    }
+    for chunk in inputs.chunks(64) {
+        let text = serde_json::to_string(&chunk.to_vec()).unwrap();
+        let back: Vec<f64> = serde_json::from_str(&text).unwrap();
+        assert_eq!(bits(&back), bits(chunk), "{text}");
+    }
+    // Lengths 1 and 2 sit inline, 3 on the heap.
+    for len in 1..=3 {
+        for chunk in inputs.chunks(len) {
+            let text = serde_json::to_string(&qaoa::Angles::from(chunk)).unwrap();
+            let back: qaoa::Angles = serde_json::from_str(&text).unwrap();
+            assert_eq!(bits(&back), bits(chunk), "{text}");
+        }
+    }
+}
