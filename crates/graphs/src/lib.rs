@@ -16,9 +16,9 @@
 //! * [`generators`] — Erdős–Rényi `G(n, p)`, random `d`-regular
 //!   (configuration-model with rejection), cycle/complete/star helpers,
 //! * [`maxcut`] — cut values, exact Max-Cut by enumeration (suitable for the
-//!   n = 10 instances of the paper), and greedy + local-search heuristics used
-//!   as the classical reference `C_classical` in the approximation ratio
-//!   r = ⟨C⟩ / C_classical (Eq. 3),
+//!   n = 10 instances of the paper), and greedy + local-search heuristics:
+//!   the Max-Cut oracle that [`problem`]'s generic solvers are checked
+//!   against bitwise,
 //! * [`problem`] — the pluggable diagonal-cost-Hamiltonian layer: [`Problem`]
 //!   generalizes Max-Cut to arbitrary diagonal objectives (weighted Max-Cut,
 //!   Max Independent Set, Sherrington–Kirkpatrick, number partitioning, …)
