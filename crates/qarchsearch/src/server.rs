@@ -97,7 +97,7 @@ use graphs::Graph;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -450,6 +450,9 @@ struct Registry {
     /// still holds the old id — every worker-side registry access
     /// resolves through this map ([`resolve_exec`]).
     exec_alias: HashMap<u64, u64>,
+    /// Bumped with every `done_cv` notification (`notify_done`): the
+    /// cursor [`JobServer::wait_any`] waits past.
+    completions: u64,
 }
 
 /// Follow promotion aliases to the job record currently owning the
@@ -646,6 +649,7 @@ impl JobServer {
             shutdown: false,
             inflight: HashMap::new(),
             exec_alias: HashMap::new(),
+            completions: 0,
         };
         let mut checkpoint_every = 1;
         let mut recovery = None;
@@ -787,8 +791,7 @@ impl JobServer {
                 &result,
                 Some(finished),
             );
-            drop(registry);
-            self.inner.done_cv.notify_all();
+            notify_done(&self.inner, registry);
             return Ok(JobId(id));
         }
         // Tier 2: request coalescing. An identical spec already queued or
@@ -919,8 +922,7 @@ impl JobServer {
             &result,
             event,
         );
-        drop(registry);
-        self.inner.done_cv.notify_all();
+        notify_done(&self.inner, registry);
         true
     }
 
@@ -992,6 +994,27 @@ impl JobServer {
         }
     }
 
+    /// Block until one of `ids` has ended, the completion count has passed
+    /// `since`, or shutdown has begun. Returns the count and every listed
+    /// job that has ended (its [`JobServer::result`] is set), in `ids`
+    /// order; unknown ids are ignored. A caller that lists its jobs and
+    /// passes the count it was last given also hears of the jobs it could
+    /// not list yet: their ending moves the count.
+    pub fn wait_any(&self, ids: &[JobId], since: u64) -> (u64, Vec<JobId>) {
+        let mut registry = self.lock_registry();
+        loop {
+            let done: Vec<JobId> = ids
+                .iter()
+                .copied()
+                .filter(|id| registry.jobs.get(&id.0).is_some_and(|r| r.result.is_some()))
+                .collect();
+            if !done.is_empty() || registry.completions > since || registry.shutdown {
+                return (registry.completions, done);
+            }
+            registry = wait_recover(&self.inner.done_cv, registry);
+        }
+    }
+
     /// Drop a **terminal** job's record (event log, outcome). Returns
     /// `false` for unknown jobs and refuses queued/running ones (cancel
     /// first). Lets protocol clients reclaim history eagerly instead of
@@ -1044,8 +1067,7 @@ impl JobServer {
                 record.result.get_or_insert(Err(SearchError::Cancelled));
             }
         }
-        drop(registry);
-        self.inner.done_cv.notify_all();
+        notify_done(&self.inner, registry);
     }
 
     /// Begin [`JobServer::shutdown`] without joining anything: stop
@@ -1072,9 +1094,8 @@ impl JobServer {
                 canceller.cancel();
             }
         }
-        drop(registry);
+        notify_done(&self.inner, registry);
         self.inner.work_cv.notify_all();
-        self.inner.done_cv.notify_all();
     }
 
     /// Append the clean-shutdown marker and compact the journal down to
@@ -1151,7 +1172,7 @@ impl JobServer {
         stats
     }
 
-    fn lock_registry(&self) -> std::sync::MutexGuard<'_, Registry> {
+    fn lock_registry(&self) -> MutexGuard<'_, Registry> {
         lock_recover(&self.inner.registry)
     }
 }
@@ -1401,8 +1422,16 @@ fn worker_loop(inner: Arc<ServerInner>) {
             let message = fault::panic_message(payload.as_ref());
             fail_job_after_panic(&inner, id, message);
         }
-        inner.done_cv.notify_all();
+        notify_done(&inner, lock_recover(&inner.registry));
     }
+}
+
+/// Count a possible job ending under the registry lock, then wake every
+/// `done_cv` waiter.
+fn notify_done(inner: &ServerInner, mut registry: MutexGuard<'_, Registry>) {
+    registry.completions += 1;
+    drop(registry);
+    inner.done_cv.notify_all();
 }
 
 /// Record a job whose worker-side execution panicked (the session handle
@@ -1897,6 +1926,66 @@ mod tests {
         ] {
             assert!(!state.is_terminal(), "{state}");
         }
+    }
+
+    #[test]
+    fn wait_any_returns_a_listed_job_that_has_ended_at_once() {
+        let server = JobServer::start(JobServerConfig::default());
+        let id = server.submit(tiny_spec(1)).unwrap();
+        let waited = server.wait(id).unwrap().unwrap();
+        // Far past the count: only the listed job can end the call.
+        let (_, done) = server.wait_any(&[JobId(99), id], u64::MAX);
+        assert_eq!(done, vec![id]);
+        let outcome = server.result(id).unwrap().unwrap().unwrap();
+        let rendered = |outcome: &SearchOutcome| serde_json::to_string(outcome).unwrap();
+        assert_eq!(rendered(&outcome), rendered(&waited));
+        server.shutdown();
+    }
+
+    #[test]
+    fn wait_any_returns_when_an_unlisted_job_moves_the_count() {
+        let server = JobServer::start(JobServerConfig::default());
+        let since = 0;
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| server.wait_any(&[], since));
+            let id = server.submit(tiny_spec(2)).unwrap();
+            server.wait(id).unwrap().unwrap();
+            let (count, done) = waiter.join().unwrap();
+            assert!(count > since);
+            assert!(done.is_empty());
+        });
+        server.shutdown();
+    }
+
+    #[test]
+    fn wait_any_is_released_by_begin_shutdown() {
+        let server = JobServer::start(JobServerConfig::default());
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| server.wait_any(&[], 0));
+            std::thread::sleep(Duration::from_millis(50));
+            assert!(!waiter.is_finished());
+            server.begin_shutdown();
+            let (_, done) = waiter.join().unwrap();
+            assert!(done.is_empty());
+        });
+        server.shutdown();
+    }
+
+    #[test]
+    fn wait_any_ignores_unknown_ids_without_returning_early() {
+        let server = JobServer::start(JobServerConfig::default());
+        let since = 0;
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| server.wait_any(&[JobId(98), JobId(99)], since));
+            std::thread::sleep(Duration::from_millis(100));
+            assert!(!waiter.is_finished(), "returned for unknown ids alone");
+            let id = server.submit(tiny_spec(3)).unwrap();
+            server.wait(id).unwrap().unwrap();
+            let (count, done) = waiter.join().unwrap();
+            assert!(count > since);
+            assert!(done.is_empty());
+        });
+        server.shutdown();
     }
 
     #[test]
