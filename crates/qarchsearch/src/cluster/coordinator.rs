@@ -19,23 +19,26 @@
 //!   none was reached). Determinism makes both bit-identical to an
 //!   undisturbed run.
 //!
-//! The coordinator learns completions instead of polling for them: every
-//! placement starts a **completion watcher**, a thread that blocks in the
-//! shard's own `wait` on a pooled connection and delivers the stamped
-//! envelope into the registry, waking [`Coordinator::wait`] through a
-//! condvar. A Completed, Failed or TimedOut envelope is held (rendered) so
-//! `result` answers without a shard round trip. A shard's Cancelled ends a
-//! job only when the coordinator proxied its `cancel`: otherwise the shard
-//! is shutting down and suspended the job, which stays in flight so that
-//! a restart in place or a migration finishes it.
+//! The coordinator learns completions instead of polling for them: each
+//! shard has one **completion watcher**, a thread that blocks in the
+//! shard's `wait_any` on its jobs still owed an envelope (and until its
+//! completion count moves, so a job placed meanwhile is listed next round)
+//! and delivers each stamped envelope into the registry, waking
+//! [`Coordinator::wait`] through a condvar. A Completed, Failed or
+//! TimedOut envelope is held (rendered) so `result` answers without a
+//! shard round trip. A shard's Cancelled ends a job only when the
+//! coordinator proxied its `cancel`: otherwise the shard is shutting down
+//! and suspended the job, which stays in flight so that a restart in place
+//! or a migration finishes it.
 //!
 //! Lock discipline: the job registry mutex is never held across network
-//! I/O. Each shard has three kinds of connection, so no request waits
-//! behind another kind's round trip: one for proxied client requests, one
-//! for the heartbeat, and a pool of watcher connections. Shard liveness
-//! metadata lives in its own short-hold mutex so routing never blocks
-//! behind a timing-out connect. Order: a shard's watcher-socket list, then
-//! the registry, then liveness metadata.
+//! I/O. Each shard has three connections, so no request waits behind
+//! another's round trip: one for proxied client requests, one for the
+//! heartbeat, and the watcher's; threads and connections grow with the
+//! shards, not the jobs. Shard liveness metadata lives in its own
+//! short-hold mutex so routing never blocks behind a timing-out connect.
+//! Order: a shard's proxy connection or watcher socket, then the
+//! registry, then liveness metadata.
 
 use crate::cache::{rendezvous_route, spec_cache_key};
 use crate::cluster::admission::{AdmissionControl, AdmissionStats};
@@ -54,7 +57,7 @@ use serde_json::{json, Value};
 use std::collections::BTreeMap;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -71,11 +74,11 @@ pub struct ClusterConfig {
     /// TCP connect timeout per shard attempt.
     pub connect_timeout_ms: u64,
     /// Read/write timeout of one shard request (a completion watcher's
-    /// blocking `wait` has no read timeout).
+    /// blocking `wait_any` has no read timeout).
     pub request_timeout_ms: u64,
     /// Heartbeat period: every shard is pinged (`stats`) this often. A
-    /// completion watcher whose shard closed its connection reconnects
-    /// once per period while the shard is alive.
+    /// completion watcher whose connection failed reconnects once per
+    /// period while its shard is alive.
     pub heartbeat_ms: u64,
     /// Consecutive failed contacts before a shard is declared dead and
     /// its jobs are migrated.
@@ -185,11 +188,9 @@ struct ShardSlot {
     proxy: Mutex<ShardClient>,
     /// The heartbeat's `stats` and `jobs` requests.
     probe: Mutex<ShardClient>,
-    /// Completion-watcher connections between jobs (reads never time out).
-    idle: Mutex<Vec<ShardClient>>,
-    /// Sockets of the watchers blocked in `wait` right now, keyed by
-    /// (job, placement), so a death verdict or shutdown can unblock them.
-    watching: Mutex<Vec<((u64, u32), TcpStream)>>,
+    /// A second handle to the completion watcher's connection, so a death
+    /// verdict or shutdown can unblock its `wait_any`.
+    watcher: Mutex<Option<TcpStream>>,
     meta: Mutex<ShardMeta>,
 }
 
@@ -209,7 +210,7 @@ struct ClusterJob {
     /// observed terminal transition).
     released: bool,
     /// Also the placement epoch: a completion watcher delivers only while
-    /// this still equals the count it started under.
+    /// this still equals the count it listed the job under.
     migrations: u32,
     /// Coordinator-side events ([`SearchEvent::Migrated`]) prepended to
     /// the owning shard's stream.
@@ -223,11 +224,18 @@ struct ClusterJob {
     /// The coordinator proxied a `cancel` to the current placement: only
     /// then is the shard's Cancelled the job's own end.
     cancel_requested: bool,
-    /// A completion watcher for the current placement is running.
-    watched: bool,
 }
 
 impl ClusterJob {
+    /// Whether its shard's completion watcher still owes the job an
+    /// envelope: it is not settled here, none is held yet, and it has not
+    /// ended without one to hold (a Cancelled job's `result` is proxied).
+    fn awaits_envelope(&self) -> bool {
+        self.local.is_none()
+            && self.held.is_none()
+            && (holds(&self.state) || !self.state.is_terminal())
+    }
+
     /// Whether the shard's `state` is a suspension rather than an end: a
     /// shard shutting down reports the jobs it suspends as Cancelled, and
     /// they resume on its restart or migrate after its death verdict.
@@ -282,34 +290,20 @@ fn holds(state: &JobState) -> bool {
     state.is_terminal() && *state != JobState::Cancelled
 }
 
-/// One placement of a job: what a completion watcher watches.
-#[derive(Clone, Copy)]
-struct Placement {
-    id: u64,
-    shard: usize,
-    shard_job: u64,
-    /// The job's migration count when it was placed.
-    epoch: u32,
-}
-
 struct ClusterRegistry {
     jobs: BTreeMap<u64, ClusterJob>,
     next_id: u64,
 }
 
 struct CoordinatorInner {
-    /// Handed to completion-watcher threads.
-    this: Weak<CoordinatorInner>,
     config: ClusterConfig,
     shards: Vec<ShardSlot>,
     registry: Mutex<ClusterRegistry>,
     /// Paired with `registry`: notified whenever a waiter's job may have
-    /// settled — a watcher delivered or ended, a result settled here, a
-    /// job was forgotten, a shard was declared dead, or the coordinator
-    /// stopped.
+    /// settled — a watcher delivered, a state was observed, a result
+    /// settled here, a job was forgotten, a shard was declared dead, or the
+    /// coordinator stopped.
     settled: Condvar,
-    /// Completion-watcher threads not yet joined.
-    watchers: Mutex<Vec<JoinHandle<()>>>,
     admission: AdmissionControl,
     shutdown: AtomicBool,
     started: Instant,
@@ -321,7 +315,19 @@ struct CoordinatorInner {
 /// The cluster front door; see the [module docs](crate::cluster).
 pub struct Coordinator {
     inner: Arc<CoordinatorInner>,
-    heartbeat: Option<JoinHandle<()>>,
+    /// The heartbeat and one completion watcher per shard.
+    threads: Vec<JoinHandle<()>>,
+}
+
+/// A submission a shard accepted. Its proxy connection stays locked until
+/// the job is registered, and a completion watcher takes that lock before
+/// it lists: it never misses a job that ended before it was registered.
+struct Placed<'a> {
+    shard: usize,
+    shard_job: u64,
+    state: JobState,
+    response: Value,
+    _proxy: MutexGuard<'a, ShardClient>,
 }
 
 /// What one placement attempt concluded.
@@ -336,8 +342,9 @@ enum PlaceError {
 }
 
 impl Coordinator {
-    /// Connect to the shard fleet and start the heartbeat. Fails when no
-    /// shard is reachable (a cluster with zero live shards cannot serve).
+    /// Connect to the shard fleet and start the heartbeat and the
+    /// completion watchers. Fails when no shard is reachable (a cluster
+    /// with zero live shards cannot serve).
     pub fn start(config: ClusterConfig) -> Result<Coordinator, SearchError> {
         if config.shards.is_empty() {
             return Err(SearchError::InvalidConfig {
@@ -352,8 +359,7 @@ impl Coordinator {
             .map(|endpoint| ShardSlot {
                 proxy: Mutex::new(ShardClient::new(endpoint.addr.clone(), connect, io)),
                 probe: Mutex::new(ShardClient::new(endpoint.addr.clone(), connect, io)),
-                idle: Mutex::new(Vec::new()),
-                watching: Mutex::new(Vec::new()),
+                watcher: Mutex::new(None),
                 meta: Mutex::new(ShardMeta {
                     alive: false,
                     misses: 0,
@@ -368,8 +374,7 @@ impl Coordinator {
             .faults
             .clone()
             .map(|injector| FaultContext::new(injector, None));
-        let inner = Arc::new_cyclic(|this| CoordinatorInner {
-            this: this.clone(),
+        let inner = Arc::new(CoordinatorInner {
             admission: AdmissionControl::new(config.admission.clone()),
             config,
             shards,
@@ -378,7 +383,6 @@ impl Coordinator {
                 next_id: 1,
             }),
             settled: Condvar::new(),
-            watchers: Mutex::new(Vec::new()),
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
             migrations: AtomicU64::new(0),
@@ -406,10 +410,16 @@ impl Coordinator {
                 .spawn(move || heartbeat_loop(inner))
                 .expect("spawn coordinator heartbeat")
         };
-        Ok(Coordinator {
-            inner,
-            heartbeat: Some(heartbeat),
-        })
+        let mut threads = vec![heartbeat];
+        for idx in 0..inner.shards.len() {
+            let inner = Arc::clone(&inner);
+            let watcher = std::thread::Builder::new()
+                .name("qas-coordinator-watch".to_string())
+                .spawn(move || inner.watch_shard(idx))
+                .expect("spawn completion watcher");
+            threads.push(watcher);
+        }
+        Ok(Coordinator { inner, threads })
     }
 
     /// Submit a job for `tenant` (`None` = anonymous, quota-exempt).
@@ -429,7 +439,7 @@ impl Coordinator {
         spec.config.validate()?;
         self.inner.admission.admit(tenant.as_deref())?;
         match self.inner.place(&spec) {
-            Ok((shard, response)) => self.inner.register(tenant, spec, shard, response),
+            Ok(placed) => Ok(self.inner.register(tenant, spec, placed)),
             Err(error) => {
                 // The job never entered the cluster: hand the tenant's
                 // quota slot back before surfacing the error.
@@ -464,10 +474,10 @@ impl Coordinator {
     }
 
     /// Block until the job reaches a terminal state and return the same
-    /// envelope [`Coordinator::result`] would. The job's completion
+    /// envelope [`Coordinator::result`] would. Its shard's completion
     /// watcher wakes the wait, which follows the job across migrations;
-    /// it errs only when no shard is left alive and the coordinator has
-    /// not settled the job itself.
+    /// it errs when no shard is left alive and the coordinator has not
+    /// settled the job itself, or once shutdown has begun.
     pub fn wait(&self, id: JobId) -> Result<Value, SearchError> {
         self.inner.wait(id.0)
     }
@@ -513,6 +523,18 @@ impl Coordinator {
         Some(self.inner.config.shards[job.shard].addr.clone())
     }
 
+    /// Begin [`Coordinator::shutdown`] without joining anything: every
+    /// blocked [`Coordinator::wait`] errs at once and the completion
+    /// watchers' connections close, so a front door that calls this first
+    /// is not held up by a connection blocked in `wait`.
+    pub fn begin_shutdown(&self) {
+        self.inner.shutdown.store(true, Ordering::SeqCst);
+        for idx in 0..self.inner.shards.len() {
+            self.inner.close_watcher(idx);
+        }
+        self.inner.wake_waiters();
+    }
+
     /// Stop the heartbeat and the completion watchers, and disconnect.
     /// With `shutdown_shards` the coordinator also sends each live shard a
     /// best-effort `shutdown`.
@@ -526,15 +548,8 @@ impl Coordinator {
     }
 
     fn stop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.heartbeat.take() {
-            let _ = handle.join();
-        }
-        for idx in 0..self.inner.shards.len() {
-            self.inner.unblock_watchers(idx);
-        }
-        self.inner.wake_waiters();
-        for handle in std::mem::take(&mut *lock_recover(&self.inner.watchers)) {
+        self.begin_shutdown();
+        for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
     }
@@ -588,13 +603,13 @@ impl CoordinatorInner {
 
     /// One proxied request to shard `idx`.
     fn shard_request(&self, idx: usize, request: &Value) -> Result<Value, SearchError> {
-        self.contact(idx, &self.shards[idx].proxy, request)
+        self.contact(idx, &mut lock_recover(&self.shards[idx].proxy), request)
     }
 
     /// One heartbeat request to shard `idx`, on the heartbeat's own
     /// connection.
     fn probe_request(&self, idx: usize, request: &Value) -> Result<Value, SearchError> {
-        self.contact(idx, &self.shards[idx].probe, request)
+        self.contact(idx, &mut lock_recover(&self.shards[idx].probe), request)
     }
 
     /// One request on `client`; bumps/clears shard `idx`'s miss counter.
@@ -603,10 +618,10 @@ impl CoordinatorInner {
     fn contact(
         &self,
         idx: usize,
-        client: &Mutex<ShardClient>,
+        client: &mut ShardClient,
         request: &Value,
     ) -> Result<Value, SearchError> {
-        let outcome = lock_recover(client).request(request);
+        let outcome = client.request(request);
         let mut meta = lock_recover(&self.shards[idx].meta);
         match &outcome {
             Ok(_) => meta.misses = 0,
@@ -617,7 +632,7 @@ impl CoordinatorInner {
 
     // -- placement ---------------------------------------------------------
 
-    fn place(&self, spec: &JobSpec) -> Result<(usize, Value), SearchError> {
+    fn place(&self, spec: &JobSpec) -> Result<Placed<'_>, SearchError> {
         let key = spec_cache_key(spec)?;
         let spec_value = serde_json::to_value(spec).map_err(|e| SearchError::Cluster {
             message: format!("serialize spec: {e}"),
@@ -650,7 +665,8 @@ impl CoordinatorInner {
         }
     }
 
-    fn try_place_once(&self, key: u64, request: &Value) -> Result<(usize, Value), PlaceError> {
+    /// One submission to the shard `key` routes to.
+    fn try_place_once(&self, key: u64, request: &Value) -> Result<Placed<'_>, PlaceError> {
         let alive = self.alive_shards();
         if alive.is_empty() {
             return Err(PlaceError::Unreachable(SearchError::Cluster {
@@ -659,47 +675,41 @@ impl CoordinatorInner {
         }
         let candidates: Vec<u64> = alive.iter().map(|&i| i as u64).collect();
         let target = rendezvous_route(key, &candidates).expect("candidates non-empty") as usize;
-        match self.shard_request(target, request) {
+        let mut proxy = lock_recover(&self.shards[target].proxy);
+        match self.contact(target, &mut proxy, request) {
+            Ok(response) if response.get("queue_full").and_then(Value::as_bool) == Some(true) => {
+                Err(PlaceError::QueueFull)
+            }
             Ok(response) => {
-                if response.get("ok").and_then(Value::as_bool) == Some(true) {
-                    Ok((target, response))
-                } else if response.get("queue_full").and_then(Value::as_bool) == Some(true) {
-                    Err(PlaceError::QueueFull)
-                } else {
-                    let message = response
-                        .get("error")
-                        .and_then(Value::as_str)
-                        .unwrap_or("malformed shard response");
-                    Err(PlaceError::Fatal(SearchError::Cluster {
-                        message: format!("shard {}: {message}", self.addr_of(target)),
-                    }))
-                }
+                let response = self.proxy_ok(target, response).map_err(PlaceError::Fatal)?;
+                let shard_job = response.get("job").and_then(Value::as_u64).ok_or_else(|| {
+                    PlaceError::Fatal(SearchError::Cluster {
+                        message: format!(
+                            "shard {} accepted a submission without a job id",
+                            self.addr_of(target)
+                        ),
+                    })
+                })?;
+                let state = response
+                    .get("state")
+                    .and_then(|v| serde_json::from_value(v).ok())
+                    .unwrap_or(JobState::Queued);
+                Ok(Placed {
+                    shard: target,
+                    shard_job,
+                    state,
+                    response,
+                    _proxy: proxy,
+                })
             }
             Err(e) => Err(PlaceError::Unreachable(e)),
         }
     }
 
-    fn register(
-        &self,
-        tenant: Option<String>,
-        spec: JobSpec,
-        shard: usize,
-        response: Value,
-    ) -> Result<Submission, SearchError> {
-        let shard_job =
-            response
-                .get("job")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| SearchError::Cluster {
-                    message: format!(
-                        "shard {} accepted a submission without a job id",
-                        self.addr_of(shard)
-                    ),
-                })?;
-        let state: JobState = response
-            .get("state")
-            .and_then(|v| serde_json::from_value(v).ok())
-            .unwrap_or(JobState::Queued);
+    /// Register an accepted submission; its proxy connection unlocks on
+    /// return.
+    fn register(&self, tenant: Option<String>, spec: JobSpec, placed: Placed<'_>) -> Submission {
+        let response = &placed.response;
         let cache_hit = response
             .get("cache_hit")
             .and_then(Value::as_bool)
@@ -709,7 +719,7 @@ impl CoordinatorInner {
             .and_then(Value::as_bool)
             .unwrap_or(false);
         let key_hash = spec_cache_key(&spec).map(|k| k.hash).unwrap_or_default();
-        let terminal = state.is_terminal();
+        let terminal = placed.state.is_terminal();
         let id = {
             let mut registry = lock_recover(&self.registry);
             let id = registry.next_id;
@@ -720,18 +730,17 @@ impl CoordinatorInner {
                     tenant: tenant.clone(),
                     name: spec.name.clone(),
                     priority: spec.priority,
-                    spec: (!holds(&state)).then_some(spec),
+                    spec: (!holds(&placed.state)).then_some(spec),
                     key_hash,
-                    shard,
-                    shard_job,
-                    state: state.clone(),
+                    shard: placed.shard,
+                    shard_job: placed.shard_job,
+                    state: placed.state.clone(),
                     released: terminal,
                     migrations: 0,
                     overlay: Vec::new(),
                     local: None,
                     held: None,
                     cancel_requested: false,
-                    watched: false,
                 },
             );
             id
@@ -741,14 +750,13 @@ impl CoordinatorInner {
             // returned immediately.
             self.admission.release(tenant.as_deref());
         }
-        self.watch(id);
-        Ok(Submission {
+        Submission {
             id: JobId(id),
-            shard: self.addr_of(shard).to_string(),
-            state,
+            shard: self.addr_of(placed.shard).to_string(),
+            state: placed.state,
             cache_hit,
             coalesced,
-        })
+        }
     }
 
     // -- proxying ----------------------------------------------------------
@@ -782,15 +790,17 @@ impl CoordinatorInner {
             .unwrap_or_default()
     }
 
-    /// Fold an observed state into the registry; releases the tenant
-    /// quota slot on the first terminal observation. Returns whether the
-    /// state was a suspension ([`ClusterJob::suspended`]).
+    /// Fold an observed state into the registry and wake the waiters;
+    /// releases the tenant quota slot on the first terminal observation.
+    /// Returns whether the state was a suspension
+    /// ([`ClusterJob::suspended`]).
     fn note_state(&self, id: u64, state: JobState) -> bool {
         let (suspended, release) = {
             let mut registry = lock_recover(&self.registry);
             let Some(job) = registry.jobs.get_mut(&id) else {
                 return false;
             };
+            self.settled.notify_all();
             (job.suspended(&state), job.observe(state))
         };
         self.admission.release(release.as_deref());
@@ -959,39 +969,29 @@ impl CoordinatorInner {
                     message: "coordinator is shutting down".to_string(),
                 });
             }
-            // Block while a watcher covers the job, or while its dead
-            // shard's migration is due to move or settle it.
-            let covered = if self.is_alive(job.shard) {
-                job.watched
-            } else {
-                !self.alive_shards().is_empty()
-            };
-            if covered {
+            // A live shard's watcher delivers the job's envelope, and a dead
+            // shard's jobs are moved or settled here while any shard lives.
+            let any_alive = !self.alive_shards().is_empty();
+            if job.awaits_envelope() && any_alive {
                 registry = wait_recover(&self.settled, registry);
                 continue;
             }
-            // No watcher covers the job (it ended without a held envelope,
-            // or the shard no longer knows the job), or no shard is left
-            // alive: ask the shard, as `result` does.
+            // The job ended without an envelope to hold, or no shard is
+            // left alive: ask the shard, as `result` does.
             drop(registry);
             match self.result(id) {
                 Ok(envelope) if envelope.get("done").and_then(Value::as_bool) == Some(true) => {
                     return Ok(envelope);
                 }
-                // Running again: the shard restarted and resumed it.
-                Ok(_) => self.watch(id),
                 Err(e @ SearchError::UnknownJob { .. }) => return Err(e),
-                Err(e) if self.alive_shards().is_empty() && !self.is_local(id) => return Err(e),
-                // Unreachable or shutting down, but not yet dead.
-                Err(_) => {}
+                Err(e) if !any_alive && !self.is_local(id) => return Err(e),
+                // Unreachable but not yet dead, or running again: look
+                // again after one heartbeat period.
+                _ => {}
             }
             registry = lock_recover(&self.registry);
-            if !registry.jobs.get(&id).is_some_and(|job| job.watched) {
-                // No watcher will wake this (a verdict or a migration
-                // may), so look again after one heartbeat period.
-                let period = Duration::from_millis(self.config.heartbeat_ms.max(10));
-                registry = wait_timeout_recover(&self.settled, registry, period).0;
-            }
+            let period = Duration::from_millis(self.config.heartbeat_ms.max(10));
+            registry = wait_timeout_recover(&self.settled, registry, period).0;
         }
     }
 
@@ -1000,158 +1000,109 @@ impl CoordinatorInner {
         self.settled.notify_all();
     }
 
+    /// Sleep one heartbeat period, or less if the coordinator stops.
+    fn pause(&self) {
+        let registry = lock_recover(&self.registry);
+        let running = |_: &mut ClusterRegistry| !self.shutdown.load(Ordering::SeqCst);
+        let period = Duration::from_millis(self.config.heartbeat_ms.max(10));
+        let _ = self.settled.wait_timeout_while(registry, period, running);
+    }
+
     // -- completion watchers -----------------------------------------------
 
-    /// Start a completion watcher for the job's current placement, unless
-    /// one runs already.
-    fn watch(&self, id: u64) {
-        let placement = {
-            let mut registry = lock_recover(&self.registry);
-            let Some(job) = registry.jobs.get_mut(&id) else {
-                return;
-            };
-            if job.watched || job.local.is_some() {
-                return;
-            }
-            job.watched = true;
-            Placement {
-                id,
-                shard: job.shard,
-                shard_job: job.shard_job,
-                epoch: job.migrations,
-            }
-        };
-        let Some(inner) = self.this.upgrade() else {
-            return;
-        };
-        let spawned = std::thread::Builder::new()
-            .name("qas-coordinator-watch".to_string())
-            .spawn(move || inner.watch_placement(placement));
-        let Ok(handle) = spawned else {
-            // No watcher: `wait` falls back to asking the shard.
-            self.end_watch(placement);
-            return;
-        };
-        // Join the watchers that have ended, so their threads are
-        // released as they go rather than at shutdown.
-        let finished: Vec<JoinHandle<()>> = {
-            let mut watchers = lock_recover(&self.watchers);
-            let finished = watchers.extract_if(.., |h| h.is_finished()).collect();
-            watchers.push(handle);
-            finished
-        };
-        for handle in finished {
-            let _ = handle.join();
-        }
-    }
-
-    /// A completion watcher: block in the shard's `wait` on a pooled
-    /// connection, deliver the envelope, and return the connection to the
-    /// pool. When the shard closes the connection (it died or restarted),
-    /// or answers that it suspended the job while shutting down, watch
-    /// again once per heartbeat period while the placement is current.
-    fn watch_placement(&self, placement: Placement) {
-        let slot = &self.shards[placement.shard];
-        let request = json!({ "cmd": "wait", "job": (placement.shard_job) });
-        let period = Duration::from_millis(self.config.heartbeat_ms.max(10));
-        while self.is_current(placement) {
-            let pooled = lock_recover(&slot.idle).pop();
-            let reused = pooled.is_some();
-            let mut client = pooled.unwrap_or_else(|| {
-                ShardClient::new(
-                    self.addr_of(placement.shard),
-                    Duration::from_millis(self.config.connect_timeout_ms.max(1)),
-                    Duration::from_millis(self.config.request_timeout_ms.max(1)),
-                )
-                .without_read_timeout()
-            });
-            match self.watched_request(placement, &mut client, &request) {
-                Ok(response) => {
-                    lock_recover(&slot.idle).push(client);
-                    // A refusal means the shard no longer knows the job;
-                    // the heartbeat's job listing migrates it.
-                    if response.get("ok").and_then(Value::as_bool) != Some(true)
-                        || self.deliver(placement, response)
-                    {
-                        break;
-                    }
-                    std::thread::sleep(period);
+    /// Shard `idx`'s completion watcher: list the shard's jobs still owed
+    /// an envelope, block in its `wait_any` on them, and deliver what it
+    /// reports. A job the shard reports suspended is left out until the
+    /// connection is re-established; a failed connection is re-established
+    /// once per heartbeat period while the shard is alive.
+    fn watch_shard(&self, idx: usize) {
+        let mut client = ShardClient::new(
+            self.addr_of(idx),
+            Duration::from_millis(self.config.connect_timeout_ms.max(1)),
+            Duration::from_millis(self.config.request_timeout_ms.max(1)),
+        )
+        .without_read_timeout();
+        let mut since = 0;
+        let mut suspended: Vec<(u64, u32)> = Vec::new();
+        while !self.shutdown.load(Ordering::SeqCst) {
+            if !client.is_connected() {
+                (since, suspended) = (0, Vec::new());
+                let socket = self.is_alive(idx).then(|| client.socket().ok()).flatten();
+                // Published under the lock `close_watcher` takes after a
+                // verdict: a connection is either closed by it or opened
+                // after it.
+                let mut watcher = lock_recover(&self.shards[idx].watcher);
+                if socket.is_none() || self.shutdown.load(Ordering::SeqCst) || !self.is_alive(idx) {
+                    drop(watcher);
+                    client.disconnect();
+                    self.pause();
+                    continue;
                 }
-                // A pooled connection may predate a shard restart.
-                Err(_) if reused => {}
-                Err(_) => std::thread::sleep(period),
+                *watcher = socket;
             }
-        }
-        self.end_watch(placement);
-    }
-
-    /// One request on a watcher connection, registered while it blocks so
-    /// that a death verdict or shutdown can unblock it.
-    fn watched_request(
-        &self,
-        placement: Placement,
-        client: &mut ShardClient,
-        request: &Value,
-    ) -> Result<Value, SearchError> {
-        let slot = &self.shards[placement.shard];
-        let key = (placement.id, placement.epoch);
-        let socket = client.socket()?;
-        {
-            // Checked under the lock `unblock_watchers` takes after a
-            // verdict: a connection is either unblocked or never blocks.
-            let mut watching = lock_recover(&slot.watching);
-            if !self.is_current(placement) {
-                return Err(SearchError::Cluster {
-                    message: "placement ended".to_string(),
-                });
-            }
-            watching.push((key, socket));
-        }
-        let outcome = client.request(request);
-        lock_recover(&slot.watching).retain(|(k, _)| *k != key);
-        outcome
-    }
-
-    /// Whether `placement` is still worth watching: the coordinator runs,
-    /// the shard is alive, and the job is still placed there.
-    fn is_current(&self, placement: Placement) -> bool {
-        !self.shutdown.load(Ordering::SeqCst)
-            && self.is_alive(placement.shard)
-            && lock_recover(&self.registry)
+            // A placement in progress here registers its job first (`Placed`).
+            drop(lock_recover(&self.shards[idx].proxy));
+            // (id, shard job, epoch) of each job the shard owes an envelope.
+            let listed: Vec<(u64, u64, u32)> = lock_recover(&self.registry)
                 .jobs
-                .get(&placement.id)
-                .is_some_and(|job| job.local.is_none() && job.migrations == placement.epoch)
+                .iter()
+                .filter(|(&id, job)| {
+                    job.shard == idx
+                        && job.awaits_envelope()
+                        && !suspended.contains(&(id, job.migrations))
+                })
+                .map(|(&id, job)| (id, job.shard_job, job.migrations))
+                .collect();
+            let jobs: Vec<u64> = listed.iter().map(|&(_, shard_job, _)| shard_job).collect();
+            let request = json!({ "cmd": "wait_any", "jobs": jobs, "since": (since) });
+            let Ok(response) = client.request(&request) else {
+                self.pause();
+                continue;
+            };
+            let next = response.get("since").and_then(Value::as_u64);
+            let done = response.get("done").and_then(Value::as_array);
+            for envelope in done.into_iter().flatten() {
+                let shard_job = envelope.get("job").and_then(Value::as_u64);
+                let Some(&(id, _, epoch)) = listed.iter().find(|p| Some(p.1) == shard_job) else {
+                    continue;
+                };
+                if !self.deliver(id, idx, epoch, envelope.clone()) {
+                    suspended.push((id, epoch));
+                }
+            }
+            if done.is_none_or(Vec::is_empty) && next.is_none_or(|next| next == since) {
+                // Nothing moved: the shard is shutting down (or refused).
+                self.pause();
+            }
+            since = next.unwrap_or(since);
+        }
     }
 
-    /// Take in a watcher's terminal envelope and wake the waiters. One the
-    /// coordinator [`holds`] is stored, stamped as `result` stamps it; any
-    /// other just ends the job here, and `wait` falls back to proxying
-    /// `result`. Nothing changes if the job was forgotten, migrated or
-    /// settled here in the meantime. Returns `false` only for a suspension
-    /// ([`ClusterJob::suspended`]), which the watcher keeps watching past.
-    fn deliver(&self, placement: Placement, mut envelope: Value) -> bool {
+    /// Take in a watcher's terminal envelope for placement `epoch` of job
+    /// `id` on `shard`, and wake the waiters. One the coordinator [`holds`]
+    /// is stored, stamped as `result` stamps it; any other just ends the
+    /// job here, and `wait` falls back to proxying `result`. Nothing
+    /// changes if the job was forgotten, migrated or settled here in the
+    /// meantime. Returns `false`, and the watcher stops listing the job,
+    /// for a suspension ([`ClusterJob::suspended`]) or a stateless reply.
+    fn deliver(&self, id: u64, shard: usize, epoch: u32, mut envelope: Value) -> bool {
         let Some(state) = envelope
             .get("state")
             .and_then(|v| serde_json::from_value::<JobState>(v).ok())
         else {
-            return true;
+            return false;
         };
         let line = holds(&state)
             .then(|| {
-                self.stamp(
-                    &mut envelope,
-                    placement.id,
-                    placement.shard,
-                    placement.epoch,
-                );
+                self.stamp(&mut envelope, id, shard, epoch);
                 serde_json::to_string(&envelope).ok()
             })
             .flatten();
         let mut registry = lock_recover(&self.registry);
-        let Some(job) = registry.jobs.get_mut(&placement.id) else {
+        let Some(job) = registry.jobs.get_mut(&id) else {
             return true;
         };
-        if job.local.is_some() || job.migrations != placement.epoch {
+        if job.local.is_some() || job.migrations != epoch {
             return true;
         }
         if job.suspended(&state) {
@@ -1164,22 +1115,10 @@ impl CoordinatorInner {
         true
     }
 
-    fn end_watch(&self, placement: Placement) {
-        let mut registry = lock_recover(&self.registry);
-        if let Some(job) = registry.jobs.get_mut(&placement.id) {
-            if job.migrations == placement.epoch {
-                job.watched = false;
-            }
-        }
-        self.settled.notify_all();
-    }
-
-    /// Shut down every watcher connection to shard `idx` (their blocked
-    /// `wait`s return at once) and drop its idle ones.
-    fn unblock_watchers(&self, idx: usize) {
-        let slot = &self.shards[idx];
-        lock_recover(&slot.idle).clear();
-        for (_, socket) in lock_recover(&slot.watching).iter() {
+    /// Shut down shard `idx`'s watcher connection: its blocked `wait_any`
+    /// returns at once.
+    fn close_watcher(&self, idx: usize) {
+        if let Some(socket) = lock_recover(&self.shards[idx].watcher).take() {
             let _ = socket.shutdown(Shutdown::Both);
         }
     }
@@ -1400,7 +1339,7 @@ impl CoordinatorInner {
                     }
                 };
                 if declare_dead {
-                    self.unblock_watchers(idx);
+                    self.close_watcher(idx);
                     self.wake_waiters();
                     self.migrate_dead_shard(idx);
                 }
@@ -1468,6 +1407,7 @@ impl CoordinatorInner {
                         }),
                     }
                 }
+                self.settled.notify_all();
                 drop(registry);
                 for tenant in releases {
                     self.admission.release(tenant.as_deref());
@@ -1594,30 +1534,14 @@ impl CoordinatorInner {
             Instant::now() + Duration::from_millis(self.admission.config().max_wait_ms.max(1));
         loop {
             match self.try_place_once(ticket.key_hash, &request) {
-                Ok((target, response)) => {
-                    let Some(shard_job) = response.get("job").and_then(Value::as_u64) else {
-                        self.settle_locally(
-                            ticket.id,
-                            Err(SearchError::Cluster {
-                                message: format!(
-                                    "shard {} accepted a migration without a job id",
-                                    self.addr_of(target)
-                                ),
-                            }),
-                        );
-                        return;
-                    };
-                    let state: JobState = response
-                        .get("state")
-                        .and_then(|v| serde_json::from_value(v).ok())
-                        .unwrap_or(JobState::Queued);
-                    let to_addr = self.addr_of(target).to_string();
+                Ok(placed) => {
+                    let to_addr = self.addr_of(placed.shard).to_string();
                     {
                         let mut registry = lock_recover(&self.registry);
                         if let Some(job) = registry.jobs.get_mut(&ticket.id) {
-                            job.shard = target;
-                            job.shard_job = shard_job;
-                            job.state = state;
+                            job.shard = placed.shard;
+                            job.shard_job = placed.shard_job;
+                            job.state = placed.state;
                             job.migrations += 1;
                             job.overlay.push(SearchEvent::Migrated {
                                 from: from_addr.to_string(),
@@ -1626,11 +1550,9 @@ impl CoordinatorInner {
                             });
                             job.held = None;
                             job.cancel_requested = false;
-                            job.watched = false;
                         }
                     }
                     self.migrations.fetch_add(1, Ordering::Relaxed);
-                    self.watch(ticket.id);
                     return;
                 }
                 Err(PlaceError::Fatal(e)) => {
@@ -1690,7 +1612,6 @@ impl CoordinatorInner {
 }
 
 fn heartbeat_loop(inner: Arc<CoordinatorInner>) {
-    let period = Duration::from_millis(inner.config.heartbeat_ms.max(10));
     while !inner.shutdown.load(Ordering::SeqCst) {
         for idx in 0..inner.shards.len() {
             if inner.shutdown.load(Ordering::SeqCst) {
@@ -1699,13 +1620,7 @@ fn heartbeat_loop(inner: Arc<CoordinatorInner>) {
             inner.heartbeat_shard(idx);
         }
         inner.refresh_tracked_jobs();
-        // Sleep in slices so shutdown stays responsive under long periods.
-        let mut remaining = period;
-        while remaining > Duration::ZERO && !inner.shutdown.load(Ordering::SeqCst) {
-            let slice = remaining.min(Duration::from_millis(50));
-            std::thread::sleep(slice);
-            remaining = remaining.saturating_sub(slice);
-        }
+        inner.pause();
     }
 }
 

@@ -7,8 +7,9 @@
 //! they would to a single shard, and it proxies
 //! `submit/status/events/cancel/forget/stats` down to the shard that owns
 //! each job, mapping coordinator-scoped job ids to shard-local ids. It
-//! learns each job's completion from a watcher blocked in that shard's
-//! own `wait`, which answers `wait` and, for finished jobs, `result`.
+//! learns each job's completion from its shard's one completion watcher,
+//! blocked in that shard's `wait_any` on every job still in flight there,
+//! which answers `wait` and, for finished jobs, `result`.
 //! Three properties make the tier more than a proxy:
 //!
 //! * **Content-keyed routing** ([`shard`], via

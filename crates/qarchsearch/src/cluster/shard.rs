@@ -53,14 +53,14 @@ struct ShardConn {
 /// A lazily-(re)connecting JSON-lines request client for one shard.
 ///
 /// Not internally synchronized: the coordinator wraps each client it
-/// shares in a mutex, and keeps separate clients for proxied requests,
-/// heartbeats and completion watchers.
+/// shares in a mutex, and keeps one client per shard each for proxied
+/// requests, heartbeats and its completion watcher.
 pub struct ShardClient {
     addr: String,
     connect_timeout: Duration,
     io_timeout: Duration,
-    /// Whether reads time out after `io_timeout` (a blocking `wait` may
-    /// legitimately last as long as the job does).
+    /// Whether reads time out after `io_timeout` (a blocking `wait_any`
+    /// may legitimately last as long as the jobs it lists do).
     read_timeout: bool,
     conn: Option<ShardConn>,
 }
@@ -146,6 +146,11 @@ impl ShardClient {
             .write_all(line.as_bytes())
             .and_then(|()| conn.writer.flush())
             .map_err(|e| format!("send request: {e}"))?;
+        // A shard writes its reply line in two sends. Acknowledge the
+        // first at once, or a delayed ACK holds the second back ≈ 40 ms
+        // when requests follow replies back to back (the watcher's rounds).
+        #[cfg(target_os = "linux")]
+        let _ = std::os::linux::net::TcpStreamExt::set_quickack(&conn.writer, true);
         let mut response = String::new();
         let read = conn
             .reader

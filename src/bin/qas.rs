@@ -100,6 +100,7 @@ SERVE OPTIONS (qas serve):
       {\"cmd\":\"cancel\",\"job\":1}      {\"cmd\":\"result\",\"job\":1}
       {\"cmd\":\"wait\",\"job\":1}        {\"cmd\":\"forget\",\"job\":1}
       {\"cmd\":\"jobs\"}                 {\"cmd\":\"stats\"}
+      {\"cmd\":\"wait_any\",\"jobs\":[1,2],\"since\":0}
       {\"cmd\":\"shutdown\"}
     Identical submissions (same search config, graphs, and seed) are served
     from the result cache (`cache_hit` in the result envelope, a
@@ -113,6 +114,10 @@ SERVE OPTIONS (qas serve):
     verbatim, optionally with a \"checkpoint\" to resume from — the
     coordinator's migration path. A full queue answers
     {\"ok\":false,\"queue_full\":true,...}.
+    `wait_any` blocks until a listed job has ended, the server's completion
+    count passes \"since\", or shutdown begins, and answers
+    {\"ok\":true,\"since\":<count>,\"done\":[<a wait envelope per ended job>]}:
+    the coordinator's one completion watcher per shard.
 
 COORDINATOR OPTIONS (qas coordinator):
     --shards LIST     comma-separated shard addresses, e.g.
@@ -653,6 +658,27 @@ fn handle_serve_line(server: &JobServer, line: &str) -> (Value, bool) {
             let result = server.wait(id).map_err(|e| e.to_string())?;
             result_response(server, id, Some(result))
         }),
+        "wait_any" => (|| -> Result<Value, String> {
+            let ids: Vec<JobId> = request
+                .get("jobs")
+                .and_then(Value::as_array)
+                .ok_or_else(|| "wait_any needs a 'jobs' array".to_string())?
+                .iter()
+                .filter_map(Value::as_u64)
+                .map(JobId)
+                .collect();
+            let since = request.get("since").and_then(Value::as_u64).unwrap_or(0);
+            let (since, done) = server.wait_any(&ids, since);
+            // A job forgotten since it ended is left out, as unknown ids are.
+            let done: Vec<Value> = done
+                .into_iter()
+                .filter_map(|id| {
+                    let result = server.result(id).ok()?;
+                    result_response(server, id, result).ok()
+                })
+                .collect();
+            Ok(json!({ "ok": true, "since": since, "done": (Value::Array(done)) }))
+        })(),
         "shutdown" => {
             // Wakes connections blocked in `wait` now, before the front
             // door joins them.
@@ -1031,6 +1057,9 @@ fn handle_coordinator_line(
             if request.get("shards").and_then(|v| v.as_bool()) == Some(true) {
                 shutdown_shards.store(true, Ordering::SeqCst);
             }
+            // Wakes connections blocked in `wait` now, before the front
+            // door joins them.
+            coordinator.begin_shutdown();
             return (json!({ "ok": true, "shutdown": true }), true);
         }
         other => Err(format!("unknown cmd '{other}'")),

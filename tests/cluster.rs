@@ -1045,3 +1045,210 @@ fn a_gracefully_stopped_shard_without_a_journal_reruns_the_job_on_a_survivor() {
     assert_eq!(coordinator.stats().jobs_inflight, 0);
     coordinator.shutdown(true);
 }
+
+/// A `qas coordinator --port` subprocess over `shards`.
+struct CoordinatorProc {
+    child: Child,
+    addr: String,
+}
+
+impl CoordinatorProc {
+    fn spawn(shards: &[&str]) -> CoordinatorProc {
+        let port = {
+            let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+            listener.local_addr().unwrap().port()
+        };
+        let child = Command::new(qas_bin())
+            .args(["coordinator", "--shards", &shards.join(","), "--port"])
+            .arg(port.to_string())
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap();
+        let addr = format!("127.0.0.1:{port}");
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while TcpStream::connect(&addr).is_err() {
+            assert!(Instant::now() < deadline, "coordinator never listened");
+            std::thread::sleep(Duration::from_millis(25));
+        }
+        CoordinatorProc { child, addr }
+    }
+}
+
+impl Drop for CoordinatorProc {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// A persistent JSON-lines connection that sends each request in one write.
+struct LineClient {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+impl LineClient {
+    fn connect(addr: &str) -> LineClient {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        LineClient {
+            reader: BufReader::new(stream.try_clone().unwrap()),
+            writer: stream,
+        }
+    }
+
+    fn request(&mut self, body: &Value) -> Value {
+        let line = format!("{}\n", serde_json::to_string(body).unwrap());
+        self.writer.write_all(line.as_bytes()).unwrap();
+        let mut reply = String::new();
+        self.reader.read_line(&mut reply).unwrap();
+        serde_json::from_str(reply.trim()).unwrap()
+    }
+}
+
+/// A small search through the protocol's `search` object; seeds keep
+/// submissions distinct (no cache hit, no coalescing).
+fn tiny_search(seed: u64) -> Value {
+    json!({
+        "graphs": 1, "nodes": 6, "pmax": 2, "kmax": 1, "alphabet": "rx",
+        "budget": 20, "backend": "statevector", "threads": 1, "seed": (seed),
+    })
+}
+
+/// Poll the coordinator's proxied `status` until `job` runs.
+fn await_running(client: &mut LineClient, job: u64) {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        let status = client.request(&json!({ "cmd": "status", "job": (job) }));
+        if status.get("status").and_then(|s| s.get("state")) == Some(&json!("Running")) {
+            return;
+        }
+        assert!(Instant::now() < deadline, "job {job} never ran: {status:?}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+#[test]
+fn a_blocked_wait_does_not_hold_up_coordinator_shutdown() {
+    // The job's rungs each start 10 s late: a coordinator that waited for
+    // the job before it exits would take well over 5 s.
+    let shard = ShardProc::spawn(
+        "coordinator-shutdown",
+        &[
+            "--workers",
+            "1",
+            "--fault-plan",
+            &delay_at(site::PIPELINE_RUNG, None, 10_000),
+        ],
+    );
+    let mut coordinator = CoordinatorProc::spawn(&[&shard.addr]);
+    let mut client = LineClient::connect(&coordinator.addr);
+    let submitted = client.request(&json!({ "cmd": "submit", "search": (tiny_search(1)) }));
+    let job = submitted.get("job").and_then(Value::as_u64).unwrap();
+    let addr = coordinator.addr.clone();
+    let waiter =
+        std::thread::spawn(move || line_request(&addr, &json!({ "cmd": "wait", "job": (job) })));
+    await_running(&mut client, job);
+    std::thread::sleep(Duration::from_millis(100));
+
+    let asked = Instant::now();
+    let bye = client.request(&json!({ "cmd": "shutdown" }));
+    assert_eq!(bye.get("shutdown").and_then(Value::as_bool), Some(true));
+    let deadline = asked + Duration::from_secs(15);
+    while coordinator.child.try_wait().unwrap().is_none() {
+        assert!(Instant::now() < deadline, "coordinator did not exit");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    assert!(
+        asked.elapsed() < Duration::from_secs(5),
+        "shutdown took {:?} behind a blocked wait",
+        asked.elapsed()
+    );
+    let answer = waiter.join().unwrap();
+    assert_eq!(answer.get("ok"), Some(&json!(false)), "{answer:?}");
+    let error = answer.get("error").and_then(Value::as_str).unwrap_or("");
+    assert!(error.contains("coordinator is shutting down"), "{answer:?}");
+}
+
+/// Threads of process `pid` right now.
+fn thread_count(pid: u32) -> usize {
+    std::fs::read_dir(format!("/proc/{pid}/task"))
+        .unwrap()
+        .count()
+}
+
+#[test]
+fn coordinator_threads_do_not_grow_with_inflight_jobs() {
+    // Each shard's first job sleeps in its first rung for longer than the
+    // test runs, so every later job stays queued: all of them in flight.
+    let plan = delay_at(site::PIPELINE_RUNG, None, 60_000);
+    let args = ["--workers", "1", "--queue", "512", "--fault-plan", &plan];
+    let shards = [
+        ShardProc::spawn("threads-0", &args),
+        ShardProc::spawn("threads-1", &args),
+    ];
+    let coordinator = CoordinatorProc::spawn(&[&shards[0].addr, &shards[1].addr]);
+    // Every connection is opened up front and stays open, so the front
+    // door's thread per connection counts the same at both points.
+    let mut clients: Vec<LineClient> = (0..4)
+        .map(|_| LineClient::connect(&coordinator.addr))
+        .collect();
+    let submit = |client: &mut LineClient, seed: u64| {
+        let reply = client.request(&json!({ "cmd": "submit", "search": (tiny_search(seed)) }));
+        assert_eq!(reply.get("ok"), Some(&json!(true)), "{reply:?}");
+        let job = reply.get("job").and_then(Value::as_u64).unwrap();
+        (
+            job,
+            reply
+                .get("shard")
+                .and_then(Value::as_str)
+                .unwrap()
+                .to_string(),
+        )
+    };
+    let placed: Vec<(u64, String)> = (0..10).map(|seed| submit(&mut clients[0], seed)).collect();
+    for shard in &shards {
+        let (first, _) = placed
+            .iter()
+            .find(|(_, addr)| *addr == shard.addr)
+            .expect("each shard is placed one of the first ten jobs");
+        await_running(&mut clients[0], *first);
+    }
+    // Let each running job's engine thread start.
+    std::thread::sleep(Duration::from_millis(300));
+    let pids = [
+        coordinator.child.id(),
+        shards[0].child.id(),
+        shards[1].child.id(),
+    ];
+    let at_10: Vec<usize> = pids.iter().map(|&pid| thread_count(pid)).collect();
+
+    std::thread::scope(|scope| {
+        for (lane, client) in clients.iter_mut().enumerate() {
+            scope.spawn(move || {
+                for seed in (10..200).filter(|seed| seed % 4 == lane as u64) {
+                    submit(client, seed);
+                }
+            });
+        }
+    });
+    let listing = clients[0].request(&json!({ "cmd": "jobs" }));
+    let jobs = listing.get("jobs").and_then(Value::as_array).unwrap();
+    let inflight = jobs
+        .iter()
+        .filter(|job| {
+            let state = job.get("state");
+            state == Some(&json!("Queued")) || state == Some(&json!("Running"))
+        })
+        .count();
+    assert_eq!(inflight, 200, "{listing:?}");
+    let at_200: Vec<usize> = pids.iter().map(|&pid| thread_count(pid)).collect();
+    assert_eq!(
+        at_200, at_10,
+        "threads (coordinator, shard 0, shard 1) grew with in-flight jobs"
+    );
+}
