@@ -7,13 +7,45 @@
 //! connection and surfaces as [`SearchError::Cluster`]; the next request
 //! reconnects from scratch, so a shard that restarts is re-reachable
 //! without any coordinator state beyond its address.
+//!
+//! [`read_bounded_line`] frames every JSON line this tier reads: the
+//! client's replies here, and both of `qas`'s front doors' requests.
 
 use crate::error::SearchError;
 use serde_json::Value;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::time::Duration;
+
+/// The longest JSON line [`read_bounded_line`] buffers, in bytes. The
+/// largest legitimate line is a `submit_spec` that carries a checkpoint.
+pub const MAX_LINE_BYTES: usize = 64 << 20;
+
+/// Read one `\n`-terminated line, without its newline, as lossy UTF-8.
+/// A last line that ends at EOF without a newline counts as a line.
+/// Returns `None` at EOF, and an `InvalidData` error once more than
+/// [`MAX_LINE_BYTES`] arrive without a newline (nothing after them can be
+/// framed).
+pub fn read_bounded_line<R: BufRead + ?Sized>(reader: &mut R) -> io::Result<Option<String>> {
+    let mut line = Vec::new();
+    if reader
+        .take(MAX_LINE_BYTES as u64 + 1)
+        .read_until(b'\n', &mut line)?
+        == 0
+    {
+        return Ok(None);
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+    } else if line.len() > MAX_LINE_BYTES {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("line exceeds {MAX_LINE_BYTES} bytes without a newline"),
+        ));
+    }
+    Ok(Some(String::from_utf8_lossy(&line).into_owned()))
+}
 
 /// Where a shard lives, and (optionally) where its journal does.
 #[derive(Debug, Clone)]
@@ -45,11 +77,6 @@ impl ShardEndpoint {
     }
 }
 
-struct ShardConn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
 /// A lazily-(re)connecting JSON-lines request client for one shard.
 ///
 /// Not internally synchronized: the coordinator wraps each client it
@@ -62,7 +89,7 @@ pub struct ShardClient {
     /// Whether reads time out after `io_timeout` (a blocking `wait_any`
     /// may legitimately last as long as the jobs it lists do).
     read_timeout: bool,
-    conn: Option<ShardConn>,
+    conn: Option<BufReader<TcpStream>>,
 }
 
 impl ShardClient {
@@ -118,7 +145,7 @@ impl ShardClient {
     pub fn socket(&mut self) -> Result<TcpStream, SearchError> {
         let outcome = self.ensure_connected().and_then(|()| {
             let conn = self.conn.as_ref().expect("just connected");
-            conn.writer
+            conn.get_ref()
                 .try_clone()
                 .map_err(|e| format!("clone stream: {e}"))
         });
@@ -142,23 +169,19 @@ impl ShardClient {
         // One write, so the request leaves as one segment on the
         // `TCP_NODELAY` socket.
         line.push('\n');
-        conn.writer
+        let mut stream = conn.get_ref();
+        stream
             .write_all(line.as_bytes())
-            .and_then(|()| conn.writer.flush())
+            .and_then(|()| stream.flush())
             .map_err(|e| format!("send request: {e}"))?;
         // A shard writes its reply line in two sends. Acknowledge the
         // first at once, or a delayed ACK holds the second back ≈ 40 ms
         // when requests follow replies back to back (the watcher's rounds).
         #[cfg(target_os = "linux")]
-        let _ = std::os::linux::net::TcpStreamExt::set_quickack(&conn.writer, true);
-        let mut response = String::new();
-        let read = conn
-            .reader
-            .read_line(&mut response)
-            .map_err(|e| format!("read response: {e}"))?;
-        if read == 0 {
-            return Err("connection closed mid-request".to_string());
-        }
+        let _ = std::os::linux::net::TcpStreamExt::set_quickack(stream, true);
+        let response = read_bounded_line(conn)
+            .map_err(|e| format!("read response: {e}"))?
+            .ok_or_else(|| "connection closed mid-request".to_string())?;
         serde_json::from_str(response.trim()).map_err(|e| format!("decode response: {e}"))
     }
 
@@ -182,15 +205,7 @@ impl ShardClient {
                         .set_write_timeout(Some(self.io_timeout))
                         .map_err(|e| format!("set write timeout: {e}"))?;
                     let _ = stream.set_nodelay(true);
-                    let reader = BufReader::new(
-                        stream
-                            .try_clone()
-                            .map_err(|e| format!("clone stream: {e}"))?,
-                    );
-                    self.conn = Some(ShardConn {
-                        reader,
-                        writer: stream,
-                    });
+                    self.conn = Some(BufReader::new(stream));
                     return Ok(());
                 }
                 Err(e) => last_err = format!("connect {addr}: {e}"),
@@ -258,5 +273,63 @@ mod tests {
         }
         assert!(client.is_connected());
         server.join().unwrap();
+    }
+
+    #[test]
+    fn a_reply_that_outgrows_the_line_limit_is_a_cluster_error() {
+        let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            // One byte past the limit, and no newline; the client stops
+            // reading there, so later writes may fail.
+            let mut writer = stream;
+            let chunk = vec![b'x'; 1 << 20];
+            for _ in 0..MAX_LINE_BYTES / chunk.len() {
+                if writer.write_all(&chunk).is_err() {
+                    return;
+                }
+            }
+            let _ = writer.write_all(b"x");
+        });
+        let mut client = ShardClient::new(
+            addr.to_string(),
+            Duration::from_millis(500),
+            Duration::from_secs(30),
+        );
+        let err = client
+            .request(&serde_json::json!({ "cmd": "stats" }))
+            .unwrap_err();
+        assert!(matches!(err, SearchError::Cluster { .. }), "{err:?}");
+        assert!(!client.is_connected());
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn read_bounded_line_frames_lines_and_refuses_an_overlong_one() {
+        let mut input: &[u8] = b"{\"a\":1}\n\xff\nlast";
+        assert_eq!(
+            read_bounded_line(&mut input).unwrap().as_deref(),
+            Some("{\"a\":1}")
+        );
+        assert_eq!(
+            read_bounded_line(&mut input).unwrap().as_deref(),
+            Some("\u{fffd}")
+        );
+        assert_eq!(
+            read_bounded_line(&mut input).unwrap().as_deref(),
+            Some("last")
+        );
+        assert_eq!(read_bounded_line(&mut input).unwrap(), None);
+
+        let exact = [vec![b'x'; MAX_LINE_BYTES], b"\n".to_vec()].concat();
+        let line = read_bounded_line(&mut exact.as_slice()).unwrap().unwrap();
+        assert_eq!(line.len(), MAX_LINE_BYTES);
+        let overlong = vec![b'x'; MAX_LINE_BYTES + 1];
+        let err = read_bounded_line(&mut overlong.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

@@ -17,18 +17,19 @@
 
 use qarchsearch_suite::graphs::ProblemKind;
 use qarchsearch_suite::prelude::*;
+use qarchsearch_suite::qarchsearch::cluster::shard::read_bounded_line;
 use qarchsearch_suite::qarchsearch::constraints::ConstraintSet;
 use qarchsearch_suite::qarchsearch::evaluator::{Evaluator, EvaluatorConfig};
 use qarchsearch_suite::qarchsearch::report::SearchReport;
 use qarchsearch_suite::qarchsearch::search::SearchStrategy;
 use qarchsearch_suite::serde_json::{self, json, Value};
 use std::collections::HashMap;
-use std::io::{BufRead, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 const HELP: &str = "qas — QArchSearch (Rust reproduction) command line
@@ -583,20 +584,36 @@ fn spec_from_submit(request: &Value) -> Result<JobSpec, String> {
     Ok(spec)
 }
 
-/// Handle one protocol line. Returns the JSON response and whether the
-/// server should shut down afterwards.
-fn handle_serve_line(server: &JobServer, line: &str) -> (Value, bool) {
-    let fail = |message: String| (json!({ "ok": false, "error": message }), false);
-    let request: Value = match serde_json::from_str(line) {
-        Ok(v) => v,
-        Err(e) => return fail(format!("invalid JSON: {e}")),
+/// Handle one protocol line: parse it, answer `shutdown` after
+/// `begin_shutdown` (which wakes connections blocked in `wait` before the
+/// front door joins them), hand every other `cmd` to `verb` (`None`: an
+/// unknown one), and answer an `Err` with `ok:false`. Returns the JSON
+/// response and whether the server should shut down afterwards.
+fn handle_line(
+    line: &str,
+    begin_shutdown: impl FnOnce(&Value),
+    verb: impl FnOnce(&str, &Value) -> Option<Result<Value, String>>,
+) -> (Value, bool) {
+    let response = match serde_json::from_str::<Value>(line) {
+        Err(e) => Err(format!("invalid JSON: {e}")),
+        Ok(request) => match request.get("cmd").and_then(Value::as_str) {
+            None => Err("request needs a string 'cmd' field".to_string()),
+            Some("shutdown") => {
+                begin_shutdown(&request);
+                return (json!({ "ok": true, "shutdown": true }), true);
+            }
+            Some(cmd) => verb(cmd, &request).unwrap_or_else(|| Err(format!("unknown cmd '{cmd}'"))),
+        },
     };
-    let Some(cmd) = request.get("cmd").and_then(|c| c.as_str()) else {
-        return fail("request needs a string 'cmd' field".to_string());
-    };
-    let response = match cmd {
+    let response = response.unwrap_or_else(|message| json!({ "ok": false, "error": message }));
+    (response, false)
+}
+
+/// Answer one `qas serve` verb other than `shutdown`.
+fn serve_verb(server: &JobServer, cmd: &str, request: &Value) -> Option<Result<Value, String>> {
+    Some(match cmd {
         "submit" => (|| -> Result<Value, String> {
-            let spec = spec_from_submit(&request)?;
+            let spec = spec_from_submit(request)?;
             let id = match server.submit(spec) {
                 Ok(id) => id,
                 Err(e) => return queue_full_or_error(e),
@@ -625,7 +642,7 @@ fn handle_serve_line(server: &JobServer, line: &str) -> (Value, bool) {
             };
             submit_envelope(server, id)
         })(),
-        "status" => job_id_of(&request).and_then(|id| {
+        "status" => job_id_of(request).and_then(|id| {
             let status = server.status(id).map_err(|e| e.to_string())?;
             Ok(json!({ "ok": true, "status": (status_value(&status)) }))
         }),
@@ -633,28 +650,28 @@ fn handle_serve_line(server: &JobServer, line: &str) -> (Value, bool) {
             let statuses: Vec<Value> = server.jobs().iter().map(status_value).collect();
             Ok(json!({ "ok": true, "jobs": (Value::Array(statuses)) }))
         }
-        "events" => job_id_of(&request).and_then(|id| {
+        "events" => job_id_of(request).and_then(|id| {
             let since = request.get("since").and_then(|s| s.as_u64()).unwrap_or(0) as usize;
             let (events, next) = server.events_since(id, since).map_err(|e| e.to_string())?;
             let events = serde_json::to_value(&events).map_err(|e| e.to_string())?;
             Ok(json!({ "ok": true, "job": (id.0), "events": events, "next": next }))
         }),
-        "cancel" => job_id_of(&request).map(|id| {
+        "cancel" => job_id_of(request).map(|id| {
             let accepted = server.cancel(id);
             json!({ "ok": true, "job": (id.0), "cancelled": accepted })
         }),
-        "forget" => job_id_of(&request).map(|id| {
+        "forget" => job_id_of(request).map(|id| {
             let dropped = server.forget(id);
             json!({ "ok": true, "job": (id.0), "forgotten": dropped })
         }),
-        "result" => job_id_of(&request).and_then(|id| {
+        "result" => job_id_of(request).and_then(|id| {
             let result = server.result(id).map_err(|e| e.to_string())?;
             result_response(server, id, result)
         }),
         "stats" => serde_json::to_value(&server.stats())
             .map(|stats| json!({ "ok": true, "stats": stats }))
             .map_err(|e| e.to_string()),
-        "wait" => job_id_of(&request).and_then(|id| {
+        "wait" => job_id_of(request).and_then(|id| {
             let result = server.wait(id).map_err(|e| e.to_string())?;
             result_response(server, id, Some(result))
         }),
@@ -679,18 +696,8 @@ fn handle_serve_line(server: &JobServer, line: &str) -> (Value, bool) {
                 .collect();
             Ok(json!({ "ok": true, "since": since, "done": (Value::Array(done)) }))
         })(),
-        "shutdown" => {
-            // Wakes connections blocked in `wait` now, before the front
-            // door joins them.
-            server.begin_shutdown();
-            return (json!({ "ok": true, "shutdown": true }), true);
-        }
-        other => Err(format!("unknown cmd '{other}'")),
-    };
-    match response {
-        Ok(value) => (value, false),
-        Err(message) => fail(message),
-    }
+        _ => return None,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -699,129 +706,42 @@ fn handle_serve_line(server: &JobServer, line: &str) -> (Value, bool) {
 
 type LineHandler<'a> = dyn Fn(&str) -> (Value, bool) + Sync + 'a;
 
+/// Answer request lines until EOF, a `shutdown` (returns `true`), or a line
+/// longer than the limit, which gets one `ok:false` answer and ends the
+/// loop: nothing after it can be framed.
 fn serve_lines(
     handler: &LineHandler<'_>,
     input: &mut dyn BufRead,
     output: &mut dyn Write,
 ) -> Result<bool, String> {
-    let mut line = String::new();
+    let mut respond = |response: &Value| -> Result<(), String> {
+        let rendered = serde_json::to_string(response).map_err(|e| e.to_string())?;
+        writeln!(output, "{rendered}").map_err(|e| e.to_string())?;
+        output.flush().map_err(|e| e.to_string())
+    };
     loop {
-        line.clear();
-        let read = input.read_line(&mut line).map_err(|e| e.to_string())?;
-        if read == 0 {
-            return Ok(false); // EOF: client is done, keep serving others.
-        }
+        let line = match read_bounded_line(input) {
+            Ok(Some(line)) => line,
+            Ok(None) => return Ok(false), // EOF: client is done, keep serving others.
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                respond(&json!({ "ok": false, "error": (e.to_string()) }))?;
+                return Ok(false);
+            }
+            Err(e) => return Err(e.to_string()),
+        };
         if line.trim().is_empty() {
             continue;
         }
         let (response, shutdown) = handler(line.trim());
-        let rendered = serde_json::to_string(&response).map_err(|e| e.to_string())?;
-        writeln!(output, "{rendered}").map_err(|e| e.to_string())?;
-        output.flush().map_err(|e| e.to_string())?;
+        respond(&response)?;
         if shutdown {
             return Ok(true);
         }
     }
 }
 
-/// The longest request line the TCP front door buffers, in bytes. The
-/// largest legitimate line is a `submit_spec` that carries a checkpoint.
-const MAX_LINE_BYTES: usize = 64 << 20;
-
-/// Read one `\n`-terminated line off a timeout-armed socket. `read_line`
-/// would discard partially-read bytes on a timeout error, so buffering is
-/// hand-rolled: timeouts only re-check the shutdown flag and resume.
-/// Returns `None` on EOF or shutdown, and an `InvalidData` error once more
-/// than [`MAX_LINE_BYTES`] arrive without a newline.
-fn read_json_line(
-    stream: &mut TcpStream,
-    pending: &mut Vec<u8>,
-    shutdown: &AtomicBool,
-) -> std::io::Result<Option<String>> {
-    let mut buf = [0u8; 4096];
-    // `pending[..scanned]` is known to hold no newline, so each byte is
-    // searched once however many reads the line takes.
-    let mut scanned = 0;
-    loop {
-        if let Some(pos) = pending[scanned..].iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = pending.drain(..=scanned + pos).collect();
-            return Ok(Some(
-                String::from_utf8_lossy(&line[..line.len() - 1]).into_owned(),
-            ));
-        }
-        scanned = pending.len();
-        if scanned > MAX_LINE_BYTES {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("request line exceeds {MAX_LINE_BYTES} bytes without a newline"),
-            ));
-        }
-        if shutdown.load(Ordering::SeqCst) {
-            return Ok(None);
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => return Ok(None),
-            Ok(n) => pending.extend_from_slice(&buf[..n]),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) =>
-            {
-                continue
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-fn serve_tcp_connection(
-    mut stream: TcpStream,
-    handler: &LineHandler<'_>,
-    shutdown: &AtomicBool,
-    local: SocketAddr,
-) -> Result<(), String> {
-    // A short read timeout keeps every connection thread responsive to a
-    // shutdown issued on a *different* connection.
-    stream
-        .set_read_timeout(Some(Duration::from_millis(200)))
-        .map_err(|e| e.to_string())?;
-    let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
-    let mut respond = |response: &Value| -> Result<(), String> {
-        let rendered = serde_json::to_string(response).map_err(|e| e.to_string())?;
-        writeln!(writer, "{rendered}").map_err(|e| e.to_string())?;
-        writer.flush().map_err(|e| e.to_string())
-    };
-    let mut pending = Vec::new();
-    loop {
-        let line = match read_json_line(&mut stream, &mut pending, shutdown) {
-            Ok(Some(line)) => line,
-            Ok(None) => return Ok(()),
-            // An over-long line gets one error answer, then the connection
-            // closes: nothing after it can be framed.
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                return respond(&json!({ "ok": false, "error": (e.to_string()) }));
-            }
-            Err(e) => return Err(e.to_string()),
-        };
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let (response, stop) = handler(trimmed);
-        respond(&response)?;
-        if stop {
-            shutdown.store(true, Ordering::SeqCst);
-            wake_accept_loop(local);
-            return Ok(());
-        }
-    }
-}
-
 /// Unblock a listener stuck in `accept` by connecting to it once (the
-/// accept loop re-checks the shutdown flag per connection).
+/// accept loop re-checks for shutdown per connection).
 fn wake_accept_loop(local: SocketAddr) {
     let mut addr = local;
     if addr.ip().is_unspecified() {
@@ -834,7 +754,9 @@ fn wake_accept_loop(local: SocketAddr) {
 }
 
 /// The concurrent TCP front door: thread per connection over a shared
-/// handler, shut down by any connection's `shutdown` command.
+/// handler, shut down by any connection's `shutdown` command. Reads block
+/// without a timeout; the stopping connection shuts down the read side of
+/// every other open connection, so each blocked read returns EOF.
 fn run_tcp_front_door(
     bind: &str,
     port: u16,
@@ -845,23 +767,39 @@ fn run_tcp_front_door(
         TcpListener::bind((bind, port)).map_err(|e| format!("cannot bind {bind}:{port}: {e}"))?;
     let local = listener.local_addr().map_err(|e| e.to_string())?;
     eprintln!("qas {label}: listening on {local} (JSON lines, concurrent connections)");
-    let shutdown = AtomicBool::new(false);
+    // A second handle on each open connection, by accept number; `None`
+    // once the server is shutting down.
+    let open: Mutex<Option<HashMap<usize, TcpStream>>> = Mutex::new(Some(HashMap::new()));
+    let lock = || open.lock().unwrap_or_else(PoisonError::into_inner);
     std::thread::scope(|scope| {
-        for stream in listener.incoming() {
-            if shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match stream {
-                Ok(s) => s,
+        for (n, stream) in listener.incoming().enumerate() {
+            let (stream, handle) = match stream.and_then(|s| s.try_clone().map(|h| (s, h))) {
+                Ok(pair) => pair,
                 Err(e) => {
                     eprintln!("qas {label}: accept error: {e}");
                     continue;
                 }
             };
-            let shutdown = &shutdown;
+            match lock().as_mut() {
+                Some(connections) => connections.insert(n, handle),
+                None => break,
+            };
             scope.spawn(move || {
-                if let Err(message) = serve_tcp_connection(stream, handler, shutdown, local) {
-                    eprintln!("qas {label}: connection error: {message}");
+                let outcome = serve_lines(handler, &mut BufReader::new(&stream), &mut &stream);
+                let mut connections = lock();
+                if let Some(open) = connections.as_mut() {
+                    open.remove(&n);
+                }
+                match outcome {
+                    Ok(true) => {
+                        for (_, other) in connections.take().into_iter().flatten() {
+                            let _ = other.shutdown(Shutdown::Read);
+                        }
+                        drop(connections);
+                        wake_accept_loop(local);
+                    }
+                    Ok(false) => {}
+                    Err(message) => eprintln!("qas {label}: connection error: {message}"),
                 }
             });
         }
@@ -921,7 +859,13 @@ fn cmd_serve(options: &HashMap<String, String>, flags: &[String]) -> Result<(), 
             if recovery.clean_shutdown { "clean" } else { "unclean" },
         );
     }
-    let handler = |line: &str| handle_serve_line(&server, line);
+    let handler = |line: &str| {
+        handle_line(
+            line,
+            |_| server.begin_shutdown(),
+            |cmd, request| serve_verb(&server, cmd, request),
+        )
+    };
     run_front_door(options, "serve", &handler)?;
     server.shutdown();
     Ok(())
@@ -972,24 +916,16 @@ fn build_fault_plan(
 // ---------------------------------------------------------------------------
 // qas coordinator — the distributed serve tier's front door.
 
-/// Handle one coordinator protocol line (same shape as the serve
-/// protocol; see `qarchsearch::cluster` for the routing semantics).
-fn handle_coordinator_line(
+/// Answer one coordinator verb other than `shutdown` (the serve protocol's
+/// shape; see `qarchsearch::cluster` for the routing semantics).
+fn coordinator_verb(
     coordinator: &Coordinator,
-    shutdown_shards: &AtomicBool,
-    line: &str,
-) -> (Value, bool) {
-    let fail = |message: String| (json!({ "ok": false, "error": message }), false);
-    let request: Value = match serde_json::from_str(line) {
-        Ok(v) => v,
-        Err(e) => return fail(format!("invalid JSON: {e}")),
-    };
-    let Some(cmd) = request.get("cmd").and_then(|c| c.as_str()) else {
-        return fail("request needs a string 'cmd' field".to_string());
-    };
-    let response = match cmd {
+    cmd: &str,
+    request: &Value,
+) -> Option<Result<Value, String>> {
+    Some(match cmd {
         "submit" => (|| -> Result<Value, String> {
-            let spec = spec_from_submit(&request)?;
+            let spec = spec_from_submit(request)?;
             let tenant = request
                 .get("tenant")
                 .and_then(|t| t.as_str())
@@ -1021,12 +957,12 @@ fn handle_coordinator_line(
                 Err(e) => Err(e.to_string()),
             }
         })(),
-        "status" => job_id_of(&request).and_then(|id| {
+        "status" => job_id_of(request).and_then(|id| {
             let status = coordinator.status(id).map_err(|e| e.to_string())?;
             Ok(json!({ "ok": true, "status": status }))
         }),
         "jobs" => Ok(json!({ "ok": true, "jobs": (Value::Array(coordinator.jobs())) })),
-        "events" => job_id_of(&request).and_then(|id| {
+        "events" => job_id_of(request).and_then(|id| {
             let since = request.get("since").and_then(|s| s.as_u64()).unwrap_or(0) as usize;
             let (events, next) = coordinator.events(id, since).map_err(|e| e.to_string())?;
             Ok(json!({
@@ -1036,38 +972,23 @@ fn handle_coordinator_line(
                 "next": (next),
             }))
         }),
-        "cancel" => job_id_of(&request).and_then(|id| {
+        "cancel" => job_id_of(request).and_then(|id| {
             let accepted = coordinator.cancel(id).map_err(|e| e.to_string())?;
             Ok(json!({ "ok": true, "job": (id.0), "cancelled": accepted }))
         }),
-        "forget" => job_id_of(&request).and_then(|id| {
+        "forget" => job_id_of(request).and_then(|id| {
             let dropped = coordinator.forget(id).map_err(|e| e.to_string())?;
             Ok(json!({ "ok": true, "job": (id.0), "forgotten": dropped }))
         }),
         "result" => {
-            job_id_of(&request).and_then(|id| coordinator.result(id).map_err(|e| e.to_string()))
+            job_id_of(request).and_then(|id| coordinator.result(id).map_err(|e| e.to_string()))
         }
-        "wait" => {
-            job_id_of(&request).and_then(|id| coordinator.wait(id).map_err(|e| e.to_string()))
-        }
+        "wait" => job_id_of(request).and_then(|id| coordinator.wait(id).map_err(|e| e.to_string())),
         "stats" => serde_json::to_value(&coordinator.stats())
             .map(|stats| json!({ "ok": true, "stats": stats }))
             .map_err(|e| e.to_string()),
-        "shutdown" => {
-            if request.get("shards").and_then(|v| v.as_bool()) == Some(true) {
-                shutdown_shards.store(true, Ordering::SeqCst);
-            }
-            // Wakes connections blocked in `wait` now, before the front
-            // door joins them.
-            coordinator.begin_shutdown();
-            return (json!({ "ok": true, "shutdown": true }), true);
-        }
-        other => Err(format!("unknown cmd '{other}'")),
-    };
-    match response {
-        Ok(value) => (value, false),
-        Err(message) => fail(message),
-    }
+        _ => return None,
+    })
 }
 
 fn cmd_coordinator(options: &HashMap<String, String>) -> Result<(), String> {
@@ -1137,7 +1058,18 @@ fn cmd_coordinator(options: &HashMap<String, String>) -> Result<(), String> {
         coordinator.alive_shards().len(),
     );
     let shutdown_shards = AtomicBool::new(false);
-    let handler = |line: &str| handle_coordinator_line(&coordinator, &shutdown_shards, line);
+    let handler = |line: &str| {
+        handle_line(
+            line,
+            |request| {
+                if request.get("shards").and_then(Value::as_bool) == Some(true) {
+                    shutdown_shards.store(true, Ordering::SeqCst);
+                }
+                coordinator.begin_shutdown();
+            },
+            |cmd, request| coordinator_verb(&coordinator, cmd, request),
+        )
+    };
     run_front_door(options, "coordinator", &handler)?;
     coordinator.shutdown(shutdown_shards.load(Ordering::SeqCst));
     Ok(())

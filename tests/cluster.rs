@@ -12,7 +12,10 @@
 //! * the token-bucket rate limit rejects with a computed retry hint,
 //! * `qas serve --port` serves multiple TCP connections concurrently, and
 //!   answers a request line that never ends with one error, then closes
-//!   only that connection.
+//!   only that connection,
+//! * idle front-door connections cost the server no wakeups, closed ones
+//!   leave no descriptor behind, and `qas serve`'s stdin refuses an
+//!   over-long line the same way its sockets do.
 //!
 //! Shards are real `qas serve --port` subprocesses (debug build, so
 //! `--fault-plan` drain delays are armed); the coordinator runs
@@ -1250,5 +1253,147 @@ fn coordinator_threads_do_not_grow_with_inflight_jobs() {
     assert_eq!(
         at_200, at_10,
         "threads (coordinator, shard 0, shard 1) grew with in-flight jobs"
+    );
+}
+
+/// Voluntary context switches of every thread of process `pid` so far.
+fn voluntary_switches(pid: u32) -> u64 {
+    let tasks = std::fs::read_dir(format!("/proc/{pid}/task")).unwrap();
+    tasks
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("status")).ok())
+        .flat_map(|status| {
+            status
+                .lines()
+                .filter_map(|line| line.strip_prefix("voluntary_ctxt_switches:"))
+                .map(|count| count.trim().parse::<u64>().unwrap())
+                .collect::<Vec<_>>()
+        })
+        .sum()
+}
+
+#[test]
+fn idle_front_door_connections_do_not_wake_the_server() {
+    let mut shard = ShardProc::spawn("idle-connections", &["--workers", "1"]);
+    let mut idle: Vec<LineClient> = (0..3).map(|_| LineClient::connect(&shard.addr)).collect();
+    // One round trip each, so every connection thread is running and
+    // blocked in its next read.
+    for client in &mut idle {
+        let stats = client.request(&json!({ "cmd": "stats" }));
+        assert_eq!(stats.get("ok"), Some(&json!(true)), "{stats:?}");
+    }
+    std::thread::sleep(Duration::from_millis(200));
+    let pid = shard.child.id();
+    let before = voluntary_switches(pid);
+    std::thread::sleep(Duration::from_secs(2));
+    let woken = voluntary_switches(pid) - before;
+    assert!(
+        woken < 5,
+        "three idle connections woke the server {woken} times in 2 s"
+    );
+
+    // A shutdown on a fourth connection ends the idle ones at once.
+    let asked = Instant::now();
+    let bye = line_request(&shard.addr, &json!({ "cmd": "shutdown" }));
+    assert_eq!(bye.get("shutdown"), Some(&json!(true)), "{bye:?}");
+    for client in &mut idle {
+        let mut line = String::new();
+        assert_eq!(client.reader.read_line(&mut line).unwrap(), 0, "{line:?}");
+    }
+    shard.await_exit();
+    assert!(
+        asked.elapsed() < Duration::from_secs(1),
+        "shutdown took {:?} with idle connections open",
+        asked.elapsed()
+    );
+}
+
+/// Open file descriptors of process `pid` right now.
+fn fd_count(pid: u32) -> usize {
+    std::fs::read_dir(format!("/proc/{pid}/fd"))
+        .unwrap()
+        .count()
+}
+
+#[test]
+fn front_door_forgets_closed_connections() {
+    let shard = ShardProc::spawn("closed-connections", &["--workers", "1"]);
+    let pid = shard.child.id();
+    // The spawn's readiness probe and the last closed connection may still
+    // hold descriptors for a moment: wait for the count to settle.
+    let settle = |expected: Option<usize>| {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut count = fd_count(pid);
+        while Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(100));
+            let last = std::mem::replace(&mut count, fd_count(pid));
+            if expected.map_or(count == last, |e| count == e) {
+                break;
+            }
+        }
+        count
+    };
+    let before = settle(None);
+    for round in 0..64 {
+        let stream = TcpStream::connect(&shard.addr).unwrap();
+        if round % 2 == 0 {
+            // Half of them answer a request before closing, half close
+            // without a word.
+            let mut client = LineClient {
+                reader: BufReader::new(stream.try_clone().unwrap()),
+                writer: stream,
+            };
+            client.request(&json!({ "cmd": "stats" }));
+        }
+    }
+    let after = settle(Some(before));
+    assert_eq!(
+        after, before,
+        "open descriptors went {before} -> {after} across 64 closed connections"
+    );
+}
+
+#[test]
+fn stdin_serve_refuses_an_overlong_line() {
+    let mut child = Command::new(qas_bin())
+        .args(["serve", "--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    // One byte past the limit, and no newline. The write end stays open
+    // until the process has exited: it must stop reading on its own.
+    let mut stdin = child.stdin.take().unwrap();
+    let writer = std::thread::spawn(move || {
+        let chunk = vec![b'x'; 1 << 20];
+        for _ in 0..MAX_LINE_BYTES / chunk.len() {
+            stdin.write_all(&chunk).unwrap();
+        }
+        stdin.write_all(b"x").unwrap();
+        stdin.flush().unwrap();
+        stdin
+    });
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            panic!("qas serve kept reading after an over-long line");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    drop(writer.join().unwrap());
+    assert!(status.success(), "{status:?}");
+    let mut out = String::new();
+    std::io::Read::read_to_string(&mut child.stdout.take().unwrap(), &mut out).unwrap();
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 1, "{out:?}");
+    let reply: Value = serde_json::from_str(lines[0]).unwrap();
+    assert_eq!(reply.get("ok"), Some(&json!(false)), "{reply:?}");
+    assert!(
+        reply.get("error").and_then(Value::as_str).is_some(),
+        "{reply:?}"
     );
 }
