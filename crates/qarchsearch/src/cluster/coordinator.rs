@@ -639,29 +639,39 @@ impl CoordinatorInner {
         })?;
         let request = json!({ "cmd": "submit_spec", "spec": spec_value });
         let max_wait = Duration::from_millis(self.admission.config().max_wait_ms);
+        match self.place_within(key.hash, &request, max_wait) {
+            Ok(placed) => Ok(placed),
+            Err(PlaceError::QueueFull) => {
+                self.admission.note_backpressure_rejection();
+                Err(SearchError::AdmissionDenied {
+                    reason: "cluster queue is full".to_string(),
+                    retry_after_ms: self.admission.config().retry_poll_ms.max(1) * 4,
+                })
+            }
+            Err(PlaceError::Unreachable(e) | PlaceError::Fatal(e)) => Err(e),
+        }
+    }
+
+    /// Submit `request` to the shard `key` routes to, retrying a full
+    /// queue or an unreachable fleet every `retry_poll_ms` until `max_wait`
+    /// has passed. A failure returns the last attempt's error.
+    fn place_within(
+        &self,
+        key: u64,
+        request: &Value,
+        max_wait: Duration,
+    ) -> Result<Placed<'_>, PlaceError> {
         let poll = Duration::from_millis(self.admission.config().retry_poll_ms.max(1));
         let started = Instant::now();
-        let mut saw_queue_full = false;
         loop {
-            let error = match self.try_place_once(key.hash, &request) {
-                Ok(placed) => return Ok(placed),
-                Err(PlaceError::Fatal(e)) => return Err(e),
-                Err(PlaceError::QueueFull) => {
-                    saw_queue_full = true;
-                    SearchError::AdmissionDenied {
-                        reason: "cluster queue is full".to_string(),
-                        retry_after_ms: self.admission.config().retry_poll_ms.max(1) * 4,
-                    }
+            match self.try_place_once(key, request) {
+                Err(PlaceError::QueueFull | PlaceError::Unreachable(_))
+                    if started.elapsed() < max_wait =>
+                {
+                    std::thread::sleep(poll)
                 }
-                Err(PlaceError::Unreachable(e)) => e,
-            };
-            if started.elapsed() >= max_wait {
-                if saw_queue_full {
-                    self.admission.note_backpressure_rejection();
-                }
-                return Err(error);
+                outcome => return outcome,
             }
-            std::thread::sleep(poll);
         }
     }
 
@@ -1459,7 +1469,7 @@ impl CoordinatorInner {
         for ticket in tickets {
             if let Some(faults) = &self.faults {
                 if let Err(e) = faults.trip(site::COORDINATOR_MIGRATE) {
-                    self.settle_locally(ticket.id, Err(e));
+                    self.settle_locally(ticket.id, None, Err(e));
                     continue;
                 }
             }
@@ -1468,7 +1478,7 @@ impl CoordinatorInner {
                 if let Some(result) = &job.result {
                     // The journal holds the job's terminal result: adopt
                     // it — nothing re-runs, nothing is lost.
-                    self.adopt_result(ticket.id, job.state.clone(), result.clone());
+                    self.settle_locally(ticket.id, Some(job.state.clone()), result.clone());
                     continue;
                 }
             }
@@ -1480,6 +1490,7 @@ impl CoordinatorInner {
                 // by its shard's shutdown, not finished: it resumes below.)
                 self.settle_locally(
                     ticket.id,
+                    None,
                     Err(SearchError::Cluster {
                         message: format!(
                             "shard {from_addr} died holding the terminal result of a \
@@ -1507,6 +1518,7 @@ impl CoordinatorInner {
             Some(Err(e)) => {
                 self.settle_locally(
                     ticket.id,
+                    None,
                     Err(SearchError::Cluster {
                         message: format!("serialize spec for migration: {e}"),
                     }),
@@ -1516,6 +1528,7 @@ impl CoordinatorInner {
             None => {
                 self.settle_locally(
                     ticket.id,
+                    None,
                     Err(SearchError::Cluster {
                         message: format!("shard {from_addr} died holding a finished job"),
                     }),
@@ -1529,62 +1542,52 @@ impl CoordinatorInner {
             let rendered = serde_json::to_value(checkpoint).unwrap_or(Value::Null);
             set_field(&mut request, "checkpoint", rendered);
         }
-        let poll = Duration::from_millis(self.admission.config().retry_poll_ms.max(1));
-        let deadline =
-            Instant::now() + Duration::from_millis(self.admission.config().max_wait_ms.max(1));
-        loop {
-            match self.try_place_once(ticket.key_hash, &request) {
-                Ok(placed) => {
-                    let to_addr = self.addr_of(placed.shard).to_string();
-                    {
-                        let mut registry = lock_recover(&self.registry);
-                        if let Some(job) = registry.jobs.get_mut(&ticket.id) {
-                            job.shard = placed.shard;
-                            job.shard_job = placed.shard_job;
-                            job.state = placed.state;
-                            job.migrations += 1;
-                            job.overlay.push(SearchEvent::Migrated {
-                                from: from_addr.to_string(),
-                                to: to_addr,
-                                resumed,
-                            });
-                            job.held = None;
-                            job.cancel_requested = false;
-                        }
-                    }
-                    self.migrations.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                Err(PlaceError::Fatal(e)) => {
-                    self.settle_locally(ticket.id, Err(e));
-                    return;
-                }
-                Err(PlaceError::QueueFull) | Err(PlaceError::Unreachable(_))
-                    if Instant::now() < deadline =>
-                {
-                    std::thread::sleep(poll);
-                }
-                Err(PlaceError::QueueFull) => {
-                    self.settle_locally(
-                        ticket.id,
-                        Err(SearchError::Cluster {
-                            message: "every surviving shard's queue stayed full during \
-                                      migration"
-                                .to_string(),
-                        }),
-                    );
-                    return;
-                }
-                Err(PlaceError::Unreachable(e)) => {
-                    self.settle_locally(ticket.id, Err(e));
-                    return;
-                }
+        let max_wait = Duration::from_millis(self.admission.config().max_wait_ms.max(1));
+        let placed = match self.place_within(ticket.key_hash, &request, max_wait) {
+            Ok(placed) => placed,
+            Err(PlaceError::QueueFull) => {
+                let message = "every surviving shard's queue stayed full during migration";
+                let error = SearchError::Cluster {
+                    message: message.to_string(),
+                };
+                return self.settle_locally(ticket.id, None, Err(error));
+            }
+            Err(PlaceError::Unreachable(e) | PlaceError::Fatal(e)) => {
+                return self.settle_locally(ticket.id, None, Err(e));
+            }
+        };
+        let to_addr = self.addr_of(placed.shard).to_string();
+        {
+            let mut registry = lock_recover(&self.registry);
+            if let Some(job) = registry.jobs.get_mut(&ticket.id) {
+                job.shard = placed.shard;
+                job.shard_job = placed.shard_job;
+                job.state = placed.state;
+                job.migrations += 1;
+                job.overlay.push(SearchEvent::Migrated {
+                    from: from_addr.to_string(),
+                    to: to_addr,
+                    resumed,
+                });
+                job.held = None;
+                job.cancel_requested = false;
             }
         }
+        self.migrations.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Adopt a terminal result recovered from a dead shard's journal.
-    fn adopt_result(&self, id: u64, state: JobState, result: Result<SearchOutcome, SearchError>) {
+    /// Settle a job here rather than on a shard: with the terminal state
+    /// and result `adopted` from a dead shard's journal (counted in
+    /// `results_recovered`), or, with `None`, as Failed because migration
+    /// is impossible.
+    fn settle_locally(
+        &self,
+        id: u64,
+        adopted: Option<JobState>,
+        result: Result<SearchOutcome, SearchError>,
+    ) {
+        let recovered = adopted.is_some();
+        let state = adopted.unwrap_or(JobState::Failed { panic: None });
         let release = {
             let mut registry = lock_recover(&self.registry);
             let Some(job) = registry.jobs.get_mut(&id) else {
@@ -1593,20 +1596,9 @@ impl CoordinatorInner {
             job.settle(state, result)
         };
         self.admission.release(release.as_deref());
-        self.results_recovered.fetch_add(1, Ordering::Relaxed);
-        self.wake_waiters();
-    }
-
-    /// Terminate a job locally with an error (migration impossible).
-    fn settle_locally(&self, id: u64, result: Result<SearchOutcome, SearchError>) {
-        let release = {
-            let mut registry = lock_recover(&self.registry);
-            let Some(job) = registry.jobs.get_mut(&id) else {
-                return;
-            };
-            job.settle(JobState::Failed { panic: None }, result)
-        };
-        self.admission.release(release.as_deref());
+        if recovered {
+            self.results_recovered.fetch_add(1, Ordering::Relaxed);
+        }
         self.wake_waiters();
     }
 }
