@@ -448,12 +448,9 @@ impl SearchConfigBuilder {
     /// The paper-faithful escape hatch: disable pruning, warm starts and the
     /// predictor gate so every candidate trains at the full budget from the
     /// default initial point — one flag away from the exhaustive search the
-    /// paper released, and bit-identical to serial-mode results for
-    /// registers below the kernel-parallel threshold
-    /// (`QAS_PARALLEL_THRESHOLD`, default 14 qubits). At or above it,
-    /// serial-mode kernels may split float reductions across threads
-    /// while pipeline workers pin them to one, so energies can differ in
-    /// the last bits.
+    /// paper released, and bit-identical to serial-mode results at every
+    /// register width: kernels split their work and reductions by fixed
+    /// blocks, so the bits never depend on the thread count.
     pub fn no_prune(mut self) -> Self {
         self.config.pipeline = PipelineConfig::full_budget();
         self

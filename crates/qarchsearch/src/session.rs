@@ -324,9 +324,15 @@ impl SearchDriver {
         let config = seed.config.clone();
         let graphs = seed.graphs.clone();
         let engine_shared = Arc::clone(&shared);
+        // The engine thread runs in the caller's pool, so a `ThreadPool::install`
+        // around `start` sizes the serial preset's inner level.
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(rayon::current_num_threads())
+            .build()
+            .expect("a pool of at least one thread");
         let join = std::thread::Builder::new()
             .name("qas-search-engine".into())
-            .spawn(move || run_engine(seed, engine_shared, tx))
+            .spawn(move || pool.install(|| run_engine(seed, engine_shared, tx)))
             .map_err(|e| SearchError::Evaluation {
                 message: format!("failed to spawn the search engine thread: {e}"),
             })?;

@@ -15,13 +15,13 @@
 //!   states in steady state;
 //! * workers pin the **inner** parallelism level to one thread for the
 //!   duration of each task: the outer level owns the cores (the paper's
-//!   two-level scheme), and — just as importantly — results become
-//!   bit-identical regardless of the outer thread count, because chunked
-//!   parallel reductions never see a thread-count-dependent split.
+//!   two-level scheme). The inner level's results do not depend on its
+//!   thread count, so the pin is about cores, not bits.
 //!
 //! Determinism: each task's result depends only on the task itself (seeded
-//! optimizers, pinned inner parallelism), and results are returned in task
-//! order no matter which worker executed them or in what interleaving.
+//! optimizers, thread-count-independent kernels), and results are returned
+//! in task order no matter which worker executed them or in what
+//! interleaving.
 
 use crate::sync::lock_recover;
 use qaoa::BatchScratch;
@@ -67,8 +67,7 @@ where
     let n = tasks.len();
     let threads = threads.clamp(1, n.max(1));
 
-    // Pinning the inner parallelism level to one thread keeps the chunked
-    // simulation kernels' arithmetic identical across outer thread counts.
+    // The outer level owns the cores: each task's kernels run inline.
     let inner_pool = rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()

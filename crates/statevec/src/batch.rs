@@ -35,19 +35,16 @@
 //! real/imaginary forms below are the textual expansion of `num_complex`'s
 //! `Mul`/`Add`), identical per-amplitude gate order (cache blocking reorders
 //! *which block* is touched first, never the op order any single amplitude
-//! sees), and the same thread-chunking decisions (batch elements are
-//! independent, so chunk boundaries in the amplitude dimension cannot change
-//! any element's arithmetic; the diagonal-expectation reduction mirrors the
-//! scalar partial-sum structure term for term). A batch run therefore
+//! sees), and the same fixed 2¹⁶-amplitude blocks (batch elements are
+//! independent, so run boundaries in the amplitude dimension cannot change
+//! any element's arithmetic; the diagonal-expectation reduction sums the
+//! same blocks in the same order as the scalar one). A batch run therefore
 //! produces bit-for-bit the same amplitudes and energies as `B` scalar runs,
 //! for any batch size and any thread count.
 
 use crate::error::SimulatorError;
-use crate::parallel_threshold_qubits;
-use crate::state::{par_index_ranges, parallel_chunk_size, StateVector, MAX_DENSE_QUBITS};
+use crate::state::{par_block_sum, par_blocks, StateVector, BLOCK_AMPS, MAX_DENSE_QUBITS};
 use num_complex::Complex64;
-use rayon::prelude::*;
-use std::ops::Range;
 
 /// Per-execution scratch owned by the batch buffer so repeated
 /// [`crate::CompiledProgram::execute_batch_into`] calls are allocation-free
@@ -339,20 +336,10 @@ impl BatchStateVector {
         stage_one_q_coeffs(ms, batch, c);
         let c: &[f64] = c;
 
-        let work = |(re_chunk, im_chunk): (&mut [f64], &mut [f64])| {
-            apply_one_q_span(re_chunk, im_chunk, c, batch, stride)
-        };
-
-        if self.num_qubits >= parallel_threshold_qubits() {
-            let dim = 1usize << self.num_qubits;
-            let chunk_size = parallel_chunk_size(dim, block) * batch;
-            self.re
-                .par_chunks_mut(chunk_size)
-                .zip(self.im.par_chunks_mut(chunk_size))
-                .for_each(work);
-        } else {
-            work((&mut self.re, &mut self.im));
-        }
+        let unit = BLOCK_AMPS.max(block) * batch;
+        par_blocks((&mut self.re[..], &mut self.im[..]), unit, |(re, im), _| {
+            apply_one_q_span(re, im, c, batch, stride)
+        });
     }
 
     /// Apply a *run* of single-qubit gates — gate `g` with target
@@ -404,27 +391,15 @@ impl BatchStateVector {
         let coef: &[f64] = coef;
         let block_elems = (block_amps * batch).min(self.re.len());
 
-        let work = |(re_block, im_block): (&mut [f64], &mut [f64])| {
-            for (g, &t) in targets.iter().enumerate() {
-                let c = &coef[g * 8 * batch..(g + 1) * 8 * batch];
-                apply_one_q_span(re_block, im_block, c, batch, 1usize << t);
+        let unit = BLOCK_AMPS.max(block_amps) * batch;
+        par_blocks((&mut self.re[..], &mut self.im[..]), unit, |(re, im), _| {
+            for (re_block, im_block) in re.chunks_mut(block_elems).zip(im.chunks_mut(block_elems)) {
+                for (g, &t) in targets.iter().enumerate() {
+                    let c = &coef[g * 8 * batch..(g + 1) * 8 * batch];
+                    apply_one_q_span(re_block, im_block, c, batch, 1usize << t);
+                }
             }
-        };
-
-        if self.num_qubits >= parallel_threshold_qubits() {
-            self.re
-                .par_chunks_mut(block_elems)
-                .zip(self.im.par_chunks_mut(block_elems))
-                .for_each(work);
-        } else {
-            for pair in self
-                .re
-                .chunks_mut(block_elems)
-                .zip(self.im.chunks_mut(block_elems))
-            {
-                work(pair);
-            }
-        }
+        });
     }
 
     /// Apply a per-element 4×4 matrix to the ordered pair `(q1, q0)` of every
@@ -450,7 +425,7 @@ impl BatchStateVector {
 
         let re_ptr = PlanePtr(self.re.as_mut_ptr());
         let im_ptr = PlanePtr(self.im.as_mut_ptr());
-        let work = move |range: Range<usize>| {
+        par_blocks(0..quads, BLOCK_AMPS / 4, |range, _| {
             let re = re_ptr.get();
             let im = im_ptr.get();
             for k in range {
@@ -485,13 +460,7 @@ impl BatchStateVector {
                     }
                 }
             }
-        };
-
-        if self.num_qubits >= parallel_threshold_qubits() {
-            par_index_ranges(quads, work);
-        } else {
-            work(0..quads);
-        }
+        });
     }
 
     /// Multiply element `b` of amplitude `z` by the factor at
@@ -530,10 +499,10 @@ impl BatchStateVector {
         let plus = 1.0 / (dim as f64).sqrt();
         let amp = |re: f64, im: f64| if FROM_PLUS { (plus, 0.0) } else { (re, im) };
 
-        let work = |(re_chunk, im_chunk): (&mut [f64], &mut [f64]), base_amp: usize| {
-            let index = &index[base_amp..];
+        let work = |(re_run, im_run): (&mut [f64], &mut [f64]), offset: usize| {
+            let index = &index[offset / batch..];
             if batch == 1 {
-                for ((re, im), &v) in re_chunk.iter_mut().zip(im_chunk.iter_mut()).zip(index) {
+                for ((re, im), &v) in re_run.iter_mut().zip(im_run.iter_mut()).zip(index) {
                     let (fre, fim) = (fre[v as usize], fim[v as usize]);
                     let (are, aim) = amp(*re, *im);
                     *re = are * fre - aim * fim;
@@ -541,9 +510,9 @@ impl BatchStateVector {
                 }
                 return;
             }
-            for ((re_row, im_row), &v) in re_chunk
+            for ((re_row, im_row), &v) in re_run
                 .chunks_exact_mut(batch)
-                .zip(im_chunk.chunks_exact_mut(batch))
+                .zip(im_run.chunks_exact_mut(batch))
                 .zip(index)
             {
                 let fre = &fre[v as usize * batch..(v as usize + 1) * batch];
@@ -555,27 +524,18 @@ impl BatchStateVector {
                 }
             }
         };
-
-        if self.num_qubits >= parallel_threshold_qubits() {
-            let chunk_amps = parallel_chunk_size(dim, 1).max(1);
-            self.re
-                .par_chunks_mut(chunk_amps * batch)
-                .zip(self.im.par_chunks_mut(chunk_amps * batch))
-                .enumerate()
-                .for_each(|(i, pair)| work(pair, i * chunk_amps));
-        } else {
-            work((&mut self.re, &mut self.im), 0);
-        }
+        par_blocks(
+            (&mut self.re[..], &mut self.im[..]),
+            BLOCK_AMPS * batch,
+            work,
+        );
     }
 
     /// Per-element expectation `⟨ψ_b| D |ψ_b⟩` of a diagonal observable, one
     /// sweep for the whole batch. Appends `batch` values to `out` (cleared
-    /// first), mirroring the scalar reduction structure of
-    /// [`StateVector::expectation_diagonal`] exactly: same sequential z-order
-    /// accumulation below the parallel threshold, same per-thread range
-    /// partials (combined in range order, starting from 0.0) above it — so
-    /// each `out[b]` is bit-identical to the scalar result at any thread
-    /// count.
+    /// first), summed over the same 2¹⁶-amplitude blocks in the same order
+    /// as [`StateVector::expectation_diagonal`], so each `out[b]` is
+    /// bit-identical to the scalar result, at any thread count.
     pub fn expectation_diagonal_batch(
         &self,
         diagonal: &[f64],
@@ -591,8 +551,7 @@ impl BatchStateVector {
         let batch = self.batch;
         out.clear();
         out.resize(batch, 0.0);
-
-        let partial = |range: Range<usize>, acc: &mut [f64]| {
+        par_block_sum(dim, out, |range, acc| {
             let re_rows = &self.re[range.start * batch..range.end * batch];
             let im_rows = &self.im[range.start * batch..range.end * batch];
             if batch == 1 {
@@ -613,43 +572,7 @@ impl BatchStateVector {
                     acc[b] += (re_row[b] * re_row[b] + im_row[b] * im_row[b]) * d;
                 }
             }
-        };
-
-        if self.num_qubits >= parallel_threshold_qubits() {
-            // Same chunking decisions as `par_sum_ranges`, with vector-valued
-            // partials combined in the same order the scalar path sums them.
-            let threads = rayon::current_num_threads().clamp(1, dim.max(1));
-            if threads <= 1 {
-                partial(0..dim, out);
-            } else {
-                let chunk = dim.div_ceil(threads);
-                let partials: Vec<Vec<f64>> = std::thread::scope(|scope| {
-                    let partial = &partial;
-                    let handles: Vec<_> = (0..threads)
-                        .map(|t| (t * chunk, ((t + 1) * chunk).min(dim)))
-                        .take_while(|(start, end)| start < end)
-                        .map(|(start, end)| {
-                            scope.spawn(move || {
-                                let mut acc = vec![0.0; batch];
-                                partial(start..end, &mut acc);
-                                acc
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("reduction worker panicked"))
-                        .collect()
-                });
-                for p in partials {
-                    for (o, v) in out.iter_mut().zip(&p) {
-                        *o += v;
-                    }
-                }
-            }
-        } else {
-            partial(0..dim, out);
-        }
+        });
         Ok(())
     }
 }
@@ -713,8 +636,8 @@ mod tests {
     #[test]
     fn batched_kernels_match_scalar_kernels_bitwise() {
         // Distinct per-element matrices; scalar reference applies each one to
-        // its own state. Checked below and above the parallel threshold via
-        // an n=15 width (default threshold 14).
+        // its own state. Checked at a small width and at n=15, where the
+        // top qubit's pair block is half of a kernel block.
         use qcircuit::{Gate, GateMatrix};
         for n in [4usize, 15] {
             let batch = 3;
@@ -795,7 +718,7 @@ mod tests {
         // A run of per-qubit gates applied through the cache-blocked kernel
         // must equal one apply_single_qubit_batch pass per gate, bit for bit
         // — including when the block is far smaller than the state and when
-        // it covers the whole state. n=15 also exercises the parallel path.
+        // it covers the whole state, at a small width and at n=15.
         use qcircuit::{Gate, GateMatrix};
         for n in [6usize, 15] {
             for batch in [1usize, 3, 4] {
@@ -841,7 +764,7 @@ mod tests {
     #[test]
     fn plus_then_phase_pass_matches_the_two_passes_bitwise() {
         // The fused opening pass against `reset_plus` + `apply_phase_lut`,
-        // below and above the parallel threshold. Angle 0 at a negative
+        // at a small width and at n=15. Angle 0 at a negative
         // scale stages a `-0.0` imaginary factor; the product's imaginary
         // part is `+0.0` only through the plus state's `0.0 · fre` term, so
         // folding the literal zero away would flip its sign.
@@ -893,8 +816,9 @@ mod tests {
 
     #[test]
     fn batched_kernels_match_scalar_across_multiple_worker_threads() {
-        // Force a 4-thread pool so the scoped-thread paths genuinely split
-        // work, then compare against the default-pool scalar result.
+        // Run in a 4-thread pool and compare against the scalar result. At
+        // n=15 (one block) the kernels stay inline in any pool; two-block
+        // splits are covered at n=17 in `state` and `compile`.
         use qcircuit::{Gate, GateMatrix};
         let n = 15;
         let batch = 2;
@@ -922,10 +846,8 @@ mod tests {
             ((0..batch).map(|e| bsv.state(e)).collect::<Vec<_>>(), out)
         });
 
-        // The scalar reference runs in the SAME pool: the expectation
-        // reduction's chunk boundaries depend on the thread count, and the
-        // contract is batch ≡ scalar at equal thread count (each path is
-        // separately deterministic for a fixed pool).
+        // The scalar reference runs in the same pool; its bits would be the
+        // same in any pool, since reductions sum fixed blocks.
         for (e, m) in ms2.iter().enumerate() {
             let (scalar, want) = pool.install(|| {
                 let mut scalar = StateVector::plus_state(n).unwrap();

@@ -107,11 +107,7 @@ impl PhaseLut {
                 *angle = sum;
             }
         };
-        if num_qubits >= crate::parallel_threshold_qubits() {
-            crate::state::par_chunks_with_base(&mut angles, fill);
-        } else {
-            fill(&mut angles, 0);
-        }
+        crate::state::par_blocks(angles.as_mut_slice(), crate::state::TABLE_BLOCK, fill);
         PhaseLut::from_angles(&angles)
     }
 
@@ -1275,8 +1271,9 @@ mod tests {
 
     #[test]
     fn scalar_lut_pass_equals_the_dense_table_pass_bitwise() {
-        // Below, at and above the default parallel threshold (14 qubits).
-        for n in [5usize, 14, 15] {
+        // One block (up to 16 qubits) and two blocks (17 qubits), which
+        // split on pools of two or more threads.
+        for n in [5usize, 14, 15, 17] {
             let dim = 1usize << n;
             let tables: [Vec<f64>; 4] = [
                 // Few distinct values, as a Max-Cut layer has.

@@ -12,9 +12,8 @@
 //! historical edge-list helpers ([`maxcut_expectation`],
 //! [`maxcut_diagonal`]), which are kept for the paper-faithful call sites.
 
-use crate::state::StateVector;
+use crate::state::{par_blocks, StateVector, TABLE_BLOCK};
 use graphs::Problem;
-use rayon::prelude::*;
 
 /// The Max-Cut cost of a basis state `z` (bitmask) for the given edge list:
 /// `C(z) = Σ w_uv · [z_u ≠ z_v]`.
@@ -33,25 +32,15 @@ pub fn maxcut_value_of_basis_state(edges: &[(usize, usize, f64)], z: usize) -> f
         .sum()
 }
 
-/// `⟨ψ| C_MC |ψ⟩` for the Max-Cut Hamiltonian of the given edge list.
-///
-/// For registers at or above the Rayon threshold the sum over basis states is
-/// parallelized; below it a sequential loop is faster.
+/// `⟨ψ| C_MC |ψ⟩` for the Max-Cut Hamiltonian of the given edge list: one
+/// sequential sum over basis states in z-order, recomputing each cut.
 pub fn maxcut_expectation(state: &StateVector, edges: &[(usize, usize, f64)]) -> f64 {
-    let probs = state.probabilities();
-    if state.num_qubits() >= crate::parallel_threshold_qubits() {
-        probs
-            .par_iter()
-            .enumerate()
-            .map(|(z, p)| p * maxcut_value_of_basis_state(edges, z))
-            .sum()
-    } else {
-        probs
-            .iter()
-            .enumerate()
-            .map(|(z, p)| p * maxcut_value_of_basis_state(edges, z))
-            .sum()
-    }
+    state
+        .probabilities()
+        .iter()
+        .enumerate()
+        .map(|(z, p)| p * maxcut_value_of_basis_state(edges, z))
+        .sum()
 }
 
 /// The full `2^n` diagonal of the Max-Cut Hamiltonian for an edge list:
@@ -60,8 +49,9 @@ pub fn maxcut_expectation(state: &StateVector, edges: &[(usize, usize, f64)]) ->
 /// Building this once per graph and reusing it across optimizer iterations
 /// (via [`StateVector::expectation_diagonal`]) replaces the per-evaluation
 /// `O(2^n · |E|)` cut recomputation of [`maxcut_expectation`] with an
-/// `O(2^n)` dot product. The build itself is parallelized above the
-/// [`crate::parallel_threshold_qubits`] crossover.
+/// `O(2^n)` dot product. From 2¹⁴ entries the build is spread over the
+/// pool's threads; every entry is computed alone, so the bits never depend
+/// on the thread count.
 pub fn maxcut_diagonal(num_qubits: usize, edges: &[(usize, usize, f64)]) -> Vec<f64> {
     let dim = 1usize << num_qubits;
     let mut diag = vec![0.0f64; dim];
@@ -70,34 +60,22 @@ pub fn maxcut_diagonal(num_qubits: usize, edges: &[(usize, usize, f64)]) -> Vec<
             *d = maxcut_value_of_basis_state(edges, base + off);
         }
     };
-    if num_qubits >= crate::parallel_threshold_qubits() {
-        crate::state::par_chunks_with_base(&mut diag, fill);
-    } else {
-        fill(&mut diag, 0);
-    }
+    par_blocks(diag.as_mut_slice(), TABLE_BLOCK, fill);
     diag
 }
 
 /// `⟨ψ| C |ψ⟩` for an arbitrary diagonal cost [`Problem`].
 ///
-/// The problem-generic twin of [`maxcut_expectation`]: the sum over basis
-/// states is parallelized at or above the Rayon threshold. Max-Cut problems
-/// evaluate bit-identically to the edge-list path.
+/// The problem-generic twin of [`maxcut_expectation`], the same sequential
+/// sum in z-order. Max-Cut problems evaluate bit-identically to the
+/// edge-list path.
 pub fn problem_expectation(state: &StateVector, problem: &Problem) -> f64 {
-    let probs = state.probabilities();
-    if state.num_qubits() >= crate::parallel_threshold_qubits() {
-        probs
-            .par_iter()
-            .enumerate()
-            .map(|(z, p)| p * problem.value_mask(z as u64))
-            .sum()
-    } else {
-        probs
-            .iter()
-            .enumerate()
-            .map(|(z, p)| p * problem.value_mask(z as u64))
-            .sum()
-    }
+    state
+        .probabilities()
+        .iter()
+        .enumerate()
+        .map(|(z, p)| p * problem.value_mask(z as u64))
+        .sum()
 }
 
 /// The full `2^n` diagonal of an arbitrary diagonal cost [`Problem`]:
@@ -106,21 +84,17 @@ pub fn problem_expectation(state: &StateVector, problem: &Problem) -> f64 {
 /// The problem-generic twin of [`maxcut_diagonal`]; this is what the
 /// compiled QAOA objective caches per problem + graph and reuses across all
 /// optimizer iterations via [`StateVector::expectation_diagonal`]. The build
-/// is parallelized above the [`crate::parallel_threshold_qubits`] crossover.
+/// is split like [`maxcut_diagonal`]'s, with the same thread-independent
+/// bits.
 pub fn problem_diagonal(problem: &Problem) -> Vec<f64> {
-    let num_qubits = problem.num_spins();
-    let dim = 1usize << num_qubits;
+    let dim = 1usize << problem.num_spins();
     let mut diag = vec![0.0f64; dim];
     let fill = |out: &mut [f64], base: usize| {
         for (off, d) in out.iter_mut().enumerate() {
             *d = problem.value_mask((base + off) as u64);
         }
     };
-    if num_qubits >= crate::parallel_threshold_qubits() {
-        crate::state::par_chunks_with_base(&mut diag, fill);
-    } else {
-        fill(&mut diag, 0);
-    }
+    par_blocks(diag.as_mut_slice(), TABLE_BLOCK, fill);
     diag
 }
 

@@ -7,10 +7,14 @@
 //!
 //! * Qubit `0` is the least-significant bit of the basis-state index.
 //! * Single-qubit and two-qubit gate kernels are cache-friendly, bit-test-free
-//!   loops; for registers at or above [`parallel_threshold_qubits`] the
-//!   amplitude updates are split across threads (this is the *inner* level of
-//!   the paper's two-level parallelization scheme — the outer level
-//!   parallelizes over candidate circuits).
+//!   loops. Every kernel and reduction splits its work by fixed blocks of
+//!   2¹⁶ amplitudes, spread over the pool's threads (this is the *inner*
+//!   level of the paper's two-level parallelization scheme — the outer level
+//!   parallelizes over candidate circuits). The blocks do not depend on the
+//!   thread count, so neither do the results: a register of up to 16 qubits
+//!   is one block and runs inline, and a wider one sums its blocks in the
+//!   same order on any pool and any host. Table builds split from 2¹⁴
+//!   entries; each entry is computed alone.
 //! * [`CompiledProgram`] lowers a circuit once into specialized kernels with
 //!   parameter slots — fused diagonal cost layers, per-qubit gate chains, a
 //!   recognized `|+⟩^{⊗n}` preparation — for allocation-free re-evaluation
@@ -41,33 +45,6 @@ pub use batch::BatchStateVector;
 pub use compile::CompiledProgram;
 pub use error::SimulatorError;
 pub use state::StateVector;
-
-/// Default number of qubits above which gate kernels switch to
-/// thread-parallel iteration. Small registers are faster single-threaded
-/// because the per-task overhead dominates; 14 qubits (16384 amplitudes,
-/// 256 KiB) is where the kernels start winning from extra cores on typical
-/// desktop and server CPUs. Override per machine with the
-/// `QAS_PARALLEL_THRESHOLD` environment variable (see
-/// [`parallel_threshold_qubits`]).
-pub const PARALLEL_THRESHOLD_QUBITS: usize = 14;
-
-/// The active parallelization crossover, in qubits.
-///
-/// Reads the `QAS_PARALLEL_THRESHOLD` environment variable once (on first
-/// call, via [`std::sync::OnceLock`]) so the crossover can be tuned per
-/// machine without recompiling; unset, empty or unparsable values fall back
-/// to [`PARALLEL_THRESHOLD_QUBITS`]. Setting a large value (e.g. `99`)
-/// effectively disables kernel-level parallelism, which is useful for the
-/// single-core baselines of the paper's scaling experiments.
-pub fn parallel_threshold_qubits() -> usize {
-    static THRESHOLD: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THRESHOLD.get_or_init(|| {
-        std::env::var("QAS_PARALLEL_THRESHOLD")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(PARALLEL_THRESHOLD_QUBITS)
-    })
-}
 
 /// Preferred number of batch elements to simulate per sweep for an `n`-qubit
 /// register, capped at `batch`.

@@ -17,10 +17,8 @@
 //!   reference it is pinned bitwise equal to.
 
 use crate::error::SimulatorError;
-use crate::parallel_threshold_qubits;
 use num_complex::Complex64;
 use qcircuit::{Circuit, GateMatrix};
-use rayon::prelude::*;
 use std::ops::Range;
 
 /// Raw amplitude pointer that can cross `std::thread::scope` boundaries.
@@ -47,75 +45,124 @@ impl AmpPtr {
 unsafe impl Send for AmpPtr {}
 unsafe impl Sync for AmpPtr {}
 
-/// Split `0..total` into one contiguous range per worker thread and run `f`
-/// on each range in parallel (honouring [`rayon::ThreadPool::install`]
-/// overrides). Runs inline when one thread suffices.
-pub(crate) fn par_index_ranges(total: usize, f: impl Fn(Range<usize>) + Sync) {
-    let threads = rayon::current_num_threads().clamp(1, total.max(1));
-    if threads <= 1 {
-        f(0..total);
-        return;
+/// The fixed work block of every kernel and reduction, in amplitudes: 2¹⁶,
+/// 1 MiB of `Complex64` (× B in the batched planes).
+///
+/// Work is cut at block boundaries whatever the thread count, so a register
+/// of up to 16 qubits is one block and runs inline on any pool, and a
+/// reduction over a wider one sums block by block in the same order on one
+/// thread or on many. Below this size, handing work to threads costs more
+/// than it saves.
+pub(crate) const BLOCK_AMPS: usize = 1 << 16;
+
+/// The unit of the table fills (`problem_diagonal`, `maxcut_diagonal`,
+/// `PhaseLut::of_terms`): an entry costs a loop over the cost terms, not one
+/// multiply, so splitting them pays from 2¹⁴ entries, two units. Every entry
+/// is computed alone, so no unit changes a bit.
+pub(crate) const TABLE_BLOCK: usize = BLOCK_AMPS / 8;
+
+/// Data an element-wise pass cuts into per-thread runs: an amplitude slice
+/// or table, the two planes of a batch buffer, or a range of base indices.
+pub(crate) trait Cut: Send + Sized {
+    /// Length, in the data's own elements.
+    fn len(&self) -> usize;
+    /// The first `at` elements and the rest.
+    fn cut(self, at: usize) -> (Self, Self);
+}
+
+impl<T: Send> Cut for &mut [T] {
+    fn len(&self) -> usize {
+        <[T]>::len(self)
     }
-    let chunk = total.div_ceil(threads);
+    fn cut(self, at: usize) -> (Self, Self) {
+        self.split_at_mut(at)
+    }
+}
+
+impl Cut for Range<usize> {
+    fn len(&self) -> usize {
+        ExactSizeIterator::len(self)
+    }
+    fn cut(self, at: usize) -> (Self, Self) {
+        let mid = self.start + at;
+        (self.start..mid, mid..self.end)
+    }
+}
+
+impl<A: Cut, B: Cut> Cut for (A, B) {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    fn cut(self, at: usize) -> (Self, Self) {
+        let (a0, a1) = self.0.cut(at);
+        let (b0, b1) = self.1.cut(at);
+        ((a0, b0), (a1, b1))
+    }
+}
+
+/// Run the element-wise pass `f(run, offset)` over `data`, cut into runs of
+/// whole `unit`s, one contiguous run per thread of the current pool
+/// (honouring [`rayon::ThreadPool::install`]); `offset` is the run's first
+/// element. A kernel's unit, in `data`'s elements, is one [`BLOCK_AMPS`]
+/// block, or its pair block when that is wider, so no pair straddles two
+/// runs. Each element is written by exactly one run, so the cut cannot
+/// change a bit. Data of one unit, or a one-thread pool, runs inline as one
+/// call.
+pub(crate) fn par_blocks<D: Cut>(data: D, unit: usize, f: impl Fn(D, usize) + Sync) {
+    let units = data.len().div_ceil(unit);
+    // One unit never asks for the thread count, which outside a pool costs
+    // a read of the host's CPU quota.
+    let threads = if units > 1 {
+        rayon::current_num_threads().min(units)
+    } else {
+        1
+    };
+    if threads <= 1 {
+        return f(data, 0);
+    }
+    let run = units.div_ceil(threads) * unit;
     std::thread::scope(|scope| {
         let f = &f;
-        for t in 0..threads {
-            let start = t * chunk;
-            let end = ((t + 1) * chunk).min(total);
-            if start >= end {
-                break;
-            }
-            scope.spawn(move || f(start..end));
+        let (mut rest, mut offset) = (data, 0);
+        while rest.len() > run {
+            let (head, tail) = rest.cut(run);
+            scope.spawn(move || f(head, offset));
+            (rest, offset) = (tail, offset + run);
         }
+        f(rest, offset);
     });
 }
 
-/// Chunk size for `par_chunks_mut` kernels: a multiple of `block` close to
-/// an even split across the worker threads, so each thread gets one chunk.
-pub(crate) fn parallel_chunk_size(dim: usize, block: usize) -> usize {
-    let threads = rayon::current_num_threads().max(1);
-    let per_thread = (dim / threads).max(block);
-    (per_thread / block) * block
-}
-
-/// Run `f(chunk, base_index)` over one contiguous chunk of `data` per worker
-/// thread. Shared by the table-building passes (`maxcut_diagonal`, compiled
-/// angle tables) so the thread-count/chunking logic lives in one place.
-pub(crate) fn par_chunks_with_base<T: Send>(data: &mut [T], f: impl Fn(&mut [T], usize) + Sync) {
-    let threads = rayon::current_num_threads().clamp(1, data.len().max(1));
-    if threads <= 1 {
-        f(data, 0);
-        return;
+/// `acc[b] = Σ_z term_b(z)` over `0..len` amplitudes, summed by
+/// [`BLOCK_AMPS`] blocks: `partial(block, acc)` adds one block's terms in
+/// z-order to an accumulator that arrives holding `-0.0` (the identity of
+/// f64 addition, where `Iterator::sum` starts). The block partials are added
+/// in block order to `-0.0`, so the first one is the starting value and a
+/// single block is exactly the plain sequential sum. The blocks are spread
+/// over the pool's threads, but the result depends on `len` alone, never on
+/// the thread count.
+pub(crate) fn par_block_sum(
+    len: usize,
+    acc: &mut [f64],
+    partial: impl Fn(Range<usize>, &mut [f64]) + Sync,
+) {
+    let width = acc.len();
+    acc.fill(-0.0);
+    if len <= BLOCK_AMPS {
+        return partial(0..len, acc);
     }
-    let chunk = data.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let f = &f;
-        for (i, part) in data.chunks_mut(chunk).enumerate() {
-            scope.spawn(move || f(part, i * chunk));
+    let mut partials = vec![-0.0; len.div_ceil(BLOCK_AMPS) * width];
+    par_blocks(partials.as_mut_slice(), width, |run, offset| {
+        for (i, p) in run.chunks_exact_mut(width).enumerate() {
+            let start = (offset / width + i) * BLOCK_AMPS;
+            partial(start..(start + BLOCK_AMPS).min(len), p);
         }
     });
-}
-
-/// Sum `f(range)` over one contiguous subrange of `0..total` per worker
-/// thread (the reduction twin of [`par_chunks_with_base`]).
-pub(crate) fn par_sum_ranges(total: usize, f: impl Fn(Range<usize>) -> f64 + Sync) -> f64 {
-    let threads = rayon::current_num_threads().clamp(1, total.max(1));
-    if threads <= 1 {
-        return f(0..total);
+    for p in partials.chunks_exact(width) {
+        for (a, v) in acc.iter_mut().zip(p) {
+            *a += v;
+        }
     }
-    let chunk = total.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = (0..threads)
-            .map(|t| (t * chunk, ((t + 1) * chunk).min(total)))
-            .take_while(|(start, end)| start < end)
-            .map(|(start, end)| scope.spawn(move || f(start..end)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("reduction worker panicked"))
-            .sum()
-    })
 }
 
 /// Hard cap on dense-simulation width (2^30 amplitudes = 16 GiB of
@@ -276,8 +323,8 @@ impl StateVector {
     ///
     /// Stride-free kernel: each block of `2·stride` amplitudes is split into
     /// its lower and upper halves and the pairs are updated by zipping the two
-    /// halves — no per-index bit test. Chunks handed to worker threads are
-    /// multiples of the block size, so pairs never straddle a chunk boundary.
+    /// halves — no per-index bit test. Runs handed to worker threads are
+    /// multiples of the block size, so pairs never straddle a run boundary.
     pub fn apply_single_qubit(&mut self, m: &[Complex64; 4], target: usize) {
         // A hard check, not a debug_assert: an out-of-range target would make
         // `block` exceed the slice and silently skip the gate.
@@ -290,8 +337,9 @@ impl StateVector {
         let block = 2 * stride;
         let (m00, m01, m10, m11) = (m[0], m[1], m[2], m[3]);
 
-        let work = |chunk: &mut [Complex64]| {
-            for pairs in chunk.chunks_exact_mut(block) {
+        let unit = BLOCK_AMPS.max(block);
+        par_blocks(self.amplitudes.as_mut_slice(), unit, |run, _| {
+            for pairs in run.chunks_exact_mut(block) {
                 let (lo, hi) = pairs.split_at_mut(stride);
                 for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
                     let x = *a;
@@ -300,14 +348,7 @@ impl StateVector {
                     *b = m10 * x + m11 * y;
                 }
             }
-        };
-
-        if self.num_qubits >= parallel_threshold_qubits() {
-            let chunk_size = parallel_chunk_size(self.amplitudes.len(), block);
-            self.amplitudes.par_chunks_mut(chunk_size).for_each(work);
-        } else {
-            work(&mut self.amplitudes);
-        }
+        });
     }
 
     /// Apply a 4×4 matrix to the ordered pair `(q1, q0)`; the matrix basis is
@@ -319,7 +360,7 @@ impl StateVector {
     /// inserting zero bits at the two operand positions — instead of testing
     /// every index. Contiguous ranges of `k` map to disjoint amplitude
     /// quadruples, so the range is split across worker threads with no index
-    /// vector and no sequential fallback.
+    /// vector.
     pub fn apply_two_qubit(&mut self, m: &[Complex64; 16], q1: usize, q0: usize) {
         // Hard checks, not debug_asserts: the kernel below writes through raw
         // pointers, so invalid operands must panic rather than corrupt memory.
@@ -341,7 +382,7 @@ impl StateVector {
         let m = *m;
 
         let ptr = AmpPtr(self.amplitudes.as_mut_ptr());
-        let work = move |range: Range<usize>| {
+        par_blocks(0..quads, BLOCK_AMPS / 4, |range, _| {
             let amps = ptr.get();
             for k in range {
                 let base = (k & lo_mask) | ((k & mid_mask) << 1) | ((k & hi_mask) << 2);
@@ -365,13 +406,7 @@ impl StateVector {
                     *amps.add(i11) = m[12] * a00 + m[13] * a01 + m[14] * a10 + m[15] * a11;
                 }
             }
-        };
-
-        if self.num_qubits >= parallel_threshold_qubits() {
-            par_index_ranges(quads, work);
-        } else {
-            work(0..quads);
-        }
+        });
     }
 
     /// Multiply every amplitude by `e^{i·scale·angles[z]}`, one `sin`/`cos`
@@ -386,23 +421,11 @@ impl StateVector {
                 state: self.amplitudes.len(),
             });
         }
-        let work = |amps: &mut [Complex64], angles: &[f64]| {
-            for (a, &theta) in amps.iter_mut().zip(angles) {
+        par_blocks(self.amplitudes.as_mut_slice(), BLOCK_AMPS, |run, offset| {
+            for (a, &theta) in run.iter_mut().zip(&angles[offset..]) {
                 *a *= Complex64::from_polar(1.0, scale * theta);
             }
-        };
-        if self.num_qubits >= parallel_threshold_qubits() {
-            let chunk_size = parallel_chunk_size(self.amplitudes.len(), 1).max(1);
-            self.amplitudes
-                .par_chunks_mut(chunk_size)
-                .enumerate()
-                .for_each(|(i, chunk)| {
-                    let start = i * chunk_size;
-                    work(chunk, &angles[start..start + chunk.len()]);
-                });
-        } else {
-            work(&mut self.amplitudes, angles);
-        }
+        });
         Ok(())
     }
 
@@ -424,27 +447,17 @@ impl StateVector {
         self.phase_factors.clear();
         stage(&mut self.phase_factors);
         let factors = self.phase_factors.as_slice();
-        let work = |amps: &mut [Complex64], index: &[u32]| {
-            for (a, &v) in amps.iter_mut().zip(index) {
+        par_blocks(self.amplitudes.as_mut_slice(), BLOCK_AMPS, |run, offset| {
+            for (a, &v) in run.iter_mut().zip(&index[offset..]) {
                 *a *= factors[v as usize];
             }
-        };
-        if self.num_qubits >= parallel_threshold_qubits() {
-            let chunk_size = parallel_chunk_size(self.amplitudes.len(), 1).max(1);
-            self.amplitudes
-                .par_chunks_mut(chunk_size)
-                .enumerate()
-                .for_each(|(i, chunk)| {
-                    let start = i * chunk_size;
-                    work(chunk, &index[start..start + chunk.len()]);
-                });
-        } else {
-            work(&mut self.amplitudes, index);
-        }
+        });
     }
 
     /// Expectation value `⟨ψ| D |ψ⟩` of a diagonal observable given as its
-    /// diagonal entries (length `2^n`).
+    /// diagonal entries (length `2^n`), summed block by block over fixed
+    /// 2¹⁶-amplitude blocks: the bits depend on `n`, never on the thread
+    /// count.
     pub fn expectation_diagonal(&self, diagonal: &[f64]) -> Result<f64, SimulatorError> {
         if diagonal.len() != self.amplitudes.len() {
             return Err(SimulatorError::DimensionMismatch {
@@ -452,18 +465,15 @@ impl StateVector {
                 state: self.amplitudes.len(),
             });
         }
-        let partial = |range: Range<usize>| -> f64 {
-            self.amplitudes[range.clone()]
+        let mut sum = [0.0];
+        par_block_sum(self.amplitudes.len(), &mut sum, |range, acc| {
+            acc[0] += self.amplitudes[range.clone()]
                 .iter()
                 .zip(&diagonal[range])
                 .map(|(a, d)| a.norm_sqr() * d)
-                .sum::<f64>()
-        };
-        if self.num_qubits >= parallel_threshold_qubits() {
-            Ok(par_sum_ranges(self.amplitudes.len(), partial))
-        } else {
-            Ok(partial(0..self.amplitudes.len()))
-        }
+                .sum::<f64>();
+        });
+        Ok(sum[0])
     }
 }
 
@@ -623,69 +633,125 @@ mod tests {
 
     #[test]
     fn parallel_kernels_agree_with_naive_application() {
-        // Large enough to cross the default parallel threshold (14 qubits),
-        // so the multi-threaded single-qubit, two-qubit and phase-table
-        // paths all run; the reference is a naive bit-test implementation.
-        let n = 15;
-        let mut c = Circuit::new(n);
-        c.h_layer();
-        c.rzz(0, 7, 0.9).rzz(3, 14, -0.4).rx(5, 1.3);
-        let mut state = StateVector::from_circuit(&c).unwrap();
-        let mut naive = state.amplitudes().to_vec();
+        // One block (15 qubits) and two blocks (17 qubits), so on a pool of
+        // two or more threads the single-qubit, two-qubit and phase-table
+        // passes also run split; the reference is a naive bit-test
+        // implementation.
+        for n in [15, 17] {
+            let mut c = Circuit::new(n);
+            c.h_layer();
+            c.rzz(0, 7, 0.9).rzz(3, 14, -0.4).rx(5, 1.3);
+            let mut state = StateVector::from_circuit(&c).unwrap();
+            let mut naive = state.amplitudes().to_vec();
 
-        // Single-qubit RY on qubit 11.
-        let (m1, t1) = (GateMatrix::of(Gate::RY, 0.77), 11usize);
-        // Two-qubit RXX on (14, 2) — includes the top qubit, the worst case
-        // for chunk-based parallel schemes.
-        let (m2, q1, q0) = (GateMatrix::of(Gate::RXX, -1.1), 14usize, 2usize);
-        state.apply_matrix(&m1, &[t1]);
-        state.apply_matrix(&m2, &[q1, q0]);
+            // Single-qubit RY on qubit 11.
+            let (m1, t1) = (GateMatrix::of(Gate::RY, 0.77), 11usize);
+            // Two-qubit RXX on (n - 1, 2) — includes the top qubit, the worst
+            // case for chunk-based parallel schemes.
+            let (m2, q1, q0) = (GateMatrix::of(Gate::RXX, -1.1), n - 1, 2usize);
+            state.apply_matrix(&m1, &[t1]);
+            state.apply_matrix(&m2, &[q1, q0]);
 
-        if let GateMatrix::One(m) = &m1 {
-            let stride = 1usize << t1;
-            for idx in 0..naive.len() {
-                if idx & stride == 0 {
-                    let a = naive[idx];
-                    let b = naive[idx | stride];
-                    naive[idx] = m[0] * a + m[1] * b;
-                    naive[idx | stride] = m[2] * a + m[3] * b;
+            if let GateMatrix::One(m) = &m1 {
+                let stride = 1usize << t1;
+                for idx in 0..naive.len() {
+                    if idx & stride == 0 {
+                        let a = naive[idx];
+                        let b = naive[idx | stride];
+                        naive[idx] = m[0] * a + m[1] * b;
+                        naive[idx | stride] = m[2] * a + m[3] * b;
+                    }
                 }
             }
-        }
-        if let GateMatrix::Two(m) = &m2 {
-            let (bit1, bit0) = (1usize << q1, 1usize << q0);
-            for idx in 0..naive.len() {
-                if idx & bit1 == 0 && idx & bit0 == 0 {
-                    let (i00, i01, i10, i11) = (idx, idx | bit0, idx | bit1, idx | bit1 | bit0);
-                    let (a00, a01, a10, a11) = (naive[i00], naive[i01], naive[i10], naive[i11]);
-                    naive[i00] = m[0] * a00 + m[1] * a01 + m[2] * a10 + m[3] * a11;
-                    naive[i01] = m[4] * a00 + m[5] * a01 + m[6] * a10 + m[7] * a11;
-                    naive[i10] = m[8] * a00 + m[9] * a01 + m[10] * a10 + m[11] * a11;
-                    naive[i11] = m[12] * a00 + m[13] * a01 + m[14] * a10 + m[15] * a11;
+            if let GateMatrix::Two(m) = &m2 {
+                let (bit1, bit0) = (1usize << q1, 1usize << q0);
+                for idx in 0..naive.len() {
+                    if idx & bit1 == 0 && idx & bit0 == 0 {
+                        let (i00, i01, i10, i11) = (idx, idx | bit0, idx | bit1, idx | bit1 | bit0);
+                        let (a00, a01, a10, a11) = (naive[i00], naive[i01], naive[i10], naive[i11]);
+                        naive[i00] = m[0] * a00 + m[1] * a01 + m[2] * a10 + m[3] * a11;
+                        naive[i01] = m[4] * a00 + m[5] * a01 + m[6] * a10 + m[7] * a11;
+                        naive[i10] = m[8] * a00 + m[9] * a01 + m[10] * a10 + m[11] * a11;
+                        naive[i11] = m[12] * a00 + m[13] * a01 + m[14] * a10 + m[15] * a11;
+                    }
                 }
             }
-        }
-        for (a, b) in state.amplitudes().iter().zip(&naive) {
-            assert!((a - b).norm() < 1e-12);
-        }
+            for (a, b) in state.amplitudes().iter().zip(&naive) {
+                assert!((a - b).norm() < 1e-12);
+            }
 
-        // Phase table: a parameter-scaled diagonal pass must equal per-index
-        // multiplication.
-        let angles: Vec<f64> = (0..naive.len()).map(|z| (z % 7) as f64 * 0.3).collect();
-        state.apply_phase_table(&angles, 0.5).unwrap();
-        for (idx, b) in naive.iter_mut().enumerate() {
-            *b *= Complex64::from_polar(1.0, 0.5 * angles[idx]);
+            // Phase table: a parameter-scaled diagonal pass must equal per-index
+            // multiplication.
+            let angles: Vec<f64> = (0..naive.len()).map(|z| (z % 7) as f64 * 0.3).collect();
+            state.apply_phase_table(&angles, 0.5).unwrap();
+            for (idx, b) in naive.iter_mut().enumerate() {
+                *b *= Complex64::from_polar(1.0, 0.5 * angles[idx]);
+            }
+            for (a, b) in state.amplitudes().iter().zip(&naive) {
+                assert!((a - b).norm() < 1e-12);
+            }
         }
-        for (a, b) in state.amplitudes().iter().zip(&naive) {
-            assert!((a - b).norm() < 1e-12);
+    }
+
+    #[test]
+    fn block_sum_is_the_sequential_sum_in_fixed_blocks() {
+        let pool = |threads| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+        };
+        let term = |z: usize| ((z * 7919) % 1013) as f64 * 1e-3 - 0.37;
+        let block_sum = |terms: &[f64], width: usize| {
+            let mut acc = vec![1.0; width];
+            par_block_sum(terms.len(), &mut acc, |range, acc| {
+                for (b, a) in acc.iter_mut().enumerate() {
+                    for z in range.clone() {
+                        *a += terms[z] * (b + 1) as f64;
+                    }
+                }
+            });
+            acc
+        };
+
+        // One block is the plain sequential sum, on any pool, down to the
+        // sign of a zero total.
+        let one: Vec<f64> = (0..BLOCK_AMPS).map(term).collect();
+        let signed_zeros = [-0.0; 8];
+        for threads in [1, 4] {
+            pool(threads).install(|| {
+                for terms in [&one[..], &signed_zeros[..]] {
+                    let want: f64 = terms.iter().sum();
+                    assert_eq!(block_sum(terms, 1)[0].to_bits(), want.to_bits());
+                }
+            });
+        }
+        assert!(block_sum(&signed_zeros, 1)[0].is_sign_negative());
+
+        // Four blocks: their partials added in block order, at every
+        // thread count.
+        let four: Vec<f64> = (0..4 * BLOCK_AMPS).map(term).collect();
+        let want = four
+            .chunks(BLOCK_AMPS)
+            .map(|block| block.iter().sum::<f64>())
+            .fold(-0.0, |acc, p| acc + p);
+        assert_ne!(want.to_bits(), four.iter().sum::<f64>().to_bits());
+        for threads in [1, 2, 3, 4] {
+            let got = pool(threads).install(|| block_sum(&four, 3));
+            assert_eq!(got[0].to_bits(), want.to_bits(), "{threads} threads");
+            // The B-wide form is B scalar sums.
+            for (b, g) in got.iter().enumerate() {
+                let scaled: Vec<f64> = four.iter().map(|t| t * (b + 1) as f64).collect();
+                assert_eq!(g.to_bits(), block_sum(&scaled, 1)[0].to_bits());
+            }
         }
     }
 
     #[test]
     fn parallel_kernels_agree_across_multiple_worker_threads() {
-        // Force a 4-thread pool (this box may have a single CPU, where the
-        // scoped-thread path would otherwise collapse to one inline range)
-        // and check the threaded kernels against a single-threaded run.
+        // Run in a 4-thread pool and check the kernels against a run in the
+        // default pool. At 15 qubits (one block) they stay inline in any
+        // pool; the two-block split is covered at 17 qubits above.
         let n = 15;
         let mut c = Circuit::new(n);
         c.h_layer();

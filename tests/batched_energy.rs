@@ -64,39 +64,49 @@ fn energy_batch_in_matches_energy_flat_in_bitwise_for_every_problem() {
         }
     }
 
-    // At 15 qubits the kernels take their wide arms (at and past the
-    // 14-qubit parallel threshold), and the B = 1 mixer run splits: its
-    // cache block holds 16 384 amplitudes, so target 14 is applied outside
-    // it. The reduction's partials depend on the pool size, so both
-    // paths run in the same pool.
-    let graph = Graph::erdos_renyi(15, 0.5, 43);
-    let eval = EnergyEvaluator::new(&graph, Backend::StateVector);
-    for threads in [1, 2] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap();
-        for depth in [1, 2] {
-            let compiled = eval
-                .compile(&QaoaAnsatz::new(&graph, depth, Mixer::qnas()))
+    // At 15 qubits the kernels run one block; at 17 they run two, which
+    // split on the two-thread pool. At both widths the B = 1 mixer run
+    // splits: its cache block holds 16 384 amplitudes, so targets from 14
+    // up are applied outside it. Both paths run in the same pool, and each
+    // width's bits must not depend on the pool size.
+    for n in [15, 17] {
+        let graph = Graph::erdos_renyi(n, 0.5, 43);
+        let eval = EnergyEvaluator::new(&graph, Backend::StateVector);
+        let mut bits_by_threads = Vec::new();
+        for threads in [1, 2] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
                 .unwrap();
-            let mut scratch = BatchScratch::new();
-            let mut state = StateVector::zero_state(15).unwrap();
-            for batch in [1, 2] {
-                let pts = points(batch, 2 * depth);
-                pool.install(|| {
-                    let batched = compiled.energy_batch_in(&pts, &mut scratch).unwrap();
-                    for (p, &e) in pts.iter().zip(&batched) {
-                        let scalar = compiled.energy_flat_in(p, &mut state).unwrap();
-                        assert_eq!(
-                            e.to_bits(),
-                            scalar.to_bits(),
-                            "n=15 p={depth} B={batch} threads={threads}: {e} vs {scalar}"
-                        );
-                    }
-                });
+            let mut bits = Vec::new();
+            for depth in [1, 2] {
+                let compiled = eval
+                    .compile(&QaoaAnsatz::new(&graph, depth, Mixer::qnas()))
+                    .unwrap();
+                let mut scratch = BatchScratch::new();
+                let mut state = StateVector::zero_state(n).unwrap();
+                for batch in [1, 2] {
+                    let pts = points(batch, 2 * depth);
+                    pool.install(|| {
+                        let batched = compiled.energy_batch_in(&pts, &mut scratch).unwrap();
+                        for (p, &e) in pts.iter().zip(&batched) {
+                            let scalar = compiled.energy_flat_in(p, &mut state).unwrap();
+                            assert_eq!(
+                                e.to_bits(),
+                                scalar.to_bits(),
+                                "n={n} p={depth} B={batch} threads={threads}: {e} vs {scalar}"
+                            );
+                            bits.push(e.to_bits());
+                        }
+                    });
+                }
             }
+            bits_by_threads.push(bits);
         }
+        assert_eq!(
+            bits_by_threads[0], bits_by_threads[1],
+            "n={n}: two-thread bits differ from one-thread bits"
+        );
     }
 }
 

@@ -71,6 +71,64 @@ fn parallel_search_matches_serial_winner() {
 }
 
 #[test]
+fn serial_search_bits_do_not_depend_on_the_thread_count() {
+    // The serial engine trains in the caller's pool, which sizes the
+    // kernels' inner level. At 15 qubits a register is one block, at
+    // 17 two; either way the kernels cut work at fixed block boundaries, so
+    // every bit of the search must be the same in a 1-, 2- or 4-thread pool,
+    // and equal to the full-budget pipeline's (whose workers pin the inner
+    // level to one thread).
+    fn bits(outcome: &SearchOutcome) -> Vec<u64> {
+        let mut bits = vec![
+            outcome.best.energy.to_bits(),
+            outcome.best.approx_ratio.to_bits(),
+        ];
+        for candidate in outcome.depth_results.iter().flat_map(|d| &d.candidates) {
+            bits.push(candidate.mean_energy.to_bits());
+            bits.extend(candidate.per_graph.iter().map(|t| t.energy.to_bits()));
+        }
+        bits
+    }
+    for n in [15, 17] {
+        let graphs = vec![Graph::erdos_renyi(n, 0.5, 7)];
+        let config = SearchConfig::builder()
+            .alphabet(GateAlphabet::from_mnemonics(&["rx"]).unwrap())
+            .max_depth(1)
+            .max_gates_per_mixer(1)
+            .optimizer_budget(8)
+            .backend(qarchsearch_suite::qaoa::Backend::StateVector)
+            .seed(3)
+            .build();
+        let serial_in = |threads| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                SearchDriver::new(config.clone().with_mode(ExecutionMode::Serial))
+                    .run(&graphs)
+                    .unwrap()
+            })
+        };
+        let reference = bits(&serial_in(1));
+        for threads in [2, 4] {
+            assert_eq!(
+                bits(&serial_in(threads)),
+                reference,
+                "n={n}: serial search at {threads} threads"
+            );
+        }
+        let mut pipeline = config.clone();
+        pipeline.threads = Some(2);
+        pipeline.pipeline = qarchsearch_suite::qarchsearch::PipelineConfig::full_budget();
+        let pipeline = SearchDriver::new(pipeline.with_mode(ExecutionMode::Parallel))
+            .run(&graphs)
+            .unwrap();
+        assert_eq!(bits(&pipeline), reference, "n={n}: pipeline at 2 workers");
+    }
+}
+
+#[test]
 fn budget_aware_pipeline_saves_budget_at_competitive_energy() {
     // The default parallel pipeline (successive halving + warm
     // starts) spends a fraction of the full budget and still lands within
