@@ -23,6 +23,7 @@ use qaoa::mixer::Mixer;
 use qaoa::{Backend, BatchScratch};
 use qcircuit::Gate;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -37,9 +38,43 @@ static BYTES: AtomicUsize = AtomicUsize::new(0);
 /// set-up allocations never land in the other's armed window.
 static SERIAL: Mutex<()> = Mutex::new(());
 
+thread_local! {
+    /// Set on the thread running a `count_allocs` closure.
+    static ARMING: Cell<bool> = const { Cell::new(false) };
+    /// Whether this thread was spawned by an armed call, decided at its
+    /// first allocation (`None` before it).
+    static SPAWNED_ARMED: Cell<Option<bool>> = const { Cell::new(None) };
+}
+
+/// Whether an allocation made now on this thread is counted: while armed,
+/// the arming thread's are, and so are those of the threads the armed call
+/// spawns — the unnamed threads whose first allocation falls inside the
+/// window, i.e. the scoped workers of the parallel drivers. libtest's main
+/// thread first allocated before any window, and the test threads it
+/// starts carry the test's name, so libtest reporting one test while the
+/// next is armed stays out of the count.
+fn counts_here() -> bool {
+    let armed = ARMED.load(Ordering::Relaxed);
+    if armed && ARMING.with(Cell::get) {
+        return true;
+    }
+    SPAWNED_ARMED.with(|spawned| match spawned.get() {
+        Some(spawned) => armed && spawned,
+        None => {
+            // A thread that first allocates inside the window has just
+            // started, so it has its handle and `current()` does not
+            // allocate; should it, the nested call sees `Some(false)`.
+            spawned.set(Some(false));
+            let armed_child = armed && std::thread::current().name().is_none();
+            spawned.set(Some(armed_child));
+            armed_child
+        }
+    })
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if counts_here() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
             BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         }
@@ -51,7 +86,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if counts_here() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
             BYTES.fetch_add(new_size, Ordering::Relaxed);
         }
@@ -62,13 +97,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Run `f` with allocation counting armed; returns (allocations, bytes).
+/// Run `f` with allocation counting armed for this thread and the threads
+/// `f` spawns; returns (allocations, bytes).
 fn count_allocs<R>(f: impl FnOnce() -> R) -> (usize, usize, R) {
     ALLOCS.store(0, Ordering::Relaxed);
     BYTES.store(0, Ordering::Relaxed);
+    ARMING.with(|arming| arming.set(true));
     ARMED.store(true, Ordering::Relaxed);
     let r = f();
     ARMED.store(false, Ordering::Relaxed);
+    ARMING.with(|arming| arming.set(false));
     (
         ALLOCS.load(Ordering::Relaxed),
         BYTES.load(Ordering::Relaxed),

@@ -10,8 +10,20 @@
 //!   batch;
 //! * the inner `b` loop reads and writes contiguous pure-f64 runs with no
 //!   real/imaginary interleaving, so the explicit arithmetic in the kernels
-//!   below autovectorizes across the batch lane (interleaved `Complex64`
-//!   forces shuffle-heavy codegen that pins throughput at scalar FP rates).
+//!   below compiles to packed f64 multiplies and adds (interleaved
+//!   `Complex64` forces shuffle-heavy codegen that pins throughput at scalar
+//!   FP rates).
+//!
+//! **Two builds of the hot kernels.** The single-qubit span kernel and the
+//! phase pass are each one `#[inline(always)]` body compiled twice: into the
+//! portable entry (baseline x86-64: SSE2, two f64 lanes) and into an
+//! `unsafe` wrapper compiled with the `avx2` target feature (four lanes).
+//! Every call runs the AVX2 build when
+//! `is_x86_feature_detected!("avx2")` holds (a cached CPU flag; nothing
+//! else selects the arm). `fma` stays off and no FMA intrinsic is used, and
+//! Rust never contracts `a * b + c` into one rounding on its own, so both
+//! builds round every product and sum the same way: the arm never changes a
+//! bit, and the portable build is the AVX2 build's oracle.
 //!
 //! On top of the layout, `BatchStateVector::apply_single_qubit_run_batch`
 //! executes a whole *run* of single-qubit gates (e.g. one QAOA mixer layer)
@@ -21,11 +33,11 @@
 //!
 //! This is the executor of every compiled energy evaluation, `B = 1`
 //! included: an optimizer that asks for one point at a time (COBYLA) runs
-//! here too. At `B = 1` the planes are plain amplitude arrays: the phase
-//! and expectation kernels take plain-slice bodies that vectorize across
-//! amplitudes instead of across the batch, and the single-qubit span kernel
-//! runs its compile-time `B = 1` instance. A program
-//! that opens with `|+⟩^{⊗n}` and a phase pass writes both in one pass
+//! here too. At `B = 1` the planes are plain amplitude arrays: the
+//! single-qubit span kernel runs its compile-time `B = 1` instance, and the
+//! phase and expectation kernels take plain-slice bodies that loop across
+//! amplitudes instead of across the batch. A program that opens with
+//! `|+⟩^{⊗n}` and a phase pass writes both in one pass
 //! (`BatchStateVector::reset_plus_then_phase_lut`). The scalar
 //! [`StateVector`] interpreter stays as the reference.
 //!
@@ -103,8 +115,42 @@ pub(crate) fn run_block_amps(batch: usize) -> usize {
 /// tree per element is exactly `m[0]*x + m[1]*y` / `m[2]*x + m[3]*y` over
 /// `Complex64` — same multiplies, same subtraction/addition order — so the
 /// result is bit-identical to the scalar kernel.
+///
+/// Runs [`one_q_span_avx2`] when the CPU has AVX2, [`one_q_span`] otherwise;
+/// both compile the same body, so the arm never changes a bit.
 #[inline]
 fn apply_one_q_span(re: &mut [f64], im: &mut [f64], c: &[f64], batch: usize, target_stride: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU supports AVX2.
+        return unsafe { one_q_span_avx2(re, im, c, batch, target_stride) };
+    }
+    one_q_span(re, im, c, batch, target_stride)
+}
+
+/// [`one_q_span`] compiled with AVX2 enabled: four f64 lanes instead of
+/// baseline x86-64's two. `fma` stays off, and Rust never contracts
+/// `a * b + c` on its own, so both builds round every product and sum
+/// separately and give the same bits.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn one_q_span_avx2(
+    re: &mut [f64],
+    im: &mut [f64],
+    c: &[f64],
+    batch: usize,
+    target_stride: usize,
+) {
+    one_q_span(re, im, c, batch, target_stride)
+}
+
+/// The span kernel's body, inlined into the portable entry and into the
+/// AVX2 build alike.
+#[inline(always)]
+fn one_q_span(re: &mut [f64], im: &mut [f64], c: &[f64], batch: usize, target_stride: usize) {
     // Monomorphize the power-of-two batch widths `preferred_batch_tile`
     // produces: a compile-time trip count lets the inner loop unroll and
     // vectorize (the arithmetic itself is unchanged, so results are
@@ -120,7 +166,7 @@ fn apply_one_q_span(re: &mut [f64], im: &mut [f64], c: &[f64], batch: usize, tar
     }
 }
 
-#[inline]
+#[inline(always)]
 fn apply_one_q_span_b<const B: usize>(
     re: &mut [f64],
     im: &mut [f64],
@@ -167,7 +213,7 @@ fn apply_one_q_span_b<const B: usize>(
     }
 }
 
-#[inline]
+#[inline(always)]
 fn apply_one_q_span_dyn(
     re: &mut [f64],
     im: &mut [f64],
@@ -213,6 +259,87 @@ fn stage_one_q_coeffs(ms: &[[Complex64; 4]], batch: usize, out: &mut [f64]) {
         for (j, entry) in m.iter().enumerate() {
             out[2 * j * batch + b] = entry.re;
             out[(2 * j + 1) * batch + b] = entry.im;
+        }
+    }
+}
+
+/// Multiply element `b` of the span's amplitude `z` by the factor at
+/// `index[z] * batch + b` — the expansion of `num_complex`'s `MulAssign`.
+/// `FROM_PLUS` takes every input amplitude to be the plus state's
+/// `(plus, +0.0)` instead of reading it. Runs [`phase_lut_span_avx2`] when
+/// the CPU has AVX2, [`phase_lut_span`] otherwise; both compile the same
+/// body.
+#[inline]
+fn apply_phase_lut_span<const FROM_PLUS: bool>(
+    re: &mut [f64],
+    im: &mut [f64],
+    index: &[u32],
+    fre: &[f64],
+    fim: &[f64],
+    batch: usize,
+    plus: f64,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU supports AVX2.
+        return unsafe { phase_lut_span_avx2::<FROM_PLUS>(re, im, index, fre, fim, batch, plus) };
+    }
+    phase_lut_span::<FROM_PLUS>(re, im, index, fre, fim, batch, plus)
+}
+
+/// [`phase_lut_span`] compiled with AVX2 enabled and `fma` off, for the
+/// same reason as [`one_q_span_avx2`].
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn phase_lut_span_avx2<const FROM_PLUS: bool>(
+    re: &mut [f64],
+    im: &mut [f64],
+    index: &[u32],
+    fre: &[f64],
+    fim: &[f64],
+    batch: usize,
+    plus: f64,
+) {
+    phase_lut_span::<FROM_PLUS>(re, im, index, fre, fim, batch, plus)
+}
+
+/// The phase pass's body, inlined into the portable entry and into the
+/// AVX2 build alike. At `B = 1` the planes are plain amplitude arrays and
+/// the loop runs across amplitudes.
+#[inline(always)]
+fn phase_lut_span<const FROM_PLUS: bool>(
+    re: &mut [f64],
+    im: &mut [f64],
+    index: &[u32],
+    fre: &[f64],
+    fim: &[f64],
+    batch: usize,
+    plus: f64,
+) {
+    let amp = |re: f64, im: f64| if FROM_PLUS { (plus, 0.0) } else { (re, im) };
+    if batch == 1 {
+        for ((re, im), &v) in re.iter_mut().zip(im.iter_mut()).zip(index) {
+            let (fre, fim) = (fre[v as usize], fim[v as usize]);
+            let (are, aim) = amp(*re, *im);
+            *re = are * fre - aim * fim;
+            *im = are * fim + aim * fre;
+        }
+        return;
+    }
+    for ((re_row, im_row), &v) in re
+        .chunks_exact_mut(batch)
+        .zip(im.chunks_exact_mut(batch))
+        .zip(index)
+    {
+        let fre = &fre[v as usize * batch..(v as usize + 1) * batch];
+        let fim = &fim[v as usize * batch..(v as usize + 1) * batch];
+        for b in 0..batch {
+            let (are, aim) = amp(re_row[b], im_row[b]);
+            re_row[b] = are * fre[b] - aim * fim[b];
+            im_row[b] = are * fim[b] + aim * fre[b];
         }
     }
 }
@@ -489,45 +616,21 @@ impl BatchStateVector {
         self.phase_lut_pass::<true>(index, fre, fim);
     }
 
-    /// The body of both phase passes; `FROM_PLUS` takes every input
-    /// amplitude to be the plus state's instead of reading it.
+    /// Both phase passes, cut into fixed blocks; `FROM_PLUS` takes every
+    /// input amplitude to be the plus state's instead of reading it.
     fn phase_lut_pass<const FROM_PLUS: bool>(&mut self, index: &[u32], fre: &[f64], fim: &[f64]) {
         let dim = 1usize << self.num_qubits;
         assert_eq!(index.len(), dim, "one LUT index per amplitude");
         assert_eq!(fre.len(), fim.len(), "factor planes must match");
         let batch = self.batch;
         let plus = 1.0 / (dim as f64).sqrt();
-        let amp = |re: f64, im: f64| if FROM_PLUS { (plus, 0.0) } else { (re, im) };
-
-        let work = |(re_run, im_run): (&mut [f64], &mut [f64]), offset: usize| {
-            let index = &index[offset / batch..];
-            if batch == 1 {
-                for ((re, im), &v) in re_run.iter_mut().zip(im_run.iter_mut()).zip(index) {
-                    let (fre, fim) = (fre[v as usize], fim[v as usize]);
-                    let (are, aim) = amp(*re, *im);
-                    *re = are * fre - aim * fim;
-                    *im = are * fim + aim * fre;
-                }
-                return;
-            }
-            for ((re_row, im_row), &v) in re_run
-                .chunks_exact_mut(batch)
-                .zip(im_run.chunks_exact_mut(batch))
-                .zip(index)
-            {
-                let fre = &fre[v as usize * batch..(v as usize + 1) * batch];
-                let fim = &fim[v as usize * batch..(v as usize + 1) * batch];
-                for b in 0..batch {
-                    let (are, aim) = amp(re_row[b], im_row[b]);
-                    re_row[b] = are * fre[b] - aim * fim[b];
-                    im_row[b] = are * fim[b] + aim * fre[b];
-                }
-            }
-        };
         par_blocks(
             (&mut self.re[..], &mut self.im[..]),
             BLOCK_AMPS * batch,
-            work,
+            |(re, im), offset| {
+                let index = &index[offset / batch..];
+                apply_phase_lut_span::<FROM_PLUS>(re, im, index, fre, fim, batch, plus)
+            },
         );
     }
 
@@ -812,6 +915,117 @@ mod tests {
         let mut coef = Vec::new();
         // Qubit 11 needs 2^12 amplitudes per pair block; offer only 2^8.
         b.apply_single_qubit_run_batch(&[11], &[m, m], 1 << 8, &mut coef);
+    }
+
+    /// Whether this CPU can run the AVX2 arms; says so when it cannot.
+    #[cfg(target_arch = "x86_64")]
+    fn avx2_detected() -> bool {
+        let detected = std::is_x86_feature_detected!("avx2");
+        if !detected {
+            println!("AVX2 not detected: only the portable build runs on this CPU");
+        }
+        detected
+    }
+
+    /// Random f64s in [-1, 1) with `-0.0`, `+0.0`, subnormals and values
+    /// whose products with their neighbours fall below the normal range.
+    #[cfg(target_arch = "x86_64")]
+    fn awkward_f64s(rng: &mut rand_chacha::ChaCha8Rng, len: usize) -> Vec<f64> {
+        use rand::Rng;
+        (0..len)
+            .map(|_| match rng.gen_range(0..8u32) {
+                0 => -0.0,
+                1 => 0.0,
+                2 => f64::from_bits(rng.gen_range(1..1u64 << 52) | (rng.gen_range(0..2u64) << 63)),
+                3 => rng.gen_range(-1.0..1.0) * 1e-160,
+                _ => rng.gen_range(-1.0..1.0),
+            })
+            .collect()
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len());
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "{what}: element {i}: {g:e} vs {w:e}"
+            );
+        }
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn avx2_span_kernel_matches_the_portable_build_bitwise() {
+        // Both builds on the same planes and coefficients, at every batch
+        // width the dispatch monomorphizes (3 takes the runtime-width body)
+        // and every target stride of a 2^9-amplitude span.
+        if !avx2_detected() {
+            return;
+        }
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(38);
+        let amps = 1usize << 9;
+        for batch in [1usize, 2, 3, 4, 8, 16, 32] {
+            let re = awkward_f64s(&mut rng, amps * batch);
+            let im = awkward_f64s(&mut rng, amps * batch);
+            let c = awkward_f64s(&mut rng, 8 * batch);
+            for target in 0..9 {
+                let stride = 1usize << target;
+                let (mut re_p, mut im_p) = (re.clone(), im.clone());
+                one_q_span(&mut re_p, &mut im_p, &c, batch, stride);
+                let (mut re_a, mut im_a) = (re.clone(), im.clone());
+                // SAFETY: AVX2 was detected above.
+                unsafe { one_q_span_avx2(&mut re_a, &mut im_a, &c, batch, stride) };
+                let what = format!("batch {batch}, target {target}");
+                assert_same_bits(&re_a, &re_p, &what);
+                assert_same_bits(&im_a, &im_p, &what);
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn avx2_phase_pass_matches_the_portable_build_bitwise() {
+        // Both builds of both phase passes (reading the amplitudes, and
+        // taking the plus state's) on the same planes and factors.
+        if !avx2_detected() {
+            return;
+        }
+        fn check<const FROM_PLUS: bool>(
+            re: &[f64],
+            im: &[f64],
+            index: &[u32],
+            fre: &[f64],
+            fim: &[f64],
+            batch: usize,
+        ) {
+            let plus = 1.0 / (index.len() as f64).sqrt();
+            let (mut re_p, mut im_p) = (re.to_vec(), im.to_vec());
+            phase_lut_span::<FROM_PLUS>(&mut re_p, &mut im_p, index, fre, fim, batch, plus);
+            let (mut re_a, mut im_a) = (re.to_vec(), im.to_vec());
+            // SAFETY: the test detected AVX2 before calling this.
+            unsafe {
+                phase_lut_span_avx2::<FROM_PLUS>(&mut re_a, &mut im_a, index, fre, fim, batch, plus)
+            };
+            let what = format!("batch {batch}, from plus {FROM_PLUS}");
+            assert_same_bits(&re_a, &re_p, &what);
+            assert_same_bits(&im_a, &im_p, &what);
+        }
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(38);
+        let amps = 1usize << 9;
+        let values = 13;
+        let index: Vec<u32> = (0..amps).map(|_| rng.gen_range(0..values)).collect();
+        for batch in [1usize, 4] {
+            let re = awkward_f64s(&mut rng, amps * batch);
+            let im = awkward_f64s(&mut rng, amps * batch);
+            let fre = awkward_f64s(&mut rng, values as usize * batch);
+            let fim = awkward_f64s(&mut rng, values as usize * batch);
+            check::<false>(&re, &im, &index, &fre, &fim, batch);
+            check::<true>(&re, &im, &index, &fre, &fim, batch);
+        }
     }
 
     #[test]

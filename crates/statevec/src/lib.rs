@@ -15,6 +15,10 @@
 //!   is one block and runs inline, and a wider one sums its blocks in the
 //!   same order on any pool and any host. Table builds split from 2¹⁴
 //!   entries; each entry is computed alone.
+//! * The batch executor's single-qubit span kernel and phase pass are built
+//!   twice, portable and with AVX2, from one body; a CPU that has AVX2 runs
+//!   the AVX2 build. Neither build enables `fma`, so both round alike and
+//!   give the same bits (see the [`batch`] module).
 //! * [`CompiledProgram`] lowers a circuit once into specialized kernels with
 //!   parameter slots — fused diagonal cost layers, per-qubit gate chains, a
 //!   recognized `|+⟩^{⊗n}` preparation — for allocation-free re-evaluation
