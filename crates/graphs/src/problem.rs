@@ -65,6 +65,57 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
+/// Entries per block of [`Problem::values_into`]'s term-outer fill.
+const VALUES_BLOCK: usize = 1 << 13;
+
+/// Width of the aligned chunks [`add_term_values`] adds one precomputed
+/// pattern to.
+const CHUNK: usize = 16;
+
+/// `out[i] += table[key(start + i)]`: one term's values added to a table of
+/// consecutive basis states, for a term whose value on basis state `z` is
+/// `table[key(z)]`.
+///
+/// `key` must be linear over GF(2) — each of its bits the parity of some
+/// bits of `z`, so `key(h | j) = key(h) ^ key(j)` when `h` and `j` share no
+/// bit — and below `K`, a power of two. A product of spins (`key` the parity
+/// of `z & mask`) and the bits of one or two qubits are such keys. Then a
+/// 16-aligned chunk from `h` holds `table[key(h) ^ key(j)]` at offset `j`,
+/// one of `K` patterns built once per call, and the chunk is added as a
+/// whole: one key per 16 entries instead of a bit test per entry, and an
+/// add loop the compiler vectorizes. Entries outside whole chunks (an
+/// unaligned `start` or length) read the same patterns one at a time. Each
+/// entry receives exactly `table[key(z)]`, so filling a table term by term
+/// with this gives the bits of a per-entry loop over the same terms.
+pub fn add_term_values<const K: usize>(
+    out: &mut [f64],
+    start: u64,
+    table: [f64; K],
+    key: impl Fn(u64) -> usize,
+) {
+    let width = CHUNK as u64;
+    let patterns: [[f64; CHUNK]; K] =
+        std::array::from_fn(|k| std::array::from_fn(|j| table[k ^ key(j as u64)]));
+    let one = |z: u64| patterns[key(z & !(width - 1))][(z % width) as usize];
+    let head = (start.wrapping_neg() % width).min(out.len() as u64) as usize;
+    let (head_out, rest) = out.split_at_mut(head);
+    for (z, v) in (start..).zip(head_out) {
+        *v += one(z);
+    }
+    let aligned = start + head as u64;
+    let mut chunks = rest.chunks_exact_mut(CHUNK);
+    let mut h = aligned;
+    for chunk in &mut chunks {
+        for (v, p) in chunk.iter_mut().zip(&patterns[key(h)]) {
+            *v += p;
+        }
+        h += width;
+    }
+    for (z, v) in (h..).zip(chunks.into_remainder()) {
+        *v += one(z);
+    }
+}
+
 /// One term of a diagonal cost Hamiltonian:
 /// `offset + coeff · Π_{i ∈ qubits} z_i` with `z_i ∈ {−1, +1}`.
 ///
@@ -115,6 +166,12 @@ impl CostTerm {
     /// Number of spins in the term (its locality).
     pub fn locality(&self) -> usize {
         self.qubits.len()
+    }
+
+    /// The term's spins as a bitmask, folded with XOR so that a repeated
+    /// spin cancels exactly as it does in [`CostTerm::value_mask`]'s loop.
+    fn spin_mask(&self) -> u64 {
+        self.qubits.iter().fold(0, |m, &q| m ^ (1u64 << q))
     }
 
     /// The term's value on a basis state given as a bitmask (bit set ⇒
@@ -488,6 +545,30 @@ impl Problem {
         acc
     }
 
+    /// `out[i] = C(base + i)` for the consecutive basis states from `base`,
+    /// bit for bit [`Problem::value_mask`]'s.
+    ///
+    /// The fill runs term-outer, one block of 2¹³ entries (64 KiB, which
+    /// stays in L2) at a time: the block starts at the constant, then each
+    /// term, in term order, adds `offset − coeff` to the entries whose
+    /// masked spins have odd parity and `offset + coeff` to the others
+    /// ([`add_term_values`]). Every entry sees the same additions in the
+    /// same order as in `value_mask`.
+    pub fn values_into(&self, base: u64, out: &mut [f64]) {
+        for (k, block) in out.chunks_mut(VALUES_BLOCK).enumerate() {
+            block.fill(self.constant);
+            for t in &self.terms {
+                let spins = t.spin_mask();
+                add_term_values(
+                    block,
+                    base + (k * VALUES_BLOCK) as u64,
+                    [t.offset + t.coeff, t.offset - t.coeff],
+                    |z| ((z & spins).count_ones() & 1) as usize,
+                );
+            }
+        }
+    }
+
     /// `C(z)` for an explicit spin assignment (`spins[i]` positive ⇒ `+1`).
     pub fn value_spins(&self, spins: &[i8]) -> f64 {
         let mut acc = self.constant;
@@ -501,9 +582,12 @@ impl Problem {
 
     /// Exact optimum (and pessimum) by exhaustive enumeration.
     ///
-    /// Globally flip-symmetric problems fix spin 0 and enumerate half the
-    /// space; either way the effective bit count must stay at or below
-    /// [`Problem::EXACT_BIT_LIMIT`].
+    /// Globally flip-symmetric problems fix the top spin and enumerate half
+    /// the space; either way the effective bit count must stay at or below
+    /// [`Problem::EXACT_BIT_LIMIT`]. The values come a block at a time from
+    /// [`Problem::values_into`]'s term-outer fill, and each block is scanned
+    /// in mask order, so the bracket, both masks and the optimum count are
+    /// those of a scan over [`Problem::value_mask`].
     pub fn brute_force(&self) -> Result<ExactSolution, GraphError> {
         let n = self.num_spins;
         let symmetric = self.is_flip_symmetric();
@@ -529,18 +613,22 @@ impl Problem {
         let mut num_optima = 0usize;
         let mut worst = f64::INFINITY;
         let mut worst_mask = 0u64;
-        for mask in 0..(1u64 << bits) {
-            let value = self.value_mask(mask);
-            if value > best + 1e-12 {
-                best = value;
-                best_mask = mask;
-                num_optima = multiplicity;
-            } else if (value - best).abs() <= 1e-12 {
-                num_optima += multiplicity;
-            }
-            if value < worst {
-                worst = value;
-                worst_mask = mask;
+        let total = 1u64 << bits;
+        let mut values = vec![0.0; VALUES_BLOCK.min(total as usize)];
+        for start in (0..total).step_by(values.len()) {
+            self.values_into(start, &mut values);
+            for (mask, &value) in (start..).zip(&values) {
+                if value > best + 1e-12 {
+                    best = value;
+                    best_mask = mask;
+                    num_optima = multiplicity;
+                } else if (value - best).abs() <= 1e-12 {
+                    num_optima += multiplicity;
+                }
+                if value < worst {
+                    worst = value;
+                    worst_mask = mask;
+                }
             }
         }
         Ok(ExactSolution {
@@ -1208,6 +1296,163 @@ mod tests {
             assert_eq!(
                 p.value_mask(mask).to_bits(),
                 back.value_mask(mask).to_bits()
+            );
+        }
+    }
+
+    /// The problems the table pins cover: the shipped families, a nonzero
+    /// constant with a 3-local term, a term with a repeated spin (which
+    /// only `Deserialize` can build: it checks nothing), and ±0.0 and
+    /// subnormal coefficients and offsets.
+    fn table_pin_problems() -> Vec<Problem> {
+        let g = Graph::erdos_renyi(7, 0.5, 41);
+        let mut problems = vec![
+            Problem::max_cut(&g),
+            Problem::weighted_max_cut(&g, 3),
+            Problem::sherrington_kirkpatrick(&g, 3),
+            Problem::random_partition(&g, 3),
+            Problem::max_independent_set(&g, 2.0),
+        ];
+        problems.push(
+            Problem::from_terms(
+                "three-local",
+                7,
+                -1.375,
+                vec![
+                    CostTerm::with_offset(vec![6, 0, 3], 0.3, 0.1),
+                    CostTerm::new(vec![1, 2], -0.7),
+                    CostTerm::with_offset(vec![4], 0.2, -0.05),
+                ],
+                RatioConvention::ShiftedByWorst,
+            )
+            .unwrap(),
+        );
+        let repeated: Problem = serde_json::from_str(
+            r#"{"name":"repeated","num_spins":5,"constant":0.25,
+                "terms":[{"qubits":[1,1,3],"coeff":0.5,"offset":0.125},
+                         {"qubits":[0,2],"coeff":-0.3,"offset":0.0}],
+                "convention":"RatioToOptimum"}"#,
+        )
+        .unwrap();
+        assert_eq!(repeated.terms()[0].qubits(), [1, 1, 3]);
+        problems.push(repeated);
+        let tiny = f64::from_bits(1); // the smallest subnormal
+        problems.push(
+            Problem::from_terms(
+                "signed-zeros",
+                6,
+                -0.0,
+                vec![
+                    CostTerm::with_offset(vec![0, 1], -0.0, -0.0),
+                    CostTerm::with_offset(vec![2], 0.0, -0.0),
+                    CostTerm::with_offset(vec![3, 5], tiny, -tiny),
+                    CostTerm::with_offset(vec![4], -f64::MIN_POSITIVE / 4.0, 0.0),
+                ],
+                RatioConvention::RatioToOptimum,
+            )
+            .unwrap(),
+        );
+        problems
+    }
+
+    #[test]
+    fn values_into_matches_value_mask_bitwise() {
+        // Whole tables, and bases and lengths off the 16-entry chunks and
+        // the 2¹³-entry blocks (a value depends on the mask's low
+        // `num_spins` bits only, so bases past 2ⁿ are fine).
+        let spans: [(u64, usize); 6] = [
+            (0, 1 << 7),
+            (3, 37),
+            (5, 11),
+            (16, 48),
+            ((VALUES_BLOCK - 5) as u64, 2 * VALUES_BLOCK + 7),
+            ((3 * VALUES_BLOCK + 1) as u64, 1),
+        ];
+        for p in table_pin_problems() {
+            for &(base, len) in &spans {
+                let mut out = vec![f64::NAN; len];
+                p.values_into(base, &mut out);
+                for (z, v) in (base..).zip(&out) {
+                    assert_eq!(
+                        v.to_bits(),
+                        p.value_mask(z).to_bits(),
+                        "{}: entry {z} of ({base}, {len})",
+                        p.name()
+                    );
+                }
+            }
+        }
+    }
+
+    /// `brute_force` as it was before the block fill: one `value_mask` per
+    /// mask, scanned in mask order.
+    fn reference_brute_force(p: &Problem) -> ExactSolution {
+        let symmetric = p.is_flip_symmetric();
+        let bits = if symmetric {
+            p.num_spins() - 1
+        } else {
+            p.num_spins()
+        };
+        let multiplicity = if symmetric { 2 } else { 1 };
+        let (mut best, mut best_mask, mut num_optima) = (f64::NEG_INFINITY, 0, 0);
+        let (mut worst, mut worst_mask) = (f64::INFINITY, 0);
+        for mask in 0..(1u64 << bits) {
+            let value = p.value_mask(mask);
+            if value > best + 1e-12 {
+                best = value;
+                best_mask = mask;
+                num_optima = multiplicity;
+            } else if (value - best).abs() <= 1e-12 {
+                num_optima += multiplicity;
+            }
+            if value < worst {
+                worst = value;
+                worst_mask = mask;
+            }
+        }
+        ExactSolution {
+            best_value: best,
+            best_mask,
+            worst_value: worst,
+            worst_mask,
+            num_optima,
+        }
+    }
+
+    #[test]
+    fn brute_force_matches_a_per_mask_scan() {
+        let mut problems = table_pin_problems();
+        // Tie-heavy unweighted graphs, and 15 nodes, whose 2¹⁴ masks span
+        // two blocks of the fill.
+        for g in [
+            Graph::cycle(8),
+            Graph::complete(6),
+            Graph::erdos_renyi(15, 0.3, 7),
+            Graph::erdos_renyi(14, 0.5, 8),
+        ] {
+            problems.push(Problem::max_cut(&g));
+            problems.push(Problem::max_independent_set(&g, 2.0));
+        }
+        for p in problems {
+            let got = p.brute_force().unwrap();
+            let want = reference_brute_force(&p);
+            assert_eq!(
+                got.best_value.to_bits(),
+                want.best_value.to_bits(),
+                "{}",
+                p.name()
+            );
+            assert_eq!(
+                got.worst_value.to_bits(),
+                want.worst_value.to_bits(),
+                "{}",
+                p.name()
+            );
+            assert_eq!(
+                (got.best_mask, got.worst_mask, got.num_optima),
+                (want.best_mask, want.worst_mask, want.num_optima),
+                "{}",
+                p.name()
             );
         }
     }

@@ -926,6 +926,72 @@ mod tests {
     use optim::{CobylaOptimizer, NelderMead};
     use qcircuit::Gate;
 
+    /// A finished start: `best_value` is the minimized (negated) energy.
+    fn start(best_value: f64, point: f64, evaluations: usize) -> OptimizationResult {
+        OptimizationResult {
+            best_point: vec![point, -point],
+            best_value,
+            evaluations,
+            converged: false,
+            trace: Default::default(),
+        }
+    }
+
+    #[test]
+    fn best_of_skips_non_finite_starts_and_counts_every_evaluation() {
+        let eval = EnergyEvaluator::new(&Graph::cycle(4), Backend::StateVector);
+        // NaN, +∞ and −∞ before, between and after finite starts: only the
+        // finite ones compete, the first strictly best wins a tie, and the
+        // evaluations of every start are summed.
+        let trained = eval
+            .best_of(
+                1,
+                [
+                    start(f64::NAN, 0.1, 3),
+                    start(f64::NEG_INFINITY, 0.2, 5),
+                    start(-2.5, 0.3, 7),
+                    start(f64::INFINITY, 0.4, 11),
+                    start(-2.5, 0.5, 13),
+                    start(f64::NAN, 0.6, 17),
+                ],
+            )
+            .unwrap();
+        assert_eq!(trained.energy, 2.5);
+        assert_eq!(
+            (&trained.gammas[..], &trained.betas[..]),
+            (&[0.3][..], &[-0.3][..])
+        );
+        assert_eq!(trained.evaluations, 3 + 5 + 7 + 11 + 13 + 17);
+        // A later, better finite start still replaces an earlier one.
+        let trained = eval
+            .best_of(
+                1,
+                [
+                    start(-1.0, 0.1, 1),
+                    start(f64::NAN, 0.2, 1),
+                    start(-3.0, 0.7, 1),
+                ],
+            )
+            .unwrap();
+        assert_eq!((trained.energy, trained.gammas[0]), (3.0, 0.7));
+        // Every start non-finite: a backend error, not a NaN energy.
+        let err = eval
+            .best_of(
+                1,
+                [
+                    start(f64::NAN, 0.1, 1),
+                    start(f64::INFINITY, 0.2, 1),
+                    start(f64::NEG_INFINITY, 0.3, 1),
+                ],
+            )
+            .unwrap_err();
+        assert!(matches!(err, QaoaError::Backend { .. }), "{err:?}");
+        assert!(matches!(
+            eval.best_of(1, std::iter::empty()),
+            Err(QaoaError::Backend { .. })
+        ));
+    }
+
     #[test]
     fn zero_angles_give_half_total_weight() {
         let graph = Graph::cycle(6);

@@ -291,6 +291,10 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(
+        not(debug_assertions),
+        ignore = "fault injection is armed only in debug builds"
+    )]
     fn fires_on_the_exact_hit_only() {
         let injector = FaultInjector::new(FaultPlan::io_error_at("s", 2, "x"));
         assert!(injector.fire("s", None).is_none());
@@ -304,6 +308,10 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(
+        not(debug_assertions),
+        ignore = "fault injection is armed only in debug builds"
+    )]
     fn hit_zero_fires_every_time() {
         let injector = FaultInjector::new(FaultPlan::io_error_at("s", 0, "x"));
         for _ in 0..3 {
@@ -312,6 +320,10 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(
+        not(debug_assertions),
+        ignore = "fault injection is armed only in debug builds"
+    )]
     fn job_scoping_filters_hits() {
         let plan = FaultPlan::io_error_at("s", 1, "x").for_job(2);
         let injector = FaultInjector::new(plan);
@@ -323,6 +335,10 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(
+        not(debug_assertions),
+        ignore = "fault injection is armed only in debug builds"
+    )]
     fn trip_maps_io_error_to_transient() {
         let injector = FaultInjector::new(FaultPlan::io_error_at("s", 1, "flaky"));
         let ctx = FaultContext::new(injector, None);
@@ -333,6 +349,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "injected fault at s: boom")]
+    #[cfg_attr(
+        not(debug_assertions),
+        ignore = "fault injection is armed only in debug builds"
+    )]
     fn trip_applies_panics() {
         let injector = FaultInjector::new(FaultPlan::panic_at("s", 1, "boom"));
         FaultContext::new(injector, None).trip("s").unwrap();

@@ -940,6 +940,10 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(
+        not(debug_assertions),
+        ignore = "fault injection is armed only in debug builds"
+    )]
     fn injected_store_fault_surfaces_as_store_or_transient_error() {
         use crate::fault::{FaultInjector, FaultPlan};
         let dir = tmp_dir("fault");

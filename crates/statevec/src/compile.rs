@@ -41,11 +41,39 @@
 
 use crate::batch::{BatchExecScratch, BatchStateVector};
 use crate::error::SimulatorError;
-use crate::state::StateVector;
+use crate::state::{par_blocks, StateVector, TABLE_BLOCK};
+use graphs::problem::add_term_values;
 use num_complex::Complex64;
 use qcircuit::{Circuit, Gate, GateMatrix, Parameter};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex, Weak};
+
+/// Hashes the one `u64` key of [`PhaseLut::from_angles`]'s dedup map, an
+/// angle's bit pattern, with a 64×64→128-bit multiply folded to 64 bits:
+/// the dedup hashes every one of the `2^n` entries, where SipHash costs
+/// more than the fill. Both halves of the product feed the fold, so keys
+/// that differ only in their top or only in their bottom bits (small
+/// integers and halves have all-zero low mantissa bits) still spread.
+#[derive(Default)]
+struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let product = u128::from(self.0 ^ key) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (product as u64) ^ (product >> 64) as u64;
+    }
+}
 
 /// The per-basis-state angles of one fused diagonal run, stored as their
 /// distinct values plus an index per amplitude.
@@ -70,7 +98,7 @@ impl PhaseLut {
     /// Deduplicate `angles` (one per basis state, in index order) by exact
     /// bit pattern.
     fn from_angles(angles: &[f64]) -> PhaseLut {
-        let mut seen: HashMap<u64, u32> = HashMap::new();
+        let mut seen: HashMap<u64, u32, BuildHasherDefault<FoldHasher>> = HashMap::default();
         let mut values: Vec<f64> = Vec::new();
         let mut index = vec![0u32; angles.len()];
         for (slot, &theta) in index.iter_mut().zip(angles) {
@@ -85,29 +113,22 @@ impl PhaseLut {
 
     /// The LUT of the diagonal run `terms` on a `num_qubits`-qubit register:
     /// basis state `z`'s angle is the sum of its terms' angles, in term
-    /// order. The dense `2^n` table of sums lives only inside this call.
+    /// order, starting from `0.0`. The dense `2^n` table of sums lives only
+    /// inside this call. It is filled term-outer, one [`TABLE_BLOCK`] at a
+    /// time: the block
+    /// starts at `0.0` and each term adds its angle to every entry in turn,
+    /// so each entry sees the additions of a per-entry loop in its order.
     fn of_terms(num_qubits: usize, terms: &[DiagTerm]) -> PhaseLut {
         let mut angles = vec![0.0f64; 1usize << num_qubits];
         let fill = |out: &mut [f64], base: usize| {
-            for (off, angle) in out.iter_mut().enumerate() {
-                let z = base + off;
-                let mut sum = 0.0;
+            for (k, block) in out.chunks_mut(TABLE_BLOCK).enumerate() {
+                block.fill(0.0);
                 for t in terms {
-                    sum += match t {
-                        DiagTerm::One { q, a0, a1 } => {
-                            if (z >> q) & 1 == 0 {
-                                *a0
-                            } else {
-                                *a1
-                            }
-                        }
-                        DiagTerm::Two { q1, q0, a } => a[(((z >> q1) & 1) << 1) | ((z >> q0) & 1)],
-                    };
+                    t.add_angles(base + k * TABLE_BLOCK, block);
                 }
-                *angle = sum;
             }
         };
-        crate::state::par_blocks(angles.as_mut_slice(), crate::state::TABLE_BLOCK, fill);
+        par_blocks(angles.as_mut_slice(), TABLE_BLOCK, fill);
         PhaseLut::from_angles(&angles)
     }
 
@@ -266,6 +287,21 @@ enum DiagTerm {
 }
 
 impl DiagTerm {
+    /// `out[i] += θ(start + i)`, the term's angle on each basis state from
+    /// `start`: the angle table indexed by the term's bits, added a
+    /// 16-entry chunk at a time ([`graphs::problem::add_term_values`]).
+    fn add_angles(&self, start: usize, out: &mut [f64]) {
+        let bit = |z: u64, q: usize| ((z >> q) & 1) as usize;
+        match *self {
+            DiagTerm::One { q, a0, a1 } => {
+                add_term_values(out, start as u64, [a0, a1], |z| bit(z, q));
+            }
+            DiagTerm::Two { q1, q0, a } => {
+                add_term_values(out, start as u64, a, |z| bit(z, q1) << 1 | bit(z, q0));
+            }
+        }
+    }
+
     /// Stable hash key (exact bit patterns; compile-time only).
     fn key(&self, out: &mut Vec<u64>) {
         match self {
@@ -1003,6 +1039,165 @@ impl ProgramBuilder<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `PhaseLut::from_angles` as it was: a `HashMap` dedup by bit pattern
+    /// in first-appearance order.
+    fn reference_dedup(angles: &[f64]) -> (Vec<f64>, Vec<u32>) {
+        let mut seen: HashMap<u64, u32> = HashMap::new();
+        let mut values = Vec::new();
+        let index = angles
+            .iter()
+            .map(|&theta| {
+                *seen.entry(theta.to_bits()).or_insert_with(|| {
+                    values.push(theta);
+                    (values.len() - 1) as u32
+                })
+            })
+            .collect();
+        (values, index)
+    }
+
+    /// The angle table of `PhaseLut::of_terms` as it was: each entry a loop
+    /// over the terms from `0.0`.
+    fn reference_angles(num_qubits: usize, terms: &[DiagTerm]) -> Vec<f64> {
+        (0..1usize << num_qubits)
+            .map(|z| {
+                let mut sum = 0.0;
+                for t in terms {
+                    sum += match t {
+                        DiagTerm::One { q, a0, a1 } => {
+                            if (z >> q) & 1 == 0 {
+                                *a0
+                            } else {
+                                *a1
+                            }
+                        }
+                        DiagTerm::Two { q1, q0, a } => a[(((z >> q1) & 1) << 1) | ((z >> q0) & 1)],
+                    };
+                }
+                sum
+            })
+            .collect()
+    }
+
+    fn assert_lut_eq(lut: &PhaseLut, (values, index): (Vec<f64>, Vec<u32>), what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&lut.values), bits(&values), "{what}: values");
+        assert_eq!(lut.index, index, "{what}: index");
+    }
+
+    #[test]
+    fn phase_lut_matches_a_per_entry_reference_bitwise() {
+        let rzz = |g: f64| [-0.5 * g, 0.5 * g, 0.5 * g, -0.5 * g];
+        let mixed = vec![
+            DiagTerm::One {
+                q: 0,
+                a0: -0.0,
+                a1: 0.3,
+            },
+            DiagTerm::Two {
+                q1: 14,
+                q0: 0,
+                a: rzz(0.7),
+            },
+            DiagTerm::Two {
+                q1: 3,
+                q0: 9,
+                a: [0.11, -0.0, 1e-310, 0.37],
+            },
+            DiagTerm::One {
+                q: 13,
+                a0: 0.1,
+                a1: -0.2,
+            },
+            DiagTerm::Two {
+                q1: 1,
+                q0: 2,
+                a: rzz(1.3),
+            },
+            DiagTerm::Two {
+                q1: 5,
+                q0: 12,
+                a: [0.0, 0.0, 0.0, 0.9],
+            },
+            DiagTerm::One {
+                q: 7,
+                a0: 0.0,
+                a1: f64::MIN_POSITIVE,
+            },
+        ];
+        let cases: [(&str, usize, Vec<DiagTerm>); 4] = [
+            // 2¹⁵ entries: four fill blocks, cut between threads.
+            ("mixed", 15, mixed),
+            // Angles of -0.0 only: a fill starting anywhere but 0.0 shows.
+            (
+                "signed zero",
+                4,
+                vec![DiagTerm::One {
+                    q: 2,
+                    a0: -0.0,
+                    a1: -0.0,
+                }],
+            ),
+            ("no terms", 3, Vec::new()),
+            (
+                "one qubit",
+                1,
+                vec![DiagTerm::Two {
+                    q1: 0,
+                    q0: 0,
+                    a: [0.5, 0.6, 0.7, 0.8],
+                }],
+            ),
+        ];
+        for (what, n, terms) in cases {
+            let reference = reference_angles(n, &terms);
+            assert_lut_eq(
+                &PhaseLut::of_terms(n, &terms),
+                reference_dedup(&reference),
+                what,
+            );
+        }
+    }
+
+    #[test]
+    fn from_angles_matches_a_hash_map_dedup() {
+        let tiny = f64::from_bits(1);
+        let angles = [
+            0.0,
+            -0.0,
+            1.0,
+            0.5,
+            1.0,
+            -0.0,
+            f64::NAN,
+            tiny,
+            2.0,
+            0.5,
+            f64::NAN,
+            -tiny,
+            0.0,
+            f64::INFINITY,
+            3.0,
+            1.0,
+            -f64::INFINITY,
+            2.0,
+        ];
+        assert_lut_eq(
+            &PhaseLut::from_angles(&angles),
+            reference_dedup(&angles),
+            "spread",
+        );
+        // Many distinct values: the dedup map grows past its first tables.
+        let many: Vec<f64> = (0..5000)
+            .map(|i| ((i * 7919) % 3001) as f64 * 0.25)
+            .collect();
+        assert_lut_eq(
+            &PhaseLut::from_angles(&many),
+            reference_dedup(&many),
+            "many",
+        );
+    }
 
     fn assert_states_close(a: &StateVector, b: &StateVector, tol: f64) {
         assert_eq!(a.num_qubits(), b.num_qubits());

@@ -83,18 +83,17 @@ pub fn problem_expectation(state: &StateVector, problem: &Problem) -> f64 {
 ///
 /// The problem-generic twin of [`maxcut_diagonal`]; this is what the
 /// compiled QAOA objective caches per problem + graph and reuses across all
-/// optimizer iterations via [`StateVector::expectation_diagonal`]. The build
-/// is split like [`maxcut_diagonal`]'s, with the same thread-independent
-/// bits.
+/// optimizer iterations via [`StateVector::expectation_diagonal`]. Each
+/// thread's run of 2¹³-entry blocks is filled term-outer by
+/// [`Problem::values_into`]: a block starts at the constant and every term
+/// adds its value to every entry in turn, so each entry is
+/// [`Problem::value_mask`] bit for bit, whatever the thread count.
 pub fn problem_diagonal(problem: &Problem) -> Vec<f64> {
     let dim = 1usize << problem.num_spins();
     let mut diag = vec![0.0f64; dim];
-    let fill = |out: &mut [f64], base: usize| {
-        for (off, d) in out.iter_mut().enumerate() {
-            *d = problem.value_mask((base + off) as u64);
-        }
-    };
-    par_blocks(diag.as_mut_slice(), TABLE_BLOCK, fill);
+    par_blocks(diag.as_mut_slice(), TABLE_BLOCK, |out, base| {
+        problem.values_into(base as u64, out)
+    });
     diag
 }
 

@@ -56,9 +56,14 @@ unsafe impl Sync for AmpPtr {}
 pub(crate) const BLOCK_AMPS: usize = 1 << 16;
 
 /// The unit of the table fills (`problem_diagonal`, `maxcut_diagonal`,
-/// `PhaseLut::of_terms`): an entry costs a loop over the cost terms, not one
-/// multiply, so splitting them pays from 2¹⁴ entries, two units. Every entry
-/// is computed alone, so no unit changes a bit.
+/// `PhaseLut::of_terms`), 64 KiB of `f64` that stays in L2. The problem
+/// diagonal and the phase angles are filled term-outer within each unit:
+/// the unit starts at the entries' first value, then each term in turn adds
+/// its value to every entry (`graphs::problem::add_term_values`), one pass
+/// per term; `maxcut_diagonal` still loops over the edges per entry. Either
+/// way splitting pays from 2¹⁴ entries, two units, and every entry sees the
+/// same additions in the same order whatever the cut, so no unit changes a
+/// bit.
 pub(crate) const TABLE_BLOCK: usize = BLOCK_AMPS / 8;
 
 /// Data an element-wise pass cuts into per-thread runs: an amplitude slice

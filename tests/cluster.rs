@@ -305,6 +305,10 @@ fn kill_and_assert_bit_identical(
 }
 
 #[test]
+#[cfg_attr(
+    not(debug_assertions),
+    ignore = "fault injection is armed only in debug builds"
+)]
 fn sigkill_after_a_checkpoint_resumes_on_a_survivor_bit_identically() {
     // Kill once depth 1's checkpoint is journaled (the DepthCompleted
     // event and its checkpoint record are written back-to-back; the
@@ -324,6 +328,10 @@ fn sigkill_after_a_checkpoint_resumes_on_a_survivor_bit_identically() {
 }
 
 #[test]
+#[cfg_attr(
+    not(debug_assertions),
+    ignore = "fault injection is armed only in debug builds"
+)]
 fn sigkill_before_any_checkpoint_restarts_from_scratch_bit_identically() {
     // Kill as soon as the first rung lands, well inside the ≥900 ms the
     // drain delay leaves before depth 1's checkpoint can be journaled:
@@ -341,6 +349,10 @@ fn sigkill_before_any_checkpoint_restarts_from_scratch_bit_identically() {
 }
 
 #[test]
+#[cfg_attr(
+    not(debug_assertions),
+    ignore = "fault injection is armed only in debug builds"
+)]
 fn tenant_quota_rejects_at_the_edge_and_releases_on_completion() {
     let plan = delay_plan(700);
     let shard = ShardProc::spawn("quota", &["--workers", "2", "--fault-plan", &plan]);
@@ -392,6 +404,10 @@ fn tenant_quota_rejects_at_the_edge_and_releases_on_completion() {
 }
 
 #[test]
+#[cfg_attr(
+    not(debug_assertions),
+    ignore = "fault injection is armed only in debug builds"
+)]
 fn full_cluster_queue_backpressures_then_rejects_with_a_retry_hint() {
     // One slow shard with a one-slot queue: one job running, one queued,
     // everything else is backpressure.
@@ -625,6 +641,10 @@ fn envelope_bytes(envelope: &Value, shards: &[&str]) -> String {
 }
 
 #[test]
+#[cfg_attr(
+    not(debug_assertions),
+    ignore = "fault injection is armed only in debug builds"
+)]
 fn coordinator_envelopes_match_the_parent() {
     // One shard (`busy`) holds a slow blocker as its job 1, with a leader,
     // its coalesced follower, a job cancelled while queued and a job whose
@@ -780,6 +800,10 @@ fn await_event(coordinator: &Coordinator, id: JobId, kind: &str) {
 }
 
 #[test]
+#[cfg_attr(
+    not(debug_assertions),
+    ignore = "fault injection is armed only in debug builds"
+)]
 fn a_shard_restarted_before_its_death_verdict_finishes_the_watched_job() {
     let spec = cluster_spec(17, 2);
     let baseline = reference_report(spec.clone());
@@ -811,6 +835,10 @@ fn a_shard_restarted_before_its_death_verdict_finishes_the_watched_job() {
 }
 
 #[test]
+#[cfg_attr(
+    not(debug_assertions),
+    ignore = "fault injection is armed only in debug builds"
+)]
 fn held_results_outlive_their_shard_while_cancelled_and_forgotten_ones_do_not() {
     // Shard-local job 3 is a slow blocker, so job 4 can be cancelled while
     // it is still queued.
@@ -863,6 +891,10 @@ fn held_results_outlive_their_shard_while_cancelled_and_forgotten_ones_do_not() 
 }
 
 #[test]
+#[cfg_attr(
+    not(debug_assertions),
+    ignore = "fault injection is armed only in debug builds"
+)]
 fn a_blocked_wait_does_not_hold_up_serve_shutdown() {
     // Each of the job's rungs starts 1.5 s late: a shutdown that waited
     // for the job would take well over 5 s. (The delay sits in the engine,
@@ -936,6 +968,10 @@ fn stop_gracefully(shard: &mut ShardProc) {
 }
 
 #[test]
+#[cfg_attr(
+    not(debug_assertions),
+    ignore = "fault injection is armed only in debug builds"
+)]
 fn a_gracefully_stopped_shard_resumes_the_watched_job_on_restart() {
     // A shard shutting down answers the watcher's `wait` with `Cancelled`
     // for the job it suspends. The coordinator's blocked `wait` must not
@@ -988,6 +1024,10 @@ fn a_gracefully_stopped_shard_resumes_the_watched_job_on_restart() {
 }
 
 #[test]
+#[cfg_attr(
+    not(debug_assertions),
+    ignore = "fault injection is armed only in debug builds"
+)]
 fn a_gracefully_stopped_shard_without_a_journal_reruns_the_job_on_a_survivor() {
     // The coordinator cannot read the stopped shard's journal, so its death
     // verdict re-runs the suspended job from scratch on the survivor (the
@@ -1136,6 +1176,10 @@ fn await_running(client: &mut LineClient, job: u64) {
 }
 
 #[test]
+#[cfg_attr(
+    not(debug_assertions),
+    ignore = "fault injection is armed only in debug builds"
+)]
 fn a_blocked_wait_does_not_hold_up_coordinator_shutdown() {
     // The job's rungs each start 10 s late: a coordinator that waited for
     // the job before it exits would take well over 5 s.
@@ -1185,6 +1229,10 @@ fn thread_count(pid: u32) -> usize {
 }
 
 #[test]
+#[cfg_attr(
+    not(debug_assertions),
+    ignore = "fault injection is armed only in debug builds"
+)]
 fn coordinator_threads_do_not_grow_with_inflight_jobs() {
     // Each shard's first job sleeps in its first rung for longer than the
     // test runs, so every later job stays queued: all of them in flight.

@@ -154,6 +154,10 @@ fn torn_journal_tail_is_reported_and_compacted() {
 }
 
 #[test]
+#[cfg_attr(
+    not(debug_assertions),
+    ignore = "fault injection is armed only in debug builds"
+)]
 fn panicking_job_is_isolated_and_the_worker_survives() {
     // Job 2's engine panics at its first pipeline rung; jobs 1 and 3 — and
     // a job submitted *after* the panic — must complete untouched.
@@ -242,6 +246,10 @@ fn deadline_expiry_times_the_job_out() {
 }
 
 #[test]
+#[cfg_attr(
+    not(debug_assertions),
+    ignore = "fault injection is armed only in debug builds"
+)]
 fn transient_failure_retries_and_converges_to_the_fault_free_result() {
     // Fault-free reference.
     let reference = JobServer::start(JobServerConfig {

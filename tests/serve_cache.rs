@@ -505,6 +505,10 @@ fn blocked_leader_and_follower(server: &JobServer, subject: JobSpec) -> [JobId; 
 }
 
 #[test]
+#[cfg_attr(
+    not(debug_assertions),
+    ignore = "fault injection is armed only in debug builds"
+)]
 fn job_lifecycle_transcripts_match_the_parent() {
     // Every job below is acted on while it is still queued behind the
     // blocker, so each transcript is deterministic. The leader is job 2 in
