@@ -70,31 +70,50 @@
 //!
 //! ## Job lifecycle
 //!
-//! Every job starts in one function and ends in one. `admit` allocates the
-//! id, journals `Submitted` and inserts the record — for cache hits,
-//! followers, fresh executions and checkpointed migrations alike. `finish`
-//! ends a list of jobs: per job it records the terminal event (if the
-//! caller supplies one) and the result, and journals `Finished` then
-//! `State`; then it releases the execution's coalescing key and aliases
-//! and evicts over retention. So each job's journal reads `Submitted …
-//! Finished, State`, with only `State`, `Progress` and `Checkpoint`
-//! records between. Every fan-out — events, `Running`, progress,
-//! `Retrying`, suspension and the final verdict — visits the execution's
-//! owner first, then its followers (`Registry::subscribers`). The one
-//! other transition, `promote_follower`, hands a cancelled owner's
-//! execution to its first follower.
+//! Every job starts in one function and ends in one. `submit` runs the
+//! admission gates ([`AdmissionControl`]; the default config admits
+//! everything). `admit` allocates the id, journals `Submitted` and
+//! inserts the record — for cache hits, followers, fresh executions,
+//! checkpointed migrations and fleet placements alike. `finish` ends a
+//! list of jobs: per job it records the terminal event (if the caller
+//! supplies one) and the result, returns the tenant's quota slot, and
+//! journals `Finished` then `State`; then it releases the execution's
+//! coalescing key and aliases and evicts over retention. So each job's
+//! journal reads `Submitted … Finished, State`, with only `State`,
+//! `Progress` and `Checkpoint` records between.
+//!
+//! Between the two, one of two executors runs the job:
+//!
+//! * **local** (every server [`JobServer::launch`] starts): the bounded
+//!   pending queue drained by the worker pool (`worker_loop`/`run_job`).
+//!   Every fan-out — events, `Running`, progress, `Retrying`, suspension
+//!   and the final verdict — visits the execution's owner first, then its
+//!   followers (`Registry::subscribers`). The one other transition,
+//!   `promote_follower`, hands a cancelled owner's execution to its first
+//!   follower.
+//! * **fleet** (the server inside a [`crate::cluster::Coordinator`]): the
+//!   job is placed on a `qas serve` shard and holds no thread here; the
+//!   shard's completion watcher calls the same `finish` with the shard's
+//!   outcome. See [`crate::cluster::coordinator`].
+//!
+//! [`JobServer::reply`] renders every protocol reply about a job from its
+//! record, whichever executor ran it.
 
 use crate::cache::{spec_cache_key, CacheConfig, CacheStats, ResultCache, SpecKey};
+use crate::cluster::admission::{AdmissionConfig, AdmissionControl};
+use crate::cluster::coordinator::{Fleet, Placement};
 use crate::error::SearchError;
 use crate::evaluator::{EnergyCache, EnergyCacheStats};
 use crate::events::SearchEvent;
 use crate::fault::{self, site, FaultContext, FaultInjector};
+use crate::report::SearchReport;
 use crate::search::{SearchConfig, SearchOutcome};
 use crate::session::{Canceller, SearchCheckpoint, SearchDriver, SearchProgress, SearchStatus};
 use crate::store::{JobStore, JournalRecord, ReplayedState, StoreConfig};
 use crate::sync::{lock_recover, wait_recover, wait_timeout_recover};
 use graphs::Graph;
 use serde::{Deserialize, Serialize};
+use serde_json::{json, Value};
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -376,16 +395,18 @@ pub struct RecoveryReport {
     pub clean_shutdown: bool,
 }
 
-struct JobRecord {
+pub(crate) struct JobRecord {
     name: Option<String>,
     priority: i32,
-    state: JobState,
-    spec: Option<JobSpec>,
-    events: Vec<SearchEvent>,
+    pub(crate) state: JobState,
+    pub(crate) spec: Option<JobSpec>,
+    /// The job's events; for a placed job, only those the coordinator
+    /// itself recorded ([`SearchEvent::Migrated`]).
+    pub(crate) events: Vec<SearchEvent>,
     canceller: Option<Canceller>,
-    progress: Option<SearchProgress>,
-    result: Option<Result<SearchOutcome, SearchError>>,
-    retries: u32,
+    pub(crate) progress: Option<SearchProgress>,
+    pub(crate) result: Option<Result<SearchOutcome, SearchError>>,
+    pub(crate) retries: u32,
     /// Last checkpoint taken at a depth boundary (what retries and — via
     /// the journal — restarts resume from).
     checkpoint: Option<SearchCheckpoint>,
@@ -401,14 +422,18 @@ struct JobRecord {
     /// can be inserted into the cache at settle time (leaders only).
     cache_key: Option<SpecKey>,
     /// Served instantly from the result cache — no engine ran.
-    cache_hit: bool,
+    pub(crate) cache_hit: bool,
     /// Attached to another in-flight execution instead of running.
-    coalesced: bool,
+    pub(crate) coalesced: bool,
+    /// The tenant whose quota slot the job holds until `finish`.
+    tenant: Option<String>,
+    /// Where the fleet executor placed the job (fleet servers only).
+    pub(crate) placement: Option<Placement>,
 }
 
 impl JobRecord {
     /// A fresh queued record for `spec` (no events, no result yet).
-    fn queued(spec: JobSpec) -> JobRecord {
+    pub(crate) fn queued(spec: JobSpec, tenant: Option<String>) -> JobRecord {
         JobRecord {
             name: spec.name.clone(),
             priority: spec.priority,
@@ -426,6 +451,8 @@ impl JobRecord {
             cache_key: None,
             cache_hit: false,
             coalesced: false,
+            tenant,
+            placement: None,
         }
     }
 }
@@ -436,12 +463,12 @@ struct PendingEntry {
     ready_at: Option<Instant>,
 }
 
-struct Registry {
-    jobs: HashMap<u64, JobRecord>,
+pub(crate) struct Registry {
+    pub(crate) jobs: HashMap<u64, JobRecord>,
     /// Entries waiting to run (ordering resolved at pop time).
     pending: Vec<PendingEntry>,
     next_id: u64,
-    shutdown: bool,
+    pub(crate) shutdown: bool,
     /// Cache-key hash → job id of the one in-flight execution for that
     /// spec; identical submissions attach here as followers.
     inflight: HashMap<u64, u64>,
@@ -564,13 +591,13 @@ fn promote_follower(registry: &mut Registry, old: u64) -> Option<u64> {
     Some(new)
 }
 
-struct ServerInner {
+pub(crate) struct ServerInner {
     config: JobServerConfig,
-    registry: Mutex<Registry>,
+    pub(crate) registry: Mutex<Registry>,
     /// Signalled when work arrives or shutdown begins.
     work_cv: Condvar,
     /// Signalled whenever a job reaches a terminal state.
-    done_cv: Condvar,
+    pub(crate) done_cv: Condvar,
     /// The durable journal, when launched with a state dir. Lock order:
     /// `registry` before `store`, everywhere.
     store: Option<Mutex<JobStore>>,
@@ -587,14 +614,73 @@ struct ServerInner {
     started: Instant,
     /// Operator-assigned identity ([`ServerOptions::shard_id`]).
     shard_id: Option<String>,
+    /// The gates every submission passes first.
+    pub(crate) admission: AdmissionControl,
+    /// The shard fleet that runs the jobs instead of the worker pool.
+    pub(crate) fleet: Option<Fleet>,
 }
 
 /// A running job server; dropping it (or calling [`JobServer::shutdown`])
 /// cancels outstanding work and joins the workers.
 pub struct JobServer {
-    inner: Arc<ServerInner>,
+    pub(crate) inner: Arc<ServerInner>,
+    /// The executor's threads: the worker pool, or the fleet's heartbeat
+    /// and completion watchers.
     workers: Vec<JoinHandle<()>>,
     recovery: Option<RecoveryReport>,
+}
+
+/// A protocol reply [`JobServer::reply`] renders from the server's records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reply {
+    /// `submit`: the job id, its post-submit state, and whether it was a
+    /// cache hit or coalesced.
+    Submitted(JobId),
+    /// `status`: `{"status": <JobStatus>}`.
+    Status(JobId),
+    /// `result` and `wait`: the outcome's report or error once the job has
+    /// ended (`done`), its state until then.
+    Result(JobId),
+    /// One entry of `wait_any`'s `done`: the job's status with its outcome
+    /// or error, as the journal serializes them — what a fleet needs to
+    /// end its own record of the job.
+    Ended(JobId),
+    /// `jobs`: every job's status, in submission order.
+    Jobs,
+    /// `stats`: [`ServerStats`], or for a fleet the
+    /// [`crate::cluster::ClusterStats`] aggregate.
+    Stats,
+}
+
+/// A [`Reply::Ended`] entry, read back by the fleet executor.
+#[derive(Debug, Deserialize)]
+pub(crate) struct Ended {
+    pub(crate) status: JobStatus,
+    pub(crate) outcome: Option<SearchOutcome>,
+    pub(crate) error: Option<SearchError>,
+}
+
+/// The reply to a refused request: `ok:false` with the error, plus
+/// `queue_full` for a full queue (a fleet retries it) and
+/// `admission_rejected` with `retry_after_ms` for an admission gate.
+pub fn error_reply(error: &SearchError) -> Value {
+    let mut reply = json!({ "ok": false, "error": (error.to_string()) });
+    let extra = match error {
+        SearchError::QueueFull { .. } => json!({ "queue_full": true }),
+        SearchError::AdmissionDenied { retry_after_ms, .. } => {
+            json!({ "admission_rejected": true, "retry_after_ms": (*retry_after_ms) })
+        }
+        _ => return reply,
+    };
+    append(&mut reply, extra);
+    reply
+}
+
+/// Append `extra`'s entries to the object `value`.
+fn append(value: &mut Value, extra: Value) {
+    if let (Value::Object(entries), Value::Object(extra)) = (value, extra) {
+        entries.extend(extra);
+    }
 }
 
 impl JobServer {
@@ -613,6 +699,17 @@ impl JobServer {
     pub fn launch(
         config: JobServerConfig,
         options: ServerOptions,
+    ) -> Result<JobServer, SearchError> {
+        Self::launch_with(config, options, AdmissionConfig::default(), None)
+    }
+
+    /// [`JobServer::launch`] with admission gates, and with `fleet` as the
+    /// executor in place of the worker pool.
+    pub(crate) fn launch_with(
+        config: JobServerConfig,
+        options: ServerOptions,
+        admission: AdmissionConfig,
+        fleet: Option<Fleet>,
     ) -> Result<JobServer, SearchError> {
         let config = JobServerConfig {
             workers: config.workers.max(1),
@@ -683,16 +780,21 @@ impl JobServer {
             energy_cache,
             started: Instant::now(),
             shard_id: options.shard_id,
+            admission: AdmissionControl::new(admission),
+            fleet,
         });
-        let workers = (0..inner.config.workers)
-            .map(|i| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("qas-job-worker-{i}"))
-                    .spawn(move || worker_loop(inner))
-                    .expect("spawn job worker")
-            })
-            .collect();
+        let workers = match &inner.fleet {
+            Some(_) => Fleet::spawn(&inner),
+            None => (0..inner.config.workers)
+                .map(|i| {
+                    let inner = Arc::clone(&inner);
+                    std::thread::Builder::new()
+                        .name(format!("qas-job-worker-{i}"))
+                        .spawn(move || worker_loop(inner))
+                        .expect("spawn job worker")
+                })
+                .collect(),
+        };
         Ok(JobServer {
             inner,
             workers,
@@ -716,13 +818,17 @@ impl JobServer {
     /// a spec identical to an in-flight execution attaches as a follower
     /// of that execution instead of queueing its own.
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, SearchError> {
-        self.submit_with_checkpoint(spec, None)
+        self.submit_as(spec, None, None)
     }
 
-    /// Submit a job that resumes from an externally recovered checkpoint
-    /// instead of starting fresh — the cluster coordinator's migration
-    /// path (the checkpoint comes out of a dead shard's journal). With no
-    /// checkpoint this is exactly [`JobServer::submit`].
+    /// [`JobServer::submit`] on behalf of `tenant` (`None` = anonymous,
+    /// quota-exempt), optionally resuming from an externally recovered
+    /// `checkpoint` — a coordinator's migration path (the checkpoint comes
+    /// out of a dead shard's journal). The spec is validated first (a
+    /// malformed spec never burns a rate token), then the admission gates
+    /// run; an admitted job holds one of its tenant's in-flight slots until
+    /// `finish` ends it. A fleet places the job on a shard instead of
+    /// queueing it here.
     ///
     /// A checkpointed submission deliberately bypasses the result-cache
     /// and coalescing tiers: a migrated execution must actually run to
@@ -731,15 +837,35 @@ impl JobServer {
     /// contradicts a fresh identical submission. Both the spec and the
     /// checkpoint are journaled, so a shard that dies *after* adopting a
     /// migrated job can itself be migrated from the same resume point.
-    pub fn submit_with_checkpoint(
+    pub fn submit_as(
         &self,
         spec: JobSpec,
         checkpoint: Option<SearchCheckpoint>,
+        tenant: Option<String>,
     ) -> Result<JobId, SearchError> {
         if spec.graphs.is_empty() {
             return Err(SearchError::NoGraphs);
         }
         spec.config.validate()?;
+        self.inner.admission.admit(tenant.as_deref())?;
+        let submitted = match &self.inner.fleet {
+            Some(fleet) => fleet.submit(&self.inner, spec, checkpoint, tenant.clone()),
+            None => self.enqueue(spec, checkpoint, tenant.clone()),
+        };
+        if submitted.is_err() {
+            // The job never entered the server: hand the slot back.
+            self.inner.admission.release(tenant.as_deref());
+        }
+        submitted
+    }
+
+    /// The local executor's submission: result cache, coalescing, queue.
+    fn enqueue(
+        &self,
+        spec: JobSpec,
+        checkpoint: Option<SearchCheckpoint>,
+        tenant: Option<String>,
+    ) -> Result<JobId, SearchError> {
         let key = match (&self.inner.cache, &checkpoint) {
             (Some(_), None) => Some(spec_cache_key(&spec)?),
             _ => None,
@@ -779,7 +905,7 @@ impl JobServer {
                 events: vec![SearchEvent::CacheHit { key: key.hex() }],
                 progress: Some(progress),
                 cache_hit: true,
-                ..JobRecord::queued(spec)
+                ..JobRecord::queued(spec, tenant)
             };
             let id = admit(&self.inner, &mut registry, record);
             let result = Ok((*outcome).clone());
@@ -823,7 +949,7 @@ impl JobServer {
                 retries: leader.retries,
                 leader: Some(exec),
                 coalesced: true,
-                ..JobRecord::queued(spec)
+                ..JobRecord::queued(spec, tenant)
             };
             let id = admit(&self.inner, &mut registry, record);
             let leader = registry
@@ -848,7 +974,7 @@ impl JobServer {
         let record = JobRecord {
             checkpoint: checkpoint.clone(),
             cache_key: key,
-            ..JobRecord::queued(spec)
+            ..JobRecord::queued(spec, tenant)
         };
         let id = admit(&self.inner, &mut registry, record);
         if let Some(checkpoint) = checkpoint {
@@ -875,6 +1001,10 @@ impl JobServer {
     /// *leader* with followers promotes its first follower to own the
     /// execution — the engine is never stopped while a live subscriber
     /// still wants the result.
+    ///
+    /// A fleet passes the cancel on to the job's shard and answers with the
+    /// shard's verdict (`false` if the shard cannot be reached); the job
+    /// ends when the shard's completion watcher reports it.
     pub fn cancel(&self, id: JobId) -> bool {
         let mut registry = self.lock_registry();
         let Some(record) = registry.jobs.get_mut(&id.0) else {
@@ -882,6 +1012,13 @@ impl JobServer {
         };
         if record.state.is_terminal() {
             return false;
+        }
+        if let (Some(fleet), Some(placed)) = (&self.inner.fleet, &mut record.placement) {
+            // Marked before the shard can report the cancellation.
+            placed.cancel_requested = true;
+            let target = (placed.shard, placed.shard_job);
+            drop(registry);
+            return fleet.cancel(target);
         }
         let completed_depths = record.progress.as_ref().map_or(0, |p| p.depths_completed);
         let cancelled = SearchEvent::Cancelled { completed_depths };
@@ -926,23 +1063,26 @@ impl JobServer {
         true
     }
 
-    /// Status of one job.
+    /// Status of one job. A fleet first asks the shard of a job still in
+    /// flight for its state and progress.
     pub fn status(&self, id: JobId) -> Result<JobStatus, SearchError> {
+        if let Some(fleet) = &self.inner.fleet {
+            fleet.refresh_status(&self.inner, id.0)?;
+        }
         let registry = self.lock_registry();
         registry
             .jobs
             .get(&id.0)
-            .map(|r| Self::status_of(id.0, r))
+            .map(|r| status_of(id.0, r))
             .ok_or(SearchError::UnknownJob { id: id.0 })
     }
 
     /// Status of every job, in submission order.
     pub fn jobs(&self) -> Vec<JobStatus> {
         let registry = self.lock_registry();
-        let mut ids: Vec<u64> = registry.jobs.keys().copied().collect();
-        ids.sort_unstable();
-        ids.iter()
-            .map(|id| Self::status_of(*id, &registry.jobs[id]))
+        sorted_ids(&registry)
+            .into_iter()
+            .map(|id| status_of(id, &registry.jobs[&id]))
             .collect()
     }
 
@@ -950,12 +1090,16 @@ impl JobServer {
     /// cursor value. Events are recorded in the session's deterministic
     /// emission order; retried jobs concatenate the streams of their
     /// attempts. (Jobs recovered terminal from a journal replay carry no
-    /// event log — only their result.)
+    /// event log — only their result.) A fleet follows the coordinator's
+    /// own events with the stream of the shard that holds the job.
     pub fn events_since(
         &self,
         id: JobId,
         since: usize,
     ) -> Result<(Vec<SearchEvent>, usize), SearchError> {
+        if let Some(fleet) = &self.inner.fleet {
+            return fleet.events(&self.inner, id.0, since);
+        }
         let registry = self.lock_registry();
         let record = registry
             .jobs
@@ -981,6 +1125,8 @@ impl JobServer {
     }
 
     /// Block until the job reaches a terminal state and return its outcome.
+    /// A fleet's shards keep running its jobs after it stops, so there a
+    /// wait errs once shutdown has begun.
     pub fn wait(&self, id: JobId) -> Result<Result<SearchOutcome, SearchError>, SearchError> {
         let mut registry = self.lock_registry();
         loop {
@@ -989,6 +1135,11 @@ impl JobServer {
             };
             if let Some(result) = record.result.clone() {
                 return Ok(result);
+            }
+            if registry.shutdown && self.inner.fleet.is_some() {
+                return Err(SearchError::Cluster {
+                    message: "coordinator is shutting down".to_string(),
+                });
             }
             registry = wait_recover(&self.inner.done_cv, registry);
         }
@@ -1023,7 +1174,7 @@ impl JobServer {
     pub fn forget(&self, id: JobId) -> bool {
         let mut registry = self.lock_registry();
         match registry.jobs.get(&id.0) {
-            Some(record) if record.state.is_terminal() => {
+            Some(record) if record.result.is_some() => {
                 registry.jobs.remove(&id.0);
                 journal(&self.inner, &JournalRecord::Forgotten { id: id.0 });
                 true
@@ -1096,6 +1247,9 @@ impl JobServer {
         }
         notify_done(&self.inner, registry);
         self.inner.work_cv.notify_all();
+        if let Some(fleet) = &self.inner.fleet {
+            fleet.close_watchers();
+        }
     }
 
     /// Append the clean-shutdown marker and compact the journal down to
@@ -1116,20 +1270,6 @@ impl JobServer {
                 }
             }
             Err(e) => eprintln!("[qas-serve] journal replay for compaction failed: {e}"),
-        }
-    }
-
-    fn status_of(id: u64, record: &JobRecord) -> JobStatus {
-        JobStatus {
-            id,
-            name: record.name.clone(),
-            priority: record.priority,
-            state: record.state.clone(),
-            retries: record.retries,
-            events_recorded: record.events.len(),
-            progress: record.progress.clone(),
-            cache_hit: record.cache_hit,
-            coalesced: record.coalesced,
         }
     }
 
@@ -1172,8 +1312,120 @@ impl JobServer {
         stats
     }
 
+    /// Render one protocol reply from the server's records: the one
+    /// renderer of every envelope `qas serve` and `qas coordinator` send.
+    /// A job the fleet placed also carries `shard` (its shard's address)
+    /// and `migrations`, and its report `migrated` once it has moved.
+    /// Only `Status` and `Stats` may ask a fleet's shards first.
+    pub fn reply(&self, reply: Reply) -> Result<Value, SearchError> {
+        match reply {
+            Reply::Status(id) => {
+                self.status(id)?;
+            }
+            Reply::Stats => {
+                let stats = match &self.inner.fleet {
+                    Some(fleet) => json!(fleet.stats(&self.inner)),
+                    None => json!(self.stats()),
+                };
+                return Ok(json!({ "ok": true, "stats": stats }));
+            }
+            _ => {}
+        }
+        let registry = self.lock_registry();
+        let id = match reply {
+            Reply::Submitted(id) | Reply::Status(id) | Reply::Result(id) | Reply::Ended(id) => id.0,
+            _ => {
+                let jobs = sorted_ids(&registry)
+                    .into_iter()
+                    .map(|id| self.status_value(id, &registry.jobs[&id]))
+                    .collect();
+                return Ok(json!({ "ok": true, "jobs": (Value::Array(jobs)) }));
+            }
+        };
+        let record = registry
+            .jobs
+            .get(&id)
+            .ok_or(SearchError::UnknownJob { id })?;
+        let (state, cache_hit, coalesced) =
+            (json!(record.state), record.cache_hit, record.coalesced);
+        let migrations = record
+            .placement
+            .as_ref()
+            .map_or(0, |placed| placed.migrations);
+        let mut value = match (reply, &record.result) {
+            (Reply::Status(_), _) => {
+                return Ok(json!({ "ok": true, "status": (self.status_value(id, record)) }))
+            }
+            (Reply::Ended(_), result) => {
+                let outcome = result.as_ref().and_then(|r| r.as_ref().ok());
+                let error = result.as_ref().and_then(|r| r.as_ref().err());
+                let status = json!(status_of(id, record));
+                return Ok(json!({ "status": status, "outcome": outcome, "error": error }));
+            }
+            (Reply::Submitted(_), _) => json!({
+                "ok": true, "job": id, "state": state,
+                "cache_hit": cache_hit, "coalesced": coalesced,
+            }),
+            (_, None) => json!({ "ok": true, "job": id, "state": state, "done": false }),
+            (_, Some(Ok(outcome))) => {
+                let mut report = SearchReport::from(outcome);
+                report.served_from_cache = cache_hit;
+                report.migrated = migrations > 0;
+                json!({
+                    "ok": true, "job": id, "state": state, "done": true,
+                    "cache_hit": cache_hit, "coalesced": coalesced, "report": report,
+                })
+            }
+            (_, Some(Err(e))) => json!({
+                "ok": true, "job": id, "state": state, "done": true, "error": (e.to_string()),
+            }),
+        };
+        self.stamp(&mut value, record);
+        Ok(value)
+    }
+
+    /// A job's status as the protocol renders it.
+    fn status_value(&self, id: u64, record: &JobRecord) -> Value {
+        let mut value = json!(status_of(id, record));
+        self.stamp(&mut value, record);
+        value
+    }
+
+    /// Append a placed job's `shard` and `migrations`.
+    fn stamp(&self, value: &mut Value, record: &JobRecord) {
+        if let (Some(fleet), Some(placed)) = (&self.inner.fleet, &record.placement) {
+            let shard = fleet.addr_of(placed.shard);
+            append(
+                value,
+                json!({ "shard": shard, "migrations": (placed.migrations) }),
+            );
+        }
+    }
+
     fn lock_registry(&self) -> MutexGuard<'_, Registry> {
         lock_recover(&self.inner.registry)
+    }
+}
+
+/// The ids of every job, in submission order.
+fn sorted_ids(registry: &Registry) -> Vec<u64> {
+    let mut ids: Vec<u64> = registry.jobs.keys().copied().collect();
+    ids.sort_unstable();
+    ids
+}
+
+fn status_of(id: u64, record: &JobRecord) -> JobStatus {
+    let shard_events = record.placement.as_ref().map_or(0, |p| p.shard_events);
+    JobStatus {
+        id,
+        name: record.name.clone(),
+        priority: record.priority,
+        state: record.state.clone(),
+        retries: record.retries,
+        events_recorded: record.events.len() + shard_events,
+        progress: record.progress.clone(),
+        cache_hit: record.cache_hit,
+        coalesced: record.coalesced,
     }
 }
 
@@ -1240,7 +1492,7 @@ fn rebuild_registry(
             retries: job.retries,
             checkpoint: job.checkpoint.clone(),
             cache_key,
-            ..JobRecord::queued(job.spec.clone())
+            ..JobRecord::queued(job.spec.clone(), None)
         };
         if terminal {
             record.spec = None;
@@ -1265,7 +1517,7 @@ fn journal(inner: &ServerInner, record: &JournalRecord) {
 
 /// Admit `record`, which carries the submitted spec, under a fresh id:
 /// journal `Submitted`, then insert it. Every job starts here.
-fn admit(inner: &ServerInner, registry: &mut Registry, record: JobRecord) -> u64 {
+pub(crate) fn admit(inner: &ServerInner, registry: &mut Registry, record: JobRecord) -> u64 {
     let id = registry.next_id;
     registry.next_id += 1;
     let spec = record
@@ -1279,12 +1531,13 @@ fn admit(inner: &ServerInner, registry: &mut Registry, record: JobRecord) -> u64
 
 /// End the jobs `ids`, whose first entry owns the execution: every job
 /// ends here. Each job in order records `event` (when the caller has one)
-/// and `result`, drops its spec, leader and followers, and journals
-/// `Finished` then `State`. Then the execution's coalescing key and
+/// and `result`, drops its spec, leader and followers, returns its
+/// tenant's quota slot, and journals `Finished` then `State`. Then the
+/// execution's coalescing key and
 /// promotion aliases are released and terminal records over the retention
 /// cap are evicted (and journaled as forgotten). Returns the released key,
 /// so a completed result can be cached once the registry lock is dropped.
-fn finish(
+pub(crate) fn finish(
     inner: &ServerInner,
     registry: &mut Registry,
     ids: &[u64],
@@ -1302,6 +1555,7 @@ fn finish(
         record.leader = None;
         record.followers = Vec::new();
         record.result = Some(result.clone());
+        inner.admission.release(record.tenant.take().as_deref());
         let retries = record.retries;
         journal(
             inner,
@@ -1336,7 +1590,7 @@ fn evict_over_retention(registry: &mut Registry, cap: usize) -> Vec<u64> {
     let mut terminal: Vec<u64> = registry
         .jobs
         .iter()
-        .filter(|(_, record)| record.state.is_terminal())
+        .filter(|(_, record)| record.result.is_some())
         .map(|(id, _)| *id)
         .collect();
     if terminal.len() <= cap {
@@ -1428,7 +1682,7 @@ fn worker_loop(inner: Arc<ServerInner>) {
 
 /// Count a possible job ending under the registry lock, then wake every
 /// `done_cv` waiter.
-fn notify_done(inner: &ServerInner, mut registry: MutexGuard<'_, Registry>) {
+pub(crate) fn notify_done(inner: &ServerInner, mut registry: MutexGuard<'_, Registry>) {
     registry.completions += 1;
     drop(registry);
     inner.done_cv.notify_all();

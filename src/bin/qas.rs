@@ -22,6 +22,7 @@ use qarchsearch_suite::qarchsearch::constraints::ConstraintSet;
 use qarchsearch_suite::qarchsearch::evaluator::{Evaluator, EvaluatorConfig};
 use qarchsearch_suite::qarchsearch::report::SearchReport;
 use qarchsearch_suite::qarchsearch::search::SearchStrategy;
+use qarchsearch_suite::qarchsearch::server::{error_reply, Reply};
 use qarchsearch_suite::serde_json::{self, json, Value};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -117,8 +118,9 @@ SERVE OPTIONS (qas serve):
     {\"ok\":false,\"queue_full\":true,...}.
     `wait_any` blocks until a listed job has ended, the server's completion
     count passes \"since\", or shutdown begins, and answers
-    {\"ok\":true,\"since\":<count>,\"done\":[<a wait envelope per ended job>]}:
-    the coordinator's one completion watcher per shard.
+    {\"ok\":true,\"since\":<count>,\"done\":[{\"status\",\"outcome\",\"error\"}...]}
+    (each ended job's status and result): a coordinator's one completion
+    watcher per shard.
 
 COORDINATOR OPTIONS (qas coordinator):
     --shards LIST     comma-separated shard addresses, e.g.
@@ -145,14 +147,15 @@ COORDINATOR OPTIONS (qas coordinator):
     --connect-timeout-ms N  shard TCP connect timeout        (default 1000)
     --request-timeout-ms N  shard request I/O timeout        (default 5000)
 
-    The coordinator speaks the serve protocol verbatim (submit/status/
-    events/result/wait/cancel/forget/jobs/stats/shutdown); job ids are
-    coordinator-scoped. Extras: `submit` takes \"tenant\"; rejections
-    carry \"admission_rejected\":true and \"retry_after_ms\"; `stats`
-    aggregates the fleet; {\"cmd\":\"shutdown\",\"shards\":true} also
-    shuts the shards down. Identical submissions route to the same shard
-    (rendezvous hashing on the content key), so the single-node result
-    cache deduplicates cluster-wide.
+    The coordinator is a job server whose jobs run on the shards: it answers
+    the serve protocol with the same verbs and envelopes; job ids are
+    coordinator-scoped, and placed jobs' envelopes add \"shard\" and
+    \"migrations\". Admission rejections carry \"admission_rejected\":true
+    and \"retry_after_ms\"; `stats` aggregates the fleet;
+    {\"cmd\":\"shutdown\",\"shards\":true} also shuts the shards down.
+    Identical submissions route to the same shard (rendezvous hashing on
+    the content key), so the single-node result cache deduplicates
+    cluster-wide.
 
 EVALUATE OPTIONS (qas evaluate):
     --mixer M         baseline | qnas | comma-separated gates (default qnas)
@@ -200,14 +203,8 @@ fn parse_args(args: &[String]) -> (HashMap<String, String>, Vec<String>) {
     (options, flags)
 }
 
-fn opt_usize(options: &HashMap<String, String>, key: &str, default: usize) -> usize {
-    options
-        .get(key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn opt_u64(options: &HashMap<String, String>, key: &str, default: u64) -> u64 {
+/// `--key`'s value, or `default` when it is absent or does not parse.
+fn opt<T: std::str::FromStr>(options: &HashMap<String, String>, key: &str, default: T) -> T {
     options
         .get(key)
         .and_then(|v| v.parse().ok())
@@ -215,9 +212,9 @@ fn opt_u64(options: &HashMap<String, String>, key: &str, default: u64) -> u64 {
 }
 
 fn build_dataset(options: &HashMap<String, String>) -> Vec<Graph> {
-    let count = opt_usize(options, "graphs", 4);
-    let nodes = opt_usize(options, "nodes", 10);
-    let seed = opt_u64(options, "seed", 2023);
+    let count = opt(options, "graphs", 4);
+    let nodes = opt(options, "nodes", 10);
+    let seed = opt(options, "seed", 2023);
     match options.get("dataset").map(|s| s.as_str()).unwrap_or("er") {
         "regular" => graphs::datasets::random_regular_dataset(count, nodes, 4, seed),
         _ => graphs::datasets::erdos_renyi_dataset(count, nodes, seed),
@@ -265,7 +262,7 @@ fn build_strategy(options: &HashMap<String, String>) -> Result<SearchStrategy, S
 /// The three kind enums parse through their `FromStr` impls, which share
 /// one `graphs::ParseKindError`; the CLI only stringifies it.
 fn build_problem(options: &HashMap<String, String>) -> Result<ProblemKind, String> {
-    let seed = opt_u64(options, "seed", 2023);
+    let seed = opt(options, "seed", 2023);
     match options.get("problem") {
         None => Ok(ProblemKind::MaxCut),
         Some(spec) => spec
@@ -312,17 +309,17 @@ fn build_search_config(
 ) -> Result<SearchConfig, String> {
     let alphabet = build_alphabet(options)?;
     let strategy = build_strategy(options)?;
-    let k_max = opt_usize(options, "kmax", 2);
+    let k_max = opt(options, "kmax", 2);
     let has_flag = |name: &str| flags.iter().any(|f| f == name);
 
     let mut builder = SearchConfig::builder()
         .alphabet(alphabet)
-        .max_depth(opt_usize(options, "pmax", 2))
+        .max_depth(opt(options, "pmax", 2))
         .max_gates_per_mixer(k_max)
-        .optimizer_budget(opt_usize(options, "budget", 60))
+        .optimizer_budget(opt(options, "budget", 60))
         .strategy(strategy)
         .problem(build_problem(options)?)
-        .seed(opt_u64(options, "seed", 2023));
+        .seed(opt(options, "seed", 2023));
     if let Some(backend) = build_backend(options)? {
         builder = builder.backend(backend);
     }
@@ -343,10 +340,7 @@ fn build_search_config(
     } else if has_flag("no-prune") {
         builder = builder.no_prune();
     } else {
-        builder = builder.halving(
-            opt_usize(options, "first-rung", 20),
-            opt_usize(options, "eta", 4),
-        );
+        builder = builder.halving(opt(options, "first-rung", 20), opt(options, "eta", 4));
         if has_flag("no-warm-start") {
             builder = builder.warm_start(false);
         }
@@ -355,7 +349,7 @@ fn build_search_config(
         }
     }
     let mut config = builder.build();
-    config.evaluator.restarts = opt_usize(options, "restarts", 1);
+    config.evaluator.restarts = opt(options, "restarts", 1);
     Ok(config)
 }
 
@@ -484,78 +478,6 @@ fn job_id_of(request: &Value) -> Result<JobId, String> {
         .ok_or_else(|| "request needs a numeric 'job' field".to_string())
 }
 
-fn status_value(status: &JobStatus) -> Value {
-    serde_json::to_value(status).unwrap_or(Value::Null)
-}
-
-fn result_response(
-    server: &JobServer,
-    id: JobId,
-    result: Option<Result<SearchOutcome, SearchError>>,
-) -> Result<Value, String> {
-    let status = server.status(id).map_err(|e| e.to_string())?;
-    // Serialize the state the same way `status`/`jobs` do (serde's enum
-    // tag), so clients match one spelling everywhere.
-    let state = serde_json::to_value(&status.state).unwrap_or(Value::Null);
-    match result {
-        None => Ok(json!({
-            "ok": true,
-            "job": (id.0),
-            "state": state,
-            "done": false,
-        })),
-        Some(Ok(outcome)) => {
-            let mut search_report = SearchReport::from(&outcome);
-            search_report.served_from_cache = status.cache_hit;
-            let report = serde_json::to_value(&search_report).map_err(|e| e.to_string())?;
-            Ok(json!({
-                "ok": true,
-                "job": (id.0),
-                "state": state,
-                "done": true,
-                "cache_hit": (status.cache_hit),
-                "coalesced": (status.coalesced),
-                "report": report,
-            }))
-        }
-        Some(Err(e)) => Ok(json!({
-            "ok": true,
-            "job": (id.0),
-            "state": state,
-            "done": true,
-            "error": (e.to_string()),
-        })),
-    }
-}
-
-/// A full queue answers with an explicit `queue_full` marker so the
-/// coordinator can distinguish backpressure (retryable) from rejection.
-fn queue_full_or_error(e: SearchError) -> Result<Value, String> {
-    match e {
-        SearchError::QueueFull { .. } => Ok(json!({
-            "ok": false,
-            "error": (e.to_string()),
-            "queue_full": true,
-        })),
-        other => Err(other.to_string()),
-    }
-}
-
-/// The accepted-submission envelope. A submission is not necessarily
-/// Queued any more: a result-cache hit is born Completed and a coalesced
-/// duplicate mirrors its leader, so report the actual post-submit state.
-fn submit_envelope(server: &JobServer, id: JobId) -> Result<Value, String> {
-    let status = server.status(id).map_err(|e| e.to_string())?;
-    let state = serde_json::to_value(&status.state).unwrap_or(Value::Null);
-    Ok(json!({
-        "ok": true,
-        "job": (id.0),
-        "state": state,
-        "cache_hit": (status.cache_hit),
-        "coalesced": (status.coalesced),
-    }))
-}
-
 /// The job a `submit` request asks for: a spec built from its `search`
 /// object, plus its optional scheduling fields.
 fn spec_from_submit(request: &Value) -> Result<JobSpec, String> {
@@ -584,15 +506,15 @@ fn spec_from_submit(request: &Value) -> Result<JobSpec, String> {
     Ok(spec)
 }
 
-/// Handle one protocol line: parse it, answer `shutdown` after
-/// `begin_shutdown` (which wakes connections blocked in `wait` before the
-/// front door joins them), hand every other `cmd` to `verb` (`None`: an
-/// unknown one), and answer an `Err` with `ok:false`. Returns the JSON
+/// Handle one protocol line for `server`: parse it, answer `shutdown`
+/// after `begin_shutdown` (which wakes connections blocked in `wait`
+/// before the front door joins them), hand every other `cmd` to
+/// [`serve_verb`], and answer an `Err` with `ok:false`. Returns the JSON
 /// response and whether the server should shut down afterwards.
 fn handle_line(
     line: &str,
+    server: &JobServer,
     begin_shutdown: impl FnOnce(&Value),
-    verb: impl FnOnce(&str, &Value) -> Option<Result<Value, String>>,
 ) -> (Value, bool) {
     let response = match serde_json::from_str::<Value>(line) {
         Err(e) => Err(format!("invalid JSON: {e}")),
@@ -602,78 +524,70 @@ fn handle_line(
                 begin_shutdown(&request);
                 return (json!({ "ok": true, "shutdown": true }), true);
             }
-            Some(cmd) => verb(cmd, &request).unwrap_or_else(|| Err(format!("unknown cmd '{cmd}'"))),
+            Some(cmd) => serve_verb(server, cmd, &request),
         },
     };
     let response = response.unwrap_or_else(|message| json!({ "ok": false, "error": message }));
     (response, false)
 }
 
-/// Answer one `qas serve` verb other than `shutdown`.
-fn serve_verb(server: &JobServer, cmd: &str, request: &Value) -> Option<Result<Value, String>> {
-    Some(match cmd {
-        "submit" => (|| -> Result<Value, String> {
-            let spec = spec_from_submit(request)?;
-            let id = match server.submit(spec) {
-                Ok(id) => id,
-                Err(e) => return queue_full_or_error(e),
+/// Answer one protocol verb other than `shutdown`, for `qas serve` and
+/// `qas coordinator` alike: every envelope is [`JobServer::reply`]'s.
+fn serve_verb(server: &JobServer, cmd: &str, request: &Value) -> Result<Value, String> {
+    let reply = |reply: Reply| server.reply(reply).map_err(|e| e.to_string());
+    let job = || job_id_of(request);
+    match cmd {
+        "submit" | "submit_spec" => (|| -> Result<Value, String> {
+            // `submit_spec` carries a pre-built JobSpec, submitted verbatim
+            // — a coordinator's placement and migration path — optionally
+            // with a "checkpoint" to resume from (bit-identical to an
+            // undisturbed run).
+            let (spec, checkpoint) = if cmd == "submit" {
+                (spec_from_submit(request)?, None)
+            } else {
+                let spec = request
+                    .get("spec")
+                    .ok_or_else(|| "submit_spec needs a 'spec' object".to_string())?;
+                let spec =
+                    serde_json::from_value(spec).map_err(|e| format!("invalid spec: {e}"))?;
+                let checkpoint = match request.get("checkpoint") {
+                    Some(Value::Null) | None => None,
+                    Some(value) => Some(
+                        serde_json::from_value::<SearchCheckpoint>(value)
+                            .map_err(|e| format!("invalid checkpoint: {e}"))?,
+                    ),
+                };
+                (spec, checkpoint)
             };
-            submit_envelope(server, id)
+            let tenant = request
+                .get("tenant")
+                .and_then(Value::as_str)
+                .map(str::to_string);
+            match server.submit_as(spec, checkpoint, tenant) {
+                Ok(id) => reply(Reply::Submitted(id)),
+                Err(e) => Ok(error_reply(&e)),
+            }
         })(),
-        "submit_spec" => (|| -> Result<Value, String> {
-            // A pre-built JobSpec, submitted verbatim — the coordinator's
-            // placement/migration path. An optional "checkpoint" resumes
-            // the search mid-flight (bit-identical to an undisturbed run).
-            let spec_value = request
-                .get("spec")
-                .ok_or_else(|| "submit_spec needs a 'spec' object".to_string())?;
-            let spec: JobSpec =
-                serde_json::from_value(spec_value).map_err(|e| format!("invalid spec: {e}"))?;
-            let checkpoint = match request.get("checkpoint") {
-                Some(Value::Null) | None => None,
-                Some(value) => Some(
-                    serde_json::from_value::<SearchCheckpoint>(value)
-                        .map_err(|e| format!("invalid checkpoint: {e}"))?,
-                ),
-            };
-            let id = match server.submit_with_checkpoint(spec, checkpoint) {
-                Ok(id) => id,
-                Err(e) => return queue_full_or_error(e),
-            };
-            submit_envelope(server, id)
-        })(),
-        "status" => job_id_of(request).and_then(|id| {
-            let status = server.status(id).map_err(|e| e.to_string())?;
-            Ok(json!({ "ok": true, "status": (status_value(&status)) }))
-        }),
-        "jobs" => {
-            let statuses: Vec<Value> = server.jobs().iter().map(status_value).collect();
-            Ok(json!({ "ok": true, "jobs": (Value::Array(statuses)) }))
-        }
-        "events" => job_id_of(request).and_then(|id| {
+        "status" => job().and_then(|id| reply(Reply::Status(id))),
+        "jobs" => reply(Reply::Jobs),
+        "events" => job().and_then(|id| {
             let since = request.get("since").and_then(|s| s.as_u64()).unwrap_or(0) as usize;
             let (events, next) = server.events_since(id, since).map_err(|e| e.to_string())?;
-            let events = serde_json::to_value(&events).map_err(|e| e.to_string())?;
             Ok(json!({ "ok": true, "job": (id.0), "events": events, "next": next }))
         }),
-        "cancel" => job_id_of(request).map(|id| {
+        "cancel" => job().map(|id| {
             let accepted = server.cancel(id);
             json!({ "ok": true, "job": (id.0), "cancelled": accepted })
         }),
-        "forget" => job_id_of(request).map(|id| {
+        "forget" => job().map(|id| {
             let dropped = server.forget(id);
             json!({ "ok": true, "job": (id.0), "forgotten": dropped })
         }),
-        "result" => job_id_of(request).and_then(|id| {
-            let result = server.result(id).map_err(|e| e.to_string())?;
-            result_response(server, id, result)
-        }),
-        "stats" => serde_json::to_value(&server.stats())
-            .map(|stats| json!({ "ok": true, "stats": stats }))
-            .map_err(|e| e.to_string()),
-        "wait" => job_id_of(request).and_then(|id| {
-            let result = server.wait(id).map_err(|e| e.to_string())?;
-            result_response(server, id, Some(result))
+        "result" => job().and_then(|id| reply(Reply::Result(id))),
+        "stats" => reply(Reply::Stats),
+        "wait" => job().and_then(|id| {
+            let _ = server.wait(id).map_err(|e| e.to_string())?;
+            reply(Reply::Result(id))
         }),
         "wait_any" => (|| -> Result<Value, String> {
             let ids: Vec<JobId> = request
@@ -689,20 +603,18 @@ fn serve_verb(server: &JobServer, cmd: &str, request: &Value) -> Option<Result<V
             // A job forgotten since it ended is left out, as unknown ids are.
             let done: Vec<Value> = done
                 .into_iter()
-                .filter_map(|id| {
-                    let result = server.result(id).ok()?;
-                    result_response(server, id, result).ok()
-                })
+                .filter_map(|id| server.reply(Reply::Ended(id)).ok())
                 .collect();
             Ok(json!({ "ok": true, "since": since, "done": (Value::Array(done)) }))
         })(),
-        _ => return None,
-    })
+        _ => Err(format!("unknown cmd '{cmd}'")),
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Shared JSON-lines front doors. `qas serve` and `qas coordinator` differ
-// only in their line handler: (request line) -> (response, stop?).
+// only in the job server their line handler answers from, and in what a
+// `shutdown` also stops: (request line) -> (response, stop?).
 
 type LineHandler<'a> = dyn Fn(&str) -> (Value, bool) + Sync + 'a;
 
@@ -809,13 +721,13 @@ fn run_tcp_front_door(
 
 fn cmd_serve(options: &HashMap<String, String>, flags: &[String]) -> Result<(), String> {
     let config = JobServerConfig {
-        workers: opt_usize(options, "workers", 2),
-        queue_capacity: opt_usize(options, "queue", 16),
-        max_retained_jobs: opt_usize(options, "retain", 256),
+        workers: opt(options, "workers", 2),
+        queue_capacity: opt(options, "queue", 16),
+        max_retained_jobs: opt(options, "retain", 256),
     };
-    let store = options.get("state-dir").map(|dir| {
-        StoreConfig::new(dir).checkpoint_every(opt_usize(options, "checkpoint-every", 1))
-    });
+    let store = options
+        .get("state-dir")
+        .map(|dir| StoreConfig::new(dir).checkpoint_every(opt(options, "checkpoint-every", 1)));
     let no_cache = flags.iter().any(|f| f == "no-cache");
     let cache = if no_cache {
         if options.contains_key("cache-dir") || options.contains_key("cache-capacity") {
@@ -833,7 +745,7 @@ fn cmd_serve(options: &HashMap<String, String>, flags: &[String]) -> Result<(), 
             None => None,
         };
         Some(CacheConfig {
-            capacity: opt_usize(options, "cache-capacity", CacheConfig::default().capacity),
+            capacity: opt(options, "cache-capacity", CacheConfig::default().capacity),
             dir,
             ..CacheConfig::default()
         })
@@ -859,13 +771,7 @@ fn cmd_serve(options: &HashMap<String, String>, flags: &[String]) -> Result<(), 
             if recovery.clean_shutdown { "clean" } else { "unclean" },
         );
     }
-    let handler = |line: &str| {
-        handle_line(
-            line,
-            |_| server.begin_shutdown(),
-            |cmd, request| serve_verb(&server, cmd, request),
-        )
-    };
+    let handler = |line: &str| handle_line(line, &server, |_| server.begin_shutdown());
     run_front_door(options, "serve", &handler)?;
     server.shutdown();
     Ok(())
@@ -916,81 +822,6 @@ fn build_fault_plan(
 // ---------------------------------------------------------------------------
 // qas coordinator — the distributed serve tier's front door.
 
-/// Answer one coordinator verb other than `shutdown` (the serve protocol's
-/// shape; see `qarchsearch::cluster` for the routing semantics).
-fn coordinator_verb(
-    coordinator: &Coordinator,
-    cmd: &str,
-    request: &Value,
-) -> Option<Result<Value, String>> {
-    Some(match cmd {
-        "submit" => (|| -> Result<Value, String> {
-            let spec = spec_from_submit(request)?;
-            let tenant = request
-                .get("tenant")
-                .and_then(|t| t.as_str())
-                .map(str::to_string);
-            match coordinator.submit(spec, tenant) {
-                Ok(submission) => {
-                    let state = serde_json::to_value(&submission.state).unwrap_or(Value::Null);
-                    Ok(json!({
-                        "ok": true,
-                        "job": (submission.id.0),
-                        "state": state,
-                        "cache_hit": (submission.cache_hit),
-                        "coalesced": (submission.coalesced),
-                        "shard": (submission.shard),
-                    }))
-                }
-                Err(e @ SearchError::AdmissionDenied { .. }) => {
-                    let retry_after_ms = match &e {
-                        SearchError::AdmissionDenied { retry_after_ms, .. } => *retry_after_ms,
-                        _ => unreachable!(),
-                    };
-                    Ok(json!({
-                        "ok": false,
-                        "error": (e.to_string()),
-                        "admission_rejected": true,
-                        "retry_after_ms": (retry_after_ms),
-                    }))
-                }
-                Err(e) => Err(e.to_string()),
-            }
-        })(),
-        "status" => job_id_of(request).and_then(|id| {
-            let status = coordinator.status(id).map_err(|e| e.to_string())?;
-            Ok(json!({ "ok": true, "status": status }))
-        }),
-        "jobs" => Ok(json!({ "ok": true, "jobs": (Value::Array(coordinator.jobs())) })),
-        "events" => job_id_of(request).and_then(|id| {
-            let since = request.get("since").and_then(|s| s.as_u64()).unwrap_or(0) as usize;
-            let (events, next) = coordinator.events(id, since).map_err(|e| e.to_string())?;
-            Ok(json!({
-                "ok": true,
-                "job": (id.0),
-                "events": (Value::Array(events)),
-                "next": (next),
-            }))
-        }),
-        "cancel" => job_id_of(request).and_then(|id| {
-            let accepted = coordinator.cancel(id).map_err(|e| e.to_string())?;
-            Ok(json!({ "ok": true, "job": (id.0), "cancelled": accepted }))
-        }),
-        "forget" => job_id_of(request).and_then(|id| {
-            let dropped = coordinator.forget(id).map_err(|e| e.to_string())?;
-            Ok(json!({ "ok": true, "job": (id.0), "forgotten": dropped }))
-        }),
-        "result" => {
-            job_id_of(request).and_then(|id| coordinator.result(id).map_err(|e| e.to_string()))
-        }
-        "wait" => job_id_of(request).and_then(|id| coordinator.wait(id).map_err(|e| e.to_string())),
-        "stats" => serde_json::to_value(&coordinator.stats())
-            .map(|stats| json!({ "ok": true, "stats": stats }))
-            .map_err(|e| e.to_string()),
-        _ => return None,
-    })
-}
-
 fn cmd_coordinator(options: &HashMap<String, String>) -> Result<(), String> {
     let shard_list = options
         .get("shards")
@@ -1031,44 +862,29 @@ fn cmd_coordinator(options: &HashMap<String, String>) -> Result<(), String> {
         .collect();
     let mut config = ClusterConfig::new(shards);
     config.admission = AdmissionConfig {
-        rate_per_sec: options
-            .get("rate")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.0),
-        burst: options
-            .get("burst")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(8),
-        tenant_quota: opt_usize(options, "tenant-quota", 0),
-        max_wait_ms: opt_u64(options, "max-wait-ms", 2_000),
-        retry_poll_ms: opt_u64(options, "retry-poll-ms", 50),
+        rate_per_sec: opt(options, "rate", 0.0),
+        burst: opt(options, "burst", 8),
+        tenant_quota: opt(options, "tenant-quota", 0),
+        max_wait_ms: opt(options, "max-wait-ms", 2_000),
+        retry_poll_ms: opt(options, "retry-poll-ms", 50),
     };
-    config.heartbeat_ms = opt_u64(options, "heartbeat-ms", 250);
-    config.heartbeat_misses = options
-        .get("heartbeat-misses")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
-    config.connect_timeout_ms = opt_u64(options, "connect-timeout-ms", 1_000);
-    config.request_timeout_ms = opt_u64(options, "request-timeout-ms", 5_000);
+    config.heartbeat_ms = opt(options, "heartbeat-ms", 250);
+    config.heartbeat_misses = opt(options, "heartbeat-misses", 3);
+    config.connect_timeout_ms = opt(options, "connect-timeout-ms", 1_000);
+    config.request_timeout_ms = opt(options, "request-timeout-ms", 5_000);
     config.faults = build_fault_plan(options)?;
     let coordinator = Coordinator::start(config).map_err(|e| e.to_string())?;
-    eprintln!(
-        "qas coordinator: fronting {} shard(s), {} alive",
-        coordinator.stats().shards_total,
-        coordinator.alive_shards().len(),
-    );
+    let stats = coordinator.stats();
+    let (total, alive) = (stats.shards_total, stats.shards_alive);
+    eprintln!("qas coordinator: fronting {total} shard(s), {alive} alive");
     let shutdown_shards = AtomicBool::new(false);
     let handler = |line: &str| {
-        handle_line(
-            line,
-            |request| {
-                if request.get("shards").and_then(Value::as_bool) == Some(true) {
-                    shutdown_shards.store(true, Ordering::SeqCst);
-                }
-                coordinator.begin_shutdown();
-            },
-            |cmd, request| coordinator_verb(&coordinator, cmd, request),
-        )
+        handle_line(line, coordinator.server(), |request| {
+            if request.get("shards").and_then(Value::as_bool) == Some(true) {
+                shutdown_shards.store(true, Ordering::SeqCst);
+            }
+            coordinator.server().begin_shutdown();
+        })
     };
     run_front_door(options, "coordinator", &handler)?;
     coordinator.shutdown(shutdown_shards.load(Ordering::SeqCst));
@@ -1079,10 +895,10 @@ fn cmd_evaluate(options: &HashMap<String, String>) -> Result<(), String> {
     let dataset = build_dataset(options);
     let mixer = build_mixer(options)?;
     let problem = build_problem(options)?;
-    let depth = opt_usize(options, "depth", 1);
+    let depth = opt(options, "depth", 1);
     let mut evaluator_config = EvaluatorConfig {
-        budget: opt_usize(options, "budget", 60),
-        restarts: opt_usize(options, "restarts", 1),
+        budget: opt(options, "budget", 60),
+        restarts: opt(options, "restarts", 1),
         problem: problem.clone(),
         ..EvaluatorConfig::default()
     };
@@ -1115,7 +931,7 @@ fn cmd_evaluate(options: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_problems(options: &HashMap<String, String>) -> Result<(), String> {
-    let seed = opt_u64(options, "seed", 2023);
+    let seed = opt(options, "seed", 2023);
     println!("shipped cost Hamiltonians (use with --problem NAME):\n");
     for kind in ProblemKind::all(seed) {
         println!("  {:<10} {}", kind.name(), kind.description());
@@ -1130,8 +946,8 @@ fn cmd_problems(options: &HashMap<String, String>) -> Result<(), String> {
 
 fn cmd_info(options: &HashMap<String, String>) -> Result<(), String> {
     let alphabet = build_alphabet(options)?;
-    let p_max = opt_usize(options, "pmax", 4);
-    let k_max = opt_usize(options, "kmax", 4);
+    let p_max = opt(options, "pmax", 4);
+    let k_max = opt(options, "kmax", 4);
     println!(
         "alphabet          : {alphabet} (|A_R| = {})",
         alphabet.len()

@@ -839,7 +839,7 @@ fn a_shard_restarted_before_its_death_verdict_finishes_the_watched_job() {
     not(debug_assertions),
     ignore = "fault injection is armed only in debug builds"
 )]
-fn held_results_outlive_their_shard_while_cancelled_and_forgotten_ones_do_not() {
+fn results_outlive_their_shard_while_forgotten_ones_do_not() {
     // Shard-local job 3 is a slow blocker, so job 4 can be cancelled while
     // it is still queued.
     let mut shard = ShardProc::spawn(
@@ -878,16 +878,40 @@ fn held_results_outlive_their_shard_while_cancelled_and_forgotten_ones_do_not() 
     assert_eq!(cancelled.get("state"), Some(&json!("Cancelled")));
     assert_eq!(coordinator.result(queued).unwrap(), cancelled);
 
-    // With the shard gone (and no death verdict), the completed job's
-    // result is answered from the coordinator's held copy, while the
-    // cancelled job's result still goes to the shard, and fails.
+    // With the shard gone (and no death verdict), every ended job's result
+    // is answered from the coordinator's own record: `result` never asks a
+    // shard.
     shard.kill();
     assert_eq!(coordinator.result(done).unwrap(), finished);
-    assert!(matches!(
-        coordinator.result(queued),
-        Err(SearchError::Cluster { .. })
-    ));
+    assert_eq!(coordinator.result(queued).unwrap(), cancelled);
     coordinator.shutdown(false);
+}
+
+#[test]
+fn a_coordinator_keeps_at_most_the_retention_cap_of_ended_jobs() {
+    // One search submitted 300 times: the first run is cold, every later
+    // one is a cache hit on the shard. The coordinator's records of ended
+    // jobs are capped like any job server's, oldest evicted first.
+    let shard = ShardProc::spawn("retention", &["--workers", "1"]);
+    let coordinator = Coordinator::start(cluster_config(vec![shard.endpoint()])).unwrap();
+    let ids: Vec<JobId> = (0..300)
+        .map(|_| {
+            let id = coordinator.submit(cluster_spec(51, 1), None).unwrap().id;
+            coordinator.wait(id).unwrap();
+            id
+        })
+        .collect();
+    let cap = JobServerConfig::default().max_retained_jobs;
+    let tracked = coordinator.stats().jobs_tracked;
+    assert!(tracked <= cap, "{tracked} job records kept, cap {cap}");
+    assert!(matches!(
+        coordinator.result(ids[0]),
+        Err(SearchError::UnknownJob { .. })
+    ));
+    let newest = coordinator.result(ids[299]).unwrap();
+    assert_eq!(newest.get("done"), Some(&json!(true)), "{newest:?}");
+    assert_eq!(newest.get("cache_hit"), Some(&json!(true)), "{newest:?}");
+    coordinator.shutdown(true);
 }
 
 #[test]
