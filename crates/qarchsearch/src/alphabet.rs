@@ -7,10 +7,21 @@
 //! sequences with repetition**, which is the convention that reproduces that
 //! count; the alphabet defaults to `{RX, RY, RZ, H, P}`, the set from which
 //! all the mixers shown in the paper's figures are drawn.
+//!
+//! Many of those sequences are the same mixer. A mixer applies its whole
+//! sequence to every qubit with one shared angle, so it is one 2×2 unitary
+//! U(β), and two sequences whose U(β) agree up to a global phase have the
+//! same energy at every (γ, β). [`MixerClass`] keys a sequence by an exact
+//! normal form of U(β), and a search trains one member of each class per
+//! depth. Over the paper's alphabet the 780 sequences of length 1..=4 make
+//! 203 normal forms; merging the forms whose U(β) is diagonal leaves 199
+//! distinct mixers per depth (4 / 16 / 58 / 199 for `k_max` = 1 … 4), so the
+//! paper's four depths train 796 candidates instead of 3 120.
 
 use crate::error::SearchError;
 use qcircuit::Gate;
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 use std::fmt;
 use std::str::FromStr;
 
@@ -113,7 +124,7 @@ impl GateAlphabet {
         &self.gates
     }
 
-    /// Gate at position `i` (used to decode encodings).
+    /// Gate at position `i` (the predictors sample positions).
     pub fn gate_at(&self, i: usize) -> Option<RotationGate> {
         self.gates.get(i).copied()
     }
@@ -165,6 +176,112 @@ impl GateAlphabet {
     pub fn search_space_size(&self, p_max: usize, k: usize) -> usize {
         p_max * self.combination_count(k)
     }
+
+    /// Number of distinct mixers ([`MixerClass`]es) among the sequences of
+    /// length `1..=k_max`: what an exhaustive search trains per depth (199
+    /// of 780 for the paper's alphabet at `k_max = 4`).
+    pub fn distinct_mixers_up_to(&self, k_max: usize) -> usize {
+        let classes: HashSet<MixerClass> = self
+            .all_combinations_up_to(k_max)
+            .iter()
+            .map(|gates| MixerClass::of(gates))
+            .collect();
+        classes.len()
+    }
+}
+
+/// The exact unitary class of a mixer's gate sequence.
+///
+/// Sequences with equal classes have equal U(β) up to a global phase at
+/// every β, hence the same energy function of (γ, β). The key is a normal
+/// form over `{rx, ry, rz, h, p}`:
+///
+/// * `p` becomes `rz`, since `P(θ) = e^{iθ/2}·RZ(θ)`;
+/// * every `h` moves to the end of the sequence, conjugating the rotations
+///   it passes (`H·RX·H = RZ`, `H·RZ·H = RX`, `H·RY(θ)·H = RY(−θ)`), which
+///   leaves a word of signed rotation axes plus the parity of `h`;
+/// * every diagonal sequence — an all-`z` word with even parity, or a
+///   sequence of [`Gate::is_diagonal`] gates only — is one class, because
+///   each leaves the energy at its |+⟩ value at every angle.
+///
+/// A sequence with any other gate keys as itself. The normal form is exact
+/// but not complete: a few sequences with equal U(β) keep distinct keys.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct MixerClass(ClassKey);
+
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum ClassKey {
+    Diagonal,
+    Rotations { axes: Vec<Axis>, hadamard: bool },
+    Verbatim(Vec<Gate>),
+}
+
+/// A rotation axis of the normal form; `h` conjugation flips `y`'s sign.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Axis {
+    X,
+    Y,
+    NegY,
+    Z,
+}
+
+impl Axis {
+    /// The axis of `H·R·H` for a rotation `R` about `self`.
+    fn conjugated_by_h(self) -> Axis {
+        match self {
+            Axis::X => Axis::Z,
+            Axis::Z => Axis::X,
+            Axis::Y => Axis::NegY,
+            Axis::NegY => Axis::Y,
+        }
+    }
+}
+
+impl MixerClass {
+    /// The class of a mixer's gate sequence (in circuit order).
+    pub fn of(gates: &[Gate]) -> MixerClass {
+        if gates.iter().all(|g| g.is_diagonal()) {
+            return MixerClass(ClassKey::Diagonal);
+        }
+        MixerClass(match normal_form(gates) {
+            ClassKey::Rotations {
+                axes,
+                hadamard: false,
+            } if axes.iter().all(|&a| a == Axis::Z) => ClassKey::Diagonal,
+            key => key,
+        })
+    }
+
+    /// Whether U(β) is diagonal at every β: the mixer never moves amplitude
+    /// between basis states, so the energy stays at its |+⟩ value.
+    pub fn is_diagonal(&self) -> bool {
+        self.0 == ClassKey::Diagonal
+    }
+}
+
+/// The signed axis word and `h` parity of a sequence over
+/// `{rx, ry, rz, h, p}`, or the sequence itself if it has any other gate.
+fn normal_form(gates: &[Gate]) -> ClassKey {
+    let mut axes = Vec::with_capacity(gates.len());
+    let mut hadamard = false;
+    for &gate in gates {
+        let axis = match gate {
+            Gate::H => {
+                hadamard = !hadamard;
+                continue;
+            }
+            Gate::RX => Axis::X,
+            Gate::RY => Axis::Y,
+            Gate::RZ | Gate::P => Axis::Z,
+            _ => return ClassKey::Verbatim(gates.to_vec()),
+        };
+        axes.push(if hadamard {
+            axis.conjugated_by_h()
+        } else {
+            axis
+        });
+    }
+    ClassKey::Rotations { axes, hadamard }
 }
 
 impl fmt::Display for GateAlphabet {
@@ -177,6 +294,8 @@ impl fmt::Display for GateAlphabet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qcircuit::GateMatrix;
+    use std::collections::HashMap;
 
     #[test]
     fn paper_alphabet_has_five_gates() {
@@ -246,5 +365,101 @@ mod tests {
         assert!("rzz".parse::<RotationGate>().is_err());
         assert!("bogus".parse::<RotationGate>().is_err());
         assert_eq!("ry".parse::<RotationGate>().unwrap().gate(), Gate::RY);
+    }
+
+    /// U(β) of a mixer: its gates in circuit order, each parameterized one
+    /// at angle 2β (as `qaoa::Mixer` applies them).
+    fn mixer_unitary(gates: &[Gate], beta: f64) -> GateMatrix {
+        gates.iter().fold(GateMatrix::of(Gate::I, 0.0), |u, &g| {
+            GateMatrix::of(g, 2.0 * beta).matmul(&u)
+        })
+    }
+
+    /// Whether `a` and `b` agree up to a global phase within `tol`.
+    fn equal_up_to_phase(a: &GateMatrix, b: &GateMatrix, tol: f64) -> bool {
+        // tr(a†b) = 2·e^{iφ} exactly when b = e^{iφ}·a.
+        let trace = a.dagger().matmul(b);
+        let trace = trace.data()[0] + trace.data()[3];
+        if trace.norm() < 1e-6 {
+            return false;
+        }
+        let phase = trace / trace.norm();
+        let rotated: Vec<_> = a.data().iter().map(|&x| x * phase).collect();
+        rotated
+            .iter()
+            .zip(b.data())
+            .all(|(x, y)| (x - y).norm() <= tol)
+    }
+
+    const PROBE_BETAS: [f64; 4] = [0.37, 1.1, 2.9, -0.83];
+
+    #[test]
+    fn equal_classes_are_equal_unitaries() {
+        let sequences = GateAlphabet::paper_default().all_combinations_up_to(4);
+        let mut representative: HashMap<MixerClass, &Vec<Gate>> = HashMap::new();
+        for gates in &sequences {
+            let class = MixerClass::of(gates);
+            if class.is_diagonal() {
+                for beta in PROBE_BETAS {
+                    let u = mixer_unitary(gates, beta);
+                    assert!(
+                        u.diagonal().is_some(),
+                        "{gates:?} keys as diagonal but U({beta}) is not"
+                    );
+                }
+                continue;
+            }
+            let first = *representative.entry(class).or_insert(gates);
+            for beta in PROBE_BETAS {
+                assert!(
+                    equal_up_to_phase(
+                        &mixer_unitary(first, beta),
+                        &mixer_unitary(gates, beta),
+                        1e-12
+                    ),
+                    "{first:?} and {gates:?} share a class but differ at beta = {beta}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn class_counts_over_the_paper_alphabet() {
+        let alphabet = GateAlphabet::paper_default();
+        let mut normal_forms = Vec::new();
+        let mut trained = Vec::new();
+        for k_max in 1..=4 {
+            let sequences = alphabet.all_combinations_up_to(k_max);
+            let forms: HashSet<ClassKey> = sequences.iter().map(|g| normal_form(g)).collect();
+            normal_forms.push(forms.len());
+            trained.push(alphabet.distinct_mixers_up_to(k_max));
+        }
+        assert_eq!(normal_forms, [4, 18, 61, 203]);
+        assert_eq!(trained, [4, 16, 58, 199]);
+        let diagonal = alphabet
+            .all_combinations_up_to(4)
+            .iter()
+            .filter(|g| MixerClass::of(g).is_diagonal())
+            .count();
+        assert_eq!(diagonal, 54);
+    }
+
+    #[test]
+    fn class_examples() {
+        use Gate::*;
+        let class = |gates: &[Gate]| MixerClass::of(gates);
+        assert_eq!(class(&[P]), class(&[RZ]));
+        assert_eq!(class(&[H, RX]), class(&[RZ, H]));
+        assert_eq!(class(&[H, RZ]), class(&[RX, H]));
+        assert_eq!(class(&[H, H, RX]), class(&[RX]));
+        assert_ne!(class(&[RX, RX]), class(&[RX]));
+        assert_ne!(class(&[RX, RY]), class(&[RY, RX]));
+        assert!(class(&[H, H, RZ]).is_diagonal());
+        assert!(class(&[T, S, Z]).is_diagonal());
+        assert!(!class(&[H]).is_diagonal());
+        assert!(!class(&[H, RY, H]).is_diagonal());
+        // Gates outside {rx, ry, rz, h, p} key as the sequence itself.
+        assert_ne!(class(&[X, RX]), class(&[RX, X]));
+        assert_eq!(class(&[X, RX]), class(&[X, RX]));
     }
 }

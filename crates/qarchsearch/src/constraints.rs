@@ -11,6 +11,7 @@
 //! hardware-style resource limits are expressed through the resulting
 //! per-qubit gate counts, which scale linearly with the register width.
 
+use crate::alphabet::MixerClass;
 use qcircuit::Gate;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -24,9 +25,10 @@ pub enum Constraint {
     /// qubit (each parameterized gate costs one rotation per qubit on
     /// hardware).
     MaxParameterizedGates(usize),
-    /// Require at least one non-diagonal gate, so the candidate can actually
-    /// move amplitude between computational basis states (a purely diagonal
-    /// "mixer" leaves the Max-Cut energy at the |+⟩^⊗n value).
+    /// Require a mixer that actually moves amplitude between computational
+    /// basis states: reject exactly the sequences whose [`MixerClass`] is
+    /// diagonal (such a "mixer" leaves the energy at the |+⟩^⊗n value at
+    /// every angle — `rz,p`, but also `h,h,rz`).
     RequireMixing,
     /// Forbid specific gates (e.g. exclude `T`/`Tdg` to stay Clifford+rotation,
     /// or exclude `H` to keep the mixer purely rotational).
@@ -47,7 +49,7 @@ impl Constraint {
             Constraint::MaxParameterizedGates(limit) => {
                 gates.iter().filter(|g| g.is_parameterized()).count() <= *limit
             }
-            Constraint::RequireMixing => gates.iter().any(|g| !g.is_diagonal()),
+            Constraint::RequireMixing => !MixerClass::of(gates).is_diagonal(),
             Constraint::ForbidGates(forbidden) => !gates.iter().any(|g| forbidden.contains(g)),
             Constraint::RequireAnyOf(required) => gates.iter().any(|g| required.contains(g)),
             Constraint::NoAdjacentDuplicates => gates.windows(2).all(|w| w[0] != w[1]),
@@ -61,7 +63,7 @@ impl Constraint {
             Constraint::MaxParameterizedGates(n) => {
                 format!("at most {n} parameterized gates per qubit")
             }
-            Constraint::RequireMixing => "must contain a non-diagonal gate".to_string(),
+            Constraint::RequireMixing => "mixer must be non-diagonal".to_string(),
             Constraint::ForbidGates(gs) => {
                 let names: Vec<&str> = gs.iter().map(|g| g.mnemonic()).collect();
                 format!("forbids {{{}}}", names.join(", "))
@@ -173,6 +175,15 @@ mod tests {
         let c = Constraint::RequireMixing;
         assert!(!c.is_satisfied(&[Gate::RZ, Gate::P]));
         assert!(c.is_satisfied(&[Gate::RZ, Gate::RX]));
+    }
+
+    #[test]
+    fn require_mixing_is_exact() {
+        let c = Constraint::RequireMixing;
+        // `h,h` cancels: a non-diagonal gate alone does not make a mixer.
+        assert!(!c.is_satisfied(&[Gate::H, Gate::H, Gate::RZ]));
+        assert!(c.is_satisfied(&[Gate::H, Gate::RX]));
+        assert!(c.is_satisfied(&[Gate::RX]));
     }
 
     #[test]

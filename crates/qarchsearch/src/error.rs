@@ -31,7 +31,7 @@ pub enum SearchError {
         message: String,
     },
 
-    /// An encoding could not be decoded into a gate sequence.
+    /// A gate (or gate mnemonic) cannot be an alphabet entry.
     #[error("invalid circuit encoding: {message}")]
     InvalidEncoding {
         /// What is wrong.

@@ -4,12 +4,12 @@
 //! an automated, parallel search over candidate **mixer circuits** for the
 //! Max-Cut QAOA, mirroring the three-component architecture of Fig. 1:
 //!
-//! * [`predictor`] — proposes candidate circuit encodings. The released
+//! * [`predictor`] — proposes candidate mixer gate sequences. The released
 //!   QArchSearch uses random search (a strong NAS baseline); this crate also
 //!   ships an exhaustive enumerator, an ε-greedy bandit and a softmax
 //!   policy-gradient predictor as the "deep-learning-based search" extension
 //!   the paper lists as future work.
-//! * [`qbuilder`] — turns an encoding into a concrete parameterized circuit
+//! * [`qbuilder`] — turns a gate sequence into a concrete parameterized circuit
 //!   (the paper's QBuilder emits Qiskit circuits; ours emits
 //!   [`qcircuit::Circuit`] values via the [`qaoa`] crate).
 //! * [`evaluator`] — trains the candidate ansatz on the Max-Cut objective
@@ -52,7 +52,6 @@ pub mod alphabet;
 pub mod cache;
 pub mod cluster;
 pub mod constraints;
-pub mod encoding;
 pub mod error;
 pub mod evaluator;
 pub mod events;
@@ -68,7 +67,7 @@ pub mod store;
 mod sync;
 pub mod worksteal;
 
-pub use alphabet::{GateAlphabet, RotationGate};
+pub use alphabet::{GateAlphabet, MixerClass, RotationGate};
 pub use cache::{spec_cache_key, CacheConfig, CacheStats, ResultCache, SpecKey};
 pub use cluster::{
     AdmissionConfig, AdmissionControl, AdmissionStats, ClusterConfig, ClusterStats, Coordinator,

@@ -1,7 +1,6 @@
 //! Property-based tests for the search package.
 
 use crate::alphabet::GateAlphabet;
-use crate::encoding::CircuitEncoding;
 use crate::predictor::{Predictor, RandomPredictor};
 use crate::search::{ExecutionMode, SearchConfig, SearchOutcome, SearchStrategy};
 use crate::session::SearchDriver;
@@ -36,15 +35,6 @@ proptest! {
         let unique: std::collections::BTreeSet<String> =
             combos.iter().map(|c| format!("{c:?}")).collect();
         prop_assert_eq!(unique.len(), combos.len());
-    }
-
-    #[test]
-    fn encode_decode_is_identity(positions in proptest::collection::vec(0usize..5, 1..5)) {
-        let alphabet = GateAlphabet::paper_default();
-        let enc = CircuitEncoding::from_positions(&alphabet, &positions).unwrap();
-        let gates = enc.decode(&alphabet).unwrap();
-        let re_enc = CircuitEncoding::encode(&alphabet, &gates).unwrap();
-        prop_assert_eq!(enc, re_enc);
     }
 
     #[test]

@@ -1,14 +1,13 @@
-//! QBuilder: turn circuit encodings into concrete QAOA ansätze.
+//! QBuilder: turn proposed gate sequences into concrete QAOA ansätze.
 //!
 //! The paper's QBuilder "accepts the encoded tensor representation from the
 //! predictor module and generates the appropriate quantum circuit in an
-//! available quantum computing software" (Qiskit in the original). Here it
-//! decodes a [`CircuitEncoding`] (or a raw gate sequence) into a
+//! available quantum computing software" (Qiskit in the original). Here the
+//! predictors propose gate sequences directly; QBuilder turns one into a
 //! [`qaoa::mixer::Mixer`] and assembles the full depth-`p` QAOA ansatz for a
 //! given graph.
 
 use crate::alphabet::GateAlphabet;
-use crate::encoding::CircuitEncoding;
 use crate::error::SearchError;
 use graphs::Graph;
 use qaoa::ansatz::QaoaAnsatz;
@@ -34,7 +33,7 @@ impl QBuilder {
         }
     }
 
-    /// The alphabet used for decoding encodings.
+    /// The alphabet the builder was configured with.
     pub fn alphabet(&self) -> &GateAlphabet {
         &self.alphabet
     }
@@ -44,15 +43,6 @@ impl QBuilder {
         Mixer::new(gates.to_vec()).map_err(|e| SearchError::Evaluation {
             message: e.to_string(),
         })
-    }
-
-    /// Decode an encoding and build its mixer.
-    pub fn build_mixer_from_encoding(
-        &self,
-        encoding: &CircuitEncoding,
-    ) -> Result<Mixer, SearchError> {
-        let gates = encoding.decode(&self.alphabet)?;
-        self.build_mixer(&gates)
     }
 
     /// BUILD_QAOA_CKT of Algorithm 1: the depth-`p` ansatz for `graph` with
@@ -77,13 +67,5 @@ mod tests {
     fn build_mixer_rejects_empty_sequence() {
         let b = QBuilder::paper_default();
         assert!(b.build_mixer(&[]).is_err());
-    }
-
-    #[test]
-    fn mixer_gates_follow_encoding_order() {
-        let b = QBuilder::paper_default();
-        let enc = CircuitEncoding::encode(b.alphabet(), &[Gate::H, Gate::P, Gate::RX]).unwrap();
-        let mixer = b.build_mixer_from_encoding(&enc).unwrap();
-        assert_eq!(mixer.gates(), &[Gate::H, Gate::P, Gate::RX]);
     }
 }

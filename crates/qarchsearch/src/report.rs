@@ -115,6 +115,10 @@ pub struct SearchReport {
     pub candidates: usize,
     /// Candidates rejected by the predictor gate before evaluation.
     pub candidates_gated: usize,
+    /// Proposals folded into an earlier proposal of the same
+    /// [`MixerClass`](crate::alphabet::MixerClass) and not trained.
+    #[serde(default, skip_serializing_if = "crate::search::is_zero")]
+    pub candidates_folded: usize,
     /// Candidates pruned before reaching the full budget.
     pub candidates_pruned: usize,
     /// Objective evaluations actually spent across all candidates/graphs.
@@ -158,6 +162,7 @@ impl From<&SearchOutcome> for SearchReport {
             total_seconds: o.total_elapsed_seconds,
             candidates: o.num_candidates_evaluated,
             candidates_gated: o.depth_results.iter().map(|d| d.gated_out).sum(),
+            candidates_folded: o.depth_results.iter().map(|d| d.folded).sum(),
             candidates_pruned: o
                 .depth_results
                 .iter()

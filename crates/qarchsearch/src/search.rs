@@ -10,6 +10,7 @@
 //! with ([`SearchConfig`], [`SearchStrategy`], [`PipelineConfig`]) and
 //! returns ([`SearchOutcome`], [`DepthResult`], [`BestCandidate`]).
 
+use crate::alphabet::MixerClass;
 use crate::constraints::ConstraintSet;
 use crate::error::SearchError;
 use crate::evaluator::{CandidateResult, EvaluatorConfig};
@@ -19,6 +20,7 @@ use crate::predictor::{
 use crate::GateAlphabet;
 use qcircuit::Gate;
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 
 /// How a search session executes its candidate evaluations.
 ///
@@ -49,27 +51,36 @@ impl std::fmt::Display for ExecutionMode {
 }
 
 /// How candidate gate combinations are proposed.
+///
+/// Every strategy's proposals are folded into [`MixerClass`]es before
+/// training: a depth trains the first proposal of each class and counts the
+/// rest in [`DepthResult::folded`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub enum SearchStrategy {
     /// Enumerate every ordered sequence of length `1..=k_max` (what the
-    /// paper's profiling experiments time).
+    /// paper's profiling experiments time) and train the shortest member
+    /// of each class: 199 of the 780 sequences over the paper's alphabet
+    /// at `k_max = 4`.
     #[default]
     Exhaustive,
     /// Random search (the paper's released algorithm): sample
     /// `samples_per_depth` sequences per depth, each of a random length in
-    /// `1..=k_max`.
+    /// `1..=k_max`. Proposals repeating a class are folded, so a depth
+    /// trains at most `samples_per_depth` candidates.
     Random {
         /// Number of candidates sampled per depth.
         samples_per_depth: usize,
     },
-    /// ε-greedy bandit over per-slot gate choices.
+    /// ε-greedy bandit over per-slot gate choices. Proposals repeating a
+    /// class are folded.
     EpsilonGreedy {
         /// Number of candidates proposed per depth.
         samples_per_depth: usize,
         /// Exploration rate.
         epsilon: f64,
     },
-    /// Softmax policy-gradient controller (the "DNN-based search" extension).
+    /// Softmax policy-gradient controller (the "DNN-based search"
+    /// extension). Proposals repeating a class are folded.
     PolicyGradient {
         /// Number of candidates proposed per depth.
         samples_per_depth: usize,
@@ -273,12 +284,14 @@ impl SearchConfig {
     }
 
     /// Candidate sequences for one depth (learned strategies propose online,
-    /// receiving feedback sequentially). Candidates that violate the
-    /// configured [`ConstraintSet`] are filtered out before evaluation.
+    /// receiving feedback sequentially), and how many proposals were folded.
+    /// Candidates that violate the configured [`ConstraintSet`] are filtered
+    /// out; of the rest, only the first proposal of each [`MixerClass`] is
+    /// kept, since the others would train the same energy function.
     /// Proposal is a pure function of `(self, depth)`, which is what makes
     /// checkpoint/resume bit-identical: a resumed run re-proposes exactly
     /// the cohorts the interrupted run would have seen.
-    pub(crate) fn propose_candidates(&self, depth: usize) -> Vec<Vec<Gate>> {
+    pub(crate) fn propose_candidates(&self, depth: usize) -> (Vec<Vec<Gate>>, usize) {
         let mut candidates = match &self.strategy {
             SearchStrategy::Exhaustive | SearchStrategy::Random { .. } => {
                 self.candidates_for_depth(depth)
@@ -311,7 +324,11 @@ impl SearchConfig {
             }
         };
         self.constraints.filter(&mut candidates);
-        candidates
+        let proposed = candidates.len();
+        let mut classes = HashSet::new();
+        candidates.retain(|gates| classes.insert(MixerClass::of(gates)));
+        let folded = proposed - candidates.len();
+        (candidates, folded)
     }
 
     /// The candidate gate sequences explored at one depth.
@@ -515,6 +532,16 @@ pub struct DepthResult {
     pub rungs: Vec<RungStat>,
     /// Candidates rejected by the predictor gate before any evaluation.
     pub gated_out: usize,
+    /// Proposals not trained because an earlier proposal at this depth has
+    /// the same [`MixerClass`].
+    #[serde(default, skip_serializing_if = "is_zero")]
+    pub folded: usize,
+}
+
+/// `skip_serializing_if` helper: counters that are zero are left out, so
+/// the serialized form of a search without folding keeps its bytes.
+pub(crate) fn is_zero(n: &usize) -> bool {
+    *n == 0
 }
 
 /// The outcome of a full search run.
@@ -1042,12 +1069,41 @@ mod tests {
     }
 
     #[test]
+    fn exhaustive_proposals_fold_to_the_first_member_of_each_class() {
+        let paper = SearchConfig::builder().max_gates_per_mixer(2).build();
+        let (candidates, folded) = paper.propose_candidates(1);
+        assert_eq!((candidates.len(), folded), (16, 14));
+        assert!(candidates.contains(&vec![Gate::RX, Gate::RY]));
+        assert!(candidates.contains(&vec![Gate::RZ])); // the diagonal class
+        assert!(!candidates.contains(&vec![Gate::P])); // folded into rz
+        assert!(!candidates.contains(&vec![Gate::H, Gate::RX])); // rz,h came first
+                                                                 // One-member classes only: nothing folds.
+        let (candidates, folded) = tiny_config(SearchStrategy::Exhaustive).propose_candidates(1);
+        assert_eq!((candidates.len(), folded), (6, 0));
+    }
+
+    /// A sampling strategy's depth trains each proposed class once: the
+    /// trained and folded proposals add up to the sample budget, and no two
+    /// trained candidates share a class.
+    fn assert_samples_fold_into_classes(outcome: &SearchOutcome, samples_per_depth: usize) {
+        for depth in &outcome.depth_results {
+            assert_eq!(depth.candidates.len() + depth.folded, samples_per_depth);
+            let classes: HashSet<MixerClass> = depth
+                .candidates
+                .iter()
+                .map(|c| MixerClass::of(&parse_label_gates(&c.mixer_label)))
+                .collect();
+            assert_eq!(classes.len(), depth.candidates.len());
+        }
+    }
+
+    #[test]
     fn random_strategy_respects_sample_budget() {
         let cfg = tiny_config(SearchStrategy::Random {
             samples_per_depth: 4,
         });
         let outcome = serial_run(cfg, &tiny_graphs()).unwrap();
-        assert_eq!(outcome.num_candidates_evaluated, 4);
+        assert_samples_fold_into_classes(&outcome, 4);
     }
 
     #[test]
@@ -1142,7 +1198,7 @@ mod tests {
             epsilon: 0.5,
         });
         let outcome = serial_run(cfg, &tiny_graphs()).unwrap();
-        assert_eq!(outcome.num_candidates_evaluated, 3);
+        assert_samples_fold_into_classes(&outcome, 3);
     }
 
     #[test]
@@ -1152,6 +1208,6 @@ mod tests {
             learning_rate: 0.2,
         });
         let outcome = serial_run(cfg, &tiny_graphs()).unwrap();
-        assert_eq!(outcome.num_candidates_evaluated, 3);
+        assert_samples_fold_into_classes(&outcome, 3);
     }
 }

@@ -577,7 +577,7 @@ fn run_engine(
 
     for depth in start_depth..=config.max_depth {
         let depth_start = Instant::now();
-        let candidates = config.propose_candidates(depth);
+        let (candidates, folded) = config.propose_candidates(depth);
         emit(SearchEvent::DepthStarted {
             depth,
             proposed: candidates.len(),
@@ -634,6 +634,7 @@ fn run_engine(
                     best_energy,
                     rungs,
                     gated_out,
+                    folded,
                 });
                 // Publish **before** emitting: an observer that checkpoints
                 // on `DepthCompleted` must see the depth it was told about.

@@ -2,8 +2,8 @@
 //!
 //! This crate is the "Qiskit substitute" of the QArchSearch reproduction: a
 //! small, dependency-light intermediate representation for parameterized
-//! quantum circuits. The QArchSearch **QBuilder** module turns encoded circuit
-//! descriptions into [`Circuit`] values, which are then executed by either the
+//! quantum circuits. The QArchSearch **QBuilder** module turns proposed mixer
+//! gate sequences into [`Circuit`] values, which are then executed by either the
 //! dense state-vector backend (`statevec`) or the tensor-network backend
 //! (`tensornet`).
 //!

@@ -390,6 +390,9 @@ fn print_search_human(outcome: &SearchOutcome, out: &mut dyn Write) -> std::io::
             d.elapsed_seconds,
             d.candidates.len()
         )?;
+        if d.folded > 0 {
+            write!(out, ", {} folded", d.folded)?;
+        }
         if d.gated_out > 0 {
             write!(out, ", {} gated", d.gated_out)?;
         }
@@ -957,13 +960,18 @@ fn cmd_info(options: &HashMap<String, String>) -> Result<(), String> {
     for k in 1..=k_max {
         println!("  length-{k} sequences: {}", alphabet.combination_count(k));
     }
+    let distinct = alphabet.distinct_mixers_up_to(k_max);
     println!(
-        "per-depth candidates (all lengths): {}",
+        "per-depth candidates (all lengths): {} sequences -> {distinct} distinct mixers",
         alphabet.all_combinations_up_to(k_max).len()
     );
     println!(
         "paper-style accounting (p_max × |A_R|^k_max): {}",
         alphabet.search_space_size(p_max, k_max)
+    );
+    println!(
+        "trained per search (p_max × distinct mixers): {}",
+        p_max * distinct
     );
     Ok(())
 }

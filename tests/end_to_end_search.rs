@@ -4,6 +4,7 @@
 
 use qarchsearch_suite::prelude::*;
 use qarchsearch_suite::qarchsearch::search::SearchStrategy;
+use qarchsearch_suite::qarchsearch::MixerClass;
 
 fn small_config() -> SearchConfig {
     SearchConfig::builder()
@@ -200,8 +201,28 @@ fn random_strategy_search_runs_through_facade() {
     let outcome = SearchDriver::new(cfg.with_mode(ExecutionMode::Parallel))
         .run(&training_graphs())
         .unwrap();
-    assert_eq!(outcome.num_candidates_evaluated, 10);
+    // Each depth trains one candidate per proposed class: trained plus
+    // folded proposals make the sample budget, and no two trained
+    // candidates are the same mixer.
+    for depth in &outcome.depth_results {
+        assert_eq!(depth.candidates.len() + depth.folded, 5);
+        let classes: std::collections::HashSet<MixerClass> = depth
+            .candidates
+            .iter()
+            .map(|c| MixerClass::of(&label_gates(&c.mixer_label)))
+            .collect();
+        assert_eq!(classes.len(), depth.candidates.len());
+    }
     assert!(outcome.best.energy > 0.0);
+}
+
+/// The gate sequence of a mixer label such as `('rx', 'h')`.
+fn label_gates(label: &str) -> Vec<Gate> {
+    label
+        .trim_matches(|c| c == '(' || c == ')')
+        .split(", ")
+        .map(|name| name.trim_matches('\'').parse().unwrap())
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
