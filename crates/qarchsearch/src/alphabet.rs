@@ -367,6 +367,20 @@ mod tests {
         assert_eq!("ry".parse::<RotationGate>().unwrap().gate(), Gate::RY);
     }
 
+    #[test]
+    fn alphabet_errors_name_the_bad_entry() {
+        let err = GateAlphabet::from_mnemonics(&["rx", "bogus"]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid gate alphabet entry: unknown gate mnemonic 'bogus'"
+        );
+        let err = GateAlphabet::from_mnemonics(&["cx"]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid gate alphabet entry: cx is not a single-qubit gate"
+        );
+    }
+
     /// U(β) of a mixer: its gates in circuit order, each parameterized one
     /// at angle 2β (as `qaoa::Mixer` applies them).
     fn mixer_unitary(gates: &[Gate], beta: f64) -> GateMatrix {

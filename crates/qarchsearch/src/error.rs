@@ -31,8 +31,9 @@ pub enum SearchError {
         message: String,
     },
 
-    /// A gate (or gate mnemonic) cannot be an alphabet entry.
-    #[error("invalid circuit encoding: {message}")]
+    /// A gate (or gate mnemonic) cannot be an alphabet entry. The variant
+    /// keeps its old name so journaled failures still deserialize.
+    #[error("invalid gate alphabet entry: {message}")]
     InvalidEncoding {
         /// What is wrong.
         message: String,

@@ -18,7 +18,10 @@
 //! * The batch executor's single-qubit span kernel and phase pass are built
 //!   twice, portable and with AVX2, from one body; a CPU that has AVX2 runs
 //!   the AVX2 build. Neither build enables `fma`, so both round alike and
-//!   give the same bits (see the [`batch`] module).
+//!   give the same bits (see the [`batch`] module). At one state per sweep
+//!   and targets 0 and 1, where a gate's amplitude pairs are adjacent or
+//!   two apart, the span kernel gathers four pairs into four-lane arrays
+//!   and runs them side by side.
 //! * [`CompiledProgram`] lowers a circuit once into specialized kernels with
 //!   parameter slots — fused diagonal cost layers, per-qubit gate chains, a
 //!   recognized `|+⟩^{⊗n}` preparation — for allocation-free re-evaluation
