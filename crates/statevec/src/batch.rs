@@ -1205,13 +1205,13 @@ mod tests {
             same_state(&bsv, &want, &format!("n = {n}, phase pass"));
             println!("  phase pass   {us:>8.1} µs");
 
-            let diagonal: Vec<f64> = index.iter().map(|&v| values[v as usize]).collect();
+            // The layer's angle table doubles as the cost diagonal.
             let mut out = Vec::new();
             let us = median_us(calls, || {
-                bsv.expectation_diagonal_batch(&diagonal, &mut out).unwrap();
+                bsv.expectation_diagonal_batch(&angles, &mut out).unwrap();
                 black_box(&out);
             });
-            let want = bsv.state(0).expectation_diagonal(&diagonal).unwrap();
+            let want = bsv.state(0).expectation_diagonal(&angles).unwrap();
             assert_eq!(out[0].to_bits(), want.to_bits(), "n = {n}, expectation");
             println!("  expectation  {us:>8.1} µs");
 
