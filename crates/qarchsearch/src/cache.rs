@@ -157,7 +157,7 @@ pub struct CacheStats {
     pub hits: u64,
     /// Submissions that had to execute (no cached or in-flight twin).
     pub misses: u64,
-    /// Submissions attached as followers of an in-flight execution.
+    /// Submissions subscribed to an in-flight execution.
     pub coalesced: u64,
     /// Outcomes inserted into the result cache.
     pub insertions: u64,

@@ -684,14 +684,18 @@ impl Fleet {
             }
             Err(PlaceError::Unreachable(e) | PlaceError::Fatal(e)) => return Err(e),
         };
-        let mut record = JobRecord::queued(spec, tenant);
+        let mut record = JobRecord::queued(&spec, tenant);
         record.state = placed.state.clone();
         record.cache_hit = placed.cache_hit;
         record.coalesced = placed.coalesced;
         record.placement = Some(Placement::new(&placed, key_hash, 0));
         // Registered before `placed` unlocks the shard's connection.
         let mut registry = lock_recover(&inner.registry);
-        Ok(JobId(server::admit(inner, &mut registry, record)))
+        let id = server::admit(inner, &mut registry, &spec, record);
+        if let Some(record) = registry.jobs.get_mut(&id) {
+            record.spec = Some(spec);
+        }
+        Ok(JobId(id))
     }
 
     /// Pass a `cancel` on to the shard holding a job; its verdict.

@@ -54,13 +54,14 @@
 //!    [`JobStatus::cache_hit`] set. With [`CacheConfig::dir`] the cache
 //!    survives restarts through the same crc-framed journal as the job
 //!    store.
-//! 2. **Request coalescing** — a submission identical to one already
-//!    queued or running attaches as a *follower* of that execution: it
-//!    gets its own [`JobId`], event cursor, result, and cancel (which
-//!    only detaches it), but no engine runs for it. When the leader
-//!    settles, the terminal state and result fan out to every follower.
-//!    Cancelling a leader promotes its first follower; the engine keeps
-//!    running.
+//! 2. **Request coalescing** — one engine run (an *execution*) serves
+//!    every job that subscribes to it. A submission identical to one
+//!    already queued or running subscribes to that execution instead of
+//!    starting its own: it gets its own [`JobId`], event cursor, result,
+//!    and cancel, but no engine runs for it. When the execution settles,
+//!    the terminal state and result fan out to every subscriber.
+//!    Cancelling a job only unsubscribes it; the engine stops only when
+//!    its last subscriber is cancelled.
 //! 3. **Evaluator sharing** — jobs share one server-scoped bounded
 //!    [`EnergyCache`], so identical `(problem, backend, graph)` triples
 //!    across *different* jobs reuse one trained-energy evaluator.
@@ -73,24 +74,29 @@
 //! Every job starts in one function and ends in one. `submit` runs the
 //! admission gates ([`AdmissionControl`]; the default config admits
 //! everything). `admit` allocates the id, journals `Submitted` and
-//! inserts the record — for cache hits, followers, fresh executions,
+//! inserts the record — for cache hits, subscribers, fresh executions,
 //! checkpointed migrations and fleet placements alike. `finish` ends a
 //! list of jobs: per job it records the terminal event (if the caller
-//! supplies one) and the result, returns the tenant's quota slot, and
-//! journals `Finished` then `State`; then it releases the execution's
-//! coalescing key and aliases and evicts over retention. So each job's
-//! journal reads `Submitted … Finished, State`, with only `State`,
-//! `Progress` and `Checkpoint` records between.
+//! supplies one) and the result, returns the tenant's quota slot,
+//! journals `Finished` then `State`, and unsubscribes the job from its
+//! execution; an execution left without subscribers is dropped with its
+//! queue entry and coalescing key. Then records over retention are
+//! evicted. So each job's journal reads `Submitted … Finished, State`,
+//! with only `State`, `Progress` and `Checkpoint` records between.
 //!
 //! Between the two, one of two executors runs the job:
 //!
 //! * **local** (every server [`JobServer::launch`] starts): the bounded
-//!   pending queue drained by the worker pool (`worker_loop`/`run_job`).
-//!   Every fan-out — events, `Running`, progress, `Retrying`, suspension
-//!   and the final verdict — visits the execution's owner first, then its
-//!   followers (`Registry::subscribers`). The one other transition,
-//!   `promote_follower`, hands a cancelled owner's execution to its first
-//!   follower.
+//!   pending queue of executions, drained by the worker pool
+//!   (`worker_loop`/`run_job`). An `Execution` owns what one engine run
+//!   needs — spec, canceller, checkpoint, cache key — and lists its
+//!   subscribers; the first one is its *owner*, whose priority orders
+//!   the queue and whose id the journal's `State`, `Progress` and
+//!   `Checkpoint` records carry. Every fan-out — events, `Running`,
+//!   progress, `Retrying`, suspension and the final verdict — visits the
+//!   subscribers in order. Cancelling a job removes it from the list, so
+//!   the next subscriber becomes the owner; the worker holds the
+//!   execution's id, which never changes.
 //! * **fleet** (the server inside a [`crate::cluster::Coordinator`]): the
 //!   job is placed on a `qas serve` shard and holds no thread here; the
 //!   shard's completion watcher calls the same `finish` with the shard's
@@ -140,7 +146,8 @@ pub struct JobSpec {
     pub priority: i32,
     /// Per-job deadline in seconds: on expiry the session is cooperatively
     /// cancelled and the job recorded as [`JobState::TimedOut`]. `None`
-    /// runs unbounded.
+    /// runs unbounded; submit refuses a negative, non-finite or
+    /// unrepresentably large value.
     pub timeout_secs: Option<f64>,
     /// Automatic retries granted for **transient** failures
     /// ([`SearchError::is_transient`]); each retry resumes from the last
@@ -372,7 +379,8 @@ pub struct ServerStats {
     /// Retained jobs that finished [`JobState::Failed`].
     pub jobs_failed: usize,
     /// Result-cache counters (`None` when caching is disabled). The
-    /// `coalesced` counter counts follower attachments (tier 2).
+    /// `coalesced` counter counts subscriptions to an in-flight
+    /// execution (tier 2).
     pub cache: Option<CacheStats>,
     /// Shared evaluator-cache counters (`None` when caching is disabled).
     pub energy_cache: Option<EnergyCacheStats>,
@@ -399,31 +407,23 @@ pub(crate) struct JobRecord {
     name: Option<String>,
     priority: i32,
     pub(crate) state: JobState,
+    /// The submitted spec, kept only by a job the fleet placed (a shard
+    /// that dies hands it to another); a local job's lives in its
+    /// execution.
     pub(crate) spec: Option<JobSpec>,
     /// The job's events; for a placed job, only those the coordinator
     /// itself recorded ([`SearchEvent::Migrated`]).
     pub(crate) events: Vec<SearchEvent>,
-    canceller: Option<Canceller>,
     pub(crate) progress: Option<SearchProgress>,
     pub(crate) result: Option<Result<SearchOutcome, SearchError>>,
     pub(crate) retries: u32,
-    /// Last checkpoint taken at a depth boundary (what retries and — via
-    /// the journal — restarts resume from).
-    checkpoint: Option<SearchCheckpoint>,
-    /// Set by an explicit [`JobServer::cancel`] on a running job, so
-    /// shutdown-suspension never resurrects a job the user killed.
-    user_cancelled: bool,
-    /// Follower job ids coalesced onto this execution (leaders only).
-    followers: Vec<u64>,
-    /// The execution this job is coalesced onto (followers only);
-    /// cleared when the follower detaches or the execution settles.
-    leader: Option<u64>,
-    /// The content-address of this execution's spec, kept so its result
-    /// can be inserted into the cache at settle time (leaders only).
-    cache_key: Option<SpecKey>,
+    /// The execution this job subscribes to, until the job ends (local
+    /// jobs only).
+    exec: Option<u64>,
     /// Served instantly from the result cache — no engine ran.
     pub(crate) cache_hit: bool,
-    /// Attached to another in-flight execution instead of running.
+    /// Subscribed to another job's in-flight execution instead of
+    /// starting one.
     pub(crate) coalesced: bool,
     /// The tenant whose quota slot the job holds until `finish`.
     tenant: Option<String>,
@@ -433,22 +433,17 @@ pub(crate) struct JobRecord {
 
 impl JobRecord {
     /// A fresh queued record for `spec` (no events, no result yet).
-    pub(crate) fn queued(spec: JobSpec, tenant: Option<String>) -> JobRecord {
+    pub(crate) fn queued(spec: &JobSpec, tenant: Option<String>) -> JobRecord {
         JobRecord {
             name: spec.name.clone(),
             priority: spec.priority,
             state: JobState::Queued,
-            spec: Some(spec),
+            spec: None,
             events: Vec::new(),
-            canceller: None,
             progress: None,
             result: None,
             retries: 0,
-            checkpoint: None,
-            user_cancelled: false,
-            followers: Vec::new(),
-            leader: None,
-            cache_key: None,
+            exec: None,
             cache_hit: false,
             coalesced: false,
             tenant,
@@ -457,138 +452,120 @@ impl JobRecord {
     }
 }
 
+/// One engine run of the local executor and the jobs subscribed to it.
+/// Its id is the id of the job that started it; it lives in memory only.
+struct Execution {
+    /// The spec it runs.
+    spec: JobSpec,
+    /// Stops the engine while a worker drives it.
+    canceller: Option<Canceller>,
+    /// Last checkpoint taken at a depth boundary (what retries and — via
+    /// the journal — restarts resume from).
+    checkpoint: Option<SearchCheckpoint>,
+    /// The content-address of the spec, kept so the result can be cached
+    /// at settle time.
+    cache_key: Option<SpecKey>,
+    /// Set when its last subscriber is cancelled while it runs, so
+    /// shutdown-suspension never resurrects a run the user killed.
+    user_cancelled: bool,
+    /// The jobs receiving its events and outcome, in subscription order;
+    /// never empty. The first is the owner.
+    subscribers: Vec<u64>,
+}
+
 /// One queue entry; `ready_at` defers retry attempts (backoff).
 struct PendingEntry {
-    id: u64,
+    exec: u64,
     ready_at: Option<Instant>,
 }
 
 pub(crate) struct Registry {
     pub(crate) jobs: HashMap<u64, JobRecord>,
-    /// Entries waiting to run (ordering resolved at pop time).
+    /// The local executor's live executions, by id.
+    executions: HashMap<u64, Execution>,
+    /// Executions waiting to run (ordering resolved at pop time).
     pending: Vec<PendingEntry>,
     next_id: u64,
     pub(crate) shutdown: bool,
-    /// Cache-key hash → job id of the one in-flight execution for that
-    /// spec; identical submissions attach here as followers.
+    /// Cache-key hash → the one in-flight execution for that spec, which
+    /// identical submissions subscribe to.
     inflight: HashMap<u64, u64>,
-    /// Old execution id → promoted follower id. When a leader is
-    /// cancelled mid-run its engine keeps going, but the worker thread
-    /// still holds the old id — every worker-side registry access
-    /// resolves through this map ([`resolve_exec`]).
-    exec_alias: HashMap<u64, u64>,
     /// Bumped with every `done_cv` notification (`notify_done`): the
     /// cursor [`JobServer::wait_any`] waits past.
     completions: u64,
 }
 
-/// Follow promotion aliases to the job record currently owning the
-/// execution that started under `id`.
-fn resolve_exec(registry: &Registry, id: u64) -> u64 {
-    let mut current = id;
-    while let Some(&next) = registry.exec_alias.get(&current) {
-        current = next;
-    }
-    current
-}
-
 impl Registry {
-    /// The execution's owner `exec`, then its coalesced followers: the
-    /// order every update of a shared execution fans out in. The ids are
-    /// cloned out so the registry can be re-borrowed per subscriber.
-    fn subscribers(&self, exec: u64) -> Vec<u64> {
-        let mut ids = vec![exec];
-        if let Some(record) = self.jobs.get(&exec) {
-            ids.extend_from_slice(&record.followers);
+    /// Start an execution of `spec` for the admitted job `id`, queued to
+    /// run (resuming from `checkpoint`); it takes the job's id as its own.
+    fn add_execution(
+        &mut self,
+        id: u64,
+        spec: JobSpec,
+        checkpoint: Option<SearchCheckpoint>,
+        cache_key: Option<SpecKey>,
+    ) {
+        if let Some(record) = self.jobs.get_mut(&id) {
+            record.exec = Some(id);
         }
-        ids
+        let execution = Execution {
+            spec,
+            canceller: None,
+            checkpoint,
+            cache_key,
+            user_cancelled: false,
+            subscribers: vec![id],
+        };
+        self.executions.insert(id, execution);
+        self.pending.push(PendingEntry {
+            exec: id,
+            ready_at: None,
+        });
+    }
+
+    /// Apply `update` to every subscriber of `exec`, owner first. Returns
+    /// the owner, or `None` for an execution that is gone.
+    fn fan_out(&mut self, exec: u64, mut update: impl FnMut(&mut JobRecord)) -> Option<u64> {
+        let execution = self.executions.get(&exec)?;
+        for id in &execution.subscribers {
+            if let Some(record) = self.jobs.get_mut(id) {
+                update(record);
+            }
+        }
+        execution.subscribers.first().copied()
     }
 
     /// Take `exec`'s cache key and drop it from the coalescing index if
     /// `exec` still owns that entry, so identical submissions stop
-    /// attaching to it.
+    /// subscribing to it.
     fn unregister(&mut self, exec: u64) -> Option<SpecKey> {
-        let key = self.jobs.get_mut(&exec)?.cache_key.take()?;
+        let key = self.executions.get_mut(&exec)?.cache_key.take()?;
         if self.inflight.get(&key.hash) == Some(&exec) {
             self.inflight.remove(&key.hash);
         }
         Some(key)
     }
-}
 
-/// Record `event` (and fresh progress) on every subscriber of `exec` —
-/// each owns its copy of the stream, so cursors and `forget` stay
-/// independent.
-fn push_shared_event(
-    registry: &mut Registry,
-    exec: u64,
-    event: &SearchEvent,
-    progress: SearchProgress,
-) {
-    for id in registry.subscribers(exec) {
-        if let Some(record) = registry.jobs.get_mut(&id) {
-            record.events.push(event.clone());
-            record.progress = Some(progress.clone());
-        }
-    }
-}
-
-/// Hand the execution owned by `old` to its first follower: the promoted
-/// record inherits the canceller, checkpoint, retry count, and cache key;
-/// remaining followers re-point to it; any pending queue entry is
-/// re-addressed; and an `exec_alias` entry redirects the worker thread
-/// (which may still be driving under `old`'s id). Returns the new owner,
-/// or `None` when `old` has no followers.
-fn promote_follower(registry: &mut Registry, old: u64) -> Option<u64> {
-    let (followers, canceller, checkpoint, cache_key, retries, state) = {
-        let record = registry.jobs.get_mut(&old)?;
-        if record.followers.is_empty() {
+    /// Remove job `id` from `exec`'s subscribers. An execution left
+    /// without any is dropped with its queue entry and coalescing key;
+    /// the key is returned then.
+    fn unsubscribe(&mut self, id: u64, exec: u64) -> Option<SpecKey> {
+        let execution = self.executions.get_mut(&exec)?;
+        execution.subscribers.retain(|&subscriber| subscriber != id);
+        if !execution.subscribers.is_empty() {
             return None;
         }
-        (
-            std::mem::take(&mut record.followers),
-            record.canceller.take(),
-            record.checkpoint.take(),
-            record.cache_key.take(),
-            record.retries,
-            record.state.clone(),
-        )
-    };
-    let new = followers[0];
-    let rest = &followers[1..];
-    if let Some(promoted) = registry.jobs.get_mut(&new) {
-        promoted.leader = None;
-        promoted.followers = rest.to_vec();
-        promoted.canceller = canceller;
-        promoted.checkpoint = checkpoint;
-        promoted.cache_key = cache_key.clone();
-        promoted.retries = retries;
-        promoted.state = state;
+        self.drop_execution(exec)
     }
-    for follower in rest {
-        if let Some(record) = registry.jobs.get_mut(follower) {
-            record.leader = Some(new);
-        }
+
+    /// Drop `exec` with its queue entry and coalescing key; returns the
+    /// key.
+    fn drop_execution(&mut self, exec: u64) -> Option<SpecKey> {
+        let key = self.unregister(exec);
+        self.executions.remove(&exec);
+        self.pending.retain(|entry| entry.exec != exec);
+        key
     }
-    if let Some(key) = &cache_key {
-        if let Some(owner) = registry.inflight.get_mut(&key.hash) {
-            if *owner == old {
-                *owner = new;
-            }
-        }
-    }
-    for target in registry.exec_alias.values_mut() {
-        if *target == old {
-            *target = new;
-        }
-    }
-    registry.exec_alias.insert(old, new);
-    for entry in &mut registry.pending {
-        if entry.id == old {
-            entry.id = new;
-        }
-    }
-    Some(new)
 }
 
 pub(crate) struct ServerInner {
@@ -741,11 +718,11 @@ impl JobServer {
         };
         let mut registry = Registry {
             jobs: HashMap::new(),
+            executions: HashMap::new(),
             pending: Vec::new(),
             next_id: 1,
             shutdown: false,
             inflight: HashMap::new(),
-            exec_alias: HashMap::new(),
             completions: 0,
         };
         let mut checkpoint_every = 1;
@@ -815,8 +792,8 @@ impl JobServer {
     ///
     /// With caching enabled the submission is content-addressed first: a
     /// result-cache hit completes instantly (no queue slot consumed), and
-    /// a spec identical to an in-flight execution attaches as a follower
-    /// of that execution instead of queueing its own.
+    /// a spec identical to an in-flight execution subscribes to that
+    /// execution instead of queueing its own.
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, SearchError> {
         self.submit_as(spec, None, None)
     }
@@ -825,15 +802,16 @@ impl JobServer {
     /// quota-exempt), optionally resuming from an externally recovered
     /// `checkpoint` — a coordinator's migration path (the checkpoint comes
     /// out of a dead shard's journal). The spec is validated first (a
-    /// malformed spec never burns a rate token), then the admission gates
+    /// malformed spec, or a `timeout_secs` no deadline can hold, never
+    /// burns a rate token), then the admission gates
     /// run; an admitted job holds one of its tenant's in-flight slots until
     /// `finish` ends it. A fleet places the job on a shard instead of
     /// queueing it here.
     ///
     /// A checkpointed submission deliberately bypasses the result-cache
     /// and coalescing tiers: a migrated execution must actually run to
-    /// terminal (its follower set lives on the coordinator, not here),
-    /// and it must not become a coalescing leader whose mid-flight state
+    /// terminal (its subscribers live on the coordinator, not here),
+    /// and it must not become a coalescing target whose mid-flight state
     /// contradicts a fresh identical submission. Both the spec and the
     /// checkpoint are journaled, so a shard that dies *after* adopting a
     /// migrated job can itself be migrated from the same resume point.
@@ -847,6 +825,19 @@ impl JobServer {
             return Err(SearchError::NoGraphs);
         }
         spec.config.validate()?;
+        if let Some(secs) = spec.timeout_secs {
+            let deadline = Duration::try_from_secs_f64(secs)
+                .ok()
+                .and_then(|timeout| Instant::now().checked_add(timeout));
+            if deadline.is_none() {
+                return Err(SearchError::InvalidConfig {
+                    message: format!(
+                        "timeout_secs must be a finite number of seconds >= 0 \
+                         that a deadline can hold, got {secs:?}"
+                    ),
+                });
+            }
+        }
         self.inner.admission.admit(tenant.as_deref())?;
         let submitted = match &self.inner.fleet {
             Some(fleet) => fleet.submit(&self.inner, spec, checkpoint, tenant.clone()),
@@ -905,9 +896,9 @@ impl JobServer {
                 events: vec![SearchEvent::CacheHit { key: key.hex() }],
                 progress: Some(progress),
                 cache_hit: true,
-                ..JobRecord::queued(spec, tenant)
+                ..JobRecord::queued(&spec, tenant)
             };
-            let id = admit(&self.inner, &mut registry, record);
+            let id = admit(&self.inner, &mut registry, &spec, record);
             let result = Ok((*outcome).clone());
             finish(
                 &self.inner,
@@ -921,42 +912,35 @@ impl JobServer {
             return Ok(JobId(id));
         }
         // Tier 2: request coalescing. An identical spec already queued or
-        // running gets a follower record mirroring that execution instead
-        // of a queue slot. Deadline/retry budgets must match — a follower
-        // inherits the leader's schedule verbatim.
-        let leader = key.as_ref().and_then(|key| {
-            let exec = resolve_exec(&registry, *registry.inflight.get(&key.hash)?);
-            let leader = registry.jobs.get(&exec)?;
-            let attachable = !leader.state.is_terminal()
-                && leader
-                    .cache_key
-                    .as_ref()
-                    .is_some_and(|k| k.canonical == key.canonical)
-                && leader.spec.as_ref().is_some_and(|leader_spec| {
-                    leader_spec.timeout_secs == spec.timeout_secs
-                        && leader_spec.max_retries == spec.max_retries
-                });
-            attachable.then_some(exec)
+        // running gets a record subscribed to that execution instead of a
+        // queue slot. Deadline/retry budgets must match — a subscriber
+        // rides the execution's schedule verbatim.
+        let shared = key.as_ref().and_then(|key| {
+            let exec = *registry.inflight.get(&key.hash)?;
+            let execution = registry.executions.get(&exec)?;
+            let attachable = execution
+                .cache_key
+                .as_ref()
+                .is_some_and(|k| k.canonical == key.canonical)
+                && execution.spec.timeout_secs == spec.timeout_secs
+                && execution.spec.max_retries == spec.max_retries;
+            attachable.then_some((exec, execution.subscribers[0]))
         });
-        if let Some(exec) = leader {
-            let leader = &registry.jobs[&exec];
-            // The follower keeps its own spec so it can take over the
-            // execution if the leader is cancelled (promotion).
+        if let Some((exec, owner)) = shared {
+            let owner = &registry.jobs[&owner];
             let record = JobRecord {
-                state: leader.state.clone(),
-                events: leader.events.clone(),
-                progress: leader.progress.clone(),
-                retries: leader.retries,
-                leader: Some(exec),
+                state: owner.state.clone(),
+                events: owner.events.clone(),
+                progress: owner.progress.clone(),
+                retries: owner.retries,
+                exec: Some(exec),
                 coalesced: true,
-                ..JobRecord::queued(spec, tenant)
+                ..JobRecord::queued(&spec, tenant)
             };
-            let id = admit(&self.inner, &mut registry, record);
-            let leader = registry
-                .jobs
-                .get_mut(&exec)
-                .expect("attachable leader exists");
-            leader.followers.push(id);
+            let id = admit(&self.inner, &mut registry, &spec, record);
+            if let Some(execution) = registry.executions.get_mut(&exec) {
+                execution.subscribers.push(id);
+            }
             drop(registry);
             if let Some(cache) = &self.inner.cache {
                 lock_recover(cache).note_coalesced();
@@ -971,19 +955,15 @@ impl JobServer {
             });
         }
         let hash = key.as_ref().map(|key| key.hash);
-        let record = JobRecord {
-            checkpoint: checkpoint.clone(),
-            cache_key: key,
-            ..JobRecord::queued(spec, tenant)
-        };
-        let id = admit(&self.inner, &mut registry, record);
-        if let Some(checkpoint) = checkpoint {
+        let record = JobRecord::queued(&spec, tenant);
+        let id = admit(&self.inner, &mut registry, &spec, record);
+        if let Some(checkpoint) = checkpoint.clone() {
             journal(&self.inner, &JournalRecord::Checkpoint { id, checkpoint });
         }
+        registry.add_execution(id, spec, checkpoint, key);
         if let Some(hash) = hash {
             registry.inflight.insert(hash, id);
         }
-        registry.pending.push(PendingEntry { id, ready_at: None });
         drop(registry);
         if let (Some(cache), Some(_)) = (&self.inner.cache, hash) {
             lock_recover(cache).note_miss();
@@ -996,11 +976,11 @@ impl JobServer {
     /// running jobs cooperatively (their partial outcome, if any, stays
     /// retrievable). Returns `false` for unknown or already-terminal jobs.
     ///
-    /// Coalesced jobs have detachment semantics: cancelling a *follower*
-    /// only detaches it (the shared execution runs on), and cancelling a
-    /// *leader* with followers promotes its first follower to own the
-    /// execution — the engine is never stopped while a live subscriber
-    /// still wants the result.
+    /// Cancelling a job unsubscribes it from its execution: while other
+    /// subscribers remain it ends at once and the execution runs on for
+    /// them. The last subscriber of a queued execution drops it; the last
+    /// subscriber of a running one stops the engine, and the worker
+    /// settles the job.
     ///
     /// A fleet passes the cancel on to the job's shard and answers with the
     /// shard's verdict (`false` if the shard cannot be reached); the job
@@ -1021,35 +1001,24 @@ impl JobServer {
             return fleet.cancel(target);
         }
         let completed_depths = record.progress.as_ref().map_or(0, |p| p.depths_completed);
-        let cancelled = SearchEvent::Cancelled { completed_depths };
-        let event = if let Some(exec) = record.leader {
-            // Follower: detach from the shared execution; nothing else stops.
-            if let Some(leader) = registry.jobs.get_mut(&exec) {
-                leader.followers.retain(|f| *f != id.0);
+        let ended = record.events.last().is_some_and(|e| e.is_terminal());
+        let running = record.state == JobState::Running;
+        if let Some(exec) = record.exec {
+            if let Some(execution) = registry.executions.get_mut(&exec) {
+                if running && execution.subscribers == [id.0] {
+                    execution.user_cancelled = true;
+                    if let Some(canceller) = &execution.canceller {
+                        canceller.cancel();
+                    }
+                    // Unregister from the coalescing index immediately: a
+                    // submission racing this cancel must start fresh, not
+                    // subscribe to an execution that is winding down.
+                    registry.unregister(exec);
+                    return true;
+                }
             }
-            Some(cancelled)
-        } else if record.state == JobState::Running && record.followers.is_empty() {
-            // The only subscriber of a running execution: stop the engine
-            // cooperatively and let the worker settle the job.
-            record.user_cancelled = true;
-            if let Some(canceller) = &record.canceller {
-                canceller.cancel();
-            }
-            // Unregister from the coalescing index immediately: a
-            // submission racing this cancel must start fresh, not attach
-            // to an execution that is winding down.
-            registry.unregister(id.0);
-            return true;
-        } else {
-            // An owner hands its execution — the pending entry, or the
-            // running engine the worker reaches through `exec_alias` — to
-            // its first follower, if it has one; then only this subscriber
-            // is cut.
-            let ended = record.events.last().is_some_and(|e| e.is_terminal());
-            promote_follower(&mut registry, id.0);
-            registry.pending.retain(|entry| entry.id != id.0);
-            (!ended).then_some(cancelled)
-        };
+        }
+        let event = (!ended).then_some(SearchEvent::Cancelled { completed_depths });
         let result = Err(SearchError::Cancelled);
         finish(
             &self.inner,
@@ -1205,16 +1174,15 @@ impl JobServer {
     }
 
     /// After the workers have joined, no record can make further progress
-    /// — force any survivor (e.g. a follower of a queued leader that never
-    /// ran) terminal so waiting clients unblock. In-memory only: durable
-    /// replay re-enqueues such jobs fresh on the next launch.
+    /// — force any survivor (e.g. a job a fleet's shard still holds)
+    /// terminal so waiting clients unblock. In-memory only: durable replay
+    /// re-enqueues such jobs fresh on the next launch.
     fn settle_stragglers(&self) {
         let mut registry = self.lock_registry();
         for record in registry.jobs.values_mut() {
             if !record.state.is_terminal() {
                 record.state = JobState::Cancelled;
                 record.spec = None;
-                record.leader = None;
                 record.result.get_or_insert(Err(SearchError::Cancelled));
             }
         }
@@ -1232,16 +1200,16 @@ impl JobServer {
         registry.shutdown = true;
         // Pending jobs are cancelled in memory only. Nothing is journaled,
         // so a durable server's replay re-enqueues them on the next launch.
-        let pending = std::mem::take(&mut registry.pending);
-        for entry in pending {
-            if let Some(record) = registry.jobs.get_mut(&entry.id) {
+        for entry in std::mem::take(&mut registry.pending) {
+            registry.fan_out(entry.exec, |record| {
                 record.state = JobState::Cancelled;
-                record.spec = None;
+                record.exec = None;
                 record.result = Some(Err(SearchError::Cancelled));
-            }
+            });
+            registry.drop_execution(entry.exec);
         }
-        for record in registry.jobs.values_mut() {
-            if let Some(canceller) = &record.canceller {
+        for execution in registry.executions.values() {
+            if let Some(canceller) = &execution.canceller {
                 canceller.cancel();
             }
         }
@@ -1465,39 +1433,34 @@ fn rebuild_registry(
     registry.next_id = replayed.next_id;
     for job in replayed.jobs.values() {
         let terminal = job.is_terminal();
-        let state = if terminal {
-            report.terminal_jobs += 1;
-            job.state.clone()
-        } else {
-            if job.checkpoint.is_some() {
-                report.resumed_jobs += 1;
+        let record = JobRecord {
+            state: if terminal {
+                job.state.clone()
             } else {
-                report.requeued_jobs += 1;
-            }
-            registry.pending.push(PendingEntry {
-                id: job.id,
-                ready_at: None,
-            });
-            JobState::Queued
+                JobState::Queued
+            },
+            result: job.result.clone(),
+            retries: job.retries,
+            ..JobRecord::queued(&job.spec, None)
         };
+        registry.jobs.insert(job.id, record);
+        if terminal {
+            report.terminal_jobs += 1;
+            continue;
+        }
+        if job.checkpoint.is_some() {
+            report.resumed_jobs += 1;
+        } else {
+            report.requeued_jobs += 1;
+        }
         // Replayed incomplete jobs run independently (no coalescing across
         // a restart), but each keeps its cache key so the result it does
         // compute still lands in the result cache.
-        let cache_key = (cache_enabled && !terminal)
+        let cache_key = cache_enabled
             .then(|| spec_cache_key(&job.spec).ok())
             .flatten();
-        let mut record = JobRecord {
-            state,
-            result: job.result.clone(),
-            retries: job.retries,
-            checkpoint: job.checkpoint.clone(),
-            cache_key,
-            ..JobRecord::queued(job.spec.clone(), None)
-        };
-        if terminal {
-            record.spec = None;
-        }
-        registry.jobs.insert(job.id, record);
+        let (spec, checkpoint) = (job.spec.clone(), job.checkpoint.clone());
+        registry.add_execution(job.id, spec, checkpoint, cache_key);
     }
     let _ = evict_over_retention(registry, config.max_retained_jobs);
     report
@@ -1515,28 +1478,29 @@ fn journal(inner: &ServerInner, record: &JournalRecord) {
     }
 }
 
-/// Admit `record`, which carries the submitted spec, under a fresh id:
-/// journal `Submitted`, then insert it. Every job starts here.
-pub(crate) fn admit(inner: &ServerInner, registry: &mut Registry, record: JobRecord) -> u64 {
+/// Admit `record`, submitted as `spec`, under a fresh id: journal
+/// `Submitted`, then insert it. Every job starts here.
+pub(crate) fn admit(
+    inner: &ServerInner,
+    registry: &mut Registry,
+    spec: &JobSpec,
+    record: JobRecord,
+) -> u64 {
     let id = registry.next_id;
     registry.next_id += 1;
-    let spec = record
-        .spec
-        .clone()
-        .expect("an admitted job carries its spec");
+    let spec = spec.clone();
     journal(inner, &JournalRecord::Submitted { id, spec });
     registry.jobs.insert(id, record);
     id
 }
 
-/// End the jobs `ids`, whose first entry owns the execution: every job
-/// ends here. Each job in order records `event` (when the caller has one)
-/// and `result`, drops its spec, leader and followers, returns its
-/// tenant's quota slot, and journals `Finished` then `State`. Then the
-/// execution's coalescing key and
-/// promotion aliases are released and terminal records over the retention
-/// cap are evicted (and journaled as forgotten). Returns the released key,
-/// so a completed result can be cached once the registry lock is dropped.
+/// End the jobs `ids`: every job ends here. Each job in order records
+/// `event` (when the caller has one) and `result`, drops its spec, returns
+/// its tenant's quota slot, journals `Finished` then `State`, and
+/// unsubscribes from its execution. Then terminal records over the
+/// retention cap are evicted (and journaled as forgotten). Returns the
+/// cache key of an execution this left without subscribers, so a
+/// completed result can be cached once the registry lock is dropped.
 pub(crate) fn finish(
     inner: &ServerInner,
     registry: &mut Registry,
@@ -1545,6 +1509,7 @@ pub(crate) fn finish(
     result: &Result<SearchOutcome, SearchError>,
     event: Option<SearchEvent>,
 ) -> Option<SpecKey> {
+    let mut key = None;
     for &id in ids {
         let Some(record) = registry.jobs.get_mut(&id) else {
             continue;
@@ -1552,11 +1517,10 @@ pub(crate) fn finish(
         record.events.extend(event.clone());
         record.state = state.clone();
         record.spec = None;
-        record.leader = None;
-        record.followers = Vec::new();
         record.result = Some(result.clone());
         inner.admission.release(record.tenant.take().as_deref());
         let retries = record.retries;
+        let exec = record.exec.take();
         journal(
             inner,
             &JournalRecord::Finished {
@@ -1573,10 +1537,10 @@ pub(crate) fn finish(
                 retries,
             },
         );
+        if let Some(exec) = exec {
+            key = key.or(registry.unsubscribe(id, exec));
+        }
     }
-    let exec = ids[0];
-    let key = registry.unregister(exec);
-    registry.exec_alias.retain(|_, target| *target != exec);
     for id in evict_over_retention(registry, inner.config.max_retained_jobs) {
         journal(inner, &JournalRecord::Forgotten { id });
     }
@@ -1606,9 +1570,10 @@ fn evict_over_retention(registry: &mut Registry, cap: usize) -> Vec<u64> {
 
 fn worker_loop(inner: Arc<ServerInner>) {
     loop {
-        // Pop the highest-priority *ready* pending job (ties: lowest id
-        // first); entries in retry backoff only become ready at `ready_at`.
-        let (id, spec, resume_from) = {
+        // Pop the ready pending execution whose owner ranks first by
+        // priority (ties: lowest owner id); entries in retry backoff only
+        // become ready at `ready_at`.
+        let (exec, owner, spec, resume_from) = {
             let mut registry = lock_recover(&inner.registry);
             loop {
                 if registry.shutdown {
@@ -1619,32 +1584,28 @@ fn worker_loop(inner: Arc<ServerInner>) {
                     .pending
                     .iter()
                     .filter(|entry| entry.ready_at.is_none_or(|at| at <= now))
-                    .filter(|entry| registry.jobs.contains_key(&entry.id))
-                    .map(|entry| entry.id)
-                    .max_by_key(|id| {
-                        let priority = registry.jobs[id].priority;
-                        (priority, std::cmp::Reverse(*id))
-                    });
-                if let Some(id) = best {
-                    registry.pending.retain(|entry| entry.id != id);
-                    let record = &registry.jobs[&id];
-                    let spec = record.spec.clone().expect("pending job keeps its spec");
-                    let resume_from = record.checkpoint.clone();
-                    let retries = record.retries;
-                    for subscriber in registry.subscribers(id) {
-                        if let Some(record) = registry.jobs.get_mut(&subscriber) {
-                            record.state = JobState::Running;
-                        }
-                    }
+                    .filter_map(|entry| {
+                        let owner = *registry.executions.get(&entry.exec)?.subscribers.first()?;
+                        let priority = registry.jobs.get(&owner)?.priority;
+                        Some((priority, std::cmp::Reverse(owner), entry.exec))
+                    })
+                    .max();
+                if let Some((_, std::cmp::Reverse(owner), exec)) = best {
+                    registry.pending.retain(|entry| entry.exec != exec);
+                    let execution = &registry.executions[&exec];
+                    let spec = execution.spec.clone();
+                    let resume_from = execution.checkpoint.clone();
+                    let retries = registry.jobs[&owner].retries;
+                    registry.fan_out(exec, |record| record.state = JobState::Running);
                     journal(
                         &inner,
                         &JournalRecord::State {
-                            id,
+                            id: owner,
                             state: JobState::Running,
                             retries,
                         },
                     );
-                    break (id, spec, resume_from);
+                    break (exec, owner, spec, resume_from);
                 }
                 // Nothing ready: sleep until new work arrives or the
                 // earliest backoff deadline passes.
@@ -1670,11 +1631,12 @@ fn worker_loop(inner: Arc<ServerInner>) {
         // worker. The engine's own panics are already converted to
         // `Err(Panicked)` by `SearchHandle::wait`; this guard catches
         // everything else.
-        let ran =
-            std::panic::catch_unwind(AssertUnwindSafe(|| run_job(&inner, id, spec, resume_from)));
+        let ran = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            run_job(&inner, exec, owner, spec, resume_from)
+        }));
         if let Err(payload) = ran {
             let message = fault::panic_message(payload.as_ref());
-            fail_job_after_panic(&inner, id, message);
+            fail_job_after_panic(&inner, exec, message);
         }
         notify_done(&inner, lock_recover(&inner.registry));
     }
@@ -1688,21 +1650,19 @@ pub(crate) fn notify_done(inner: &ServerInner, mut registry: MutexGuard<'_, Regi
     inner.done_cv.notify_all();
 }
 
-/// Record a job whose worker-side execution panicked (the session handle
+/// Record an execution whose worker-side run panicked (the session handle
 /// was dropped during the unwind, which cancels any surviving engine).
-fn fail_job_after_panic(inner: &ServerInner, id: u64, message: String) {
+fn fail_job_after_panic(inner: &ServerInner, exec: u64, message: String) {
     let mut registry = lock_recover(&inner.registry);
-    let exec = resolve_exec(&registry, id);
-    if let Some(canceller) = registry
-        .jobs
-        .get_mut(&exec)
-        .and_then(|r| r.canceller.take())
-    {
+    let Some(execution) = registry.executions.get_mut(&exec) else {
+        return;
+    };
+    if let Some(canceller) = execution.canceller.take() {
         canceller.cancel();
     }
-    // The panic verdict fans out to every coalesced follower, exactly like
-    // a settled result.
-    let ids = registry.subscribers(exec);
+    // The panic verdict fans out to every subscriber, exactly like a
+    // settled result.
+    let ids = execution.subscribers.clone();
     let event = SearchEvent::Failed {
         message: format!("search panicked: {message}"),
     };
@@ -1713,20 +1673,28 @@ fn fail_job_after_panic(inner: &ServerInner, id: u64, message: String) {
     finish(inner, &mut registry, &ids, state, &result, Some(event));
 }
 
-fn run_job(inner: &ServerInner, id: u64, spec: JobSpec, resume_from: Option<SearchCheckpoint>) {
+/// Drive execution `exec`, popped with `owner` first among its
+/// subscribers: `owner` is the job a fault plan's `worker.job` filter sees.
+fn run_job(
+    inner: &ServerInner,
+    exec: u64,
+    owner: u64,
+    spec: JobSpec,
+    resume_from: Option<SearchCheckpoint>,
+) {
     let faults_ctx = inner
         .faults
         .as_ref()
-        .map(|injector| FaultContext::new(Arc::clone(injector), Some(id)));
-    let (timed_out, status, result) = drive_job(inner, id, &spec, resume_from, faults_ctx);
-    settle_job(inner, id, &spec, timed_out, status, result);
+        .map(|injector| FaultContext::new(Arc::clone(injector), Some(owner)));
+    let (timed_out, status, result) = drive_job(inner, exec, &spec, resume_from, faults_ctx);
+    settle_job(inner, exec, &spec, timed_out, status, result);
 }
 
 /// Start (or resume) the session, drain its event stream while enforcing
 /// the deadline, and return `(timed_out, final status, result)`.
 fn drive_job(
     inner: &ServerInner,
-    id: u64,
+    exec: u64,
     spec: &JobSpec,
     resume_from: Option<SearchCheckpoint>,
     faults_ctx: Option<FaultContext>,
@@ -1759,12 +1727,8 @@ fn drive_job(
         Ok(handle) => handle,
         Err(e) => return (false, None, Err(e)),
     };
-    {
-        let mut registry = lock_recover(&inner.registry);
-        let owner = resolve_exec(&registry, id);
-        if let Some(record) = registry.jobs.get_mut(&owner) {
-            record.canceller = Some(handle.canceller());
-        }
+    if let Some(execution) = lock_recover(&inner.registry).executions.get_mut(&exec) {
+        execution.canceller = Some(handle.canceller());
     }
 
     // Drain the event stream live so status/events requests see mid-run
@@ -1798,12 +1762,14 @@ fn drive_job(
         let Some(event) = event else {
             break;
         };
-        let owner = {
-            let mut registry = lock_recover(&inner.registry);
-            let owner = resolve_exec(&registry, id);
-            push_shared_event(&mut registry, owner, &event, handle.progress());
-            owner
-        };
+        // Each subscriber owns its copy of the stream, so cursors and
+        // `forget` stay independent.
+        let progress = handle.progress();
+        let owner = lock_recover(&inner.registry).fan_out(exec, |record| {
+            record.events.push(event.clone());
+            record.progress = Some(progress.clone());
+        });
+        let owner = owner.unwrap_or(exec);
         match &event {
             SearchEvent::RungCompleted { depth, rung, .. } => {
                 journal(
@@ -1830,12 +1796,8 @@ fn drive_job(
                 // this checkpoint always covers the announced depth.
                 depths_completed += 1;
                 let checkpoint = handle.checkpoint();
-                {
-                    let mut registry = lock_recover(&inner.registry);
-                    let owner = resolve_exec(&registry, id);
-                    if let Some(record) = registry.jobs.get_mut(&owner) {
-                        record.checkpoint = Some(checkpoint.clone());
-                    }
+                if let Some(execution) = lock_recover(&inner.registry).executions.get_mut(&exec) {
+                    execution.checkpoint = Some(checkpoint.clone());
                 }
                 if depths_completed.is_multiple_of(inner.checkpoint_every) {
                     journal(
@@ -1852,28 +1814,21 @@ fn drive_job(
     }
 
     let mut result = handle.wait();
-    let status = handle.progress().status;
-    {
-        let mut registry = lock_recover(&inner.registry);
-        let owner = resolve_exec(&registry, id);
-        let progress = handle.progress();
-        for subscriber in registry.subscribers(owner) {
-            if let Some(record) = registry.jobs.get_mut(&subscriber) {
-                record.progress = Some(progress.clone());
-            }
-        }
-    }
+    let progress = handle.progress();
+    let status = progress.status;
+    lock_recover(&inner.registry).fan_out(exec, |record| record.progress = Some(progress.clone()));
     if let Some(e) = injected {
         result = Err(e);
     }
     (timed_out, Some(status), result)
 }
 
-/// Classify a finished drive into the job's terminal (or retrying) state,
-/// journal it, and update the registry.
+/// Classify a finished drive into the terminal (or retrying) state of
+/// every subscriber, journal it under the owner's id, and update the
+/// registry.
 fn settle_job(
     inner: &ServerInner,
-    id: u64,
+    exec: u64,
     spec: &JobSpec,
     timed_out: bool,
     status: Option<SearchStatus>,
@@ -1881,39 +1836,36 @@ fn settle_job(
 ) {
     let mut registry = lock_recover(&inner.registry);
     let shutting_down = registry.shutdown;
-    // The job that started this execution may have been cancelled and its
-    // ownership promoted to a follower; everything below settles the
-    // *current* owner and fans out to its followers.
-    let exec = resolve_exec(&registry, id);
-    let Some(record) = registry.jobs.get_mut(&exec) else {
+    let Some(execution) = registry.executions.get_mut(&exec) else {
         return;
     };
-    record.canceller = None;
+    execution.canceller = None;
+    let user_cancelled = execution.user_cancelled;
+    let subscribers = execution.subscribers.clone();
+    let owner = subscribers[0];
+    let record = &registry.jobs[&owner];
     let retries = record.retries;
-    let user_cancelled = record.user_cancelled;
     let ended = record.events.last().is_some_and(|e| e.is_terminal());
-    let subscribers = registry.subscribers(exec);
 
     // Transient failures retry (resuming from the last checkpoint) while
     // budget remains — deterministic exponential backoff, no jitter.
-    // Followers mirror the retrying state: they ride the next attempt.
+    // Every subscriber mirrors the retrying state and rides the next
+    // attempt.
     if let Err(e) = &result {
         if e.is_transient() && !timed_out && !shutting_down && retries < spec.max_retries {
             let attempt = retries + 1;
             let retry_event = SearchEvent::Failed {
                 message: format!("{e} (retry {attempt}/{} scheduled)", spec.max_retries),
             };
-            for subscriber in subscribers {
-                if let Some(record) = registry.jobs.get_mut(&subscriber) {
-                    record.state = JobState::Retrying { attempt };
-                    record.retries = attempt;
-                    record.events.push(retry_event.clone());
-                }
-            }
+            registry.fan_out(exec, |record| {
+                record.state = JobState::Retrying { attempt };
+                record.retries = attempt;
+                record.events.push(retry_event.clone());
+            });
             journal(
                 inner,
                 &JournalRecord::State {
-                    id: exec,
+                    id: owner,
                     state: JobState::Retrying { attempt },
                     retries: attempt,
                 },
@@ -1922,7 +1874,7 @@ fn settle_job(
                 .retry_backoff_ms
                 .saturating_mul(1u64 << (attempt.min(16) - 1));
             registry.pending.push(PendingEntry {
-                id: exec,
+                exec,
                 ready_at: Some(Instant::now() + Duration::from_millis(backoff)),
             });
             drop(registry);
@@ -1950,17 +1902,18 @@ fn settle_job(
             ),
             (Err(SearchError::Cancelled), _) | (_, Some(SearchStatus::Cancelled)) => {
                 // A durable server shutting down *suspends* the job: the
-                // journal keeps it queued behind its final checkpoint, so
-                // the next launch resumes instead of re-running. A job the
-                // user explicitly cancelled stays cancelled. Followers are
-                // cancelled in memory only — their journaled submissions
-                // replay as independent fresh jobs on the next launch.
+                // journal keeps the owner queued behind its final
+                // checkpoint, so the next launch resumes instead of
+                // re-running. A job the user explicitly cancelled stays
+                // cancelled. The other subscribers are cancelled in memory
+                // only — their journaled submissions replay as independent
+                // fresh jobs on the next launch.
                 if shutting_down && inner.store.is_some() && !user_cancelled {
-                    if let Some(checkpoint) = registry.jobs[&exec].checkpoint.clone() {
+                    if let Some(checkpoint) = registry.executions[&exec].checkpoint.clone() {
                         journal(
                             inner,
                             &JournalRecord::Checkpoint {
-                                id: exec,
+                                id: owner,
                                 checkpoint,
                             },
                         );
@@ -1968,18 +1921,17 @@ fn settle_job(
                     journal(
                         inner,
                         &JournalRecord::State {
-                            id: exec,
+                            id: owner,
                             state: JobState::Queued,
                             retries,
                         },
                     );
-                    for subscriber in subscribers {
-                        if let Some(record) = registry.jobs.get_mut(&subscriber) {
-                            record.state = JobState::Cancelled;
-                            record.result = Some(Err(SearchError::Cancelled));
-                            record.leader = None;
-                        }
-                    }
+                    registry.fan_out(exec, |record| {
+                        record.state = JobState::Cancelled;
+                        record.result = Some(Err(SearchError::Cancelled));
+                        record.exec = None;
+                    });
+                    registry.drop_execution(exec);
                     return;
                 }
                 (JobState::Cancelled, result)
@@ -2253,6 +2205,137 @@ mod tests {
         let result = server.wait(id).unwrap();
         assert!(matches!(result, Err(SearchError::DeadlineExceeded { .. })));
         assert_eq!(server.status(id).unwrap().state, JobState::TimedOut);
+        server.shutdown();
+    }
+
+    #[test]
+    fn submit_rejects_a_timeout_no_deadline_can_hold() {
+        let server = JobServer::start(JobServerConfig::default());
+        for secs in [-5.0, -0.5, f64::NAN, f64::INFINITY, 1e300, 1e19] {
+            let submitted = server.submit(tiny_spec(1).timeout_secs(secs));
+            assert!(
+                matches!(submitted, Err(SearchError::InvalidConfig { .. })),
+                "timeout_secs {secs} was accepted"
+            );
+        }
+        assert!(server.jobs().is_empty());
+        server.shutdown();
+    }
+
+    /// A search slow enough to hold the only worker until it is cancelled.
+    fn blocker_spec() -> JobSpec {
+        let config = SearchConfig::builder()
+            .alphabet(GateAlphabet::from_mnemonics(&["rx", "ry"]).unwrap())
+            .max_depth(2)
+            .max_gates_per_mixer(2)
+            .optimizer_budget(5000)
+            .no_prune()
+            .backend(Backend::StateVector)
+            .threads(1)
+            .seed(99)
+            .build();
+        JobSpec::new(config, vec![Graph::connected_erdos_renyi(6, 0.5, 99, 50)])
+    }
+
+    /// The registry's structural invariants, checked under its lock.
+    fn assert_registry_invariants(server: &JobServer) {
+        let registry = server.lock_registry();
+        for entry in &registry.pending {
+            assert!(
+                registry.executions.contains_key(&entry.exec),
+                "pending entry names the dead execution {}",
+                entry.exec
+            );
+        }
+        let mut subscribed = std::collections::HashSet::new();
+        for (exec, execution) in &registry.executions {
+            assert!(
+                !execution.subscribers.is_empty(),
+                "execution {exec} has no subscriber"
+            );
+            for id in &execution.subscribers {
+                let record = &registry.jobs[id];
+                assert!(!record.state.is_terminal(), "job {id} ended but subscribes");
+                assert_eq!(record.exec, Some(*exec), "job {id} points elsewhere");
+                subscribed.insert(*id);
+            }
+        }
+        for (hash, exec) in &registry.inflight {
+            let execution = registry.executions.get(exec);
+            let key = execution.and_then(|execution| execution.cache_key.as_ref());
+            assert_eq!(
+                key.map(|key| key.hash),
+                Some(*hash),
+                "inflight names {exec}"
+            );
+        }
+        for (id, record) in &registry.jobs {
+            if record.state.is_terminal() {
+                assert!(
+                    record.exec.is_none() && !subscribed.contains(id),
+                    "job {id}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn registry_invariants_hold_under_random_operations() {
+        use rand::{Rng, SeedableRng};
+        let server = JobServer::start(JobServerConfig {
+            workers: 1,
+            queue_capacity: 64,
+            max_retained_jobs: 1024,
+        });
+        // Specs 0 and 2 share a cache key but not a retry budget: each
+        // coalesces only with submissions of itself, and both take turns
+        // owning the key's coalescing entry.
+        let specs = [tiny_spec(11), tiny_spec(12), tiny_spec(11).max_retries(1)];
+        let blocker = server.submit(blocker_spec()).unwrap();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(43);
+        let mut submitted: Vec<(JobId, usize)> = Vec::new();
+        let mut forgotten = std::collections::HashSet::new();
+        for step in 0..200 {
+            if step == 100 {
+                server.cancel(blocker);
+            }
+            match rng.gen_range(0..100) {
+                0..=49 => {
+                    let which = rng.gen_range(0..specs.len());
+                    let id = server.submit(specs[which].clone()).unwrap();
+                    submitted.push((id, which));
+                }
+                50..=74 if !submitted.is_empty() => {
+                    let (id, _) = submitted[rng.gen_range(0..submitted.len())];
+                    server.cancel(id);
+                }
+                75..=89 if !submitted.is_empty() => {
+                    let (id, _) = submitted[rng.gen_range(0..submitted.len())];
+                    if server.forget(id) {
+                        forgotten.insert(id);
+                    }
+                }
+                _ => std::thread::sleep(Duration::from_millis(1)),
+            }
+            assert_registry_invariants(&server);
+        }
+        let mut reports: [Vec<String>; 3] = Default::default();
+        for (id, which) in submitted {
+            let waited = server.wait(id);
+            if forgotten.contains(&id) {
+                assert!(matches!(waited, Err(SearchError::UnknownJob { .. })));
+                continue;
+            }
+            let result = waited.unwrap();
+            if server.status(id).unwrap().state == JobState::Completed {
+                let outcome = result.unwrap();
+                reports[which].push(SearchReport::from(&outcome).without_timings().to_json());
+            }
+        }
+        assert_registry_invariants(&server);
+        for reports in &reports {
+            assert!(reports.windows(2).all(|pair| pair[0] == pair[1]));
+        }
         server.shutdown();
     }
 }

@@ -492,7 +492,9 @@ fn spec_from_submit(request: &Value) -> Result<JobSpec, String> {
     let graphs = build_dataset(&options);
     let mut spec = JobSpec::new(config, graphs);
     if let Some(priority) = request.get("priority").and_then(|p| p.as_i64()) {
-        spec = spec.priority(priority as i32);
+        let priority = i32::try_from(priority)
+            .map_err(|_| format!("'priority' {priority} is out of range for a 32-bit integer"))?;
+        spec = spec.priority(priority);
     }
     if let Some(name) = request.get("name").and_then(|n| n.as_str()) {
         spec = spec.name(name);
@@ -501,7 +503,10 @@ fn spec_from_submit(request: &Value) -> Result<JobSpec, String> {
         spec = spec.timeout_secs(timeout);
     }
     if let Some(retries) = request.get("max_retries").and_then(|r| r.as_u64()) {
-        spec = spec.max_retries(retries as u32);
+        let retries = u32::try_from(retries).map_err(|_| {
+            format!("'max_retries' {retries} is out of range for a 32-bit unsigned integer")
+        })?;
+        spec = spec.max_retries(retries);
     }
     if let Some(backoff) = request.get("retry_backoff_ms").and_then(|b| b.as_u64()) {
         spec = spec.retry_backoff_ms(backoff);

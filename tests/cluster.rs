@@ -1469,3 +1469,48 @@ fn stdin_serve_refuses_an_overlong_line() {
         "{reply:?}"
     );
 }
+
+#[test]
+fn stdin_serve_refuses_submit_fields_out_of_range() {
+    let search = r#""search":{"graphs":1,"nodes":6,"pmax":1,"kmax":1,"alphabet":"rx","budget":20}"#;
+    let refused = [
+        ("\"priority\":4294967297", "'priority'"),
+        ("\"max_retries\":4294967296", "'max_retries'"),
+        ("\"timeout_secs\":1e400", "timeout_secs"),
+        ("\"timeout_secs\":1e300", "timeout_secs"),
+        ("\"timeout_secs\":-5", "timeout_secs"),
+    ];
+    let mut input = String::new();
+    for (field, _) in &refused {
+        input.push_str(&format!("{{\"cmd\":\"submit\",{field},{search}}}\n"));
+    }
+    input.push_str("{\"cmd\":\"jobs\"}\n{\"cmd\":\"shutdown\"}\n");
+    let mut child = Command::new(qas_bin())
+        .args(["serve", "--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(input.as_bytes())
+        .unwrap();
+    let output = child.wait_with_output().unwrap();
+    assert!(output.status.success(), "{:?}", output.status);
+    let replies: Vec<Value> = String::from_utf8(output.stdout)
+        .unwrap()
+        .lines()
+        .map(|line| serde_json::from_str(line).unwrap())
+        .collect();
+    assert_eq!(replies.len(), refused.len() + 2, "{replies:?}");
+    for ((field, named), reply) in refused.iter().zip(&replies) {
+        assert_eq!(reply.get("ok"), Some(&json!(false)), "{field}: {reply:?}");
+        let error = reply.get("error").and_then(Value::as_str).unwrap_or("");
+        assert!(error.contains(named), "{field}: {error}");
+    }
+    // No refused submission took a job id.
+    assert_eq!(replies[refused.len()].get("jobs"), Some(&json!([])));
+}
