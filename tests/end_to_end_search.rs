@@ -294,6 +294,64 @@ fn event_stream_is_deterministic_across_worker_counts() {
     }
 }
 
+/// The event stream of one search over three 8-node ER graphs with every
+/// pipeline stage on (halving 20/4, gate 8, warm starts), as JSON.
+fn pinned_event_stream(
+    backend: qarchsearch_suite::qaoa::Backend,
+    mode: ExecutionMode,
+    threads: usize,
+) -> (usize, String) {
+    let graphs = qarchsearch_suite::graphs::datasets::erdos_renyi_dataset(3, 8, 7);
+    let cfg = SearchConfig::builder()
+        .alphabet(GateAlphabet::from_mnemonics(&["rx", "ry", "rz", "h", "p"]).unwrap())
+        .max_depth(2)
+        .max_gates_per_mixer(2)
+        .optimizer_budget(120)
+        .backend(backend)
+        .halving(20, 4)
+        .predictor_gate(8)
+        .seed(7)
+        .threads(threads)
+        .mode(mode)
+        .build();
+    let handle = SearchDriver::new(cfg).start(&graphs).unwrap();
+    let events: Vec<SearchEvent> = handle.events().iter().collect();
+    handle.wait().unwrap();
+    let json = qarchsearch_suite::serde_json::to_string(&events).unwrap();
+    (events.len(), json)
+}
+
+#[test]
+fn search_event_streams_match_the_parent() {
+    // Hashes of the full event streams (telemetry included) captured before
+    // the rung executor was reduced to one FIFO cursor: any change in which
+    // sessions advance, in what order events are emitted, or in a single
+    // energy bit shows here.
+    use qarchsearch_suite::qaoa::Backend::{StateVector, TensorNetwork};
+    use qarchsearch_suite::qarchsearch::cache::fnv1a64;
+    use ExecutionMode::{Parallel, Serial};
+    let runs = [
+        ("statevector, 1 thread", StateVector, Parallel, 1),
+        ("statevector, 2 threads", StateVector, Parallel, 2),
+        ("serial preset", StateVector, Serial, 1),
+        ("tensor network", TensorNetwork, Parallel, 2),
+    ];
+    let observed: Vec<(&str, usize, u64)> = runs
+        .iter()
+        .map(|&(name, backend, mode, threads)| {
+            let (count, json) = pinned_event_stream(backend, mode, threads);
+            (name, count, fnv1a64(json.as_bytes()))
+        })
+        .collect();
+    const PARENT: [(&str, usize, u64); 4] = [
+        ("statevector, 1 thread", 155, 11382121877557702125),
+        ("statevector, 2 threads", 155, 11382121877557702125),
+        ("serial preset", 134, 3438925155562463300),
+        ("tensor network", 155, 12396832114325703227),
+    ];
+    assert_eq!(observed, PARENT);
+}
+
 #[test]
 fn cancel_checkpoint_resume_is_bit_identical_to_uninterrupted() {
     // Reference: one uninterrupted run.
