@@ -350,48 +350,11 @@ impl EnergyEvaluator {
         Ok(TrainingSession {
             evaluator: self.clone(),
             depth: p,
-            num_qubits: ansatz.num_qubits(),
             objective: objective.unwrap_or_else(|| Objective::Bound(ansatz.clone())),
             starts,
             restarts,
             zero_depth: None,
-            hook: None,
         })
-    }
-}
-
-/// A telemetry snapshot emitted by a [`TrainingSession`] every time it is
-/// advanced — the per-session event hook the search session layer builds
-/// its `SessionAdvanced` stream on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TrainingProgress {
-    /// Cumulative objective evaluations consumed so far.
-    pub evaluations: usize,
-    /// Best (maximal) energy found so far.
-    pub best_energy: f64,
-    /// Whether the underlying optimizer has converged (no further budget
-    /// will be spent even if the target grows).
-    pub converged: bool,
-}
-
-/// A boxed observer fired by [`TrainingSession::advance`] and
-/// [`TrainingSession::advance_in`] after every advance (including no-op
-/// snapshots and the depth-0 fast path).
-///
-/// Hooks travel with the session across threads (the search pipeline's
-/// work-stealing workers own their sessions), hence `Send`.
-pub struct ProgressHook(Box<dyn FnMut(&TrainingProgress) + Send>);
-
-impl ProgressHook {
-    /// Wrap a closure as a progress hook.
-    pub fn new(hook: impl FnMut(&TrainingProgress) + Send + 'static) -> ProgressHook {
-        ProgressHook(Box::new(hook))
-    }
-}
-
-impl std::fmt::Debug for ProgressHook {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("ProgressHook(..)")
     }
 }
 
@@ -428,8 +391,6 @@ pub struct TrainingSession {
     evaluator: EnergyEvaluator,
     /// Depth `p` of the trained ansatz.
     depth: usize,
-    /// Register width of the trained ansatz.
-    num_qubits: usize,
     objective: Objective,
     /// One optimizer checkpoint per start; empty only for depth-0 ansätze,
     /// which have nothing to optimize.
@@ -438,8 +399,6 @@ pub struct TrainingSession {
     restarts: usize,
     /// Cached depth-0 result (a single plus-state evaluation).
     zero_depth: Option<TrainedCircuit>,
-    /// Optional observer fired after every advance.
-    hook: Option<ProgressHook>,
 }
 
 /// How a session evaluates ⟨C⟩ at a parameter point.
@@ -457,12 +416,6 @@ enum Objective {
 }
 
 impl TrainingSession {
-    /// Register width of the trained ansatz (the search pipeline keys its
-    /// per-worker [`BatchScratch`] pool by it).
-    pub fn num_qubits(&self) -> usize {
-        self.num_qubits
-    }
-
     /// Whether this session runs on the compiled state-vector fast path and
     /// therefore profits from an external [`BatchScratch`] (`false` for the
     /// tensor-network backend, whose plan needs no `2^n` buffer, and for
@@ -486,12 +439,6 @@ impl TrainingSession {
             return self.zero_depth.is_some();
         }
         self.starts.iter().all(OptimizerState::converged)
-    }
-
-    /// Install (or clear) the observer fired after every advance. The search
-    /// session layer uses this to surface per-session telemetry events.
-    pub fn set_progress_hook(&mut self, hook: Option<ProgressHook>) {
-        self.hook = hook;
     }
 
     /// One start's share of a cumulative evaluation target.
@@ -518,8 +465,7 @@ impl TrainingSession {
     /// Every start resumes through [`Resumable::resume`]: each point set the
     /// optimizer hands over is one batched statevector sweep
     /// ([`CompiledEnergy::energy_batch_in`]) on the compiled path, and one
-    /// evaluation per point otherwise. Then the snapshot is taken and the
-    /// progress hook fires.
+    /// evaluation per point otherwise. Then the snapshot is taken.
     pub fn advance_in(
         &mut self,
         optimizer: &dyn Resumable,
@@ -533,7 +479,6 @@ impl TrainingSession {
             starts,
             restarts,
             zero_depth,
-            ..
         } = self;
 
         if starts.is_empty() && zero_depth.is_none() {
@@ -583,19 +528,10 @@ impl TrainingSession {
             // of the sessions a depth holds, only the advancing ones need them.
             planned.release_scratch();
         }
-        let trained = match &*zero_depth {
-            Some(trained) => trained.clone(),
-            None => evaluator.best_of(*depth, results)?,
-        };
-        let converged = self.converged();
-        if let Some(ProgressHook(observer)) = &mut self.hook {
-            observer(&TrainingProgress {
-                evaluations: trained.evaluations,
-                best_energy: trained.energy,
-                converged,
-            });
+        match &*zero_depth {
+            Some(trained) => Ok(trained.clone()),
+            None => evaluator.best_of(*depth, results),
         }
-        Ok(trained)
     }
 
     /// Snapshot the best result found so far without advancing the run: the
@@ -1212,59 +1148,10 @@ mod tests {
         let t = session.advance(&opt, 10).unwrap();
         assert!((t.energy - 2.0).abs() < 1e-10);
         assert_eq!(session.evaluations(), 1);
+        assert!(session.converged());
         // Advancing again does not re-evaluate.
         session.advance(&opt, 50).unwrap();
         assert_eq!(session.evaluations(), 1);
-    }
-
-    #[test]
-    fn session_progress_hook_fires_per_advance() {
-        let graph = Graph::cycle(6);
-        let eval = EnergyEvaluator::new(&graph, Backend::StateVector);
-        let ansatz = QaoaAnsatz::new(&graph, 1, Mixer::baseline());
-        let opt = CobylaOptimizer::default();
-        let mut session = eval.begin_training(&ansatz, &opt, None, 60).unwrap();
-
-        let log = std::sync::Arc::new(Mutex::new(Vec::<TrainingProgress>::new()));
-        let sink = std::sync::Arc::clone(&log);
-        session.set_progress_hook(Some(ProgressHook::new(move |p| {
-            sink.lock().unwrap().push(p.clone());
-        })));
-
-        let a = session.advance(&opt, 20).unwrap();
-        let b = session.advance(&opt, 60).unwrap();
-        let seen = log.lock().unwrap().clone();
-        assert_eq!(seen.len(), 2);
-        assert_eq!(seen[0].evaluations, a.evaluations);
-        assert_eq!(seen[0].best_energy, a.energy);
-        assert_eq!(seen[1].evaluations, b.evaluations);
-        assert_eq!(seen[1].best_energy, b.energy);
-        assert!(seen[0].evaluations <= seen[1].evaluations);
-
-        // Clearing the hook stops the stream; the session still advances.
-        session.set_progress_hook(None);
-        session.advance(&opt, 60).unwrap();
-        assert_eq!(log.lock().unwrap().len(), 2);
-    }
-
-    #[test]
-    fn session_progress_hook_marks_depth_zero_converged() {
-        let graph = Graph::cycle(4);
-        let eval = EnergyEvaluator::new(&graph, Backend::StateVector);
-        let ansatz = QaoaAnsatz::new(&graph, 0, Mixer::baseline());
-        let opt = CobylaOptimizer::default();
-        let mut session = eval.begin_training(&ansatz, &opt, None, 10).unwrap();
-        let log = std::sync::Arc::new(Mutex::new(Vec::<TrainingProgress>::new()));
-        let sink = std::sync::Arc::clone(&log);
-        session.set_progress_hook(Some(ProgressHook::new(move |p| {
-            sink.lock().unwrap().push(p.clone());
-        })));
-        session.advance(&opt, 10).unwrap();
-        let seen = log.lock().unwrap().clone();
-        assert_eq!(seen.len(), 1);
-        assert!(seen[0].converged);
-        assert_eq!(seen[0].evaluations, 1);
-        assert!(session.converged());
     }
 
     #[test]

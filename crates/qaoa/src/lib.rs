@@ -44,7 +44,7 @@ pub mod mixer;
 
 pub use angles::Angles;
 pub use backend::Backend;
-pub use energy::{BatchScratch, EnergyEvaluator, ProgressHook, TrainingProgress, TrainingSession};
+pub use energy::{BatchScratch, EnergyEvaluator, TrainingSession};
 pub use error::QaoaError;
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! [`crate::session::SearchHandle::events`]). The stream is **deterministic
 //! for a fixed seed**: events are emitted from the driver thread at
 //! deterministic points of the depth/rung loop (never from inside the
-//! work-stealing workers), and carry no wall-clock timestamps — two runs of
+//! rung workers), and carry no wall-clock timestamps — two runs of
 //! the same configuration produce byte-identical streams regardless of the
 //! worker thread count. Timings live on [`crate::search::SearchOutcome`]
 //! and the progress snapshots instead.
@@ -64,9 +64,9 @@ pub enum SearchEvent {
         /// Candidates rejected without any evaluation.
         gated_out: usize,
     },
-    /// One per-graph training session finished a rung advance (sourced from
-    /// the [`qaoa::TrainingSession`] progress hooks, reported in
-    /// deterministic session order).
+    /// One per-graph training session finished a rung advance (built from
+    /// the snapshot its [`qaoa::TrainingSession`] advance returned, reported
+    /// in session order once every session of the rung has advanced).
     SessionAdvanced {
         /// The QAOA depth `p`.
         depth: usize,

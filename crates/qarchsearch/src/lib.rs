@@ -22,8 +22,8 @@
 //! [`search::ExecutionMode::Parallel`] is the two-level scheme of
 //! Figs. 2–3 extended with successive-halving pruning, warm starts
 //! transferred from the previous depth, an optional learned predictor gate,
-//! and a work-stealing executor ([`worksteal`]) with per-worker scratch
-//! states; [`search::ExecutionMode::Serial`] — the paper's Algorithm 1 — is
+//! and each rung's sessions mapped in order over the workers, who take
+//! them from one shared FIFO cursor; [`search::ExecutionMode::Serial`] — the paper's Algorithm 1 — is
 //! the same engine's full-budget preset, training one session at a time on
 //! the engine thread. Started
 //! sessions stream typed [`events::SearchEvent`]s, cancel cooperatively,
@@ -65,7 +65,6 @@ pub mod server;
 pub mod session;
 pub mod store;
 mod sync;
-pub mod worksteal;
 
 pub use alphabet::{GateAlphabet, MixerClass, RotationGate};
 pub use cache::{spec_cache_key, CacheConfig, CacheStats, ResultCache, SpecKey};

@@ -1,5 +1,5 @@
 //! The budget-aware evaluation pipeline: successive halving, warm starts,
-//! and a predictor gate over the work-stealing executor.
+//! and a predictor gate over an ordered map of each rung's sessions.
 //!
 //! The paper's released search spends the full optimizer budget (200 COBYLA
 //! steps per graph) on **every** candidate, including obvious losers.
@@ -19,9 +19,11 @@
 //!    `1/eta` fraction is promoted, and promoted sessions *continue* (via
 //!    the [`optim::Resumable`] checkpoint API — no restart) at the next
 //!    rung's budget, until the final rung equals the configured full budget.
-//! 4. Each rung's session advances run on the work-stealing executor
-//!    ([`crate::worksteal`]) with per-worker scratch states; outcomes are
-//!    deterministic for a fixed seed regardless of thread count.
+//! 4. Each rung's session advances are one ordered map over the workers:
+//!    they take sessions from one shared FIFO cursor, each worker sweeps in
+//!    its own [`BatchScratch`], and results come back in session order, so
+//!    outcomes are deterministic for a fixed seed regardless of thread
+//!    count.
 //!
 //! Pruned candidates keep their partial results (and record the rung they
 //! were pruned at) so reports can show exactly where the budget went.
@@ -42,13 +44,12 @@ use crate::qbuilder::QBuilder;
 use crate::search::{ExecutionMode, PipelineConfig, RungStat, SearchConfig};
 use crate::session::SchedulerCheckpoint;
 use crate::sync::lock_recover;
-use crate::worksteal::{run_tasks, WorkerScratch};
 use graphs::Graph;
-use qaoa::energy::{ProgressHook, TrainedCircuit, TrainingProgress, TrainingSession};
+use qaoa::energy::{BatchScratch, TrainedCircuit, TrainingSession};
 use qaoa::mixer::Mixer;
 use qcircuit::Gate;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// The cumulative budget targets of the halving schedule: starting at
 /// `first`, multiplying by `eta`, capped at (and always finishing with)
@@ -64,6 +65,57 @@ pub(crate) fn rung_targets(first: usize, eta: usize, full: usize) -> Vec<usize> 
         b = b.saturating_mul(eta.max(2)).min(full);
     }
     targets
+}
+
+/// Run one rung's tasks and return their results in task order.
+///
+/// `workers` is `None` under the serial preset: the tasks run inline on the
+/// calling thread, in its ambient rayon pool (the paper's inner parallel
+/// level). `Some(threads)` has that many workers (clamped to the task count;
+/// one runs inline) take tasks from one shared FIFO cursor, each task with
+/// the inner level pinned to one thread: the outer level owns the cores (the
+/// paper's two-level scheme), and the inner level changes no bit. Every
+/// worker owns one [`BatchScratch`]. A result depends only on its task, so
+/// the output is the same at any worker count. Worker panics propagate.
+fn run_rung<T: Send, R: Send>(
+    tasks: Vec<T>,
+    workers: Option<usize>,
+    f: impl Fn(&mut BatchScratch, T) -> R + Sync,
+) -> Vec<R> {
+    let Some(threads) = workers else {
+        let mut scratch = BatchScratch::new();
+        return tasks.into_iter().map(|t| f(&mut scratch, t)).collect();
+    };
+    let threads = threads.clamp(1, tasks.len().max(1));
+    let inner = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("single-thread pool");
+    let cursor = Mutex::new(tasks.into_iter().enumerate());
+    let work = || {
+        let mut scratch = BatchScratch::new();
+        let mut done = Vec::new();
+        loop {
+            let next = lock_recover(&cursor).next();
+            let Some((i, task)) = next else {
+                return done;
+            };
+            done.push((i, inner.install(|| f(&mut scratch, task))));
+        }
+    };
+    let mut done: Vec<(usize, R)> = if threads == 1 {
+        work()
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("rung worker panicked"))
+                .collect()
+        })
+    };
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// One depth's evaluated cohort plus the equal-budget bandit rewards.
@@ -93,9 +145,9 @@ pub(crate) struct BudgetedScheduler {
     config: SearchConfig,
     /// The pipeline settings in force ([`SearchConfig::effective_pipeline`]).
     pipeline: PipelineConfig,
-    /// Work-stealing worker count; `None` is the serial preset, whose rung
-    /// tasks run inline on the engine thread with the ambient (unpinned)
-    /// inner rayon pool — the paper's inner parallel level.
+    /// Rung worker count; `None` is the serial preset, whose rung tasks run
+    /// inline on the engine thread with the ambient (unpinned) inner rayon
+    /// pool — the paper's inner parallel level.
     workers: Option<usize>,
     evaluator: Evaluator,
     builder: QBuilder,
@@ -137,7 +189,7 @@ impl BudgetedScheduler {
         }
     }
 
-    /// The work-stealing worker count (`None` under the serial preset).
+    /// The rung worker count (`None` under the serial preset).
     pub(crate) fn workers(&self) -> Option<usize> {
         self.workers
     }
@@ -307,35 +359,23 @@ impl BudgetedScheduler {
         let optimizer = self.config.evaluator.build_resumable();
         let optimizer = optimizer.as_ref();
 
-        // Per-session progress observations, gathered through the
-        // `qaoa::TrainingSession` hooks. Workers append in completion order
-        // (nondeterministic); each rung drains and sorts by slot before
-        // emitting, so the event stream stays deterministic.
-        let progress: Arc<Mutex<Vec<(usize, TrainingProgress)>>> = Arc::new(Mutex::new(Vec::new()));
-
         // One session per (candidate, graph), laid out candidate-major.
         let mut sessions: Vec<Option<TrainingSession>> =
             Vec::with_capacity(num_candidates * num_graphs);
-        for (ci, mixer) in mixers.iter().enumerate() {
+        for mixer in mixers {
             for (gi, graph) in graphs.iter().enumerate() {
                 let warm_from = warm.map(|w| {
                     let prev = &w.per_graph[gi];
                     (prev.gammas.as_slice(), prev.betas.as_slice())
                 });
-                let mut session = self.evaluator.begin_session(
+                sessions.push(Some(self.evaluator.begin_session(
                     graph,
                     mixer,
                     depth,
                     warm_from,
                     full_budget,
                     optimizer,
-                )?;
-                let slot = ci * num_graphs + gi;
-                let sink = Arc::clone(&progress);
-                session.set_progress_hook(Some(ProgressHook::new(move |p| {
-                    lock_recover(&sink).push((slot, p.clone()));
-                })));
-                sessions.push(Some(session));
+                )?));
             }
         }
         let mut snapshots: Vec<Option<TrainedCircuit>> = vec![None; num_candidates * num_graphs];
@@ -361,57 +401,36 @@ impl BudgetedScheduler {
             }
 
             let advance =
-                |scratch: &mut WorkerScratch, (slot, mut session): (usize, TrainingSession)| {
+                |scratch: &mut BatchScratch, (slot, mut session): (usize, TrainingSession)| {
                     // A cancelled rung skips every session it has not started.
                     if cancel.load(Ordering::SeqCst) {
-                        return (slot, session, Err(SearchError::Cancelled));
+                        return Err(SearchError::Cancelled);
                     }
                     // Compiled sessions sweep each optimizer point set (SPSA
                     // pairs, initial simplexes, grid/random populations) in the
-                    // worker's batch buffers.
-                    let buf = session
-                        .uses_compiled_scratch()
-                        .then(|| scratch.batch(session.num_qubits()));
-                    let trained = session
-                        .advance_in(optimizer, target, buf)
-                        .map_err(SearchError::from);
-                    (slot, session, trained)
+                    // worker's batch buffers; the other objectives ignore them.
+                    let trained = session.advance_in(optimizer, target, Some(scratch))?;
+                    Ok((slot, session, trained))
                 };
-            let outcomes = match self.workers {
-                Some(threads) => run_tasks(tasks, threads, advance),
-                None => {
-                    let mut scratch = WorkerScratch::new();
-                    tasks
-                        .into_iter()
-                        .map(|task| advance(&mut scratch, task))
-                        .collect()
-                }
-            };
+            let outcomes = run_rung(tasks, self.workers, advance)
+                .into_iter()
+                .collect::<Result<Vec<_>, SearchError>>()?;
 
+            // Only a rung whose every session advanced reports them, in slot
+            // order (the task order).
             let mut rung_evaluations = 0usize;
             for (slot, session, trained) in outcomes {
-                let trained = trained?;
                 rung_evaluations += trained.evaluations - spent[slot];
                 spent[slot] = trained.evaluations;
-                snapshots[slot] = Some(trained);
-                sessions[slot] = Some(session);
-            }
-
-            // Forward this rung's session telemetry in deterministic slot
-            // order (workers pushed in completion order).
-            let mut advanced = {
-                let mut buf = lock_recover(&progress);
-                std::mem::take(&mut *buf)
-            };
-            advanced.sort_by_key(|(slot, _)| *slot);
-            for (slot, p) in advanced {
                 events(SearchEvent::SessionAdvanced {
                     depth,
                     candidate: slot / num_graphs,
                     graph: slot % num_graphs,
-                    evaluations: p.evaluations,
-                    energy: p.best_energy,
+                    evaluations: trained.evaluations,
+                    energy: trained.energy,
                 });
+                snapshots[slot] = Some(trained);
+                sessions[slot] = Some(session);
             }
 
             let mean_energy = |ci: usize| -> f64 {
@@ -505,6 +524,51 @@ impl BudgetedScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn results_come_back_in_task_order() {
+        let tasks: Vec<usize> = (0..100).collect();
+        for workers in [None, Some(1), Some(2), Some(4), Some(7)] {
+            let out = run_rung(tasks.clone(), workers, |_, t| t * 3);
+            assert_eq!(out, (0..100).map(|t| t * 3).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn every_task_runs_exactly_once() {
+        let counter = AtomicUsize::new(0);
+        let out = run_rung((0..250).collect::<Vec<_>>(), Some(4), |_, t: i32| {
+            counter.fetch_add(1, Ordering::SeqCst);
+            t
+        });
+        assert_eq!(counter.load(Ordering::SeqCst), 250);
+        assert_eq!(out.len(), 250);
+    }
+
+    #[test]
+    fn uneven_task_costs_are_balanced() {
+        // One pathological task (index 0) next to many cheap ones: the other
+        // workers keep taking cheap tasks from the cursor while it runs.
+        let tasks: Vec<u64> = (0..64).map(|i| if i == 0 { 20 } else { 1 }).collect();
+        let out = run_rung(tasks, Some(4), |_, millis| {
+            std::thread::sleep(std::time::Duration::from_millis(millis));
+            millis
+        });
+        assert_eq!(out.iter().sum::<u64>(), 20 + 63);
+    }
+
+    #[test]
+    fn more_threads_than_tasks_is_fine() {
+        let out = run_rung(vec![1, 2], Some(16), |_, t| t + 1);
+        assert_eq!(out, vec![2, 3]);
+    }
+
+    #[test]
+    fn empty_task_list_returns_empty() {
+        let out: Vec<i32> = run_rung(Vec::<i32>::new(), Some(4), |_, t| t);
+        assert!(out.is_empty());
+    }
 
     #[test]
     fn rung_targets_escalate_to_the_full_budget() {

@@ -85,7 +85,7 @@ proptest! {
     // seeds exercises the determinism claim without dominating `cargo test`.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The work-stealing pipeline (halving + warm starts + seeded SPSA) must
+    /// The parallel pipeline (halving + warm starts + seeded SPSA) must
     /// return bit-identical winners and energies with 1, 2 and 4 threads,
     /// whatever the seed.
     #[test]

@@ -3,8 +3,8 @@
 //! The front door of the crate is now the session-oriented
 //! [`crate::session::SearchDriver`]: one driver and one per-depth engine
 //! cover both execution modes ([`ExecutionMode::Parallel`] — the
-//! budget-aware successive-halving pipeline over the work-stealing
-//! executor — and [`ExecutionMode::Serial`] — its paper-faithful
+//! budget-aware successive-halving pipeline, each rung's sessions mapped
+//! over the workers — and [`ExecutionMode::Serial`] — its paper-faithful
 //! full-budget preset, run inline), streams [`crate::SearchEvent`]s while
 //! it runs, and supports cooperative cancellation and serde checkpointing. This module keeps everything the driver is configured
 //! with ([`SearchConfig`], [`SearchStrategy`], [`PipelineConfig`]) and
@@ -34,8 +34,8 @@ pub enum ExecutionMode {
     /// gate), one training session at a time on the engine thread, full
     /// inner (per-edge / kernel) parallelism.
     Serial,
-    /// The budget-aware pipeline over the work-stealing executor:
-    /// successive halving, warm starts, optional predictor gate.
+    /// The budget-aware pipeline, each rung's sessions mapped over the
+    /// workers: successive halving, warm starts, optional predictor gate.
     /// Bit-identical results for a fixed seed at any worker count.
     #[default]
     Parallel,
@@ -376,9 +376,8 @@ pub struct SearchConfigBuilder {
 }
 
 impl SearchConfigBuilder {
-    /// Set the execution mode (the budget-aware pipeline over the
-    /// work-stealing executor, or its serial full-budget preset; default
-    /// parallel).
+    /// Set the execution mode (the budget-aware pipeline over the rung
+    /// workers, or its serial full-budget preset; default parallel).
     pub fn mode(mut self, mode: ExecutionMode) -> Self {
         self.config.mode = mode;
         self
@@ -908,7 +907,7 @@ mod tests {
 
     #[test]
     fn parallel_results_are_thread_count_independent() {
-        // Work-stealing + per-worker scratch must not leak into results:
+        // Rung workers and their scratch buffers must not leak into results:
         // 1, 2 and 4 workers return bit-identical outcomes for a fixed seed.
         let graphs = tiny_graphs();
         let mut cfg = tiny_config(SearchStrategy::Exhaustive);

@@ -10,7 +10,7 @@
 //! jobs cancel cooperatively through the session's [`Canceller`], draining
 //! to a valid partial outcome exactly like a directly-held handle.
 //!
-//! Inside each job the work-stealing executor still parallelizes candidate
+//! Inside each job the rung workers still parallelize candidate
 //! evaluation (`SearchConfig::threads`), so the server multiplexes at two
 //! levels: jobs across workers, candidates across each job's evaluation
 //! threads. The queue is **bounded** ([`JobServerConfig::queue_capacity`]):

@@ -24,7 +24,7 @@
 //! Execution mode is folded into [`SearchConfig`], and one driver with one
 //! per-depth engine (the budget-aware successive-halving pipeline) serves
 //! both: [`ExecutionMode::Parallel`](crate::search::ExecutionMode::Parallel)
-//! runs it over the work-stealing executor,
+//! maps each rung's sessions over the workers,
 //! [`ExecutionMode::Serial`](crate::search::ExecutionMode::Serial) — the
 //! paper's Algorithm 1 — is its full-budget preset with the rung's sessions
 //! trained inline on the engine thread. The two event streams differ only in

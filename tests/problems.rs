@@ -292,7 +292,7 @@ fn dense_valued_problems_train_to_the_dense_table_bits() {
     }
 }
 
-/// The full budget-aware pipeline (halving + warm starts + work stealing)
+/// The full budget-aware pipeline (halving + warm starts + rung workers)
 /// runs end-to-end for each non-Max-Cut problem family, stays
 /// thread-count-deterministic, and reports the problem name.
 #[test]
