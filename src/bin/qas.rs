@@ -203,21 +203,39 @@ fn parse_args(args: &[String]) -> (HashMap<String, String>, Vec<String>) {
     (options, flags)
 }
 
-/// `--key`'s value, or `default` when it is absent or does not parse.
-fn opt<T: std::str::FromStr>(options: &HashMap<String, String>, key: &str, default: T) -> T {
+/// `--key`'s value, `None` when it is absent, and an error naming the
+/// option and the value when it does not parse.
+fn opt_parsed<T: std::str::FromStr>(
+    options: &HashMap<String, String>,
+    key: &str,
+) -> Result<Option<T>, String> {
     options
         .get(key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+        .map(|v| v.parse().map_err(|_| format!("invalid --{key} '{v}'")))
+        .transpose()
 }
 
-fn build_dataset(options: &HashMap<String, String>) -> Vec<Graph> {
-    let count = opt(options, "graphs", 4);
-    let nodes = opt(options, "nodes", 10);
-    let seed = opt(options, "seed", 2023);
+/// `--key`'s value, or `default` when it is absent.
+fn opt<T: std::str::FromStr>(
+    options: &HashMap<String, String>,
+    key: &str,
+    default: T,
+) -> Result<T, String> {
+    Ok(opt_parsed(options, key)?.unwrap_or(default))
+}
+
+fn build_dataset(options: &HashMap<String, String>) -> Result<Vec<Graph>, String> {
+    let count = opt(options, "graphs", 4)?;
+    let nodes = opt(options, "nodes", 10)?;
+    let seed = opt(options, "seed", 2023)?;
     match options.get("dataset").map(|s| s.as_str()).unwrap_or("er") {
-        "regular" => graphs::datasets::random_regular_dataset(count, nodes, 4, seed),
-        _ => graphs::datasets::erdos_renyi_dataset(count, nodes, seed),
+        "er" => Ok(graphs::datasets::erdos_renyi_dataset(count, nodes, seed)),
+        "regular" => Ok(graphs::datasets::random_regular_dataset(
+            count, nodes, 4, seed,
+        )),
+        other => Err(format!(
+            "unknown --dataset '{other}' (expected er or regular)"
+        )),
     }
 }
 
@@ -262,7 +280,7 @@ fn build_strategy(options: &HashMap<String, String>) -> Result<SearchStrategy, S
 /// The three kind enums parse through their `FromStr` impls, which share
 /// one `graphs::ParseKindError`; the CLI only stringifies it.
 fn build_problem(options: &HashMap<String, String>) -> Result<ProblemKind, String> {
-    let seed = opt(options, "seed", 2023);
+    let seed = opt(options, "seed", 2023)?;
     match options.get("problem") {
         None => Ok(ProblemKind::MaxCut),
         Some(spec) => spec
@@ -309,17 +327,17 @@ fn build_search_config(
 ) -> Result<SearchConfig, String> {
     let alphabet = build_alphabet(options)?;
     let strategy = build_strategy(options)?;
-    let k_max = opt(options, "kmax", 2);
+    let k_max = opt(options, "kmax", 2)?;
     let has_flag = |name: &str| flags.iter().any(|f| f == name);
 
     let mut builder = SearchConfig::builder()
         .alphabet(alphabet)
-        .max_depth(opt(options, "pmax", 2))
+        .max_depth(opt(options, "pmax", 2)?)
         .max_gates_per_mixer(k_max)
-        .optimizer_budget(opt(options, "budget", 60))
+        .optimizer_budget(opt(options, "budget", 60)?)
         .strategy(strategy)
         .problem(build_problem(options)?)
-        .seed(opt(options, "seed", 2023));
+        .seed(opt(options, "seed", 2023)?);
     if let Some(backend) = build_backend(options)? {
         builder = builder.backend(backend);
     }
@@ -329,9 +347,8 @@ fn build_search_config(
     if has_flag("hardware-aware") {
         builder = builder.constraints(ConstraintSet::hardware_aware(k_max));
     }
-    let threads = options.get("threads").and_then(|v| v.parse().ok());
-    if let Some(t) = threads {
-        builder = builder.threads(t);
+    if let Some(threads) = opt_parsed(options, "threads")? {
+        builder = builder.threads(threads);
     }
     // Pipeline flags: --no-prune is the paper-faithful escape hatch;
     // --serial is the same pipeline trained one session at a time.
@@ -340,16 +357,16 @@ fn build_search_config(
     } else if has_flag("no-prune") {
         builder = builder.no_prune();
     } else {
-        builder = builder.halving(opt(options, "first-rung", 20), opt(options, "eta", 4));
+        builder = builder.halving(opt(options, "first-rung", 20)?, opt(options, "eta", 4)?);
         if has_flag("no-warm-start") {
             builder = builder.warm_start(false);
         }
-        if let Some(cap) = options.get("gate").and_then(|v| v.parse().ok()) {
+        if let Some(cap) = opt_parsed(options, "gate")? {
             builder = builder.predictor_gate(cap);
         }
     }
     let mut config = builder.build();
-    config.evaluator.restarts = opt(options, "restarts", 1);
+    config.evaluator.restarts = opt(options, "restarts", 1)?;
     Ok(config)
 }
 
@@ -412,7 +429,7 @@ fn print_search_human(outcome: &SearchOutcome, out: &mut dyn Write) -> std::io::
 }
 
 fn cmd_search(options: &HashMap<String, String>, flags: &[String]) -> Result<(), String> {
-    let dataset = build_dataset(options);
+    let dataset = build_dataset(options)?;
     let config = build_search_config(options, flags)?;
     let outcome = SearchDriver::new(config)
         .run(&dataset)
@@ -481,6 +498,22 @@ fn job_id_of(request: &Value) -> Result<JobId, String> {
         .ok_or_else(|| "request needs a numeric 'job' field".to_string())
 }
 
+/// A top-level request field read by `read`: `None` when it is absent or
+/// `null`, and an error naming the field when `read` refuses its value.
+fn field<'a, T>(
+    request: &'a Value,
+    key: &str,
+    read: impl Fn(&'a Value) -> Option<T>,
+    expected: &str,
+) -> Result<Option<T>, String> {
+    match request.get(key) {
+        None | Some(Value::Null) => Ok(None),
+        Some(value) => read(value)
+            .map(Some)
+            .ok_or_else(|| format!("'{key}' must be {expected}")),
+    }
+}
+
 /// The job a `submit` request asks for: a spec built from its `search`
 /// object, plus its optional scheduling fields.
 fn spec_from_submit(request: &Value) -> Result<JobSpec, String> {
@@ -489,26 +522,27 @@ fn spec_from_submit(request: &Value) -> Result<JobSpec, String> {
         .ok_or_else(|| "submit needs a 'search' object".to_string())?;
     let (options, flags) = search_object_to_options(search)?;
     let config = build_search_config(&options, &flags)?;
-    let graphs = build_dataset(&options);
+    let graphs = build_dataset(&options)?;
     let mut spec = JobSpec::new(config, graphs);
-    if let Some(priority) = request.get("priority").and_then(|p| p.as_i64()) {
+    if let Some(priority) = field(request, "priority", Value::as_i64, "an integer")? {
         let priority = i32::try_from(priority)
             .map_err(|_| format!("'priority' {priority} is out of range for a 32-bit integer"))?;
         spec = spec.priority(priority);
     }
-    if let Some(name) = request.get("name").and_then(|n| n.as_str()) {
+    if let Some(name) = field(request, "name", Value::as_str, "a string")? {
         spec = spec.name(name);
     }
-    if let Some(timeout) = request.get("timeout_secs").and_then(|t| t.as_f64()) {
+    if let Some(timeout) = field(request, "timeout_secs", Value::as_f64, "a number")? {
         spec = spec.timeout_secs(timeout);
     }
-    if let Some(retries) = request.get("max_retries").and_then(|r| r.as_u64()) {
+    let count = "a non-negative integer";
+    if let Some(retries) = field(request, "max_retries", Value::as_u64, count)? {
         let retries = u32::try_from(retries).map_err(|_| {
             format!("'max_retries' {retries} is out of range for a 32-bit unsigned integer")
         })?;
         spec = spec.max_retries(retries);
     }
-    if let Some(backoff) = request.get("retry_backoff_ms").and_then(|b| b.as_u64()) {
+    if let Some(backoff) = field(request, "retry_backoff_ms", Value::as_u64, count)? {
         spec = spec.retry_backoff_ms(backoff);
     }
     Ok(spec)
@@ -567,10 +601,7 @@ fn serve_verb(server: &JobServer, cmd: &str, request: &Value) -> Result<Value, S
                 };
                 (spec, checkpoint)
             };
-            let tenant = request
-                .get("tenant")
-                .and_then(Value::as_str)
-                .map(str::to_string);
+            let tenant = field(request, "tenant", Value::as_str, "a string")?.map(str::to_string);
             match server.submit_as(spec, checkpoint, tenant) {
                 Ok(id) => reply(Reply::Submitted(id)),
                 Err(e) => Ok(error_reply(&e)),
@@ -579,7 +610,8 @@ fn serve_verb(server: &JobServer, cmd: &str, request: &Value) -> Result<Value, S
         "status" => job().and_then(|id| reply(Reply::Status(id))),
         "jobs" => reply(Reply::Jobs),
         "events" => job().and_then(|id| {
-            let since = request.get("since").and_then(|s| s.as_u64()).unwrap_or(0) as usize;
+            let since = field(request, "since", Value::as_u64, "a non-negative integer")?;
+            let since = since.unwrap_or(0) as usize;
             let (events, next) = server.events_since(id, since).map_err(|e| e.to_string())?;
             Ok(json!({ "ok": true, "job": (id.0), "events": events, "next": next }))
         }),
@@ -603,10 +635,11 @@ fn serve_verb(server: &JobServer, cmd: &str, request: &Value) -> Result<Value, S
                 .and_then(Value::as_array)
                 .ok_or_else(|| "wait_any needs a 'jobs' array".to_string())?
                 .iter()
-                .filter_map(Value::as_u64)
-                .map(JobId)
-                .collect();
-            let since = request.get("since").and_then(Value::as_u64).unwrap_or(0);
+                .map(|id| id.as_u64().map(JobId))
+                .collect::<Option<_>>()
+                .ok_or_else(|| "'jobs' must list non-negative integer job ids".to_string())?;
+            let since = field(request, "since", Value::as_u64, "a non-negative integer")?;
+            let since = since.unwrap_or(0);
             let (since, done) = server.wait_any(&ids, since);
             // A job forgotten since it ended is left out, as unknown ids are.
             let done: Vec<Value> = done
@@ -729,13 +762,14 @@ fn run_tcp_front_door(
 
 fn cmd_serve(options: &HashMap<String, String>, flags: &[String]) -> Result<(), String> {
     let config = JobServerConfig {
-        workers: opt(options, "workers", 2),
-        queue_capacity: opt(options, "queue", 16),
-        max_retained_jobs: opt(options, "retain", 256),
+        workers: opt(options, "workers", 2)?,
+        queue_capacity: opt(options, "queue", 16)?,
+        max_retained_jobs: opt(options, "retain", 256)?,
     };
+    let checkpoint_every = opt(options, "checkpoint-every", 1)?;
     let store = options
         .get("state-dir")
-        .map(|dir| StoreConfig::new(dir).checkpoint_every(opt(options, "checkpoint-every", 1)));
+        .map(|dir| StoreConfig::new(dir).checkpoint_every(checkpoint_every));
     let no_cache = flags.iter().any(|f| f == "no-cache");
     let cache = if no_cache {
         if options.contains_key("cache-dir") || options.contains_key("cache-capacity") {
@@ -753,7 +787,7 @@ fn cmd_serve(options: &HashMap<String, String>, flags: &[String]) -> Result<(), 
             None => None,
         };
         Some(CacheConfig {
-            capacity: opt(options, "cache-capacity", CacheConfig::default().capacity),
+            capacity: opt(options, "cache-capacity", CacheConfig::default().capacity)?,
             dir,
             ..CacheConfig::default()
         })
@@ -870,16 +904,16 @@ fn cmd_coordinator(options: &HashMap<String, String>) -> Result<(), String> {
         .collect();
     let mut config = ClusterConfig::new(shards);
     config.admission = AdmissionConfig {
-        rate_per_sec: opt(options, "rate", 0.0),
-        burst: opt(options, "burst", 8),
-        tenant_quota: opt(options, "tenant-quota", 0),
-        max_wait_ms: opt(options, "max-wait-ms", 2_000),
-        retry_poll_ms: opt(options, "retry-poll-ms", 50),
+        rate_per_sec: opt(options, "rate", 0.0)?,
+        burst: opt(options, "burst", 8)?,
+        tenant_quota: opt(options, "tenant-quota", 0)?,
+        max_wait_ms: opt(options, "max-wait-ms", 2_000)?,
+        retry_poll_ms: opt(options, "retry-poll-ms", 50)?,
     };
-    config.heartbeat_ms = opt(options, "heartbeat-ms", 250);
-    config.heartbeat_misses = opt(options, "heartbeat-misses", 3);
-    config.connect_timeout_ms = opt(options, "connect-timeout-ms", 1_000);
-    config.request_timeout_ms = opt(options, "request-timeout-ms", 5_000);
+    config.heartbeat_ms = opt(options, "heartbeat-ms", 250)?;
+    config.heartbeat_misses = opt(options, "heartbeat-misses", 3)?;
+    config.connect_timeout_ms = opt(options, "connect-timeout-ms", 1_000)?;
+    config.request_timeout_ms = opt(options, "request-timeout-ms", 5_000)?;
     config.faults = build_fault_plan(options)?;
     let coordinator = Coordinator::start(config).map_err(|e| e.to_string())?;
     let stats = coordinator.stats();
@@ -900,13 +934,13 @@ fn cmd_coordinator(options: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_evaluate(options: &HashMap<String, String>) -> Result<(), String> {
-    let dataset = build_dataset(options);
+    let dataset = build_dataset(options)?;
     let mixer = build_mixer(options)?;
     let problem = build_problem(options)?;
-    let depth = opt(options, "depth", 1);
+    let depth = opt(options, "depth", 1)?;
     let mut evaluator_config = EvaluatorConfig {
-        budget: opt(options, "budget", 60),
-        restarts: opt(options, "restarts", 1),
+        budget: opt(options, "budget", 60)?,
+        restarts: opt(options, "restarts", 1)?,
         problem: problem.clone(),
         ..EvaluatorConfig::default()
     };
@@ -939,7 +973,7 @@ fn cmd_evaluate(options: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_problems(options: &HashMap<String, String>) -> Result<(), String> {
-    let seed = opt(options, "seed", 2023);
+    let seed = opt(options, "seed", 2023)?;
     println!("shipped cost Hamiltonians (use with --problem NAME):\n");
     for kind in ProblemKind::all(seed) {
         println!("  {:<10} {}", kind.name(), kind.description());
@@ -954,8 +988,8 @@ fn cmd_problems(options: &HashMap<String, String>) -> Result<(), String> {
 
 fn cmd_info(options: &HashMap<String, String>) -> Result<(), String> {
     let alphabet = build_alphabet(options)?;
-    let p_max = opt(options, "pmax", 4);
-    let k_max = opt(options, "kmax", 4);
+    let p_max = opt(options, "pmax", 4)?;
+    let k_max = opt(options, "kmax", 4)?;
     println!(
         "alphabet          : {alphabet} (|A_R| = {})",
         alphabet.len()

@@ -1470,21 +1470,9 @@ fn stdin_serve_refuses_an_overlong_line() {
     );
 }
 
-#[test]
-fn stdin_serve_refuses_submit_fields_out_of_range() {
-    let search = r#""search":{"graphs":1,"nodes":6,"pmax":1,"kmax":1,"alphabet":"rx","budget":20}"#;
-    let refused = [
-        ("\"priority\":4294967297", "'priority'"),
-        ("\"max_retries\":4294967296", "'max_retries'"),
-        ("\"timeout_secs\":1e400", "timeout_secs"),
-        ("\"timeout_secs\":1e300", "timeout_secs"),
-        ("\"timeout_secs\":-5", "timeout_secs"),
-    ];
-    let mut input = String::new();
-    for (field, _) in &refused {
-        input.push_str(&format!("{{\"cmd\":\"submit\",{field},{search}}}\n"));
-    }
-    input.push_str("{\"cmd\":\"jobs\"}\n{\"cmd\":\"shutdown\"}\n");
+/// The replies `qas serve --workers 1` writes for the request lines of
+/// `input` (which should end with a `shutdown`).
+fn stdin_serve_replies(input: &str) -> Vec<Value> {
     let mut child = Command::new(qas_bin())
         .args(["serve", "--workers", "1"])
         .stdin(Stdio::piped())
@@ -1500,11 +1488,32 @@ fn stdin_serve_refuses_submit_fields_out_of_range() {
         .unwrap();
     let output = child.wait_with_output().unwrap();
     assert!(output.status.success(), "{:?}", output.status);
-    let replies: Vec<Value> = String::from_utf8(output.stdout)
+    String::from_utf8(output.stdout)
         .unwrap()
         .lines()
         .map(|line| serde_json::from_str(line).unwrap())
-        .collect();
+        .collect()
+}
+
+#[test]
+fn stdin_serve_refuses_submit_fields_out_of_range() {
+    let search = r#""search":{"graphs":1,"nodes":6,"pmax":1,"kmax":1,"alphabet":"rx","budget":20}"#;
+    let refused = [
+        ("\"priority\":4294967297", "'priority'"),
+        ("\"max_retries\":4294967296", "'max_retries'"),
+        ("\"timeout_secs\":1e400", "timeout_secs"),
+        ("\"timeout_secs\":1e300", "timeout_secs"),
+        ("\"timeout_secs\":-5", "timeout_secs"),
+        ("\"priority\":1.5", "'priority'"),
+        ("\"max_retries\":-1", "'max_retries'"),
+        ("\"timeout_secs\":\"1\"", "'timeout_secs'"),
+    ];
+    let mut input = String::new();
+    for (field, _) in &refused {
+        input.push_str(&format!("{{\"cmd\":\"submit\",{field},{search}}}\n"));
+    }
+    input.push_str("{\"cmd\":\"jobs\"}\n{\"cmd\":\"shutdown\"}\n");
+    let replies = stdin_serve_replies(&input);
     assert_eq!(replies.len(), refused.len() + 2, "{replies:?}");
     for ((field, named), reply) in refused.iter().zip(&replies) {
         assert_eq!(reply.get("ok"), Some(&json!(false)), "{field}: {reply:?}");
@@ -1512,5 +1521,55 @@ fn stdin_serve_refuses_submit_fields_out_of_range() {
         assert!(error.contains(named), "{field}: {error}");
     }
     // No refused submission took a job id.
+    assert_eq!(replies[refused.len()].get("jobs"), Some(&json!([])));
+}
+
+#[test]
+fn qas_refuses_option_values_it_cannot_parse() {
+    // On the command line: exit 1 with one error line naming the option
+    // and the value, before any search starts.
+    for (args, named) in [
+        (&["info", "--pmax", "abc"][..], "--pmax 'abc'"),
+        (&["search", "--budget", "1.5"][..], "--budget '1.5'"),
+        (&["search", "--threads", "two"][..], "--threads 'two'"),
+        (
+            &["search", "--dataset", "regullar"][..],
+            "--dataset 'regullar'",
+        ),
+        (&["evaluate", "--depth", "-1"][..], "--depth '-1'"),
+        (&["serve", "--workers", "x"][..], "--workers 'x'"),
+    ] {
+        let output = Command::new(qas_bin())
+            .args(args)
+            .stdin(Stdio::null())
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8(output.stderr).unwrap();
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(output.stdout.is_empty(), "{args:?}");
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+    }
+    // The same options in a served submit's `search` object.
+    let search = r#""graphs":1,"nodes":6,"pmax":1,"kmax":1,"alphabet":"rx""#;
+    let refused = [
+        (r#""budget":1.5"#, "--budget '1.5'"),
+        (r#""threads":-2"#, "--threads '-2'"),
+        (r#""gate":"all""#, "--gate 'all'"),
+        (r#""dataset":"regullar""#, "--dataset 'regullar'"),
+    ];
+    let mut input = String::new();
+    for (option, _) in &refused {
+        input.push_str(&format!(
+            "{{\"cmd\":\"submit\",\"search\":{{{search},{option}}}}}\n"
+        ));
+    }
+    input.push_str("{\"cmd\":\"jobs\"}\n{\"cmd\":\"shutdown\"}\n");
+    let replies = stdin_serve_replies(&input);
+    assert_eq!(replies.len(), refused.len() + 2, "{replies:?}");
+    for ((option, named), reply) in refused.iter().zip(&replies) {
+        assert_eq!(reply.get("ok"), Some(&json!(false)), "{option}: {reply:?}");
+        let error = reply.get("error").and_then(Value::as_str).unwrap_or("");
+        assert!(error.contains(named), "{option}: {error}");
+    }
     assert_eq!(replies[refused.len()].get("jobs"), Some(&json!([])));
 }
