@@ -711,8 +711,9 @@ impl Problem {
         (self.value_spins(&spins), spins)
     }
 
-    /// Multi-start randomized 1-flip local search (the generic analog of
-    /// `MaxCut::randomized_local_search`).
+    /// Multi-start randomized 1-flip local search: `restarts` random
+    /// initial assignments, each improved by [`local_search`](Self::local_search);
+    /// the best is kept.
     pub fn randomized_local_search(&self, restarts: usize, seed: u64) -> (f64, Vec<i8>) {
         self.randomized_extreme(restarts, seed, 1.0)
     }

@@ -2,6 +2,7 @@
 
 use crate::graph::Graph;
 use crate::maxcut::MaxCut;
+use crate::problem::Problem;
 use proptest::prelude::*;
 
 fn arb_er_graph() -> impl Strategy<Value = Graph> {
@@ -42,8 +43,9 @@ proptest! {
     #[test]
     fn brute_force_dominates_heuristics(g in arb_er_graph()) {
         let exact = MaxCut::brute_force(&g).unwrap().value;
-        let (greedy, _) = MaxCut::greedy(&g);
-        let (local, _) = MaxCut::local_search(&g, None);
+        let problem = Problem::max_cut(&g);
+        let (greedy, _) = problem.greedy();
+        let (local, _) = problem.local_search(None);
         prop_assert!(greedy <= exact + 1e-9);
         prop_assert!(local <= exact + 1e-9);
         // Greedy achieves at least half of the total weight.
@@ -55,7 +57,7 @@ proptest! {
         let n = g.num_nodes();
         let spins: Vec<i8> = (0..n).map(|i| if (mask >> i) & 1 == 1 { 1 } else { -1 }).collect();
         let by_mask = MaxCut::cut_value_mask(&g, mask);
-        let by_spins = MaxCut::cut_value_spins(&g, &spins);
+        let by_spins = Problem::max_cut(&g).value_spins(&spins);
         prop_assert!((by_mask - by_spins).abs() < 1e-9);
     }
 
