@@ -13,8 +13,11 @@
 //!   (the paper's QBuilder emits Qiskit circuits; ours emits
 //!   [`qcircuit::Circuit`] values via the [`qaoa`] crate).
 //! * [`evaluator`] — trains the candidate ansatz on the Max-Cut objective
-//!   (COBYLA, 200 steps by default) and reports the energy, which is fed back
-//!   to the predictor as the reward.
+//!   (COBYLA, 200 steps by default) and reports the energy. The energy is
+//!   not fed back to the proposing predictor: the learned strategies sample
+//!   a freshly seeded, untrained predictor at every depth. The one learner
+//!   is the pipeline's optional predictor gate, a bandit that ranks a
+//!   depth's proposals by the first-rung energies of earlier depths.
 //!
 //! [`session::SearchDriver`] wires the three together behind a
 //! **session-oriented API** over one per-depth engine, a **budget-aware

@@ -71,20 +71,29 @@ pub enum SearchStrategy {
         /// Number of candidates sampled per depth.
         samples_per_depth: usize,
     },
-    /// ε-greedy bandit over per-slot gate choices. Proposals repeating a
-    /// class are folded.
+    /// Sample `samples_per_depth` sequences of length `k_max` per depth
+    /// from an [`EpsilonGreedyPredictor`] seeded afresh at every depth
+    /// (`seed + depth`). No training reward reaches the bandit, so its value
+    /// estimates stay at zero: each slot is a uniformly random gate with
+    /// probability `epsilon` and the bandit's tie-break gate (the
+    /// alphabet's last) otherwise. Proposals repeating a class are folded.
     EpsilonGreedy {
         /// Number of candidates proposed per depth.
         samples_per_depth: usize,
         /// Exploration rate.
         epsilon: f64,
     },
-    /// Softmax policy-gradient controller (the "DNN-based search"
-    /// extension). Proposals repeating a class are folded.
+    /// Sample `samples_per_depth` sequences of length `k_max` per depth
+    /// from a [`PolicyGradientPredictor`] (the "DNN-based search"
+    /// controller) seeded afresh at every depth (`seed + depth`). No
+    /// training reward reaches the policy, so its logits stay at zero and
+    /// every slot is a uniformly random gate. Proposals repeating a class
+    /// are folded.
     PolicyGradient {
         /// Number of candidates proposed per depth.
         samples_per_depth: usize,
-        /// REINFORCE learning rate.
+        /// REINFORCE learning rate of the policy; no update uses it while no
+        /// reward reaches the policy.
         learning_rate: f64,
     },
 }
@@ -283,8 +292,9 @@ impl SearchConfig {
         Ok(())
     }
 
-    /// Candidate sequences for one depth (learned strategies propose online,
-    /// receiving feedback sequentially), and how many proposals were folded.
+    /// Candidate sequences for one depth, and how many proposals were folded.
+    /// The learned strategies sample a freshly seeded, untrained predictor
+    /// at every depth; no training reward ever reaches it.
     /// Candidates that violate the configured [`ConstraintSet`] are filtered
     /// out; of the rest, only the first proposal of each [`MixerClass`] is
     /// kept, since the others would train the same energy function.
@@ -292,49 +302,8 @@ impl SearchConfig {
     /// checkpoint/resume bit-identical: a resumed run re-proposes exactly
     /// the cohorts the interrupted run would have seen.
     pub(crate) fn propose_candidates(&self, depth: usize) -> (Vec<Vec<Gate>>, usize) {
-        let mut candidates = match &self.strategy {
-            SearchStrategy::Exhaustive | SearchStrategy::Random { .. } => {
-                self.candidates_for_depth(depth)
-            }
-            SearchStrategy::EpsilonGreedy {
-                samples_per_depth,
-                epsilon,
-            } => {
-                let mut predictor = EpsilonGreedyPredictor::new(
-                    self.alphabet.clone(),
-                    *epsilon,
-                    self.seed.wrapping_add(depth as u64),
-                );
-                (0..*samples_per_depth)
-                    .map(|_| predictor.propose(self.max_gates_per_mixer))
-                    .collect()
-            }
-            SearchStrategy::PolicyGradient {
-                samples_per_depth,
-                learning_rate,
-            } => {
-                let mut predictor = PolicyGradientPredictor::new(
-                    self.alphabet.clone(),
-                    *learning_rate,
-                    self.seed.wrapping_add(depth as u64),
-                );
-                (0..*samples_per_depth)
-                    .map(|_| predictor.propose(self.max_gates_per_mixer))
-                    .collect()
-            }
-        };
-        self.constraints.filter(&mut candidates);
-        let proposed = candidates.len();
-        let mut classes = HashSet::new();
-        candidates.retain(|gates| classes.insert(MixerClass::of(gates)));
-        let folded = proposed - candidates.len();
-        (candidates, folded)
-    }
-
-    /// The candidate gate sequences explored at one depth.
-    fn candidates_for_depth(&self, depth: usize) -> Vec<Vec<Gate>> {
         let k_max = self.max_gates_per_mixer;
-        match &self.strategy {
+        let mut candidates = match &self.strategy {
             SearchStrategy::Exhaustive => self.alphabet.all_combinations_up_to(k_max),
             SearchStrategy::Random { samples_per_depth } => {
                 let mut predictor = RandomPredictor::new(
@@ -355,17 +324,38 @@ impl SearchConfig {
                     .collect()
             }
             SearchStrategy::EpsilonGreedy {
-                samples_per_depth, ..
-            }
-            | SearchStrategy::PolicyGradient {
-                samples_per_depth, ..
+                samples_per_depth,
+                epsilon,
             } => {
-                // Learned predictors propose online inside the search loop;
-                // here we only report the space size they will explore.
-                let _ = samples_per_depth;
-                Vec::new()
+                let mut predictor = EpsilonGreedyPredictor::new(
+                    self.alphabet.clone(),
+                    *epsilon,
+                    self.seed.wrapping_add(depth as u64),
+                );
+                (0..*samples_per_depth)
+                    .map(|_| predictor.propose(k_max))
+                    .collect()
             }
-        }
+            SearchStrategy::PolicyGradient {
+                samples_per_depth,
+                learning_rate,
+            } => {
+                let mut predictor = PolicyGradientPredictor::new(
+                    self.alphabet.clone(),
+                    *learning_rate,
+                    self.seed.wrapping_add(depth as u64),
+                );
+                (0..*samples_per_depth)
+                    .map(|_| predictor.propose(k_max))
+                    .collect()
+            }
+        };
+        self.constraints.filter(&mut candidates);
+        let proposed = candidates.len();
+        let mut classes = HashSet::new();
+        candidates.retain(|gates| classes.insert(MixerClass::of(gates)));
+        let folded = proposed - candidates.len();
+        (candidates, folded)
     }
 }
 
