@@ -178,29 +178,129 @@ EXAMPLES:
     qas info --pmax 4 --kmax 4
 ";
 
-fn parse_args(args: &[String]) -> (HashMap<String, String>, Vec<String>) {
+/// The options (`--key value`) and flags (`--key`) one command accepts.
+struct Accepted {
+    options: &'static [&'static str],
+    flags: &'static [&'static str],
+}
+
+/// What each command accepts, `None` for an unknown command.
+fn accepted(command: &str) -> Option<Accepted> {
+    let (options, flags): (&[&str], &[&str]) = match command {
+        "search" => (
+            &[
+                "graphs",
+                "nodes",
+                "dataset",
+                "seed",
+                "problem",
+                "backend",
+                "optimizer",
+                "pmax",
+                "kmax",
+                "budget",
+                "alphabet",
+                "strategy",
+                "threads",
+                "restarts",
+                "first-rung",
+                "eta",
+                "gate",
+            ],
+            &[
+                "hardware-aware",
+                "json",
+                "no-prune",
+                "serial",
+                "no-warm-start",
+            ],
+        ),
+        "serve" => (
+            &[
+                "workers",
+                "queue",
+                "retain",
+                "port",
+                "bind",
+                "shard-id",
+                "fault-plan",
+                "state-dir",
+                "checkpoint-every",
+                "cache-capacity",
+                "cache-dir",
+            ],
+            &["no-cache"],
+        ),
+        "coordinator" => (
+            &[
+                "shards",
+                "shard-state-dirs",
+                "port",
+                "bind",
+                "rate",
+                "burst",
+                "tenant-quota",
+                "max-wait-ms",
+                "retry-poll-ms",
+                "heartbeat-ms",
+                "heartbeat-misses",
+                "connect-timeout-ms",
+                "request-timeout-ms",
+                "fault-plan",
+            ],
+            &[],
+        ),
+        "evaluate" => (
+            &[
+                "graphs",
+                "nodes",
+                "dataset",
+                "seed",
+                "problem",
+                "backend",
+                "optimizer",
+                "mixer",
+                "depth",
+                "budget",
+                "restarts",
+            ],
+            &[],
+        ),
+        "problems" => (&["seed"], &[]),
+        "info" => (&["alphabet", "pmax", "kmax"], &[]),
+        _ => return None,
+    };
+    Some(Accepted { options, flags })
+}
+
+/// Split a command's arguments into `--key value` options and `--key`
+/// flags. Anything the command does not accept is an error naming it, and
+/// so is an option whose value is missing (the end of the line, or another
+/// `--key` in its place).
+fn parse_args(
+    accepted: &Accepted,
+    args: &[String],
+) -> Result<(HashMap<String, String>, Vec<String>), String> {
     let mut options = HashMap::new();
     let mut flags = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        if let Some(key) = arg.strip_prefix("--") {
-            // Flag-style options have no value; key-value options consume the
-            // next argument.
-            let takes_value = i + 1 < args.len() && !args[i + 1].starts_with("--");
-            if takes_value {
-                options.insert(key.to_string(), args[i + 1].clone());
-                i += 2;
-            } else {
-                flags.push(key.to_string());
-                i += 1;
-            }
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let key = arg
+            .strip_prefix("--")
+            .ok_or_else(|| format!("unexpected argument '{arg}'"))?;
+        if accepted.flags.contains(&key) {
+            flags.push(key.to_string());
+        } else if accepted.options.contains(&key) {
+            let value = args
+                .next()
+                .filter(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("--{key} needs a value"))?;
+            options.insert(key.to_string(), value.clone());
         } else {
-            flags.push(arg.clone());
-            i += 1;
+            return Err(format!("unknown option --{key}; run `qas help`"));
         }
     }
-    (options, flags)
+    Ok((options, flags))
 }
 
 /// `--key`'s value, `None` when it is absent, and an error naming the
@@ -1015,26 +1115,29 @@ fn cmd_info(options: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let command = args.first().map(|s| s.as_str()).unwrap_or("help");
-    let (options, flags) = parse_args(&args[1.min(args.len())..]);
-
-    let result = match command {
+fn run(command: &str, args: &[String]) -> Result<(), String> {
+    if matches!(command, "help" | "--help" | "-h") {
+        println!("{HELP}");
+        return Ok(());
+    }
+    let accepted =
+        accepted(command).ok_or_else(|| format!("unknown command '{command}'; run `qas help`"))?;
+    let (options, flags) = parse_args(&accepted, args)?;
+    match command {
         "search" => cmd_search(&options, &flags),
         "serve" => cmd_serve(&options, &flags),
         "coordinator" => cmd_coordinator(&options),
         "evaluate" => cmd_evaluate(&options),
         "problems" => cmd_problems(&options),
         "info" => cmd_info(&options),
-        "help" | "--help" | "-h" => {
-            println!("{HELP}");
-            Ok(())
-        }
-        other => Err(format!("unknown command '{other}'; run `qas help`")),
-    };
+        _ => unreachable!("`accepted` knows every command"),
+    }
+}
 
-    match result {
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let command = args.first().map(|s| s.as_str()).unwrap_or("help");
+    match run(command, &args[1.min(args.len())..]) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("error: {message}");

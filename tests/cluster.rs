@@ -1525,6 +1525,37 @@ fn stdin_serve_refuses_submit_fields_out_of_range() {
 }
 
 #[test]
+fn qas_refuses_options_its_command_does_not_take() {
+    // A misspelt or foreign option, a flag-less stray word and an option
+    // without its value: exit 1 with one error line naming it, before any
+    // command runs (these once ran with defaults and exited 0).
+    for (args, named) in [
+        (&["info", "--pmx", "2"][..], "--pmx"),
+        (
+            &["info", "--pmax", "--alphabet", "rx,ry"][..],
+            "--pmax needs a value",
+        ),
+        (&["search", "--nodes"][..], "--nodes needs a value"),
+        (&["search", "--json", "yes"][..], "'yes'"),
+        (&["evaluate", "--pmax", "2"][..], "--pmax"),
+        (&["serve", "--json"][..], "--json"),
+        (&["coordinator", "--workers", "2"][..], "--workers"),
+        (&["problems", "stray"][..], "'stray'"),
+    ] {
+        let output = Command::new(qas_bin())
+            .args(args)
+            .stdin(Stdio::null())
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8(output.stderr).unwrap();
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(output.stdout.is_empty(), "{args:?}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn qas_refuses_option_values_it_cannot_parse() {
     // On the command line: exit 1 with one error line naming the option
     // and the value, before any search starts.
