@@ -1355,6 +1355,39 @@ mod tests {
     }
 
     #[test]
+    fn a_nan_beta_gives_a_non_finite_energy_on_both_paths() {
+        // The batched span kernel leaves out products with zero
+        // coefficients; a NaN β still reaches the energy, for mixers whose
+        // matrices are RX-shaped (rx, rx·rx), real (ry, h·ry) and general
+        // (rx·ry). The finite point sharing its tile keeps the scalar bits.
+        let graph = Graph::erdos_renyi(6, 0.5, 3);
+        let eval = EnergyEvaluator::new(&graph, Backend::StateVector);
+        let mut scratch = BatchScratch::new();
+        let mut buf = StateVector::zero_state(6).unwrap();
+        for gates in [
+            vec![Gate::RX],
+            vec![Gate::RX, Gate::RX],
+            vec![Gate::RY],
+            vec![Gate::H, Gate::RY],
+            vec![Gate::RX, Gate::RY],
+        ] {
+            let ansatz = QaoaAnsatz::new(&graph, 1, Mixer::new(gates.clone()).unwrap());
+            let compiled = eval.compile(&ansatz).unwrap();
+            let (nan, finite) = (vec![0.4, f64::NAN], vec![0.4, 0.9]);
+            let batched = compiled
+                .energy_batch_in(&[&nan, &finite], &mut scratch)
+                .unwrap();
+            assert!(!batched[0].is_finite(), "{gates:?}: {}", batched[0]);
+            let scalar = compiled.energy_flat_in(&nan, &mut buf).unwrap();
+            assert!(!scalar.is_finite(), "{gates:?}: {scalar}");
+            let scalar = compiled.energy_flat_in(&finite, &mut buf).unwrap();
+            assert_eq!(batched[1].to_bits(), scalar.to_bits(), "{gates:?}");
+            let alone = compiled.energy_batch_in(&[&nan], &mut scratch).unwrap();
+            assert!(!alone[0].is_finite(), "{gates:?}: {}", alone[0]);
+        }
+    }
+
+    #[test]
     fn energy_batch_internal_scratch_matches_external() {
         let graph = Graph::cycle(6);
         let eval = EnergyEvaluator::new(&graph, Backend::StateVector);

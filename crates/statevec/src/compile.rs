@@ -579,9 +579,11 @@ impl CompiledProgram {
     /// `params[b·num_params .. (b+1)·num_params]`.
     ///
     /// Bit-identical to calling [`CompiledProgram::execute_into`] once per
-    /// element (see the contract on [`crate::batch`]): gate kernels perform
-    /// the same per-element arithmetic, and phase passes read the same LUTs
-    /// and stage their factors `e^{i·scale_b·θ}` through the same helper.
+    /// element, up to the sign of a zero amplitude (see the contract on
+    /// [`crate::batch`]): gate kernels perform the same per-element
+    /// arithmetic but for products with an exactly-zero coefficient, and
+    /// phase passes read the same LUTs and stage their factors
+    /// `e^{i·scale_b·θ}` through the same helper.
     pub fn execute_batch_into(
         &self,
         params: &[f64],
@@ -1555,5 +1557,75 @@ mod tests {
         let reference = StateVector::from_circuit(&bound).unwrap();
         let compiled = program.run(&[1.3]).unwrap();
         assert_states_close(&reference, &compiled, 1e-10);
+    }
+
+    #[test]
+    fn span_shapes_follow_the_zeros_of_gates_and_chains() {
+        // The span kernel's shape is read from the staged values of every
+        // batch element, so a chain formed at execution (`mul2`) is
+        // classified like a single gate.
+        use crate::batch::{stage_one_q_coeffs, Shape};
+        use rand::{Rng, SeedableRng};
+        fn one_q(gate: Gate, theta: f64) -> [Complex64; 4] {
+            match GateMatrix::of(gate, theta) {
+                GateMatrix::One(m) => m,
+                GateMatrix::Two(_) => unreachable!("single-qubit gate"),
+            }
+        }
+        let shape = |ms: &[[Complex64; 4]]| {
+            let mut c = vec![0.0; 8 * ms.len()];
+            stage_one_q_coeffs(ms, ms.len(), &mut c);
+            Shape::of(&c, ms.len())
+        };
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(45);
+        // A random unitary: RZ·RY·RZ at random angles, times a phase.
+        let random_unitary = |rng: &mut rand_chacha::ChaCha8Rng| {
+            let mut angle = || rng.gen_range(-3.0..3.0);
+            let phase = Complex64::from_polar(1.0, angle());
+            let m = mul2(
+                &one_q(Gate::RZ, angle()),
+                &mul2(&one_q(Gate::RY, angle()), &one_q(Gate::RZ, angle())),
+            );
+            m.map(|e| e * phase)
+        };
+        let thetas = [0.3, -1.7, 2.9];
+        type Of = fn(f64, f64) -> [Complex64; 4];
+        let cases: [(&str, Of, Shape); 7] = [
+            ("rx", |a, _| one_q(Gate::RX, a), Shape::RxLike),
+            (
+                "rx·rx",
+                |a, b| mul2(&one_q(Gate::RX, a), &one_q(Gate::RX, b)),
+                Shape::RxLike,
+            ),
+            ("ry", |a, _| one_q(Gate::RY, a), Shape::Real),
+            ("h", |_, _| one_q(Gate::H, 0.0), Shape::Real),
+            (
+                "ry·ry",
+                |a, b| mul2(&one_q(Gate::RY, a), &one_q(Gate::RY, b)),
+                Shape::Real,
+            ),
+            (
+                "h·ry",
+                |a, _| mul2(&one_q(Gate::H, 0.0), &one_q(Gate::RY, a)),
+                Shape::Real,
+            ),
+            (
+                "rx·ry",
+                |a, b| mul2(&one_q(Gate::RX, a), &one_q(Gate::RY, b)),
+                Shape::General,
+            ),
+        ];
+        for (name, of, want) in cases {
+            let batch: Vec<[Complex64; 4]> = thetas.iter().map(|&t| of(t, 0.5 - t)).collect();
+            assert_eq!(shape(&batch[..1]), want, "{name}, B = 1");
+            assert_eq!(shape(&batch), want, "{name}, B = 3");
+        }
+        for _ in 0..8 {
+            assert_eq!(shape(&[random_unitary(&mut rng)]), Shape::General);
+        }
+        // A batch is shaped only as all its elements are: rx next to ry
+        // shares no zero pattern.
+        let mixed = [one_q(Gate::RX, 0.3), one_q(Gate::RY, 0.3)];
+        assert_eq!(shape(&mixed), Shape::General);
     }
 }
