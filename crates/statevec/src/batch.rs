@@ -49,7 +49,7 @@
 //! **Shaped span bodies.** Most single-qubit matrices a mixer stages have
 //! exact zeros: `rx` (and `rx·rx`) has a real diagonal and an imaginary
 //! off-diagonal, and `ry`, `h` and their chains are real. Each staged gate
-//! is classified once, by value across its batch elements ([`Shape`]), and
+//! is classified once, by value across its batch elements (`Shape`), and
 //! the span kernel runs a body without the products of those zero
 //! coefficients: 6 flops per amplitude instead of 14.
 //!
