@@ -26,6 +26,12 @@
 //! * **Mid-file corruption** is indistinguishable from a torn tail to the
 //!   checksum; replay conservatively stops at the first bad line (records
 //!   after it are dropped and counted).
+//! * **Version skew**: a line whose checksum holds but whose JSON is not a
+//!   record this build decodes (another version wrote it, e.g. naming a
+//!   variant since deleted) is not a torn tail. Replay, and so
+//!   [`JobStore::open`], fails with an error naming the line, the record's
+//!   tag and the decode error, and leaves the file untouched for an
+//!   operator or the build that wrote it.
 //! * **Recovery**: [`JobStore::open`] replays the journal into a
 //!   [`ReplayedState`]; the [`crate::server::JobServer`] re-enqueues
 //!   incomplete jobs, resuming each from its last
@@ -392,7 +398,9 @@ pub fn journal_path_in(dir: &Path) -> PathBuf {
     dir.join(JOURNAL_FILE)
 }
 
-/// Replay the journal at `path` (missing file = empty state).
+/// Replay the journal at `path` (missing file = empty state). A line
+/// whose checksum holds but whose record does not decode is an error, not
+/// a torn tail (see the module's crash semantics).
 pub fn replay(path: &Path) -> Result<ReplayedState, SearchError> {
     let mut state = ReplayedState {
         next_id: 1,
@@ -424,14 +432,26 @@ pub fn replay(path: &Path) -> Result<ReplayedState, SearchError> {
     };
     let total_lines = lines.len() + usize::from(torn_unterminated);
 
-    for line in lines {
-        let Some(record) = decode_line(line) else {
+    for (index, line) in lines.into_iter().enumerate() {
+        match decode_line(line) {
+            Frame::Record(record) => {
+                state.records += 1;
+                apply(&mut state, record);
+            }
             // Checksum or format failure: conservatively stop trusting the
             // journal from here on (torn tail / corruption).
-            break;
-        };
-        state.records += 1;
-        apply(&mut state, record);
+            Frame::Bad => break,
+            Frame::Foreign { tag, error } => {
+                return Err(SearchError::Store {
+                    message: format!(
+                        "journal {} line {}: this build cannot decode its `{tag}` record \
+                         ({error}); the file is left as it is",
+                        path.display(),
+                        index + 1
+                    ),
+                });
+            }
+        }
     }
     state.dropped_records = total_lines - state.records;
     finalize(&mut state);
@@ -446,19 +466,59 @@ fn encode_line(record: &JournalRecord) -> Result<String, SearchError> {
     Ok(format!("{:08x} {}\n", crc32(json.as_bytes()), json))
 }
 
-/// Decode one journal line; `None` on any checksum or format mismatch.
-fn decode_line(line: &[u8]) -> Option<JournalRecord> {
+/// One journal line, decoded.
+enum Frame {
+    /// A record this build reads.
+    Record(JournalRecord),
+    /// A checksum or framing failure: a torn tail, or corruption.
+    Bad,
+    /// A frame whose checksum holds but whose JSON is not a record this
+    /// build reads, i.e. one another version wrote. Carries the record's
+    /// tag (its first key) and the decode error.
+    Foreign { tag: String, error: String },
+}
+
+/// Decode one journal line.
+fn decode_line(line: &[u8]) -> Frame {
     // "crc32hex SP json" — 8 hex digits, space, at least "{}".
     if line.len() < 10 || line[8] != b' ' {
-        return None;
+        return Frame::Bad;
     }
-    let crc_hex = std::str::from_utf8(&line[..8]).ok()?;
-    let want = u32::from_str_radix(crc_hex, 16).ok()?;
     let json = &line[9..];
-    if crc32(json) != want {
-        return None;
+    let crc_ok = std::str::from_utf8(&line[..8])
+        .ok()
+        .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+        .is_some_and(|want| crc32(json) == want);
+    if !crc_ok {
+        return Frame::Bad;
     }
-    serde_json::from_str(std::str::from_utf8(json).ok()?).ok()
+    // The checksum holds, so these are the bytes some build wrote.
+    let Ok(text) = std::str::from_utf8(json) else {
+        return Frame::Foreign {
+            tag: "?".into(),
+            error: "the record is not UTF-8".into(),
+        };
+    };
+    match serde_json::from_str::<JournalRecord>(text) {
+        Ok(record) => Frame::Record(record),
+        Err(error) => Frame::Foreign {
+            tag: record_tag(text),
+            error: error.to_string(),
+        },
+    }
+}
+
+/// The tag of a journal record's JSON: its first key (`{"Submitted":…}`),
+/// the string of a unit record (`"CleanShutdown"`), or `?`.
+fn record_tag(json: &str) -> String {
+    match serde_json::from_str::<serde_json::Value>(json) {
+        Ok(serde_json::Value::String(unit)) => unit,
+        Ok(value) => value
+            .as_object()
+            .and_then(|entries| entries.iter().next())
+            .map_or_else(|| "?".into(), |(key, _)| key.clone()),
+        Err(_) => "?".into(),
+    }
 }
 
 /// Fold one record into the replay state.
@@ -759,6 +819,51 @@ mod tests {
         let (_store2, again) = JobStore::open(&dir).unwrap();
         assert_eq!(again.dropped_records, 0);
         assert_eq!(again.jobs.len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_valid_frame_this_build_cannot_decode_refuses_the_open() {
+        // A record another version wrote, checksummed correctly, in the
+        // middle of the journal: dropping it and everything after it would
+        // lose job 3, so the open must fail and leave the file as it was.
+        let dir = tmp_dir("foreign");
+        std::fs::create_dir_all(&dir).unwrap();
+        let current = serde_json::to_string(&JournalRecord::Submitted {
+            id: 2,
+            spec: tiny_spec(),
+        })
+        .unwrap();
+        let tag = "\"strategy\":\"Exhaustive\"";
+        assert_eq!(current.matches(tag).count(), 1, "{current}");
+        let foreign = current.replace(tag, "\"strategy\":\"Annealing\"");
+        let records = [
+            serde_json::to_string(&JournalRecord::Submitted {
+                id: 1,
+                spec: tiny_spec(),
+            })
+            .unwrap(),
+            foreign,
+            serde_json::to_string(&JournalRecord::Submitted {
+                id: 3,
+                spec: tiny_spec(),
+            })
+            .unwrap(),
+        ];
+        let journal: String = records
+            .iter()
+            .map(|json| format!("{:08x} {json}\n", crc32(json.as_bytes())))
+            .collect();
+        let path = journal_path_in(&dir);
+        std::fs::write(&path, &journal).unwrap();
+
+        let error = JobStore::open(&dir).unwrap_err().to_string();
+        for named in ["line 2", "`Submitted`", "Annealing"] {
+            assert!(error.contains(named), "{named}: {error}");
+        }
+        assert!(replay(&path).is_err());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), journal);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
