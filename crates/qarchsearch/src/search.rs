@@ -1096,6 +1096,36 @@ mod tests {
     }
 
     #[test]
+    fn random_proposals_match_the_parent() {
+        // The gate sequences (and fold counts) `Random` proposes over the
+        // paper's alphabet, hashed per seed across depths 1..=3. Captured
+        // before the untrained strategies were deleted: the proposer and
+        // its length stream must not move.
+        let hashes: Vec<(u64, u64)> = [3u64, 2023]
+            .into_iter()
+            .map(|seed| {
+                let config = SearchConfig::builder()
+                    .alphabet(GateAlphabet::paper_default())
+                    .max_gates_per_mixer(4)
+                    .strategy(SearchStrategy::Random {
+                        samples_per_depth: 12,
+                    })
+                    .seed(seed)
+                    .build();
+                let proposals: Vec<_> = (1..=3)
+                    .map(|depth| config.propose_candidates(depth))
+                    .collect();
+                let text = format!("{proposals:?}");
+                (seed, crate::cache::fnv1a64(text.as_bytes()))
+            })
+            .collect();
+        assert_eq!(
+            hashes,
+            [(3, 2501750201800779421), (2023, 1888712775255259990)]
+        );
+    }
+
+    #[test]
     fn no_graphs_is_rejected() {
         assert!(matches!(
             serial_run(tiny_config(SearchStrategy::Exhaustive), &[]),

@@ -353,6 +353,27 @@ fn search_event_streams_match_the_parent() {
 }
 
 #[test]
+fn a_gated_checkpoint_written_by_the_parent_resumes_to_the_pinned_outcome() {
+    // `fixtures/v1/checkpoint_gated_depth1.json` was written before the
+    // untrained strategies were deleted: the gated search below
+    // (`--graphs 2 --nodes 6 --pmax 2 --kmax 2 --gate 3` on the default
+    // alphabet, 1 thread), stopped at the depth-1 boundary, so its ranker
+    // holds trained values. Resuming it must still deserialize the ranker
+    // snapshot, gate depth 2 the same way and end on the parent's outcome.
+    use qarchsearch_suite::qarchsearch::cache::fnv1a64;
+    use qarchsearch_suite::qarchsearch::report::SearchReport;
+    let json = include_str!("fixtures/v1/checkpoint_gated_depth1.json");
+    let checkpoint: SearchCheckpoint = qarchsearch_suite::serde_json::from_str(json).unwrap();
+    assert_eq!(checkpoint.next_depth, 2);
+    assert_eq!(checkpoint.config.pipeline.predictor_gate, Some(3));
+    assert!(checkpoint.scheduler.as_ref().unwrap().ranker_trained);
+    let outcome = SearchDriver::resume(checkpoint).unwrap().wait().unwrap();
+    assert_eq!(outcome.depth_results[1].gated_out, 13);
+    let report = SearchReport::from(&outcome).without_timings().to_json();
+    assert_eq!(fnv1a64(report.as_bytes()), 8195176810561550404, "{report}");
+}
+
+#[test]
 fn cancel_checkpoint_resume_is_bit_identical_to_uninterrupted() {
     // Reference: one uninterrupted run.
     let graphs = training_graphs();
