@@ -4,20 +4,18 @@
 //! an automated, parallel search over candidate **mixer circuits** for the
 //! Max-Cut QAOA, mirroring the three-component architecture of Fig. 1:
 //!
-//! * [`predictor`] — proposes candidate mixer gate sequences. The released
-//!   QArchSearch uses random search (a strong NAS baseline); this crate also
-//!   ships an exhaustive enumerator, an ε-greedy bandit and a softmax
-//!   policy-gradient predictor as the "deep-learning-based search" extension
-//!   the paper lists as future work.
+//! * [`predictor`] — proposes candidate mixer gate sequences by random
+//!   search, the released QArchSearch's proposer (a strong NAS baseline);
+//!   [`search::SearchStrategy::Exhaustive`] enumerates them instead. The
+//!   module also holds the predictor gate's [`GateRanker`].
 //! * [`qbuilder`] — turns a gate sequence into a concrete parameterized circuit
 //!   (the paper's QBuilder emits Qiskit circuits; ours emits
 //!   [`qcircuit::Circuit`] values via the [`qaoa`] crate).
 //! * [`evaluator`] — trains the candidate ansatz on the Max-Cut objective
 //!   (COBYLA, 200 steps by default) and reports the energy. The energy is
-//!   not fed back to the proposing predictor: the learned strategies sample
-//!   a freshly seeded, untrained predictor at every depth. The one learner
-//!   is the pipeline's optional predictor gate, a bandit that ranks a
-//!   depth's proposals by the first-rung energies of earlier depths.
+//!   not fed back to the proposer. The one learner is the pipeline's
+//!   optional predictor gate, whose ranker orders a depth's proposals by the
+//!   first-rung energies of earlier depths.
 //!
 //! [`session::SearchDriver`] wires the three together behind a
 //! **session-oriented API** over one per-depth engine, a **budget-aware
@@ -80,7 +78,7 @@ pub use error::SearchError;
 pub use evaluator::{EnergyCache, Evaluator};
 pub use events::SearchEvent;
 pub use fault::{FaultAction, FaultContext, FaultInjector, FaultPlan, FaultSpec};
-pub use predictor::{BanditState, Predictor, RandomPredictor};
+pub use predictor::{BanditState, GateRanker, RandomPredictor};
 pub use qbuilder::QBuilder;
 pub use search::{ExecutionMode, PipelineConfig, RungStat, SearchConfig, SearchOutcome};
 pub use server::{

@@ -8,8 +8,8 @@
 //! One depth is evaluated as follows:
 //!
 //! 1. **Predictor gate** (optional): candidates are ranked by
-//!    [`Predictor::score`] under a bandit trained on earlier depths'
-//!    rewards, and only the top `predictor_gate` sequences are admitted.
+//!    [`GateRanker::score`], trained on earlier depths' rewards, and only
+//!    the top `predictor_gate` sequences are admitted.
 //! 2. **Warm start** (optional): every admitted candidate's per-graph
 //!    [`TrainingSession`] starts from the best fully-trained angles of
 //!    depth `p − 1` ([`qaoa::ansatz::QaoaAnsatz::warm_start_flat`]) instead
@@ -39,7 +39,7 @@ use crate::error::SearchError;
 use crate::evaluator::{CandidateResult, EnergyCache, Evaluator};
 use crate::events::SearchEvent;
 use crate::fault::{self, site, FaultContext};
-use crate::predictor::{EpsilonGreedyPredictor, Predictor};
+use crate::predictor::GateRanker;
 use crate::qbuilder::QBuilder;
 use crate::search::{ExecutionMode, PipelineConfig, RungStat, SearchConfig};
 use crate::session::SchedulerCheckpoint;
@@ -118,7 +118,7 @@ fn run_rung<T: Send, R: Send>(
     done.into_iter().map(|(_, r)| r).collect()
 }
 
-/// One depth's evaluated cohort plus the equal-budget bandit rewards.
+/// One depth's evaluated cohort plus the equal-budget ranker rewards.
 struct EvaluatedCohort {
     results: Vec<CandidateResult>,
     rungs: Vec<RungStat>,
@@ -138,7 +138,7 @@ pub(crate) struct DepthEvaluation {
 
 /// The stateful scheduler driving one search run's depth loop.
 ///
-/// Holds the memoized [`Evaluator`], the bandit that powers the predictor
+/// Holds the memoized [`Evaluator`], the ranker that powers the predictor
 /// gate, and the warm-start source (best fully-trained candidate of the
 /// previous depth).
 pub(crate) struct BudgetedScheduler {
@@ -151,7 +151,7 @@ pub(crate) struct BudgetedScheduler {
     workers: Option<usize>,
     evaluator: Evaluator,
     builder: QBuilder,
-    ranker: EpsilonGreedyPredictor,
+    ranker: GateRanker,
     ranker_trained: bool,
     warm_source: Option<CandidateResult>,
 }
@@ -181,8 +181,7 @@ impl BudgetedScheduler {
             },
             evaluator,
             builder: QBuilder::new(config.alphabet.clone()),
-            // Exploration rate 0: the ranker only scores, it never proposes.
-            ranker: EpsilonGreedyPredictor::new(config.alphabet.clone(), 0.0, config.seed),
+            ranker: GateRanker::new(config.alphabet.clone()),
             ranker_trained: false,
             warm_source: None,
             config: config.clone(),
@@ -201,7 +200,7 @@ impl BudgetedScheduler {
     /// bit-identical to an uninterrupted run.
     pub(crate) fn checkpoint(&self) -> SchedulerCheckpoint {
         SchedulerCheckpoint {
-            ranker: self.ranker.state(),
+            ranker: self.ranker.state().clone(),
             ranker_trained: self.ranker_trained,
             warm_source: self.warm_source.clone(),
         }
@@ -297,7 +296,7 @@ impl BudgetedScheduler {
             rewards,
         } = self.evaluate_halving(depth, &mixers, graphs, cancel, events, faults)?;
 
-        // The gate bandit must compare like with like: under halving,
+        // The gate ranker must compare like with like: under halving,
         // survivors end up far better trained than pruned losers, so the
         // reward is each candidate's mean energy at the *first* rung, where
         // every candidate received the same budget.
@@ -327,7 +326,7 @@ impl BudgetedScheduler {
 
     /// The successive-halving session pipeline. The third return value is
     /// the per-candidate mean energy after the first rung — the
-    /// equal-budget reward the gate bandit trains on.
+    /// equal-budget reward the gate ranker trains on.
     fn evaluate_halving(
         &self,
         depth: usize,

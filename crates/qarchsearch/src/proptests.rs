@@ -1,7 +1,7 @@
 //! Property-based tests for the search package.
 
 use crate::alphabet::GateAlphabet;
-use crate::predictor::{Predictor, RandomPredictor};
+use crate::predictor::RandomPredictor;
 use crate::search::{ExecutionMode, SearchConfig, SearchOutcome, SearchStrategy};
 use crate::session::SearchDriver;
 use proptest::prelude::*;

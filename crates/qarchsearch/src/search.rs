@@ -14,9 +14,7 @@ use crate::alphabet::MixerClass;
 use crate::constraints::ConstraintSet;
 use crate::error::SearchError;
 use crate::evaluator::{CandidateResult, EvaluatorConfig};
-use crate::predictor::{
-    EpsilonGreedyPredictor, PolicyGradientPredictor, Predictor, RandomPredictor,
-};
+use crate::predictor::RandomPredictor;
 use crate::GateAlphabet;
 use qcircuit::Gate;
 use serde::{Deserialize, Serialize};
@@ -71,31 +69,6 @@ pub enum SearchStrategy {
         /// Number of candidates sampled per depth.
         samples_per_depth: usize,
     },
-    /// Sample `samples_per_depth` sequences of length `k_max` per depth
-    /// from an [`EpsilonGreedyPredictor`] seeded afresh at every depth
-    /// (`seed + depth`). No training reward reaches the bandit, so its value
-    /// estimates stay at zero: each slot is a uniformly random gate with
-    /// probability `epsilon` and the bandit's tie-break gate (the
-    /// alphabet's last) otherwise. Proposals repeating a class are folded.
-    EpsilonGreedy {
-        /// Number of candidates proposed per depth.
-        samples_per_depth: usize,
-        /// Exploration rate.
-        epsilon: f64,
-    },
-    /// Sample `samples_per_depth` sequences of length `k_max` per depth
-    /// from a [`PolicyGradientPredictor`] (the "DNN-based search"
-    /// controller) seeded afresh at every depth (`seed + depth`). No
-    /// training reward reaches the policy, so its logits stay at zero and
-    /// every slot is a uniformly random gate. Proposals repeating a class
-    /// are folded.
-    PolicyGradient {
-        /// Number of candidates proposed per depth.
-        samples_per_depth: usize,
-        /// REINFORCE learning rate of the policy; no update uses it while no
-        /// reward reaches the policy.
-        learning_rate: f64,
-    },
 }
 
 /// Configuration of the budget-aware evaluation pipeline (successive
@@ -115,7 +88,8 @@ pub struct PipelineConfig {
     /// fully-trained depth-`p − 1` result (per-layer parameter reuse).
     pub warm_start: bool,
     /// Optional predictor gate: admit at most this many candidates into the
-    /// first rung, ranked by a bandit trained on earlier depths' rewards.
+    /// first rung, ranked by a [`crate::predictor::GateRanker`] trained on
+    /// earlier depths' rewards.
     /// `None` disables the gate; it never engages at depth 1 (no feedback
     /// yet).
     pub predictor_gate: Option<usize>,
@@ -293,8 +267,6 @@ impl SearchConfig {
     }
 
     /// Candidate sequences for one depth, and how many proposals were folded.
-    /// The learned strategies sample a freshly seeded, untrained predictor
-    /// at every depth; no training reward ever reaches it.
     /// Candidates that violate the configured [`ConstraintSet`] are filtered
     /// out; of the rest, only the first proposal of each [`MixerClass`] is
     /// kept, since the others would train the same energy function.
@@ -321,32 +293,6 @@ impl SearchConfig {
                         let len = 1 + (rng_len.propose(1)[0] as usize + i) % k_max;
                         predictor.propose(len)
                     })
-                    .collect()
-            }
-            SearchStrategy::EpsilonGreedy {
-                samples_per_depth,
-                epsilon,
-            } => {
-                let mut predictor = EpsilonGreedyPredictor::new(
-                    self.alphabet.clone(),
-                    *epsilon,
-                    self.seed.wrapping_add(depth as u64),
-                );
-                (0..*samples_per_depth)
-                    .map(|_| predictor.propose(k_max))
-                    .collect()
-            }
-            SearchStrategy::PolicyGradient {
-                samples_per_depth,
-                learning_rate,
-            } => {
-                let mut predictor = PolicyGradientPredictor::new(
-                    self.alphabet.clone(),
-                    *learning_rate,
-                    self.seed.wrapping_add(depth as u64),
-                );
-                (0..*samples_per_depth)
-                    .map(|_| predictor.propose(k_max))
                     .collect()
             }
         };
@@ -478,7 +424,7 @@ impl SearchConfigBuilder {
     }
 
     /// Admit at most `cap` candidates into the first rung, ranked by the
-    /// learned predictor (engages from depth 2 on).
+    /// [`crate::predictor::GateRanker`] (engages from depth 2 on).
     pub fn predictor_gate(mut self, cap: usize) -> Self {
         self.config.pipeline.predictor_gate = Some(cap);
         self
@@ -1208,25 +1154,5 @@ mod tests {
         cfg.constraints = ConstraintSet::new(vec![Constraint::RequireAnyOf(vec![Gate::H])]);
         let result = serial_run(cfg, &tiny_graphs());
         assert!(matches!(result, Err(SearchError::Evaluation { .. })));
-    }
-
-    #[test]
-    fn epsilon_greedy_strategy_runs() {
-        let cfg = tiny_config(SearchStrategy::EpsilonGreedy {
-            samples_per_depth: 3,
-            epsilon: 0.5,
-        });
-        let outcome = serial_run(cfg, &tiny_graphs()).unwrap();
-        assert_samples_fold_into_classes(&outcome, 3);
-    }
-
-    #[test]
-    fn policy_gradient_strategy_runs() {
-        let cfg = tiny_config(SearchStrategy::PolicyGradient {
-            samples_per_depth: 3,
-            learning_rate: 0.2,
-        });
-        let outcome = serial_run(cfg, &tiny_graphs()).unwrap();
-        assert_samples_fold_into_classes(&outcome, 3);
     }
 }

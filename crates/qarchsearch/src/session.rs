@@ -115,7 +115,8 @@ pub struct SearchProgress {
 /// everything a later depth's evaluation depends on.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SchedulerCheckpoint {
-    /// Learned state of the ε-greedy ranker behind the predictor gate.
+    /// Learned state of the [`crate::predictor::GateRanker`] behind the
+    /// predictor gate.
     pub ranker: BanditState,
     /// Whether the ranker has received any feedback yet (the gate only
     /// engages once it has).

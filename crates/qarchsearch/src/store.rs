@@ -436,7 +436,7 @@ pub fn replay(path: &Path) -> Result<ReplayedState, SearchError> {
         match decode_line(line) {
             Frame::Record(record) => {
                 state.records += 1;
-                apply(&mut state, record);
+                apply(&mut state, *record);
             }
             // Checksum or format failure: conservatively stop trusting the
             // journal from here on (torn tail / corruption).
@@ -468,8 +468,8 @@ fn encode_line(record: &JournalRecord) -> Result<String, SearchError> {
 
 /// One journal line, decoded.
 enum Frame {
-    /// A record this build reads.
-    Record(JournalRecord),
+    /// A record this build reads (boxed: records dwarf the other variants).
+    Record(Box<JournalRecord>),
     /// A checksum or framing failure: a torn tail, or corruption.
     Bad,
     /// A frame whose checksum holds but whose JSON is not a record this
@@ -500,7 +500,7 @@ fn decode_line(line: &[u8]) -> Frame {
         };
     };
     match serde_json::from_str::<JournalRecord>(text) {
-        Ok(record) => Frame::Record(record),
+        Ok(record) => Frame::Record(Box::new(record)),
         Err(error) => Frame::Foreign {
             tag: record_tag(text),
             error: error.to_string(),

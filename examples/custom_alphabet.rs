@@ -1,20 +1,19 @@
-//! Using a custom gate alphabet and a learned predictor.
+//! Using a custom gate alphabet with random search and the predictor gate.
 //!
-//! The paper's released search is random/exhaustive over a fixed five-gate
-//! alphabet; this example shows the two extension points a downstream user is
-//! most likely to touch:
+//! The paper's released search is random over a fixed five-gate alphabet;
+//! this example shows the two knobs a downstream user is most likely to
+//! touch:
 //!
 //! * restricting or extending the alphabet `A_R`, and
-//! * swapping the predictor for the policy-gradient controller (the
-//!   "deep neural network based search" direction of §4).
+//! * the predictor gate (`qas search --gate N`): from depth 2 on, only the
+//!   `N` proposals that score best under a ranker trained on earlier
+//!   depths' energies are trained.
 //!
 //! ```text
 //! cargo run --release --example custom_alphabet
 //! ```
 
 use qarchsearch_suite::prelude::*;
-use qarchsearch_suite::qarchsearch::evaluator::{Evaluator, EvaluatorConfig};
-use qarchsearch_suite::qarchsearch::predictor::{PolicyGradientPredictor, Predictor};
 use qarchsearch_suite::qarchsearch::search::SearchStrategy;
 
 fn main() {
@@ -24,55 +23,34 @@ fn main() {
 
     let graph = Graph::connected_erdos_renyi(8, 0.5, 5, 50);
 
-    // Option 1: run the built-in search with an ε-greedy strategy.
+    // Random search (the paper's proposer), eight samples per depth, of
+    // which the gate admits three from depth 2 on.
     let config = SearchConfig::builder()
-        .alphabet(alphabet.clone())
-        .max_depth(1)
+        .alphabet(alphabet)
+        .max_depth(2)
         .max_gates_per_mixer(2)
         .optimizer_budget(40)
-        .strategy(SearchStrategy::EpsilonGreedy {
+        .strategy(SearchStrategy::Random {
             samples_per_depth: 8,
-            epsilon: 0.4,
         })
+        .predictor_gate(3)
         .seed(11)
         .build();
-    let outcome = SearchDriver::new(config.with_mode(ExecutionMode::Serial))
+    let outcome = SearchDriver::new(config)
         .run(std::slice::from_ref(&graph))
         .expect("search");
-    println!(
-        "epsilon-greedy search: best {} with <C> = {:.4}",
-        outcome.best.mixer_label, outcome.best.energy
-    );
-
-    // Option 2: drive the predictor loop manually (Fig. 1's reward loop).
-    let evaluator = Evaluator::new(EvaluatorConfig {
-        budget: 40,
-        ..EvaluatorConfig::default()
-    });
-    let builder = QBuilder::new(alphabet);
-    let mut predictor = PolicyGradientPredictor::new(builder.alphabet().clone(), 0.3, 13);
-
-    let mut best: Option<(String, f64)> = None;
-    for step in 0..10 {
-        let gates = predictor.propose(2);
-        let mixer = builder.build_mixer(&gates).expect("mixer");
-        let result = evaluator
-            .evaluate_on_graph(&graph, &mixer, 1)
-            .expect("evaluation");
-        predictor.feedback(&gates, result.approx_ratio);
-        let better = best
-            .as_ref()
-            .map(|(_, e)| result.energy > *e)
-            .unwrap_or(true);
-        if better {
-            best = Some((mixer.label(), result.energy));
-        }
+    for depth in &outcome.depth_results {
         println!(
-            "  step {step}: {} -> <C> = {:.4}",
-            mixer.label(),
-            result.energy
+            "  depth {}: {} trained, {} folded, {} gated out; best <C> = {:.4}",
+            depth.depth,
+            depth.candidates.len(),
+            depth.folded,
+            depth.gated_out,
+            depth.best_energy
         );
     }
-    let (label, energy) = best.expect("at least one candidate");
-    println!("policy-gradient loop: best {label} with <C> = {energy:.4}");
+    println!(
+        "random search with the gate: best {} with <C> = {:.4}",
+        outcome.best.mixer_label, outcome.best.energy
+    );
 }

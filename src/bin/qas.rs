@@ -54,7 +54,7 @@ SEARCH OPTIONS (qas search):
     --kmax N          maximum gates per mixer                (default 2)
     --budget N        optimizer evaluations per candidate    (default 60)
     --alphabet LIST   comma-separated mnemonics, e.g. rx,ry,h (default rx,ry,rz,h,p)
-    --strategy S      exhaustive | random:N | egreedy:N | policy:N (default exhaustive)
+    --strategy S      exhaustive | random:N                  (default exhaustive)
     --threads N       worker count of the evaluation pipeline (default: all cores)
     --restarts N      optimizer restarts per candidate; the budget and
                       every halving rung are split N ways    (default 1)
@@ -71,8 +71,8 @@ SEARCH PIPELINE OPTIONS (qas search):
     --first-rung N    budget of the first halving rung       (default 20)
     --eta N           halving rate: keep top 1/eta per rung, budget x eta (default 4)
     --no-warm-start   do not seed depth p from the best depth p-1 angles
-    --gate N          admit at most N candidates per depth, ranked by the
-                      learned predictor (engages from depth 2 on)
+    --gate N          admit at most N candidates per depth, ranked by
+                      earlier depths' energies (engages from depth 2 on)
 
 SERVE OPTIONS (qas serve):
     --workers N       concurrent search jobs                 (default 2)
@@ -349,31 +349,18 @@ fn build_alphabet(options: &HashMap<String, String>) -> Result<GateAlphabet, Str
     }
 }
 
+/// `--strategy`: exactly `exhaustive` or `random:N`.
 fn build_strategy(options: &HashMap<String, String>) -> Result<SearchStrategy, String> {
-    let spec = options
-        .get("strategy")
-        .map(|s| s.as_str())
-        .unwrap_or("exhaustive");
-    let parse_count = |s: &str| -> Result<usize, String> {
-        s.split(':')
-            .nth(1)
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| format!("strategy '{s}' needs a sample count, e.g. random:20"))
+    let Some(spec) = options.get("strategy") else {
+        return Ok(SearchStrategy::Exhaustive);
     };
-    match spec {
-        "exhaustive" => Ok(SearchStrategy::Exhaustive),
-        s if s.starts_with("random") => Ok(SearchStrategy::Random {
-            samples_per_depth: parse_count(s)?,
-        }),
-        s if s.starts_with("egreedy") => Ok(SearchStrategy::EpsilonGreedy {
-            samples_per_depth: parse_count(s)?,
-            epsilon: 0.3,
-        }),
-        s if s.starts_with("policy") => Ok(SearchStrategy::PolicyGradient {
-            samples_per_depth: parse_count(s)?,
-            learning_rate: 0.2,
-        }),
-        other => Err(format!("unknown strategy '{other}'")),
+    let samples = spec.strip_prefix("random:").map(str::parse);
+    match (spec.as_str(), samples) {
+        ("exhaustive", _) => Ok(SearchStrategy::Exhaustive),
+        (_, Some(Ok(samples_per_depth))) => Ok(SearchStrategy::Random { samples_per_depth }),
+        _ => Err(format!(
+            "invalid --strategy '{spec}' (expected exhaustive or random:N, e.g. random:20)"
+        )),
     }
 }
 
@@ -551,41 +538,58 @@ fn cmd_search(options: &HashMap<String, String>, flags: &[String]) -> Result<(),
 // qas serve — the JSON-lines multi-job front door.
 
 /// Convert a protocol `search` object into the CLI option map + flags, so
-/// `submit` accepts exactly the `qas search` knobs.
+/// `submit` accepts exactly the `qas search` knobs: a key `qas search` does
+/// not take, a value option that is not a string or number, or a flag that
+/// is not a boolean is an error naming the key.
 fn search_object_to_options(
     search: &Value,
 ) -> Result<(HashMap<String, String>, Vec<String>), String> {
+    let accepted = accepted("search").expect("search is a command");
     let mut options = HashMap::new();
     let mut flags = Vec::new();
     let Some(entries) = search.as_object() else {
         return Err("'search' must be an object of qas search options".to_string());
     };
     for (key, value) in entries {
-        match value {
-            Value::Bool(true) => flags.push(key.clone()),
-            Value::Bool(false) => {}
-            Value::String(s) => {
-                options.insert(key.clone(), s.clone());
+        if accepted.flags.contains(&key.as_str()) {
+            match value {
+                Value::Bool(true) => flags.push(key.clone()),
+                Value::Bool(false) => {}
+                other => {
+                    return Err(format!(
+                        "search flag '{key}' must be a boolean (got {})",
+                        other.kind()
+                    ));
+                }
             }
+            continue;
+        }
+        if !accepted.options.contains(&key.as_str()) {
+            return Err(format!(
+                "unknown search option '{key}'; run `qas help` for the qas search options"
+            ));
+        }
+        let rendered = match value {
+            Value::String(s) => s.clone(),
+            // Integers format without a trailing fraction, matching the
+            // CLI's string parsing.
             Value::Number(_) => {
-                // Integers format without a trailing fraction, matching the
-                // CLI's string parsing.
-                let rendered = if let Some(u) = value.as_u64() {
+                if let Some(u) = value.as_u64() {
                     u.to_string()
                 } else if let Some(i) = value.as_i64() {
                     i.to_string()
                 } else {
                     value.as_f64().unwrap_or(0.0).to_string()
-                };
-                options.insert(key.clone(), rendered);
+                }
             }
             other => {
                 return Err(format!(
-                    "search option '{key}' must be a string, number or boolean (got {})",
+                    "search option '{key}' must be a string or number (got {})",
                     other.kind()
                 ));
             }
-        }
+        };
+        options.insert(key.clone(), rendered);
     }
     Ok((options, flags))
 }

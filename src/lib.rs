@@ -73,7 +73,7 @@ pub mod prelude {
         evaluator::{EnergyCache, Evaluator},
         events::SearchEvent,
         fault::{FaultAction, FaultInjector, FaultPlan, FaultSpec},
-        predictor::{Predictor, RandomPredictor},
+        predictor::RandomPredictor,
         qbuilder::QBuilder,
         search::{ExecutionMode, PipelineConfig, SearchConfig, SearchOutcome},
         server::{

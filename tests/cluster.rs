@@ -1553,6 +1553,13 @@ fn qas_refuses_options_its_command_does_not_take() {
         assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
         assert!(stderr.contains(named), "{args:?}: {stderr}");
     }
+    // A served `search` object takes the same keys (these were once
+    // ignored, and the submit ran with defaults).
+    assert_served_search_refusals(&[
+        (r#""no_prune":true"#, "'no_prune'"),
+        (r#""budgte":5"#, "'budgte'"),
+        (r#""json":1"#, "'json' must be a boolean"),
+    ]);
 }
 
 #[test]
@@ -1569,6 +1576,18 @@ fn qas_refuses_option_values_it_cannot_parse() {
         ),
         (&["evaluate", "--depth", "-1"][..], "--depth '-1'"),
         (&["serve", "--workers", "x"][..], "--workers 'x'"),
+        // --strategy is exactly `exhaustive` or `random:N`; prefixes and
+        // the deleted untrained strategies are refused.
+        (
+            &["search", "--strategy", "randomness:3"][..],
+            "--strategy 'randomness:3' (expected exhaustive or random:N",
+        ),
+        (
+            &["search", "--strategy", "random:3:junk"][..],
+            "--strategy 'random:3:junk'",
+        ),
+        (&["search", "--strategy", "egreedy:3"][..], "'egreedy:3'"),
+        (&["search", "--strategy", "policy:3"][..], "'policy:3'"),
     ] {
         let output = Command::new(qas_bin())
             .args(args)
@@ -1580,16 +1599,27 @@ fn qas_refuses_option_values_it_cannot_parse() {
         assert!(output.stdout.is_empty(), "{args:?}");
         assert!(stderr.contains(named), "{args:?}: {stderr}");
     }
-    // The same options in a served submit's `search` object.
-    let search = r#""graphs":1,"nodes":6,"pmax":1,"kmax":1,"alphabet":"rx""#;
-    let refused = [
+    // The same options in a served submit's `search` object, which also
+    // refuses a value of the wrong JSON type (a boolean for a value option,
+    // a string for a flag) instead of filing it as the other kind.
+    assert_served_search_refusals(&[
         (r#""budget":1.5"#, "--budget '1.5'"),
         (r#""threads":-2"#, "--threads '-2'"),
         (r#""gate":"all""#, "--gate 'all'"),
         (r#""dataset":"regullar""#, "--dataset 'regullar'"),
-    ];
+        (r#""strategy":"randomz:2""#, "--strategy 'randomz:2'"),
+        (r#""strategy":"egreedy:3""#, "--strategy 'egreedy:3'"),
+        (r#""budget":true"#, "'budget' must be a string or number"),
+        (r#""serial":"yes""#, "'serial' must be a boolean"),
+    ]);
+}
+
+/// Each `option` of `refused`, added to a small served `search` object, is
+/// refused with an error containing its `named` text, and takes no job id.
+fn assert_served_search_refusals(refused: &[(&str, &str)]) {
+    let search = r#""graphs":1,"nodes":6,"pmax":1,"kmax":1,"alphabet":"rx""#;
     let mut input = String::new();
-    for (option, _) in &refused {
+    for (option, _) in refused {
         input.push_str(&format!(
             "{{\"cmd\":\"submit\",\"search\":{{{search},{option}}}}}\n"
         ));

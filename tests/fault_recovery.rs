@@ -3,7 +3,8 @@
 //!
 //! * kill/restart at **every** journal-record boundary resumes to a
 //!   bit-identical `SearchReport` (the checkpoint/replay pin),
-//! * a torn journal tail is dropped and replay still recovers,
+//! * a torn journal tail is dropped and replay still recovers, while a
+//!   valid record this build cannot decode refuses the open,
 //! * a panicking job is isolated (`Failed` with the panic message) while
 //!   its neighbours — and the worker pool — stay healthy,
 //! * per-job deadlines expire into `TimedOut`,
@@ -150,6 +151,47 @@ fn torn_journal_tail_is_reported_and_compacted() {
     server.shutdown();
     let replayed = qarchsearch_suite::qarchsearch::store::replay(&dir.join("journal.log")).unwrap();
     assert_eq!(replayed.dropped_records, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_journal_naming_a_deleted_strategy_refuses_the_open_and_stays_untouched() {
+    // `fixtures/v1/journal_egreedy.log` was written by `qas serve
+    // --state-dir` while `SearchStrategy::EpsilonGreedy` existed: an
+    // exhaustive job, an `egreedy:3` job (its `Submitted` record is line 5)
+    // and another exhaustive job. Its frames are all valid, so replay must
+    // refuse it rather than drop job 2 and everything after it as a torn
+    // tail.
+    let fixture: &[u8] = include_bytes!("fixtures/v1/journal_egreedy.log");
+    let dir = temp_state_dir("deleted-strategy");
+    let journal = dir.join("journal.log");
+    std::fs::write(&journal, fixture).unwrap();
+    let untouched = || {
+        assert_eq!(std::fs::read(&journal).unwrap(), fixture);
+        let entries: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(entries, ["journal.log"]);
+    };
+
+    let error = JobStore::open(&dir).unwrap_err().to_string();
+    for named in ["line 5", "`Submitted`", "EpsilonGreedy"] {
+        assert!(error.contains(named), "{named}: {error}");
+    }
+    untouched();
+
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_qas"))
+        .args(["serve", "--workers", "1", "--state-dir"])
+        .arg(&dir)
+        .stdin(std::process::Stdio::null())
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "{stderr}");
+    assert!(stderr.contains("EpsilonGreedy"), "{stderr}");
+    assert!(output.stdout.is_empty());
+    untouched();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
