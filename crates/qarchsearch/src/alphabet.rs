@@ -124,7 +124,7 @@ impl GateAlphabet {
         &self.gates
     }
 
-    /// Gate at position `i` (the predictors sample positions).
+    /// Gate at position `i` (the random predictor samples positions).
     pub fn gate_at(&self, i: usize) -> Option<RotationGate> {
         self.gates.get(i).copied()
     }

@@ -7,7 +7,7 @@
 //! * [`predictor`] — proposes candidate mixer gate sequences by random
 //!   search, the released QArchSearch's proposer (a strong NAS baseline);
 //!   [`search::SearchStrategy::Exhaustive`] enumerates them instead. The
-//!   module also holds the predictor gate's [`GateRanker`].
+//!   module also holds the predictor gate's [`predictor::GateRanker`].
 //! * [`qbuilder`] — turns a gate sequence into a concrete parameterized circuit
 //!   (the paper's QBuilder emits Qiskit circuits; ours emits
 //!   [`qcircuit::Circuit`] values via the [`qaoa`] crate).
@@ -78,7 +78,7 @@ pub use error::SearchError;
 pub use evaluator::{EnergyCache, Evaluator};
 pub use events::SearchEvent;
 pub use fault::{FaultAction, FaultContext, FaultInjector, FaultPlan, FaultSpec};
-pub use predictor::{BanditState, GateRanker, RandomPredictor};
+pub use predictor::{BanditState, RandomPredictor};
 pub use qbuilder::QBuilder;
 pub use search::{ExecutionMode, PipelineConfig, RungStat, SearchConfig, SearchOutcome};
 pub use server::{

@@ -130,9 +130,9 @@ pub struct SchedulerCheckpoint {
 ///
 /// Produced by [`SearchHandle::checkpoint`]; consumed by
 /// [`SearchDriver::resume`]. The format is a plain serde struct (JSON via
-/// `serde_json`): stable under field addition on the emitting side only —
-/// treat it as a **same-version** kill/resume token, not a long-term
-/// archival format.
+/// `serde_json`): stable under field addition on the emitting side only.
+/// Journals carry it across restarts and upgrades, so a checkpoint an
+/// older build wrote must keep resuming; `tests/fixtures/v1/` pins one.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SearchCheckpoint {
     /// The full search configuration (including the execution mode).

@@ -492,12 +492,8 @@ fn decode_line(line: &[u8]) -> Frame {
     if !crc_ok {
         return Frame::Bad;
     }
-    // The checksum holds, so these are the bytes some build wrote.
     let Ok(text) = std::str::from_utf8(json) else {
-        return Frame::Foreign {
-            tag: "?".into(),
-            error: "the record is not UTF-8".into(),
-        };
+        return Frame::Bad;
     };
     match serde_json::from_str::<JournalRecord>(text) {
         Ok(record) => Frame::Record(Box::new(record)),

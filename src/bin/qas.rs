@@ -354,14 +354,15 @@ fn build_strategy(options: &HashMap<String, String>) -> Result<SearchStrategy, S
     let Some(spec) = options.get("strategy") else {
         return Ok(SearchStrategy::Exhaustive);
     };
-    let samples = spec.strip_prefix("random:").map(str::parse);
-    match (spec.as_str(), samples) {
-        ("exhaustive", _) => Ok(SearchStrategy::Exhaustive),
-        (_, Some(Ok(samples_per_depth))) => Ok(SearchStrategy::Random { samples_per_depth }),
-        _ => Err(format!(
-            "invalid --strategy '{spec}' (expected exhaustive or random:N, e.g. random:20)"
-        )),
+    if spec == "exhaustive" {
+        return Ok(SearchStrategy::Exhaustive);
     }
+    spec.strip_prefix("random:")
+        .and_then(|n| n.parse().ok())
+        .map(|samples_per_depth| SearchStrategy::Random { samples_per_depth })
+        .ok_or_else(|| {
+            format!("invalid --strategy '{spec}' (expected exhaustive or random:N, e.g. random:20)")
+        })
 }
 
 /// The three kind enums parse through their `FromStr` impls, which share

@@ -1553,8 +1553,7 @@ fn qas_refuses_options_its_command_does_not_take() {
         assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
         assert!(stderr.contains(named), "{args:?}: {stderr}");
     }
-    // A served `search` object takes the same keys (these were once
-    // ignored, and the submit ran with defaults).
+    // A served `search` object takes the same keys and flags.
     assert_served_search_refusals(&[
         (r#""no_prune":true"#, "'no_prune'"),
         (r#""budgte":5"#, "'budgte'"),
