@@ -374,6 +374,48 @@ fn a_gated_checkpoint_written_by_the_parent_resumes_to_the_pinned_outcome() {
 }
 
 #[test]
+fn optimizer_searches_match_the_parent() {
+    // One pruned state-vector search per optimizer that hands the session
+    // more than one point at a time (SPSA's ± pair, Nelder–Mead's simplex,
+    // the random and grid populations), hashed as a timing-free report.
+    // Captured while those point sets ran as multi-point sweeps; they must
+    // keep every bit when each point runs its own sweep.
+    use qarchsearch_suite::optim::OptimizerKind::{GridSearch, NelderMead, RandomSearch, Spsa};
+    use qarchsearch_suite::qarchsearch::cache::fnv1a64;
+    use qarchsearch_suite::qarchsearch::report::SearchReport;
+    let graphs = qarchsearch_suite::graphs::datasets::erdos_renyi_dataset(2, 8, 7);
+    let observed: Vec<(&str, u64)> = [
+        ("nelder-mead", NelderMead),
+        ("spsa", Spsa),
+        ("random-search", RandomSearch),
+        ("grid-search", GridSearch),
+    ]
+    .into_iter()
+    .map(|(name, optimizer)| {
+        let cfg = SearchConfig::builder()
+            .alphabet(GateAlphabet::from_mnemonics(&["rx", "ry"]).unwrap())
+            .max_depth(2)
+            .max_gates_per_mixer(2)
+            .optimizer_budget(40)
+            .optimizer(optimizer)
+            .backend(qarchsearch_suite::qaoa::Backend::StateVector)
+            .threads(1)
+            .build();
+        let outcome = SearchDriver::new(cfg).run(&graphs).unwrap();
+        let report = SearchReport::from(&outcome).without_timings().to_json();
+        (name, fnv1a64(report.as_bytes()))
+    })
+    .collect();
+    const PARENT: [(&str, u64); 4] = [
+        ("nelder-mead", 16006506074442132269),
+        ("spsa", 4475596293849865496),
+        ("random-search", 10115678664485188966),
+        ("grid-search", 14504392671924269380),
+    ];
+    assert_eq!(observed, PARENT);
+}
+
+#[test]
 fn cancel_checkpoint_resume_is_bit_identical_to_uninterrupted() {
     // Reference: one uninterrupted run.
     let graphs = training_graphs();
