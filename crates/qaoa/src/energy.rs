@@ -373,8 +373,8 @@ impl EnergyEvaluator {
 /// checkpoint per start: an advance to target `t` resumes every start to
 /// `max(t / restarts, 1)`, [`evaluations`](Self::evaluations) is the sum
 /// over the starts, and the snapshot is the first start with the strictly
-/// best energy — so multi-start runs are resumable, prunable and batched
-/// like any other.
+/// best energy — so multi-start runs are resumable and prunable like any
+/// other.
 ///
 /// A session is small: a reference-counted handle on its evaluator, the
 /// optimizer checkpoints, and the lowered objective — a [`CompiledEnergy`]
@@ -463,9 +463,9 @@ impl TrainingSession {
     /// Ignored when the session does not use the compiled path.
     ///
     /// Every start resumes through [`Resumable::resume`]: each point set the
-    /// optimizer hands over is one batched statevector sweep
-    /// ([`CompiledEnergy::energy_batch_in`]) on the compiled path, and one
-    /// evaluation per point otherwise. Then the snapshot is taken.
+    /// optimizer hands over is evaluated point by point, on the compiled
+    /// path by [`CompiledEnergy::energy_batch_in`] in one reused state. Then
+    /// the snapshot is taken.
     pub fn advance_in(
         &mut self,
         optimizer: &dyn Resumable,
@@ -663,22 +663,18 @@ pub struct CompiledEnergy {
     scratch: Mutex<BatchScratch>,
 }
 
-/// Reusable buffers for [`CompiledEnergy::energy_batch_in`]: the `2^n × B`
-/// structure-of-arrays amplitude buffer every compiled evaluation runs in
-/// (`B = 1` for a single point), the flattened slot-value staging area and
-/// the per-tile energies.
+/// Reusable buffers for [`CompiledEnergy::energy_batch_in`]: the one `2^n`
+/// two-plane state every compiled evaluation runs in, point after point,
+/// and the slot-value staging area.
 ///
 /// One `BatchScratch` per worker serves every candidate trained on any graph
-/// size (the buffers are rebuilt when the width changes and resized in place
-/// across tile sizes).
+/// size (the state is rebuilt when the width changes).
 #[derive(Debug, Default)]
 pub struct BatchScratch {
-    /// The `2^n × B` amplitude buffer, amplitude-major × batch-minor.
-    batch: Option<BatchStateVector>,
-    /// Slot values for the whole tile, batch-major (`np` per point).
+    /// The `2^n` amplitude buffer.
+    state: Option<BatchStateVector>,
+    /// One point's slot values.
     values: Vec<f64>,
-    /// Per-tile energies from the batched diagonal expectation.
-    energies: Vec<f64>,
 }
 
 impl BatchScratch {
@@ -741,19 +737,17 @@ impl CompiledEnergy {
     }
 
     /// ⟨C⟩ for a flat parameter vector `[γ…, β…]`, allocation-free (after
-    /// the internal scratch state is built on first use): a one-point tile
-    /// of [`energy_batch_in`](Self::energy_batch_in).
+    /// the internal scratch state is built on first use): one sweep, as
+    /// [`energy_batch_in`](Self::energy_batch_in) runs for each point.
     pub fn energy_flat(&self, params: &[f64]) -> Result<f64, QaoaError> {
         self.check_params(params)?;
-        let scratch = &mut *self.scratch();
-        self.energy_tile(&[params], scratch)?;
-        Ok(scratch.energies[0])
+        self.sweep(params, &mut self.scratch())
     }
 
     /// ⟨C⟩ for a flat parameter vector, simulated by the scalar interpreter
     /// ([`CompiledProgram::execute_into`]) into a caller-provided scratch
     /// state (must have this program's register width): the reference the
-    /// batched sweep is pinned bitwise equal to.
+    /// two-plane sweep is pinned bitwise equal to.
     pub fn energy_flat_in(
         &self,
         params: &[f64],
@@ -790,14 +784,13 @@ impl CompiledEnergy {
         }
     }
 
-    /// ⟨C⟩ for `B` flat parameter vectors, bit-identical to `B` sequential
-    /// [`CompiledEnergy::energy_flat_in`] calls.
+    /// ⟨C⟩ for each of `points`, flat parameter vectors, bit-identical to
+    /// one [`CompiledEnergy::energy_flat_in`] call per point.
     ///
-    /// Points are processed in cache-sized tiles
-    /// ([`statevec::preferred_batch_tile`]), each one sweep of
-    /// [`CompiledProgram::execute_batch_into`]; a one-point call (every
-    /// point COBYLA asks for) is a tile of one. All buffers come from the
-    /// caller's [`BatchScratch`] and are reused across calls.
+    /// Each point is one sweep of [`CompiledProgram::execute_batch_into`] in
+    /// the caller's [`BatchScratch`], whose one state every point reuses; a
+    /// one-point call is what every point COBYLA asks for costs. Once the
+    /// scratch is warm, the returned `Vec` is the only allocation.
     pub fn energy_batch_in<P: AsRef<[f64]>>(
         &self,
         points: &[P],
@@ -806,11 +799,9 @@ impl CompiledEnergy {
         for p in points {
             self.check_params(p.as_ref())?;
         }
-        let tile = statevec::preferred_batch_tile(self.num_qubits, points.len());
         let mut out = Vec::with_capacity(points.len());
-        for chunk in points.chunks(tile.max(1)) {
-            self.energy_tile(chunk, scratch)?;
-            out.extend_from_slice(&scratch.energies);
+        for p in points {
+            out.push(self.sweep(p.as_ref(), scratch)?);
         }
         Ok(out)
     }
@@ -822,36 +813,23 @@ impl CompiledEnergy {
         self.energy_batch_in(points, &mut self.scratch())
     }
 
-    /// One sweep over the (checked) points of `tile`, leaving their energies
-    /// in `scratch.energies`; the amplitude buffer is built, or rebuilt at
-    /// this program's width, when needed.
-    fn energy_tile<P: AsRef<[f64]>>(
-        &self,
-        tile: &[P],
-        scratch: &mut BatchScratch,
-    ) -> Result<(), QaoaError> {
-        let np = self.program.num_params();
-        let b = tile.len();
-        scratch.values.clear();
-        scratch.values.resize(np * b, 0.0);
-        for (p, slots) in tile.iter().zip(scratch.values.chunks_exact_mut(np.max(1))) {
-            Self::fill_slots(&self.slot_for_flat, p.as_ref(), slots);
-        }
-        let state = match &mut scratch.batch {
-            Some(s) if s.num_qubits() == self.num_qubits => {
-                s.resize_batch(b);
-                s
-            }
+    /// One sweep at the (checked) point `params`; the state is built, or
+    /// rebuilt at this program's width, when needed.
+    fn sweep(&self, params: &[f64], scratch: &mut BatchScratch) -> Result<f64, QaoaError> {
+        let BatchScratch { state, values } = scratch;
+        values.clear();
+        values.resize(self.program.num_params(), 0.0);
+        Self::fill_slots(&self.slot_for_flat, params, values);
+        let state = match state {
+            Some(s) if s.num_qubits() == self.num_qubits => s,
             slot => {
-                slot.insert(BatchStateVector::zero_states(self.num_qubits, b).map_err(backend_err)?)
+                slot.insert(BatchStateVector::zero_states(self.num_qubits).map_err(backend_err)?)
             }
         };
         self.program
-            .execute_batch_into(&scratch.values, state)
+            .execute_batch_into(values, state)
             .map_err(backend_err)?;
-        state
-            .expectation_diagonal_batch(&self.diag, &mut scratch.energies)
-            .map_err(backend_err)
+        state.expectation_diagonal(&self.diag).map_err(backend_err)
     }
 }
 

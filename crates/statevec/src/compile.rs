@@ -39,7 +39,7 @@
 //! assert!((scratch.norm_squared() - 1.0).abs() < 1e-12);
 //! ```
 
-use crate::batch::{BatchExecScratch, BatchStateVector};
+use crate::batch::{BatchExecScratch, BatchStateVector, StagedGate, RUN_BLOCK_AMPS};
 use crate::error::SimulatorError;
 use crate::state::{par_blocks, StateVector, TABLE_BLOCK};
 use graphs::problem::add_term_values;
@@ -137,7 +137,7 @@ impl PhaseLut {
     /// pass.
     fn apply_scaled(&self, scale: f64, state: &mut StateVector) {
         state.apply_phase_lut(&self.index, |factors| {
-            stage_phase_factors(&self.values, 1, |_| scale, |f| factors.push(f));
+            factors.extend(phase_factors(&self.values, scale));
         });
     }
 }
@@ -256,21 +256,74 @@ fn phase_scale(slot: Option<usize>, params: &[f64]) -> f64 {
     slot.map_or(1.0, |s| params[s])
 }
 
-/// Stage the factors of one phase pass, distinct-value-major × batch-minor:
-/// `sink` receives `e^{i·scale_of(b)·v}` for every `v` of `values` and every
-/// batch element `b`. The one place a phase factor is computed — the same
+/// The factors of one phase pass, `e^{i·scale·v}` for every `v` of
+/// `values`. The one place a phase factor is computed — the same
 /// `scale * θ` product and `from_polar` as
 /// [`StateVector::apply_phase_table`], which is what makes the scalar and
-/// batch LUT passes bitwise equal to it and to each other.
-fn stage_phase_factors(
-    values: &[f64],
-    batch: usize,
-    scale_of: impl Fn(usize) -> f64,
-    mut sink: impl FnMut(Complex64),
-) {
-    for &v in values {
-        for b in 0..batch {
-            sink(Complex64::from_polar(1.0, scale_of(b) * v));
+/// two-plane LUT passes bitwise equal to it and to each other.
+fn phase_factors(values: &[f64], scale: f64) -> impl Iterator<Item = Complex64> + '_ {
+    values
+        .iter()
+        .map(move |&v| Complex64::from_polar(1.0, scale * v))
+}
+
+/// The matrix of the single-qubit rotation `gate` at angle `theta`.
+fn one_q_matrix(gate: Gate, theta: f64) -> [Complex64; 4] {
+    match GateMatrix::of(gate, theta) {
+        GateMatrix::One(m) => m,
+        GateMatrix::Two(_) => unreachable!("single-qubit rotation"),
+    }
+}
+
+/// The matrix of the two-qubit rotation `gate` at angle `theta`.
+fn two_q_matrix(gate: Gate, theta: f64) -> [Complex64; 16] {
+    match GateMatrix::of(gate, theta) {
+        GateMatrix::Two(m) => m,
+        GateMatrix::One(_) => unreachable!("two-qubit rotation"),
+    }
+}
+
+impl CompiledOp {
+    /// The target of a single-qubit op (`OneQ`, `OneQChain`, `OneQRot`).
+    fn one_q_target(&self) -> Option<usize> {
+        match self {
+            CompiledOp::OneQ { target, .. }
+            | CompiledOp::OneQChain { target, .. }
+            | CompiledOp::OneQRot { target, .. } => Some(*target),
+            _ => None,
+        }
+    }
+
+    /// The 2×2 matrix of a single-qubit op under the slot values `params`.
+    /// A chain's factors are multiplied in gate order: applying a factor
+    /// after the accumulated chain left-multiplies its matrix.
+    fn one_q_matrix(&self, params: &[f64]) -> [Complex64; 4] {
+        match self {
+            CompiledOp::OneQ { m, .. } => *m,
+            CompiledOp::OneQChain { factors, .. } => {
+                let one = Complex64::new(1.0, 0.0);
+                let zero = Complex64::new(0.0, 0.0);
+                let mut m = [one, zero, zero, one];
+                for f in factors {
+                    let fm = match f {
+                        OneQFactor::Fixed(fm) => *fm,
+                        OneQFactor::Rot {
+                            gate,
+                            slot,
+                            multiplier,
+                        } => one_q_matrix(*gate, multiplier * params[*slot]),
+                    };
+                    m = mul2(&fm, &m);
+                }
+                m
+            }
+            CompiledOp::OneQRot {
+                gate,
+                slot,
+                multiplier,
+                ..
+            } => one_q_matrix(*gate, multiplier * params[*slot]),
+            _ => unreachable!("not a single-qubit op"),
         }
     }
 }
@@ -475,6 +528,24 @@ impl CompiledProgram {
         &self.luts
     }
 
+    /// Refuse a slot vector of the wrong length or a state of the wrong
+    /// width.
+    fn check(&self, params: &[f64], num_qubits: usize) -> Result<(), SimulatorError> {
+        if params.len() != self.param_names.len() {
+            return Err(SimulatorError::WrongParameterCount {
+                expected: self.param_names.len(),
+                got: params.len(),
+            });
+        }
+        if num_qubits != self.num_qubits {
+            return Err(SimulatorError::WidthMismatch {
+                program: self.num_qubits,
+                state: num_qubits,
+            });
+        }
+        Ok(())
+    }
+
     /// Execute the program from `|0...0⟩` into a caller-provided scratch
     /// state (reset in place — no allocation). `params` supplies one value
     /// per slot, in [`CompiledProgram::param_names`] order.
@@ -483,18 +554,7 @@ impl CompiledProgram {
         params: &[f64],
         state: &mut StateVector,
     ) -> Result<(), SimulatorError> {
-        if params.len() != self.param_names.len() {
-            return Err(SimulatorError::WrongParameterCount {
-                expected: self.param_names.len(),
-                got: params.len(),
-            });
-        }
-        if state.num_qubits() != self.num_qubits {
-            return Err(SimulatorError::WidthMismatch {
-                program: self.num_qubits,
-                state: state.num_qubits(),
-            });
-        }
+        self.check(params, state.num_qubits())?;
         let mut ops = self.ops.as_slice();
         if matches!(ops.first(), Some(CompiledOp::InitPlus)) {
             state.reset_plus();
@@ -508,40 +568,10 @@ impl CompiledProgram {
                 // consumed; a mid-program occurrence would be a compiler bug
                 // (reset_plus here would discard all prior gates).
                 CompiledOp::InitPlus => unreachable!("InitPlus past the program start"),
-                CompiledOp::OneQ { target, m } => state.apply_single_qubit(m, *target),
-                CompiledOp::OneQChain { target, factors } => {
-                    let one = Complex64::new(1.0, 0.0);
-                    let zero = Complex64::new(0.0, 0.0);
-                    let mut m = [one, zero, zero, one];
-                    for f in factors {
-                        let fm = match f {
-                            OneQFactor::Fixed(fm) => *fm,
-                            OneQFactor::Rot {
-                                gate,
-                                slot,
-                                multiplier,
-                            } => match GateMatrix::of(*gate, multiplier * params[*slot]) {
-                                GateMatrix::One(fm) => fm,
-                                GateMatrix::Two(_) => unreachable!("single-qubit rotation"),
-                            },
-                        };
-                        // Applying f after the accumulated chain means
-                        // left-multiplying its matrix.
-                        m = mul2(&fm, &m);
-                    }
-                    state.apply_single_qubit(&m, *target);
-                }
-                CompiledOp::OneQRot {
-                    gate,
-                    target,
-                    slot,
-                    multiplier,
-                } => {
-                    let theta = multiplier * params[*slot];
-                    match GateMatrix::of(*gate, theta) {
-                        GateMatrix::One(m) => state.apply_single_qubit(&m, *target),
-                        GateMatrix::Two(_) => unreachable!("single-qubit rotation"),
-                    }
+                CompiledOp::OneQ { target, .. }
+                | CompiledOp::OneQChain { target, .. }
+                | CompiledOp::OneQRot { target, .. } => {
+                    state.apply_single_qubit(&op.one_q_matrix(params), *target);
                 }
                 CompiledOp::TwoQ { q1, q0, m } => state.apply_two_qubit(m, *q1, *q0),
                 CompiledOp::TwoQRot {
@@ -551,11 +581,8 @@ impl CompiledProgram {
                     slot,
                     multiplier,
                 } => {
-                    let theta = multiplier * params[*slot];
-                    match GateMatrix::of(*gate, theta) {
-                        GateMatrix::Two(m) => state.apply_two_qubit(&m, *q1, *q0),
-                        GateMatrix::One(_) => unreachable!("two-qubit rotation"),
-                    }
+                    let m = two_q_matrix(*gate, multiplier * params[*slot]);
+                    state.apply_two_qubit(&m, *q1, *q0);
                 }
                 CompiledOp::Phase { table, slot } => {
                     self.luts[*table].apply_scaled(phase_scale(*slot, params), state);
@@ -573,62 +600,29 @@ impl CompiledProgram {
         Ok(state)
     }
 
-    /// Execute the program once per batch element of `state`, from `|0...0⟩`,
-    /// in one sweep over the structure-of-arrays buffer. `params` is
-    /// batch-major: element `b`'s slot values occupy
-    /// `params[b·num_params .. (b+1)·num_params]`.
+    /// Execute the program from `|0...0⟩` on the two-plane buffer `state`,
+    /// `params` holding one value per slot as for
+    /// [`CompiledProgram::execute_into`].
     ///
-    /// Bit-identical to calling [`CompiledProgram::execute_into`] once per
-    /// element, up to the sign of a zero amplitude (see the contract on
-    /// [`crate::batch`]): gate kernels perform the same per-element
-    /// arithmetic but for products with an exactly-zero coefficient, and
-    /// phase passes read the same LUTs and stage their factors
-    /// `e^{i·scale_b·θ}` through the same helper.
+    /// Bit-identical to [`CompiledProgram::execute_into`] up to the sign of
+    /// a zero amplitude (see the contract on [`crate::batch`]): gate kernels
+    /// perform the same arithmetic but for products with an exactly-zero
+    /// coefficient, and phase passes read the same LUTs and compute their
+    /// factors `e^{i·scale·θ}` through the same helper.
     pub fn execute_batch_into(
         &self,
         params: &[f64],
         state: &mut BatchStateVector,
     ) -> Result<(), SimulatorError> {
-        let batch = state.batch();
-        let np = self.param_names.len();
-        if params.len() != np * batch {
-            return Err(SimulatorError::WrongParameterCount {
-                expected: np * batch,
-                got: params.len(),
-            });
-        }
-        if state.num_qubits() != self.num_qubits {
-            return Err(SimulatorError::WidthMismatch {
-                program: self.num_qubits,
-                state: state.num_qubits(),
-            });
-        }
-        // Per-element slot values, shared by every op below.
-        let slots_of = |b: usize| &params[b * np..(b + 1) * np];
-        // Stage the factor planes of one phase pass into `scr`.
-        let stage_phase = |lut: &PhaseLut, slot: Option<usize>, scr: &mut BatchExecScratch| {
-            scr.factors_re.clear();
-            scr.factors_im.clear();
-            stage_phase_factors(
-                &lut.values,
-                batch,
-                |b| phase_scale(slot, slots_of(b)),
-                |f| {
-                    scr.factors_re.push(f.re);
-                    scr.factors_im.push(f.im);
-                },
-            );
-        };
-
+        self.check(params, state.num_qubits())?;
         let mut scr = state.take_exec_scratch();
         let ops = match self.ops.as_slice() {
             // A program that opens with |+⟩ and a phase pass (every QAOA
             // ansatz) writes both in one pass instead of a fill and a
             // read-modify-write.
             [CompiledOp::InitPlus, CompiledOp::Phase { table, slot }, rest @ ..] => {
-                let lut = &self.luts[*table];
-                stage_phase(lut, *slot, &mut scr);
-                state.reset_plus_then_phase_lut(&lut.index, &scr.factors_re, &scr.factors_im);
+                let index = self.stage_phase(*table, *slot, params, &mut scr);
+                state.reset_plus_then_phase_lut(index, &scr.factors_re, &scr.factors_im);
                 rest
             }
             [CompiledOp::InitPlus, rest @ ..] => {
@@ -641,60 +635,6 @@ impl CompiledProgram {
             }
         };
 
-        // Stage the per-element 2×2 matrices of one single-qubit op.
-        let stage_one_q = |op: &CompiledOp, out: &mut Vec<[Complex64; 4]>| match op {
-            CompiledOp::OneQ { m, .. } => {
-                for _ in 0..batch {
-                    out.push(*m);
-                }
-            }
-            CompiledOp::OneQChain { factors, .. } => {
-                for b in 0..batch {
-                    let slots = slots_of(b);
-                    let one = Complex64::new(1.0, 0.0);
-                    let zero = Complex64::new(0.0, 0.0);
-                    let mut m = [one, zero, zero, one];
-                    for f in factors {
-                        let fm = match f {
-                            OneQFactor::Fixed(fm) => *fm,
-                            OneQFactor::Rot {
-                                gate,
-                                slot,
-                                multiplier,
-                            } => match GateMatrix::of(*gate, multiplier * slots[*slot]) {
-                                GateMatrix::One(fm) => fm,
-                                GateMatrix::Two(_) => unreachable!("single-qubit rotation"),
-                            },
-                        };
-                        m = mul2(&fm, &m);
-                    }
-                    out.push(m);
-                }
-            }
-            CompiledOp::OneQRot {
-                gate,
-                slot,
-                multiplier,
-                ..
-            } => {
-                for b in 0..batch {
-                    let theta = multiplier * slots_of(b)[*slot];
-                    match GateMatrix::of(*gate, theta) {
-                        GateMatrix::One(m) => out.push(m),
-                        GateMatrix::Two(_) => unreachable!("single-qubit rotation"),
-                    }
-                }
-            }
-            _ => unreachable!("not a single-qubit op"),
-        };
-        let one_q_target = |op: &CompiledOp| match op {
-            CompiledOp::OneQ { target, .. }
-            | CompiledOp::OneQChain { target, .. }
-            | CompiledOp::OneQRot { target, .. } => Some(*target),
-            _ => None,
-        };
-
-        let block_amps = crate::batch::run_block_amps(batch);
         let mut i = 0;
         while i < ops.len() {
             // Fuse a maximal run of consecutive single-qubit ops whose pair
@@ -702,33 +642,23 @@ impl CompiledProgram {
             // mixer layer is exactly such a run). Gates keep their program
             // order per amplitude, so results are bit-identical to the
             // one-pass-per-gate path; only the memory traffic changes.
-            if one_q_target(&ops[i]).is_some() {
-                let mut k = i;
-                while k < ops.len() {
-                    match one_q_target(&ops[k]) {
-                        Some(t) if (2usize << t) <= block_amps => k += 1,
-                        _ => break,
-                    }
+            let run = ops[i..]
+                .iter()
+                .take_while(|op| {
+                    op.one_q_target()
+                        .is_some_and(|t| (2usize << t) <= RUN_BLOCK_AMPS)
+                })
+                .count();
+            if run >= 2 {
+                scr.run.clear();
+                for op in &ops[i..i + run] {
+                    let target = op.one_q_target().expect("single-qubit run op");
+                    scr.run
+                        .push(StagedGate::new(&op.one_q_matrix(params), target));
                 }
-                if k - i >= 2 {
-                    scr.run_targets.clear();
-                    scr.mat1.clear();
-                    for op in &ops[i..k] {
-                        scr.run_targets
-                            .push(one_q_target(op).expect("single-qubit run op"));
-                        stage_one_q(op, &mut scr.mat1);
-                    }
-                    let mut coef = std::mem::take(&mut scr.coef);
-                    state.apply_single_qubit_run_batch(
-                        &scr.run_targets,
-                        &scr.mat1,
-                        block_amps,
-                        &mut coef,
-                    );
-                    scr.coef = coef;
-                    i = k;
-                    continue;
-                }
+                state.apply_single_qubit_run(&scr.run, RUN_BLOCK_AMPS);
+                i += run;
+                continue;
             }
             let op = &ops[i];
             i += 1;
@@ -737,15 +667,9 @@ impl CompiledProgram {
                 CompiledOp::OneQ { target, .. }
                 | CompiledOp::OneQChain { target, .. }
                 | CompiledOp::OneQRot { target, .. } => {
-                    scr.mat1.clear();
-                    stage_one_q(op, &mut scr.mat1);
-                    state.apply_single_qubit_batch(&scr.mat1, *target);
+                    state.apply_single_qubit(&op.one_q_matrix(params), *target);
                 }
-                CompiledOp::TwoQ { q1, q0, m } => {
-                    scr.mat2.clear();
-                    scr.mat2.resize(batch, **m);
-                    state.apply_two_qubit_batch(&scr.mat2, *q1, *q0);
-                }
+                CompiledOp::TwoQ { q1, q0, m } => state.apply_two_qubit(m, *q1, *q0),
                 CompiledOp::TwoQRot {
                     gate,
                     q1,
@@ -753,20 +677,12 @@ impl CompiledProgram {
                     slot,
                     multiplier,
                 } => {
-                    scr.mat2.clear();
-                    for b in 0..batch {
-                        let theta = multiplier * slots_of(b)[*slot];
-                        match GateMatrix::of(*gate, theta) {
-                            GateMatrix::Two(m) => scr.mat2.push(m),
-                            GateMatrix::One(_) => unreachable!("two-qubit rotation"),
-                        }
-                    }
-                    state.apply_two_qubit_batch(&scr.mat2, *q1, *q0);
+                    let m = two_q_matrix(*gate, multiplier * params[*slot]);
+                    state.apply_two_qubit(&m, *q1, *q0);
                 }
                 CompiledOp::Phase { table, slot } => {
-                    let lut = &self.luts[*table];
-                    stage_phase(lut, *slot, &mut scr);
-                    state.apply_phase_lut(&lut.index, &scr.factors_re, &scr.factors_im);
+                    let index = self.stage_phase(*table, *slot, params, &mut scr);
+                    state.apply_phase_lut(index, &scr.factors_re, &scr.factors_im);
                 }
             }
         }
@@ -774,32 +690,23 @@ impl CompiledProgram {
         Ok(())
     }
 
-    /// Execute `B` parameter vectors in one sweep and return the `B` final
-    /// states (convenience wrapper around
-    /// [`CompiledProgram::execute_batch_into`]; an empty input yields an
-    /// empty output).
-    pub fn run_batch<P: AsRef<[f64]>>(
+    /// Stage the factor planes of the phase pass `Phase { table, slot }`
+    /// into `scr`; returns the LUT's per-amplitude index.
+    fn stage_phase(
         &self,
-        params_list: &[P],
-    ) -> Result<Vec<StateVector>, SimulatorError> {
-        if params_list.is_empty() {
-            return Ok(Vec::new());
+        table: usize,
+        slot: Option<usize>,
+        params: &[f64],
+        scr: &mut BatchExecScratch,
+    ) -> &[u32] {
+        let lut = &self.luts[table];
+        scr.factors_re.clear();
+        scr.factors_im.clear();
+        for f in phase_factors(&lut.values, phase_scale(slot, params)) {
+            scr.factors_re.push(f.re);
+            scr.factors_im.push(f.im);
         }
-        let np = self.param_names.len();
-        let mut flat = Vec::with_capacity(np * params_list.len());
-        for p in params_list {
-            let p = p.as_ref();
-            if p.len() != np {
-                return Err(SimulatorError::WrongParameterCount {
-                    expected: np,
-                    got: p.len(),
-                });
-            }
-            flat.extend_from_slice(p);
-        }
-        let mut state = BatchStateVector::zero_states(self.num_qubits, params_list.len())?;
-        self.execute_batch_into(&flat, &mut state)?;
-        Ok((0..params_list.len()).map(|b| state.state(b)).collect())
+        &lut.index
     }
 }
 
@@ -1399,19 +1306,24 @@ mod tests {
         c
     }
 
+    /// `state`'s planes against `want`'s amplitudes, bit for bit.
+    fn assert_planes_equal(state: &BatchStateVector, want: &StateVector) {
+        let (re, im) = state.planes();
+        for (z, a) in want.amplitudes().iter().enumerate() {
+            assert_eq!(re[z].to_bits(), a.re.to_bits(), "re[{z}]");
+            assert_eq!(im[z].to_bits(), a.im.to_bits(), "im[{z}]");
+        }
+    }
+
     #[test]
     fn batch_execution_is_bitwise_identical_to_sequential() {
         for n in [4usize, 15] {
             let program = CompiledProgram::compile(&batch_test_circuit(n)).unwrap();
-            for batch in [1usize, 2, 5] {
-                let points: Vec<Vec<f64>> = (0..batch)
-                    .map(|b| vec![0.3 + 0.17 * b as f64, -0.9 + 0.4 * b as f64])
-                    .collect();
-                let batched = program.run_batch(&points).unwrap();
-                for (p, got) in points.iter().zip(&batched) {
-                    let want = program.run(p).unwrap();
-                    assert_states_bitwise_equal(got, &want);
-                }
+            for b in 0..5 {
+                let point = [0.3 + 0.17 * b as f64, -0.9 + 0.4 * b as f64];
+                let mut state = BatchStateVector::zero_states(n).unwrap();
+                program.execute_batch_into(&point, &mut state).unwrap();
+                assert_planes_equal(&state, &program.run(&point).unwrap());
             }
         }
     }
@@ -1419,15 +1331,12 @@ mod tests {
     #[test]
     fn batch_scratch_reuse_matches_fresh_runs_bitwise() {
         let program = CompiledProgram::compile(&batch_test_circuit(5)).unwrap();
-        let mut state = crate::batch::BatchStateVector::zero_states(5, 3).unwrap();
+        let mut state = BatchStateVector::zero_states(5).unwrap();
         for round in 0..3 {
-            let points: Vec<Vec<f64>> = (0..3)
-                .map(|b| vec![0.1 * (round + 1) as f64 + 0.2 * b as f64, -0.4])
-                .collect();
-            let flat: Vec<f64> = points.iter().flatten().copied().collect();
-            program.execute_batch_into(&flat, &mut state).unwrap();
-            for (b, p) in points.iter().enumerate() {
-                assert_states_bitwise_equal(&state.state(b), &program.run(p).unwrap());
+            for b in 0..3 {
+                let point = [0.1 * (round + 1) as f64 + 0.2 * b as f64, -0.4];
+                program.execute_batch_into(&point, &mut state).unwrap();
+                assert_planes_equal(&state, &program.run(&point).unwrap());
             }
         }
     }
@@ -1435,24 +1344,19 @@ mod tests {
     #[test]
     fn batch_parameter_and_width_errors() {
         let program = CompiledProgram::compile(&batch_test_circuit(4)).unwrap();
-        let mut state = crate::batch::BatchStateVector::zero_states(4, 2).unwrap();
+        let mut state = BatchStateVector::zero_states(4).unwrap();
         assert!(matches!(
             program.execute_batch_into(&[0.1; 3], &mut state),
             Err(SimulatorError::WrongParameterCount {
-                expected: 4,
+                expected: 2,
                 got: 3
             })
         ));
-        let mut narrow = crate::batch::BatchStateVector::zero_states(3, 2).unwrap();
+        let mut narrow = BatchStateVector::zero_states(3).unwrap();
         assert!(matches!(
-            program.execute_batch_into(&[0.1; 4], &mut narrow),
+            program.execute_batch_into(&[0.1; 2], &mut narrow),
             Err(SimulatorError::WidthMismatch { .. })
         ));
-        assert!(matches!(
-            program.run_batch(&[vec![0.1]]),
-            Err(SimulatorError::WrongParameterCount { .. })
-        ));
-        assert!(program.run_batch::<Vec<f64>>(&[]).unwrap().is_empty());
     }
 
     #[test]
@@ -1561,9 +1465,9 @@ mod tests {
 
     #[test]
     fn span_shapes_follow_the_zeros_of_gates_and_chains() {
-        // The span kernel's shape is read from the staged values of every
-        // batch element, so a chain formed at execution (`mul2`) is
-        // classified like a single gate.
+        // The span kernel's shape is read from the staged values, so a
+        // chain formed at execution (`mul2`) is classified like a single
+        // gate.
         use crate::batch::{stage_one_q_coeffs, Shape};
         use rand::{Rng, SeedableRng};
         fn one_q(gate: Gate, theta: f64) -> [Complex64; 4] {
@@ -1572,11 +1476,7 @@ mod tests {
                 GateMatrix::Two(_) => unreachable!("single-qubit gate"),
             }
         }
-        let shape = |ms: &[[Complex64; 4]]| {
-            let mut c = vec![0.0; 8 * ms.len()];
-            stage_one_q_coeffs(ms, ms.len(), &mut c);
-            Shape::of(&c, ms.len())
-        };
+        let shape = |m: [Complex64; 4]| Shape::of(&stage_one_q_coeffs(&m));
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(45);
         // A random unitary: RZ·RY·RZ at random angles, times a phase.
         let random_unitary = |rng: &mut rand_chacha::ChaCha8Rng| {
@@ -1616,16 +1516,12 @@ mod tests {
             ),
         ];
         for (name, of, want) in cases {
-            let batch: Vec<[Complex64; 4]> = thetas.iter().map(|&t| of(t, 0.5 - t)).collect();
-            assert_eq!(shape(&batch[..1]), want, "{name}, B = 1");
-            assert_eq!(shape(&batch), want, "{name}, B = 3");
+            for t in thetas {
+                assert_eq!(shape(of(t, 0.5 - t)), want, "{name}, theta {t}");
+            }
         }
         for _ in 0..8 {
-            assert_eq!(shape(&[random_unitary(&mut rng)]), Shape::General);
+            assert_eq!(shape(random_unitary(&mut rng)), Shape::General);
         }
-        // A batch is shaped only as all its elements are: rx next to ry
-        // shares no zero pattern.
-        let mixed = [one_q(Gate::RX, 0.3), one_q(Gate::RY, 0.3)];
-        assert_eq!(shape(&mixed), Shape::General);
     }
 }

@@ -15,13 +15,13 @@
 //!   is one block and runs inline, and a wider one sums its blocks in the
 //!   same order on any pool and any host. Table builds split from 2¹⁴
 //!   entries; each entry is computed alone.
-//! * The batch executor's single-qubit span kernel and phase pass are built
-//!   twice, portable and with AVX2, from one body; a CPU that has AVX2 runs
-//!   the AVX2 build. Neither build enables `fma`, so both round alike and
-//!   give the same bits (see the [`batch`] module). At one state per sweep
-//!   and targets 0 and 1, where a gate's amplitude pairs are adjacent or
-//!   two apart, the span kernel gathers four pairs into four-lane arrays
-//!   and runs them side by side.
+//! * The compiled executor's single-qubit span kernel and phase pass are
+//!   built twice, portable and with AVX2, from one body; a CPU that has AVX2
+//!   runs the AVX2 build. Neither build enables `fma`, so both round alike
+//!   and give the same bits (see the [`batch`] module). Each sweep runs one
+//!   parameter vector. At targets 0 and 1, where a gate's amplitude pairs
+//!   are adjacent or two apart, the span kernel is compiled for that
+//!   literal stride.
 //! * [`CompiledProgram`] lowers a circuit once into specialized kernels with
 //!   parameter slots — fused diagonal cost layers, per-qubit gate chains, a
 //!   recognized `|+⟩^{⊗n}` preparation — for allocation-free re-evaluation
@@ -52,27 +52,6 @@ pub use batch::BatchStateVector;
 pub use compile::CompiledProgram;
 pub use error::SimulatorError;
 pub use state::StateVector;
-
-/// Preferred number of batch elements to simulate per sweep for an `n`-qubit
-/// register, capped at `batch`.
-///
-/// The structure-of-arrays buffer of [`BatchStateVector`] holds
-/// `2^n · tile` amplitudes; keeping that under a few MiB preserves the
-/// cache residency the scalar kernels enjoy across a program's ~dozens of
-/// passes, while still amortizing each angle-table lookup over several
-/// states. The ~4 MiB budget gives tile 4 at n = 16 and larger tiles for
-/// smaller registers; the floor of 2 keeps the lookup amortization even when
-/// one state already fills the budget. Tiling never affects results — batch
-/// elements are arithmetically independent — so this is purely a performance
-/// choice.
-pub fn preferred_batch_tile(num_qubits: usize, batch: usize) -> usize {
-    if batch <= 1 {
-        return batch.max(1);
-    }
-    let state_bytes = (1usize << num_qubits) * std::mem::size_of::<num_complex::Complex64>();
-    let budget = 4usize << 20;
-    (budget / state_bytes.max(1)).clamp(2, 32).min(batch)
-}
 
 #[cfg(test)]
 mod proptests;
