@@ -540,8 +540,9 @@ fn cmd_search(options: &HashMap<String, String>, flags: &[String]) -> Result<(),
 
 /// Convert a protocol `search` object into the CLI option map + flags, so
 /// `submit` accepts exactly the `qas search` knobs: a key `qas search` does
-/// not take, a value option that is not a string or number, or a flag that
-/// is not a boolean is an error naming the key.
+/// not take, a value option that is not a string or number, a flag that is
+/// not a boolean, or `json` (which only changes how `qas search` prints) is
+/// an error naming the key.
 fn search_object_to_options(
     search: &Value,
 ) -> Result<(HashMap<String, String>, Vec<String>), String> {
@@ -553,15 +554,19 @@ fn search_object_to_options(
     };
     for (key, value) in entries {
         if accepted.flags.contains(&key.as_str()) {
-            match value {
-                Value::Bool(true) => flags.push(key.clone()),
-                Value::Bool(false) => {}
-                other => {
-                    return Err(format!(
-                        "search flag '{key}' must be a boolean (got {})",
-                        other.kind()
-                    ));
-                }
+            let Value::Bool(set) = value else {
+                return Err(format!(
+                    "search flag '{key}' must be a boolean (got {})",
+                    value.kind()
+                ));
+            };
+            if key == "json" {
+                return Err("search flag 'json' only changes how `qas search` prints; \
+                     a served report is always JSON"
+                    .to_string());
+            }
+            if *set {
+                flags.push(key.clone());
             }
             continue;
         }

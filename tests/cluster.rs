@@ -1558,6 +1558,10 @@ fn qas_refuses_options_its_command_does_not_take() {
         (r#""no_prune":true"#, "'no_prune'"),
         (r#""budgte":5"#, "'budgte'"),
         (r#""json":1"#, "'json' must be a boolean"),
+        (
+            r#""json":true"#,
+            "'json' only changes how `qas search` prints",
+        ),
     ]);
 }
 
