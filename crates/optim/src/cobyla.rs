@@ -197,7 +197,11 @@ impl CobylaOptimizer {
             b.push(value - best_value);
         }
 
-        let gradient = match solve_linear(&mut a, &mut b) {
+        // A NaN or infinite vertex value gives a non-finite gradient, whose
+        // step would land on a NaN point: rebuild the simplex instead, as
+        // for a degenerate one.
+        let gradient = solve_linear(&mut a, &mut b).filter(|g| g.iter().all(|v| v.is_finite()));
+        let gradient = match gradient {
             Some(g) => g,
             None => {
                 // Degenerate simplex: rebuild it around the best point with

@@ -243,6 +243,49 @@ mod tests {
         ]
     }
 
+    #[test]
+    fn every_optimizer_survives_a_nan_and_an_infinity_mid_run() {
+        // A 2-D quadratic that answers NaN at its 3rd evaluation and +inf at
+        // its 5th: each optimizer finishes within its budget of 40 (COBYLA
+        // completes the atomic step it began, at most one evaluation per
+        // dimension past it, as it does on any objective), never asks for a
+        // point with a non-finite coordinate, and reports the least finite
+        // value it saw, at the point that gave it.
+        for opt in resumables() {
+            let mut seen: Vec<(Vec<f64>, f64)> = Vec::new();
+            let mut evaluate = |points: &[Vec<f64>]| -> Vec<f64> {
+                points
+                    .iter()
+                    .map(|x| {
+                        let value = match seen.len() + 1 {
+                            3 => f64::NAN,
+                            5 => f64::INFINITY,
+                            _ => (x[0] - 0.3).powi(2) + 2.0 * (x[1] + 0.6).powi(2),
+                        };
+                        seen.push((x.clone(), value));
+                        value
+                    })
+                    .collect()
+            };
+            let mut state = opt.start(&[0.1, 0.2], 40);
+            let result = opt.resume(&mut state, &mut evaluate, 40);
+            let name = opt.name();
+            let budget = if name == "cobyla" { 40 + 2 } else { 40 };
+            assert!(seen.len() <= budget, "{name}: {} evaluations", seen.len());
+            assert_eq!(result.evaluations, seen.len(), "{name}");
+            for (x, _) in &seen {
+                assert!(x.iter().all(|v| v.is_finite()), "{name} evaluated {x:?}");
+            }
+            let (least_point, least) = seen
+                .iter()
+                .filter(|(_, v)| v.is_finite())
+                .min_by(|a, b| a.1.total_cmp(&b.1))
+                .expect("finite values were evaluated");
+            assert_eq!(result.best_value.to_bits(), least.to_bits(), "{name}");
+            assert_eq!(&result.best_point, least_point, "{name}");
+        }
+    }
+
     /// The tentpole guarantee: resume-after-k equals one uninterrupted run,
     /// bit for bit, for every bundled optimizer.
     #[test]

@@ -116,10 +116,14 @@ impl Spsa {
         let (f_plus, f_minus) = (values[0], values[1]);
         let [x_plus, x_minus] = pair;
 
-        // Gradient estimate and update.
-        for (xi, d) in s.x.iter_mut().zip(&delta) {
-            let g = (f_plus - f_minus) / (2.0 * ck * d);
-            *xi -= ak * g;
+        // Gradient estimate and update. A pair with a NaN or an infinity
+        // carries no gradient: the iterate stays put rather than turn NaN.
+        let rise = f_plus - f_minus;
+        if rise.is_finite() {
+            for (xi, d) in s.x.iter_mut().zip(&delta) {
+                let g = rise / (2.0 * ck * d);
+                *xi -= ak * g;
+            }
         }
 
         // Track the best of the probe points and (periodically) the iterate.
