@@ -396,12 +396,6 @@ impl BatchStateVector {
         self.im.fill(0.0);
     }
 
-    /// The real and imaginary planes.
-    #[cfg(test)]
-    pub(crate) fn planes(&self) -> (&[f64], &[f64]) {
-        (&self.re, &self.im)
-    }
-
     pub(crate) fn take_exec_scratch(&mut self) -> BatchExecScratch {
         std::mem::take(&mut self.scratch)
     }
@@ -418,12 +412,10 @@ impl BatchStateVector {
             "qubit {target} out of range for a {}-qubit state",
             self.num_qubits
         );
-        let stride = 1usize << target;
-        let c = stage_one_q_coeffs(m);
-        let shape = Shape::of(&c);
-        let unit = BLOCK_AMPS.max(2 * stride);
+        let g = StagedGate::new(m, target);
+        let unit = BLOCK_AMPS.max(2usize << target);
         par_blocks((&mut self.re[..], &mut self.im[..]), unit, |(re, im), _| {
-            apply_one_q_span(re, im, &c, stride, shape)
+            apply_one_q_span(re, im, &g.c, 1usize << target, g.shape)
         });
     }
 
@@ -575,9 +567,8 @@ impl BatchStateVector {
                 state: dim,
             });
         }
-        let mut sum = [0.0];
-        par_block_sum(dim, &mut sum, |range, acc| {
-            let mut sum = acc[0];
+        Ok(par_block_sum(dim, |range| {
+            let mut sum = -0.0;
             for ((re, im), &d) in self.re[range.clone()]
                 .iter()
                 .zip(&self.im[range.clone()])
@@ -586,9 +577,8 @@ impl BatchStateVector {
                 // `norm_sqr() * d` with norm_sqr = re·re + im·im.
                 sum += (re * re + im * im) * d;
             }
-            acc[0] = sum;
-        });
-        Ok(sum[0])
+            sum
+        }))
     }
 }
 
@@ -596,6 +586,13 @@ impl BatchStateVector {
 mod tests {
     use super::*;
     use crate::StateVector;
+
+    impl BatchStateVector {
+        /// The real and imaginary planes.
+        pub(crate) fn planes(&self) -> (&[f64], &[f64]) {
+            (&self.re, &self.im)
+        }
+    }
 
     /// `bsv`'s amplitudes against `want`'s, bit for bit.
     fn assert_same_state(bsv: &BatchStateVector, want: &StateVector, what: &str) {

@@ -138,36 +138,25 @@ pub(crate) fn par_blocks<D: Cut>(data: D, unit: usize, f: impl Fn(D, usize) + Sy
     });
 }
 
-/// `acc[b] = Σ_z term_b(z)` over `0..len` amplitudes, summed by
-/// [`BLOCK_AMPS`] blocks: `partial(block, acc)` adds one block's terms in
-/// z-order to an accumulator that arrives holding `-0.0` (the identity of
-/// f64 addition, where `Iterator::sum` starts). The block partials are added
-/// in block order to `-0.0`, so the first one is the starting value and a
-/// single block is exactly the plain sequential sum. The blocks are spread
-/// over the pool's threads, but the result depends on `len` alone, never on
-/// the thread count.
-pub(crate) fn par_block_sum(
-    len: usize,
-    acc: &mut [f64],
-    partial: impl Fn(Range<usize>, &mut [f64]) + Sync,
-) {
-    let width = acc.len();
-    acc.fill(-0.0);
+/// `Σ_z term(z)` over `0..len` amplitudes, summed by [`BLOCK_AMPS`]
+/// blocks: `partial(block)` sums one block's terms in z-order from `-0.0`
+/// (the identity of f64 addition, where `Iterator::sum` starts). The block
+/// partials are added in block order to `-0.0`, so a single block is
+/// exactly the plain sequential sum. The blocks are spread over the pool's
+/// threads, but the result depends on `len` alone, never on the thread
+/// count.
+pub(crate) fn par_block_sum(len: usize, partial: impl Fn(Range<usize>) -> f64 + Sync) -> f64 {
     if len <= BLOCK_AMPS {
-        return partial(0..len, acc);
+        return partial(0..len);
     }
-    let mut partials = vec![-0.0; len.div_ceil(BLOCK_AMPS) * width];
-    par_blocks(partials.as_mut_slice(), width, |run, offset| {
-        for (i, p) in run.chunks_exact_mut(width).enumerate() {
-            let start = (offset / width + i) * BLOCK_AMPS;
-            partial(start..(start + BLOCK_AMPS).min(len), p);
+    let mut partials = vec![-0.0; len.div_ceil(BLOCK_AMPS)];
+    par_blocks(partials.as_mut_slice(), 1, |run, offset| {
+        for (i, p) in run.iter_mut().enumerate() {
+            let start = (offset + i) * BLOCK_AMPS;
+            *p = partial(start..(start + BLOCK_AMPS).min(len));
         }
     });
-    for p in partials.chunks_exact(width) {
-        for (a, v) in acc.iter_mut().zip(p) {
-            *a += v;
-        }
-    }
+    partials.iter().fold(-0.0, |sum, p| sum + p)
 }
 
 /// Hard cap on dense-simulation width (2^30 amplitudes = 16 GiB of
@@ -470,15 +459,13 @@ impl StateVector {
                 state: self.amplitudes.len(),
             });
         }
-        let mut sum = [0.0];
-        par_block_sum(self.amplitudes.len(), &mut sum, |range, acc| {
-            acc[0] += self.amplitudes[range.clone()]
+        Ok(par_block_sum(self.amplitudes.len(), |range| {
+            self.amplitudes[range.clone()]
                 .iter()
                 .zip(&diagonal[range])
                 .map(|(a, d)| a.norm_sqr() * d)
-                .sum::<f64>();
-        });
-        Ok(sum[0])
+                .sum::<f64>()
+        }))
     }
 }
 
@@ -707,17 +694,8 @@ mod tests {
                 .unwrap()
         };
         let term = |z: usize| ((z * 7919) % 1013) as f64 * 1e-3 - 0.37;
-        let block_sum = |terms: &[f64], width: usize| {
-            let mut acc = vec![1.0; width];
-            par_block_sum(terms.len(), &mut acc, |range, acc| {
-                for (b, a) in acc.iter_mut().enumerate() {
-                    for z in range.clone() {
-                        *a += terms[z] * (b + 1) as f64;
-                    }
-                }
-            });
-            acc
-        };
+        let block_sum =
+            |terms: &[f64]| par_block_sum(terms.len(), |range| terms[range].iter().sum());
 
         // One block is the plain sequential sum, on any pool, down to the
         // sign of a zero total.
@@ -727,11 +705,11 @@ mod tests {
             pool(threads).install(|| {
                 for terms in [&one[..], &signed_zeros[..]] {
                     let want: f64 = terms.iter().sum();
-                    assert_eq!(block_sum(terms, 1)[0].to_bits(), want.to_bits());
+                    assert_eq!(block_sum(terms).to_bits(), want.to_bits());
                 }
             });
         }
-        assert!(block_sum(&signed_zeros, 1)[0].is_sign_negative());
+        assert!(block_sum(&signed_zeros).is_sign_negative());
 
         // Four blocks: their partials added in block order, at every
         // thread count.
@@ -742,13 +720,8 @@ mod tests {
             .fold(-0.0, |acc, p| acc + p);
         assert_ne!(want.to_bits(), four.iter().sum::<f64>().to_bits());
         for threads in [1, 2, 3, 4] {
-            let got = pool(threads).install(|| block_sum(&four, 3));
-            assert_eq!(got[0].to_bits(), want.to_bits(), "{threads} threads");
-            // The B-wide form is B scalar sums.
-            for (b, g) in got.iter().enumerate() {
-                let scaled: Vec<f64> = four.iter().map(|t| t * (b + 1) as f64).collect();
-                assert_eq!(g.to_bits(), block_sum(&scaled, 1)[0].to_bits());
-            }
+            let got = pool(threads).install(|| block_sum(&four));
+            assert_eq!(got.to_bits(), want.to_bits(), "{threads} threads");
         }
     }
 
