@@ -16,9 +16,9 @@
 //! each *point set* it can form before seeing any of their values — SPSA's
 //! ± perturbation pair, Nelder–Mead's initial simplex, the rest of a grid or
 //! random population, otherwise a single point — and the evaluator answers
-//! with one value per point. A caller that evaluates several points in one
-//! sweep (`CompiledEnergy::energy_batch_in` in the `qaoa` crate) batches each
-//! set; [`Resumable::resume_until`] maps a scalar objective over it. The
+//! with one value per point. `CompiledEnergy::energy_batch_in` in the `qaoa`
+//! crate answers a set with one state-vector sweep per point;
+//! [`Resumable::resume_until`] maps a scalar objective over it. The
 //! optimizer's arithmetic on the values is the same either way.
 //!
 //! Every bundled optimizer implements the trait, and the one-shot

@@ -790,7 +790,8 @@ impl CompiledEnergy {
     /// Each point is one sweep of [`CompiledProgram::execute_batch_into`] in
     /// the caller's [`BatchScratch`], whose one state every point reuses; a
     /// one-point call is what every point COBYLA asks for costs. Once the
-    /// scratch is warm, the returned `Vec` is the only allocation.
+    /// scratch is warm, a call on up to 16 qubits (one reduction block)
+    /// allocates only the returned `Vec`.
     pub fn energy_batch_in<P: AsRef<[f64]>>(
         &self,
         points: &[P],
@@ -1334,10 +1335,10 @@ mod tests {
 
     #[test]
     fn a_nan_beta_gives_a_non_finite_energy_on_both_paths() {
-        // The batched span kernel leaves out products with zero
+        // The two-plane span kernel leaves out products with zero
         // coefficients; a NaN β still reaches the energy, for mixers whose
         // matrices are RX-shaped (rx, rx·rx), real (ry, h·ry) and general
-        // (rx·ry). The finite point sharing its tile keeps the scalar bits.
+        // (rx·ry). The finite point swept after it keeps the scalar bits.
         let graph = Graph::erdos_renyi(6, 0.5, 3);
         let eval = EnergyEvaluator::new(&graph, Backend::StateVector);
         let mut scratch = BatchScratch::new();
@@ -1415,9 +1416,9 @@ mod tests {
         }
     }
 
-    /// A session's batched sweeps land on the bits of the optimizer driven
+    /// A session's two-plane sweeps land on the bits of the optimizer driven
     /// directly on the scalar compiled objective, which touches neither a
-    /// batch kernel nor a session; external and internal scratch rungs
+    /// two-plane kernel nor a session; external and internal scratch rungs
     /// interleave freely.
     #[test]
     fn advance_batched_is_bitwise_identical_to_advance() {

@@ -405,9 +405,10 @@ impl BudgetedScheduler {
                     if cancel.load(Ordering::SeqCst) {
                         return Err(SearchError::Cancelled);
                     }
-                    // Compiled sessions sweep each optimizer point set (SPSA
-                    // pairs, initial simplexes, grid/random populations) in the
-                    // worker's batch buffers; the other objectives ignore them.
+                    // Compiled sessions sweep each point of an optimizer's
+                    // point sets (SPSA pairs, initial simplexes, grid/random
+                    // populations) in the worker's scratch state; the other
+                    // objectives ignore it.
                     let trained = session.advance_in(optimizer, target, Some(scratch))?;
                     Ok((slot, session, trained))
                 };
