@@ -25,7 +25,7 @@
 //! in a single cache-blocked sweep: the buffer is walked once in L2-sized
 //! blocks and every low-stride gate of the run is applied while a block is
 //! hot, instead of one full-memory pass per gate (which saves traffic only
-//! once the buffer outgrows L2; see [`RUN_BLOCK_AMPS`]). At targets 0 and 1
+//! once the buffer outgrows L2; see `RUN_BLOCK_AMPS`). At targets 0 and 1
 //! a pair block is only two or four amplitudes, so the span kernel gets
 //! their stride as a literal: the compiler then loads whole vectors and
 //! deinterleaves the pairs in registers instead of looping one pair at a
