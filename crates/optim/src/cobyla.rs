@@ -28,7 +28,7 @@
 //! optimizer [`Resumable`]: a paused run continues exactly where it stopped.
 
 use crate::result::{OptimizationResult, OptimizationTrace};
-use crate::resumable::{probe_one, OptimizerState, Resumable};
+use crate::resumable::{nan_last, probe, OptimizerState, Resumable};
 
 /// COBYLA-style linear trust-region optimizer.
 #[derive(Debug, Clone)]
@@ -74,11 +74,13 @@ pub struct CobylaState {
 }
 
 impl CobylaState {
+    /// The first vertex of least value; a NaN vertex is never best while
+    /// another has a number.
     fn best_index(&self) -> usize {
         self.values
             .iter()
             .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .min_by(|a, b| nan_last(a.1, b.1))
             .map(|(i, _)| i)
             .unwrap_or(0)
     }
@@ -145,13 +147,12 @@ fn solve_linear(a: &mut [Vec<f64>], b: &mut [f64]) -> Option<Vec<f64>> {
 impl CobylaOptimizer {
     /// One atomic step: simplex init, a degenerate rebuild, or a full
     /// trust-region iteration. Runs to completion regardless of the budget
-    /// (the caller only decides whether to *begin* a step). Every point goes
-    /// to `evaluate` on its own, the simplex blocks included.
-    fn step(&self, s: &mut CobylaState, evaluate: &mut dyn FnMut(&[Vec<f64>]) -> Vec<f64>) {
+    /// (the caller only decides whether to *begin* a step).
+    fn step(&self, s: &mut CobylaState, evaluate: &mut dyn FnMut(&[f64]) -> f64) {
         let n = s.initial.len();
 
         if n == 0 {
-            let v = probe_one(evaluate, &s.initial, &mut s.trace);
+            let v = probe(evaluate, &s.initial, &mut s.trace);
             s.vertices.push(s.initial.clone());
             s.values.push(v);
             s.converged = true;
@@ -161,14 +162,14 @@ impl CobylaOptimizer {
         // Initialization: the whole simplex is one atomic step.
         if s.vertices.len() < n + 1 {
             if s.vertices.is_empty() {
-                let v = probe_one(evaluate, &s.initial, &mut s.trace);
+                let v = probe(evaluate, &s.initial, &mut s.trace);
                 s.vertices.push(s.initial.clone());
                 s.values.push(v);
             }
             for i in s.vertices.len() - 1..n {
                 let mut x = s.initial.clone();
                 x[i] += self.rho_begin;
-                let v = probe_one(evaluate, &x, &mut s.trace);
+                let v = probe(evaluate, &x, &mut s.trace);
                 s.vertices.push(x);
                 s.values.push(v);
             }
@@ -209,7 +210,7 @@ impl CobylaOptimizer {
                 for i in 0..n {
                     let mut x = best_point.clone();
                     x[i] += s.rho;
-                    let v = probe_one(evaluate, &x, &mut s.trace);
+                    let v = probe(evaluate, &x, &mut s.trace);
                     let target = if i < bi { i } else { i + 1 };
                     s.vertices[target] = x;
                     s.values[target] = v;
@@ -232,7 +233,7 @@ impl CobylaOptimizer {
             .zip(&gradient)
             .map(|(x, g)| x - s.rho * g / grad_norm)
             .collect();
-        let candidate_value = probe_one(evaluate, &candidate, &mut s.trace);
+        let candidate_value = probe(evaluate, &candidate, &mut s.trace);
 
         if candidate_value < best_value - 1e-14 {
             // Accept: replace the worst vertex.
@@ -240,7 +241,7 @@ impl CobylaOptimizer {
                 .values
                 .iter()
                 .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+                .max_by(|a, b| nan_last(a.1, b.1))
                 .map(|(i, _)| i)
                 .unwrap_or(0);
             s.vertices[wi] = candidate;
@@ -253,7 +254,7 @@ impl CobylaOptimizer {
                 let target = if i < bi { i } else { i + 1 };
                 let mut x = best_point.clone();
                 x[i] += s.rho;
-                let v = probe_one(evaluate, &x, &mut s.trace);
+                let v = probe(evaluate, &x, &mut s.trace);
                 s.vertices[target] = x;
                 s.values[target] = v;
             }
@@ -280,7 +281,7 @@ impl Resumable for CobylaOptimizer {
     fn resume(
         &self,
         state: &mut OptimizerState,
-        evaluate: &mut dyn FnMut(&[Vec<f64>]) -> Vec<f64>,
+        evaluate: &mut dyn FnMut(&[f64]) -> f64,
         target_evaluations: usize,
     ) -> OptimizationResult {
         let OptimizerState::Cobyla(s) = state else {

@@ -2,9 +2,7 @@
 //!
 //! The grid is laid out once from the run's total budget (the `budget_hint`
 //! of [`Resumable::start`]) and walked cursor-by-cursor, so a paused run
-//! [resumes](crate::Resumable) at the exact next grid point. Each resume
-//! hands every grid point up to its target to the evaluator as one point
-//! set.
+//! [resumes](crate::Resumable) at the exact next grid point.
 
 use crate::result::{OptimizationResult, OptimizationTrace};
 use crate::resumable::{probe, OptimizerState, Resumable};
@@ -85,39 +83,34 @@ impl Resumable for GridSearch {
     fn resume(
         &self,
         state: &mut OptimizerState,
-        evaluate: &mut dyn FnMut(&[Vec<f64>]) -> Vec<f64>,
+        evaluate: &mut dyn FnMut(&[f64]) -> f64,
         target_evaluations: usize,
     ) -> OptimizationResult {
         let OptimizerState::GridSearch(s) = state else {
             panic!("GridSearch::resume given a {} state", state.kind_name());
         };
-        let count = (s.total - s.cursor).min(target_evaluations.saturating_sub(s.trace.len()));
-        // Decode each cursor into per-dimension grid coordinates (no
-        // coordinates at all for a zero-dimensional run's single point).
-        let points: Vec<Vec<f64>> = (s.cursor..s.cursor + count)
-            .map(|cursor| {
-                let mut rest = cursor;
-                let mut point = Vec::with_capacity(s.initial.len());
-                for &x0 in &s.initial {
+        while s.cursor < s.total && s.trace.len() < target_evaluations {
+            // Decode the cursor into per-dimension grid coordinates (no
+            // coordinates at all for a zero-dimensional run's single point).
+            let mut rest = s.cursor;
+            let point: Vec<f64> = s
+                .initial
+                .iter()
+                .map(|&x0| {
                     let idx = rest % s.points_per_dim;
                     rest /= s.points_per_dim;
                     let frac = idx as f64 / (s.points_per_dim - 1) as f64; // in [0, 1]
-                    point.push(x0 - self.half_width + 2.0 * self.half_width * frac);
-                }
-                point
-            })
-            .collect();
-        let values = probe(evaluate, &points, &mut s.trace);
-        for (point, value) in points.into_iter().zip(values) {
+                    x0 - self.half_width + 2.0 * self.half_width * frac
+                })
+                .collect();
+            let value = probe(evaluate, &point, &mut s.trace);
             if value < s.best_value {
                 s.best_value = value;
                 s.best_point = point;
             }
+            s.cursor += 1;
         }
-        s.cursor += count;
-        if s.cursor >= s.total {
-            s.converged = true;
-        }
+        s.converged = s.cursor >= s.total;
         s.snapshot()
     }
 }

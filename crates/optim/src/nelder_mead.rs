@@ -4,7 +4,7 @@
 //! paused run can be [resumed](crate::Resumable) exactly where it stopped.
 
 use crate::result::{OptimizationResult, OptimizationTrace};
-use crate::resumable::{probe, probe_one, OptimizerState, Resumable};
+use crate::resumable::{nan_last, probe, OptimizerState, Resumable};
 
 /// The Nelder–Mead simplex method with standard reflection / expansion /
 /// contraction / shrink coefficients.
@@ -50,10 +50,7 @@ pub struct NelderMeadState {
 
 impl NelderMeadState {
     pub(crate) fn snapshot(&self) -> OptimizationResult {
-        let best = self
-            .simplex
-            .iter()
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+        let best = self.simplex.iter().min_by(|a, b| nan_last(&a.1, &b.1));
         match best {
             Some((bp, bv)) => {
                 OptimizationResult::from_trace(bp.clone(), *bv, self.converged, self.trace.clone())
@@ -69,17 +66,17 @@ impl NelderMeadState {
 }
 
 impl NelderMead {
-    /// One atomic step: full simplex initialization, whose vertices go to
-    /// `evaluate` as one point set, or one complete
-    /// reflect/expand/contract/shrink iteration, a point at a time.
-    fn step(&self, s: &mut NelderMeadState, evaluate: &mut dyn FnMut(&[Vec<f64>]) -> Vec<f64>) {
+    /// One atomic step: full simplex initialization, vertex by vertex, or
+    /// one complete reflect/expand/contract/shrink iteration.
+    fn step(&self, s: &mut NelderMeadState, evaluate: &mut dyn FnMut(&[f64]) -> f64) {
         let n = s.initial.len();
 
         // Initial simplex: the start point plus a step along each axis, as
         // one atomic block. With no axes it is the start point alone, and
         // the run is done.
         if s.simplex.len() < n + 1 {
-            let mut vertices = vec![s.initial.clone()];
+            let v = probe(evaluate, &s.initial, &mut s.trace);
+            s.simplex.push((s.initial.clone(), v));
             for i in 0..n {
                 let mut x = s.initial.clone();
                 x[i] += if x[i].abs() > 1e-12 {
@@ -87,16 +84,15 @@ impl NelderMead {
                 } else {
                     self.initial_step
                 };
-                vertices.push(x);
+                let v = probe(evaluate, &x, &mut s.trace);
+                s.simplex.push((x, v));
             }
-            let values = probe(evaluate, &vertices, &mut s.trace);
-            s.simplex.extend(vertices.into_iter().zip(values));
             s.converged = n == 0;
             return;
         }
 
-        s.simplex
-            .sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+        // NaN vertices sort last, so the worst is replaced first.
+        s.simplex.sort_by(|a, b| nan_last(&a.1, &b.1));
         let best = s.simplex[0].1;
         let worst = s.simplex[n].1;
         if (worst - best).abs() < self.tolerance {
@@ -118,7 +114,7 @@ impl NelderMead {
             .zip(&worst_point)
             .map(|(c, w)| c + self.alpha * (c - w))
             .collect();
-        let f_reflect = probe_one(evaluate, &reflect, &mut s.trace);
+        let f_reflect = probe(evaluate, &reflect, &mut s.trace);
 
         if f_reflect < s.simplex[0].1 {
             // Try to expand.
@@ -127,7 +123,7 @@ impl NelderMead {
                 .zip(&reflect)
                 .map(|(c, r)| c + self.gamma * (r - c))
                 .collect();
-            let f_expand = probe_one(evaluate, &expand, &mut s.trace);
+            let f_expand = probe(evaluate, &expand, &mut s.trace);
             s.simplex[n] = if f_expand < f_reflect {
                 (expand, f_expand)
             } else {
@@ -142,7 +138,7 @@ impl NelderMead {
                 .zip(&worst_point)
                 .map(|(c, w)| c + self.rho * (w - c))
                 .collect();
-            let f_contract = probe_one(evaluate, &contract, &mut s.trace);
+            let f_contract = probe(evaluate, &contract, &mut s.trace);
             if f_contract < s.simplex[n].1 {
                 s.simplex[n] = (contract, f_contract);
             } else {
@@ -154,7 +150,7 @@ impl NelderMead {
                         .zip(&vertex.0)
                         .map(|(b, x)| b + self.sigma * (x - b))
                         .collect();
-                    let new_v = probe_one(evaluate, &new_x, &mut s.trace);
+                    let new_v = probe(evaluate, &new_x, &mut s.trace);
                     *vertex = (new_x, new_v);
                 }
             }
@@ -179,7 +175,7 @@ impl Resumable for NelderMead {
     fn resume(
         &self,
         state: &mut OptimizerState,
-        evaluate: &mut dyn FnMut(&[Vec<f64>]) -> Vec<f64>,
+        evaluate: &mut dyn FnMut(&[f64]) -> f64,
         target_evaluations: usize,
     ) -> OptimizationResult {
         let OptimizerState::NelderMead(s) = state else {

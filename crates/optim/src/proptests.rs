@@ -47,43 +47,6 @@ proptest! {
         }
     }
 
-    /// Interrupting a run after `k` evaluations and finishing later must be
-    /// bit-identical whether the interrupted leg was driven by `resume` with
-    /// a point-set evaluator or by `resume_until` on the scalar objective.
-    #[test]
-    fn resume_after_batched_leg_is_bitwise_identical_to_scalar_leg(
-        x0 in -2.0f64..2.0,
-        x1 in -2.0f64..2.0,
-        k in 1usize..40,
-        budget in 40usize..90,
-    ) {
-        let f = move |x: &[f64]| (x[0] - 0.7).powi(2) + (x[1] + 0.3).powi(2) + (x[0] * x[1]).cos();
-        let mut batch_f = |points: &[Vec<f64>]| points.iter().map(|p| f(p)).collect::<Vec<f64>>();
-        for opt in resumables() {
-            // Reference: scalar leg to k, then scalar to budget.
-            let mut scalar_state = opt.start(&[x0, x1], budget);
-            opt.resume_until(&mut scalar_state, &f, k);
-            let scalar = opt.resume_until(&mut scalar_state, &f, budget);
-
-            // Point-set leg to k, then scalar to budget.
-            let mut state = opt.start(&[x0, x1], budget);
-            opt.resume(&mut state, &mut batch_f, k);
-            let mixed = opt.resume_until(&mut state, &f, budget);
-
-            prop_assert_eq!(&scalar.best_point, &mixed.best_point, "{}: best point", opt.name());
-            prop_assert_eq!(scalar.best_value.to_bits(), mixed.best_value.to_bits(),
-                "{}: best value", opt.name());
-            prop_assert_eq!(scalar.evaluations, mixed.evaluations,
-                "{}: evaluation count", opt.name());
-            let (sp, mp) = (scalar.trace.points(), mixed.trace.points());
-            prop_assert_eq!(sp.len(), mp.len(), "{}: trace length", opt.name());
-            for (a, b) in sp.iter().zip(mp) {
-                prop_assert_eq!(a.value.to_bits(), b.value.to_bits(),
-                    "{}: trace value", opt.name());
-            }
-        }
-    }
-
     #[test]
     fn best_curve_is_monotone_nonincreasing(x0 in -2.0f64..2.0) {
         let f = |x: &[f64]| x[0].sin() + 0.3 * x[0] * x[0];

@@ -6,8 +6,9 @@
 //!
 //! The run draws one candidate per evaluation from an explicit
 //! [`RandomSearchState`] (RNG stream plus incumbent), so it is trivially
-//! [resumable](crate::Resumable). No draw depends on a value, so each resume
-//! hands its whole remaining population to the evaluator as one point set.
+//! [resumable](crate::Resumable). Each candidate is drawn and then
+//! evaluated; an evaluation consumes no draw, so the candidates do not
+//! depend on where a resume falls.
 
 use crate::result::{OptimizationResult, OptimizationTrace};
 use crate::resumable::{probe, OptimizerState, Resumable};
@@ -76,36 +77,30 @@ impl Resumable for RandomSearch {
     fn resume(
         &self,
         state: &mut OptimizerState,
-        evaluate: &mut dyn FnMut(&[Vec<f64>]) -> Vec<f64>,
+        evaluate: &mut dyn FnMut(&[f64]) -> f64,
         target_evaluations: usize,
     ) -> OptimizationResult {
         let OptimizerState::RandomSearch(s) = state else {
             panic!("RandomSearch::resume given a {} state", state.kind_name());
         };
-        // The center's first evaluation leads the population; with no
-        // coordinates to draw, it is the whole run.
-        let first = !s.started && target_evaluations > 0;
-        let mut points: Vec<Vec<f64>> = first.then(|| s.center.clone()).into_iter().collect();
-        if !s.center.is_empty() {
-            let remaining = target_evaluations.saturating_sub(s.trace.len() + points.len());
-            for _ in 0..remaining {
-                let candidate: Vec<f64> = s
-                    .center
-                    .iter()
-                    .map(|&x| x + s.rng.gen_range(-self.half_width..=self.half_width))
-                    .collect();
-                points.push(candidate);
+        // The center's evaluation leads the run; with no coordinates to
+        // draw, it is the whole run. Against the +inf of `start`, a NaN there
+        // never becomes the best.
+        if !s.started && target_evaluations > 0 {
+            let v = probe(evaluate, &s.center, &mut s.trace);
+            if v < s.best_value {
+                s.best_value = v;
             }
-        }
-        let values = probe(evaluate, &points, &mut s.trace);
-        let mut evaluated = points.into_iter().zip(values);
-        if first {
-            let (_, v) = evaluated.next().expect("the center leads the population");
-            s.best_value = v;
             s.started = true;
             s.converged = s.center.is_empty();
         }
-        for (candidate, value) in evaluated {
+        while !s.converged && s.trace.len() < target_evaluations {
+            let candidate: Vec<f64> = s
+                .center
+                .iter()
+                .map(|&x| x + s.rng.gen_range(-self.half_width..=self.half_width))
+                .collect();
+            let value = probe(evaluate, &candidate, &mut s.trace);
             if value < s.best_value {
                 s.best_value = value;
                 s.best_point = candidate;

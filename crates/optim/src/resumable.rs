@@ -12,14 +12,13 @@
 //! * [`Resumable::resume`] advances the state until its *cumulative*
 //!   evaluation count reaches a target (or the optimizer converges).
 //!
-//! `resume` is the one stepping protocol. The optimizer hands an evaluator
-//! each *point set* it can form before seeing any of their values — SPSA's
-//! ± perturbation pair, Nelder–Mead's initial simplex, the rest of a grid or
-//! random population, otherwise a single point — and the evaluator answers
-//! with one value per point. `CompiledEnergy::energy_batch_in` in the `qaoa`
-//! crate answers a set with one state-vector sweep per point;
-//! [`Resumable::resume_until`] maps a scalar objective over it. The
-//! optimizer's arithmetic on the values is the same either way.
+//! `resume` is the one stepping protocol. The optimizer calls its evaluator
+//! once per point, in the order the arithmetic reads the values — SPSA's
+//! `x₊` then `x₋`, Nelder–Mead's vertices in order, the grid cursor or the
+//! random draws in sequence — and the evaluator answers with that point's
+//! value. `TrainingSession::advance_in` in the `qaoa` crate answers each
+//! call with one state-vector sweep or one plan evaluation;
+//! [`Resumable::resume_until`] passes a plain objective through.
 //!
 //! Every bundled optimizer implements the trait, and the one-shot
 //! [`Resumable::minimize`] is a provided method written *in terms of*
@@ -64,6 +63,7 @@ use crate::nelder_mead::NelderMeadState;
 use crate::random_search::RandomSearchState;
 use crate::result::{OptimizationResult, OptimizationTrace};
 use crate::spsa::SpsaState;
+use std::cmp::Ordering;
 
 /// A checkpoint of an in-flight optimization run.
 ///
@@ -168,64 +168,47 @@ pub trait Resumable: Send + Sync {
     /// `target_evaluations` (give or take one atomic step) or the run
     /// converges, then return a snapshot of the best result so far.
     ///
-    /// Every evaluation goes through `evaluate`, which receives a non-empty
-    /// point set and returns one value per point, in order. A target at or
-    /// below the current count is a no-op snapshot.
+    /// Every evaluation is one call of `evaluate` with one point. A target
+    /// at or below the current count is a no-op snapshot.
     ///
     /// # Panics
     ///
-    /// Panics if `state` was produced by a different optimizer kind, or if
-    /// `evaluate` answers a set with the wrong number of values.
+    /// Panics if `state` was produced by a different optimizer kind.
     fn resume(
         &self,
         state: &mut OptimizerState,
-        evaluate: &mut dyn FnMut(&[Vec<f64>]) -> Vec<f64>,
+        evaluate: &mut dyn FnMut(&[f64]) -> f64,
         target_evaluations: usize,
     ) -> OptimizationResult;
 
-    /// [`resume`](Self::resume) with `objective` mapped over each point set.
+    /// [`resume`](Self::resume) on a shared objective.
     fn resume_until(
         &self,
         state: &mut OptimizerState,
         objective: &(dyn Fn(&[f64]) -> f64 + Sync),
         target_evaluations: usize,
     ) -> OptimizationResult {
-        let mut evaluate = |points: &[Vec<f64>]| points.iter().map(|p| objective(p)).collect();
-        self.resume(state, &mut evaluate, target_evaluations)
+        self.resume(state, &mut |x: &[f64]| objective(x), target_evaluations)
     }
 }
 
-/// Evaluate `points` in one call of `evaluate` and record each value in
-/// `trace`, in order. An empty set is answered without calling `evaluate`.
+/// Evaluate `point` and record its value in `trace`.
 pub(crate) fn probe(
-    evaluate: &mut dyn FnMut(&[Vec<f64>]) -> Vec<f64>,
-    points: &[Vec<f64>],
-    trace: &mut OptimizationTrace,
-) -> Vec<f64> {
-    if points.is_empty() {
-        return Vec::new();
-    }
-    let values = evaluate(points);
-    assert_eq!(
-        values.len(),
-        points.len(),
-        "point-set evaluator returned {} values for {} points",
-        values.len(),
-        points.len()
-    );
-    for &value in &values {
-        trace.record(value);
-    }
-    values
-}
-
-/// [`probe`] for a single point.
-pub(crate) fn probe_one(
-    evaluate: &mut dyn FnMut(&[Vec<f64>]) -> Vec<f64>,
-    point: &Vec<f64>,
+    evaluate: &mut dyn FnMut(&[f64]) -> f64,
+    point: &[f64],
     trace: &mut OptimizationTrace,
 ) -> f64 {
-    probe(evaluate, std::slice::from_ref(point), trace)[0]
+    let value = evaluate(point);
+    trace.record(value);
+    value
+}
+
+/// `a.partial_cmp(b)` with NaN ordered after every number (and equal to
+/// NaN): a NaN value loses every comparison a minimizer makes against a
+/// number, and runs without one order as under `partial_cmp`.
+pub(crate) fn nan_last(a: &f64, b: &f64) -> Ordering {
+    a.partial_cmp(b)
+        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
 }
 
 #[cfg(test)]
@@ -245,44 +228,47 @@ mod tests {
 
     #[test]
     fn every_optimizer_survives_a_nan_and_an_infinity_mid_run() {
-        // A 2-D quadratic that answers NaN at its 3rd evaluation and +inf at
-        // its 5th: each optimizer finishes within its budget of 40 (COBYLA
-        // completes the atomic step it began, at most one evaluation per
-        // dimension past it, as it does on any objective), never asks for a
+        // A 2-D quadratic that answers NaN at its 3rd (or its 1st, the start
+        // point's) evaluation and +inf at its 5th: each optimizer finishes
+        // within its budget of 40 (COBYLA completes the atomic step it
+        // began, at most one evaluation per dimension past it, as it does on
+        // any objective; so does Nelder–Mead after a NaN start, whose last
+        // iteration begins at evaluation 39 and costs two), never asks for a
         // point with a non-finite coordinate, and reports the least finite
         // value it saw, at the point that gave it.
-        for opt in resumables() {
-            let mut seen: Vec<(Vec<f64>, f64)> = Vec::new();
-            let mut evaluate = |points: &[Vec<f64>]| -> Vec<f64> {
-                points
+        for nan_at in [3, 1] {
+            for opt in resumables() {
+                let mut seen: Vec<(Vec<f64>, f64)> = Vec::new();
+                let mut evaluate = |x: &[f64]| {
+                    let value = match seen.len() + 1 {
+                        k if k == nan_at => f64::NAN,
+                        5 => f64::INFINITY,
+                        _ => (x[0] - 0.3).powi(2) + 2.0 * (x[1] + 0.6).powi(2),
+                    };
+                    seen.push((x.to_vec(), value));
+                    value
+                };
+                let mut state = opt.start(&[0.1, 0.2], 40);
+                let result = opt.resume(&mut state, &mut evaluate, 40);
+                let name = format!("{} (NaN at {nan_at})", opt.name());
+                let budget = match (opt.name(), nan_at) {
+                    ("cobyla", _) => 40 + 2,
+                    ("nelder-mead", 1) => 40 + 1,
+                    _ => 40,
+                };
+                assert!(seen.len() <= budget, "{name}: {} evaluations", seen.len());
+                assert_eq!(result.evaluations, seen.len(), "{name}");
+                for (x, _) in &seen {
+                    assert!(x.iter().all(|v| v.is_finite()), "{name} evaluated {x:?}");
+                }
+                let (least_point, least) = seen
                     .iter()
-                    .map(|x| {
-                        let value = match seen.len() + 1 {
-                            3 => f64::NAN,
-                            5 => f64::INFINITY,
-                            _ => (x[0] - 0.3).powi(2) + 2.0 * (x[1] + 0.6).powi(2),
-                        };
-                        seen.push((x.clone(), value));
-                        value
-                    })
-                    .collect()
-            };
-            let mut state = opt.start(&[0.1, 0.2], 40);
-            let result = opt.resume(&mut state, &mut evaluate, 40);
-            let name = opt.name();
-            let budget = if name == "cobyla" { 40 + 2 } else { 40 };
-            assert!(seen.len() <= budget, "{name}: {} evaluations", seen.len());
-            assert_eq!(result.evaluations, seen.len(), "{name}");
-            for (x, _) in &seen {
-                assert!(x.iter().all(|v| v.is_finite()), "{name} evaluated {x:?}");
+                    .filter(|(_, v)| v.is_finite())
+                    .min_by(|a, b| a.1.total_cmp(&b.1))
+                    .expect("finite values were evaluated");
+                assert_eq!(result.best_value.to_bits(), least.to_bits(), "{name}");
+                assert_eq!(&result.best_point, least_point, "{name}");
             }
-            let (least_point, least) = seen
-                .iter()
-                .filter(|(_, v)| v.is_finite())
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-                .expect("finite values were evaluated");
-            assert_eq!(result.best_value.to_bits(), least.to_bits(), "{name}");
-            assert_eq!(&result.best_point, least_point, "{name}");
         }
     }
 
@@ -445,157 +431,6 @@ mod tests {
         for opt in resumables() {
             let mut state = opt.start(&[], 10);
             let r = opt.resume_until(&mut state, &f, 10);
-            assert_eq!(r.best_value, 4.2, "{}", opt.name());
-            assert!(state.converged(), "{}", opt.name());
-            assert_eq!(state.evaluations(), 1, "{}", opt.name());
-        }
-    }
-
-    /// Drive a state through [`Resumable::resume`] with an evaluator that
-    /// records the size of every point set and maps `f` over it.
-    fn run_recorded(
-        opt: &dyn Resumable,
-        state: &mut OptimizerState,
-        f: &(dyn Fn(&[f64]) -> f64 + Sync),
-        target: usize,
-        set_sizes: &mut Vec<usize>,
-    ) -> OptimizationResult {
-        let mut evaluate = |points: &[Vec<f64>]| {
-            set_sizes.push(points.len());
-            points.iter().map(|p| f(p)).collect::<Vec<f64>>()
-        };
-        opt.resume(state, &mut evaluate, target)
-    }
-
-    fn assert_results_bitwise_equal(a: &OptimizationResult, b: &OptimizationResult, ctx: &str) {
-        assert_eq!(a.best_point, b.best_point, "{ctx}: best point");
-        assert_eq!(
-            a.best_value.to_bits(),
-            b.best_value.to_bits(),
-            "{ctx}: best value"
-        );
-        assert_eq!(a.evaluations, b.evaluations, "{ctx}: evaluation count");
-        assert_eq!(a.converged, b.converged, "{ctx}: converged flag");
-        let (ap, bp) = (a.trace.points(), b.trace.points());
-        assert_eq!(ap.len(), bp.len(), "{ctx}: trace length");
-        for (x, y) in ap.iter().zip(bp) {
-            assert_eq!(x.value.to_bits(), y.value.to_bits(), "{ctx}: trace value");
-            assert_eq!(
-                x.best_so_far.to_bits(),
-                y.best_so_far.to_bits(),
-                "{ctx}: trace best-so-far"
-            );
-        }
-    }
-
-    /// Driving a run through `resume` with a point-set evaluator is
-    /// bit-identical to `resume_until` on the scalar objective, for every
-    /// bundled optimizer, including when the run is split into rungs.
-    #[test]
-    fn batched_driving_is_bitwise_identical_to_scalar() {
-        let f = |x: &[f64]| (x[0] - 0.8).powi(2) + (x[1] + 0.4).powi(2) + (x[0] * x[1]).sin();
-        let initial = [0.3, -0.2];
-        let budget = 90;
-        for opt in resumables() {
-            let mut scalar_state = opt.start(&initial, budget);
-            let scalar = opt.resume_until(&mut scalar_state, &f, budget);
-
-            let mut sizes = Vec::new();
-            let mut batched_state = opt.start(&initial, budget);
-            let batched = run_recorded(opt.as_ref(), &mut batched_state, &f, budget, &mut sizes);
-            assert_results_bitwise_equal(&scalar, &batched, opt.name());
-
-            // Split into rungs at several checkpoints, alternating which leg
-            // goes through the recording evaluator.
-            for k in [1usize, 7, 25, 60] {
-                let mut sizes = Vec::new();
-                let mut state = opt.start(&initial, budget);
-                run_recorded(opt.as_ref(), &mut state, &f, k, &mut sizes);
-                let finish_scalar = opt.resume_until(&mut state, &f, budget);
-                assert_results_bitwise_equal(
-                    &scalar,
-                    &finish_scalar,
-                    &format!("{} batched-then-scalar at {k}", opt.name()),
-                );
-
-                let mut state = opt.start(&initial, budget);
-                opt.resume_until(&mut state, &f, k);
-                let finish_batched = run_recorded(opt.as_ref(), &mut state, &f, budget, &mut sizes);
-                assert_results_bitwise_equal(
-                    &scalar,
-                    &finish_batched,
-                    &format!("{} scalar-then-batched at {k}", opt.name()),
-                );
-            }
-        }
-    }
-
-    /// Optimizers submit their natural probe sets in one call each (the whole
-    /// point of batching), and COBYLA, whose every step branches on the
-    /// previous value, one point at a time.
-    #[test]
-    fn overriding_optimizers_propose_their_natural_probe_sets() {
-        let f = |x: &[f64]| (x[0] - 0.5).powi(2) + x[1] * x[1];
-        let initial = [0.4, -0.1];
-
-        let mut sizes = Vec::new();
-        let spsa = Spsa::default();
-        let mut state = spsa.start(&initial, 40);
-        run_recorded(&spsa, &mut state, &f, 40, &mut sizes);
-        assert!(sizes.contains(&2), "SPSA pairs: {sizes:?}");
-
-        let mut sizes = Vec::new();
-        let nm = NelderMead::default();
-        let mut state = nm.start(&initial, 40);
-        run_recorded(&nm, &mut state, &f, 40, &mut sizes);
-        assert_eq!(sizes.first(), Some(&3), "NM initial simplex: {sizes:?}");
-
-        let mut sizes = Vec::new();
-        let grid = GridSearch::default();
-        let mut state = grid.start(&initial, 40);
-        run_recorded(&grid, &mut state, &f, 40, &mut sizes);
-        assert_eq!(sizes, vec![36], "grid population: {sizes:?}");
-
-        let mut sizes = Vec::new();
-        let rs = RandomSearch::default();
-        let mut state = rs.start(&initial, 40);
-        run_recorded(&rs, &mut state, &f, 40, &mut sizes);
-        assert_eq!(sizes, vec![40], "random population: {sizes:?}");
-
-        let mut sizes = Vec::new();
-        let cobyla = CobylaOptimizer::default();
-        let mut state = cobyla.start(&initial, 40);
-        run_recorded(&cobyla, &mut state, &f, 40, &mut sizes);
-        assert_eq!(sizes.len(), state.evaluations(), "COBYLA: {sizes:?}");
-        assert!(
-            sizes.iter().all(|&n| n == 1),
-            "COBYLA singletons: {sizes:?}"
-        );
-    }
-
-    #[test]
-    fn batch_driver_on_converged_or_met_target_is_a_noop() {
-        let f = |x: &[f64]| x[0] * x[0];
-        for opt in resumables() {
-            let mut state = opt.start(&[0.7], 40);
-            let mut sizes = Vec::new();
-            let a = run_recorded(opt.as_ref(), &mut state, &f, 20, &mut sizes);
-            let evals = state.evaluations();
-            let b = run_recorded(opt.as_ref(), &mut state, &f, evals, &mut sizes);
-            let c = run_recorded(opt.as_ref(), &mut state, &f, 3, &mut sizes);
-            assert_eq!(a.trace.points(), b.trace.points(), "{}", opt.name());
-            assert_eq!(b.trace.points(), c.trace.points(), "{}", opt.name());
-            assert_eq!(state.evaluations(), evals, "{}", opt.name());
-        }
-    }
-
-    #[test]
-    fn zero_dimensional_batched_runs_converge_immediately() {
-        let f = |_: &[f64]| 4.2;
-        for opt in resumables() {
-            let mut state = opt.start(&[], 10);
-            let mut sizes = Vec::new();
-            let r = run_recorded(opt.as_ref(), &mut state, &f, 10, &mut sizes);
             assert_eq!(r.best_value, 4.2, "{}", opt.name());
             assert!(state.converged(), "{}", opt.name());
             assert_eq!(state.evaluations(), 1, "{}", opt.name());

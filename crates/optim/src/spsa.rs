@@ -17,7 +17,7 @@
 //! from releases before the checkpoint API.)
 
 use crate::result::{OptimizationResult, OptimizationTrace};
-use crate::resumable::{probe, probe_one, OptimizerState, Resumable};
+use crate::resumable::{probe, OptimizerState, Resumable};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -97,9 +97,9 @@ impl Spsa {
         }
     }
 
-    /// One atomic SPSA iteration: the ± pair goes to `evaluate` as one point
-    /// set, the periodic iterate check after it on its own.
-    fn step(&self, s: &mut SpsaState, evaluate: &mut dyn FnMut(&[Vec<f64>]) -> Vec<f64>) {
+    /// One atomic SPSA iteration: `evaluate` gets `x₊`, then `x₋`, then on
+    /// every tenth iteration the updated iterate.
+    fn step(&self, s: &mut SpsaState, evaluate: &mut dyn FnMut(&[f64]) -> f64) {
         let n = s.x.len();
         let ak = self.a / ((s.k as f64) + 1.0 + self.stability).powf(self.alpha);
         let ck = self.c / ((s.k as f64) + 1.0).powf(self.gamma);
@@ -111,10 +111,8 @@ impl Spsa {
 
         let x_plus: Vec<f64> = s.x.iter().zip(&delta).map(|(xi, d)| xi + ck * d).collect();
         let x_minus: Vec<f64> = s.x.iter().zip(&delta).map(|(xi, d)| xi - ck * d).collect();
-        let pair = [x_plus, x_minus];
-        let values = probe(evaluate, &pair, &mut s.trace);
-        let (f_plus, f_minus) = (values[0], values[1]);
-        let [x_plus, x_minus] = pair;
+        let f_plus = probe(evaluate, &x_plus, &mut s.trace);
+        let f_minus = probe(evaluate, &x_minus, &mut s.trace);
 
         // Gradient estimate and update. A pair with a NaN or an infinity
         // carries no gradient: the iterate stays put rather than turn NaN.
@@ -136,7 +134,7 @@ impl Spsa {
             s.best_point = x_minus;
         }
         if s.k % 10 == 9 {
-            let f_x = probe_one(evaluate, &s.x, &mut s.trace);
+            let f_x = probe(evaluate, &s.x, &mut s.trace);
             if f_x < s.best_value {
                 s.best_value = f_x;
                 s.best_point = s.x.clone();
@@ -167,16 +165,19 @@ impl Resumable for Spsa {
     fn resume(
         &self,
         state: &mut OptimizerState,
-        evaluate: &mut dyn FnMut(&[Vec<f64>]) -> Vec<f64>,
+        evaluate: &mut dyn FnMut(&[f64]) -> f64,
         target_evaluations: usize,
     ) -> OptimizationResult {
         let OptimizerState::Spsa(s) = state else {
             panic!("Spsa::resume given a {} state", state.kind_name());
         };
         if !s.started && target_evaluations > 0 {
-            let v = probe_one(evaluate, &s.x, &mut s.trace);
-            s.best_value = v;
-            s.best_point = s.x.clone();
+            // `start` put the best at `x` with +inf: a NaN here never
+            // becomes the best.
+            let v = probe(evaluate, &s.x, &mut s.trace);
+            if v < s.best_value {
+                s.best_value = v;
+            }
             s.started = true;
             if s.x.is_empty() {
                 s.converged = true;

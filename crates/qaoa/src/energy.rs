@@ -14,7 +14,7 @@ use graphs::{ClassicalSolution, Graph, Problem, SolutionQuality};
 use optim::{OptimizationResult, OptimizerState, Resumable};
 use serde::{Deserialize, Serialize};
 use statevec::compile::PhaseLutInterner;
-use statevec::{BatchStateVector, CompiledProgram, StateVector};
+use statevec::{CompiledProgram, PlaneState, StateVector};
 use std::sync::{Arc, Mutex, OnceLock};
 use tensornet::{ExpectationPlan, PlanInterner, PlanScratch, TensorNetError};
 
@@ -462,10 +462,10 @@ impl TrainingSession {
     /// in the search pipeline; `None` uses the compiled objective's own).
     /// Ignored when the session does not use the compiled path.
     ///
-    /// Every start resumes through [`Resumable::resume`]: each point set the
-    /// optimizer hands over is evaluated point by point, on the compiled
-    /// path by [`CompiledEnergy::energy_batch_in`] in one reused state. Then
-    /// the snapshot is taken.
+    /// Every start resumes through [`Resumable::resume`], which asks for one
+    /// point per call: one sweep in the scratch on the compiled path, one
+    /// plan evaluation on the tensor-network path. Then the snapshot is
+    /// taken.
     pub fn advance_in(
         &mut self,
         optimizer: &dyn Resumable,
@@ -495,27 +495,15 @@ impl TrainingSession {
         // propagate through the evaluator; they become +inf, so the optimizer
         // avoids that region, and are re-checked afterwards.
         let negated = |energy: Result<f64, QaoaError>| energy.map_or(f64::INFINITY, |e| -e);
-        let mut evaluate = |points: &[Vec<f64>]| -> Vec<f64> {
-            match &*how {
-                Objective::Compiled(compiled) => {
-                    let energies = match scratch.as_deref_mut() {
-                        Some(scratch) => compiled.energy_batch_in(points, scratch),
-                        None => compiled.energy_batch(points),
-                    };
-                    match energies {
-                        Ok(es) => es.into_iter().map(|e| -e).collect(),
-                        Err(_) => vec![f64::INFINITY; points.len()],
-                    }
-                }
-                Objective::Planned(planned) => points
-                    .iter()
-                    .map(|p| negated(planned.energy_flat(p)))
-                    .collect(),
-                Objective::Bound(ansatz) => points
-                    .iter()
-                    .map(|p| negated(evaluator.energy_flat(ansatz, p)))
-                    .collect(),
-            }
+        let mut evaluate = |point: &[f64]| {
+            negated(match &*how {
+                Objective::Compiled(compiled) => match scratch.as_deref_mut() {
+                    Some(scratch) => compiled.sweep(point, scratch),
+                    None => compiled.energy_flat(point),
+                },
+                Objective::Planned(planned) => planned.energy_flat(point),
+                Objective::Bound(ansatz) => evaluator.energy_flat(ansatz, point),
+            })
         };
 
         let target = Self::share_of(target_evaluations, *restarts);
@@ -654,8 +642,8 @@ pub struct CompiledEnergy {
     /// problem diagonal `C(z)` for every basis state, shared with (and
     /// cached by) the graph's [`EnergyEvaluator`].
     diag: Arc<Vec<f64>>,
-    /// Buffers for the calls that bring none ([`energy_flat`](Self::energy_flat),
-    /// [`energy_batch`](Self::energy_batch)) and the slot staging of
+    /// Buffers for the calls that bring none ([`energy_flat`](Self::energy_flat))
+    /// and the slot staging of
     /// [`energy_flat_in`](Self::energy_flat_in), built lazily: callers that
     /// always supply their own (the search pipeline's per-worker buffers)
     /// never pay for a `2^n` state here. The lock is uncontended in
@@ -663,16 +651,17 @@ pub struct CompiledEnergy {
     scratch: Mutex<BatchScratch>,
 }
 
-/// Reusable buffers for [`CompiledEnergy::energy_batch_in`]: the one `2^n`
-/// two-plane state every compiled evaluation runs in, point after point,
-/// and the slot-value staging area.
+/// Reusable buffers for the compiled sweeps of
+/// [`CompiledEnergy::energy_batch_in`] and [`TrainingSession::advance_in`]:
+/// the one `2^n` two-plane state every compiled evaluation runs in, point
+/// after point, and the slot-value staging area.
 ///
 /// One `BatchScratch` per worker serves every candidate trained on any graph
 /// size (the state is rebuilt when the width changes).
 #[derive(Debug, Default)]
 pub struct BatchScratch {
     /// The `2^n` amplitude buffer.
-    state: Option<BatchStateVector>,
+    state: Option<PlaneState>,
     /// One point's slot values.
     values: Vec<f64>,
 }
@@ -740,7 +729,6 @@ impl CompiledEnergy {
     /// the internal scratch state is built on first use): one sweep, as
     /// [`energy_batch_in`](Self::energy_batch_in) runs for each point.
     pub fn energy_flat(&self, params: &[f64]) -> Result<f64, QaoaError> {
-        self.check_params(params)?;
         self.sweep(params, &mut self.scratch())
     }
 
@@ -787,19 +775,15 @@ impl CompiledEnergy {
     /// ⟨C⟩ for each of `points`, flat parameter vectors, bit-identical to
     /// one [`CompiledEnergy::energy_flat_in`] call per point.
     ///
-    /// Each point is one sweep of [`CompiledProgram::execute_batch_into`] in
-    /// the caller's [`BatchScratch`], whose one state every point reuses; a
-    /// one-point call is what every point COBYLA asks for costs. Once the
-    /// scratch is warm, a call on up to 16 qubits (one reduction block)
-    /// allocates only the returned `Vec`.
+    /// Each point is one sweep of [`CompiledProgram::execute_planes_into`]
+    /// in the caller's [`BatchScratch`], whose one state every point reuses.
+    /// Once the scratch is warm, a call on up to 16 qubits (one reduction
+    /// block) allocates only the returned `Vec`.
     pub fn energy_batch_in<P: AsRef<[f64]>>(
         &self,
         points: &[P],
         scratch: &mut BatchScratch,
     ) -> Result<Vec<f64>, QaoaError> {
-        for p in points {
-            self.check_params(p.as_ref())?;
-        }
         let mut out = Vec::with_capacity(points.len());
         for p in points {
             out.push(self.sweep(p.as_ref(), scratch)?);
@@ -807,28 +791,20 @@ impl CompiledEnergy {
         Ok(out)
     }
 
-    /// [`energy_batch_in`](Self::energy_batch_in) with the compiled
-    /// objective's internal scratch (built lazily on first use), for callers
-    /// without a per-worker buffer.
-    pub fn energy_batch<P: AsRef<[f64]>>(&self, points: &[P]) -> Result<Vec<f64>, QaoaError> {
-        self.energy_batch_in(points, &mut self.scratch())
-    }
-
-    /// One sweep at the (checked) point `params`; the state is built, or
+    /// One checked sweep at `params` in `scratch`; the state is built, or
     /// rebuilt at this program's width, when needed.
     fn sweep(&self, params: &[f64], scratch: &mut BatchScratch) -> Result<f64, QaoaError> {
+        self.check_params(params)?;
         let BatchScratch { state, values } = scratch;
         values.clear();
         values.resize(self.program.num_params(), 0.0);
         Self::fill_slots(&self.slot_for_flat, params, values);
         let state = match state {
             Some(s) if s.num_qubits() == self.num_qubits => s,
-            slot => {
-                slot.insert(BatchStateVector::zero_states(self.num_qubits).map_err(backend_err)?)
-            }
+            slot => slot.insert(PlaneState::zero_state(self.num_qubits).map_err(backend_err)?),
         };
         self.program
-            .execute_batch_into(values, state)
+            .execute_planes_into(values, state)
             .map_err(backend_err)?;
         state.expectation_diagonal(&self.diag).map_err(backend_err)
     }
@@ -1373,14 +1349,10 @@ mod tests {
         let ansatz = QaoaAnsatz::new(&graph, 1, Mixer::baseline());
         let compiled = eval.compile(&ansatz).unwrap();
         let points: Vec<Vec<f64>> = (0..5).map(|i| vec![0.2 + 0.1 * i as f64, -0.3]).collect();
-        let internal = compiled.energy_batch(&points).unwrap();
         let mut scratch = BatchScratch::new();
         let external = compiled.energy_batch_in(&points, &mut scratch).unwrap();
-        for (a, b) in internal.iter().zip(&external) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // And both agree with the one-at-a-time compiled path.
-        for (p, &e) in points.iter().zip(&internal) {
+        // The internal scratch serves `energy_flat`, one point at a time.
+        for (p, &e) in points.iter().zip(&external) {
             assert_eq!(compiled.energy_flat(p).unwrap().to_bits(), e.to_bits());
         }
     }
@@ -1392,12 +1364,20 @@ mod tests {
         let ansatz = QaoaAnsatz::new(&graph, 1, Mixer::baseline());
         let compiled = eval.compile(&ansatz).unwrap();
         let points = vec![vec![0.1, 0.2], vec![0.1, 0.2, 0.3]];
+        let mut scratch = BatchScratch::new();
         assert!(matches!(
-            compiled.energy_batch(&points),
+            compiled.energy_batch_in(&points, &mut scratch),
+            Err(QaoaError::WrongParameterCount { .. })
+        ));
+        assert!(matches!(
+            compiled.energy_flat(&points[1]),
             Err(QaoaError::WrongParameterCount { .. })
         ));
         // Empty batches are a no-op, not an error.
-        assert!(compiled.energy_batch::<Vec<f64>>(&[]).unwrap().is_empty());
+        assert!(compiled
+            .energy_batch_in::<Vec<f64>>(&[], &mut scratch)
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

@@ -323,3 +323,56 @@ fn second_session_on_an_evaluator_allocates_nothing_of_state_size() {
         "second session allocated {second_bytes} bytes (first: {first_bytes})"
     );
 }
+
+#[test]
+fn warm_session_rung_adds_no_allocation_per_evaluation() {
+    use optim::Resumable;
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // One COBYLA rung through a session on warm caller scratch against the
+    // same optimizer driven by `resume_until` on the scalar objective it
+    // trains to the same bits: the optimizer's own allocations (trace,
+    // vertices, trial points) are the same on both sides, so what the
+    // session adds must not grow with the budget.
+    let n = 8;
+    let graph = Graph::connected_erdos_renyi(n, 0.5, 7, 50);
+    let eval = EnergyEvaluator::new(&graph, Backend::StateVector);
+    let ansatz = QaoaAnsatz::new(&graph, 2, Mixer::qnas());
+    let compiled = eval.compile(&ansatz).unwrap();
+    let optimizer = optim::CobylaOptimizer::default();
+    let state = Mutex::new(statevec::StateVector::zero_state(n).unwrap());
+    let objective = |x: &[f64]| {
+        -compiled
+            .energy_flat_in(x, &mut state.lock().unwrap())
+            .unwrap()
+    };
+    let mut scratch = BatchScratch::new();
+    let mut added = Vec::new();
+    for budget in [40, 80] {
+        let mut session = eval
+            .begin_training(&ansatz, &optimizer, None, budget)
+            .unwrap();
+        let mut reference = optimizer.start(&ansatz.default_initial_flat(), budget);
+        // Warm both sides' buffers on a throwaway run.
+        let mut warm = eval
+            .begin_training(&ansatz, &optimizer, None, budget)
+            .unwrap();
+        warm.advance_in(&optimizer, budget, Some(&mut scratch))
+            .unwrap();
+        objective(&ansatz.default_initial_flat());
+
+        let (session_allocs, _, trained) = count_allocs(|| {
+            session
+                .advance_in(&optimizer, budget, Some(&mut scratch))
+                .unwrap()
+        });
+        let (reference_allocs, _, result) =
+            count_allocs(|| optimizer.resume_until(&mut reference, &objective, budget));
+        assert_eq!(trained.evaluations, result.evaluations, "budget {budget}");
+        assert_eq!(trained.energy.to_bits(), (-result.best_value).to_bits());
+        added.push(session_allocs as i64 - reference_allocs as i64);
+    }
+    assert_eq!(
+        added[0], added[1],
+        "allocations the session adds over resume_until, at budgets 40 and 80"
+    );
+}

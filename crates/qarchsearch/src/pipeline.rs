@@ -405,9 +405,8 @@ impl BudgetedScheduler {
                     if cancel.load(Ordering::SeqCst) {
                         return Err(SearchError::Cancelled);
                     }
-                    // Compiled sessions sweep each point of an optimizer's
-                    // point sets (SPSA pairs, initial simplexes, grid/random
-                    // populations) in the worker's scratch state; the other
+                    // Compiled sessions sweep each point the optimizer asks
+                    // for in the worker's scratch state; the other
                     // objectives ignore it.
                     let trained = session.advance_in(optimizer, target, Some(scratch))?;
                     Ok((slot, session, trained))

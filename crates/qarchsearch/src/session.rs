@@ -822,6 +822,10 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(
+        not(debug_assertions),
+        ignore = "fault injection is armed only in debug builds"
+    )]
     fn cancel_inside_a_single_rung_depth_skips_the_remaining_sessions() {
         use crate::fault::{FaultAction, FaultInjector, FaultPlan, FaultSpec};
         // 6 candidates × 2 graphs = 12 sessions in the depth's only rung.

@@ -39,8 +39,8 @@
 //! assert!((scratch.norm_squared() - 1.0).abs() < 1e-12);
 //! ```
 
-use crate::batch::{BatchExecScratch, BatchStateVector, StagedGate, RUN_BLOCK_AMPS};
 use crate::error::SimulatorError;
+use crate::planes::{ExecScratch, PlaneState, StagedGate, RUN_BLOCK_AMPS};
 use crate::state::{par_blocks, StateVector, TABLE_BLOCK};
 use graphs::problem::add_term_values;
 use num_complex::Complex64;
@@ -605,14 +605,14 @@ impl CompiledProgram {
     /// [`CompiledProgram::execute_into`].
     ///
     /// Bit-identical to [`CompiledProgram::execute_into`] up to the sign of
-    /// a zero amplitude (see the contract on [`crate::batch`]): gate kernels
+    /// a zero amplitude (see the contract on [`crate::planes`]): gate kernels
     /// perform the same arithmetic but for products with an exactly-zero
     /// coefficient, and phase passes read the same LUTs and compute their
     /// factors `e^{i·scale·θ}` through the same helper.
-    pub fn execute_batch_into(
+    pub fn execute_planes_into(
         &self,
         params: &[f64],
-        state: &mut BatchStateVector,
+        state: &mut PlaneState,
     ) -> Result<(), SimulatorError> {
         self.check(params, state.num_qubits())?;
         let mut scr = state.take_exec_scratch();
@@ -697,7 +697,7 @@ impl CompiledProgram {
         table: usize,
         slot: Option<usize>,
         params: &[f64],
-        scr: &mut BatchExecScratch,
+        scr: &mut ExecScratch,
     ) -> &[u32] {
         let lut = &self.luts[table];
         scr.factors_re.clear();
@@ -1307,7 +1307,7 @@ mod tests {
     }
 
     /// `state`'s planes against `want`'s amplitudes, bit for bit.
-    fn assert_planes_equal(state: &BatchStateVector, want: &StateVector) {
+    fn assert_planes_equal(state: &PlaneState, want: &StateVector) {
         let (re, im) = state.planes();
         for (z, a) in want.amplitudes().iter().enumerate() {
             assert_eq!(re[z].to_bits(), a.re.to_bits(), "re[{z}]");
@@ -1321,8 +1321,8 @@ mod tests {
             let program = CompiledProgram::compile(&batch_test_circuit(n)).unwrap();
             for b in 0..5 {
                 let point = [0.3 + 0.17 * b as f64, -0.9 + 0.4 * b as f64];
-                let mut state = BatchStateVector::zero_states(n).unwrap();
-                program.execute_batch_into(&point, &mut state).unwrap();
+                let mut state = PlaneState::zero_state(n).unwrap();
+                program.execute_planes_into(&point, &mut state).unwrap();
                 assert_planes_equal(&state, &program.run(&point).unwrap());
             }
         }
@@ -1331,11 +1331,11 @@ mod tests {
     #[test]
     fn batch_scratch_reuse_matches_fresh_runs_bitwise() {
         let program = CompiledProgram::compile(&batch_test_circuit(5)).unwrap();
-        let mut state = BatchStateVector::zero_states(5).unwrap();
+        let mut state = PlaneState::zero_state(5).unwrap();
         for round in 0..3 {
             for b in 0..3 {
                 let point = [0.1 * (round + 1) as f64 + 0.2 * b as f64, -0.4];
-                program.execute_batch_into(&point, &mut state).unwrap();
+                program.execute_planes_into(&point, &mut state).unwrap();
                 assert_planes_equal(&state, &program.run(&point).unwrap());
             }
         }
@@ -1344,17 +1344,17 @@ mod tests {
     #[test]
     fn batch_parameter_and_width_errors() {
         let program = CompiledProgram::compile(&batch_test_circuit(4)).unwrap();
-        let mut state = BatchStateVector::zero_states(4).unwrap();
+        let mut state = PlaneState::zero_state(4).unwrap();
         assert!(matches!(
-            program.execute_batch_into(&[0.1; 3], &mut state),
+            program.execute_planes_into(&[0.1; 3], &mut state),
             Err(SimulatorError::WrongParameterCount {
                 expected: 2,
                 got: 3
             })
         ));
-        let mut narrow = BatchStateVector::zero_states(3).unwrap();
+        let mut narrow = PlaneState::zero_state(3).unwrap();
         assert!(matches!(
-            program.execute_batch_into(&[0.1; 2], &mut narrow),
+            program.execute_planes_into(&[0.1; 2], &mut narrow),
             Err(SimulatorError::WidthMismatch { .. })
         ));
     }
@@ -1468,7 +1468,7 @@ mod tests {
         // The span kernel's shape is read from the staged values, so a
         // chain formed at execution (`mul2`) is classified like a single
         // gate.
-        use crate::batch::{stage_one_q_coeffs, Shape};
+        use crate::planes::{stage_one_q_coeffs, Shape};
         use rand::{Rng, SeedableRng};
         fn one_q(gate: Gate, theta: f64) -> [Complex64; 4] {
             match GateMatrix::of(gate, theta) {

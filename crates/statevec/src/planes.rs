@@ -1,13 +1,13 @@
 //! Structure-of-arrays amplitude buffer: the executor of every compiled
 //! energy evaluation.
 //!
-//! [`BatchStateVector`] holds one dense state in two f64 planes, real and
+//! [`PlaneState`] holds one dense state in two f64 planes, real and
 //! imaginary: amplitude `z` is `(re[z], im[z])`. Kept apart, the planes are
 //! pure-f64 runs with no real/imaginary interleaving, so the explicit
 //! arithmetic in the kernels below compiles to packed f64 multiplies and
 //! adds (interleaved `Complex64` forces shuffle-heavy codegen that pins
-//! throughput at scalar FP rates). Every sweep runs one parameter vector:
-//! an optimizer's point set is swept one point at a time.
+//! throughput at scalar FP rates). Every sweep runs one parameter vector,
+//! the one point an optimizer asked for.
 //!
 //! **Two builds of the hot kernels.** The single-qubit span kernel and the
 //! phase pass are each one `#[inline(always)]` body compiled twice: into the
@@ -20,7 +20,7 @@
 //! builds round every product and sum the same way: the arm never changes a
 //! bit, and the portable build is the AVX2 build's oracle.
 //!
-//! On top of the layout, `BatchStateVector::apply_single_qubit_run`
+//! On top of the layout, `PlaneState::apply_single_qubit_run`
 //! executes a whole *run* of single-qubit gates (e.g. one QAOA mixer layer)
 //! in a single cache-blocked sweep: the buffer is walked once in L2-sized
 //! blocks and every low-stride gate of the run is applied while a block is
@@ -30,7 +30,7 @@
 //! their stride as a literal: the compiler then loads whole vectors and
 //! deinterleaves the pairs in registers instead of looping one pair at a
 //! time. A program that opens with `|+⟩^{⊗n}` and a phase pass writes both
-//! in one pass (`BatchStateVector::reset_plus_then_phase_lut`). The scalar
+//! in one pass (`PlaneState::reset_plus_then_phase_lut`). The scalar
 //! [`StateVector`](crate::StateVector) interpreter stays as the reference.
 //!
 //! **Shaped span bodies.** Most single-qubit matrices a mixer stages have
@@ -62,12 +62,12 @@ use crate::state::{par_block_sum, par_blocks, BLOCK_AMPS, MAX_DENSE_QUBITS};
 use num_complex::Complex64;
 
 /// Per-execution scratch owned by the buffer so repeated
-/// [`crate::CompiledProgram::execute_batch_into`] calls are allocation-free
+/// [`crate::CompiledProgram::execute_planes_into`] calls are allocation-free
 /// once warm: the staged gates of a fused run and the distinct-angle
 /// phase-factor planes. Taken out of the buffer during execution (to
 /// sidestep aliasing with the amplitude data) and restored afterwards.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct BatchExecScratch {
+pub(crate) struct ExecScratch {
     /// The staged gates of the current fused single-qubit run.
     pub(crate) run: Vec<StagedGate>,
     /// Phase factors, one per distinct value:
@@ -346,18 +346,18 @@ fn phase_lut_span<const FROM_PLUS: bool>(
 
 /// One dense `2^n`-amplitude state as two f64 planes.
 #[derive(Debug, Clone)]
-pub struct BatchStateVector {
+pub struct PlaneState {
     num_qubits: usize,
     /// Real plane: `re[z]` is amplitude `z`'s real part.
     re: Vec<f64>,
     /// Imaginary plane, same layout.
     im: Vec<f64>,
-    scratch: BatchExecScratch,
+    scratch: ExecScratch,
 }
 
-impl BatchStateVector {
+impl PlaneState {
     /// The all-zeros state `|0...0⟩`.
-    pub fn zero_states(num_qubits: usize) -> Result<Self, SimulatorError> {
+    pub fn zero_state(num_qubits: usize) -> Result<Self, SimulatorError> {
         if num_qubits > MAX_DENSE_QUBITS {
             return Err(SimulatorError::TooManyQubits {
                 num_qubits,
@@ -365,11 +365,11 @@ impl BatchStateVector {
             });
         }
         let dim = 1usize << num_qubits;
-        let mut out = BatchStateVector {
+        let mut out = PlaneState {
             num_qubits,
             re: vec![0.0; dim],
             im: vec![0.0; dim],
-            scratch: BatchExecScratch::default(),
+            scratch: ExecScratch::default(),
         };
         out.reset_zero();
         Ok(out)
@@ -396,11 +396,11 @@ impl BatchStateVector {
         self.im.fill(0.0);
     }
 
-    pub(crate) fn take_exec_scratch(&mut self) -> BatchExecScratch {
+    pub(crate) fn take_exec_scratch(&mut self) -> ExecScratch {
         std::mem::take(&mut self.scratch)
     }
 
-    pub(crate) fn restore_exec_scratch(&mut self, scratch: BatchExecScratch) {
+    pub(crate) fn restore_exec_scratch(&mut self, scratch: ExecScratch) {
         self.scratch = scratch;
     }
 
@@ -587,7 +587,7 @@ mod tests {
     use super::*;
     use crate::StateVector;
 
-    impl BatchStateVector {
+    impl PlaneState {
         /// The real and imaginary planes.
         pub(crate) fn planes(&self) -> (&[f64], &[f64]) {
             (&self.re, &self.im)
@@ -595,7 +595,7 @@ mod tests {
     }
 
     /// `bsv`'s amplitudes against `want`'s, bit for bit.
-    fn assert_same_state(bsv: &BatchStateVector, want: &StateVector, what: &str) {
+    fn assert_same_state(bsv: &PlaneState, want: &StateVector, what: &str) {
         let (re, im) = bsv.planes();
         assert_eq!(re.len(), want.amplitudes().len(), "{what}");
         for (z, a) in want.amplitudes().iter().enumerate() {
@@ -606,13 +606,13 @@ mod tests {
 
     #[test]
     fn zero_states_puts_every_element_at_zero() {
-        let b = BatchStateVector::zero_states(3).unwrap();
+        let b = PlaneState::zero_state(3).unwrap();
         assert_same_state(&b, &StateVector::zero_state(3).unwrap(), "zero state");
     }
 
     #[test]
     fn reset_plus_matches_scalar_plus_state_bitwise() {
-        let mut b = BatchStateVector::zero_states(5).unwrap();
+        let mut b = PlaneState::zero_state(5).unwrap();
         b.reset_plus();
         assert_same_state(&b, &StateVector::plus_state(5).unwrap(), "plus state");
     }
@@ -620,14 +620,14 @@ mod tests {
     #[test]
     fn too_many_qubits_is_rejected() {
         assert!(matches!(
-            BatchStateVector::zero_states(31),
+            PlaneState::zero_state(31),
             Err(SimulatorError::TooManyQubits { .. })
         ));
     }
 
     #[test]
     fn expectation_batch_dimension_mismatch() {
-        let b = BatchStateVector::zero_states(2).unwrap();
+        let b = PlaneState::zero_state(2).unwrap();
         assert!(matches!(
             b.expectation_diagonal(&[1.0, 2.0]),
             Err(SimulatorError::DimensionMismatch { .. })
@@ -651,7 +651,7 @@ mod tests {
             let diag: Vec<f64> = (0..dim).map(|z| (z % 5) as f64 - 2.0).collect();
             for (theta, scale) in [(0.3, 0.5), (-1.1, 1.0), (2.4, -2.0)] {
                 let what = format!("n={n} theta={theta}");
-                let mut bsv = BatchStateVector::zero_states(n).unwrap();
+                let mut bsv = PlaneState::zero_state(n).unwrap();
                 bsv.reset_plus();
                 let mut scalar = StateVector::plus_state(n).unwrap();
 
@@ -704,14 +704,14 @@ mod tests {
                 .collect();
             let staged: Vec<StagedGate> =
                 gates.iter().map(|(m, t)| StagedGate::new(m, *t)).collect();
-            let mut reference = BatchStateVector::zero_states(n).unwrap();
+            let mut reference = PlaneState::zero_state(n).unwrap();
             reference.reset_plus();
             for (m, t) in &gates {
                 reference.apply_single_qubit(m, *t);
             }
             let (want_re, want_im) = reference.planes();
             for block_amps in [1usize << 9, 1usize << n] {
-                let mut fused = BatchStateVector::zero_states(n).unwrap();
+                let mut fused = PlaneState::zero_state(n).unwrap();
                 fused.reset_plus();
                 fused.apply_single_qubit_run(&staged, block_amps);
                 let (re, im) = fused.planes();
@@ -741,10 +741,10 @@ mod tests {
                         (f.re, f.im)
                     })
                     .unzip();
-                let mut two = BatchStateVector::zero_states(n).unwrap();
+                let mut two = PlaneState::zero_state(n).unwrap();
                 two.reset_plus();
                 two.apply_phase_lut(&index, &fre, &fim);
-                let mut fused = BatchStateVector::zero_states(n).unwrap();
+                let mut fused = PlaneState::zero_state(n).unwrap();
                 fused.reset_plus_then_phase_lut(&index, &fre, &fim);
                 let what = format!("n={n} scale={scale}");
                 assert_same_bits(&fused.re, &two.re, &what);
@@ -756,7 +756,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds")]
     fn fused_run_rejects_strides_wider_than_the_block() {
-        let mut b = BatchStateVector::zero_states(12).unwrap();
+        let mut b = PlaneState::zero_state(12).unwrap();
         let m = [
             Complex64::new(1.0, 0.0),
             Complex64::new(0.0, 0.0),
@@ -1045,7 +1045,7 @@ mod tests {
             rounds[4]
         }
         /// The state `bsv` holds, as a scalar state.
-        fn scalar_of(bsv: &BatchStateVector) -> StateVector {
+        fn scalar_of(bsv: &PlaneState) -> StateVector {
             let (re, im) = bsv.planes();
             let amps = re.iter().zip(im).map(|(&r, &i)| Complex64::new(r, i));
             StateVector::from_amplitudes(amps.collect()).expect("2^n amplitudes")
@@ -1078,7 +1078,7 @@ mod tests {
             let dim = 1usize << n;
             let calls = (1usize << 22) >> n;
             let gb = |us: f64| 32.0 * dim as f64 / (us * 1e3);
-            let mut bsv = BatchStateVector::zero_states(n).unwrap();
+            let mut bsv = PlaneState::zero_state(n).unwrap();
             bsv.reset_plus();
             println!("n = {n}: µs per pass, median of 9 rounds of {calls}");
             println!("                General      Real    RxLike");
@@ -1176,7 +1176,7 @@ mod tests {
             // Read, negate and write back both planes: an even number of
             // passes gives the state back.
             let (re, im) = (bsv.re.clone(), bsv.im.clone());
-            fn negate(bsv: &mut BatchStateVector) {
+            fn negate(bsv: &mut PlaneState) {
                 for plane in [&mut bsv.re, &mut bsv.im] {
                     for v in plane.iter_mut() {
                         *v = -*v;
@@ -1260,7 +1260,7 @@ mod tests {
             // The scalar reference runs in the same pool; its bits would be
             // the same in any pool, since reductions sum fixed blocks.
             pool.install(|| {
-                let mut bsv = BatchStateVector::zero_states(n).unwrap();
+                let mut bsv = PlaneState::zero_state(n).unwrap();
                 bsv.reset_plus();
                 bsv.apply_two_qubit(&m, n - 1, 2);
                 let mut scalar = StateVector::plus_state(n).unwrap();

@@ -1,8 +1,8 @@
 //! Property-based tests for the dense simulator.
 
-use crate::batch::BatchStateVector;
 use crate::compile::CompiledProgram;
 use crate::expectation::{maxcut_diagonal, maxcut_expectation, zz_expectation};
+use crate::planes::PlaneState;
 use crate::state::StateVector;
 use proptest::prelude::*;
 use qcircuit::{Circuit, Gate, Parameter};
@@ -184,9 +184,9 @@ proptest! {
         let np = program.num_params();
         let points: Vec<Vec<f64>> =
             points.into_iter().map(|p| p[..np].to_vec()).collect();
-        let mut state = BatchStateVector::zero_states(5).unwrap();
+        let mut state = PlaneState::zero_state(5).unwrap();
         for p in &points {
-            program.execute_batch_into(p, &mut state).unwrap();
+            program.execute_planes_into(p, &mut state).unwrap();
             let want = program.run(p).unwrap();
             let (re, im) = state.planes();
             for (z, b) in want.amplitudes().iter().enumerate() {

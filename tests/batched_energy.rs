@@ -1,22 +1,23 @@
-//! Differential suite for batched multi-parameter energy evaluation
-//! (ISSUE 6 tentpole).
+//! Differential suite for compiled state-vector energy evaluation.
 //!
-//! The batched statevector sweep is an optimization, not a semantic change:
-//! every test here pins **bitwise** equality between the batch path and the
-//! sequential reference it amortizes —
+//! Every compiled evaluation is one sweep of one parameter vector, whether
+//! it comes through `energy_batch_in`, `energy_flat`, `energy_flat_in` or a
+//! training session. Every test here pins **bitwise** equality between
+//! those entry points and the sequential reference —
 //!
 //! 1. `CompiledEnergy::energy_batch_in` ≡ one `energy_flat_in` per point,
-//!    as exact `f64` bit patterns, for batch sizes 1, 2, 7 and 64, for every
-//!    shipped problem family, and at 15 qubits under one- and two-thread
-//!    pools;
-//! 2. a training session, which hands each optimizer point set to
-//!    `energy_batch_in`, ≡ the optimizer driven directly by `resume_until` on
+//!    as exact `f64` bit patterns, for point counts 1, 2, 7 and 64, for
+//!    every shipped problem family, and at 15 qubits under one- and
+//!    two-thread pools; and ≡ one `energy_flat` per point on the internal
+//!    scratch;
+//! 2. a training session, which answers each point the optimizer asks for
+//!    with one sweep, ≡ the optimizer driven directly by `resume_until` on
 //!    the scalar `energy_flat_in`, for all five bundled optimizers, with
 //!    rungs on external and internal scratch interleaved; plus absolute
 //!    per-optimizer pins on both backends;
 //! 3. the full search pipeline stays thread-count-deterministic — the pinned
 //!    byte-exact searches in `tests/problems.rs` complete this claim against
-//!    pre-batching captures;
+//!    earlier captures;
 //! 4. as a guard rather than a pin: every mixer a search can propose trains
 //!    on the compiled path, so the pins above cover what the search runs.
 
@@ -120,9 +121,9 @@ fn energy_batch_internal_and_external_scratch_agree_bitwise() {
     for batch in BATCH_SIZES {
         let pts = points(batch, 4);
         let external = compiled.energy_batch_in(&pts, &mut scratch).unwrap();
-        let internal = compiled.energy_batch(&pts).unwrap();
-        for (a, b) in external.iter().zip(&internal) {
-            assert_eq!(a.to_bits(), b.to_bits(), "B={batch}");
+        for (p, a) in pts.iter().zip(&external) {
+            let internal = compiled.energy_flat(p).unwrap();
+            assert_eq!(a.to_bits(), internal.to_bits(), "B={batch}");
         }
     }
 }
