@@ -39,8 +39,8 @@
 //! assert!((scratch.norm_squared() - 1.0).abs() < 1e-12);
 //! ```
 
+use crate::batch::{ExecScratch, PlaneState, StagedGate, RUN_BLOCK_AMPS};
 use crate::error::SimulatorError;
-use crate::planes::{ExecScratch, PlaneState, StagedGate, RUN_BLOCK_AMPS};
 use crate::state::{par_blocks, StateVector, TABLE_BLOCK};
 use graphs::problem::add_term_values;
 use num_complex::Complex64;
@@ -605,7 +605,7 @@ impl CompiledProgram {
     /// [`CompiledProgram::execute_into`].
     ///
     /// Bit-identical to [`CompiledProgram::execute_into`] up to the sign of
-    /// a zero amplitude (see the contract on [`crate::planes`]): gate kernels
+    /// a zero amplitude (see the contract on [`crate::batch`]): gate kernels
     /// perform the same arithmetic but for products with an exactly-zero
     /// coefficient, and phase passes read the same LUTs and compute their
     /// factors `e^{i·scale·θ}` through the same helper.
@@ -1468,7 +1468,7 @@ mod tests {
         // The span kernel's shape is read from the staged values, so a
         // chain formed at execution (`mul2`) is classified like a single
         // gate.
-        use crate::planes::{stage_one_q_coeffs, Shape};
+        use crate::batch::{stage_one_q_coeffs, Shape};
         use rand::{Rng, SeedableRng};
         fn one_q(gate: Gate, theta: f64) -> [Complex64; 4] {
             match GateMatrix::of(gate, theta) {

@@ -18,7 +18,7 @@
 //! * The compiled executor's single-qubit span kernel and phase pass are
 //!   built twice, portable and with AVX2, from one body; a CPU that has AVX2
 //!   runs the AVX2 build. Neither build enables `fma`, so both round alike
-//!   and give the same bits (see the [`planes`] module). Each sweep runs one
+//!   and give the same bits (see the [`batch`] module). Each sweep runs one
 //!   parameter vector. At targets 0 and 1, where a gate's amplitude pairs
 //!   are adjacent or two apart, the span kernel is compiled for that
 //!   literal stride.
@@ -42,15 +42,15 @@
 //! assert!((probs[0b11] - 0.5).abs() < 1e-12);
 //! ```
 
+pub mod batch;
 pub mod compile;
 pub mod error;
 pub mod expectation;
-pub mod planes;
 pub mod state;
 
+pub use batch::PlaneState;
 pub use compile::CompiledProgram;
 pub use error::SimulatorError;
-pub use planes::PlaneState;
 pub use state::StateVector;
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Property-based tests for the dense simulator.
 
+use crate::batch::PlaneState;
 use crate::compile::CompiledProgram;
 use crate::expectation::{maxcut_diagonal, maxcut_expectation, zz_expectation};
-use crate::planes::PlaneState;
 use crate::state::StateVector;
 use proptest::prelude::*;
 use qcircuit::{Circuit, Gate, Parameter};

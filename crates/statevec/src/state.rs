@@ -24,7 +24,7 @@ use std::ops::Range;
 /// Raw amplitude pointer that can cross `std::thread::scope` boundaries.
 ///
 /// Used only by the two-qubit kernels (scalar here, batched in
-/// [`crate::planes`]), which partition the base-index space into disjoint
+/// [`crate::batch`]), which partition the base-index space into disjoint
 /// per-thread ranges; every base index expands to a unique amplitude
 /// quadruple, so no two threads ever touch the same amplitude.
 #[derive(Clone, Copy)]
