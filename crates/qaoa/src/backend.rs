@@ -53,13 +53,13 @@ impl Backend {
 }
 
 // Written out rather than derived to read one legacy tag. A job's spec and
-// checkpoints carry their backend into the server's journal, and replay
-// treats a record it cannot read as a torn tail: it stops there, and
-// compaction drops every record after it. Journals written while a
-// sequential tensor-network backend existed name it as
-// `TensorNetworkSequential`; such a job resumes on `TensorNetwork`, which
-// sums the same terms with the problem's constant added last (the same bits
-// when the constant is zero, as for Max-Cut).
+// checkpoints carry their backend into the server's journal, and a CRC-valid
+// record that does not decode makes replay refuse the open, naming the line,
+// and leave the file untouched (only a torn tail is dropped and compacted
+// away). Journals written while a sequential tensor-network backend existed
+// name it as `TensorNetworkSequential`; such a job resumes on
+// `TensorNetwork`, which sums the same terms with the problem's constant
+// added last (the same bits when the constant is zero, as for Max-Cut).
 impl serde::Deserialize for Backend {
     fn from_value(value: &Value) -> Result<Backend, Error> {
         match value {

@@ -261,6 +261,9 @@ impl EnergyEvaluator {
     /// `p − 1`). `budget_hint` is the total evaluation budget the run will
     /// receive if it survives every pruning rung (forwarded to
     /// [`Resumable::start`]). No objective evaluations are consumed here.
+    /// Fails when no evaluation could succeed: a state-vector template the
+    /// compiler refuses (more qubits than the dense limit), or a
+    /// tensor-network cone wider than the plan's width limit.
     pub fn begin_training(
         &self,
         ansatz: &QaoaAnsatz,
@@ -329,16 +332,16 @@ impl EnergyEvaluator {
             let hint = TrainingSession::share_of(budget_hint, restarts);
             points.iter().map(|x| optimizer.start(x, hint)).collect()
         };
-        // Lower the template once when the backend can (a compiled program
-        // for the state vector, an expectation plan for the tensor network);
-        // bind-per-call when it refuses. Depth 0 is one bound evaluation of
-        // the plus state: not worth either.
+        // Lower the template once (a compiled program for the state vector,
+        // an expectation plan for the tensor network). The interpreter
+        // refuses every template the compiler refuses (a register past the
+        // dense limit), so a compile error fails here, before any
+        // evaluation; the tensor network binds per call when its plan
+        // refuses for any reason but its width limit. Depth 0 is one bound
+        // evaluation of the plus state: not worth either.
         let objective = match self.inner.backend {
             _ if p == 0 => None,
-            Backend::StateVector => self
-                .compile(ansatz)
-                .ok()
-                .map(|compiled| Objective::Compiled(Box::new(compiled))),
+            Backend::StateVector => Some(Objective::Compiled(Box::new(self.compile(ansatz)?))),
             Backend::TensorNetwork => match self.build_plan(ansatz) {
                 Ok(planned) => Some(Objective::Planned(Box::new(planned))),
                 // Every evaluation would hit the same limit: say so now
@@ -380,7 +383,7 @@ impl EnergyEvaluator {
 /// optimizer checkpoints, and the lowered objective — a [`CompiledEnergy`]
 /// (state-vector backend) or a [`PlannedEnergy`] (tensor-network backend);
 /// the ansatz template is not kept once lowered. Only depth 0 and templates
-/// the lowering refuses keep the template to bind per call. The search
+/// the tensor network's plan refuses keep the template to bind per call. The search
 /// pipeline keeps one session per `(candidate, graph)` alive for a whole
 /// depth, and drops a pruned candidate's sessions — programs and plans with
 /// them — at the rung that prunes it.
@@ -411,7 +414,7 @@ enum Objective {
     /// replaces the template.
     Planned(Box<PlannedEnergy>),
     /// Bind the template per call and ask the backend: depth 0, and templates
-    /// neither lowering accepts.
+    /// the tensor network's plan refuses below its width limit.
     Bound(QaoaAnsatz),
 }
 
@@ -1091,6 +1094,31 @@ mod tests {
             eval.begin_training(&ansatz, &opt, Some(&[0.1]), 40),
             Err(QaoaError::WrongParameterCount { .. })
         ));
+    }
+
+    #[test]
+    fn state_vector_session_past_the_dense_limit_fails_before_evaluating() {
+        // 31 qubits is past the dense limit: the compiler and the
+        // interpreter both refuse, so the session must not start (it used
+        // to bind per call and spend its whole budget on +inf).
+        let graph = Graph::erdos_renyi(31, 0.2, 7);
+        let eval = EnergyEvaluator::new(&graph, Backend::StateVector);
+        let ansatz = QaoaAnsatz::new(&graph, 1, Mixer::baseline());
+        let opt = CobylaOptimizer::default();
+        for restarts in [1, 3] {
+            let err = eval
+                .begin_multistart_training(&ansatz, &opt, None, 40, restarts)
+                .unwrap_err();
+            let QaoaError::Backend { message } = &err else {
+                panic!("expected a backend error, got {err:?}");
+            };
+            assert!(message.contains("31"), "{message}");
+        }
+        // Training is `begin_training` + `advance`: it fails at the first
+        // step, with the compiler's error.
+        let err = eval.train(&ansatz, &opt, 40).unwrap_err();
+        assert!(matches!(err, QaoaError::Backend { .. }), "{err:?}");
+        assert!(!err.to_string().contains("finite"), "{err}");
     }
 
     #[test]

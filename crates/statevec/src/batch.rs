@@ -9,28 +9,33 @@
 //! throughput at scalar FP rates). Every sweep runs one parameter vector,
 //! the one point an optimizer asked for.
 //!
-//! **Two builds of the hot kernels.** The single-qubit span kernel and the
-//! phase pass are each one `#[inline(always)]` body compiled twice: into the
-//! portable entry (baseline x86-64: SSE2, two f64 lanes) and into an
-//! `unsafe` wrapper compiled with the `avx2` target feature (four lanes).
-//! Every call runs the AVX2 build when
-//! `is_x86_feature_detected!("avx2")` holds (a cached CPU flag; nothing
-//! else selects the arm). `fma` stays off and no FMA intrinsic is used, and
-//! Rust never contracts `a * b + c` into one rounding on its own, so both
-//! builds round every product and sum the same way: the arm never changes a
-//! bit, and the portable build is the AVX2 build's oracle.
+//! **Builds of the hot kernels.** The single-qubit span kernel is one
+//! `#[inline(always)]` body compiled three times (`SpanBuild`): into the
+//! portable entry (baseline x86-64: SSE2, two f64 lanes) and into `unsafe`
+//! wrappers compiled with the `avx2` (four lanes) and `avx512f` (eight
+//! lanes) target features; the AVX-512 build hands stride 4 to the AVX2
+//! body, which vectorizes that stride and the eight-lane body does not. The
+//! phase pass is compiled twice, portable and AVX2. Every call runs the
+//! widest build for which `is_x86_feature_detected!` holds on each feature
+//! it is compiled with (a cached CPU flag; nothing else selects the build).
+//! No FMA intrinsic is used, and Rust never contracts `a * b + c` into one
+//! rounding on its own (the `fma` feature that `avx512f` implies changes no
+//! instruction), so every build rounds every product and sum the same way:
+//! the build never changes a bit, and the portable build is the oracle of
+//! the others.
 //!
 //! On top of the layout, `PlaneState::apply_single_qubit_run`
 //! executes a whole *run* of single-qubit gates (e.g. one QAOA mixer layer)
-//! in a single cache-blocked sweep: the buffer is walked once in L2-sized
-//! blocks and every low-stride gate of the run is applied while a block is
-//! hot, instead of one full-memory pass per gate (which saves traffic only
-//! once the buffer outgrows L2; see `RUN_BLOCK_AMPS`). At targets 0 and 1
-//! a pair block is only two or four amplitudes, so the span kernel gets
-//! their stride as a literal: the compiler then loads whole vectors and
-//! deinterleaves the pairs in registers instead of looping one pair at a
-//! time. A program that opens with `|+⟩^{⊗n}` and a phase pass writes both
-//! in one pass (`PlaneState::reset_plus_then_phase_lut`). The scalar
+//! in a single cache-blocked sweep: the buffer is walked once in L1-sized
+//! blocks of 2¹¹ amplitudes and every gate of the run whose pair block
+//! fits (targets 0–10) is applied while a block is in L1, instead of one
+//! pass over the whole state per gate; targets ≥ 11 keep one pass each (see
+//! `RUN_BLOCK_AMPS`). At targets 0 and 1 a pair block is only two or four
+//! amplitudes, so the span kernel gets their stride as a literal: the
+//! compiler then loads whole vectors and deinterleaves the pairs in
+//! registers instead of looping one pair at a time. A program that opens
+//! with `|+⟩^{⊗n}` and a phase pass writes both in one pass
+//! (`PlaneState::reset_plus_then_phase_lut`). The scalar
 //! [`StateVector`](crate::StateVector) interpreter stays as the reference.
 //!
 //! **Shaped span bodies.** Most single-qubit matrices a mixer stages have
@@ -93,15 +98,14 @@ impl PlanePtr {
 unsafe impl Send for PlanePtr {}
 unsafe impl Sync for PlanePtr {}
 
-/// Cache block, in amplitudes, for fused single-qubit runs: the largest
-/// power of two keeping one block of both planes within 256 KiB, so a run
-/// of low-stride gates replays each block from cache instead of streaming
-/// the whole buffer once per gate. That saves traffic only when the buffer,
-/// 2ⁿ · 16 bytes, is larger than L2. At n = 16 the 1 MiB buffer already
-/// stays in a 2 MiB L2 between single passes, and the blocked 14-gate mixer
-/// sweep measures within noise of its 14 single passes
-/// (`kernel_cost_table`).
-pub(crate) const RUN_BLOCK_AMPS: usize = (1 << 18) / 16;
+/// Cache block, in amplitudes, for fused single-qubit runs: 2¹¹, so that
+/// one block of both planes is 32 KiB and stays in a 48 KiB L1d while every
+/// gate of a run whose pair block fits it (targets 0–10) is applied to it.
+/// Targets ≥ 11 keep one pass each. An L2-sized block bought nothing: at
+/// n = 16 the 1 MiB state already stays in L2 between single passes, and a
+/// span gate runs faster from L1 than from L2 (`kernel_cost_table` prints
+/// both ceilings).
+pub(crate) const RUN_BLOCK_AMPS: usize = (1 << 15) / 16;
 
 /// The zero pattern of a staged single-qubit gate, read once per gate from
 /// its staged coefficients (`== 0.0`, so either sign of zero counts). The
@@ -197,52 +201,105 @@ fn pair<const SHAPE: u8>(c: [f64; 8], xre: f64, xim: f64, yre: f64, yim: f64) ->
     }
 }
 
-/// Apply one staged single-qubit gate to a contiguous span of the planes.
-///
-/// `c` holds the 2×2 matrix as [`stage_one_q_coeffs`] writes it, and
-/// `shape` is its [`Shape::of`]. The span length must be a multiple of
-/// `2 * target_stride`. Each pair goes through [`pair`].
-///
-/// Runs [`one_q_span_avx2`] when the CPU has AVX2, [`one_q_span`] otherwise;
-/// both compile the same body, so the arm never changes a bit. The shape is
-/// chosen here, outside the AVX2 build, so that each shape's body is its
-/// own AVX2 function: dispatched inside one function, the shaped body ran
-/// at twice the general body's time.
-#[inline]
-fn apply_one_q_span(
-    re: &mut [f64],
-    im: &mut [f64],
-    c: &[f64; 8],
-    target_stride: usize,
-    shape: Shape,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if std::is_x86_feature_detected!("avx2") {
-        // SAFETY: the CPU supports AVX2.
-        return unsafe {
-            match shape {
-                Shape::General => one_q_span_avx2::<GENERAL>(re, im, c, target_stride),
-                Shape::Real => one_q_span_avx2::<REAL>(re, im, c, target_stride),
-                Shape::RxLike => one_q_span_avx2::<RX_LIKE>(re, im, c, target_stride),
+/// A build of the single-qubit span kernel: its one body compiled for one
+/// set of target features. `fma` is enabled in none of the builds' own
+/// feature lists, no FMA intrinsic is used, and Rust never contracts
+/// `a * b + c` into one rounding on its own (`avx512f` implies the `fma`
+/// feature, which therefore changes nothing), so every build rounds every
+/// product and sum the same way and gives the same bits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum SpanBuild {
+    /// Baseline x86-64 (SSE2, two f64 lanes), and every other target.
+    Portable,
+    /// Compiled with `avx2`: four lanes.
+    Avx2,
+    /// Compiled with `avx512f`: eight lanes. Target 2 (stride 4) runs the
+    /// AVX2 body, since eight lanes do not vectorize a four-amplitude half.
+    Avx512,
+}
+
+impl SpanBuild {
+    /// Every build, the portable one first.
+    const ALL: [SpanBuild; 3] = [SpanBuild::Portable, SpanBuild::Avx2, SpanBuild::Avx512];
+
+    /// Whether this CPU can run the build: `is_x86_feature_detected!` on
+    /// each feature it is compiled with (a cached CPU flag; nothing else
+    /// selects a build).
+    fn detected(self) -> bool {
+        match self {
+            SpanBuild::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            SpanBuild::Avx2 => std::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            SpanBuild::Avx512 => {
+                std::is_x86_feature_detected!("avx512f") && std::is_x86_feature_detected!("avx2")
             }
-        };
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
     }
-    match shape {
-        Shape::General => one_q_span::<GENERAL>(re, im, c, target_stride),
-        Shape::Real => one_q_span::<REAL>(re, im, c, target_stride),
-        Shape::RxLike => one_q_span::<RX_LIKE>(re, im, c, target_stride),
+
+    /// The widest build this CPU runs: the one every span goes through.
+    fn fastest() -> SpanBuild {
+        SpanBuild::ALL
+            .into_iter()
+            .rev()
+            .find(|b| b.detected())
+            .unwrap_or(SpanBuild::Portable)
+    }
+
+    /// This build's span kernel for matrices of `shape`: `f(re, im, c,
+    /// target_stride)` applies the staged gate `c` to a contiguous span of
+    /// the planes, whose length must be a multiple of `2 * target_stride`.
+    /// The shape is chosen here, outside the target-feature functions, so
+    /// that each shape's body is its own function in each build: dispatched
+    /// inside one function, the shaped body ran at twice the general body's
+    /// time.
+    ///
+    /// Calling the function is safe only when [`detected`](Self::detected)
+    /// holds for this build.
+    fn span(self, shape: Shape) -> unsafe fn(&mut [f64], &mut [f64], &[f64; 8], usize) {
+        match (self, shape) {
+            #[cfg(target_arch = "x86_64")]
+            (SpanBuild::Avx512, Shape::General) => one_q_span_avx512::<GENERAL>,
+            #[cfg(target_arch = "x86_64")]
+            (SpanBuild::Avx512, Shape::Real) => one_q_span_avx512::<REAL>,
+            #[cfg(target_arch = "x86_64")]
+            (SpanBuild::Avx512, Shape::RxLike) => one_q_span_avx512::<RX_LIKE>,
+            #[cfg(target_arch = "x86_64")]
+            (SpanBuild::Avx2, Shape::General) => one_q_span_avx2::<GENERAL>,
+            #[cfg(target_arch = "x86_64")]
+            (SpanBuild::Avx2, Shape::Real) => one_q_span_avx2::<REAL>,
+            #[cfg(target_arch = "x86_64")]
+            (SpanBuild::Avx2, Shape::RxLike) => one_q_span_avx2::<RX_LIKE>,
+            (_, Shape::General) => one_q_span::<GENERAL>,
+            (_, Shape::Real) => one_q_span::<REAL>,
+            (_, Shape::RxLike) => one_q_span::<RX_LIKE>,
+        }
+    }
+
+    /// Apply the staged gate `g` to a contiguous span of the planes through
+    /// this build. Each pair goes through [`pair`].
+    ///
+    /// # Safety
+    /// [`detected`](Self::detected) must hold for this build.
+    #[inline]
+    unsafe fn apply(self, re: &mut [f64], im: &mut [f64], g: &StagedGate) {
+        self.span(g.shape)(re, im, &g.c, 1usize << g.target)
     }
 }
 
 /// [`one_q_span`] compiled with AVX2 enabled: four f64 lanes instead of
-/// baseline x86-64's two. `fma` stays off, and Rust never contracts
-/// `a * b + c` on its own, so both builds round every product and sum
-/// separately and give the same bits.
+/// baseline x86-64's two (see [`SpanBuild`] for why the bits are the same).
+///
+/// Never inlined: inlined into [`one_q_span_avx512`] it would be compiled
+/// with that build's features, which is what its stride-4 arm avoids.
 ///
 /// # Safety
 /// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
+#[inline(never)]
 unsafe fn one_q_span_avx2<const SHAPE: u8>(
     re: &mut [f64],
     im: &mut [f64],
@@ -252,11 +309,31 @@ unsafe fn one_q_span_avx2<const SHAPE: u8>(
     one_q_span::<SHAPE>(re, im, c, target_stride)
 }
 
-/// The span kernel's body, inlined into the portable entry and into the
-/// AVX2 build alike. Targets 0 and 1 pass their stride as a literal, so
-/// their pair blocks of two and four amplitudes compile to whole-vector
-/// loads and in-register deinterleaving; the arithmetic is the same
-/// [`pair`] trees at every stride.
+/// [`one_q_span`] compiled with AVX-512 enabled: eight f64 lanes. At stride
+/// 4 a half is four amplitudes, which the eight-lane body ran as scalar
+/// code at twice the AVX2 time, so that stride runs the AVX2 body.
+///
+/// # Safety
+/// The CPU must support AVX-512F and AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn one_q_span_avx512<const SHAPE: u8>(
+    re: &mut [f64],
+    im: &mut [f64],
+    c: &[f64; 8],
+    target_stride: usize,
+) {
+    match target_stride {
+        // SAFETY: the caller guarantees AVX2.
+        4 => unsafe { one_q_span_avx2::<SHAPE>(re, im, c, 4) },
+        stride => one_q_span::<SHAPE>(re, im, c, stride),
+    }
+}
+
+/// The span kernel's body, inlined into every build. Targets 0 and 1 pass
+/// their stride as a literal, so their pair blocks of two and four
+/// amplitudes compile to whole-vector loads and in-register deinterleaving;
+/// the arithmetic is the same [`pair`] trees at every stride.
 #[inline(always)]
 fn one_q_span<const SHAPE: u8>(re: &mut [f64], im: &mut [f64], c: &[f64; 8], target_stride: usize) {
     match target_stride {
@@ -414,8 +491,10 @@ impl PlaneState {
         );
         let g = StagedGate::new(m, target);
         let unit = BLOCK_AMPS.max(2usize << target);
+        let build = SpanBuild::fastest();
         par_blocks((&mut self.re[..], &mut self.im[..]), unit, |(re, im), _| {
-            apply_one_q_span(re, im, &g.c, 1usize << target, g.shape)
+            // SAFETY: `fastest` returns a build this CPU runs.
+            unsafe { build.apply(re, im, &g) }
         });
     }
 
@@ -447,10 +526,12 @@ impl PlaneState {
         }
         let block = block_amps.min(self.re.len());
         let unit = BLOCK_AMPS.max(block_amps);
+        let build = SpanBuild::fastest();
         par_blocks((&mut self.re[..], &mut self.im[..]), unit, |(re, im), _| {
             for (re_block, im_block) in re.chunks_mut(block).zip(im.chunks_mut(block)) {
                 for g in gates {
-                    apply_one_q_span(re_block, im_block, &g.c, 1usize << g.target, g.shape);
+                    // SAFETY: `fastest` returns a build this CPU runs.
+                    unsafe { build.apply(re_block, im_block, g) };
                 }
             }
         });
@@ -687,15 +768,18 @@ mod tests {
 
     #[test]
     fn fused_run_matches_per_gate_passes_bitwise() {
-        // A run of per-qubit gates applied through the cache-blocked kernel
-        // must equal one `apply_single_qubit` pass per gate, bit for bit —
-        // including when the block is far smaller than the state and when
-        // it covers the whole state, at a small width and at n=15.
+        // A gate on every qubit (`rx`, `ry` and a phase gate in turn, one of
+        // each shape) as the compiled executor runs it: the targets whose
+        // pair block fits the run block in one cache-blocked run, the rest
+        // as one pass each. It must equal one `apply_single_qubit` pass per
+        // gate, bit for bit, with a block far smaller than the state, at
+        // `RUN_BLOCK_AMPS` (targets on both sides of it at n = 15) and over
+        // the whole state, at a small width and at n=15.
         use qcircuit::{Gate, GateMatrix};
         for n in [6usize, 15] {
-            let gates: Vec<([Complex64; 4], usize)> = (0..n.min(8))
+            let gates: Vec<([Complex64; 4], usize)> = (0..n)
                 .map(|t| {
-                    let gate = if t % 2 == 0 { Gate::RX } else { Gate::RY };
+                    let gate = [Gate::RX, Gate::RY, Gate::P][t % 3];
                     match GateMatrix::of(gate, 0.1 + 0.2 * t as f64) {
                         GateMatrix::One(m) => (m, t),
                         _ => unreachable!(),
@@ -710,12 +794,19 @@ mod tests {
                 reference.apply_single_qubit(m, *t);
             }
             let (want_re, want_im) = reference.planes();
-            for block_amps in [1usize << 9, 1usize << n] {
+            for block_amps in [1usize << 9, RUN_BLOCK_AMPS, 1usize << n] {
+                let fits = gates
+                    .iter()
+                    .filter(|(_, t)| 2usize << t <= block_amps)
+                    .count();
                 let mut fused = PlaneState::zero_state(n).unwrap();
                 fused.reset_plus();
-                fused.apply_single_qubit_run(&staged, block_amps);
+                fused.apply_single_qubit_run(&staged[..fits], block_amps);
+                for (m, t) in &gates[fits..] {
+                    fused.apply_single_qubit(m, *t);
+                }
                 let (re, im) = fused.planes();
-                let what = format!("n={n} block={block_amps}");
+                let what = format!("n={n} block={block_amps}, {fits} gates fused");
                 assert_same_bits(re, want_re, &what);
                 assert_same_bits(im, want_im, &what);
             }
@@ -767,14 +858,36 @@ mod tests {
         b.apply_single_qubit_run(&[StagedGate::new(&m, 11)], 1 << 8);
     }
 
-    /// Whether this CPU can run the AVX2 arms; says so when it cannot.
-    #[cfg(target_arch = "x86_64")]
-    fn avx2_detected() -> bool {
-        let detected = std::is_x86_feature_detected!("avx2");
+    /// Whether this CPU can run `build`; says so when it cannot.
+    fn detected(build: SpanBuild) -> bool {
+        let detected = build.detected();
         if !detected {
-            println!("AVX2 not detected: only the portable build runs on this CPU");
+            println!("{build:?} not detected: skipped the {build:?} build on this CPU");
         }
         detected
+    }
+
+    /// The SIMD span builds this CPU runs; names each one it skips.
+    fn simd_builds() -> Vec<SpanBuild> {
+        SpanBuild::ALL[1..]
+            .iter()
+            .copied()
+            .filter(|&b| detected(b))
+            .collect()
+    }
+
+    /// `build`'s span kernel for `shape` on the planes.
+    fn run_span(
+        build: SpanBuild,
+        shape: Shape,
+        re: &mut [f64],
+        im: &mut [f64],
+        c: &[f64; 8],
+        stride: usize,
+    ) {
+        assert!(build.detected(), "{build:?} does not run on this CPU");
+        // SAFETY: the CPU runs `build`, checked just above.
+        unsafe { build.span(shape)(re, im, c, stride) }
     }
 
     /// Random f64s in [-1, 1) with `-0.0`, `+0.0`, subnormals and values
@@ -803,25 +916,6 @@ mod tests {
         }
     }
 
-    /// The span kernel's body for `shape`, in the portable build.
-    fn portable_span(shape: Shape) -> fn(&mut [f64], &mut [f64], &[f64; 8], usize) {
-        match shape {
-            Shape::General => one_q_span::<GENERAL>,
-            Shape::Real => one_q_span::<REAL>,
-            Shape::RxLike => one_q_span::<RX_LIKE>,
-        }
-    }
-
-    /// The span kernel's body for `shape`, in the AVX2 build.
-    #[cfg(target_arch = "x86_64")]
-    fn avx2_span(shape: Shape) -> unsafe fn(&mut [f64], &mut [f64], &[f64; 8], usize) {
-        match shape {
-            Shape::General => one_q_span_avx2::<GENERAL>,
-            Shape::Real => one_q_span_avx2::<REAL>,
-            Shape::RxLike => one_q_span_avx2::<RX_LIKE>,
-        }
-    }
-
     /// `awkward_f64s` coefficients for a matrix of `shape`: the
     /// coefficients its body leaves out are set to `±0.0`.
     fn shaped_coeffs(rng: &mut rand_chacha::ChaCha8Rng, shape: Shape) -> [f64; 8] {
@@ -839,15 +933,14 @@ mod tests {
     }
 
     #[test]
-    #[cfg(target_arch = "x86_64")]
     fn avx2_span_kernel_matches_the_portable_build_bitwise() {
-        // Both builds on the same planes and coefficients, for every shape,
-        // at every target stride of a 2^9-amplitude span (targets 0 and 1
-        // take the literal-stride arms), over several random draws.
-        if !avx2_detected() {
-            return;
-        }
+        // Every SIMD build this CPU runs (AVX2, AVX-512) against the
+        // portable build on the same planes and coefficients, for every
+        // shape, at every target stride of a 2^9-amplitude span (targets 0
+        // and 1 take the literal-stride arms, and the AVX-512 build hands
+        // target 2 to the AVX2 body), over several random draws.
         use rand::SeedableRng;
+        let builds = simd_builds();
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(38);
         let amps = 1usize << 9;
         for shape in [Shape::General, Shape::Real, Shape::RxLike] {
@@ -858,13 +951,14 @@ mod tests {
                 for target in 0..9 {
                     let stride = 1usize << target;
                     let (mut re_p, mut im_p) = (re.clone(), im.clone());
-                    portable_span(shape)(&mut re_p, &mut im_p, &c, stride);
-                    let (mut re_a, mut im_a) = (re.clone(), im.clone());
-                    // SAFETY: AVX2 was detected above.
-                    unsafe { avx2_span(shape)(&mut re_a, &mut im_a, &c, stride) };
-                    let what = format!("{shape:?}, draw {draw}, target {target}");
-                    assert_same_bits(&re_a, &re_p, &what);
-                    assert_same_bits(&im_a, &im_p, &what);
+                    run_span(SpanBuild::Portable, shape, &mut re_p, &mut im_p, &c, stride);
+                    for &build in &builds {
+                        let (mut re_b, mut im_b) = (re.clone(), im.clone());
+                        run_span(build, shape, &mut re_b, &mut im_b, &c, stride);
+                        let what = format!("{build:?}, {shape:?}, draw {draw}, target {target}");
+                        assert_same_bits(&re_b, &re_p, &what);
+                        assert_same_bits(&im_b, &im_p, &what);
+                    }
                 }
             }
         }
@@ -874,7 +968,8 @@ mod tests {
     fn shaped_span_bodies_match_the_general_body() {
         // A shaped body is the general body without the products of its
         // shape's zero coefficients. On the same planes and coefficients,
-        // in both builds, at every target of a 2^9-amplitude span: each
+        // in every build this CPU runs, at every target of a 2^9-amplitude
+        // span: each
         // output has the general body's bits or both are zero (the sign of
         // a zero may differ), and every |a|² has its bits. A product the
         // shaped body wrongly kept reads only as a zero's sign on finite
@@ -883,6 +978,9 @@ mod tests {
         // and hi re) is also set to NaN: the other half's outputs must keep
         // their bits.
         use rand::SeedableRng;
+        let builds: Vec<SpanBuild> = std::iter::once(SpanBuild::Portable)
+            .chain(simd_builds())
+            .collect();
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(45);
         let amps = 1usize << 9;
         for shape in [Shape::Real, Shape::RxLike] {
@@ -896,68 +994,58 @@ mod tests {
                     let (mut re_g, mut im_g) = (re.clone(), im.clone());
                     one_q_span::<GENERAL>(&mut re_g, &mut im_g, &c, stride);
 
-                    let (mut re_s, mut im_s) = (re.clone(), im.clone());
-                    portable_span(shape)(&mut re_s, &mut im_s, &c, stride);
-                    let mut outputs = vec![("portable", re_s.clone(), im_s.clone())];
-                    #[cfg(target_arch = "x86_64")]
-                    if std::is_x86_feature_detected!("avx2") {
-                        let (mut re_a, mut im_a) = (re.clone(), im.clone());
-                        // SAFETY: AVX2 was detected just above.
-                        unsafe { avx2_span(shape)(&mut re_a, &mut im_a, &c, stride) };
-                        assert_same_bits(&re_a, &re_s, &format!("AVX2 build, {what}"));
-                        assert_same_bits(&im_a, &im_s, &format!("AVX2 build, {what}"));
-                        outputs.push(("AVX2", re_a, im_a));
-                    }
-                    for (build, re_s, im_s) in &outputs {
-                        for i in 0..amps {
-                            for (plane, s, g) in
-                                [("re", re_s[i], re_g[i]), ("im", im_s[i], im_g[i])]
-                            {
-                                assert!(
-                                    s.to_bits() == g.to_bits() || (s == 0.0 && g == 0.0),
-                                    "{build} build, {what}: {plane}[{i}] {s:e} vs general {g:e}"
-                                );
-                            }
-                            let norm = |re: f64, im: f64| (re * re + im * im).to_bits();
-                            assert_eq!(
-                                norm(re_s[i], im_s[i]),
-                                norm(re_g[i], im_g[i]),
-                                "{build} build, {what}: |a|² at {i}"
-                            );
-                        }
-                    }
-
                     // Which half a plane element is in: for `RxLike` lo re and
                     // hi im make one half, for `Real` the real plane does.
                     let half = |in_re: bool, i: usize| match shape {
                         Shape::RxLike => in_re != ((i >> target) & 1 == 1),
                         _ => in_re,
                     };
-                    for poisoned in [false, true] {
-                        let (mut re_n, mut im_n) = (re.clone(), im.clone());
+                    for &build in &builds {
+                        let (mut re_s, mut im_s) = (re.clone(), im.clone());
+                        run_span(build, shape, &mut re_s, &mut im_s, &c, stride);
                         for i in 0..amps {
-                            if half(true, i) == poisoned {
-                                re_n[i] = f64::NAN;
+                            for (plane, s, g) in
+                                [("re", re_s[i], re_g[i]), ("im", im_s[i], im_g[i])]
+                            {
+                                assert!(
+                                    s.to_bits() == g.to_bits() || (s == 0.0 && g == 0.0),
+                                    "{build:?} build, {what}: {plane}[{i}] {s:e} vs general {g:e}"
+                                );
                             }
-                            if half(false, i) == poisoned {
-                                im_n[i] = f64::NAN;
-                            }
+                            let norm = |re: f64, im: f64| (re * re + im * im).to_bits();
+                            assert_eq!(
+                                norm(re_s[i], im_s[i]),
+                                norm(re_g[i], im_g[i]),
+                                "{build:?} build, {what}: |a|² at {i}"
+                            );
                         }
-                        portable_span(shape)(&mut re_n, &mut im_n, &c, stride);
-                        for i in 0..amps {
-                            if half(true, i) != poisoned {
-                                assert_eq!(
-                                    re_n[i].to_bits(),
-                                    re_s[i].to_bits(),
-                                    "{what}: re[{i}] read a NaN"
-                                );
+
+                        for poisoned in [false, true] {
+                            let (mut re_n, mut im_n) = (re.clone(), im.clone());
+                            for i in 0..amps {
+                                if half(true, i) == poisoned {
+                                    re_n[i] = f64::NAN;
+                                }
+                                if half(false, i) == poisoned {
+                                    im_n[i] = f64::NAN;
+                                }
                             }
-                            if half(false, i) != poisoned {
-                                assert_eq!(
-                                    im_n[i].to_bits(),
-                                    im_s[i].to_bits(),
-                                    "{what}: im[{i}] read a NaN"
-                                );
+                            run_span(build, shape, &mut re_n, &mut im_n, &c, stride);
+                            for i in 0..amps {
+                                if half(true, i) != poisoned {
+                                    assert_eq!(
+                                        re_n[i].to_bits(),
+                                        re_s[i].to_bits(),
+                                        "{build:?} build, {what}: re[{i}] read a NaN"
+                                    );
+                                }
+                                if half(false, i) != poisoned {
+                                    assert_eq!(
+                                        im_n[i].to_bits(),
+                                        im_s[i].to_bits(),
+                                        "{build:?} build, {what}: im[{i}] read a NaN"
+                                    );
+                                }
                             }
                         }
                     }
@@ -968,21 +1056,26 @@ mod tests {
 
     #[test]
     fn low_target_span_matches_the_scalar_kernel_bitwise() {
-        // Targets 0 and 1 take literal-stride arms of the span body. The
-        // AVX2 test compares two builds of one arm, so it cannot see an arm
-        // that pairs the wrong amplitudes; here both builds meet outside
+        // Targets 0 and 1 take literal-stride arms of the span body, and the
+        // AVX-512 build hands target 2 to the AVX2 body. The build test
+        // compares builds of one arm, so it cannot see an arm that pairs the
+        // wrong amplitudes; here every build this CPU runs meets outside
         // oracles: the scalar `StateVector` kernel and the body at a stride
-        // the compiler cannot see. At targets 0, 1 and 2 (the runtime-stride
-        // arm), on spans of one, two and more pair blocks.
+        // the compiler cannot see. At targets 0, 1, 2 and 3 (the last two
+        // take the runtime-stride arm), on spans of one, two and more pair
+        // blocks.
         use rand::SeedableRng;
         use std::hint::black_box;
+        let builds: Vec<SpanBuild> = std::iter::once(SpanBuild::Portable)
+            .chain(simd_builds())
+            .collect();
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(42);
-        for amps in [2usize, 4, 8, 16, 1 << 9] {
+        for amps in [2usize, 4, 8, 16, 32, 1 << 9] {
             let re = awkward_f64s(&mut rng, amps);
             let im = awkward_f64s(&mut rng, amps);
             let c: [f64; 8] = awkward_f64s(&mut rng, 8).try_into().unwrap();
             let m: [Complex64; 4] = std::array::from_fn(|j| Complex64::new(c[2 * j], c[2 * j + 1]));
-            for target in (0..3).filter(|&t| 2usize << t <= amps) {
+            for target in (0..4).filter(|&t| 2usize << t <= amps) {
                 let stride = 1usize << target;
                 let what = format!("span {amps}, target {target}");
                 let amplitudes = re.iter().zip(&im).map(|(&r, &i)| Complex64::new(r, i));
@@ -996,31 +1089,28 @@ mod tests {
                 assert_same_bits(&re_g, &want_re, &format!("runtime stride, {what}"));
                 assert_same_bits(&im_g, &want_im, &format!("runtime stride, {what}"));
 
-                let (mut re_p, mut im_p) = (re.clone(), im.clone());
-                one_q_span::<GENERAL>(&mut re_p, &mut im_p, &c, stride);
-                assert_same_bits(&re_p, &want_re, &format!("portable build, {what}"));
-                assert_same_bits(&im_p, &want_im, &format!("portable build, {what}"));
-
-                #[cfg(target_arch = "x86_64")]
-                if std::is_x86_feature_detected!("avx2") {
-                    let (mut re_a, mut im_a) = (re.clone(), im.clone());
-                    // SAFETY: AVX2 was detected just above.
-                    unsafe { one_q_span_avx2::<GENERAL>(&mut re_a, &mut im_a, &c, stride) };
-                    assert_same_bits(&re_a, &want_re, &format!("AVX2 build, {what}"));
-                    assert_same_bits(&im_a, &want_im, &format!("AVX2 build, {what}"));
+                for &build in &builds {
+                    let (mut re_b, mut im_b) = (re.clone(), im.clone());
+                    run_span(build, Shape::General, &mut re_b, &mut im_b, &c, stride);
+                    assert_same_bits(&re_b, &want_re, &format!("{build:?} build, {what}"));
+                    assert_same_bits(&im_b, &want_im, &format!("{build:?} build, {what}"));
                 }
             }
         }
     }
 
-    /// Per-pass cost of the kernels at n = 10 and 16: every single-qubit
-    /// target for a matrix of each [`Shape`], the cache-blocked mixer sweep
+    /// Per-pass cost of the kernels at n = 10 and 16, in the span build
+    /// this CPU runs (printed first): every single-qubit target for a
+    /// matrix of each [`Shape`], the cache-blocked mixer sweep per gate
     /// against the same gates as single passes, the phase pass, the
-    /// diagonal expectation, and an in-place pass that negates both planes
-    /// (the same bytes and working set as one single-qubit pass, with no
-    /// arithmetic: the memory ceiling). Asserts only that each timed kernel
-    /// gives the scalar reference's bits. Run with `cargo test --release -p
-    /// statevec -- --ignored --nocapture kernel_cost_table`.
+    /// diagonal expectation, and two ceilings, each an in-place pass that
+    /// negates both planes with no arithmetic: over the whole state (the
+    /// same bytes and working set as one single-qubit pass) and repeated
+    /// over one `RUN_BLOCK_AMPS` block as often as it takes to touch as many
+    /// amplitudes (the L1 limit of a fused run's gates). Asserts only that
+    /// each timed kernel gives the scalar reference's bits. Run with `cargo
+    /// test --release -p statevec -- --ignored --nocapture
+    /// kernel_cost_table`.
     #[test]
     #[ignore = "prints the kernel cost table"]
     fn kernel_cost_table() {
@@ -1074,6 +1164,7 @@ mod tests {
             assert_eq!(Shape::of(&stage_one_q_coeffs(&m)), shape);
         }
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
+        println!("span build: {:?}", SpanBuild::fastest());
         for n in [10usize, 16] {
             let dim = 1usize << n;
             let calls = (1usize << 22) >> n;
@@ -1139,9 +1230,12 @@ mod tests {
             }
             bsv.apply_single_qubit_run(&staged, RUN_BLOCK_AMPS);
             assert_same_state(&bsv, &want, &format!("n = {n}, mixer sweep"));
+            let gates = ms.len() as f64;
             println!(
-                "  mixer sweep  {fused:>8.1} µs  ({} gates, {RUN_BLOCK_AMPS}-amplitude blocks; as single passes {singles:.1} µs)",
-                ms.len()
+                "  mixer sweep  {:>8.2} µs per gate  ({} gates, {RUN_BLOCK_AMPS}-amplitude blocks; as single passes {:.2} µs per gate)",
+                fused / gates,
+                ms.len(),
+                singles / gates
             );
 
             // A cost layer with 61 distinct angles, as a 16-qubit Max-Cut
@@ -1173,28 +1267,72 @@ mod tests {
             assert_eq!(got.to_bits(), want.to_bits(), "n = {n}, expectation");
             println!("  expectation  {us:>8.1} µs");
 
-            // Read, negate and write back both planes: an even number of
-            // passes gives the state back.
+            // Read, negate and write back both planes' first `block`
+            // amplitudes `dim / block` times: the whole state once, or one
+            // run block from L1. Each ceiling is the fastest of the builds
+            // this CPU runs (over L2, eight-lane stores can be the slower
+            // ones). An even number of negations gives the state back.
             let (re, im) = (bsv.re.clone(), bsv.im.clone());
-            fn negate(bsv: &mut PlaneState) {
-                for plane in [&mut bsv.re, &mut bsv.im] {
-                    for v in plane.iter_mut() {
-                        *v = -*v;
+            #[inline(always)]
+            fn negate_body(bsv: &mut PlaneState, block: usize) {
+                for _ in 0..bsv.re.len() / block {
+                    for plane in [&mut bsv.re[..block], &mut bsv.im[..block]] {
+                        for v in plane.iter_mut() {
+                            *v = -*v;
+                        }
                     }
+                    black_box((&bsv.re, &bsv.im));
                 }
-                black_box((&bsv.re, &bsv.im));
             }
-            let mut passes = 0;
-            let us = median_us(calls, || {
-                negate(&mut bsv);
-                passes += 1;
-            });
-            if passes % 2 == 1 {
-                negate(&mut bsv);
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx2")]
+            unsafe fn negate_avx2(bsv: &mut PlaneState, block: usize) {
+                negate_body(bsv, block)
             }
-            assert_same_bits(&bsv.re, &re, "in-place ceiling");
-            assert_same_bits(&bsv.im, &im, "in-place ceiling");
-            println!("  in-place ceiling {us:>5.1} µs  {:>5.1} GB/s", gb(us));
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx512f")]
+            unsafe fn negate_avx512(bsv: &mut PlaneState, block: usize) {
+                negate_body(bsv, block)
+            }
+            fn negate(build: SpanBuild, bsv: &mut PlaneState, block: usize) {
+                assert!(build.detected(), "{build:?} does not run on this CPU");
+                match build {
+                    // SAFETY: the CPU runs `build`, checked just above.
+                    #[cfg(target_arch = "x86_64")]
+                    SpanBuild::Avx512 => unsafe { negate_avx512(bsv, block) },
+                    // SAFETY: as above.
+                    #[cfg(target_arch = "x86_64")]
+                    SpanBuild::Avx2 => unsafe { negate_avx2(bsv, block) },
+                    _ => negate_body(bsv, block),
+                }
+            }
+            for (what, block) in [
+                ("whole state", dim),
+                ("one L1 block", RUN_BLOCK_AMPS.min(dim)),
+            ] {
+                let (us, build) = SpanBuild::ALL
+                    .into_iter()
+                    .filter(|b| b.detected())
+                    .map(|build| {
+                        let mut passes = 0;
+                        let us = median_us(calls, || {
+                            negate(build, &mut bsv, block);
+                            passes += 1;
+                        });
+                        if passes % 2 == 1 {
+                            negate(build, &mut bsv, block);
+                        }
+                        assert_same_bits(&bsv.re, &re, what);
+                        assert_same_bits(&bsv.im, &im, what);
+                        (us, build)
+                    })
+                    .min_by(|a, b| a.0.total_cmp(&b.0))
+                    .expect("the portable build always runs");
+                println!(
+                    "  in-place ceiling, {what:<12} {us:>6.2} µs  {:>5.1} GB/s ({build:?} build)",
+                    gb(us)
+                );
+            }
         }
     }
 
@@ -1203,7 +1341,7 @@ mod tests {
     fn avx2_phase_pass_matches_the_portable_build_bitwise() {
         // Both builds of both phase passes (reading the amplitudes, and
         // taking the plus state's) on the same planes and factors.
-        if !avx2_detected() {
+        if !detected(SpanBuild::Avx2) {
             return;
         }
         fn check<const FROM_PLUS: bool>(
