@@ -383,10 +383,10 @@ impl EnergyEvaluator {
 /// optimizer checkpoints, and the lowered objective — a [`CompiledEnergy`]
 /// (state-vector backend) or a [`PlannedEnergy`] (tensor-network backend);
 /// the ansatz template is not kept once lowered. Only depth 0 and templates
-/// the tensor network's plan refuses keep the template to bind per call. The search
-/// pipeline keeps one session per `(candidate, graph)` alive for a whole
-/// depth, and drops a pruned candidate's sessions — programs and plans with
-/// them — at the rung that prunes it.
+/// the tensor network's plan refuses keep the template to bind per call.
+/// The search pipeline keeps one session per `(candidate, graph)` alive for
+/// a whole depth, and drops a pruned candidate's sessions — programs and
+/// plans with them — at the rung that prunes it.
 #[derive(Debug)]
 pub struct TrainingSession {
     /// A handle on the shared per-instance evaluator (no copy of the graph,

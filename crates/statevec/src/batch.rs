@@ -202,11 +202,8 @@ fn pair<const SHAPE: u8>(c: [f64; 8], xre: f64, xim: f64, yre: f64, yim: f64) ->
 }
 
 /// A build of the single-qubit span kernel: its one body compiled for one
-/// set of target features. `fma` is enabled in none of the builds' own
-/// feature lists, no FMA intrinsic is used, and Rust never contracts
-/// `a * b + c` into one rounding on its own (`avx512f` implies the `fma`
-/// feature, which therefore changes nothing), so every build rounds every
-/// product and sum the same way and gives the same bits.
+/// set of target features. Every build gives the same bits (the module doc
+/// says why).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum SpanBuild {
     /// Baseline x86-64 (SSE2, two f64 lanes), and every other target.
@@ -290,7 +287,7 @@ impl SpanBuild {
 }
 
 /// [`one_q_span`] compiled with AVX2 enabled: four f64 lanes instead of
-/// baseline x86-64's two (see [`SpanBuild`] for why the bits are the same).
+/// baseline x86-64's two, with the same bits (see the module doc).
 ///
 /// Never inlined: inlined into [`one_q_span_avx512`] it would be compiled
 /// with that build's features, which is what its stride-4 arm avoids.
